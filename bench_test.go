@@ -11,14 +11,12 @@ package rad_test
 // generated campaign per process.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"rad"
-	"rad/internal/wire"
 )
 
 var (
@@ -194,39 +192,6 @@ func BenchmarkNGramCountParallel(b *testing.B) {
 }
 
 // --- Ablation benchmarks (design choices from DESIGN.md) ---
-
-// BenchmarkAblationWireFraming measures the JSON length-prefixed framing
-// cost per command round trip payload.
-func BenchmarkAblationWireFraming(b *testing.B) {
-	req := wire.Request{
-		ID: 42, Op: wire.OpExec, Device: "C9", Name: "ARM",
-		Args: []string{"120.5", "-30.25", "12"}, Procedure: "P2", Run: "run-19",
-	}
-	b.Run("encode", func(b *testing.B) {
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := wire.WriteFrame(&buf, req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("roundtrip", func(b *testing.B) {
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := wire.WriteFrame(&buf, req); err != nil {
-				b.Fatal(err)
-			}
-			var got wire.Request
-			if err := wire.ReadFrame(&buf, &got); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationNGramOrder measures perplexity scoring cost by model
 // order, the knob Table I sweeps.

@@ -16,7 +16,13 @@ func TestRadbenchSubsets(t *testing.T) {
 }
 
 func TestRadbenchRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
-		t.Error("bad flag accepted")
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-only", "fig9"},
+		{"-only", "fig5a,table-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"rad"
+	"rad/internal/experiments"
 )
 
 // renderFig7a formats the five-segment experiment: sparklines, repeatability,
 // and the pairwise distinctness verdicts.
-func renderFig7a(res rad.Fig7aResult) string {
+func renderFig7a(res experiments.Fig7aResult) string {
 	var b strings.Builder
-	b.WriteString(rad.RenderSeries("Fig. 7(a) — UR3e joint-1 current per move_joints segment", res.Segments))
+	b.WriteString(experiments.RenderSeries("Fig. 7(a) — UR3e joint-1 current per move_joints segment", res.Segments))
 	b.WriteString("repeatability (Pearson r, run 1 vs run 2):")
 	for i, r := range res.RepeatCorrelation {
 		fmt.Fprintf(&b, "  L%d-L%d %.4f", i, i+1, r)
@@ -29,21 +29,21 @@ func renderFig7a(res rad.Fig7aResult) string {
 	return b.String()
 }
 
-func renderFig7b(res rad.Fig7bResult) string {
+func renderFig7b(res experiments.Fig7bResult) string {
 	var b strings.Builder
-	b.WriteString(rad.RenderSeries("Fig. 7(b) — vial-transfer current per solid (trajectory identical)", res.Solids))
+	b.WriteString(experiments.RenderSeries("Fig. 7(b) — vial-transfer current per solid (trajectory identical)", res.Solids))
 	labels := make([]string, len(res.Solids))
 	for i, s := range res.Solids {
 		labels[i] = s.Label
 	}
-	b.WriteString(rad.RenderCorrelationMatrix("pairwise Pearson r (paper: > 0.97):", labels, res.Correlations))
+	b.WriteString(experiments.RenderCorrelationMatrix("pairwise Pearson r (paper: > 0.97):", labels, res.Correlations))
 	b.WriteString("\n")
 	return b.String()
 }
 
-func renderFig7c(res rad.Fig7cResult) string {
+func renderFig7c(res experiments.Fig7cResult) string {
 	var b strings.Builder
-	b.WriteString(rad.RenderSeries("Fig. 7(c) — current vs commanded velocity (same endpoints)", res.Velocities))
+	b.WriteString(experiments.RenderSeries("Fig. 7(c) — current vs commanded velocity (same endpoints)", res.Velocities))
 	b.WriteString("peak amplitude:")
 	for i, s := range res.Velocities {
 		fmt.Fprintf(&b, "  %s %.3f", s.Label, res.PeakAmplitude[i])
@@ -52,9 +52,9 @@ func renderFig7c(res rad.Fig7cResult) string {
 	return b.String()
 }
 
-func renderFig7d(res rad.Fig7dResult) string {
+func renderFig7d(res experiments.Fig7dResult) string {
 	var b strings.Builder
-	b.WriteString(rad.RenderSeries("Fig. 7(d) — current vs payload weight (same trajectory)", res.Weights))
+	b.WriteString(experiments.RenderSeries("Fig. 7(d) — current vs payload weight (same trajectory)", res.Weights))
 	b.WriteString("peak amplitude:")
 	for i, s := range res.Weights {
 		fmt.Fprintf(&b, "  %s %.3f", s.Label, res.PeakAmplitude[i])

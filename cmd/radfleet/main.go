@@ -30,7 +30,7 @@ import (
 	"syscall"
 	"time"
 
-	"rad"
+	"rad/internal/fleet"
 )
 
 func main() {
@@ -75,8 +75,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 
 	// Each run gets its own DLQ namespace so a -verify rerun cannot drain
 	// the first run's leftovers.
-	runOnce := func(n int) (*rad.FleetCampaignResult, time.Duration, error) {
-		cfg := rad.FleetCampaignConfig{
+	runOnce := func(n int) (*fleet.CampaignResult, time.Duration, error) {
+		cfg := fleet.CampaignConfig{
 			Tenants:  *tenants,
 			Requests: *requests,
 			Seed:     *seed,
@@ -85,7 +85,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		if *faults {
 			cfg.DLQRoot = filepath.Join(root, fmt.Sprintf("run-%d", n))
 		}
-		c, err := rad.NewFleetCampaign(cfg)
+		c, err := fleet.NewCampaign(cfg)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -6,7 +6,10 @@ import (
 	"sort"
 	"time"
 
-	"rad"
+	"rad/internal/device"
+	"rad/internal/power"
+	dataset "rad/internal/rad"
+	"rad/internal/store"
 )
 
 // writeDescription generates RAD_Description.md — the analog of the paper's
@@ -14,7 +17,7 @@ import (
 // the record schema, the 52-command catalog with human-readable names, the
 // supervised-run index with anomaly ground truth, and the 122-property power
 // schema.
-func writeDescription(path string, ds *rad.Dataset, seed uint64, scale float64) error {
+func writeDescription(path string, ds *dataset.Dataset, seed uint64, scale float64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -41,7 +44,7 @@ func writeDescription(path string, ds *rad.Dataset, seed uint64, scale float64) 
 	p("| args | stringified arguments, '|'-separated in the CSV export |")
 	p("| response | the device's return value |")
 	p("| exception | error text when the command failed (collisions, bad arguments) |")
-	p("| procedure | procedure type for supervised runs; %q otherwise |", rad.UnknownProcedure)
+	p("| procedure | procedure type for supervised runs; %q otherwise |", store.UnknownProcedure)
 	p("| run | supervised run identifier (run-0 … run-24) |")
 	p("| mode | DIRECT or REMOTE interception |")
 	p("")
@@ -50,7 +53,7 @@ func writeDescription(path string, ds *rad.Dataset, seed uint64, scale float64) 
 	counts := ds.Store.CountByCommand()
 	p("| Device | Command | Readable name | Mutating | Count |")
 	p("|---|---|---|---|---|")
-	for _, spec := range rad.CommandCatalog() {
+	for _, spec := range device.Catalog() {
 		p("| %s | `%s` | %s | %t | %d |",
 			spec.Device, spec.Name, spec.Readable, spec.Mutating, counts[spec.Key()])
 	}
@@ -69,9 +72,9 @@ func writeDescription(path string, ds *rad.Dataset, seed uint64, scale float64) 
 	p("## Power dataset")
 	p("")
 	p("UR3e telemetry at 25 Hz (one entry per 40 ms), captured for the")
-	p("supervised P2 runs. Each entry holds %d properties:", len(rad.PowerPropertyNames()))
+	p("supervised P2 runs. Each entry holds %d properties:", len(power.PropertyNames()))
 	p("")
-	names := rad.PowerPropertyNames()
+	names := power.PropertyNames()
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
 	for _, n := range sorted {

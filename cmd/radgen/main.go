@@ -21,7 +21,10 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"rad"
+	"rad/internal/power"
+	dataset "rad/internal/rad"
+	"rad/internal/store"
+	"rad/internal/tracedb"
 )
 
 func main() {
@@ -52,7 +55,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("generating RAD (seed=%d scale=%.2f workers=%d)...\n", *seed, *scale, *workers)
-	ds, err := rad.GenerateDataset(rad.GenerateConfig{Seed: *seed, Scale: *scale, Workers: *workers})
+	ds, err := dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale, Workers: *workers})
 	if err != nil {
 		return fmt.Errorf("generate: %w", err)
 	}
@@ -110,13 +113,13 @@ func run(args []string) error {
 // a dead-letter directory it then folds the spilled records of a crashed or
 // fault-injected middlebox into the same store, returning how many it
 // recovered; with compact set it finishes with a lifecycle compaction pass.
-func writeTraceDB(dir, dlqDir string, records []rad.TraceRecord, compact bool) (int, rad.TraceCompactStats, error) {
-	var cs rad.TraceCompactStats
-	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+func writeTraceDB(dir, dlqDir string, records []store.Record, compact bool) (int, tracedb.CompactStats, error) {
+	var cs tracedb.CompactStats
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		return 0, cs, err
 	}
-	b := rad.NewTraceBatcher(db, 4096)
+	b := store.NewBatcher(db, 4096)
 	for _, r := range records {
 		if err := b.Append(r); err != nil {
 			db.Close()
@@ -129,7 +132,7 @@ func writeTraceDB(dir, dlqDir string, records []rad.TraceRecord, compact bool) (
 	}
 	reingested := 0
 	if dlqDir != "" {
-		dlq, err := rad.OpenDLQ(dlqDir)
+		dlq, err := store.OpenDLQ(dlqDir)
 		if err != nil {
 			db.Close()
 			return 0, cs, fmt.Errorf("open dlq: %w", err)
@@ -149,13 +152,13 @@ func writeTraceDB(dir, dlqDir string, records []rad.TraceRecord, compact bool) (
 	return reingested, cs, db.Close()
 }
 
-func writeCommandCSV(path string, records []rad.TraceRecord) error {
+func writeCommandCSV(path string, records []store.Record) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := rad.NewCSVWriter(f)
+	w := store.NewCSVWriter(f)
 	for _, r := range records {
 		if err := w.Append(r); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
@@ -164,13 +167,13 @@ func writeCommandCSV(path string, records []rad.TraceRecord) error {
 	return w.Flush()
 }
 
-func writeCommandJSONL(path string, records []rad.TraceRecord) error {
+func writeCommandJSONL(path string, records []store.Record) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := rad.NewJSONLWriter(f)
+	w := store.NewJSONLWriter(f)
 	for _, r := range records {
 		if err := w.Append(r); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
@@ -179,7 +182,7 @@ func writeCommandJSONL(path string, records []rad.TraceRecord) error {
 	return w.Flush()
 }
 
-func writeRunIndex(path string, runs []rad.RunInfo) error {
+func writeRunIndex(path string, runs []dataset.RunInfo) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -199,8 +202,8 @@ func writeRunIndex(path string, runs []rad.RunInfo) error {
 
 // writePower writes one CSV per supervised P2 power capture with the full
 // 122-property schema.
-func writePower(dir string, ds *rad.Dataset) error {
-	names := rad.PowerPropertyNames()
+func writePower(dir string, ds *dataset.Dataset) error {
+	names := power.PropertyNames()
 	for run, samples := range ds.PowerByRun {
 		path := filepath.Join(dir, "power-"+run+".csv")
 		f, err := os.Create(path)

@@ -6,7 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"rad"
+	"rad/internal/store"
+	"rad/internal/tracedb"
 )
 
 // TestRadgenWritesDataset runs the generator end to end into a temp
@@ -25,7 +26,7 @@ func TestRadgenWritesDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer csvFile.Close()
-	fromCSV, err := rad.ReadTraceCSV(csvFile)
+	fromCSV, err := store.ReadCSV(csvFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRadgenWritesDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jsonlFile.Close()
-	fromJSONL, err := rad.ReadTraceJSONL(jsonlFile)
+	fromJSONL, err := store.ReadJSONL(jsonlFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRadgenWritesDataset(t *testing.T) {
 	}
 
 	// The tracedb ingest holds the same campaign, queryable from disk.
-	db, err := rad.OpenTraceDB(storeDir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(storeDir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestRadgenFoldsDLQIntoStore(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "tracedb")
 	dlqDir := filepath.Join(dir, "dlq")
-	dlq, err := rad.OpenDLQ(dlqDir)
+	dlq, err := store.OpenDLQ(dlqDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled := []rad.TraceRecord{
+	spilled := []store.Record{
 		{Device: "C9", Name: "MVNG", Mode: "REMOTE"},
 		{Device: "IKA", Name: "IN_PV_4", Mode: "REMOTE"},
 	}
@@ -148,7 +149,7 @@ func TestRadgenFoldsDLQIntoStore(t *testing.T) {
 	if files, err := dlq.Pending(); err != nil || len(files) != 0 {
 		t.Fatalf("dlq pending = %v, %v; want drained", files, err)
 	}
-	db, err := rad.OpenTraceDB(storeDir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(storeDir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

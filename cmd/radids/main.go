@@ -13,7 +13,14 @@ import (
 	"fmt"
 	"os"
 
-	"rad"
+	"rad/internal/analysis/metrics"
+	"rad/internal/analysis/ngram"
+	"rad/internal/analysis/specmine"
+	"rad/internal/experiments"
+	"rad/internal/ids"
+	"rad/internal/procedure"
+	dataset "rad/internal/rad"
+	"rad/internal/store"
 )
 
 func main() {
@@ -34,7 +41,7 @@ func run(args []string) error {
 	}
 
 	fmt.Printf("generating RAD (seed=%d scale=%.2f)...\n", *seed, *scale)
-	ds, err := rad.GenerateDataset(rad.GenerateConfig{Seed: *seed, Scale: *scale})
+	ds, err := dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})
 	if err != nil {
 		return err
 	}
@@ -42,7 +49,7 @@ func run(args []string) error {
 
 	// 1. Batch classification, the Table I protocol.
 	fmt.Println("\n== batch perplexity IDS (5-fold CV + Jenks) ==")
-	fmt.Print(rad.RenderTableI(rad.TableIPerplexityIDS(ds, rad.TableIConfig{})))
+	fmt.Print(experiments.RenderTableI(experiments.TableIPerplexityIDS(ds, experiments.TableIConfig{})))
 
 	// 2. Streaming detection: train on the benign runs, replay every run
 	// through the online detector.
@@ -53,12 +60,12 @@ func run(args []string) error {
 			benign = append(benign, seq)
 		}
 	}
-	det, err := rad.TrainPerplexityDetector(benign, *order)
+	det, err := ids.TrainPerplexity(benign, *order)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("threshold: %.3f\n", det.Threshold())
-	var conf rad.Confusion
+	var conf metrics.Confusion
 	for i, seq := range seqs {
 		stream := det.NewStream(*window)
 		alerted := false
@@ -99,7 +106,7 @@ func run(args []string) error {
 			trainSeqs = append(trainSeqs, seqs[j])
 			trainLabels = append(trainLabels, ds.Runs[j].Procedure)
 		}
-		clf, err := rad.TrainProcedureClassifier(trainSeqs, trainLabels)
+		clf, err := ids.TrainClassifier(trainSeqs, trainLabels)
 		if err != nil {
 			return err
 		}
@@ -116,7 +123,7 @@ func run(args []string) error {
 
 	// 4. Rule engine over the whole campaign.
 	fmt.Println("\n== middlebox rule engine ==")
-	engine := rad.NewRuleEngine(0)
+	engine := ids.NewRuleEngine(0)
 	byRule := make(map[string]int)
 	for _, rec := range ds.Store.All() {
 		for _, v := range engine.Check(rec) {
@@ -138,11 +145,11 @@ func run(args []string) error {
 	for i, run := range ds.Runs {
 		labels[i] = run.Procedure
 	}
-	labeler, err := rad.NewAutoLabeler(seqs, labels)
+	labeler, err := ids.NewAutoLabeler(seqs, labels)
 	if err != nil {
 		return err
 	}
-	unknown := ds.Store.ByProcedure(rad.UnknownProcedure)
+	unknown := ds.Store.ByProcedure(store.UnknownProcedure)
 	segments := labeler.Label(unknown)
 	byLabel := make(map[string]int)
 	commands := make(map[string]int)
@@ -158,40 +165,40 @@ func run(args []string) error {
 	// 6. Attack benchmark: the generated-anomaly suite (§VII) against the
 	// name-only and argument-aware detectors.
 	fmt.Println("\n== attack benchmark ==")
-	bench, err := rad.AttackBenchmark(*seed, *order)
+	bench, err := experiments.AttackBenchmark(*seed, *order)
 	if err != nil {
 		return err
 	}
-	fmt.Print(rad.RenderAttackBench(bench))
+	fmt.Print(experiments.RenderAttackBench(bench))
 
 	// 7. Specification mining (§V's second use case): recover the loop
 	// structure of the crystal-solubility runs and synthesize a plausible
 	// continuation from the learned command language (program synthesis).
 	fmt.Println("\n== specification mining (P3 runs) ==")
-	var p3Specs []rad.Spec
+	var p3Specs []specmine.Spec
 	var p3Seqs [][]string
 	for i, run := range ds.Runs {
-		if run.Procedure == rad.ProcedureP3 && !run.Anomalous {
-			p3Specs = append(p3Specs, rad.MineSpec(seqs[i], rad.SpecOptions{}))
+		if run.Procedure == procedure.P3 && !run.Anomalous {
+			p3Specs = append(p3Specs, specmine.Mine(seqs[i], specmine.Options{}))
 			p3Seqs = append(p3Seqs, seqs[i])
 		}
 	}
-	blocks := rad.TopSpecBlocks(p3Seqs, rad.SpecOptions{}, 5)
+	blocks := specmine.TopBlocks(p3Seqs, specmine.Options{}, 5)
 	fmt.Println("most-covering repeated blocks across benign P3 runs:")
 	for _, b := range blocks {
 		fmt.Printf("  ×%-4d { %s }\n", b.Min, joinWords(b.Block))
 	}
-	if merged, ok := rad.MergeSpecs(p3Specs); ok {
+	if merged, ok := specmine.Merge(p3Specs); ok {
 		fmt.Printf("runs share one structure; merged spec has %d elements\n", len(merged))
 	} else {
 		fmt.Println("runs differ structurally (loop counts vary per solid); per-run specs mined")
 	}
 	if len(p3Seqs) > 0 {
-		cov := rad.SpecCoverage(p3Seqs[0], p3Specs[0])
+		cov := specmine.Coverage(p3Seqs[0], p3Specs[0])
 		fmt.Printf("loop coverage of first P3 run: %.0f%%\n", cov*100)
 	}
 	fmt.Println("\n== program synthesis (trigram LM) ==")
-	lm := rad.TrainNGram(seqs, 3, 0.1)
+	lm := ngram.Train(seqs, 3, 0.1)
 	synth := lm.MostLikely([]string{"__init__", "HOME"}, 12)
 	fmt.Printf("most likely continuation of [__init__ HOME]: %s\n", joinWords(synth[2:]))
 	return nil

@@ -4,8 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"rad"
 	"rad/internal/device"
+	"rad/internal/simclock"
+	"rad/internal/tracer"
 	"rad/internal/wire"
 )
 
@@ -35,16 +36,16 @@ func TestMiddleboxFleetMode(t *testing.T) {
 	}
 
 	// An untagged legacy session lands on the default lab unchanged.
-	transport, err := rad.DialMiddlebox(addr)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
-	dev, err := sess.Virtual(rad.DeviceC9)
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+	dev, err := sess.Virtual(device.C9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: device.Init}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
 		t.Fatal(err)
 	}
 	_ = sess.Close()
@@ -52,7 +53,7 @@ func TestMiddleboxFleetMode(t *testing.T) {
 	// Tenant-tagged binary-protocol requests instantiate and drive their
 	// own labs; each tenant must run its own device lifecycle (Init works
 	// per lab, proving the C9s are distinct instances).
-	tagged, err := rad.DialMiddleboxProto(addr, rad.WireProtoV2)
+	tagged, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestMiddleboxFleetMode(t *testing.T) {
 		for i, name := range []string{device.Init, "MVNG"} {
 			rep, err := tagged.RoundTrip(wire.Request{
 				ID: uint64(i + 1), Op: wire.OpExec, Tenant: tenant,
-				Device: rad.DeviceC9, Name: name,
+				Device: device.C9, Name: name,
 			})
 			if err != nil {
 				t.Fatalf("%s %s: %v", tenant, name, err)
@@ -74,7 +75,7 @@ func TestMiddleboxFleetMode(t *testing.T) {
 
 	// A path-hostile tenant ID is refused with an error reply, not a lab.
 	rep, err := tagged.RoundTrip(wire.Request{
-		ID: 9, Op: wire.OpExec, Tenant: "../escape", Device: rad.DeviceC9, Name: "MVNG",
+		ID: 9, Op: wire.OpExec, Tenant: "../escape", Device: device.C9, Name: "MVNG",
 	})
 	if err != nil {
 		t.Fatal(err)

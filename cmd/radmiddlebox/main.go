@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	radmiddlebox [-listen ADDR] [-store DIR] [-trace FILE.jsonl] [-csv FILE.csv] [-network lan|cloud|none] [-power] [-stream ADDR] [-proto auto|v1|v2] [-fleet [-tenants N]]
+//	radmiddlebox [-listen ADDR] [-store DIR] [-trace FILE.jsonl] [-csv FILE.csv] [-network lan|cloud|none] [-power] [-stream ADDR] [-fleet [-tenants N]]
 //
 // Stop with SIGINT/SIGTERM: the listeners drain gracefully — in-flight
 // execs finish, replies and subscriber rings flush, tenant stores sync —
@@ -43,14 +43,23 @@ import (
 	"syscall"
 	"time"
 
-	"rad"
 	"rad/internal/device"
 	"rad/internal/device/c9"
 	"rad/internal/device/ika"
 	"rad/internal/device/quantos"
 	"rad/internal/device/tecan"
 	"rad/internal/device/ur3e"
+	"rad/internal/fault"
+	"rad/internal/fleet"
+	"rad/internal/middlebox"
+	"rad/internal/obs"
+	"rad/internal/obs/span"
+	"rad/internal/parallel"
 	"rad/internal/power"
+	"rad/internal/simclock"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/tracedb"
 )
 
 func main() {
@@ -78,7 +87,6 @@ func run(args []string, stop <-chan struct{}) error {
 	network := fs.String("network", "lan", "emulated network profile: lan, cloud, or none")
 	withPower := fs.Bool("power", true, "attach the UR3e power monitor")
 	streamAddr := fs.String("stream", "", "live-stream listen address ('' disables)")
-	protoFlag := fs.String("proto", "auto", "wire protocol served to clients: auto (negotiate per connection), v1 (JSON only), or v2 (binary only)")
 	obsAddr := fs.String("obs-addr", "", "telemetry listen address serving /metrics, /snapshot, and /debug/pprof ('' disables)")
 	seed := fs.Uint64("seed", 1, "device simulation seed")
 	faultSpec := fs.String("fault-profile", "", "fault-injection profile: none, flaky, or chaos, with optional key=value overrides (e.g. flaky,hang=0.01)")
@@ -91,32 +99,28 @@ func run(args []string, stop <-chan struct{}) error {
 	compactEvery := fs.Duration("compact-every", 0, "background storage-lifecycle cadence for -store: retention then compaction each interval (0 disables)")
 	retainAge := fs.Duration("retain-age", 0, "retention: retire sealed -store segments older than this (0 keeps everything)")
 	retainBytes := fs.Int64("retain-bytes", 0, "retention: retire oldest sealed -store segments past this byte budget (0 is unlimited)")
-	heartbeat := fs.Duration("heartbeat", 0, "stream liveness: ping v2 subscribers at this interval and reap any that stop answering (0 disables)")
+	heartbeat := fs.Duration("heartbeat", 0, "stream liveness: ping subscribers at this interval and reap any that stop answering (0 disables)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "reap exec connections idle past this deadline — half-open peers stop holding sockets and goroutines (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: in-flight requests finish and subscriber rings flush before connections are severed (0 closes immediately)")
 	spanBuffer := fs.Int("span-buffer", 512, "span flight-recorder ring capacity per CPU shard (0 disables request tracing)")
 	spanSample := fs.Uint64("span-sample", 0, "trace sampling: keep one trace in N (0 or 1 keeps every trace)")
 	slowSpan := fs.Duration("slow-span", 0, "log every span at least this long (0 disables the slow-span log)")
 	fleetMode := fs.Bool("fleet", false, "serve a multi-tenant fleet: tenant-tagged requests route to lazily-instantiated per-tenant labs; untagged peers keep reaching the default lab unchanged")
-	maxTenants := fs.Int("tenants", rad.FleetDefaultMaxTenants, "labs one -fleet listener will instantiate before refusing new tenant IDs")
+	maxTenants := fs.Int("tenants", fleet.DefaultMaxTenants, "labs one -fleet listener will instantiate before refusing new tenant IDs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	faults, err := rad.ParseFaultProfile(*faultSpec)
-	if err != nil {
-		return err
-	}
-	proto, err := rad.ParseWireProto(*protoFlag)
+	faults, err := fault.ParseProfile(*faultSpec)
 	if err != nil {
 		return err
 	}
 
-	var profile rad.NetworkProfile
+	var profile middlebox.NetworkProfile
 	switch *network {
 	case "lan":
-		profile = rad.LANProfile()
+		profile = middlebox.LANProfile()
 	case "cloud":
-		profile = rad.CloudProfile()
+		profile = middlebox.CloudProfile()
 	case "none":
 	default:
 		return fmt.Errorf("unknown network profile %q", *network)
@@ -124,46 +128,46 @@ func run(args []string, stop <-chan struct{}) error {
 
 	// Telemetry registry: every layer below registers its instruments here
 	// when -obs-addr is set; nil keeps all hot paths uninstrumented.
-	var reg *rad.MetricsRegistry
+	var reg *obs.Registry
 	if *obsAddr != "" {
-		reg = rad.NewMetricsRegistry()
-		rad.ObserveParallel(reg)
-		rad.RegisterRuntimeMetrics(reg)
+		reg = obs.NewRegistry()
+		parallel.Observe(reg)
+		obs.RegisterRuntimeMetrics(reg)
 	}
-	clock := rad.RealClock{}
+	clock := simclock.Real{}
 
 	// Span flight recorder: always-on request tracing in bounded memory.
 	// Every layer below gets the same recorder, so one request's client,
 	// wire, exec, store, and stream spans assemble into one tree at
 	// /debug/spans. A nil recorder (-span-buffer 0) keeps every hot path at
 	// a single pointer check.
-	var spans *rad.SpanRecorder
+	var spans *span.Recorder
 	if *spanBuffer > 0 {
-		spans = rad.NewSpanRecorder(rad.SpanConfig{
+		spans = span.NewRecorder(span.Config{
 			BufferPerShard: *spanBuffer,
 			Seed:           *seed,
 			SampleEvery:    *spanSample,
 			SlowThreshold:  *slowSpan,
-			OnSlow: func(s rad.Span) {
+			OnSlow: func(s span.Span) {
 				fmt.Printf("slow span: %s %s/%s %.1fms trace=%s\n",
-					s.Name, s.Tenant, s.Outcome, float64(s.Duration())/1e6, rad.SpanFormatID(s.TraceID))
+					s.Name, s.Tenant, s.Outcome, float64(s.Duration())/1e6, span.FormatID(s.TraceID))
 			},
 		})
 	}
 	spanTenant := ""
 	if *fleetMode {
-		spanTenant = rad.FleetDefaultTenant
+		spanTenant = fleet.DefaultTenant
 	}
 
 	// Trace sinks: in-memory store for stats plus the optional persistent
 	// store and file logs.
-	mem := rad.NewTraceStore()
-	sinks := []rad.TraceSink{mem}
+	mem := store.NewMemStore()
+	sinks := []store.Sink{mem}
 	var flushers []interface{ Flush() error }
-	var tdb *rad.TraceDB
+	var tdb *tracedb.DB
 	if *storeDir != "" {
-		db, err := rad.OpenTraceDB(*storeDir, rad.TraceDBOptions{Clock: clock,
-			Lifecycle: rad.TraceLifecycleOptions{
+		db, err := tracedb.Open(*storeDir, tracedb.Options{Clock: clock,
+			Lifecycle: tracedb.LifecycleOptions{
 				Interval:       *compactEvery,
 				RetainMaxAge:   *retainAge,
 				RetainMaxBytes: *retainBytes,
@@ -187,7 +191,7 @@ func run(args []string, stop <-chan struct{}) error {
 			return err
 		}
 		defer f.Close()
-		w := rad.NewJSONLWriter(f)
+		w := store.NewJSONLWriter(f)
 		sinks = append(sinks, w)
 		flushers = append(flushers, w)
 	}
@@ -197,7 +201,7 @@ func run(args []string, stop <-chan struct{}) error {
 			return err
 		}
 		defer f.Close()
-		w := rad.NewCSVWriter(f)
+		w := store.NewCSVWriter(f)
 		sinks = append(sinks, w)
 		flushers = append(flushers, w)
 	}
@@ -205,22 +209,22 @@ func run(args []string, stop <-chan struct{}) error {
 	// The tee forwards commit notifications from its sequencing sink (the
 	// tracedb when present, else the memory store) so an attached broker
 	// publishes records with their authoritative sequence numbers.
-	var seqSink rad.TraceSink = mem
+	var seqSink store.Sink = mem
 	if tdb != nil {
 		seqSink = tdb
 	}
-	var sink rad.TraceSink = &teeSink{sinks: sinks, seq: seqSink}
+	var sink store.Sink = &teeSink{sinks: sinks, seq: seqSink}
 	if faults.SinkErrProb > 0 {
-		flaky := rad.WrapFlakySink(sink, faults, *seed+9)
+		flaky := fault.WrapSink(sink, faults, *seed+9)
 		if reg != nil {
 			flaky.Observe(reg)
 		}
 		sink = flaky
 	}
-	var dlq *rad.DeadLetterQueue
-	var failover *rad.FailoverSink
+	var dlq *store.DeadLetterQueue
+	var failover *store.FailoverSink
 	if *dlqDir != "" {
-		dlq, err = rad.OpenDLQ(*dlqDir)
+		dlq, err = store.OpenDLQ(*dlqDir)
 		if err != nil {
 			return err
 		}
@@ -235,14 +239,14 @@ func run(args []string, stop <-chan struct{}) error {
 				fmt.Printf("dlq: re-ingested %d spilled records from %s\n", n, *dlqDir)
 			}
 		}
-		failover = rad.NewFailoverSink(sink, dlq)
+		failover = store.NewFailoverSink(sink, dlq)
 		failover.SetSpans(spans, spanTenant)
 		if reg != nil {
 			failover.Observe(reg)
 		}
 		sink = failover
 	}
-	core := rad.NewMiddlebox(clock, sink)
+	core := middlebox.NewCore(clock, sink)
 	core.SetSpans(spans, spanTenant)
 	if reg != nil {
 		core.Observe(reg)
@@ -255,13 +259,13 @@ func run(args []string, stop <-chan struct{}) error {
 
 	// applyPolicy hardens a core with the exec-policy flags; it applies to
 	// the default lab below and to every lazily-built fleet tenant.
-	applyPolicy := func(c *rad.Middlebox) {
+	applyPolicy := func(c *middlebox.Core) {
 		if *execTimeout > 0 || *execRetries > 0 || *breakerThreshold > 0 {
-			c.SetExecPolicy(rad.ExecPolicy{
+			c.SetExecPolicy(middlebox.ExecPolicy{
 				Timeout:   *execTimeout,
 				Retries:   *execRetries,
 				RetrySeed: *seed,
-				Breaker: rad.BreakerConfig{
+				Breaker: fault.BreakerConfig{
 					Threshold: *breakerThreshold,
 					Cooldown:  *breakerCooldown,
 					Probes:    *breakerProbes,
@@ -270,51 +274,51 @@ func run(args []string, stop <-chan struct{}) error {
 		}
 	}
 
-	var broker *rad.Broker
-	var streamSrv *rad.StreamServer
+	var broker *stream.Broker
+	var streamSrv *stream.Server
 
 	// Fleet mode: the fully-configured lab built above becomes the default
 	// tenant (untagged peers see no change), and tenant-tagged requests
 	// lazily instantiate independent labs — own devices, fault wrappers,
 	// policies, per-tenant dead letters under -dlq, and their own live
 	// broker when -stream is set.
-	var handler rad.MiddleboxHandler = core
-	var fleetRouter *rad.FleetRouter
+	var handler middlebox.Handler = core
+	var fleetRouter *fleet.Router
 	if *fleetMode {
-		fleetRouter, err = rad.NewFleetRouter(rad.FleetConfig{
+		fleetRouter, err = fleet.NewRouter(fleet.Config{
 			MaxTenants: *maxTenants,
 			Registry:   reg,
 			Spans:      spans,
-			Factory: func(id string) (*rad.FleetResources, error) {
-				if id == rad.FleetDefaultTenant {
-					return &rad.FleetResources{Core: core, Broker: broker, DB: tdb}, nil
+			Factory: func(id string) (*fleet.Resources, error) {
+				if id == fleet.DefaultTenant {
+					return &fleet.Resources{Core: core, Broker: broker, DB: tdb}, nil
 				}
-				tseed := rad.FleetTenantSeed(*seed, id)
-				mem := rad.NewTraceStore()
-				var sink rad.TraceSink = mem
-				res := &rad.FleetResources{}
+				tseed := fleet.TenantSeed(*seed, id)
+				mem := store.NewMemStore()
+				var sink store.Sink = mem
+				res := &fleet.Resources{}
 				if faults.SinkErrProb > 0 {
-					sink = rad.WrapFlakySink(sink, faults, tseed^9)
+					sink = fault.WrapSink(sink, faults, tseed^9)
 				}
 				if *dlqDir != "" {
-					tdlq, err := rad.OpenTenantDLQ(*dlqDir, id)
+					tdlq, err := store.OpenTenantDLQ(*dlqDir, id)
 					if err != nil {
 						return nil, err
 					}
 					res.DLQ = tdlq
-					tfo := rad.NewFailoverSink(sink, tdlq)
+					tfo := store.NewFailoverSink(sink, tdlq)
 					tfo.SetSpans(spans, id)
 					sink = tfo
 				}
-				tcore := rad.NewMiddlebox(clock, sink)
+				tcore := middlebox.NewCore(clock, sink)
 				tcore.SetSpans(spans, id)
 				if *streamAddr != "" {
-					b := rad.NewBroker()
+					b := stream.NewBroker()
 					tcore.AttachBroker(b)
 					res.Broker = b
 					res.Close = func() error { b.Close(); return nil }
 				}
-				tenantDevices := []rad.Device{
+				tenantDevices := []device.Device{
 					c9.New(device.NewEnv(clock, tseed+1)),
 					ur3e.New(device.NewEnv(clock, tseed+2), nil),
 					ika.New(device.NewEnv(clock, tseed+3)),
@@ -323,7 +327,7 @@ func run(args []string, stop <-chan struct{}) error {
 				}
 				for i, d := range tenantDevices {
 					if faults.Active() {
-						d = rad.WrapFaultyDevice(d, clock, faults, tseed+10+uint64(i))
+						d = fault.WrapDevice(d, clock, faults, tseed+10+uint64(i))
 					}
 					tcore.Register(d)
 				}
@@ -340,7 +344,7 @@ func run(args []string, stop <-chan struct{}) error {
 	}
 
 	if *streamAddr != "" {
-		broker = rad.NewBroker()
+		broker = stream.NewBroker()
 		if reg != nil {
 			broker.Observe(reg)
 		}
@@ -349,11 +353,10 @@ func run(args []string, stop <-chan struct{}) error {
 			stopBridge := broker.AttachMonitor(monitor, 256)
 			defer stopBridge()
 		}
-		streamSrv = rad.NewStreamServer(broker, tdb)
+		streamSrv = stream.NewServer(broker, tdb)
 		streamSrv.SetSpans(spans)
-		streamSrv.SetProtocol(proto)
 		if *heartbeat > 0 {
-			streamSrv.SetHeartbeat(rad.StreamHeartbeat{Interval: *heartbeat})
+			streamSrv.SetHeartbeat(stream.HeartbeatConfig{Interval: *heartbeat})
 		}
 		if fleetRouter != nil {
 			streamSrv.SetTenantResolver(fleetRouter.ResolveStream)
@@ -371,7 +374,7 @@ func run(args []string, stop <-chan struct{}) error {
 			streamReady <- saddr
 		}
 	}
-	devices := []rad.Device{
+	devices := []device.Device{
 		c9.New(device.NewEnv(clock, *seed+1)),
 		ur3e.New(device.NewEnv(clock, *seed+2), monitor),
 		ika.New(device.NewEnv(clock, *seed+3)),
@@ -380,7 +383,7 @@ func run(args []string, stop <-chan struct{}) error {
 	}
 	for i, d := range devices {
 		if faults.Active() {
-			fd := rad.WrapFaultyDevice(d, clock, faults, *seed+10+uint64(i))
+			fd := fault.WrapDevice(d, clock, faults, *seed+10+uint64(i))
 			if reg != nil {
 				fd.Observe(reg)
 			}
@@ -390,9 +393,8 @@ func run(args []string, stop <-chan struct{}) error {
 	}
 	applyPolicy(core)
 
-	srv := rad.NewMiddleboxHandlerServer(handler, profile, *seed+6)
+	srv := middlebox.NewHandlerServer(handler, profile, *seed+6)
 	srv.SetSpans(spans)
-	srv.SetProtocol(proto)
 	if *idleTimeout > 0 {
 		srv.SetIdleTimeout(*idleTimeout)
 	}
@@ -409,7 +411,7 @@ func run(args []string, stop <-chan struct{}) error {
 		// /healthz flips to 503 the moment any listener begins draining, so
 		// a balancer stops routing to a middlebox that is shutting down;
 		// /debug/spans serves the flight recorder's recent trace trees.
-		opts := rad.MetricsMuxOptions{Health: func() bool {
+		opts := obs.MuxOptions{Health: func() bool {
 			if srv.Draining() {
 				return false
 			}
@@ -422,9 +424,9 @@ func run(args []string, stop <-chan struct{}) error {
 			return true
 		}}
 		if spans != nil {
-			opts.Spans = rad.SpanHandler(spans)
+			opts.Spans = span.Handler(spans)
 		}
-		obsSrv = &http.Server{Handler: rad.NewMetricsMuxWith(reg, opts)}
+		obsSrv = &http.Server{Handler: obs.ServeMuxWith(reg, opts)}
 		go func() { _ = obsSrv.Serve(ln) }()
 		defer obsSrv.Close()
 		fmt.Printf("telemetry listening on http://%s/metrics\n", ln.Addr())
@@ -436,7 +438,7 @@ func run(args []string, stop <-chan struct{}) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("middlebox listening on %s (network=%s, power=%t, proto=%s)\n", addr, *network, *withPower, proto)
+	fmt.Printf("middlebox listening on %s (network=%s, power=%t)\n", addr, *network, *withPower)
 	if fleetRouter != nil {
 		fmt.Printf("fleet mode: up to %d tenant labs\n", *maxTenants)
 	}
@@ -555,11 +557,11 @@ var (
 // its designated sequencing sink, so Middlebox.AttachBroker sees a
 // TraceNotifier and wires the broker to authoritative sequence numbers.
 type teeSink struct {
-	sinks []rad.TraceSink
-	seq   rad.TraceSink
+	sinks []store.Sink
+	seq   store.Sink
 }
 
-func (t *teeSink) Append(r rad.TraceRecord) error {
+func (t *teeSink) Append(r store.Record) error {
 	for _, s := range t.sinks {
 		if err := s.Append(r); err != nil {
 			return err
@@ -568,10 +570,10 @@ func (t *teeSink) Append(r rad.TraceRecord) error {
 	return nil
 }
 
-// SetOnCommit implements rad.TraceNotifier by delegating to the sequencing
+// SetOnCommit implements store.Notifier by delegating to the sequencing
 // sink.
-func (t *teeSink) SetOnCommit(fn func([]rad.TraceRecord)) {
-	if n, ok := t.seq.(rad.TraceNotifier); ok {
+func (t *teeSink) SetOnCommit(fn func([]store.Record)) {
+	if n, ok := t.seq.(store.Notifier); ok {
 		n.SetOnCommit(fn)
 	}
 }

@@ -6,8 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"rad"
 	"rad/internal/device"
+	"rad/internal/simclock"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/tracedb"
+	"rad/internal/tracer"
+	"rad/internal/wire"
 )
 
 // TestMiddleboxServesAndFlushes boots the CLI middlebox, drives a client
@@ -38,19 +43,19 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 		t.Fatal("server never came up")
 	}
 
-	transport, err := rad.DialMiddlebox(addr)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
-	dev, err := sess.Virtual(rad.DeviceC9)
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+	dev, err := sess.Virtual(device.C9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: device.Init}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: "MVNG"}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: "MVNG"}); err != nil {
 		t.Fatal(err)
 	}
 	_ = sess.Close()
@@ -71,7 +76,7 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jf.Close()
-	recs, err := rad.ReadTraceJSONL(jf)
+	recs, err := store.ReadJSONL(jf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	fromCSV, err := rad.ReadTraceCSV(cf)
+	fromCSV, err := store.ReadCSV(cf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +97,12 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 	}
 
 	// The persistent store survives the shutdown and answers the same scan.
-	db, err := rad.OpenTraceDB(storeDir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(storeDir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	persisted, err := db.Collect(rad.TraceQuery{})
+	persisted, err := db.Collect(tracedb.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,7 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 		t.Errorf("tracedb has %d records, want 2", len(persisted))
 	}
 	for i, r := range persisted {
-		if r.Device != rad.DeviceC9 || r.Seq != uint64(i) {
+		if r.Device != device.C9 || r.Seq != uint64(i) {
 			t.Errorf("persisted record %d unexpected: %+v", i, r)
 		}
 	}
@@ -142,25 +147,25 @@ func TestMiddleboxStreamsLive(t *testing.T) {
 		}
 	}
 
-	watcher, err := rad.DialStream(streamAddr, rad.StreamSubscribe{
-		Name: "test-watcher", Policy: rad.StreamPolicyBlock, Buffer: 64,
+	watcher, err := stream.Dial(streamAddr, wire.Subscribe{
+		Name: "test-watcher", Policy: wire.PolicyBlock, Buffer: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer watcher.Close()
 
-	transport, err := rad.DialMiddlebox(addr)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
-	dev, err := sess.Virtual(rad.DeviceC9)
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+	dev, err := sess.Virtual(device.C9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{device.Init, "MVNG", "MVNG"} {
-		if _, err := dev.Exec(rad.Command{Name: name}); err != nil {
+		if _, err := dev.Exec(device.Command{Name: name}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -172,10 +177,10 @@ func TestMiddleboxStreamsLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream recv %d: %v", want, err)
 		}
-		if ev.Kind != rad.StreamEventTrace {
+		if ev.Kind != wire.EventTrace {
 			t.Fatalf("event %d kind %q", want, ev.Kind)
 		}
-		if ev.Record.Seq != want || ev.Record.Device != rad.DeviceC9 {
+		if ev.Record.Seq != want || ev.Record.Device != device.C9 {
 			t.Errorf("event %d: seq %d device %s", want, ev.Record.Seq, ev.Record.Device)
 		}
 	}
@@ -245,17 +250,17 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	}
 	drive := func(addr string, names ...string) {
 		t.Helper()
-		transport, err := rad.DialMiddlebox(addr)
+		transport, err := tracer.DialTCP(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
-		dev, err := sess.Virtual(rad.DeviceC9)
+		sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+		dev, err := sess.Virtual(device.C9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range names {
-			if _, err := dev.Exec(rad.Command{Name: name}); err != nil {
+			if _, err := dev.Exec(device.Command{Name: name}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -267,7 +272,7 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	drive(addr, device.Init, "MVNG")
 	shutdown(stop, done)
 
-	dlq, err := rad.OpenDLQ(dlqDir)
+	dlq, err := store.OpenDLQ(dlqDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +289,12 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	if files, err := dlq.Pending(); err != nil || len(files) != 0 {
 		t.Fatalf("dlq pending after restart = %v, %v; want none", files, err)
 	}
-	db, err := rad.OpenTraceDB(storeDir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(storeDir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	recs, err := db.Collect(rad.TraceQuery{})
+	recs, err := db.Collect(tracedb.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +302,7 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 		t.Fatalf("recovered store has %d records, want 4 (2 re-ingested + 2 live)", len(recs))
 	}
 	for _, r := range recs {
-		if r.Device != rad.DeviceC9 {
+		if r.Device != device.C9 {
 			t.Errorf("unexpected record: %+v", r)
 		}
 	}

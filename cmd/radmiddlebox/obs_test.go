@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"rad"
 	"rad/internal/device"
+	"rad/internal/obs"
+	"rad/internal/simclock"
+	"rad/internal/tracer"
 )
 
 // promLine matches one Prometheus text-format sample: a metric name, an
@@ -56,19 +58,19 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	transport, err := rad.DialMiddlebox(addr)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
-	dev, err := sess.Virtual(rad.DeviceC9)
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+	dev, err := sess.Virtual(device.C9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: device.Init}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: "MVNG"}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: "MVNG"}); err != nil {
 		t.Fatal(err)
 	}
 	_ = sess.Close()
@@ -108,7 +110,7 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 	}
 
 	// /snapshot returns the same registry as JSON.
-	var snap rad.MetricsSnapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal([]byte(httpGet(t, fmt.Sprintf("http://%s/snapshot", obsAddr))), &snap); err != nil {
 		t.Fatalf("snapshot not JSON: %v", err)
 	}

@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
-	"rad"
 	"rad/internal/device"
+	"rad/internal/obs/span"
+	"rad/internal/simclock"
+	"rad/internal/stream"
+	"rad/internal/tracer"
+	"rad/internal/wire"
 )
 
 // TestSpanCrossProcessTraceStitching is the tracing tentpole's end-to-end
@@ -48,7 +52,7 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	}
 
 	// A live watcher, so stream-delivery spans are recorded.
-	tail, err := rad.DialStreamProto(streamAddr, rad.StreamSubscribe{Name: "stitch-test", Buffer: 64}, rad.WireProtoV2)
+	tail, err := stream.Dial(streamAddr, wire.Subscribe{Name: "stitch-test", Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,21 +62,21 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	// The client side of the paper's Fig. 1, with its own flight recorder:
 	// every Exec records a client span and stamps its context into the
 	// request (wire v2), exactly what radtrace -span-buffer does.
-	transport, err := rad.DialMiddlebox(addr)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientSpans := rad.NewSpanRecorder(rad.SpanConfig{Seed: 99})
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{DefaultMode: rad.ModeRemote})
+	clientSpans := span.NewRecorder(span.Config{Seed: 99})
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
 	sess.SetSpans(clientSpans)
-	dev, err := sess.Virtual(rad.DeviceC9)
+	dev, err := sess.Virtual(device.C9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: device.Init}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dev.Exec(rad.Command{Name: "MVNG"}); err != nil {
+	if _, err := dev.Exec(device.Command{Name: "MVNG"}); err != nil {
 		t.Fatal(err)
 	}
 	_ = sess.Close()
@@ -97,10 +101,10 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	// stitched server tree. stream.deliver is recorded by the stream
 	// listener's subscriber goroutine just after the frame is written, so
 	// poll briefly for the final shape.
-	clientByTrace := make(map[string]rad.Span)
+	clientByTrace := make(map[string]span.Span)
 	for _, s := range clientSpans.Spans() {
 		if s.Name == "client.exec" {
-			clientByTrace[rad.SpanFormatID(s.TraceID)] = s
+			clientByTrace[span.FormatID(s.TraceID)] = s
 		}
 	}
 	if len(clientByTrace) != 2 {
@@ -110,7 +114,7 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var lastErr error
 	for {
-		var page rad.SpanPageJSON
+		var page span.PageJSON
 		r, err := http.Get(fmt.Sprintf("http://%s/debug/spans?limit=0", obsAddr))
 		if err != nil {
 			t.Fatal(err)
@@ -144,7 +148,7 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 // verifyStitchedTrees checks that every client span's trace appears as a
 // server.request root parented by that client span, with wire codec, exec,
 // store-append, and stream-delivery spans all stitched beneath it.
-func verifyStitchedTrees(page rad.SpanPageJSON, clientByTrace map[string]rad.Span) error {
+func verifyStitchedTrees(page span.PageJSON, clientByTrace map[string]span.Span) error {
 	matched := 0
 	for _, root := range page.Roots {
 		cs, ok := clientByTrace[root.Span.TraceID]
@@ -154,10 +158,10 @@ func verifyStitchedTrees(page rad.SpanPageJSON, clientByTrace map[string]rad.Spa
 		if root.Span.Name != "server.request" {
 			return fmt.Errorf("trace %s root is %q, want server.request", root.Span.TraceID, root.Span.Name)
 		}
-		if want := rad.SpanFormatID(cs.SpanID); root.Span.ParentID != want {
+		if want := span.FormatID(cs.SpanID); root.Span.ParentID != want {
 			return fmt.Errorf("trace %s root parent %s, want client span %s", root.Span.TraceID, root.Span.ParentID, want)
 		}
-		var exec *rad.SpanTreeJSON
+		var exec *span.TreeJSON
 		for i := range root.Children {
 			c := &root.Children[i]
 			switch c.Span.Name {

@@ -43,7 +43,10 @@ import (
 	"sort"
 	"time"
 
-	"rad"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/tracedb"
+	"rad/internal/wire"
 )
 
 func main() {
@@ -78,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		if *addr == "" {
 			return fmt.Errorf("-follow requires -addr")
 		}
-		return followScan(out, *addr, rad.StreamSubscribe{
+		return followScan(out, *addr, wire.Subscribe{
 			Name:   "radquery",
 			Device: *device, Key: *key, Procedure: *proc, Run: *runLabel,
 			Snapshot: true,
@@ -88,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-store is required")
 	}
 
-	q := rad.TraceQuery{Device: *device, Key: *key, Procedure: *proc, Run: *runLabel}
+	q := tracedb.Query{Device: *device, Key: *key, Procedure: *proc, Run: *runLabel}
 	var err error
 	if q.From, err = parseTime(*from); err != nil {
 		return fmt.Errorf("-from: %w", err)
@@ -97,8 +100,8 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-to: %w", err)
 	}
 
-	db, err := rad.OpenTraceDB(*storeDir, rad.TraceDBOptions{
-		Lifecycle: rad.TraceLifecycleOptions{RetainMaxAge: *retainAge, RetainMaxBytes: *retainBytes},
+	db, err := tracedb.Open(*storeDir, tracedb.Options{
+		Lifecycle: tracedb.LifecycleOptions{RetainMaxAge: *retainAge, RetainMaxBytes: *retainBytes},
 	})
 	if err != nil {
 		return err
@@ -130,7 +133,7 @@ func run(args []string, out io.Writer) error {
 // runCompact is -mode compact: the manual lifecycle trigger. Retention (when
 // a policy flag is set) runs first to free whole segments, then compaction
 // densifies what remains.
-func runCompact(out io.Writer, db *rad.TraceDB, retain bool) error {
+func runCompact(out io.Writer, db *tracedb.DB, retain bool) error {
 	if retain {
 		rs, err := db.Retain()
 		if err != nil {
@@ -150,7 +153,7 @@ func runCompact(out io.Writer, db *rad.TraceDB, retain bool) error {
 }
 
 // printExplain renders the selectivity planner's decision for q.
-func printExplain(out io.Writer, db *rad.TraceDB, q rad.TraceQuery) error {
+func printExplain(out io.Writer, db *tracedb.DB, q tracedb.Query) error {
 	pl := db.Explain(q)
 	fmt.Fprintf(out, "segments:  %d planned, %d pruned\n", pl.Segments-pl.SegmentsPruned, pl.SegmentsPruned)
 	for _, field := range []string{"device", "key", "run", "procedure", "scan"} {
@@ -176,7 +179,7 @@ func parseTime(s string) (time.Time, error) {
 	return time.Parse(time.RFC3339, s)
 }
 
-func printInfo(out io.Writer, db *rad.TraceDB) error {
+func printInfo(out io.Writer, db *tracedb.DB) error {
 	fmt.Fprintf(out, "store:    %s\n", db.Dir())
 	fmt.Fprintf(out, "segments: %d\n", db.Segments())
 	fmt.Fprintf(out, "records:  %d\n", db.Len())
@@ -207,7 +210,7 @@ func printInfo(out io.Writer, db *rad.TraceDB) error {
 // printCounts prints "count group" lines, largest first. Command and device
 // groupings come straight from the segment indexes; run and procedure
 // groupings are indexed scans.
-func printCounts(out io.Writer, db *rad.TraceDB, by string, q rad.TraceQuery) error {
+func printCounts(out io.Writer, db *tracedb.DB, by string, q tracedb.Query) error {
 	counts := make(map[string]int)
 	switch by {
 	case "command":
@@ -251,21 +254,21 @@ func printCounts(out io.Writer, db *rad.TraceDB, by string, q rad.TraceQuery) er
 // followScan is the -follow path: a snapshot-then-follow tail over the
 // middlebox's stream listener, rendered with the same sinks as a local scan.
 // It runs until the limit is reached or the middlebox closes the stream.
-func followScan(out io.Writer, addr string, req rad.StreamSubscribe, limit int, format string) error {
+func followScan(out io.Writer, addr string, req wire.Subscribe, limit int, format string) error {
 	var sink interface {
-		Append(rad.TraceRecord) error
+		Append(store.Record) error
 		Flush() error
 	}
 	switch format {
 	case "jsonl":
-		sink = rad.NewJSONLWriter(out)
+		sink = store.NewJSONLWriter(out)
 	case "csv":
-		sink = rad.NewCSVWriter(out)
+		sink = store.NewCSVWriter(out)
 	default:
 		return fmt.Errorf("unknown -format %q", format)
 	}
 
-	client, err := rad.DialStream(addr, req)
+	client, err := stream.Dial(addr, req)
 	if err != nil {
 		return err
 	}
@@ -280,7 +283,7 @@ func followScan(out io.Writer, addr string, req rad.StreamSubscribe, limit int, 
 			}
 			return err
 		}
-		if ev.Kind != rad.StreamEventTrace {
+		if ev.Kind != wire.EventTrace {
 			continue
 		}
 		if err := sink.Append(*ev.Record); err != nil {
@@ -291,16 +294,16 @@ func followScan(out io.Writer, addr string, req rad.StreamSubscribe, limit int, 
 	return sink.Flush()
 }
 
-func printScan(out io.Writer, db *rad.TraceDB, q rad.TraceQuery, limit int, format string) error {
+func printScan(out io.Writer, db *tracedb.DB, q tracedb.Query, limit int, format string) error {
 	var sink interface {
-		Append(rad.TraceRecord) error
+		Append(store.Record) error
 		Flush() error
 	}
 	switch format {
 	case "jsonl":
-		sink = rad.NewJSONLWriter(out)
+		sink = store.NewJSONLWriter(out)
 	case "csv":
-		sink = rad.NewCSVWriter(out)
+		sink = store.NewCSVWriter(out)
 	default:
 		return fmt.Errorf("unknown -format %q", format)
 	}

@@ -6,24 +6,27 @@ import (
 	"testing"
 	"time"
 
-	"rad"
+	"rad/internal/procedure"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/tracedb"
 )
 
 // buildRecords returns the small hand-made campaign the CLI tests query.
-func buildRecords() []rad.TraceRecord {
+func buildRecords() []store.Record {
 	base := time.Date(2022, 3, 1, 9, 0, 0, 0, time.UTC)
-	var recs []rad.TraceRecord
+	var recs []store.Record
 	for i := 0; i < 40; i++ {
-		r := rad.TraceRecord{
+		r := store.Record{
 			Time: base.Add(time.Duration(i) * time.Minute), Device: "C9", Name: "MVNG",
-			Procedure: rad.UnknownProcedure, Mode: "REMOTE", Response: "ok",
+			Procedure: store.UnknownProcedure, Mode: "REMOTE", Response: "ok",
 		}
 		r.EndTime = r.Time.Add(3 * time.Millisecond)
 		if i%4 == 0 {
 			r.Device, r.Name = "Tecan", "Q"
 		}
 		if i >= 30 {
-			r.Run, r.Procedure = "run-7", rad.ProcedureP1
+			r.Run, r.Procedure = "run-7", procedure.P1
 		}
 		recs = append(recs, r)
 	}
@@ -34,7 +37,7 @@ func buildRecords() []rad.TraceRecord {
 func buildStore(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestQueryInfoCountRunsScan(t *testing.T) {
 	if err := run([]string{"-store", dir, "-mode", "scan", "-run", "run-7"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rad.ReadTraceJSONL(&out)
+	got, err := store.ReadJSONL(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestQueryInfoCountRunsScan(t *testing.T) {
 	}, &out); err != nil {
 		t.Fatal(err)
 	}
-	fromCSV, err := rad.ReadTraceCSV(&out)
+	fromCSV, err := store.ReadCSV(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +134,8 @@ func TestQueryScanGoldenFormats(t *testing.T) {
 	// Chatty ingestion over tiny segments: the store is left as small-flush
 	// debris so the compaction leg below has real sources to rewrite.
 	dir := t.TempDir()
-	opts := rad.TraceDBOptions{SegmentBytes: 1 << 10}
-	db, err := rad.OpenTraceDB(dir, opts)
+	opts := tracedb.Options{SegmentBytes: 1 << 10}
+	db, err := tracedb.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +171,7 @@ func TestQueryScanGoldenFormats(t *testing.T) {
 
 	// Rewrite the store through the compactor and require byte-identical
 	// exports from the rebuilt blocks.
-	db, err = rad.OpenTraceDB(dir, opts)
+	db, err = tracedb.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +203,8 @@ func TestQueryCountByRunAndProcedure(t *testing.T) {
 	if err := run([]string{"-store", dir, "-mode", "count", "-by", "procedure"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "30  "+rad.UnknownProcedure) ||
-		!strings.Contains(out.String(), "10  "+rad.ProcedureP1) {
+	if !strings.Contains(out.String(), "30  "+store.UnknownProcedure) ||
+		!strings.Contains(out.String(), "10  "+procedure.P1) {
 		t.Errorf("count -by procedure wrong:\n%s", out.String())
 	}
 }
@@ -211,16 +214,16 @@ func TestQueryCountByRunAndProcedure(t *testing.T) {
 // keep arriving, all through the same scan formats.
 func TestQueryFollowTailsStream(t *testing.T) {
 	dir := buildStore(t)
-	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	broker := rad.NewBroker()
+	broker := stream.NewBroker()
 	defer broker.Close()
 	broker.AttachStore(db)
-	srv := rad.NewStreamServer(broker, db)
+	srv := stream.NewServer(broker, db)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +241,7 @@ func TestQueryFollowTailsStream(t *testing.T) {
 				return
 			default:
 			}
-			_ = db.Append(rad.TraceRecord{Device: "C9", Name: "LIVE", Response: "ok"})
+			_ = db.Append(store.Record{Device: "C9", Name: "LIVE", Response: "ok"})
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -247,7 +250,7 @@ func TestQueryFollowTailsStream(t *testing.T) {
 	if err := run([]string{"-follow", "-addr", addr, "-limit", "45"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rad.ReadTraceJSONL(&out)
+	got, err := store.ReadJSONL(&out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +274,7 @@ func TestQueryFollowTailsStream(t *testing.T) {
 	if err := run([]string{"-follow", "-addr", addr, "-run", "run-7", "-limit", "10"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := rad.ReadTraceJSONL(&out)
+	filtered, err := store.ReadJSONL(&out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	radreplay -trace FILE.jsonl | -store DIR [-middlebox ADDR] [-proto auto|v1|v2] [-device NAME] [-run LABEL] [-limit N]
+//	radreplay -trace FILE.jsonl | -store DIR [-middlebox ADDR] [-device NAME] [-run LABEL] [-limit N]
 //
 // The replay source is either a JSONL export (-trace) or a persistent
 // tracedb directory (-store), so a campaign persisted by radgen or a live
@@ -25,13 +25,18 @@ import (
 	"os"
 	"time"
 
-	"rad"
+	"rad/internal/analysis/stats"
 	"rad/internal/device"
 	"rad/internal/device/c9"
 	"rad/internal/device/ika"
 	"rad/internal/device/quantos"
 	"rad/internal/device/tecan"
 	"rad/internal/device/ur3e"
+	"rad/internal/middlebox"
+	"rad/internal/simclock"
+	"rad/internal/store"
+	"rad/internal/tracedb"
+	"rad/internal/tracer"
 )
 
 func main() {
@@ -50,12 +55,7 @@ func run(args []string) error {
 	devFilter := fs.String("device", "", "replay only this device's commands")
 	runFilter := fs.String("run", "", "replay only this run's commands")
 	limit := fs.Int("limit", 0, "replay at most N commands (0 = all)")
-	protoFlag := fs.String("proto", "auto", "wire protocol to the middlebox: auto (try v2 binary, fall back to v1 JSON), v1, or v2")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	proto, err := rad.ParseWireProto(*protoFlag)
-	if err != nil {
 		return err
 	}
 	if (*tracePath == "") == (*storeDir == "") {
@@ -64,15 +64,15 @@ func run(args []string) error {
 
 	// Filter and bound the replay set. The tracedb path pushes the filters
 	// into the store's indexed scan; the JSONL path filters in memory.
-	var replaySet []rad.TraceRecord
+	var replaySet []store.Record
 	total := 0
 	if *storeDir != "" {
-		db, err := rad.OpenTraceDB(*storeDir, rad.TraceDBOptions{})
+		db, err := tracedb.Open(*storeDir, tracedb.Options{})
 		if err != nil {
 			return err
 		}
 		total = db.Len()
-		it := db.Scan(rad.TraceQuery{Device: *devFilter, Run: *runFilter})
+		it := db.Scan(tracedb.Query{Device: *devFilter, Run: *runFilter})
 		for it.Next() {
 			replaySet = append(replaySet, it.Record())
 			if *limit > 0 && len(replaySet) >= *limit {
@@ -91,7 +91,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		records, err := rad.ReadTraceJSONL(f)
+		records, err := store.ReadJSONL(f)
 		_ = f.Close()
 		if err != nil {
 			return err
@@ -116,24 +116,24 @@ func run(args []string) error {
 
 	addr := *mbAddr
 	if addr == "" {
-		var profile rad.NetworkProfile
+		var profile middlebox.NetworkProfile
 		switch *network {
 		case "lan":
-			profile = rad.LANProfile()
+			profile = middlebox.LANProfile()
 		case "cloud":
-			profile = rad.CloudProfile()
+			profile = middlebox.CloudProfile()
 		case "none":
 		default:
 			return fmt.Errorf("unknown network %q", *network)
 		}
-		clock := rad.RealClock{}
-		core := rad.NewMiddlebox(clock, nil)
+		clock := simclock.Real{}
+		core := middlebox.NewCore(clock, nil)
 		core.Register(c9.New(device.NewEnv(clock, 1)))
 		core.Register(ur3e.New(device.NewEnv(clock, 2), nil))
 		core.Register(ika.New(device.NewEnv(clock, 3)))
 		core.Register(tecan.New(device.NewEnv(clock, 4)))
 		core.Register(quantos.New(device.NewEnv(clock, 5)))
-		srv := rad.NewMiddleboxServer(core, profile, 1)
+		srv := middlebox.NewServer(core, profile, 1)
 		bound, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			return err
@@ -143,17 +143,16 @@ func run(args []string) error {
 		fmt.Printf("local middlebox on %s (network=%s)\n", addr, *network)
 	}
 
-	transport, err := rad.DialMiddleboxProto(addr, proto)
+	transport, err := tracer.DialTCP(addr)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wire protocol: %s\n", transport.Protocol())
-	sess := rad.NewTracingSession(transport, rad.RealClock{}, rad.TracingConfig{
-		DefaultMode: rad.ModeRemote, Procedure: "replay",
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{
+		DefaultMode: tracer.ModeRemote, Procedure: "replay",
 	})
 	defer sess.Close()
 
-	devs := make(map[string]rad.Device)
+	devs := make(map[string]device.Device)
 	latencies := make([]float64, 0, len(replaySet))
 	inited := make(map[string]bool)
 	errsSeen := 0
@@ -169,7 +168,7 @@ func run(args []string) error {
 		// Replays start from a cold device: inject an init if the trace
 		// slice does not begin with one.
 		if rec.Name != device.Init && !inited[rec.Device] {
-			if _, err := dev.Exec(rad.Command{Name: device.Init}); err != nil {
+			if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
 				return fmt.Errorf("init %s: %w", rec.Device, err)
 			}
 			inited[rec.Device] = true
@@ -178,7 +177,7 @@ func run(args []string) error {
 			inited[rec.Device] = true
 		}
 		start := time.Now()
-		_, execErr := dev.Exec(rad.Command{Name: rec.Name, Args: rec.Args})
+		_, execErr := dev.Exec(device.Command{Name: rec.Name, Args: rec.Args})
 		latencies = append(latencies, float64(time.Since(start).Microseconds())/1000)
 		if execErr != nil {
 			// Device-state divergence during replay is expected (the
@@ -187,7 +186,7 @@ func run(args []string) error {
 		}
 	}
 
-	box := rad.BoxStats(latencies)
+	box := stats.BoxStats(latencies)
 	fmt.Printf("replayed %d commands (%d device errors from state divergence)\n", len(replaySet), errsSeen)
 	fmt.Printf("response time (ms): min %.2f  Q1 %.2f  median %.2f  Q3 %.2f  max %.2f  mean %.2f  outliers %d\n",
 		box.Min, box.Q1, box.Med, box.Q3, box.Max, box.Mean, len(box.Outliers))

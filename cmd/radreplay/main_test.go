@@ -5,23 +5,25 @@ import (
 	"path/filepath"
 	"testing"
 
-	"rad"
+	"rad/internal/procedure"
+	"rad/internal/store"
+	"rad/internal/tracedb"
 )
 
 // TestReplayEndToEnd generates a small trace, writes it to JSONL, and
 // replays the C9 portion against a fresh loopback middlebox.
 func TestReplayEndToEnd(t *testing.T) {
-	lab, err := rad.NewVirtualLab(rad.VirtualLabConfig{Seed: 6})
+	lab, err := procedure.NewVirtualLab(procedure.VirtualLabConfig{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rad.RunJoystick(lab.Lab, rad.ProcedureOptions{Run: "j", Seed: 3}, 6)
+	procedure.RunJoystick(lab.Lab, procedure.Options{Run: "j", Seed: 3}, 6)
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := rad.NewJSONLWriter(f)
+	w := store.NewJSONLWriter(f)
 	for _, r := range lab.Sink.All() {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
@@ -41,13 +43,13 @@ func TestReplayEndToEnd(t *testing.T) {
 // TestReplayFromTraceDB persists a small trace into a tracedb directory and
 // replays it from there — the persisted-campaign round trip.
 func TestReplayFromTraceDB(t *testing.T) {
-	lab, err := rad.NewVirtualLab(rad.VirtualLabConfig{Seed: 6})
+	lab, err := procedure.NewVirtualLab(procedure.VirtualLabConfig{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rad.RunJoystick(lab.Lab, rad.ProcedureOptions{Run: "j", Seed: 3}, 6)
+	procedure.RunJoystick(lab.Lab, procedure.Options{Run: "j", Seed: 3}, 6)
 	dir := filepath.Join(t.TempDir(), "tracedb")
-	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,11 @@ import (
 	"math/rand/v2"
 	"os"
 
-	"rad"
+	"rad/internal/device"
+	"rad/internal/obs/span"
 	"rad/internal/procedure"
+	"rad/internal/simclock"
+	"rad/internal/tracer"
 )
 
 func main() {
@@ -39,21 +42,21 @@ func run(args []string) error {
 		return err
 	}
 
-	transport, err := rad.DialMiddlebox(*addr)
+	transport, err := tracer.DialTCP(*addr)
 	if err != nil {
 		return err
 	}
-	clock := rad.RealClock{}
-	sess := rad.NewTracingSession(transport, clock, rad.TracingConfig{DefaultMode: rad.ModeRemote})
+	clock := simclock.Real{}
+	sess := tracer.NewSession(transport, clock, tracer.Config{DefaultMode: tracer.ModeRemote})
 	defer sess.Close()
 	// The client-side flight recorder brackets every Exec in a client span
 	// and stamps its trace context into the outgoing request, so the
 	// middlebox's server/exec/store/stream spans stitch under this
 	// process's spans (inspect them with radwatch -spans against the
 	// middlebox's -obs-addr).
-	var spans *rad.SpanRecorder
+	var spans *span.Recorder
 	if *spanBuffer > 0 {
-		spans = rad.NewSpanRecorder(rad.SpanConfig{BufferPerShard: *spanBuffer, Seed: *seed})
+		spans = span.NewRecorder(span.Config{BufferPerShard: *spanBuffer, Seed: *seed})
 		sess.SetSpans(spans)
 	}
 
@@ -61,14 +64,14 @@ func run(args []string) error {
 	// middlebox. The raw simulators live on the middlebox, so fault
 	// injection and payload context are unavailable here — exactly the lab
 	// computer's view.
-	lab := &rad.Lab{
+	lab := &procedure.Lab{
 		Clock:   clock,
 		RNG:     rand.New(rand.NewPCG(*seed+1, *seed^0x9e3779b97f4a7c15)),
 		Session: sess,
 	}
-	for name, target := range map[string]*rad.Device{
-		rad.DeviceC9: &lab.C9, rad.DeviceUR3e: &lab.UR3e, rad.DeviceIKA: &lab.IKA,
-		rad.DeviceTecan: &lab.Tecan, rad.DeviceQuantos: &lab.Quantos,
+	for name, target := range map[string]*device.Device{
+		device.C9: &lab.C9, device.UR3e: &lab.UR3e, device.IKA: &lab.IKA,
+		device.Tecan: &lab.Tecan, device.Quantos: &lab.Quantos,
 	} {
 		dev, err := sess.Virtual(name)
 		if err != nil {
@@ -77,17 +80,17 @@ func run(args []string) error {
 		*target = dev
 	}
 
-	opts := rad.ProcedureOptions{Run: *runLabel, Vials: *vials, Solid: *solid, Seed: *seed}
-	var res rad.ProcedureResult
+	opts := procedure.Options{Run: *runLabel, Vials: *vials, Solid: *solid, Seed: *seed}
+	var res procedure.Result
 	switch *proc {
 	case "P1":
-		res = rad.RunSolubilityN9(lab, opts)
+		res = procedure.RunSolubilityN9(lab, opts)
 	case "P2":
-		res = rad.RunSolubilityN9UR(lab, opts)
+		res = procedure.RunSolubilityN9UR(lab, opts)
 	case "P3":
-		res = rad.RunCrystalSolubility(lab, opts)
+		res = procedure.RunCrystalSolubility(lab, opts)
 	case "P4", "joystick":
-		res = rad.RunJoystick(lab, opts, *presses)
+		res = procedure.RunJoystick(lab, opts, *presses)
 	default:
 		return fmt.Errorf("unknown procedure %q", *proc)
 	}

@@ -3,27 +3,29 @@ package main
 import (
 	"testing"
 
-	"rad"
 	"rad/internal/device"
 	"rad/internal/device/c9"
 	"rad/internal/device/ika"
 	"rad/internal/device/quantos"
 	"rad/internal/device/tecan"
 	"rad/internal/device/ur3e"
+	"rad/internal/middlebox"
+	"rad/internal/simclock"
+	"rad/internal/store"
 )
 
 // startMiddlebox brings up a full five-device middlebox over loopback TCP.
-func startMiddlebox(t *testing.T) (addr string, sink *rad.TraceStore) {
+func startMiddlebox(t *testing.T) (addr string, sink *store.MemStore) {
 	t.Helper()
-	clock := rad.RealClock{}
-	sink = rad.NewTraceStore()
-	core := rad.NewMiddlebox(clock, sink)
+	clock := simclock.Real{}
+	sink = store.NewMemStore()
+	core := middlebox.NewCore(clock, sink)
 	core.Register(c9.New(device.NewEnv(clock, 1)))
 	core.Register(ur3e.New(device.NewEnv(clock, 2), nil))
 	core.Register(ika.New(device.NewEnv(clock, 3)))
 	core.Register(tecan.New(device.NewEnv(clock, 4)))
 	core.Register(quantos.New(device.NewEnv(clock, 5)))
-	srv := rad.NewMiddleboxServer(core, rad.NetworkProfile{}, 1)
+	srv := middlebox.NewServer(core, middlebox.NetworkProfile{}, 1)
 	a, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	radwatch -addr HOST:PORT [filters] [-snapshot] [-power] [-reconnect] [-proto auto|v1|v2] [-format text|jsonl|csv] [-limit N]
+//	radwatch -addr HOST:PORT [filters] [-snapshot] [-power] [-reconnect] [-format text|jsonl|csv] [-limit N]
 //	radwatch -addr HOST:PORT -ids -train TRACE.jsonl [-order N] [-window N] [-alerts FILE]
 //	radwatch -obs HOST:PORT [-interval DUR] [-limit N]
 //	radwatch -obs HOST:PORT -spans [-span-min DUR] [-span-tenant ID] [-span-outcome S] [-limit N]
@@ -52,7 +52,10 @@ import (
 	"strconv"
 	"time"
 
-	"rad"
+	"rad/internal/ids"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/wire"
 )
 
 func main() {
@@ -71,11 +74,10 @@ func run(args []string, out io.Writer) error {
 	runLabel := fs.String("run", "", "filter: supervised run identifier")
 	snapshot := fs.Bool("snapshot", false, "replay the persisted store before following live")
 	withPower := fs.Bool("power", false, "include power-telemetry samples")
-	policy := fs.String("policy", rad.StreamPolicyDropOldest, "overflow policy: drop-oldest or block")
+	policy := fs.String("policy", wire.PolicyDropOldest, "overflow policy: drop-oldest or block")
 	buffer := fs.Int("buffer", 0, "server-side ring capacity (0 = default)")
 	format := fs.String("format", "text", "output: text, jsonl, or csv")
 	limit := fs.Int("limit", 0, "stop after N events (0 = forever)")
-	protoFlag := fs.String("proto", "auto", "wire protocol: auto (try v2 binary, fall back to v1 JSON), v1, or v2")
 	obsAddr := fs.String("obs", "", "middlebox telemetry address (-obs-addr): poll /snapshot and pretty-print metrics instead of tailing the stream")
 	interval := fs.Duration("interval", 2*time.Second, "obs: polling interval")
 	spansMode := fs.Bool("spans", false, "obs: poll /debug/spans instead of /snapshot and pretty-print recent trace trees")
@@ -93,10 +95,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	proto, err := rad.ParseWireProto(*protoFlag)
-	if err != nil {
-		return err
-	}
 	if *obsAddr != "" {
 		if *spansMode {
 			return watchSpans(out, *obsAddr, spanFilter{
@@ -112,7 +110,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-addr is required")
 	}
 
-	req := rad.StreamSubscribe{
+	req := wire.Subscribe{
 		Name:   "radwatch",
 		Device: *deviceF, Key: *key, Procedure: *proc, Run: *runLabel,
 		Snapshot: *snapshot, Power: *withPower,
@@ -120,15 +118,14 @@ func run(args []string, out io.Writer) error {
 	}
 	dial := func() (eventSource, error) {
 		if *reconnect {
-			return rad.NewStreamResilientTail(rad.StreamResilientConfig{
+			return stream.NewResilientTail(stream.ResilientConfig{
 				Addr:        *addr,
 				Subscribe:   req,
-				Proto:       proto,
 				Seed:        *reconnectSeed,
 				IdleTimeout: *idleTimeout,
 			}), nil
 		}
-		return rad.DialStreamProto(*addr, req, proto)
+		return stream.Dial(*addr, req)
 	}
 	if *idsMode {
 		if *train == "" {
@@ -146,7 +143,7 @@ func run(args []string, out io.Writer) error {
 // eventSource is what watch and watchIDS consume: a plain StreamClient or
 // an auto-reconnecting StreamResilientTail, chosen by -reconnect.
 type eventSource interface {
-	Recv() (rad.StreamWireEvent, error)
+	Recv() (wire.Event, error)
 	Close() error
 }
 
@@ -180,24 +177,24 @@ func watch(out io.Writer, dial func() (eventSource, error), format string, limit
 				err, seen, lastSeq, drops)
 		}
 		switch ev.Kind {
-		case rad.StreamEventSnapshotEnd:
+		case wire.EventSnapshotEnd:
 			if format == "text" {
 				fmt.Fprintln(out, "--- snapshot complete, following live ---")
 			}
 			continue
-		case rad.StreamEventResumeGap:
+		case wire.EventResumeGap:
 			if format == "text" {
 				fmt.Fprintf(out, "--- resume gap: %d records lost to retention, re-snapshotting ---\n", ev.Gap)
 			}
 			continue
-		case rad.StreamEventTrace:
+		case wire.EventTrace:
 			seen++
 			lastSeq = ev.Record.Seq
 			drops += ev.Dropped
 			if err := print(*ev.Record, ev.Dropped); err != nil {
 				return err
 			}
-		case rad.StreamEventPower:
+		case wire.EventPower:
 			if format == "text" {
 				s := ev.Sample
 				fmt.Fprintf(out, "power %s  j0..j5 current %.3f %.3f %.3f %.3f %.3f %.3f\n",
@@ -216,10 +213,10 @@ func watch(out io.Writer, dial func() (eventSource, error), format string, limit
 }
 
 // recordPrinter returns a per-record emit function for the chosen format.
-func recordPrinter(out io.Writer, format string) (func(rad.TraceRecord, uint64) error, func() error, error) {
+func recordPrinter(out io.Writer, format string) (func(store.Record, uint64) error, func() error, error) {
 	switch format {
 	case "text":
-		return func(r rad.TraceRecord, dropped uint64) error {
+		return func(r store.Record, dropped uint64) error {
 			line := fmt.Sprintf("%6d  %s  %-28s run=%s", r.Seq, r.Time.Format("15:04:05.000"), r.Key(), orDash(r.Run))
 			if r.Exception != "" {
 				line += "  EXC " + r.Exception
@@ -231,11 +228,11 @@ func recordPrinter(out io.Writer, format string) (func(rad.TraceRecord, uint64) 
 			return err
 		}, func() error { return nil }, nil
 	case "jsonl":
-		w := rad.NewJSONLWriter(out)
-		return func(r rad.TraceRecord, _ uint64) error { return w.Append(r) }, w.Flush, nil
+		w := store.NewJSONLWriter(out)
+		return func(r store.Record, _ uint64) error { return w.Append(r) }, w.Flush, nil
 	case "csv":
-		w := rad.NewCSVWriter(out)
-		return func(r rad.TraceRecord, _ uint64) error { return w.Append(r) }, w.Flush, nil
+		w := store.NewCSVWriter(out)
+		return func(r store.Record, _ uint64) error { return w.Append(r) }, w.Flush, nil
 	default:
 		return nil, nil, fmt.Errorf("unknown -format %q", format)
 	}
@@ -250,13 +247,13 @@ func orDash(s string) string {
 
 // trainDetector fits the perplexity model on the benign runs in a JSONL
 // trace export, one training sequence per run label.
-func trainDetector(path string, order int) (*rad.PerplexityDetector, error) {
+func trainDetector(path string, order int) (*ids.PerplexityDetector, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	recs, err := rad.ReadTraceJSONL(f)
+	recs, err := store.ReadJSONL(f)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +262,7 @@ func trainDetector(path string, order int) (*rad.PerplexityDetector, error) {
 
 // detectorFromRecords groups records into per-run command sequences
 // (collection order) and trains an order-n detector on them.
-func detectorFromRecords(recs []rad.TraceRecord, order int) (*rad.PerplexityDetector, error) {
+func detectorFromRecords(recs []store.Record, order int) (*ids.PerplexityDetector, error) {
 	byRun := make(map[string][]string)
 	var runOrder []string
 	for _, r := range recs {
@@ -282,11 +279,11 @@ func detectorFromRecords(recs []rad.TraceRecord, order int) (*rad.PerplexityDete
 	for _, run := range runOrder {
 		seqs = append(seqs, byRun[run])
 	}
-	return rad.TrainPerplexityDetector(seqs, order)
+	return ids.TrainPerplexity(seqs, order)
 }
 
 // watchIDS runs the online detector over the stream and emits alerts.
-func watchIDS(out io.Writer, dial func() (eventSource, error), det *rad.PerplexityDetector,
+func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.PerplexityDetector,
 	window int, withRules bool, format string, limit int) error {
 	emit, flush, err := alertPrinter(out, format)
 	if err != nil {
@@ -294,19 +291,19 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *rad.Perplexi
 	}
 	defer flush()
 
-	cfg := rad.StreamIDSConfig{Detector: det, Window: window, OnAlert: func(a rad.StreamAlert) {
+	cfg := stream.IDSConfig{Detector: det, Window: window, OnAlert: func(a stream.Alert) {
 		if err := emit(a); err != nil {
 			fmt.Fprintln(os.Stderr, "radwatch: emit alert:", err)
 		}
 	}}
 	if withRules {
-		cfg.Rules = rad.NewRuleEngine(0)
+		cfg.Rules = ids.NewRuleEngine(0)
 	}
-	ids, err := rad.NewStreamIDS(cfg)
+	online, err := stream.NewIDS(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "radwatch: online IDS armed, window threshold %.3f\n", ids.Threshold())
+	fmt.Fprintf(os.Stderr, "radwatch: online IDS armed, window threshold %.3f\n", online.Threshold())
 
 	client, err := dial()
 	if err != nil {
@@ -323,32 +320,32 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *rad.Perplexi
 			}
 			return err
 		}
-		if ev.Kind != rad.StreamEventTrace {
+		if ev.Kind != wire.EventTrace {
 			continue
 		}
-		ids.Observe(*ev.Record)
+		online.Observe(*ev.Record)
 		n++
 		if limit > 0 && n >= limit {
 			break
 		}
 	}
-	fmt.Fprintf(os.Stderr, "radwatch: %d records observed, %d alerts\n", ids.Processed(), len(ids.Alerts()))
+	fmt.Fprintf(os.Stderr, "radwatch: %d records observed, %d alerts\n", online.Processed(), len(online.Alerts()))
 	return nil
 }
 
 // alertPrinter returns a per-alert emit function. Text mode shares the JSONL
 // shape: alerts are structured records, not log lines.
-func alertPrinter(out io.Writer, format string) (func(rad.StreamAlert) error, func() error, error) {
+func alertPrinter(out io.Writer, format string) (func(stream.Alert) error, func() error, error) {
 	switch format {
 	case "text", "jsonl":
 		enc := json.NewEncoder(out)
-		return func(a rad.StreamAlert) error { return enc.Encode(a) }, func() error { return nil }, nil
+		return func(a stream.Alert) error { return enc.Encode(a) }, func() error { return nil }, nil
 	case "csv":
 		w := csv.NewWriter(out)
 		if err := w.Write([]string{"seq", "time", "source", "device", "key", "score", "threshold", "jenksBreak", "detail"}); err != nil {
 			return nil, nil, err
 		}
-		return func(a rad.StreamAlert) error {
+		return func(a stream.Alert) error {
 				return w.Write([]string{
 					strconv.FormatUint(a.Seq, 10), a.Time.Format("2006-01-02T15:04:05.000Z07:00"),
 					a.Source, a.Device, a.Key,

@@ -9,15 +9,17 @@ import (
 	"testing"
 	"time"
 
-	"rad"
+	"rad/internal/store"
+	"rad/internal/stream"
+	"rad/internal/tracedb"
 )
 
 // startStream serves a broker (with optional snapshot store) for the CLI to
 // dial.
-func startStream(t *testing.T, db *rad.TraceDB) (*rad.Broker, string) {
+func startStream(t *testing.T, db *tracedb.DB) (*stream.Broker, string) {
 	t.Helper()
-	broker := rad.NewBroker()
-	srv := rad.NewStreamServer(broker, db)
+	broker := stream.NewBroker()
+	srv := stream.NewServer(broker, db)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +28,7 @@ func startStream(t *testing.T, db *rad.TraceDB) (*rad.Broker, string) {
 	return broker, addr
 }
 
-func publishUntil(t *testing.T, broker *rad.Broker, stop chan struct{}) {
+func publishUntil(t *testing.T, broker *stream.Broker, stop chan struct{}) {
 	t.Helper()
 	go func() {
 		var seq uint64
@@ -36,7 +38,7 @@ func publishUntil(t *testing.T, broker *rad.Broker, stop chan struct{}) {
 				return
 			default:
 			}
-			broker.Publish(rad.TraceRecord{Seq: seq, Device: "C9", Name: "MVNG",
+			broker.Publish(store.Record{Seq: seq, Device: "C9", Name: "MVNG",
 				Time: time.Unix(int64(seq), 0), Run: "r1"})
 			seq++
 			time.Sleep(time.Millisecond)
@@ -74,7 +76,7 @@ func TestWatchJSONLOutput(t *testing.T) {
 	if err := run([]string{"-addr", addr, "-limit", "2", "-format", "jsonl"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := rad.ReadTraceJSONL(strings.NewReader(out.String()))
+	recs, err := store.ReadJSONL(strings.NewReader(out.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +87,13 @@ func TestWatchJSONLOutput(t *testing.T) {
 
 func TestWatchSnapshotReplaysStore(t *testing.T) {
 	dir := t.TempDir()
-	db, err := rad.OpenTraceDB(dir, rad.TraceDBOptions{})
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	for i := 0; i < 5; i++ {
-		if err := db.Append(rad.TraceRecord{Device: "UR3e", Name: "movej"}); err != nil {
+		if err := db.Append(store.Record{Device: "UR3e", Name: "movej"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +104,7 @@ func TestWatchSnapshotReplaysStore(t *testing.T) {
 	if err := run([]string{"-addr", addr, "-snapshot", "-limit", "5", "-format", "jsonl"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := rad.ReadTraceJSONL(strings.NewReader(out.String()))
+	recs, err := store.ReadJSONL(strings.NewReader(out.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +121,10 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := rad.NewJSONLWriter(f)
+	w := store.NewJSONLWriter(f)
 	pattern := []string{"HOME", "MVNG", "GRIP", "RLSE"}
 	for i := 0; i < 80; i++ {
-		if err := w.Append(rad.TraceRecord{Device: "C9", Name: pattern[i%len(pattern)], Run: "benign"}); err != nil {
+		if err := w.Append(store.Record{Device: "C9", Name: pattern[i%len(pattern)], Run: "benign"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +145,7 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 				return
 			default:
 			}
-			broker.Publish(rad.TraceRecord{Seq: seq, Device: "C9", Name: weird[seq%4]})
+			broker.Publish(store.Record{Seq: seq, Device: "C9", Name: weird[seq%4]})
 			seq++
 			time.Sleep(time.Millisecond)
 		}
@@ -158,7 +160,7 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 	if len(lines) == 0 || lines[0] == "" {
 		t.Fatal("IDS mode emitted no alerts for a stream of unknown commands")
 	}
-	var alert rad.StreamAlert
+	var alert stream.Alert
 	if err := json.Unmarshal([]byte(lines[0]), &alert); err != nil {
 		t.Fatalf("alert is not JSON: %v\n%s", err, lines[0])
 	}
@@ -180,8 +182,8 @@ func TestWatchRequiresAddr(t *testing.T) {
 // error, not a silent exit 0 — the summary line reports what the watcher
 // saw so a supervising script knows the tail is incomplete.
 func TestWatchVanishedServerExitsNonzero(t *testing.T) {
-	broker := rad.NewBroker()
-	srv := rad.NewStreamServer(broker, nil)
+	broker := stream.NewBroker()
+	srv := stream.NewServer(broker, nil)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -193,8 +195,8 @@ func TestWatchVanishedServerExitsNonzero(t *testing.T) {
 
 	// Two records, then the server vanishes under the watcher.
 	waitForPublished(t, broker, func() {
-		broker.Publish(rad.TraceRecord{Seq: 0, Device: "C9", Name: "MVNG", Time: time.Unix(0, 0)})
-		broker.Publish(rad.TraceRecord{Seq: 1, Device: "C9", Name: "MVNG", Time: time.Unix(1, 0)})
+		broker.Publish(store.Record{Seq: 0, Device: "C9", Name: "MVNG", Time: time.Unix(0, 0)})
+		broker.Publish(store.Record{Seq: 1, Device: "C9", Name: "MVNG", Time: time.Unix(1, 0)})
 	})
 	srv.Close()
 	broker.Close()
@@ -215,7 +217,7 @@ func TestWatchVanishedServerExitsNonzero(t *testing.T) {
 
 // waitForPublished runs publish once the watcher's subscription is live,
 // so the records cannot race the subscribe handshake.
-func waitForPublished(t *testing.T, broker *rad.Broker, publish func()) {
+func waitForPublished(t *testing.T, broker *stream.Broker, publish func()) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for len(broker.Stats()) == 0 {
@@ -232,15 +234,15 @@ func waitForPublished(t *testing.T, broker *rad.Broker, publish func()) {
 // TestWatchReconnectSurvivesRestart: with -reconnect the watcher rides
 // through a listener restart and keeps printing, resuming its tail.
 func TestWatchReconnectSurvivesRestart(t *testing.T) {
-	db, err := rad.OpenTraceDB(t.TempDir(), rad.TraceDBOptions{})
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	broker := rad.NewBroker()
+	broker := stream.NewBroker()
 	defer broker.Close()
 	broker.AttachStore(db)
-	srv := rad.NewStreamServer(broker, db)
+	srv := stream.NewServer(broker, db)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +256,7 @@ func TestWatchReconnectSurvivesRestart(t *testing.T) {
 
 	appendN := func(n int) {
 		for i := 0; i < n; i++ {
-			if err := db.Append(rad.TraceRecord{Device: "C9", Name: "MVNG"}); err != nil {
+			if err := db.Append(store.Record{Device: "C9", Name: "MVNG"}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -264,7 +266,7 @@ func TestWatchReconnectSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	srv2 := rad.NewStreamServer(broker, db)
+	srv2 := stream.NewServer(broker, db)
 	if _, err := srv2.Start(addr); err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}

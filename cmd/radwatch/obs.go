@@ -10,7 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"rad"
+	"rad/internal/obs"
+	"rad/internal/obs/span"
 )
 
 // watchObs polls a radmiddlebox telemetry endpoint (-obs-addr) and
@@ -72,7 +73,7 @@ func watchSpans(out io.Writer, addr string, f spanFilter) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("GET %s: %s", u, resp.Status)
 	}
-	var page rad.SpanPageJSON
+	var page span.PageJSON
 	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
 		return fmt.Errorf("decode spans: %w", err)
 	}
@@ -91,12 +92,12 @@ func watchSpans(out io.Writer, addr string, f spanFilter) error {
 		fmt.Fprintln(out, "no trace trees match")
 		return nil
 	}
-	rad.WriteSpanTrees(out, page.Roots)
+	span.WriteTrees(out, page.Roots)
 	return nil
 }
 
-func fetchSnapshot(url string) (rad.MetricsSnapshot, error) {
-	var snap rad.MetricsSnapshot
+func fetchSnapshot(url string) (obs.Snapshot, error) {
+	var snap obs.Snapshot
 	resp, err := http.Get(url)
 	if err != nil {
 		return snap, err
@@ -113,7 +114,7 @@ func fetchSnapshot(url string) (rad.MetricsSnapshot, error) {
 
 // printSnapshot renders one poll. Zero-valued counters are elided so a quiet
 // middlebox prints a short report, not its whole instrument catalog.
-func printSnapshot(out io.Writer, snap rad.MetricsSnapshot) {
+func printSnapshot(out io.Writer, snap obs.Snapshot) {
 	fmt.Fprintf(out, "--- metrics @ %s ---\n", time.Now().Format("15:04:05"))
 	for _, c := range snap.Counters {
 		if c.Value == 0 {

@@ -6,24 +6,24 @@ import (
 	"testing"
 	"time"
 
-	"rad"
+	"rad/internal/obs"
 )
 
 // TestObsWatchPollsSnapshot serves a registry over HTTP and checks the -obs
 // mode fetches /snapshot and renders counters, gauges, and histogram
 // quantiles, eliding zero-valued instruments.
 func TestObsWatchPollsSnapshot(t *testing.T) {
-	reg := rad.NewMetricsRegistry()
+	reg := obs.NewRegistry()
 	reg.Counter("rad_middlebox_requests_total", "op", "exec").Add(7)
 	reg.Counter("rad_middlebox_exec_shed_total") // stays zero: must be elided
 	reg.Gauge("rad_tracedb_records").Set(42)
-	h := reg.Histogram("rad_middlebox_exec_seconds", rad.DefaultLatencyBuckets,
+	h := reg.Histogram("rad_middlebox_exec_seconds", obs.DefaultLatencyBuckets,
 		"device", "C9", "command", "MVNG")
 	for i := 0; i < 10; i++ {
 		h.Observe(250 * time.Millisecond)
 	}
 
-	srv := httptest.NewServer(rad.NewMetricsMux(reg))
+	srv := httptest.NewServer(obs.ServeMux(reg))
 	defer srv.Close()
 
 	var sb strings.Builder

@@ -4,10 +4,12 @@
 // power-side-channel analyses — together with simulators for every piece of
 // hardware the paper's physical deployment relied on.
 //
-// The package is a facade over the repository's internal packages. It
-// exposes four capability groups:
+// The package is a facade over the repository's internal packages, cut to
+// the names the examples, the root tests and the docs use (the commands
+// under cmd/ import the internal packages directly). It exposes four
+// capability groups:
 //
-//   - Tracing: a trusted middlebox (NewMiddlebox/StartMiddleboxServer), the
+//   - Tracing: a trusted middlebox (NewMiddlebox/NewMiddleboxServer), the
 //     lab-computer tracing session (NewTracingSession, DialMiddlebox), and
 //     the DIRECT/REMOTE interception modes of §III.
 //   - The lab: NewVirtualLab assembles the five simulated Hein Lab devices

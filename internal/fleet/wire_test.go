@@ -15,10 +15,10 @@ import (
 	"rad/internal/wire"
 )
 
-// TestFleetMixedWireVersions runs a mixed client fleet — v1 JSON, v2
-// binary, tenant-tagged and untagged — against ONE fleet listener
-// concurrently. Tagged clients must land on their own labs, untagged
-// clients on the default lab, and no record may cross a tenant boundary.
+// TestFleetMixedWireVersions runs a mixed client fleet — tenant-tagged and
+// untagged — against ONE fleet listener concurrently. Tagged clients must
+// land on their own labs, untagged clients on the default lab, and no
+// record may cross a tenant boundary.
 func TestFleetMixedWireVersions(t *testing.T) {
 	mems := &sync.Map{} // tenant ID -> *store.MemStore
 	r, err := NewRouter(Config{Factory: func(id string) (*Resources, error) {
@@ -39,28 +39,19 @@ func TestFleetMixedWireVersions(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Six concurrent clients: (protocol × tenant tag) combinations, every
-	// one uploading DIRECT-mode traces stamped with its own client label.
-	clients := []struct {
-		proto  wire.Proto
-		tenant string
-	}{
-		{wire.ProtoV1, ""},         // legacy v1, knows nothing of tenancy
-		{wire.ProtoV2, ""},         // upgraded peer, still single-tenant
-		{wire.ProtoV1, "lab-0001"}, // v1 JSON with the tenant field
-		{wire.ProtoV2, "lab-0001"}, // v2 binary with the tenant tag
-		{wire.ProtoV2, "lab-0002"},
-		{wire.ProtoAuto, "lab-0002"},
-	}
+	// Six concurrent clients, two per tenant tag (the first pair untagged),
+	// every one uploading DIRECT-mode traces stamped with its own client
+	// label.
+	clients := []string{"", "", "lab-0001", "lab-0001", "lab-0002", "lab-0002"}
 	const uploads = 16
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(clients))
-	for ci, cl := range clients {
+	for ci, tenant := range clients {
 		wg.Add(1)
-		go func(ci int, proto wire.Proto, tenant string) {
+		go func(ci int, tenant string) {
 			defer wg.Done()
-			conn, wc, err := wire.Dial(addr, proto, nil)
+			conn, wc, err := wire.Dial(addr, nil)
 			if err != nil {
 				errs <- fmt.Errorf("client %d: dial: %w", ci, err)
 				return
@@ -89,7 +80,7 @@ func TestFleetMixedWireVersions(t *testing.T) {
 					return
 				}
 			}
-		}(ci, cl.proto, cl.tenant)
+		}(ci, tenant)
 	}
 	wg.Wait()
 	close(errs)
@@ -163,7 +154,7 @@ func TestFleetStreamTenantRouting(t *testing.T) {
 			t.Fatalf("%s init: %s", id, rep.Error)
 		}
 	}
-	cl, err := stream.DialProto(addr, wire.Subscribe{Tenant: "lab-0001", Buffer: 64}, wire.ProtoV2)
+	cl, err := stream.Dial(addr, wire.Subscribe{Tenant: "lab-0001", Buffer: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +182,7 @@ func TestFleetStreamTenantRouting(t *testing.T) {
 	}
 
 	// A lab without a broker (or a refused tenant) is a precise error.
-	bad, err := stream.DialProto(addr, wire.Subscribe{Tenant: "../escape"}, wire.ProtoV2)
+	bad, err := stream.Dial(addr, wire.Subscribe{Tenant: "../escape"})
 	if err != nil {
 		t.Fatal(err)
 	}

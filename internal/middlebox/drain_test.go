@@ -43,7 +43,7 @@ func TestDrainFlushesInFlightReply(t *testing.T) {
 	}
 	defer srv.Close()
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+	nc, wc, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDrainTimeoutSeversStragglers(t *testing.T) {
 	defer srv.Close()
 	defer close(gate)
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+	nc, wc, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDrainReleasesGoroutines(t *testing.T) {
 		}
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
-			nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+			nc, wc, err := wire.Dial(addr, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestHeartbeatIdleTimeoutReapsHalfOpenConn(t *testing.T) {
 	}
 	defer srv.Close()
 
-	nc, wc, err := wire.Dial(addr, wire.ProtoAuto, nil)
+	nc, wc, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

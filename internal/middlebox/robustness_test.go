@@ -1,7 +1,6 @@
 package middlebox
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -26,12 +25,13 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Client 1 sends garbage: an absurd length prefix.
-	bad, err := net.Dial("tcp", addr)
+	// Client 1 completes the handshake, then sends garbage: an absurd
+	// length prefix.
+	bad, _, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bad.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 'x', 'y'}); err != nil {
+	if _, err := bad.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 'x', 'y'}); err != nil {
 		t.Fatal(err)
 	}
 	// The server must drop the connection.
@@ -43,16 +43,16 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	_ = bad.Close()
 
 	// Client 2 works fine afterwards.
-	good, err := net.Dial("tcp", addr)
+	good, wc, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer good.Close()
-	if err := wire.WriteFrame(good, wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
+	if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
 	}
 	var reply wire.Reply
-	if err := wire.ReadFrame(good, &reply); err != nil {
+	if err := wc.ReadFrame(&reply); err != nil {
 		t.Fatalf("healthy client after garbage client: %v", err)
 	}
 	if reply.Value != "pong" {
@@ -60,8 +60,8 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	}
 }
 
-// TestServerSurvivesNonJSONPayload: a well-framed but non-JSON payload also
-// only drops that connection.
+// TestServerSurvivesNonJSONPayload: a well-framed payload the codec cannot
+// decode also only drops that connection.
 func TestServerSurvivesNonJSONPayload(t *testing.T) {
 	clock := simclock.Real{}
 	core := NewCore(clock, nil)
@@ -72,19 +72,19 @@ func TestServerSurvivesNonJSONPayload(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", addr)
+	conn, _, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte("definitely not json")
-	frame := append([]byte{0, 0, 0, byte(len(payload))}, payload...)
+	payload := []byte("definitely not a frame")
+	frame := append([]byte{byte(len(payload))}, payload...)
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 16)
 	if n, err := conn.Read(buf); err == nil && n > 0 {
-		t.Error("server replied to non-JSON payload")
+		t.Error("server replied to an undecodable payload")
 	}
 	_ = conn.Close()
 }
@@ -110,28 +110,28 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
+			conn, wc, err := wire.Dial(addr, nil)
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer conn.Close()
-			if err := wire.WriteFrame(conn, wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init}); err != nil {
+			if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init}); err != nil {
 				errs <- err
 				return
 			}
 			var reply wire.Reply
-			if err := wire.ReadFrame(conn, &reply); err != nil {
+			if err := wc.ReadFrame(&reply); err != nil {
 				errs <- err
 				return
 			}
 			for i := 0; i < perClient; i++ {
 				req := wire.Request{ID: uint64(i + 2), Op: wire.OpExec, Device: "C9", Name: "MVNG"}
-				if err := wire.WriteFrame(conn, req); err != nil {
+				if err := wc.WriteFrame(req); err != nil {
 					errs <- err
 					return
 				}
-				if err := wire.ReadFrame(conn, &reply); err != nil {
+				if err := wc.ReadFrame(&reply); err != nil {
 					errs <- err
 					return
 				}

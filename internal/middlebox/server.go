@@ -76,16 +76,12 @@ type Handler interface {
 }
 
 // Server exposes a Handler over TCP using the wire protocol. One goroutine
-// per connection; requests on a connection are served in order.
-//
-// Each connection's protocol version is negotiated on accept (wire.Accept):
-// by default the listener serves v1 JSON clients and v2 binary clients side
-// by side, distinguished by the connection preamble. SetProtocol pins the
-// listener to one version instead.
+// per connection; requests on a connection are served in order. A
+// connection that does not open with the wire preamble (wire.Accept) is
+// dropped without a reply.
 type Server struct {
 	core    Handler
 	profile NetworkProfile
-	proto   wire.Proto
 	wireM   *wire.Metrics
 	spans   *span.Recorder
 
@@ -116,13 +112,13 @@ func NewHandlerServer(h Handler, profile NetworkProfile, seed uint64) *Server {
 	}
 }
 
-// SetProtocol restricts which wire protocol versions the listener accepts;
-// the default (wire.ProtoAuto) negotiates per connection. Call before
-// Start.
-func (s *Server) SetProtocol(p wire.Proto) { s.proto = p }
+// SetProtocol does nothing: every connection speaks the one wire protocol.
+//
+// Deprecated: the only caller is perfbench, which also builds against older trees.
+func (s *Server) SetProtocol(wire.Proto) {}
 
-// Observe registers per-protocol wire metrics (frame counters,
-// encode/decode latency histograms) in reg. Call before Start.
+// Observe registers wire metrics (frame counters, encode/decode latency
+// histograms) in reg. Call before Start.
 func (s *Server) Observe(reg *obs.Registry) { s.wireM = wire.NewMetrics(reg) }
 
 // SetSpans attaches a span flight recorder: every request served gets a
@@ -199,7 +195,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	wc, err := wire.Accept(conn, s.proto, s.wireM)
+	wc, err := wire.Accept(conn, s.wireM)
 	if err != nil {
 		return // dead or protocol-confused peer: drop the connection
 	}

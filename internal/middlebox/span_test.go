@@ -149,7 +149,7 @@ func TestSpanServerWireTree(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, wc, err := wire.Dial(addr, wire.ProtoV2, nil)
+	conn, wc, err := wire.Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,6 +165,11 @@ func TestSpanServerWireTree(t *testing.T) {
 	}
 	if rep.Error != "" {
 		t.Fatalf("exec error: %s", rep.Error)
+	}
+	// The server records its root span after the reply is on the wire, so
+	// the reply can arrive first; Close waits for the connection goroutine.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	roots := rec.Roots(span.Filter{})
@@ -201,7 +206,7 @@ func TestSpanServerWireTree(t *testing.T) {
 
 // TestSpanUntracedRequestsRecordNothing pins the zero-cost contract: with
 // no recorder attached, traced fields stay zero and nothing is buffered;
-// with a recorder but an untraced (v1-style) request, the server still
+// with a recorder but an untraced request, the server still
 // roots a fresh trace — zero-value trace context is "no context", never
 // "trace zero".
 func TestSpanUntracedRequestsRecordNothing(t *testing.T) {

@@ -45,54 +45,52 @@ func appendN(t *testing.T, db *tracedb.DB, n int) {
 
 // TestServerResumeFromSeq: a subscriber resuming from seq k replays
 // exactly [k, head) from the store, then follows live — no gaps, no
-// duplicates, for both protocol versions.
+// duplicates.
 func TestServerResumeFromSeq(t *testing.T) {
-	for name, proto := range map[string]wire.Proto{"v1": wire.ProtoV1, "v2": wire.ProtoV2} {
-		t.Run(name, func(t *testing.T) {
-			db := openDB(t, tracedb.Options{})
-			broker := stream.NewBroker()
-			defer broker.Close()
-			broker.AttachStore(db)
-			_, addr := startServer(t, broker, db)
-			appendN(t, db, 10)
+	t.Run("v2", func(t *testing.T) {
+		db := openDB(t, tracedb.Options{})
+		broker := stream.NewBroker()
+		defer broker.Close()
+		broker.AttachStore(db)
+		_, addr := startServer(t, broker, db)
+		appendN(t, db, 10)
 
-			client, err := stream.DialProto(addr, wire.Subscribe{
-				ResumeFrom: 6, Policy: wire.PolicyBlock,
-			}, proto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
+		client, err := stream.Dial(addr, wire.Subscribe{
+			ResumeFrom: 6, Policy: wire.PolicyBlock,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
 
-			for want := uint64(6); want < 10; want++ {
-				ev, err := client.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ev.Kind != wire.EventTrace || ev.Record.Seq != want {
-					t.Fatalf("resume replay: kind=%s seq=%d, want trace seq %d", ev.Kind, ev.Record.Seq, want)
-				}
-			}
+		for want := uint64(6); want < 10; want++ {
 			ev, err := client.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev.Kind != wire.EventSnapshotEnd {
-				t.Fatalf("after resume replay got %s, want %s", ev.Kind, wire.EventSnapshotEnd)
+			if ev.Kind != wire.EventTrace || ev.Record.Seq != want {
+				t.Fatalf("resume replay: kind=%s seq=%d, want trace seq %d", ev.Kind, ev.Record.Seq, want)
 			}
-			// The live feed continues from the head, still gap-free.
-			appendN(t, db, 2)
-			for want := uint64(10); want < 12; want++ {
-				ev, err := client.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ev.Kind != wire.EventTrace || ev.Record.Seq != want {
-					t.Fatalf("live after resume: kind=%s seq=%d, want trace seq %d", ev.Kind, ev.Record.Seq, want)
-				}
+		}
+		ev, err := client.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != wire.EventSnapshotEnd {
+			t.Fatalf("after resume replay got %s, want %s", ev.Kind, wire.EventSnapshotEnd)
+		}
+		// The live feed continues from the head, still gap-free.
+		appendN(t, db, 2)
+		for want := uint64(10); want < 12; want++ {
+			ev, err := client.Recv()
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if ev.Kind != wire.EventTrace || ev.Record.Seq != want {
+				t.Fatalf("live after resume: kind=%s seq=%d, want trace seq %d", ev.Kind, ev.Record.Seq, want)
+			}
+		}
+	})
 }
 
 // TestServerResumeBeyondHeadRefused: a resume point past the store head is
@@ -202,7 +200,7 @@ func TestHeartbeatReapsSilentSubscriber(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	wc, err := wire.ClientV2(nc, nil)
+	wc, err := wire.Client(nc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestHeartbeatPongingClientStaysAlive(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client, err := stream.DialProto(addr, wire.Subscribe{Name: "alive", Policy: wire.PolicyBlock}, wire.ProtoV2)
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "alive", Policy: wire.PolicyBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,38 +255,6 @@ func TestHeartbeatPongingClientStaysAlive(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("event never delivered")
-	}
-}
-
-// TestHeartbeatV1ClientUnaffected: heartbeats are v2-only; a v1 subscriber
-// on the same heartbeat-enabled listener keeps its legacy supervision and
-// keeps receiving events.
-func TestHeartbeatV1ClientUnaffected(t *testing.T) {
-	broker := stream.NewBroker()
-	defer broker.Close()
-	srv := stream.NewServer(broker, nil)
-	srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 10 * time.Millisecond})
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := stream.DialProto(addr, wire.Subscribe{Name: "legacy", Policy: wire.PolicyBlock}, wire.ProtoV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	waitForSubscriber(t, broker, 1)
-
-	time.Sleep(50 * time.Millisecond) // several intervals: must not be pinged or reaped
-	broker.Publish(rec(7, "C9", "MVNG"))
-	ev, err := client.Recv()
-	if err != nil {
-		t.Fatalf("v1 recv on heartbeat-enabled server: %v", err)
-	}
-	if ev.Record == nil || ev.Record.Seq != 7 {
-		t.Fatalf("v1 event: %+v", ev)
 	}
 }
 

@@ -3,8 +3,8 @@ package stream
 // ResilientTail is the self-healing consumer of the session-resilience
 // layer: a tail client that survives the server vanishing. It tracks the
 // highest trace sequence number it has delivered, and when the connection
-// dies it redials with jittered exponential backoff, renegotiates the
-// protocol version, and resumes from lastSeq+1 (Subscribe.ResumeFrom) —
+// dies it redials with jittered exponential backoff and resumes from
+// lastSeq+1 (Subscribe.ResumeFrom) —
 // so its caller observes one continuous, gap-free, duplicate-free record
 // stream across any number of server restarts. The paper's three-month
 // collection campaign is the motivating consumer: the pipeline must
@@ -35,10 +35,6 @@ type ResilientConfig struct {
 	// tenant. Op is set by the dialer; ResumeFrom is managed by the tail
 	// itself on reconnects.
 	Subscribe wire.Subscribe
-	// Proto selects the wire protocol; the default (wire.ProtoAuto)
-	// renegotiates on every redial, so the tail keeps working even if the
-	// restarted server speaks a different version set.
-	Proto wire.Proto
 	// BackoffBase/BackoffMax shape the jittered exponential redial backoff
 	// (defaults 50ms / 2s).
 	BackoffBase time.Duration
@@ -121,7 +117,7 @@ func (rt *ResilientTail) connect() (*Client, error) {
 	}
 	rt.mu.Unlock()
 
-	c, err := DialProto(rt.cfg.Addr, req, rt.cfg.Proto)
+	c, err := Dial(rt.cfg.Addr, req)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package stream_test
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,70 +15,9 @@ import (
 	"rad/internal/wire"
 )
 
-// TestWireMixedVersionTail subscribes a v1 tailer, a v2 tailer, and an
-// auto-negotiating tailer to the same listener, publishes one feed, and
-// requires every client to see identical events — the protocol version must
-// be invisible above the framing.
-func TestWireMixedVersionTail(t *testing.T) {
-	broker := stream.NewBroker()
-	defer broker.Close()
-	_, addr := startServer(t, broker, nil)
-
-	protos := []wire.Proto{wire.ProtoV1, wire.ProtoV2, wire.ProtoAuto}
-	wantVersion := []wire.Version{wire.V1, wire.V2, wire.V2}
-	clients := make([]*stream.Client, len(protos))
-	for i, p := range protos {
-		c, err := stream.DialProto(addr, wire.Subscribe{Name: p.String()}, p)
-		if err != nil {
-			t.Fatalf("client %d (%s): %v", i, p, err)
-		}
-		defer c.Close()
-		if c.Protocol() != wantVersion[i] {
-			t.Fatalf("client %d negotiated %s, want %s", i, c.Protocol(), wantVersion[i])
-		}
-		clients[i] = c
-	}
-	waitForSubscriber(t, broker, len(clients))
-
-	const events = 16
-	go func() {
-		for i := 0; i < events; i++ {
-			broker.Publish(store.Record{
-				Seq: uint64(i), Time: time.Unix(0, int64(1000+i)).UTC(),
-				Device: "UR3e", Name: "move_joints",
-				Args: []string{"0.5", "ünïcödé"}, Response: "ok", Run: "mixed-tail",
-			})
-		}
-	}()
-
-	// Collect per client, then compare the streams as JSON.
-	streams := make([][]string, len(clients))
-	for ci, c := range clients {
-		for i := 0; i < events; i++ {
-			ev, err := c.Recv()
-			if err != nil {
-				t.Fatalf("client %d event %d: %v", ci, i, err)
-			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams[ci] = append(streams[ci], string(b))
-		}
-	}
-	for ci := 1; ci < len(streams); ci++ {
-		for i := range streams[0] {
-			if streams[ci][i] != streams[0][i] {
-				t.Errorf("event %d diverges between %s and %s:\n %s\n %s",
-					i, protos[0], protos[ci], streams[0][i], streams[ci][i])
-			}
-		}
-	}
-}
-
-// TestWireV2BadSubscribeGetsEventError pins the satellite fix: a peer that
-// completes the v2 handshake and then sends a malformed subscribe gets a
-// precise EventError frame back, not a silent close.
+// TestWireV2BadSubscribeGetsEventError: a peer that completes the
+// handshake and then sends a malformed subscribe gets a precise EventError
+// frame back, not a silent close.
 func TestWireV2BadSubscribeGetsEventError(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
@@ -87,11 +28,11 @@ func TestWireV2BadSubscribeGetsEventError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wc, err := wire.ClientV2(conn, nil)
+	wc, err := wire.Client(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A well-formed v2 frame of the wrong type: decodes as garbage for a
+	// A well-formed frame of the wrong type: decodes as garbage for a
 	// Subscribe, so the server must answer with the decode error.
 	if err := wc.WriteFrame(wire.Request{ID: 1, Op: wire.OpPing}); err != nil {
 		t.Fatal(err)
@@ -105,25 +46,39 @@ func TestWireV2BadSubscribeGetsEventError(t *testing.T) {
 	}
 }
 
-// TestWireV1BadSubscribeStillSilent: a v1 peer never negotiated anything,
-// so the server cannot know the garbage was meant as a subscribe — the
-// pre-v2 behaviour (close without a reply) is preserved.
+// TestWireV1BadSubscribeStillSilent: a peer that opens with a subscribe in
+// the retired length-prefixed JSON framing instead of the preamble gets no
+// reply — its connection is dropped — and the next subscriber is served.
 func TestWireV1BadSubscribeStillSilent(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
 	_, addr := startServer(t, broker, nil)
 
-	conn, err := net.Dial("tcp", addr)
+	legacy, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, "not a subscribe"); err != nil {
+	defer legacy.Close()
+	sub := []byte(`{"op":"subscribe","name":"legacy"}`)
+	if _, err := legacy.Write(append(binary.BigEndian.AppendUint32(nil, uint32(len(sub))), sub...)); err != nil {
 		t.Fatal(err)
 	}
-	var ev wire.Event
-	if err := wire.ReadFrame(conn, &ev); err == nil {
-		t.Fatalf("v1 garbage got a reply frame: %+v", ev)
+	_ = legacy.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := legacy.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("v1 subscribe got %d reply bytes", n)
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("v1 subscriber's connection was left open")
+	}
+
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "next"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	waitForSubscriber(t, broker, 1)
+	broker.Publish(rec(3, "C9", "MVNG"))
+	if ev, err := client.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != 3 {
+		t.Fatalf("next subscriber recv = %+v, %v", ev, err)
 	}
 }
 
@@ -135,7 +90,7 @@ func TestWireStreamCloseSeversPreSubscribeConn(t *testing.T) {
 	defer broker.Close()
 	srv, addr := startServer(t, broker, nil)
 
-	// Three stalls at different protocol stages: nothing sent, a partial v2
+	// Three stalls at different protocol stages: nothing sent, a partial
 	// preamble, and a full handshake with no subscribe.
 	quiet, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -155,7 +110,7 @@ func TestWireStreamCloseSeversPreSubscribeConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shaken.Close()
-	if _, err := wire.ClientV2(shaken, nil); err != nil {
+	if _, err := wire.Client(shaken, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,7 +142,7 @@ func TestWireStreamDeadConnDuringNegotiation(t *testing.T) {
 	}
 	_ = dying.Close()
 
-	client, err := stream.DialProto(addr, wire.Subscribe{Name: "survivor"}, wire.ProtoV2)
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "survivor"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,20 +155,17 @@ func TestWireStreamDeadConnDuringNegotiation(t *testing.T) {
 }
 
 // TestWireV2SnapshotThenFollow runs the full snapshot-then-follow protocol
-// over the binary framing, with records that exercise the codec's time and
+// over the wire, with records that exercise the codec's time and
 // args paths end to end through the tracedb.
 func TestWireV2SnapshotThenFollow(t *testing.T) {
 	db, broker, addr := snapshotFixture(t)
 	defer broker.Close()
 
-	client, err := stream.DialProto(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock}, wire.ProtoV2)
+	client, err := stream.Dial(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if client.Protocol() != wire.V2 {
-		t.Fatalf("negotiated %s, want v2", client.Protocol())
-	}
 	for want := uint64(0); want < 5; want++ {
 		ev, err := client.Recv()
 		if err != nil {

@@ -1,12 +1,11 @@
 package wire
 
-// Protocol v2: the compact binary frame codec.
+// The compact binary frame codec.
 //
-// v1 frames JSON through encoding/json on both ends; once the middlebox
-// exec path itself costs a few hundred nanoseconds, that marshalling is the
-// dominant per-request tax. v2 replaces it with a hand-rolled tagged binary
-// encoding that does zero reflection and (on the hot request/reply path)
-// ~zero allocations per frame:
+// Once the middlebox exec path itself costs a few hundred nanoseconds, a
+// reflective JSON codec is the dominant per-request tax. This one is a
+// hand-rolled tagged binary encoding that does zero reflection and (on the
+// hot request/reply path) ~zero allocations per frame:
 //
 //	frame   := uvarint(len) payload        // len ≤ MaxFrameSize
 //	payload := type field* [end]
@@ -14,7 +13,7 @@ package wire
 //
 // The type byte names the message (Request, Reply, Subscribe, Event);
 // fields carry explicit tags so zero-valued fields are simply omitted
-// (v1's omitempty, one byte instead of a quoted key) and decoding is a
+// (one tag byte instead of a quoted JSON key) and decoding is a
 // tag-dispatch loop, never a reflected field walk. Nested messages — the
 // store.Record and power.Sample embedded in an Event — are tag streams
 // terminated by the reserved end tag 0; the top level needs no terminator
@@ -23,9 +22,9 @@ package wire
 // Value shapes: uvarint (counters, lengths), zigzag varint (signed nanos,
 // zone offsets), length-prefixed UTF-8 bytes (strings), and raw
 // little-endian float64 bits (power samples). Timestamps travel as
-// UnixNano plus the zone offset in seconds, which preserves exactly what
-// v1's RFC 3339 round trip preserves: the instant and the offset, not the
-// zone name or the monotonic reading. Times outside the UnixNano range
+// UnixNano plus the zone offset in seconds, which preserves exactly what an
+// RFC 3339 round trip (the JSONL export) preserves: the instant and the
+// offset, not the zone name or the monotonic reading. Times outside the UnixNano range
 // (years ≲1678 or ≳2262) are not representable — device traces are always
 // inside it.
 //

@@ -15,12 +15,12 @@ import (
 	"rad/internal/store"
 )
 
-// pair returns two Conns speaking version v to each other through in-memory
-// buffers: what cli writes, srv reads, and vice versa.
-func pair(v Version) (cli, srv *Conn) {
+// pair returns two Conns talking to each other through in-memory buffers:
+// what cli writes, srv reads, and vice versa.
+func pair() (cli, srv *Conn) {
 	var toSrv, toCli bytes.Buffer
-	cli = NewConn(rwPair{r: &toCli, w: &toSrv}, v, nil)
-	srv = NewConn(rwPair{r: &toSrv, w: &toCli}, v, nil)
+	cli = NewConn(rwPair{r: &toCli, w: &toSrv}, V2, nil)
+	srv = NewConn(rwPair{r: &toSrv, w: &toCli}, V2, nil)
 	return cli, srv
 }
 
@@ -69,7 +69,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 	for _, in := range frames {
 		t.Run(fmt.Sprintf("%T", in), func(t *testing.T) {
-			cli, srv := pair(V2)
+			cli, srv := pair()
 			if err := cli.WriteFrame(in); err != nil {
 				t.Fatalf("WriteFrame: %v", err)
 			}
@@ -84,11 +84,11 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameTimeSemantics pins what the v2 time codec preserves: the
-// instant and the zone offset — exactly what v1's RFC 3339 round trip keeps.
+// TestBinaryFrameTimeSemantics pins what the time codec preserves: the
+// instant and the zone offset — exactly what an RFC 3339 round trip keeps.
 func TestBinaryFrameTimeSemantics(t *testing.T) {
 	in := time.Date(2021, 10, 1, 9, 30, 0, 123456789, time.FixedZone("PDT", -7*3600))
-	cli, srv := pair(V2)
+	cli, srv := pair()
 	if err := cli.WriteFrame(&Event{Kind: EventTrace, Record: &store.Record{Time: in}}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestBinaryFrameTimeSemantics(t *testing.T) {
 // TestBinaryFrameTypeMismatch: a frame decoded into the wrong message type
 // is a precise protocol error, not a half-filled struct.
 func TestBinaryFrameTypeMismatch(t *testing.T) {
-	cli, srv := pair(V2)
+	cli, srv := pair()
 	if err := cli.WriteFrame(Request{ID: 1, Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,37 +172,6 @@ func firstByte(b []byte) byte {
 	return b[0]
 }
 
-// TestWireCrossVersionBytes pins the failure mode each reader shows the
-// other protocol's bytes: deterministic, clean errors — never a hang, a
-// panic, or a giant allocation.
-func TestWireCrossVersionBytes(t *testing.T) {
-	// A v2 frame's first byte is its uvarint payload length (>= 1), so a v1
-	// reader parses the first four bytes as a big-endian length >= 1<<24 and
-	// rejects the frame as oversized.
-	var v2bytes bytes.Buffer
-	v2conn := NewConn(&v2bytes, V2, nil)
-	if err := v2conn.WriteFrame(Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM"}); err != nil {
-		t.Fatal(err)
-	}
-	var req Request
-	err := ReadFrame(bytes.NewReader(v2bytes.Bytes()), &req)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("v1 reader on v2 bytes: err = %v, want ErrFrameTooLarge", err)
-	}
-
-	// A v1 frame opens with 0x00 (MaxFrameSize fits in three bytes), which a
-	// v2 reader parses as a zero-length frame: an empty-frame error.
-	var v1bytes bytes.Buffer
-	if err := WriteFrame(&v1bytes, Request{ID: 1, Op: OpExec}); err != nil {
-		t.Fatal(err)
-	}
-	v2reader := NewConn(bytes.NewBuffer(v1bytes.Bytes()), V2, nil)
-	err = v2reader.ReadFrame(&req)
-	if err == nil || !strings.Contains(err.Error(), "empty binary frame") {
-		t.Errorf("v2 reader on v1 bytes: err = %v, want empty-frame error", err)
-	}
-}
-
 // TestWireInternSharesVocabulary: decoding a protocol-vocabulary string
 // yields the shared instance; unknown strings still decode correctly.
 func TestWireInternSharesVocabulary(t *testing.T) {
@@ -252,31 +221,20 @@ func TestFrameGrowPathPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestFrameTooLargeAnnouncesSize pins the satellite fix to the error text:
-// the announced size appears in the message, for both protocol readers.
+// TestFrameTooLargeAnnouncesSize pins the error text: the announced size
+// appears in the message.
 func TestFrameTooLargeAnnouncesSize(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+7)
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+7)
 	var req Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &req)
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
+	err := NewConn(bytes.NewBuffer(hdr), V2, nil).ReadFrame(&req)
 	want := fmt.Sprintf("announced %d bytes", MaxFrameSize+7)
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not carry the announced size %q", err, want)
-	}
-
-	v2hdr := binary.AppendUvarint(nil, MaxFrameSize+7)
-	v2conn := NewConn(bytes.NewBuffer(v2hdr), V2, nil)
-	err = v2conn.ReadFrame(&req)
 	if !errors.Is(err, ErrFrameTooLarge) || !strings.Contains(err.Error(), want) {
-		t.Errorf("v2 reader: err = %v, want ErrFrameTooLarge with %q", err, want)
+		t.Errorf("err = %v, want ErrFrameTooLarge with %q", err, want)
 	}
 }
 
-// TestWireV2OversizedWriteRejected: the v2 writer enforces MaxFrameSize on
-// the encoded payload just as the v1 writer does.
+// TestWireV2OversizedWriteRejected: the writer enforces MaxFrameSize on the
+// encoded payload, one byte past the limit.
 func TestWireV2OversizedWriteRejected(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(&buf, V2, nil)
@@ -286,59 +244,32 @@ func TestWireV2OversizedWriteRejected(t *testing.T) {
 	}
 }
 
-// TestWireV1ConnMatchesFreeFunctions: a V1 Conn emits byte-identical frames
-// to the pre-negotiation free functions — the compatibility the mixed-fleet
-// guarantee rests on.
-func TestWireV1ConnMatchesFreeFunctions(t *testing.T) {
-	req := Request{ID: 5, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1", "2"}}
-	var viaConn, viaFree bytes.Buffer
-	if err := NewConn(&viaConn, V1, nil).WriteFrame(req); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(&viaFree, req); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaConn.Bytes(), viaFree.Bytes()) {
-		t.Errorf("V1 Conn frame differs from free-function frame:\n% x\n% x",
-			viaConn.Bytes(), viaFree.Bytes())
-	}
-	var got Request
-	if err := ReadFrame(&viaConn, &got); err != nil {
-		t.Fatalf("free ReadFrame on Conn bytes: %v", err)
-	}
-}
-
 // BenchmarkWireExecV2 prices one full exec exchange — request encoded and
-// decoded, reply encoded and decoded — through both codecs over in-memory
-// connections, isolating the marshalling tax the v2 protocol removes. The
-// TCP round trip (socket included) is benchmarked in internal/tracer.
+// decoded, reply encoded and decoded — over in-memory connections,
+// isolating the marshalling tax. The TCP round trip (socket included) is
+// benchmarked in internal/tracer.
 func BenchmarkWireExecV2(b *testing.B) {
 	req := Request{ID: 1, Op: OpExec, Device: "UR3e", Name: "move_joints",
 		Args: []string{"0.5", "-1.2", "0.8", "0.0", "1.1", "-0.3"}, Procedure: "P2", Run: "bench"}
 	rep := Reply{ID: 1, Value: "MVNG 0.5 -1.2 0.8 0.0 1.1 -0.3"}
-	for _, v := range []Version{V1, V2} {
-		name := map[Version]string{V1: "v1-json", V2: "v2-binary"}[v]
-		b.Run(name, func(b *testing.B) {
-			cli, srv := pair(v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cli.WriteFrame(req); err != nil {
-					b.Fatal(err)
-				}
-				var gotReq Request
-				if err := srv.ReadFrame(&gotReq); err != nil {
-					b.Fatal(err)
-				}
-				if err := srv.WriteFrame(rep); err != nil {
-					b.Fatal(err)
-				}
-				var gotRep Reply
-				if err := cli.ReadFrame(&gotRep); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cli, srv := pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cli.WriteFrame(req); err != nil {
+			b.Fatal(err)
+		}
+		var gotReq Request
+		if err := srv.ReadFrame(&gotReq); err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.WriteFrame(rep); err != nil {
+			b.Fatal(err)
+		}
+		var gotRep Reply
+		if err := cli.ReadFrame(&gotRep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -346,21 +277,16 @@ func BenchmarkWireExecV2(b *testing.B) {
 // carrying a full record.
 func BenchmarkWireEventV2(b *testing.B) {
 	ev := Event{Kind: EventTrace, Record: sampleRecord()}
-	for _, v := range []Version{V1, V2} {
-		name := map[Version]string{V1: "v1-json", V2: "v2-binary"}[v]
-		b.Run(name, func(b *testing.B) {
-			cli, srv := pair(v)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cli.WriteFrame(ev); err != nil {
-					b.Fatal(err)
-				}
-				var got Event
-				if err := srv.ReadFrame(&got); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cli, srv := pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cli.WriteFrame(ev); err != nil {
+			b.Fatal(err)
+		}
+		var got Event
+		if err := srv.ReadFrame(&got); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

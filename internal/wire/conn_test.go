@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -9,167 +10,98 @@ import (
 	"time"
 )
 
-func TestWireParseProto(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Proto
-		ok   bool
-	}{
-		{"", ProtoAuto, true}, {"auto", ProtoAuto, true},
-		{"v1", ProtoV1, true}, {"json", ProtoV1, true},
-		{"v2", ProtoV2, true}, {"binary", ProtoV2, true},
-		{"v3", ProtoAuto, false}, {"V2", ProtoAuto, false},
-	}
-	for _, tc := range cases {
-		got, err := ParseProto(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseProto(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if ProtoAuto.String() != "auto" || ProtoV1.String() != "v1" || ProtoV2.String() != "v2" {
-		t.Error("Proto.String round trip broken")
-	}
-	if V1.String() != "v1" || V2.String() != "v2" {
-		t.Error("Version.String round trip broken")
-	}
-}
-
-// handshake runs Accept(allow) on one end of a pipe and client on the other,
-// returning both negotiated Conns (or the server error).
-func handshake(t *testing.T, allow Proto, client func(net.Conn) (*Conn, error)) (cli, srv *Conn, srvErr error) {
-	t.Helper()
+func TestWireNegotiateV2(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	t.Cleanup(func() { cliConn.Close(); srvConn.Close() })
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv, srvErr = Accept(srvConn, allow, nil)
-	}()
-	var err error
-	cli, err = client(cliConn)
-	if err != nil {
-		t.Fatalf("client handshake: %v", err)
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Accept did not return")
-	}
-	return cli, srv, srvErr
-}
-
-func TestWireNegotiateV2UnderAuto(t *testing.T) {
-	cli, srv, err := handshake(t, ProtoAuto, func(c net.Conn) (*Conn, error) { return ClientV2(c, nil) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cli.Version() != V2 || srv.Version() != V2 {
-		t.Fatalf("negotiated %s/%s, want v2/v2", cli.Version(), srv.Version())
-	}
-	// A frame flows over the upgraded connection (pipe needs both sides live).
-	go func() { _ = cli.WriteFrame(Request{ID: 9, Op: OpPing}) }()
-	var req Request
-	if err := srv.ReadFrame(&req); err != nil || req.ID != 9 || req.Op != OpPing {
-		t.Fatalf("frame over negotiated v2: %+v, %v", req, err)
-	}
-}
-
-func TestWireNegotiateV1UnderAuto(t *testing.T) {
-	// A v1 client sends no preamble: its first bytes are a frame. The server
-	// must serve it unchanged, which is why the client's write is the
-	// handshake here.
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
 	type res struct {
 		srv *Conn
 		err error
 	}
 	ch := make(chan res, 1)
 	go func() {
-		srv, err := Accept(srvConn, ProtoAuto, nil)
+		srv, err := Accept(srvConn, nil)
 		ch <- res{srv, err}
 	}()
-	cli := ClientV1(cliConn, nil)
-	go func() { _ = cli.WriteFrame(Request{ID: 4, Op: OpPing}) }()
-	r := <-ch
+	cli, err := Client(cliConn, nil)
+	if err != nil {
+		t.Fatalf("client handshake: %v", err)
+	}
+	var r res
+	select {
+	case r = <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept did not return")
+	}
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.srv.Version() != V1 {
-		t.Fatalf("negotiated %s, want v1", r.srv.Version())
-	}
+	// A frame flows over the negotiated connection (pipe needs both sides live).
+	go func() { _ = cli.WriteFrame(Request{ID: 9, Op: OpPing}) }()
 	var req Request
-	if err := r.srv.ReadFrame(&req); err != nil || req.ID != 4 {
-		t.Fatalf("v1 frame after sniff: %+v, %v", req, err)
+	if err := r.srv.ReadFrame(&req); err != nil || req.ID != 9 || req.Op != OpPing {
+		t.Fatalf("frame over negotiated connection: %+v, %v", req, err)
 	}
 }
 
-func TestWireNegotiateRequiredV2RejectsV1(t *testing.T) {
+// legacyFrame is what a client of the retired length-prefixed JSON framing
+// opened with: a 4-byte big-endian length, then the JSON payload.
+func legacyFrame() []byte {
+	payload := []byte(`{"id":1,"op":"ping"}`)
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
+// acceptErr runs Accept on one end of a pipe while the other end writes
+// opener, and returns Accept's error.
+func acceptErr(t *testing.T, opener []byte) error {
+	t.Helper()
 	cliConn, srvConn := net.Pipe()
 	defer cliConn.Close()
 	defer srvConn.Close()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := Accept(srvConn, ProtoV2, nil)
+		_, err := Accept(srvConn, nil)
 		errCh <- err
 	}()
-	go func() { _ = WriteFrame(cliConn, Request{ID: 1, Op: OpPing}) }()
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "requires protocol v2") {
-		t.Fatalf("v2-only listener accepting v1 bytes: err = %v", err)
-	}
-}
-
-func TestWireNegotiatePinnedV1SkipsSniff(t *testing.T) {
-	// Under ProtoV1 the server must not read (or wait for) any bytes before
-	// the first frame — byte flow identical to the pre-v2 protocol.
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	ch := make(chan *Conn, 1)
-	go func() {
-		srv, err := Accept(srvConn, ProtoV1, nil)
-		if err != nil {
-			t.Error(err)
-		}
-		ch <- srv
-	}()
+	go func() { _, _ = cliConn.Write(opener) }()
 	select {
-	case srv := <-ch:
-		if srv.Version() != V1 {
-			t.Fatalf("pinned v1 listener negotiated %s", srv.Version())
-		}
+	case err := <-errCh:
+		return err
 	case <-time.After(5 * time.Second):
-		t.Fatal("Accept(ProtoV1) waited for client bytes")
+		t.Fatal("Accept did not return")
+		return nil
 	}
 }
 
+// TestWireNegotiateRequiredV2RejectsV1: a listener serves only peers that
+// open with the v2 preamble. A v1 frame or garbage is an Accept error, which
+// the listeners turn into a dropped connection with no reply.
+func TestWireNegotiateRequiredV2RejectsV1(t *testing.T) {
+	cases := []struct {
+		name   string
+		opener []byte
+	}{
+		{"legacy length-prefixed frame", legacyFrame()},
+		{"garbage", []byte("GET / HTTP/1.1\r\n")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := acceptErr(t, tc.opener); err == nil || !strings.Contains(err.Error(), "bad preamble") {
+				t.Fatalf("Accept err = %v, want bad preamble", err)
+			}
+		})
+	}
+}
+
+// TestWireNegotiateBadVersionByte: a preamble with the right magic but an
+// unknown version byte, or the right magic prefix with a wrong tail, is
+// rejected with an error naming which part is wrong.
 func TestWireNegotiateBadVersionByte(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	defer cliConn.Close()
-	defer srvConn.Close()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := Accept(srvConn, ProtoAuto, nil)
-		errCh <- err
-	}()
-	go func() { _, _ = cliConn.Write([]byte{'R', 'A', 'D', '2', 99}) }()
-	err := <-errCh
+	err := acceptErr(t, []byte{'R', 'A', 'D', '2', 99})
 	if err == nil || !strings.Contains(err.Error(), "unsupported protocol version 99") {
 		t.Fatalf("future version byte: err = %v", err)
 	}
-
 	// Magic prefix right, magic tail wrong.
-	cliConn2, srvConn2 := net.Pipe()
-	defer cliConn2.Close()
-	defer srvConn2.Close()
-	go func() {
-		_, err := Accept(srvConn2, ProtoAuto, nil)
-		errCh <- err
-	}()
-	go func() { _, _ = cliConn2.Write([]byte{'R', 'O', 'G', 'U', 'E'}) }()
-	if err := <-errCh; err == nil || !strings.Contains(err.Error(), "bad preamble magic") {
+	if err := acceptErr(t, []byte{'R', 'O', 'G', 'U', 'E'}); err == nil || !strings.Contains(err.Error(), "bad preamble") {
 		t.Fatalf("bad magic: err = %v", err)
 	}
 }
@@ -181,7 +113,7 @@ func TestWireNegotiateDeadConn(t *testing.T) {
 		cliConn, srvConn := net.Pipe()
 		errCh := make(chan error, 1)
 		go func() {
-			_, err := Accept(srvConn, ProtoAuto, nil)
+			_, err := Accept(srvConn, nil)
 			errCh <- err
 		}()
 		if sent > 0 {
@@ -202,10 +134,8 @@ func TestWireNegotiateDeadConn(t *testing.T) {
 	}
 }
 
-// v1OnlyListener is a pre-v2 middlebox stand-in: it reads length-prefixed
-// JSON frames directly off the socket and drops connections whose bytes do
-// not parse — exactly what an unupgraded deployment does with a preamble.
-func v1OnlyListener(t *testing.T) string {
+// listen serves each accepted connection with serve until the test ends.
+func listen(t *testing.T, serve func(net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -220,58 +150,36 @@ func v1OnlyListener(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				for {
-					var req Request
-					if err := ReadFrame(conn, &req); err != nil {
-						return
-					}
-					if err := WriteFrame(conn, Reply{ID: req.ID, Value: "pong"}); err != nil {
-						return
-					}
-				}
+				serve(conn)
 			}()
 		}
 	}()
 	return ln.Addr().String()
 }
 
-// v2AwareListener serves both protocols via Accept, echoing pings.
-func v2AwareListener(t *testing.T, allow Proto) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// TestWireDialAutoUpgradesToV2: Dial performs the handshake itself, so the
+// connection it returns already speaks the binary framing.
+func TestWireDialAutoUpgradesToV2(t *testing.T) {
+	addr := listen(t, func(conn net.Conn) {
+		wc, err := Accept(conn, nil)
+		if err != nil {
+			return
+		}
+		for {
+			var req Request
+			if err := wc.ReadFrame(&req); err != nil {
+				return
+			}
+			if err := wc.WriteFrame(Reply{ID: req.ID, Value: "pong"}); err != nil {
+				return
+			}
+		}
+	})
+	conn, wc, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				wc, err := Accept(conn, allow, nil)
-				if err != nil {
-					return
-				}
-				for {
-					var req Request
-					if err := wc.ReadFrame(&req); err != nil {
-						return
-					}
-					if err := wc.WriteFrame(Reply{ID: req.ID, Value: "pong"}); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func roundTripPing(t *testing.T, wc *Conn) {
-	t.Helper()
+	defer conn.Close()
 	if err := wc.WriteFrame(Request{ID: 1, Op: OpPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -281,77 +189,36 @@ func roundTripPing(t *testing.T, wc *Conn) {
 	}
 }
 
-// TestWireDialAutoFallsBackToV1 dials a JSON-only listener with ProtoAuto:
-// the v2 handshake dies (the listener reads the preamble as an absurd frame
-// length and hangs up) and the dialer redials as v1, invisibly to the
-// caller.
-func TestWireDialAutoFallsBackToV1(t *testing.T) {
-	addr := v1OnlyListener(t)
-	conn, wc, err := Dial(addr, ProtoAuto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if wc.Version() != V1 {
-		t.Fatalf("auto against v1-only listener negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
-}
-
-func TestWireDialAutoUpgradesToV2(t *testing.T) {
-	addr := v2AwareListener(t, ProtoAuto)
-	conn, wc, err := Dial(addr, ProtoAuto, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if wc.Version() != V2 {
-		t.Fatalf("auto against v2-aware listener negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
-}
-
+// TestWireDialRequiredV2AgainstV1OnlyFails dials a listener that speaks
+// only the retired 4-byte-length framing: it reads the preamble as an
+// absurd frame length and hangs up, so Dial must fail instead of handing
+// back a connection.
 func TestWireDialRequiredV2AgainstV1OnlyFails(t *testing.T) {
-	addr := v1OnlyListener(t)
-	conn, _, err := Dial(addr, ProtoV2, nil)
+	addr := listen(t, func(conn net.Conn) {
+		var hdr [4]byte
+		_, _ = io.ReadFull(conn, hdr[:]) // "RAD2" announces a ~1.4 GB frame
+	})
+	conn, _, err := Dial(addr, nil)
 	if err == nil {
 		conn.Close()
-		t.Fatal("Dial(ProtoV2) against v1-only listener succeeded")
+		t.Fatal("Dial against a v1-only listener succeeded")
 	}
 }
 
-func TestWireDialPinnedV1AgainstUpgradedListener(t *testing.T) {
-	// The acceptance criterion in miniature: an unupgraded client against an
-	// upgraded listener, no code changes, same bytes, same answers.
-	addr := v2AwareListener(t, ProtoAuto)
-	conn, wc, err := Dial(addr, ProtoV1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if wc.Version() != V1 {
-		t.Fatalf("pinned v1 dial negotiated %s", wc.Version())
-	}
-	roundTripPing(t, wc)
-}
-
-// TestWireV2ReadFrameEOF: a cleanly closed v2 connection yields bare io.EOF
-// from ReadFrame, same contract as the v1 reader.
+// TestWireV2ReadFrameEOF: a cleanly closed connection yields bare io.EOF
+// from ReadFrame.
 func TestWireV2ReadFrameEOF(t *testing.T) {
 	cliConn, srvConn := net.Pipe()
 	go func() {
-		wc, err := ClientV2(cliConn, nil)
-		if err == nil {
-			_ = wc
-		}
+		_, _ = Client(cliConn, nil)
 		cliConn.Close()
 	}()
-	wc, err := Accept(srvConn, ProtoAuto, nil)
+	wc, err := Accept(srvConn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var req Request
 	if err := wc.ReadFrame(&req); !errors.Is(err, io.EOF) {
-		t.Fatalf("read on closed v2 conn: %v, want io.EOF", err)
+		t.Fatalf("read on closed conn: %v, want io.EOF", err)
 	}
 }

@@ -2,16 +2,26 @@ package wire
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"rad/internal/power"
 	"rad/internal/store"
 )
+
+// frame encodes v as one complete frame (length prefix included).
+func frame(v any) []byte {
+	var buf bytes.Buffer
+	_ = NewConn(&buf, V2, nil).WriteFrame(v)
+	return buf.Bytes()
+}
+
+// readFrame decodes one frame from data on a fresh connection.
+func readFrame(data []byte, v any) error {
+	return NewConn(bytes.NewBuffer(append([]byte(nil), data...)), V2, nil).ReadFrame(v)
+}
 
 // FuzzReadFrame hardens the middlebox's untrusted input path: arbitrary
 // bytes must never panic or allocate unboundedly — they may only produce an
@@ -19,42 +29,36 @@ import (
 func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: a valid frame, a truncated frame, garbage, an oversized
 	// header, and an empty input.
-	var valid bytes.Buffer
-	_ = WriteFrame(&valid, Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1"}})
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())-3])
+	valid := frame(Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1"}})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
 	f.Add([]byte("garbage"))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
-		_ = ReadFrame(bytes.NewReader(data), &req) // must not panic
+		_ = readFrame(data, &req) // must not panic
 	})
 }
 
-// FuzzFrameRoundTrip: any request that encodes must decode to itself.
+// FuzzFrameRoundTrip: any request that encodes must decode to itself, with
+// its framing — the length prefix — included.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "C9", "ARM", "1|2|3", "ok", "")
 	f.Add(uint64(0), "", "", "", "", "some error")
 	f.Fuzz(func(t *testing.T, id uint64, dev, name, args, value, errStr string) {
-		// encoding/json replaces invalid UTF-8 with U+FFFD by design; the
-		// round-trip identity only holds for valid strings.
-		for _, s := range []string{dev, name, args, value, errStr} {
-			if !utf8.ValidString(s) {
-				t.Skip()
-			}
-		}
 		in := Request{ID: id, Op: OpExec, Device: dev, Name: name, Value: value, Error: errStr}
 		if args != "" {
 			in.Args = []string{args}
 		}
 		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		c := NewConn(&buf, V2, nil)
+		if err := c.WriteFrame(in); err != nil {
 			t.Skip() // oversized inputs are rejected by design
 		}
 		var out Request
-		if err := ReadFrame(&buf, &out); err != nil {
+		if err := c.ReadFrame(&out); err != nil {
 			t.Fatalf("decode of just-encoded frame: %v", err)
 		}
 		if out.ID != in.ID || out.Device != in.Device || out.Name != in.Name ||
@@ -69,25 +73,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // whatever decodes must either fail Validate or be a well-formed
 // subscription (recognised policy, non-negative buffer).
 func FuzzSubscribeFrame(f *testing.F) {
-	var valid bytes.Buffer
-	_ = WriteFrame(&valid, Subscribe{Op: OpSubscribe, Name: "watch", Device: "UR3e",
-		Snapshot: true, Policy: PolicyBlock, Buffer: 128})
-	f.Add(valid.Bytes())
-	var wrongOp bytes.Buffer
-	_ = WriteFrame(&wrongOp, Subscribe{Op: "exec"})
-	f.Add(wrongOp.Bytes())
-	var badPolicy bytes.Buffer
-	_ = WriteFrame(&badPolicy, Subscribe{Op: OpSubscribe, Policy: "bogus"})
-	f.Add(badPolicy.Bytes())
-	var negBuffer bytes.Buffer
-	_ = WriteFrame(&negBuffer, Subscribe{Op: OpSubscribe, Buffer: -5})
-	f.Add(negBuffer.Bytes())
+	f.Add(frame(Subscribe{Op: OpSubscribe, Name: "watch", Device: "UR3e",
+		Snapshot: true, Policy: PolicyBlock, Buffer: 128}))
+	f.Add(frame(Subscribe{Op: "exec"}))
+	f.Add(frame(Subscribe{Op: OpSubscribe, Policy: "bogus"}))
+	f.Add(frame(Subscribe{Op: OpSubscribe, Buffer: -5}))
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Subscribe
-		if err := ReadFrame(bytes.NewReader(data), &req); err != nil {
+		if err := readFrame(data, &req); err != nil {
 			return
 		}
 		if err := req.Validate(); err != nil {
@@ -108,116 +104,67 @@ func FuzzSubscribeFrame(f *testing.F) {
 
 // FuzzSubscribeResumeFrame hardens the exactly-once resume path end to end:
 // a Subscribe carrying any ResumeFrom value must round-trip to exactly
-// itself on both protocol versions (including the zero value, which older
-// peers never emit and must decode as "no resume"), and arbitrary bytes
-// decoded as a resume subscription must never panic — whatever decodes
-// either fails Validate or is safe for the server to plan a replay from.
+// itself (including the zero value, which decodes as "no resume"), and
+// arbitrary bytes decoded as a resume subscription must never panic —
+// whatever decodes either fails Validate or is safe for the server to plan
+// a replay from.
 func FuzzSubscribeResumeFrame(f *testing.F) {
 	f.Add(uint64(0), "watch", false, []byte{})
 	f.Add(uint64(1), "resume", true, []byte("garbage"))
 	f.Add(uint64(1)<<32, "", false, []byte{0x03, binSubscribe, subResume, 0xff})
 	f.Add(^uint64(0), "max", true, []byte{0x02, binSubscribe, subResume})
-	var v2valid bytes.Buffer
-	_ = NewConn(&v2valid, V2, nil).WriteFrame(Subscribe{Op: OpSubscribe, Name: "w", ResumeFrom: 7})
-	f.Add(uint64(7), "w", false, v2valid.Bytes())
-	var v1valid bytes.Buffer
-	_ = WriteFrame(&v1valid, Subscribe{Op: OpSubscribe, Name: "w", ResumeFrom: 7})
-	f.Add(uint64(7), "w", true, v1valid.Bytes())
+	f.Add(uint64(7), "w", false, frame(Subscribe{Op: OpSubscribe, Name: "w", ResumeFrom: 7}))
+	f.Add(uint64(7), "w", true, frame(Subscribe{Op: OpSubscribe, Name: "w", ResumeFrom: 7, Snapshot: true, Buffer: -1}))
 
 	f.Fuzz(func(t *testing.T, resumeFrom uint64, name string, snapshot bool, data []byte) {
-		if !utf8.ValidString(name) {
-			t.Skip() // the v1 JSON encoder rewrites invalid UTF-8
-		}
 		in := Subscribe{Op: OpSubscribe, Name: name, ResumeFrom: resumeFrom, Snapshot: snapshot}
-
-		// Round trip on v1 (JSON, omitempty) and v2 (binary, zero-omitting
-		// tag): the resume point must survive both encodings exactly.
-		var v1buf bytes.Buffer
-		if err := WriteFrame(&v1buf, in); err != nil {
-			t.Skip() // oversized by construction
-		}
-		var v1out Subscribe
-		if err := ReadFrame(&v1buf, &v1out); err != nil {
-			t.Fatalf("v1 decode of just-encoded resume subscribe: %v", err)
-		}
-		if v1out.ResumeFrom != resumeFrom {
-			t.Fatalf("v1 resume round trip: got %d want %d", v1out.ResumeFrom, resumeFrom)
-		}
 		payload, err := appendBinaryFrame(nil, &in)
 		if err != nil {
-			t.Fatalf("v2 encode: %v", err)
+			t.Fatalf("encode: %v", err)
 		}
-		var v2out Subscribe
-		if err := decodeBinaryFrame(payload, &v2out); err != nil {
-			t.Fatalf("v2 decode of just-encoded resume subscribe: %v (payload % x)", err, payload)
+		var out Subscribe
+		if err := decodeBinaryFrame(payload, &out); err != nil {
+			t.Fatalf("decode of just-encoded resume subscribe: %v (payload % x)", err, payload)
 		}
-		if v2out.ResumeFrom != resumeFrom {
-			t.Fatalf("v2 resume round trip: got %d want %d", v2out.ResumeFrom, resumeFrom)
+		if out.ResumeFrom != resumeFrom {
+			t.Fatalf("resume round trip: got %d want %d", out.ResumeFrom, resumeFrom)
 		}
 
-		// Hardening: arbitrary bytes on either version's reader must produce
-		// a subscription or an error, never a panic; anything Validate
-		// accepts must be a well-formed resume request.
-		for _, decode := range []func(*Subscribe) error{
-			func(s *Subscribe) error { return ReadFrame(bytes.NewReader(data), s) },
-			func(s *Subscribe) error {
-				return NewConn(bytes.NewBuffer(append([]byte(nil), data...)), V2, nil).ReadFrame(s)
-			},
-		} {
-			var got Subscribe
-			if err := decode(&got); err != nil {
-				continue
-			}
-			if err := got.Validate(); err != nil {
-				continue
-			}
-			if got.Op != OpSubscribe {
-				t.Fatalf("validated resume subscribe with op %q", got.Op)
-			}
-			if got.Buffer < 0 {
-				t.Fatalf("validated negative buffer %d", got.Buffer)
-			}
+		// Hardening: arbitrary bytes on the reader must produce a
+		// subscription or an error, never a panic; anything Validate accepts
+		// must be a well-formed resume request.
+		var got Subscribe
+		if err := readFrame(data, &got); err != nil {
+			return
+		}
+		if err := got.Validate(); err != nil {
+			return
+		}
+		if got.Op != OpSubscribe {
+			t.Fatalf("validated resume subscribe with op %q", got.Op)
+		}
+		if got.Buffer < 0 {
+			t.Fatalf("validated negative buffer %d", got.Buffer)
 		}
 	})
 }
 
 // FuzzTraceContextFrame pins the trace-context propagation contract: the
-// TraceID/SpanID pair on Request and Event must survive both encodings
-// exactly (v1 JSON omitempty, v2 tagged uvarint pair omitted when zero),
-// a zero pair must add zero bytes to the v2 frame — the wire must cost
-// nothing for untraced peers — and arbitrary bytes on either reader must
-// never panic.
+// TraceID/SpanID pair on Request and Event must survive the codec exactly
+// (a tagged uvarint pair, omitted when zero), a zero pair must add zero
+// bytes to the frame — the wire must cost nothing for untraced peers — and
+// arbitrary bytes on the reader must never panic.
 func FuzzTraceContextFrame(f *testing.F) {
 	f.Add(uint64(0), uint64(0), "C9", []byte{})
 	f.Add(uint64(1), uint64(2), "ARM", []byte("garbage"))
 	f.Add(^uint64(0), uint64(1)<<63, "", []byte{0x03, binRequest, reqTraceID, 0xff})
 	f.Add(uint64(0x9e3779b97f4a7c15), uint64(7), "move_joints", []byte{0x02, binEvent, evSpanID})
-	var v2valid bytes.Buffer
-	_ = NewConn(&v2valid, V2, nil).WriteFrame(Request{ID: 1, Op: OpExec, TraceID: 5, SpanID: 6})
-	f.Add(uint64(5), uint64(6), "w", v2valid.Bytes())
-	var v1valid bytes.Buffer
-	_ = WriteFrame(&v1valid, Event{Kind: EventTrace, TraceID: 5, SpanID: 6})
-	f.Add(uint64(5), uint64(6), "e", v1valid.Bytes())
+	f.Add(uint64(5), uint64(6), "w", frame(Request{ID: 1, Op: OpExec, TraceID: 5, SpanID: 6}))
+	f.Add(uint64(5), uint64(6), "e", frame(Event{Kind: EventTrace, TraceID: 5, SpanID: 6}))
 
 	f.Fuzz(func(t *testing.T, traceID, spanID uint64, name string, data []byte) {
-		if !utf8.ValidString(name) {
-			t.Skip() // the v1 JSON encoder rewrites invalid UTF-8
-		}
 		req := Request{ID: 1, Op: OpExec, Device: "C9", Name: name, TraceID: traceID, SpanID: spanID}
 		ev := Event{Kind: EventTrace, TraceID: traceID, SpanID: spanID}
-
-		var v1buf bytes.Buffer
-		if err := WriteFrame(&v1buf, req); err != nil {
-			t.Skip() // oversized by construction
-		}
-		var v1req Request
-		if err := ReadFrame(&v1buf, &v1req); err != nil {
-			t.Fatalf("v1 decode of just-encoded traced request: %v", err)
-		}
-		if v1req.TraceID != traceID || v1req.SpanID != spanID {
-			t.Fatalf("v1 trace context round trip: got %x/%x want %x/%x",
-				v1req.TraceID, v1req.SpanID, traceID, spanID)
-		}
 
 		for _, pair := range []struct {
 			in  any
@@ -225,10 +172,13 @@ func FuzzTraceContextFrame(f *testing.F) {
 		}{{&req, new(Request)}, {&ev, new(Event)}} {
 			payload, err := appendBinaryFrame(nil, pair.in)
 			if err != nil {
-				t.Fatalf("v2 encode %T: %v", pair.in, err)
+				t.Fatalf("encode %T: %v", pair.in, err)
 			}
 			if err := decodeBinaryFrame(payload, pair.out); err != nil {
-				t.Fatalf("v2 decode of just-encoded %T: %v (payload % x)", pair.in, err, payload)
+				t.Fatalf("decode of just-encoded %T: %v (payload % x)", pair.in, err, payload)
+			}
+			if !reflect.DeepEqual(pair.out, pair.in) {
+				t.Fatalf("trace context round trip:\n got %+v\nwant %+v", pair.out, pair.in)
 			}
 		}
 
@@ -244,11 +194,10 @@ func FuzzTraceContextFrame(f *testing.F) {
 			}
 		}
 
-		// Hardening: arbitrary bytes on either version's reader must produce
-		// a frame or an error, never a panic.
+		// Hardening: arbitrary bytes on the reader must produce a frame or an
+		// error, never a panic.
 		for _, dst := range []any{new(Request), new(Event)} {
-			_ = ReadFrame(bytes.NewReader(data), dst)
-			_ = NewConn(bytes.NewBuffer(append([]byte(nil), data...)), V2, nil).ReadFrame(dst)
+			_ = readFrame(data, dst)
 		}
 	})
 }
@@ -263,9 +212,6 @@ func FuzzPooledFrameSequence(f *testing.F) {
 	f.Add("", "", "", uint64(0))
 	f.Add("Quantos", "αβγ", strings.Repeat("z", 2000), uint64(9))
 	f.Fuzz(func(t *testing.T, dev, long, short string, id uint64) {
-		if !utf8.ValidString(dev) || !utf8.ValidString(long) || !utf8.ValidString(short) {
-			t.Skip()
-		}
 		// Alternate a large and a small frame several times through one
 		// buffer so pooled encode and decode buffers get reused with
 		// different prior contents.
@@ -277,33 +223,32 @@ func FuzzPooledFrameSequence(f *testing.F) {
 			{ID: id + 4, Op: OpTrace, Name: short},
 		}
 		var buf bytes.Buffer
+		c := NewConn(&buf, V2, nil)
 		for round := 0; round < 3; round++ {
 			for i, in := range frames {
-				buf.Reset()
-				if err := WriteFrame(&buf, in); err != nil {
+				if err := c.WriteFrame(in); err != nil {
 					t.Skip() // oversized inputs are rejected by design
 				}
 				var out Request
-				if err := ReadFrame(&buf, &out); err != nil {
+				if err := c.ReadFrame(&out); err != nil {
 					t.Fatalf("round %d frame %d: decode: %v", round, i, err)
 				}
 				if !reflect.DeepEqual(out, in) {
 					t.Fatalf("round %d frame %d: cross-frame leakage: got %+v want %+v",
 						round, i, out, in)
 				}
-				if buf.Len() != 0 {
+				if n := buf.Len() + c.br.Buffered(); n != 0 {
 					t.Fatalf("round %d frame %d: %d trailing bytes after decode",
-						round, i, buf.Len())
+						round, i, n)
 				}
 			}
 		}
 	})
 }
 
-// FuzzBinaryFrameRoundTrip: every v2 frame type built from arbitrary
-// primitives must decode back to exactly itself. Unlike the JSON fuzz above
-// there is no UTF-8 skip — the binary codec carries arbitrary byte strings
-// verbatim.
+// FuzzBinaryFrameRoundTrip: every frame type built from arbitrary
+// primitives must decode back to exactly itself. There is no UTF-8 skip —
+// the binary codec carries arbitrary byte strings verbatim.
 func FuzzBinaryFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "C9", "ARM", "1|2", "ok", "", int64(100), true, uint64(0), 0.0)
 	f.Add(uint64(0), "", "", "", "", "err", int64(-5), false, uint64(9), -1.5)
@@ -344,58 +289,21 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzBinaryReadFrame hardens the v2 listener path the way FuzzReadFrame
-// hardens v1: arbitrary bytes through a v2 connection must produce a frame
-// or an error, never a panic or an unbounded allocation (every announced
-// length is validated against the bytes actually present).
+// FuzzBinaryReadFrame hardens the listener path for every message type:
+// arbitrary bytes through a connection must produce a frame or an error,
+// never a panic or an unbounded allocation (every announced length is
+// validated against the bytes actually present).
 func FuzzBinaryReadFrame(f *testing.F) {
-	var valid bytes.Buffer
-	vc := NewConn(&valid, V2, nil)
-	_ = vc.WriteFrame(Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1"}})
-	f.Add(valid.Bytes())
-	f.Add(valid.Bytes()[:len(valid.Bytes())-2])
+	valid := frame(Request{ID: 1, Op: OpExec, Device: "C9", Name: "ARM", Args: []string{"1"}})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-2])
 	f.Add([]byte{0x01, binRequest})
 	f.Add([]byte{0x03, binRequest, reqArgs, 0xff}) // lying element count
 	f.Add([]byte{0x00})                            // empty frame
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, dst := range []any{new(Request), new(Reply), new(Subscribe), new(Event)} {
-			c := NewConn(bytes.NewBuffer(append([]byte(nil), data...)), V2, nil)
-			_ = c.ReadFrame(dst) // must not panic
-		}
-	})
-}
-
-// FuzzCrossVersionFrame feeds each protocol's valid frames to the other
-// protocol's reader: the mismatch must surface as a deterministic, clean
-// error — v2 bytes look like an oversized v1 header, v1 bytes look like an
-// empty v2 frame — never as a silent success or a panic.
-func FuzzCrossVersionFrame(f *testing.F) {
-	f.Add(uint64(1), "C9", "ARM", "ok")
-	f.Add(uint64(0), "", "", "")
-	f.Fuzz(func(t *testing.T, id uint64, dev, name, value string) {
-		if !utf8.ValidString(dev) || !utf8.ValidString(name) || !utf8.ValidString(value) {
-			t.Skip() // the v1 JSON encoder rewrites invalid UTF-8
-		}
-		req := Request{ID: id, Op: OpExec, Device: dev, Name: name, Value: value}
-
-		var v2bytes bytes.Buffer
-		if err := NewConn(&v2bytes, V2, nil).WriteFrame(req); err != nil {
-			t.Skip() // oversized by construction
-		}
-		var got Request
-		err := ReadFrame(bytes.NewReader(v2bytes.Bytes()), &got)
-		if !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("v1 reader on v2 bytes: err = %v, want ErrFrameTooLarge", err)
-		}
-
-		var v1bytes bytes.Buffer
-		if err := WriteFrame(&v1bytes, req); err != nil {
-			t.Skip()
-		}
-		err = NewConn(bytes.NewBuffer(v1bytes.Bytes()), V2, nil).ReadFrame(&got)
-		if err == nil {
-			t.Fatal("v2 reader accepted v1 bytes")
+			_ = readFrame(data, dst) // must not panic
 		}
 	})
 }

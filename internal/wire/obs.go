@@ -6,9 +6,9 @@ import (
 	"rad/internal/obs"
 )
 
-// codecBuckets resolve the sub-microsecond latencies the frame codecs run
-// at; the default buckets start at 1µs, which would fold every v2 encode
-// into one bin.
+// codecBuckets resolve the sub-microsecond latencies the frame codec runs
+// at; the default buckets start at 1µs, which would fold every encode into
+// one bin.
 var codecBuckets = []time.Duration{
 	100 * time.Nanosecond, 250 * time.Nanosecond, 500 * time.Nanosecond,
 	1 * time.Microsecond, 2500 * time.Nanosecond, 5 * time.Microsecond,
@@ -17,20 +17,18 @@ var codecBuckets = []time.Duration{
 	10 * time.Millisecond,
 }
 
-// Metrics instruments the wire layer: per-protocol connection and frame
-// counters plus encode/decode latency histograms, so the protocol mix and
-// the marshalling cost of a live deployment are visible on the telemetry
-// endpoint. A nil *Metrics (the default everywhere) keeps every path
-// uninstrumented and free.
+// Metrics instruments the wire layer: connection and frame counters plus
+// encode/decode latency histograms, so the marshalling cost of a live
+// deployment is visible on the telemetry endpoint. A nil *Metrics (the
+// default everywhere) keeps every path uninstrumented and free.
 //
 // Frame timings are measured with the real clock around the marshal step
 // only — never around socket I/O — so the histograms price the codec, not
 // the network.
 type Metrics struct {
-	conns  [2]*obs.Counter // connections negotiated, by version
-	rx, tx [2]*obs.Counter // frames decoded / encoded, by version
-	dec    [2]*obs.Histogram
-	enc    [2]*obs.Histogram
+	conns    *obs.Counter // connections that completed the handshake
+	rx, tx   *obs.Counter // frames decoded / encoded
+	dec, enc *obs.Histogram
 }
 
 // NewMetrics registers the wire instruments in reg and returns the handle
@@ -38,18 +36,15 @@ type Metrics struct {
 // dedupes by name and label set, so several listeners observing the same
 // registry share one set of instruments.
 func NewMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{}
-	reg.SetHelp("rad_wire_connections_total", "Connections negotiated, by wire protocol version.")
-	reg.SetHelp("rad_wire_frames_total", "Frames moved, by wire protocol version and direction.")
-	reg.SetHelp("rad_wire_decode_seconds", "Frame decode (unmarshal) latency, by wire protocol version.")
-	reg.SetHelp("rad_wire_encode_seconds", "Frame encode (marshal) latency, by wire protocol version.")
-	for i, v := range []Version{V1, V2} {
-		ver := v.String()
-		m.conns[i] = reg.Counter("rad_wire_connections_total", "version", ver)
-		m.rx[i] = reg.Counter("rad_wire_frames_total", "version", ver, "dir", "rx")
-		m.tx[i] = reg.Counter("rad_wire_frames_total", "version", ver, "dir", "tx")
-		m.dec[i] = reg.Histogram("rad_wire_decode_seconds", codecBuckets, "version", ver)
-		m.enc[i] = reg.Histogram("rad_wire_encode_seconds", codecBuckets, "version", ver)
+	reg.SetHelp("rad_wire_connections_total", "Connections that completed the wire handshake.")
+	reg.SetHelp("rad_wire_frames_total", "Frames moved, by direction.")
+	reg.SetHelp("rad_wire_decode_seconds", "Frame decode (unmarshal) latency.")
+	reg.SetHelp("rad_wire_encode_seconds", "Frame encode (marshal) latency.")
+	return &Metrics{
+		conns: reg.Counter("rad_wire_connections_total"),
+		rx:    reg.Counter("rad_wire_frames_total", "dir", "rx"),
+		tx:    reg.Counter("rad_wire_frames_total", "dir", "tx"),
+		dec:   reg.Histogram("rad_wire_decode_seconds", codecBuckets),
+		enc:   reg.Histogram("rad_wire_encode_seconds", codecBuckets),
 	}
-	return m
 }

@@ -66,10 +66,9 @@ type Subscribe struct {
 	// replay every matching record with sequence number >= ResumeFrom from
 	// the persistent store, then follow live — a gap-free, duplicate-free
 	// continuation for a client that already delivered [0, ResumeFrom).
-	// Like Tenant, the field is zero-value compatible: pre-resume peers
-	// (and fresh subscriptions) simply omit it. Sequence numbers start at
-	// zero, so "resume from the beginning" is ResumeFrom=0 with Snapshot
-	// set, exactly as before this field existed.
+	// Like Tenant, the field is omitted from the frame when zero, as for
+	// every fresh subscription. Sequence numbers start at zero, so "resume
+	// from the beginning" is ResumeFrom=0 with Snapshot set.
 	//
 	// When ResumeFrom predates the store's retention floor the server
 	// cannot honor it exactly: it sends an EventResumeGap notice carrying
@@ -130,16 +129,13 @@ type Event struct {
 	// TraceID/SpanID carry the trace context of the exec that produced this
 	// event's record (internal/obs/span), so a tailer can stitch delivery
 	// into the originating request's tree. Zero means untraced; omitted from
-	// the frame entirely when zero, in both encodings.
+	// the frame entirely when zero.
 	TraceID uint64 `json:"traceId,omitempty"`
 	SpanID  uint64 `json:"spanId,omitempty"`
 }
 
-// Ping is a server → client liveness probe on a v2 tail connection; the
-// client answers with a Pong echoing the sequence number. v1 has no
-// liveness frames (its tail protocol predates them), which negotiation
-// already handles: a server only pings peers that completed the v2
-// handshake, and a v1 peer simply keeps the pre-heartbeat behaviour.
+// Ping is a server → client liveness probe on a tail connection; the
+// client answers with a Pong echoing the sequence number.
 type Ping struct {
 	Seq uint64 `json:"seq"`
 }
@@ -150,9 +146,7 @@ type Pong struct {
 }
 
 // TailFrame is what a tail client reads after subscribing: either an Event
-// or a liveness Ping (exactly one field is set). On a v1 connection only
-// events ever arrive, so decoding a TailFrame degrades to decoding an
-// Event.
+// or a liveness Ping (exactly one field is set).
 type TailFrame struct {
 	Event *Event
 	Ping  *Ping

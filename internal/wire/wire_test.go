@@ -10,6 +10,13 @@ import (
 	"testing/quick"
 )
 
+// codec returns a Conn reading from and writing to one in-memory buffer: a
+// frame written is the next frame read.
+func codec() (*Conn, *bytes.Buffer) {
+	var buf bytes.Buffer
+	return NewConn(&buf, V2, nil), &buf
+}
+
 func TestRoundTripRequest(t *testing.T) {
 	tests := []struct {
 		name string
@@ -22,12 +29,12 @@ func TestRoundTripRequest(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, tt.req); err != nil {
+			c, _ := codec()
+			if err := c.WriteFrame(tt.req); err != nil {
 				t.Fatalf("WriteFrame: %v", err)
 			}
 			var got Request
-			if err := ReadFrame(&buf, &got); err != nil {
+			if err := c.ReadFrame(&got); err != nil {
 				t.Fatalf("ReadFrame: %v", err)
 			}
 			if got.ID != tt.req.ID || got.Op != tt.req.Op || got.Device != tt.req.Device ||
@@ -42,13 +49,13 @@ func TestRoundTripRequest(t *testing.T) {
 }
 
 func TestRoundTripReply(t *testing.T) {
-	var buf bytes.Buffer
+	c, _ := codec()
 	want := Reply{ID: 3, Value: "MVNG 0 0 0 0", Error: ""}
-	if err := WriteFrame(&buf, want); err != nil {
+	if err := c.WriteFrame(want); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
 	var got Reply
-	if err := ReadFrame(&buf, &got); err != nil {
+	if err := c.ReadFrame(&got); err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
 	if got != want {
@@ -57,15 +64,15 @@ func TestRoundTripReply(t *testing.T) {
 }
 
 func TestMultipleFramesSequential(t *testing.T) {
-	var buf bytes.Buffer
+	c, _ := codec()
 	for i := uint64(0); i < 10; i++ {
-		if err := WriteFrame(&buf, Request{ID: i, Op: OpExec, Name: "Q"}); err != nil {
+		if err := c.WriteFrame(Request{ID: i, Op: OpExec, Name: "Q"}); err != nil {
 			t.Fatalf("WriteFrame %d: %v", i, err)
 		}
 	}
 	for i := uint64(0); i < 10; i++ {
 		var got Request
-		if err := ReadFrame(&buf, &got); err != nil {
+		if err := c.ReadFrame(&got); err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
 		if got.ID != i {
@@ -76,29 +83,28 @@ func TestMultipleFramesSequential(t *testing.T) {
 
 func TestReadFrameEOFOnEmpty(t *testing.T) {
 	var got Request
-	err := ReadFrame(bytes.NewReader(nil), &got)
+	err := NewConn(bytes.NewBuffer(nil), V2, nil).ReadFrame(&got)
 	if !errors.Is(err, io.EOF) {
 		t.Errorf("want io.EOF, got %v", err)
 	}
 }
 
 func TestReadFrameTruncatedPayload(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, Request{ID: 1, Op: OpExec}); err != nil {
+	c, buf := codec()
+	if err := c.WriteFrame(Request{ID: 1, Op: OpExec}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
 	var got Request
-	if err := ReadFrame(bytes.NewReader(trunc), &got); err == nil {
+	if err := NewConn(bytes.NewBuffer(trunc), V2, nil).ReadFrame(&got); err == nil {
 		t.Error("want error on truncated payload, got nil")
 	}
 }
 
 func TestReadFrameOversizedHeaderRejected(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
+	hdr := binary.AppendUvarint(nil, MaxFrameSize+1)
 	var got Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &got)
+	err := NewConn(bytes.NewBuffer(hdr), V2, nil).ReadFrame(&got)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("want ErrFrameTooLarge, got %v", err)
 	}
@@ -106,21 +112,17 @@ func TestReadFrameOversizedHeaderRejected(t *testing.T) {
 
 func TestWriteFrameOversizedRejected(t *testing.T) {
 	big := Request{ID: 1, Op: OpExec, Value: strings.Repeat("x", MaxFrameSize)}
-	err := WriteFrame(io.Discard, big)
-	if !errors.Is(err, ErrFrameTooLarge) {
+	c, _ := codec()
+	if err := c.WriteFrame(big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("want ErrFrameTooLarge, got %v", err)
 	}
 }
 
 func TestReadFrameGarbagePayload(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("this is not json")
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
+	payload := []byte("this is not a frame")
+	frame := append(binary.AppendUvarint(nil, uint64(len(payload))), payload...)
 	var got Request
-	if err := ReadFrame(&buf, &got); err == nil {
+	if err := NewConn(bytes.NewBuffer(frame), V2, nil).ReadFrame(&got); err == nil {
 		t.Error("want error on garbage payload, got nil")
 	}
 }
@@ -129,14 +131,14 @@ func TestReadFrameGarbagePayload(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(id uint64, device, name, value, errStr string, args []string) bool {
 		in := Request{ID: id, Op: OpExec, Device: device, Name: name, Args: args, Value: value, Error: errStr}
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, in); err != nil {
+		c, _ := codec()
+		if err := c.WriteFrame(in); err != nil {
 			// Only oversized frames may fail; those are outside quick's
 			// default value sizes.
 			return false
 		}
 		var out Request
-		if err := ReadFrame(&buf, &out); err != nil {
+		if err := c.ReadFrame(&out); err != nil {
 			return false
 		}
 		if out.ID != in.ID || out.Device != in.Device || out.Name != in.Name ||

@@ -2,7 +2,6 @@ package rad
 
 import (
 	"rad/internal/analysis/jenks"
-	"rad/internal/analysis/metrics"
 	"rad/internal/analysis/ngram"
 	"rad/internal/analysis/specmine"
 	"rad/internal/analysis/stats"
@@ -37,9 +36,6 @@ type Device = device.Device
 // Command is a single device access crossing the data-collection boundary.
 type Command = device.Command
 
-// CommandSpec describes one of the 52 command types in the dataset catalog.
-type CommandSpec = device.CommandSpec
-
 // Device names as they appear in the dataset.
 const (
 	DeviceC9      = device.C9
@@ -50,38 +46,27 @@ const (
 )
 
 // CommandCatalog returns the 52-command catalog of Fig. 5(a).
-func CommandCatalog() []CommandSpec { return device.Catalog() }
+func CommandCatalog() []device.CommandSpec { return device.Catalog() }
 
 // --- Clocks ---
-
-// Clock abstracts time so the same code runs in real time (latency
-// experiments) and virtual time (dataset generation).
-type Clock = simclock.Clock
 
 // RealClock is the wall clock.
 type RealClock = simclock.Real
 
-// VirtualClock is a deterministic clock that advances only on Sleep/Advance.
-type VirtualClock = simclock.Virtual
-
-// NewVirtualClock returns a virtual clock starting at the given instant.
+// NewVirtualClock returns a deterministic clock starting at the given
+// instant; it advances only on Sleep/Advance.
 var NewVirtualClock = simclock.NewVirtual
 
 // --- Middlebox and tracing (RATracer) ---
-
-// Middlebox is the trusted middlebox core of Fig. 1: device registry,
-// command execution, and trace logging.
-type Middlebox = middlebox.Core
-
-// MiddleboxServer serves a Middlebox over TCP.
-type MiddleboxServer = middlebox.Server
 
 // NetworkProfile emulates the lab network (LANProfile) or a cloud WAN
 // (CloudProfile) between the lab computer and the middlebox.
 type NetworkProfile = middlebox.NetworkProfile
 
-// NewMiddlebox builds a middlebox logging to sink (which may be nil).
-func NewMiddlebox(clock Clock, sink TraceSink) *Middlebox {
+// NewMiddlebox builds the trusted middlebox core of Fig. 1 — device
+// registry, command execution, and trace logging — logging to sink (which
+// may be nil).
+func NewMiddlebox(clock simclock.Clock, sink TraceSink) *middlebox.Core {
 	return middlebox.NewCore(clock, sink)
 }
 
@@ -89,48 +74,41 @@ func NewMiddlebox(clock Clock, sink TraceSink) *Middlebox {
 // network profile.
 var NewMiddleboxServer = middlebox.NewServer
 
-// MiddleboxHandler answers wire requests; both a single-tenant Middlebox and
-// a FleetRouter implement it, so one TCP server serves either.
-type MiddleboxHandler = middlebox.Handler
+// TracingConfig configures a session: default mode, per-device overrides
+// (hybrid configurations), and procedure labels.
+type TracingConfig = tracer.Config
 
-// NewMiddleboxHandlerServer is NewMiddleboxServer for any MiddleboxHandler
-// (a fleet router, a test fake) instead of a concrete core.
-var NewMiddleboxHandlerServer = middlebox.NewHandlerServer
+// ModeRemote is the REMOTE interception mode (§III): the middlebox owns the
+// device and executes each command.
+const ModeRemote = tracer.ModeRemote
 
-// LANProfile models the lab's switched Ethernet; CloudProfile models the
-// Azure WAN replay of Fig. 4's footnote.
-var (
-	LANProfile   = middlebox.LANProfile
-	CloudProfile = middlebox.CloudProfile
-)
+// Transport carries requests from the lab computer to the middlebox; custom
+// implementations (or wrappers such as the attack Interceptor) plug into a
+// session or VirtualLabConfig.WrapTransport.
+type Transport = tracer.Transport
+
+// NewTracingSession creates a session over a transport.
+var NewTracingSession = tracer.NewSession
+
+// DialMiddlebox connects to a middlebox server over TCP.
+var DialMiddlebox = tracer.DialTCP
+
+// NewTransportRouter routes each device's traffic to its own middlebox — the
+// distributed deployment §VII anticipates — with an optional fallback
+// transport.
+var NewTransportRouter = tracer.NewRouter
 
 // --- Fault injection and resilience (internal/fault) ---
-
-// FaultProfile configures the deterministic fault injectors: per-class
-// probabilities for latency spikes, dropped/garbled responses, device
-// hangs, wire resets, and sink write errors.
-type FaultProfile = fault.Profile
 
 // ParseFaultProfile parses "none", "flaky", or "chaos", optionally with
 // key=value overrides (e.g. "flaky,hang=0.01,hangfor=30s").
 var ParseFaultProfile = fault.ParseProfile
 
-// FlakyFaults and ChaosFaults are the built-in fault profiles; NoFaults is
-// the transparent one.
-var (
-	NoFaults    = fault.None
-	FlakyFaults = fault.Flaky
-	ChaosFaults = fault.Chaos
-)
+// ChaosFaults is the built-in heavy fault profile.
+var ChaosFaults = fault.Chaos
 
-// FaultyDevice and FlakySink wrap a device / trace sink with seeded,
-// reproducible fault injection.
-type (
-	FaultyDevice = fault.FaultyDevice
-	FlakySink    = fault.FlakySink
-)
-
-// WrapFaultyDevice and WrapFlakySink build the injectors.
+// WrapFaultyDevice and WrapFlakySink wrap a device / trace sink with
+// seeded, reproducible fault injection.
 var (
 	WrapFaultyDevice = fault.WrapDevice
 	WrapFlakySink    = fault.WrapSink
@@ -142,161 +120,22 @@ var (
 // single-attempt path.
 type ExecPolicy = middlebox.ExecPolicy
 
-// BreakerConfig tunes a per-device circuit breaker; Resilience and
-// BreakerStats surface the hardened path's activity in Middlebox.Snapshot.
-type (
-	BreakerConfig = fault.BreakerConfig
-	Resilience    = middlebox.Resilience
-	BreakerStats  = fault.BreakerStats
-)
+// Resilience surfaces the hardened path's activity in the middlebox's
+// Snapshot.
+type Resilience = middlebox.Resilience
 
-// IsInfraError reports whether an error is an infrastructure failure
-// (injected fault, exec deadline, serial timeout, dead link) rather than a
-// device-reported command error.
-var IsInfraError = fault.IsInfra
-
-// DeadLetterQueue is the disk-backed spill area FailoverSink writes
-// refused trace batches to; TraceDB.Reingest folds it back in.
-type DeadLetterQueue = store.DeadLetterQueue
-
-// OpenDLQ opens (or creates) a dead-letter directory.
+// OpenDLQ opens (or creates) a dead-letter directory: the disk-backed
+// spill area a failover sink writes refused trace batches to.
 var OpenDLQ = store.OpenDLQ
 
-// FailoverSink makes a primary sink lossless under write errors by
-// spilling refused records to a DeadLetterQueue.
-type FailoverSink = store.FailoverSink
-
-// NewFailoverSink wraps a primary sink with dead-letter failover.
+// NewFailoverSink makes a primary sink lossless under write errors by
+// spilling refused records to a dead-letter queue.
 var NewFailoverSink = store.NewFailoverSink
-
-// OpenTenantDLQ opens a tenant's dead-letter directory namespaced under a
-// shared root (root/tenants/<id>); ValidTenantID is the path-safe tenant
-// alphabet every fleet entry point enforces.
-var (
-	OpenTenantDLQ = store.OpenTenantDLQ
-	ValidTenantID = store.ValidTenantID
-)
-
-// --- Fleet mode (internal/fleet) ---
-
-// FleetRouter multiplexes many independent lab middleboxes — each with its
-// own devices, policies, breakers, and broker — behind one wire listener,
-// resolving each request's tenant ID through a striped-lock table to a
-// lazily-instantiated Middlebox.
-type FleetRouter = fleet.Router
-
-// FleetConfig parameterizes a router; FleetResources is everything one
-// tenant lab owns; FleetTenant is one instantiated lab.
-type (
-	FleetConfig    = fleet.Config
-	FleetResources = fleet.Resources
-	FleetTenant    = fleet.Tenant
-)
-
-// FleetStats is a point-in-time fleet snapshot; FleetTenantStats is one
-// lab's slice of it.
-type (
-	FleetStats       = fleet.Stats
-	FleetTenantStats = fleet.TenantStats
-)
-
-// NewFleetRouter builds a fleet router.
-var NewFleetRouter = fleet.NewRouter
-
-// FleetDefaultTenant is the lab untagged (pre-fleet) requests reach;
-// FleetDefaultMaxTenants bounds lazy tenant instantiation.
-const (
-	FleetDefaultTenant     = fleet.DefaultTenant
-	FleetDefaultMaxTenants = fleet.DefaultMaxTenants
-)
 
 // FleetCampaign drives hundreds of concurrent tenant workloads through one
 // router, each lab on its own virtual clock with a seed derived purely from
 // (campaign seed, tenant ID) — byte-reproducible under any interleaving.
 type FleetCampaign = fleet.Campaign
-
-// FleetCampaignConfig parameterizes a campaign; FleetCampaignResult and
-// FleetTenantResult are its fleet-wide and per-lab outcomes.
-type (
-	FleetCampaignConfig = fleet.CampaignConfig
-	FleetCampaignResult = fleet.CampaignResult
-	FleetTenantResult   = fleet.TenantResult
-)
-
-// NewFleetCampaign builds a campaign and its router.
-var NewFleetCampaign = fleet.NewCampaign
-
-// FleetTenantID names the i-th campaign lab; FleetTenantSeed derives a
-// lab's deterministic seed from the campaign seed and its ID alone.
-var (
-	FleetTenantID   = fleet.TenantID
-	FleetTenantSeed = fleet.TenantSeed
-)
-
-// TracingSession is the lab-computer side of RATracer: it hands out
-// virtualized devices and owns the middlebox transport.
-type TracingSession = tracer.Session
-
-// TracingConfig configures a session: default mode, per-device overrides
-// (hybrid configurations), and procedure labels.
-type TracingConfig = tracer.Config
-
-// Interception modes (§III).
-const (
-	ModeDirect = tracer.ModeDirect
-	ModeRemote = tracer.ModeRemote
-)
-
-// Transport carries requests from the lab computer to the middlebox; custom
-// implementations (or wrappers such as the attack Interceptor) plug into a
-// session or VirtualLabConfig.WrapTransport.
-type Transport = tracer.Transport
-
-// WireRequest and WireReply are the RPC protocol messages a Transport
-// carries.
-type (
-	WireRequest = wire.Request
-	WireReply   = wire.Reply
-)
-
-// WireProto selects which wire protocol an endpoint speaks: WireProtoAuto
-// negotiates per connection (binary v2 preferred, v1 JSON fallback) while
-// WireProtoV1 and WireProtoV2 pin one version. WireVersion is the concrete
-// version a negotiated connection settled on.
-type (
-	WireProto   = wire.Proto
-	WireVersion = wire.Version
-)
-
-// Wire protocol selectors and versions.
-const (
-	WireProtoAuto = wire.ProtoAuto
-	WireProtoV1   = wire.ProtoV1
-	WireProtoV2   = wire.ProtoV2
-	WireV1        = wire.V1
-	WireV2        = wire.V2
-)
-
-// ParseWireProto parses a protocol flag value: auto, v1/json, or v2/binary.
-var ParseWireProto = wire.ParseProto
-
-// NewWireMetrics registers per-protocol frame counters and codec latency
-// histograms in a registry; MiddleboxServer.Observe and StreamServer.Observe
-// do this for their own listeners.
-var NewWireMetrics = wire.NewMetrics
-
-// NewTracingSession creates a session over a transport.
-var NewTracingSession = tracer.NewSession
-
-// DialMiddlebox connects to a middlebox server over TCP speaking v1 JSON.
-var DialMiddlebox = tracer.DialTCP
-
-// DialMiddleboxProto is DialMiddlebox with an explicit protocol selector.
-var DialMiddleboxProto = tracer.DialTCPProto
-
-// NewLocalTransport builds an in-process transport to a middlebox core,
-// charging an emulated network profile to the injected clock.
-var NewLocalTransport = tracer.NewLocalTransport
 
 // --- Trace storage ---
 
@@ -307,14 +146,12 @@ type TraceRecord = store.Record
 type TraceSink = store.Sink
 
 // TraceNotifier is implemented by sinks that assign sequence numbers and
-// expose a commit hook (TraceStore, TraceDB); a Broker attaches to one to
-// publish records with their authoritative sequence numbers.
+// expose a commit hook (the in-memory store, TraceDB); a broker attaches to
+// one to publish records with their authoritative sequence numbers.
 type TraceNotifier = store.Notifier
 
-// TraceStore is the in-memory document store (the MongoDB analog).
-type TraceStore = store.MemStore
-
-// NewTraceStore returns an empty in-memory trace store.
+// NewTraceStore returns an empty in-memory trace store (the MongoDB
+// analog).
 var NewTraceStore = store.NewMemStore
 
 // NewCSVWriter and NewJSONLWriter stream trace records to files.
@@ -351,9 +188,6 @@ type TraceDBOptions = tracedb.Options
 // procedure, and run — the analyses' query shapes.
 type TraceQuery = tracedb.Query
 
-// TraceIterator streams a TraceDB scan in sequence order.
-type TraceIterator = tracedb.Iterator
-
 // OpenTraceDB opens (or creates) a trace store directory, recovering and
 // truncating any torn tail left by a crash — including half-finished
 // compaction temps and segments superseded by a completed compaction.
@@ -364,165 +198,65 @@ var OpenTraceDB = tracedb.Open
 // max bytes). Set on TraceDBOptions.Lifecycle.
 type TraceLifecycleOptions = tracedb.LifecycleOptions
 
-// TraceCompactStats summarizes a TraceDB.Compact call; TraceRetainStats a
-// TraceDB.Retain pass.
-type TraceCompactStats = tracedb.CompactStats
-type TraceRetainStats = tracedb.RetainStats
-
-// TraceLifecycleInfo is the storage-lifecycle state (live vs reclaimable
-// bytes, block-size distribution, retention horizon) behind
-// radquery -mode info.
-type TraceLifecycleInfo = tracedb.LifecycleInfo
-
-// TraceQueryPlan explains how the selectivity planner would execute a query
-// (radquery -explain): driver choices, posting-list sizes, candidate and
-// fully-covered block counts.
-type TraceQueryPlan = tracedb.QueryPlan
-
 // --- Live streaming and online detection (internal/stream) ---
 
-// Broker is the live fan-out layer: a bounded pub/sub hub publishing every
-// committed trace record (and power sample) to per-subscriber ring buffers
-// with explicit overflow policies — the serving substrate for researchers
-// watching the lab live instead of mining completed campaigns.
-type Broker = stream.Broker
-
-// NewBroker returns an empty broker; attach it to a middlebox with
-// Middlebox.AttachBroker or to a store with Broker.AttachStore.
+// NewBroker returns an empty broker — the live fan-out layer publishing
+// every committed trace record (and power sample) to per-subscriber ring
+// buffers. Attach it to a middlebox with AttachBroker or to a store with
+// Broker.AttachStore.
 var NewBroker = stream.NewBroker
 
-// Subscriber is one consumer's bounded ring; SubOptions configures the
-// subscription (name, buffer, policy, filter); SubscriberStats is its
-// delivery accounting.
-type (
-	Subscriber      = stream.Subscriber
-	SubOptions      = stream.SubOptions
-	SubscriberStats = stream.SubscriberStats
-)
-
-// StreamEvent is one published item — a trace record or power sample.
-type StreamEvent = stream.Event
-
-// Overflow policies: StreamDropOldest sheds a slow subscriber's oldest
-// events (the default — publishers never block); StreamBlock backpressures
-// the producer for lossless consumption.
-const (
-	StreamDropOldest = stream.DropOldest
-	StreamBlock      = stream.Block
-)
-
-// StreamTail is a snapshot-then-follow subscription: replay the store, then
-// the live feed, gap-free and duplicate-free.
-type StreamTail = stream.Tail
-
-// StreamServer serves a broker's feed over TCP (the radwatch protocol);
-// StreamClient is the consumer side.
-type (
-	StreamServer = stream.Server
-	StreamClient = stream.Client
-)
+// SubOptions configures a broker subscription: name, buffer, overflow
+// policy, and filter.
+type SubOptions = stream.SubOptions
 
 // NewStreamServer wraps a broker (and an optional TraceDB for snapshot
-// replays); DialStream connects a client to a stream listener.
+// replays) for TCP serving; DialStream connects a client to a stream
+// listener.
 var (
 	NewStreamServer = stream.NewServer
 	DialStream      = stream.Dial
-	// DialStreamProto is DialStream with an explicit wire protocol selector.
-	DialStreamProto = stream.DialProto
 )
-
-// StreamHeartbeat configures the stream server's liveness protocol: v2
-// connections are pinged every Interval and reaped when no pong arrives
-// within the grace window, so half-open subscribers stop holding rings and
-// goroutines. Apply with StreamServer.SetHeartbeat.
-type StreamHeartbeat = stream.HeartbeatConfig
 
 // StreamResilientTail is the self-healing consumer: an auto-reconnecting
 // tail that tracks the last delivered sequence number, redials with
-// jittered exponential backoff (reproducible per seed), renegotiates the
-// wire protocol, and resumes from where it left off — exactly-once
-// delivery across server restarts.
+// jittered exponential backoff (reproducible per seed), and resumes from
+// where it left off — exactly-once delivery across server restarts.
 type (
 	StreamResilientTail   = stream.ResilientTail
 	StreamResilientConfig = stream.ResilientConfig
-	StreamResilientStats  = stream.ResilientStats
 )
 
 // NewStreamResilientTail builds an auto-reconnecting tail; the first
 // connection is dialed lazily by the first Recv.
 var NewStreamResilientTail = stream.NewResilientTail
 
-// StreamSubscribeError is the permanent-refusal error: the server answered
-// the subscription with an explicit error event rather than dropping the
-// connection, so redialing with the same request cannot help.
-type StreamSubscribeError = stream.SubscribeError
-
 // StreamSubscribe is the wire-protocol subscription request a stream client
-// sends (filters, snapshot, policy, buffer); StreamWireEvent is the framed
-// event the server answers with.
-type (
-	StreamSubscribe = wire.Subscribe
-	StreamWireEvent = wire.Event
-)
+// sends (filters, snapshot, policy, buffer).
+type StreamSubscribe = wire.Subscribe
 
-// Wire-protocol stream event kinds and overflow-policy names.
+// StreamEventTrace is the event kind carrying a trace record;
+// StreamPolicyBlock asks for lossless, backpressured delivery.
 const (
-	StreamEventTrace       = wire.EventTrace
-	StreamEventPower       = wire.EventPower
-	StreamEventSnapshotEnd = wire.EventSnapshotEnd
-	StreamEventError       = wire.EventError
-	// StreamEventResumeGap is the degradation notice a resuming subscriber
-	// receives when its resume point predates the store's retention floor:
-	// Gap records are gone, and a full snapshot of what remains follows.
-	StreamEventResumeGap   = wire.EventResumeGap
-	StreamPolicyDropOldest = wire.PolicyDropOldest
-	StreamPolicyBlock      = wire.PolicyBlock
+	StreamEventTrace  = wire.EventTrace
+	StreamPolicyBlock = wire.PolicyBlock
 )
 
-// StreamIDS is the online intrusion detector: a sliding-window streaming
-// perplexity scorer plus the rule engine over a live feed, accumulating
-// structured StreamAlert records.
-type (
-	StreamIDS       = stream.IDS
-	StreamIDSConfig = stream.IDSConfig
-	StreamAlert     = stream.Alert
-)
-
-// NewStreamIDS builds an online detector from a trained PerplexityDetector.
+// NewStreamIDS builds the online intrusion detector — a sliding-window
+// streaming perplexity scorer plus the rule engine over a live feed — from
+// a trained PerplexityDetector.
 var NewStreamIDS = stream.NewIDS
 
 // --- Observability (internal/obs) ---
 
-// MetricsRegistry is the process-wide metrics surface: counters, gauges, and
-// latency histograms with a Prometheus text exposition and a JSON snapshot.
-// Every layer (middlebox, tracedb, stream, parallel, fault, store) exposes an
-// Observe method that registers its instruments into one of these.
-type MetricsRegistry = obs.Registry
-
-// Metric instrument and snapshot types, for callers that register their own
-// instruments or post-process a snapshot (radwatch's -obs mode does the
-// latter).
-type (
-	MetricCounter      = obs.Counter
-	MetricGauge        = obs.Gauge
-	LatencyHistogram   = obs.Histogram
-	MetricsSnapshot    = obs.Snapshot
-	CounterSnapshot    = obs.CounterSnapshot
-	GaugeSnapshot      = obs.GaugeSnapshot
-	MetricHistSnapshot = obs.HistogramSnapshot
-)
-
-// DefaultLatencyBuckets is the shared histogram bucket ladder (1µs–60s),
-// tuned so serial exchanges, retries, and whole-procedure timings all land
-// in distinct buckets.
-var DefaultLatencyBuckets = obs.DefaultLatencyBuckets
-
 // NewMetricsRegistry returns an empty registry; NewMetricsMux wraps one in an
 // http.ServeMux serving /metrics (Prometheus text), /snapshot (JSON), and
-// net/http/pprof under /debug/pprof/.
+// net/http/pprof under /debug/pprof/; NewMetricsMuxWith adds a drain-aware
+// /healthz and the span flight recorder at /debug/spans.
 var (
 	NewMetricsRegistry = obs.NewRegistry
 	NewMetricsMux      = obs.ServeMux
+	NewMetricsMuxWith  = obs.ServeMuxWith
 )
 
 // ObserveParallel registers the shared worker-pool instruments (kernel calls,
@@ -534,55 +268,15 @@ var ObserveParallel = parallel.Observe
 // in-use/alloc, GC cycle count and pause p99) to reg as pull-based gauges.
 var RegisterRuntimeMetrics = obs.RegisterRuntimeMetrics
 
-// MetricsMuxOptions extends the telemetry mux: a Health callback makes
-// /healthz drain-aware (503 once shutdown begins), and a Spans handler
-// mounts the flight recorder at /debug/spans.
-type MetricsMuxOptions = obs.MuxOptions
-
-// NewMetricsMuxWith is NewMetricsMux plus MetricsMuxOptions.
-var NewMetricsMuxWith = obs.ServeMuxWith
-
-// --- Request tracing (internal/obs/span) ---
-
-// SpanRecorder is the process-wide span flight recorder: bounded per-CPU
-// ring buffers holding recent request trace trees (client → server.request
-// → wire/exec/store/stream children). Always-on and dependency-free; a nil
-// recorder is a valid no-op, so untraced deployments pay one pointer check.
-type SpanRecorder = span.Recorder
-
-// Span tracing surface: spans and their trace-context pair, recorder
-// configuration, assembled trees with filters, recorder accounting, and
-// per-tenant rollups.
-type (
-	Span             = span.Span
-	SpanContext      = span.Context
-	SpanConfig       = span.Config
-	SpanTree         = span.Tree
-	SpanTreeJSON     = span.TreeJSON
-	SpanPageJSON     = span.PageJSON
-	SpanFilter       = span.Filter
-	SpanStats        = span.Stats
-	SpanTenantRollup = span.TenantRollup
-)
-
-// NewSpanRecorder builds a recorder; SpanHandler serves its recent trace
-// trees as /debug/spans (JSON and human-readable text, filterable);
-// SpanTreesJSON and WriteSpanTrees convert and pretty-print assembled
-// trees (radwatch -spans uses both ends of that pair).
+// NewSpanRecorder builds the span flight recorder: bounded per-CPU ring
+// buffers holding recent request trace trees. SpanHandler serves them as
+// /debug/spans (JSON and human-readable text, filterable).
 var (
 	NewSpanRecorder = span.NewRecorder
 	SpanHandler     = span.Handler
-	SpanTreesJSON   = span.TreesJSON
-	WriteSpanTrees  = span.WriteTrees
-	SpanFormatID    = span.FormatID
-	SpanParseID     = span.ParseID
 )
 
 // --- The virtual lab and procedures ---
-
-// Lab bundles the virtualized devices, raw simulators, clock, and session a
-// procedure script needs.
-type Lab = procedure.Lab
 
 // VirtualLab is a complete in-process deployment: five simulated devices on
 // a middlebox under a virtual clock with a REMOTE-mode tracing session.
@@ -598,20 +292,13 @@ var NewVirtualLab = procedure.NewVirtualLab
 // crash injection, operator quirks).
 type ProcedureOptions = procedure.Options
 
-// ProcedureResult summarizes a run.
-type ProcedureResult = procedure.Result
-
 // CrashPlan schedules a physical crash partway through a run.
 type CrashPlan = procedure.CrashPlan
 
 // Procedure type labels (§IV).
 const (
-	ProcedureP1       = procedure.P1
-	ProcedureP2       = procedure.P2
-	ProcedureP3       = procedure.P3
-	ProcedureJoystick = procedure.Joystick
-	ProcedureP5       = procedure.P5
-	ProcedureP6       = procedure.P6
+	ProcedureP1 = procedure.P1
+	ProcedureP2 = procedure.P2
 )
 
 // The paper's workloads.
@@ -633,16 +320,8 @@ type Dataset = dataset.Dataset
 // count; the output is byte-identical for every worker count).
 type GenerateConfig = dataset.Config
 
-// RunInfo describes one supervised run in Fig. 6 ID order.
-type RunInfo = dataset.RunInfo
-
 // GenerateDataset synthesizes the three-month campaign.
 var GenerateDataset = dataset.Generate
-
-// DatasetFromRecords rebuilds a Dataset view over exported trace records
-// (e.g. read back from radgen's JSONL), re-deriving the run index and
-// anomaly ground truth — the generate-once/analyze-many path.
-var DatasetFromRecords = dataset.FromRecords
 
 // TotalTraceObjects is the command-dataset size the paper reports.
 const TotalTraceObjects = dataset.TotalTraceObjects
@@ -652,12 +331,6 @@ var DeviceTargets = dataset.DeviceTargets
 
 // --- Power telemetry ---
 
-// PowerSample is one 122-property power-dataset entry.
-type PowerSample = power.Sample
-
-// PowerMonitor records UR3e telemetry at 25 Hz.
-type PowerMonitor = power.Monitor
-
 // PowerPropertyNames returns the 122 property names of the sample schema.
 var PowerPropertyNames = power.PropertyNames
 
@@ -666,11 +339,8 @@ var CurrentSeries = power.CurrentSeries
 
 // --- Analyses (§V) ---
 
-// NGramModel is a Laplace-smoothed n-gram language model with the §V-B
-// perplexity score.
-type NGramModel = ngram.Model
-
-// TrainNGram fits an order-n model with the given smoothing constant.
+// TrainNGram fits a Laplace-smoothed order-n model with the given
+// smoothing constant.
 var TrainNGram = ngram.Train
 
 // TopNGrams returns the k most frequent n-grams (Fig. 5b). Counting fans
@@ -681,9 +351,6 @@ var (
 	TopNGrams         = ngram.TopK
 	TopNGramsParallel = ngram.TopKParallel
 )
-
-// TFIDFVectorizer computes the §V-A fingerprints.
-type TFIDFVectorizer = tfidf.Vectorizer
 
 // FitTFIDF fits a vectorizer; CosineSimilarity compares two fingerprints;
 // SimilarityMatrix computes all pairwise similarities (Fig. 6) on
@@ -697,9 +364,6 @@ var (
 
 // JenksSplit2 splits scores into two natural classes (§V-B).
 var JenksSplit2 = jenks.Split2
-
-// Confusion is a binary confusion matrix with the Table I metrics.
-type Confusion = metrics.Confusion
 
 // BoxStats computes Fig. 4-style box-plot statistics; Pearson computes the
 // correlation coefficient used in §VI.
@@ -716,17 +380,8 @@ type PerplexityDetector = ids.PerplexityDetector
 // TrainPerplexityDetector fits a detector on valid command sequences.
 var TrainPerplexityDetector = ids.TrainPerplexity
 
-// ProcedureClassifier identifies procedure types by TF-IDF fingerprint
-// (RQ1).
-type ProcedureClassifier = ids.ProcedureClassifier
-
-// TrainProcedureClassifier fits the classifier on labelled runs.
-var TrainProcedureClassifier = ids.TrainClassifier
-
-// RuleEngine is the middlebox's first-line rule-based safeguard.
-type RuleEngine = ids.RuleEngine
-
-// NewRuleEngine builds a rule engine with an optional per-device rate limit.
+// NewRuleEngine builds the middlebox's first-line rule-based safeguard with
+// an optional per-device rate limit.
 var NewRuleEngine = ids.NewRuleEngine
 
 // PowerDetector matches joint-current signatures (§VI / RQ3).
@@ -737,19 +392,10 @@ var NewPowerDetector = ids.NewPowerDetector
 
 // --- Experiment harnesses (one per paper table/figure) ---
 
-// Experiment result types.
+// Experiment configurations.
 type (
-	Fig4Result   = experiments.Fig4Result
 	Fig4Config   = experiments.Fig4Config
-	Fig5aResult  = experiments.Fig5aResult
-	NGramTable   = experiments.NGramTable
-	Fig6Result   = experiments.Fig6Result
-	TableIRow    = experiments.TableIRow
 	TableIConfig = experiments.TableIConfig
-	Fig7aResult  = experiments.Fig7aResult
-	Fig7bResult  = experiments.Fig7bResult
-	Fig7cResult  = experiments.Fig7cResult
-	Fig7dResult  = experiments.Fig7dResult
 )
 
 // Experiment harnesses.
@@ -765,57 +411,33 @@ var (
 	Fig7dWeights             = experiments.Fig7dWeights
 )
 
-// Series is one labelled joint-current time series at 40 ms ticks.
-type Series = experiments.Series
+// RenderFig4 formats a Fig. 4 result in the paper's box-plot table shape.
+var RenderFig4 = experiments.RenderFig4
 
 // --- Extensions beyond the paper's tables (its §VII future work) ---
 
-// ArgQuantizer maps numeric command arguments onto training-calibrated
-// buckets; ArgAwareDetector is the argument-aware perplexity IDS ("bring
-// command arguments into the fold").
+// FitArgQuantizer calibrates the numeric-argument buckets of the
+// argument-aware perplexity IDS ("bring command arguments into the fold").
+var FitArgQuantizer = ids.FitArgQuantizer
+
+// NewAutoLabeler builds a labeler that recovers procedure labels for
+// unlabelled trace segments from supervised runs ("find ways to
+// automatically generate labels").
+var NewAutoLabeler = ids.NewAutoLabeler
+
+// AttackConfig parameterizes the man-in-the-middle Interceptor;
+// AttackScenario describes one benchmark run ("generate many more
+// anomalous traces … for benchmarking other IDS").
 type (
-	ArgQuantizer     = ids.ArgQuantizer
-	ArgAwareDetector = ids.ArgAwareDetector
-)
-
-// FitArgQuantizer calibrates a quantizer; TrainArgAwareDetector fits the
-// argument-aware perplexity detector.
-var (
-	FitArgQuantizer       = ids.FitArgQuantizer
-	TrainArgAwareDetector = ids.TrainArgAwarePerplexity
-)
-
-// AutoLabeler recovers procedure labels for unlabelled trace segments
-// ("find ways to automatically generate labels").
-type AutoLabeler = ids.AutoLabeler
-
-// NewAutoLabeler builds a labeler from supervised runs; SegmentSessions
-// splits a trace stream into sessions at idle gaps.
-var (
-	NewAutoLabeler  = ids.NewAutoLabeler
-	SegmentSessions = ids.SegmentSessions
-)
-
-// AttackKind identifies an attack family; AttackConfig parameterizes the
-// man-in-the-middle interceptor; AttackScenario and AttackOutcome describe
-// benchmark runs ("generate many more anomalous traces … for benchmarking
-// other IDS").
-type (
-	AttackKind     = attack.Kind
 	AttackConfig   = attack.Config
 	AttackScenario = attack.Scenario
-	AttackOutcome  = attack.Outcome
 	Interceptor    = attack.Interceptor
 )
 
 // Attack families.
 const (
-	AttackInjection       = attack.Injection
-	AttackReplay          = attack.Replay
-	AttackSpeedTamper     = attack.SpeedTamper
-	AttackParameterTamper = attack.ParameterTamper
-	AttackReorder         = attack.Reorder
-	AttackDrop            = attack.Drop
+	AttackInjection   = attack.Injection
+	AttackSpeedTamper = attack.SpeedTamper
 )
 
 // NewInterceptor wraps a transport with an attack; RunAttackScenario
@@ -826,42 +448,10 @@ var (
 	StandardAttackSuite = attack.StandardSuite
 )
 
-// TransportRouter routes each device's traffic to its own middlebox — the
-// distributed deployment §VII anticipates.
-type TransportRouter = tracer.Router
-
-// NewTransportRouter creates a router with an optional fallback transport.
-var NewTransportRouter = tracer.NewRouter
-
-// AttackBenchRow is one attack-benchmark scenario result.
-type AttackBenchRow = experiments.AttackBenchRow
-
-// AttackBenchmark evaluates the name-only and argument-aware detectors
-// against the standard attack suite.
-var (
-	AttackBenchmark   = experiments.AttackBenchmark
-	RenderAttackBench = experiments.RenderAttackBench
-)
-
-// Ablation studies (smoothing constant, Jenks space, streaming window).
+// Spec is a mined procedure specification: repeated blocks with iteration
+// bounds (§V's specification-mining use case). Mining, merging across runs,
+// and the corpus-level block summary:
 type (
-	SmoothingRow  = experiments.SmoothingRow
-	JenksSpaceRow = experiments.JenksSpaceRow
-	WindowRow     = experiments.WindowRow
-)
-
-var (
-	AblationSmoothing    = experiments.AblationSmoothing
-	AblationJenksSpace   = experiments.AblationJenksSpace
-	AblationStreamWindow = experiments.AblationStreamWindow
-	RenderAblations      = experiments.RenderAblations
-)
-
-// SpecElement and Spec are mined procedure specifications: repeated blocks
-// with iteration bounds (§V's specification-mining use case). Mining,
-// merging across runs, and the corpus-level block summary:
-type (
-	SpecElement = specmine.Element
 	Spec        = specmine.Spec
 	SpecOptions = specmine.Options
 )
@@ -871,40 +461,4 @@ var (
 	MergeSpecs    = specmine.Merge
 	SpecCoverage  = specmine.Coverage
 	TopSpecBlocks = specmine.TopBlocks
-)
-
-// RQ1Row and RQ1Result are the leave-one-out procedure-identification
-// experiment (§V-A's RQ1).
-type (
-	RQ1Row    = experiments.RQ1Row
-	RQ1Result = experiments.RQ1Result
-)
-
-// RQ1Classification runs leave-one-out TF-IDF identification over the 25
-// supervised runs.
-var (
-	RQ1Classification = experiments.RQ1Classification
-	RenderRQ1         = experiments.RenderRQ1
-)
-
-// PowerIDSRow is one probe of the quantitative RQ3 benchmark.
-type PowerIDSRow = experiments.PowerIDSRow
-
-// PowerIDSBenchmark enrols known motions' current signatures and probes the
-// power detector with repeats, velocity changes, hidden payloads, and
-// unknown trajectories.
-var (
-	PowerIDSBenchmark = experiments.PowerIDSBenchmark
-	RenderPowerIDS    = experiments.RenderPowerIDS
-)
-
-// Renderers format experiment results in the paper's table/figure shapes.
-var (
-	RenderFig4              = experiments.RenderFig4
-	RenderFig5a             = experiments.RenderFig5a
-	RenderFig5b             = experiments.RenderFig5b
-	RenderFig6              = experiments.RenderFig6
-	RenderTableI            = experiments.RenderTableI
-	RenderSeries            = experiments.RenderSeries
-	RenderCorrelationMatrix = experiments.RenderCorrelationMatrix
 )

@@ -1,11 +1,10 @@
 package rad_test
 
 // The session-resilience chaos harness: the stream listener is killed and
-// restarted mid-campaign while a fleet of auto-reconnecting tails (one
-// pinned to the legacy v1 protocol) consumes the trace feed. Every tail
-// must observe every record exactly once — no gaps across the outage, no
-// duplicates from the resume replay — and the whole run must be
-// byte-reproducible per seed. Test names deliberately match the CI
+// restarted mid-campaign while a fleet of auto-reconnecting tails consumes
+// the trace feed. Every tail must observe every record exactly once — no
+// gaps across the outage, no duplicates from the resume replay — and the
+// whole run must be byte-reproducible per seed. Test names deliberately match the CI
 // resilience shakeout's -run filter (Resume|Reconnect|Drain|Heartbeat).
 
 import (
@@ -48,16 +47,11 @@ func runChaosKillRestart(t *testing.T, seed uint64, total int) []string {
 	errs := make([]error, chaosTailCount)
 	var wg sync.WaitGroup
 	for i := 0; i < chaosTailCount; i++ {
-		proto := rad.WireProtoAuto
-		if i == 0 {
-			proto = rad.WireProtoV1 // the legacy peer rides along unchanged
-		}
 		tail := rad.NewStreamResilientTail(rad.StreamResilientConfig{
 			Addr: addr,
 			Subscribe: rad.StreamSubscribe{
 				Name: fmt.Sprintf("chaos-%d", i), Snapshot: true, Policy: rad.StreamPolicyBlock,
 			},
-			Proto:       proto,
 			Seed:        seed + uint64(i),
 			BackoffBase: 5 * time.Millisecond,
 			BackoffMax:  100 * time.Millisecond,
@@ -144,7 +138,7 @@ func runChaosKillRestart(t *testing.T, seed uint64, total int) []string {
 }
 
 // TestReconnectChaosKillRestartExactlyOnce: the full acceptance scenario —
-// eight resilient tails (one v1) through a mid-campaign listener kill and
+// eight resilient tails through a mid-campaign listener kill and
 // restart; every tail sees [0, total) exactly once, every tail's digest
 // matches every other's, and a rerun with the same seed reproduces the
 // digests byte for byte.
