@@ -379,6 +379,38 @@ func (s *Subscriber) TryRecv() (ev Event, ok bool) {
 	return ev, true
 }
 
+// drain moves every buffered event onto dst, oldest first, and returns it
+// with the subscriber's lifetime drop count, read in the same critical
+// section — so a caller attaching drop deltas to the frames it sends sees
+// exactly the drops that preceded them. With wait set, drain first blocks
+// until an event is buffered or the subscriber is closed; without it, an
+// empty ring returns dst unchanged. ok is false only when the subscriber is
+// closed and its ring fully drained.
+func (s *Subscriber) drain(dst []Event, wait bool) (_ []Event, dropped uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for wait && s.n == 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if s.n == 0 {
+		return dst, s.dropped, !s.closed
+	}
+	n := s.n
+	first := s.buf[s.head:min(s.head+n, len(s.buf))]
+	rest := s.buf[:n-len(first)] // the wrapped-around part, if any
+	dst = append(append(dst, first...), rest...)
+	clear(first) // release references held by the slots
+	clear(rest)
+	s.head = (s.head + n) % len(s.buf)
+	s.n = 0
+	s.delivered += uint64(n)
+	if s.broker != nil {
+		s.broker.delivered.Add(uint64(n))
+	}
+	s.cond.Broadcast()
+	return dst, s.dropped, true
+}
+
 // Stats snapshots the subscriber's counters.
 func (s *Subscriber) Stats() SubscriberStats {
 	s.mu.Lock()

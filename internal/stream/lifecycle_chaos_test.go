@@ -116,7 +116,7 @@ func TestChaosTailDuringCompactRetain(t *testing.T) {
 	first := uint64(total)
 	prev := int64(-1)
 	snapshotted := 0
-	err = tail.Snapshot(func(r store.Record) error {
+	err = tail.Snapshot(func(r *store.Record) error {
 		if r.Seq < first {
 			first = r.Seq
 		}
@@ -124,7 +124,7 @@ func TestChaosTailDuringCompactRetain(t *testing.T) {
 			t.Fatalf("snapshot seq gap under lifecycle churn: %d -> %d", prev, r.Seq)
 		}
 		prev = int64(r.Seq)
-		deliver(r, "snapshot")
+		deliver(*r, "snapshot")
 		snapshotted++
 		return nil
 	})

@@ -239,13 +239,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	defer s.untrack(conn, sub)
 	s.supervise(conn, wc, tc, sub)
-	s.pump(tc, sub, 0)
+	s.pump(tc, sub.drain, sub.name)
 }
 
 // tailConn serializes writes to one tail connection. A wire.Conn is not
 // safe for concurrent use of the same direction, and with heartbeats the
 // write direction gains a second writer: the pinger goroutine interleaving
 // control frames with the pump's events.
+//
+// Event frames are queued (wire.Conn.Buffer) and written in batches; write
+// sends its frame at once, behind whatever is queued.
 type tailConn struct {
 	mu sync.Mutex
 	wc *wire.Conn
@@ -257,6 +260,18 @@ func (tc *tailConn) write(v any) error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return tc.wc.WriteFrame(v)
+}
+
+func (tc *tailConn) queue(v any) error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.wc.Buffer(v)
+}
+
+func (tc *tailConn) flush() error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.wc.Flush()
 }
 
 // supervise watches one subscribed connection for death. Under a heartbeat
@@ -335,7 +350,8 @@ func (s *Server) superviseHeartbeat(conn net.Conn, wc *wire.Conn, tc *tailConn, 
 
 // serveTail runs the snapshot-then-follow protocol: history, the
 // snapshot-end marker, then the live feed — against the resolved tenant's
-// broker and store.
+// broker and store. The snapshot's frames are queued and go out in batches;
+// the snapshot-end marker writes whatever is still queued.
 func (s *Server) serveTail(conn net.Conn, wc *wire.Conn, tc *tailConn, broker *Broker, db *tracedb.DB, opts SubOptions) {
 	tail := broker.Tail(db, opts)
 	// Close the whole tail, not just its subscriber: a client that dies
@@ -348,9 +364,8 @@ func (s *Server) serveTail(conn net.Conn, wc *wire.Conn, tc *tailConn, broker *B
 	defer s.untrack(conn, tail.Subscriber())
 	s.supervise(conn, wc, tc, tail.Subscriber())
 
-	err := tail.Snapshot(func(r store.Record) error {
-		rec := r
-		return tc.write(wire.Event{Kind: wire.EventTrace, Record: &rec})
+	err := tail.Snapshot(func(r *store.Record) error {
+		return tc.queue(wire.Event{Kind: wire.EventTrace, Record: r})
 	})
 	if err != nil {
 		_ = tc.write(wire.Event{Kind: wire.EventError, Error: err.Error()})
@@ -359,65 +374,80 @@ func (s *Server) serveTail(conn net.Conn, wc *wire.Conn, tc *tailConn, broker *B
 	if tc.write(wire.Event{Kind: wire.EventSnapshotEnd}) != nil {
 		return
 	}
-	var reported uint64
+	s.pump(tc, tail.drain, tail.Subscriber().name)
+}
+
+// pump forwards live events until the client disconnects or the
+// subscription closes. drain is the subscription's Subscriber.drain, or
+// Tail.drain to drop the live events a snapshot already replayed. Each
+// wakeup drains everything the ring holds and queues it as frames; the
+// queued frames are written once the ring is empty, before the pump waits
+// for more (and whenever a full write buffer or a heartbeat ping writes
+// them sooner). name labels delivery spans.
+func (s *Server) pump(tc *tailConn, drain func([]Event, bool) ([]Event, uint64, bool), name string) {
+	var (
+		batch    []Event
+		dropped  uint64
+		reported uint64
+		ok       bool
+		wait     bool
+	)
 	for {
-		ev, ok := tail.Recv()
+		batch, dropped, ok = drain(batch[:0], wait)
 		if !ok {
+			_ = tc.flush() // the tail ends either way; a dead client just misses the rest
 			return
 		}
-		if s.writeEvent(tc, ev, tail.Subscriber(), &reported) != nil {
-			return
+		if len(batch) == 0 {
+			if tc.flush() != nil {
+				return
+			}
+			wait = true
+			continue
 		}
+		wait = false
+		for i := range batch {
+			if s.queueEvent(tc, &batch[i], name, dropped, &reported) != nil {
+				return
+			}
+		}
+		clear(batch) // release the records until the next wakeup
 	}
 }
 
-// pump forwards live events until the client disconnects or the subscriber
-// closes.
-func (s *Server) pump(tc *tailConn, sub *Subscriber, reportedDrops uint64) {
-	for {
-		ev, ok := sub.Recv()
-		if !ok {
-			return
-		}
-		if s.writeEvent(tc, ev, sub, &reportedDrops) != nil {
-			return
-		}
-	}
-}
-
-// writeEvent frames one event, attaching the number of events shed since the
-// previous frame so the client's drop accounting stays exact. Traced records
-// carry their trace context onto the frame (so the tailer can stitch), and a
-// successful delivery records a "stream.deliver" child span — the last hop
-// of the record's trace tree.
-func (s *Server) writeEvent(tc *tailConn, ev Event, sub *Subscriber, reported *uint64) error {
+// queueEvent queues one event's frame, attaching the number of events shed
+// since the previous frame (dropped is the subscriber's lifetime count) so
+// the client's drop accounting stays exact. Traced records carry their
+// trace context onto the frame (so the tailer can stitch), and each queued
+// frame records a "stream.deliver" child span — the last hop of the
+// record's trace tree, marking the frame queued for the subscriber rather
+// than written to its socket.
+func (s *Server) queueEvent(tc *tailConn, ev *Event, name string, dropped uint64, reported *uint64) error {
 	frame := wire.Event{}
 	switch ev.Kind {
 	case KindTrace:
-		rec := ev.Record
 		frame.Kind = wire.EventTrace
-		frame.Record = &rec
-		frame.TraceID, frame.SpanID = rec.TraceID, rec.SpanID
+		frame.Record = &ev.Record
+		frame.TraceID, frame.SpanID = ev.Record.TraceID, ev.Record.SpanID
 	case KindPower:
-		sample := ev.Sample
 		frame.Kind = wire.EventPower
-		frame.Sample = &sample
+		frame.Sample = &ev.Sample
 	default:
 		return nil
 	}
-	if dropped := sub.Stats().Dropped; dropped > *reported {
+	if dropped > *reported {
 		frame.Dropped = dropped - *reported
 		*reported = dropped
 	}
-	err := tc.write(frame)
+	err := tc.queue(frame)
 	if err == nil && frame.TraceID != 0 && s.spans.Enabled() {
 		// A point event at the record's own timestamp: the stream layer has
 		// no injected clock (deliveries are wall-time anyway), and what the
 		// tree needs is which subscriber got the record, not a duration.
-		rec := ev.Record
+		end := ev.Record.EndTime
 		sp := span.Span{TraceID: frame.TraceID, SpanID: s.spans.NewID(), ParentID: frame.SpanID,
-			Name: "stream.deliver", Tenant: tc.tenant, Start: rec.EndTime, End: rec.EndTime}
-		sp.SetAttr("subscriber", sub.name)
+			Name: "stream.deliver", Tenant: tc.tenant, Start: end, End: end}
+		sp.SetAttr("subscriber", name)
 		s.spans.Record(sp)
 	}
 	return err
@@ -550,6 +580,10 @@ type Client struct {
 	conn net.Conn
 	wc   *wire.Conn
 	idle time.Duration
+	// ev is the decode target of every event frame, reused across Recv
+	// calls; Recv returns a copy. The Record each frame carries is still
+	// allocated per frame, since callers keep it.
+	ev wire.Event
 }
 
 // Dial connects to a stream listener and subscribes. The request's Op is
@@ -590,23 +624,22 @@ func (c *Client) Recv() (wire.Event, error) {
 		if c.idle > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
 		}
-		var tf wire.TailFrame
+		tf := wire.TailFrame{Event: &c.ev}
 		if err := c.wc.ReadFrame(&tf); err != nil {
 			return wire.Event{}, err
 		}
 		if tf.Ping != nil {
 			// Recv is the connection's only reader and (post-subscribe) only
 			// writer, so the pong needs no extra synchronization.
-			if err := c.wc.WriteFrame(&wire.Pong{Seq: tf.Ping.Seq}); err != nil {
+			if err := c.wc.WriteFrame(wire.Pong{Seq: tf.Ping.Seq}); err != nil {
 				return wire.Event{}, err
 			}
 			continue
 		}
-		ev := *tf.Event
-		if ev.Kind == wire.EventError {
-			return wire.Event{}, &SubscribeError{Msg: ev.Error}
+		if c.ev.Kind == wire.EventError {
+			return wire.Event{}, &SubscribeError{Msg: c.ev.Error}
 		}
-		return ev, nil
+		return c.ev, nil
 	}
 }
 

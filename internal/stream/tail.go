@@ -40,12 +40,14 @@ func (b *Broker) Tail(db *tracedb.DB, opts SubOptions) *Tail {
 }
 
 // Snapshot streams every historical record (already filtered, in sequence
-// order) to fn and records the live-handoff boundary. It returns fn's first
-// error, or the snapshot scan's read error, if any. Must be called (to
-// completion) before Recv.
-func (t *Tail) Snapshot(fn func(store.Record) error) error {
+// order) to fn and records the live-handoff boundary. The record fn gets
+// points into the snapshot iterator's current block and is valid only for
+// the call: fn copies what it keeps. Snapshot returns fn's first error, or
+// the snapshot scan's read error, if any. Must be called (to completion)
+// before Recv.
+func (t *Tail) Snapshot(fn func(*store.Record) error) error {
 	for t.it.Next() {
-		r := t.it.Record()
+		r := t.it.Ref()
 		t.boundary = r.Seq + 1
 		if err := fn(r); err != nil {
 			return err
@@ -70,6 +72,22 @@ func (t *Tail) Recv() (Event, bool) {
 		}
 		return ev, true
 	}
+}
+
+// drain is Subscriber.drain with Recv's duplicate filter: live trace
+// events the snapshot already replayed are dropped from the batch.
+func (t *Tail) drain(dst []Event, wait bool) ([]Event, uint64, bool) {
+	batch, dropped, ok := t.sub.drain(dst, wait)
+	k := len(dst)
+	for i := len(dst); i < len(batch); i++ {
+		if batch[i].Kind == KindTrace && batch[i].Record.Seq < t.boundary {
+			t.dups++
+			continue
+		}
+		batch[k] = batch[i]
+		k++
+	}
+	return batch[:k], dropped, ok
 }
 
 // Duplicates reports how many live events Recv discarded as already

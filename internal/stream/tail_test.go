@@ -86,8 +86,8 @@ func TestTailHandoffGapFreeFullCampaign(t *testing.T) {
 	}
 
 	var snapshotted int
-	err = tail.Snapshot(func(r store.Record) error {
-		record(r, "snapshot")
+	err = tail.Snapshot(func(r *store.Record) error {
+		record(*r, "snapshot")
 		snapshotted++
 		return nil
 	})
@@ -145,7 +145,7 @@ func TestTailAfterQuiescentStore(t *testing.T) {
 	tail := broker.Tail(db, stream.SubOptions{Buffer: 64, Policy: stream.Block})
 	defer tail.Close()
 	var want uint64
-	err = tail.Snapshot(func(r store.Record) error {
+	err = tail.Snapshot(func(r *store.Record) error {
 		if r.Seq != want {
 			t.Fatalf("snapshot seq %d, want %d", r.Seq, want)
 		}
@@ -197,7 +197,7 @@ func TestTailFilterConsistency(t *testing.T) {
 	defer tail.Close()
 
 	var got []uint64
-	if err := tail.Snapshot(func(r store.Record) error {
+	if err := tail.Snapshot(func(r *store.Record) error {
 		if r.Device != "UR3e" {
 			t.Errorf("snapshot leaked %s record", r.Device)
 		}

@@ -49,6 +49,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"rad/internal/store"
@@ -121,16 +122,22 @@ func recordSizeEstimate(r store.Record) int {
 	return n
 }
 
-// decodePayload parses a block payload. It never panics on corrupt input:
-// every length is checked against the remaining bytes before any allocation,
-// and trailing garbage after the last record is rejected so that a decoded
-// payload always re-encodes byte-identically.
-func decodePayload(b []byte) ([]store.Record, error) {
+// decodePayload parses a block payload and appends its records to dst —
+// only the records q matches, when q is non-nil, so a record the query
+// rejects never lands in dst. Every record is parsed either way. It never
+// panics on corrupt input: every length is checked against the remaining
+// bytes before any allocation, and trailing garbage after the last record
+// is rejected so that a decoded payload always re-encodes
+// byte-identically. On error the returned slice is nil, though dst's
+// backing array may already hold some of the block's records.
+func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, error) {
 	count, n := binary.Uvarint(b)
 	if n <= 0 || count > uint64(len(b)) {
 		return nil, errCorrupt
 	}
-	recs := make([]store.Record, 0, count)
+	if q == nil {
+		dst = slices.Grow(dst, int(count))
+	}
 	pos := n
 	for i := uint64(0); i < count; i++ {
 		r, adv, err := decodeRecord(b[pos:])
@@ -138,12 +145,14 @@ func decodePayload(b []byte) ([]store.Record, error) {
 			return nil, err
 		}
 		pos += adv
-		recs = append(recs, r)
+		if q == nil || q.Match(r) {
+			dst = append(dst, r)
+		}
 	}
 	if pos != len(b) {
 		return nil, errCorrupt
 	}
-	return recs, nil
+	return dst, nil
 }
 
 // decodeRecord parses one record, returning the bytes consumed.

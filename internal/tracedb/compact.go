@@ -205,12 +205,15 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		batch, batchBytes = batch[:0], 0
 		return nil
 	}
+	var scratch []byte
+	var recs []store.Record
 	for _, s := range srcs {
 		stats.SegmentsIn++
 		stats.BlocksIn += len(s.index.blocks)
 		stats.BytesIn += s.size
 		for _, m := range s.index.blocks {
-			recs, err := s.readBlock(m)
+			var err error
+			recs, err = s.readBlock(m, &scratch, recs[:0], nil)
 			if err != nil {
 				return cleanup(fmt.Errorf("tracedb: compaction read: %w", err))
 			}

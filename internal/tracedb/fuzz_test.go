@@ -149,7 +149,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 
 		// Contract 1: canonical payload codec.
 		payload := encodePayload(nil, recs)
-		decoded, err := decodePayload(payload)
+		decoded, err := decodePayload(payload, nil, nil)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -189,7 +189,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		off, n := int64(len(segMagic)), 0
 		for off+blockHeaderSize <= int64(len(raw)) {
 			plen := int64(binary.BigEndian.Uint32(raw[off : off+4]))
-			blockRecs, err := decodePayload(raw[off+blockHeaderSize : off+blockHeaderSize+plen])
+			blockRecs, err := decodePayload(raw[off+blockHeaderSize:off+blockHeaderSize+plen], nil, nil)
 			if err != nil {
 				t.Fatalf("pristine block undecodable: %v", err)
 			}

@@ -243,15 +243,24 @@ func (db *DB) Explain(q Query) QueryPlan {
 // engine: the snapshot holds references on its segments, so files retired
 // by compaction or retention stay readable until this iterator drains or is
 // closed.
+//
+// Blocks are read through one payload buffer and decoded into one record
+// slice, both reused from block to block; Record copies a record out, Ref
+// points at it in place.
 type Iterator struct {
-	q        Query
-	plans    []segPlan
-	tail     []store.Record
-	si       int // current segment plan
-	bi       int // next block within it
+	q     Query
+	plans []segPlan
+	tail  []store.Record
+	si    int // current segment plan
+	bi    int // next block within it
+	// cur holds the records being yielded — the matching records of the
+	// current block, or finally the staged tail — and cur[ci-1] is the
+	// current record. A block with no matching record is decoded without
+	// touching cur, so the current record survives until another record
+	// replaces it.
 	cur      []store.Record
 	ci       int
-	rec      store.Record
+	payload  []byte // block read buffer
 	err      error
 	released bool
 }
@@ -275,7 +284,6 @@ func (it *Iterator) Next() bool {
 	}
 	for {
 		if it.ci < len(it.cur) {
-			it.rec = it.cur[it.ci]
 			it.ci++
 			return true
 		}
@@ -295,48 +303,62 @@ func (it *Iterator) Next() bool {
 			continue
 		}
 		m := p.blocks[it.bi]
-		full := p.covered[it.bi]
+		// A covered block's index metadata proves every record matches, so
+		// the per-record re-filter is skipped.
+		filter := &it.q
+		if p.covered[it.bi] {
+			filter = nil
+		}
 		it.bi++
-		recs, err := p.seg.readBlock(m)
+		recs, err := p.seg.readBlock(m, &it.payload, it.cur[:0], filter)
 		if err != nil {
+			// The failed decode may have overwritten cur's records.
+			it.cur, it.ci = nil, 0
 			it.err = err
 			it.release()
 			return false
 		}
-		if full {
-			// Fast path: the block's index metadata proves every record
-			// matches, so the per-record re-filter is skipped.
+		if len(recs) > 0 {
 			it.cur, it.ci = recs, 0
-			continue
 		}
-		k := 0
-		for i := range recs {
-			if it.q.Match(recs[i]) {
-				recs[k] = recs[i]
-				k++
-			}
-		}
-		it.cur, it.ci = recs[:k], 0
 	}
 }
 
-// Record returns the record positioned by the last successful Next.
-func (it *Iterator) Record() store.Record { return it.rec }
+// Record returns a copy of the record positioned by the last successful
+// Next — the zero Record before the first. The copy stays valid however
+// far the iterator advances.
+func (it *Iterator) Record() store.Record {
+	if it.ci == 0 {
+		return store.Record{}
+	}
+	return it.cur[it.ci-1]
+}
+
+// Ref returns the record positioned by the last successful Next in place,
+// without copying it. The pointee belongs to the iterator: the next call
+// to Next may overwrite it with a later block's record, so a caller keeping
+// the record must copy it (or use Record). Ref must not be called before
+// the first successful Next.
+func (it *Iterator) Ref() *store.Record { return &it.cur[it.ci-1] }
 
 // Err returns the first read error the iterator encountered, if any.
 func (it *Iterator) Err() error { return it.err }
 
 // Close releases the iterator's snapshot references early and ends the
-// iteration: Next reports false afterwards. It is required when a scan is
-// abandoned before exhaustion (e.g. a limit was reached) and harmless — a
-// no-op — after the iterator drained naturally.
+// iteration: Next reports false afterwards, and Record keeps returning the
+// last record Next positioned. It is required when a scan is abandoned
+// before exhaustion (e.g. a limit was reached) and harmless — a no-op —
+// after the iterator drained naturally.
 func (it *Iterator) Close() {
 	it.release()
-	it.cur, it.tail = nil, nil
+	it.cur, it.tail = it.cur[:it.ci], nil
 	it.si = len(it.plans)
 }
 
+// release drops the snapshot's segment references and the block read
+// buffer.
 func (it *Iterator) release() {
+	it.payload = nil
 	if it.released {
 		return
 	}
@@ -378,19 +400,15 @@ func (db *DB) Collect(q Query) ([]store.Record, error) {
 	}
 	per, err := parallel.Map(chunks, 0, func(_ int, c collectChunk) ([]store.Record, error) {
 		var out []store.Record
+		var scratch []byte
 		for i, m := range c.blocks {
-			recs, err := c.seg.readBlock(m)
-			if err != nil {
-				return nil, err
-			}
+			filter := &q
 			if c.covered[i] {
-				out = append(out, recs...)
-				continue
+				filter = nil
 			}
-			for j := range recs {
-				if q.Match(recs[j]) {
-					out = append(out, recs[j])
-				}
+			var err error
+			if out, err = c.seg.readBlock(m, &scratch, out, filter); err != nil {
+				return nil, err
 			}
 		}
 		return out, nil

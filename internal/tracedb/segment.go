@@ -173,7 +173,7 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
 			break // corrupted payload
 		}
-		recs, err := decodePayload(payload)
+		recs, err := decodePayload(payload, nil, nil)
 		if err != nil {
 			break // checksum collision with a structurally broken payload
 		}
@@ -209,17 +209,22 @@ func (s *segment) appendBlock(payload []byte, recs []store.Record) error {
 	return nil
 }
 
-// readBlock reads one committed block, re-verifies its checksum against the
-// indexed CRC, and decodes its records.
-func (s *segment) readBlock(m blockMeta) ([]store.Record, error) {
-	payload := make([]byte, m.payloadLen)
+// readBlock reads one committed block into *scratch (grown when too small,
+// so a caller reading block after block reuses one buffer), re-verifies its
+// checksum against the indexed CRC, and appends its records to dst — only
+// those q matches, when q is non-nil (see decodePayload).
+func (s *segment) readBlock(m blockMeta, scratch *[]byte, dst []store.Record, q *Query) ([]store.Record, error) {
+	if cap(*scratch) < int(m.payloadLen) {
+		*scratch = make([]byte, m.payloadLen)
+	}
+	payload := (*scratch)[:m.payloadLen]
 	if _, err := s.f.ReadAt(payload, m.off+blockHeaderSize); err != nil {
 		return nil, fmt.Errorf("tracedb: read block at %d: %w", m.off, err)
 	}
 	if crc32.Checksum(payload, castagnoli) != m.crc {
 		return nil, fmt.Errorf("tracedb: block at %d: checksum mismatch", m.off)
 	}
-	recs, err := decodePayload(payload)
+	recs, err := decodePayload(payload, dst, q)
 	if err != nil {
 		return nil, fmt.Errorf("tracedb: block at %d: %w", m.off, err)
 	}

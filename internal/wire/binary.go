@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"time"
 
 	"rad/internal/device"
@@ -423,7 +424,9 @@ func appendBinaryFrame(dst []byte, v any) ([]byte, error) {
 	case Pong:
 		return appendPingPong(dst, binPong, f.Seq), nil
 	default:
-		return dst, fmt.Errorf("wire: binary codec cannot encode %T", v)
+		// Name the type with reflect.TypeOf, not %T: handing v itself to
+		// fmt would make every caller's frame escape to the heap.
+		return dst, fmt.Errorf("wire: binary codec cannot encode %v", reflect.TypeOf(v))
 	}
 }
 
@@ -849,12 +852,17 @@ func decodeBinaryFrameVocab(payload []byte, v any, vocab *connVocab) error {
 		decodePingPong(r, "pong", &dst.Seq)
 	case *TailFrame:
 		// The tail direction is a union: data events interleaved with
-		// liveness pings, discriminated by the frame type byte.
+		// liveness pings, discriminated by the frame type byte. An Event
+		// the caller set before the read is the decode target.
+		ev := dst.Event
 		*dst = TailFrame{}
 		switch typ {
 		case binEvent:
-			dst.Event = new(Event)
-			decodeEvent(r, dst.Event)
+			if ev == nil {
+				ev = new(Event)
+			}
+			decodeEvent(r, ev)
+			dst.Event = ev
 		case binPing:
 			dst.Ping = new(Ping)
 			decodePingPong(r, "ping", &dst.Ping.Seq)
@@ -862,7 +870,8 @@ func decodeBinaryFrameVocab(payload []byte, v any, vocab *connVocab) error {
 			return fmt.Errorf("wire: binary frame type %#02x, want event (%#02x) or ping (%#02x)", typ, binEvent, binPing)
 		}
 	default:
-		return fmt.Errorf("wire: binary codec cannot decode into %T", v)
+		// reflect.TypeOf, not %T, keeps v from escaping; see appendBinaryFrame.
+		return fmt.Errorf("wire: binary codec cannot decode into %v", reflect.TypeOf(v))
 	}
 	if r.err != nil {
 		return r.err

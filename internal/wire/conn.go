@@ -45,13 +45,9 @@ const preambleLen = 5
 // preamble is the connection opener and its ack: magic + version.
 var preamble = [preambleLen]byte{'R', 'A', 'D', '2', byte(V2)}
 
-// prefixLen reserves room for the largest uvarint length prefix a legal
-// frame can need (MaxFrameSize fits in 3 bytes; 5 leaves headroom).
+// prefixLen bounds the uvarint length prefix a legal frame can need
+// (MaxFrameSize fits in 3 bytes; 5 leaves headroom).
 const prefixLen = 5
-
-// zeroPrefix is the placeholder the encoder reserves for the length
-// prefix, patched after the payload is built.
-var zeroPrefix [prefixLen]byte
 
 // connBufSize sizes each connection's read buffer: most frames fit.
 const connBufSize = 8 << 10
@@ -69,6 +65,11 @@ type Conn struct {
 	// touched from the read path, which is single-threaded per direction, so
 	// it needs no lock; its growth is bounded by MaxConnVocab.
 	vocab connVocab
+
+	// out holds encoded frames not yet written (Buffer, Flush): a pooled
+	// buffer while frames are pending, nil otherwise. Like the codec it is
+	// single-threaded per direction.
+	out *[]byte
 
 	// capture, when set, retains the latest per-frame codec latencies for
 	// LastCodecLatency. Like the metrics timers it measures the marshal step
@@ -168,32 +169,86 @@ func (c *Conn) ReadFrame(v any) error {
 	return nil
 }
 
-// WriteFrame encodes v and writes it as one frame with a single Write call.
-func (c *Conn) WriteFrame(v any) error {
-	pb := getBuf()
-	defer putBuf(pb)
+// flushThreshold is the pending output at which Buffer writes: large
+// enough that a replay of small event frames costs one syscall per few
+// hundred records, small enough that the buffer stays a pooled one.
+const flushThreshold = 32 << 10
+
+// Buffer encodes v as one frame behind any frames already pending and
+// writes them all with a single Write once the pending output reaches
+// flushThreshold. Below it the frame waits for the next Flush (or the
+// Buffer call that crosses the threshold), so a caller queuing a burst
+// must Flush when the burst ends. A frame that fails to encode leaves the
+// pending frames untouched; a failed Write drops them with the connection.
+func (c *Conn) Buffer(v any) error {
+	if c.out == nil {
+		c.out = getBuf()
+		*c.out = (*c.out)[:0]
+	}
 	start := c.stamp()
-	buf := append((*pb)[:0], zeroPrefix[:]...)
-	buf, err := appendBinaryFrame(buf, v)
+	mark := len(*c.out)
+	// Reserve one byte for the uvarint length prefix, enough for any frame
+	// under 128 bytes; a longer payload shifts right to make room.
+	buf, err := appendBinaryFrame(append(*c.out, 0), v)
+	*c.out = buf // keep any growth for the pool
 	if err != nil {
+		c.truncate(mark)
 		return err
 	}
-	*pb = buf // keep any growth for the pool
-	n := len(buf) - prefixLen
+	n := len(buf) - mark - 1
 	if n > MaxFrameSize {
+		c.truncate(mark)
 		return frameTooLarge(uint64(n))
 	}
-	// Patch the uvarint length into the tail of the reserved prefix so the
-	// frame goes out in one Write.
-	var tmp [prefixLen]byte
-	ln := binary.PutUvarint(tmp[:], uint64(n))
-	off := prefixLen - ln
-	copy(buf[off:], tmp[:ln])
+	var prefix [prefixLen]byte
+	ln := binary.PutUvarint(prefix[:], uint64(n))
+	if ln > 1 {
+		buf = append(buf, prefix[1:ln]...)
+		copy(buf[mark+ln:], buf[mark+1:mark+1+n])
+	}
+	copy(buf[mark:], prefix[:ln])
+	*c.out = buf
 	c.observeWrite(start)
-	if _, err := c.w.Write(buf[off:]); err != nil {
+	if len(buf) >= flushThreshold {
+		return c.Flush()
+	}
+	return nil
+}
+
+// Flush writes every pending frame with a single Write call and returns
+// the emptied buffer to the pool, so an idle connection holds none.
+func (c *Conn) Flush() error {
+	pb := c.out
+	if pb == nil {
+		return nil
+	}
+	c.out = nil
+	_, err := c.w.Write(*pb)
+	putBuf(pb)
+	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
+}
+
+// WriteFrame writes v, behind any pending frames, as one Write call: Buffer
+// then Flush.
+func (c *Conn) WriteFrame(v any) error {
+	if err := c.Buffer(v); err != nil {
+		return err
+	}
+	return c.Flush()
+}
+
+// truncate drops output past mark — a frame that failed to encode — and
+// releases the buffer when nothing is left pending.
+func (c *Conn) truncate(mark int) {
+	if mark > 0 {
+		*c.out = (*c.out)[:mark]
+		return
+	}
+	putBuf(c.out)
+	c.out = nil
 }
 
 // CaptureCodecLatency turns on per-frame codec-latency capture so a server

@@ -146,7 +146,10 @@ type Pong struct {
 }
 
 // TailFrame is what a tail client reads after subscribing: either an Event
-// or a liveness Ping (exactly one field is set).
+// or a liveness Ping (exactly one field is set after the read). A reader
+// that reuses one Event across frames sets Event before each read: an event
+// frame is decoded into it, overwriting every field, instead of into a fresh
+// Event.
 type TailFrame struct {
 	Event *Event
 	Ping  *Ping

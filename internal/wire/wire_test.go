@@ -156,3 +156,82 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// countingBuffer counts the Write calls that reach it.
+type countingBuffer struct {
+	bytes.Buffer
+	writes int
+}
+
+func (b *countingBuffer) Write(p []byte) (int, error) {
+	b.writes++
+	return b.Buffer.Write(p)
+}
+
+// TestWireBufferCoalescesFrames pins Buffer and Flush: queued frames reach
+// the writer in one Write — at Flush, or as soon as the pending output
+// crosses the fixed threshold — and read back in order with the same bytes
+// WriteFrame produces one at a time. Frames of 128 bytes and more take a
+// multi-byte length prefix, so both prefix widths are in the mix.
+func TestWireBufferCoalescesFrames(t *testing.T) {
+	var out countingBuffer
+	c := NewConn(&out, V2, nil)
+	frame := func(i int) Request {
+		return Request{ID: uint64(i), Op: OpExec, Name: "Q", Value: strings.Repeat("v", i%200)}
+	}
+	for i := 0; i < 10; i++ {
+		if err := c.Buffer(frame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.writes != 0 {
+		t.Fatalf("%d writes before Flush, want 0", out.writes)
+	}
+	// A frame that cannot be encoded leaves the queue as it was.
+	if err := c.Buffer(struct{}{}); err == nil {
+		t.Fatal("Buffer of an unknown type succeeded")
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if out.writes != 1 || c.out != nil {
+		t.Fatalf("Flush: %d writes, pending buffer %v; want 1 write and none held", out.writes, c.out)
+	}
+	if err := c.Flush(); err != nil || out.writes != 1 {
+		t.Fatalf("empty Flush: %v, %d writes", err, out.writes)
+	}
+
+	// Past the threshold, Buffer writes by itself.
+	n := 10
+	for ; out.writes == 1; n++ {
+		if err := c.Buffer(frame(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.Len() < flushThreshold {
+		t.Fatalf("threshold write carried %d bytes, want >= %d", out.Len(), flushThreshold)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want bytes.Buffer
+	one := NewConn(&want, V2, nil)
+	for i := 0; i < n; i++ {
+		if err := one.WriteFrame(frame(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out.Bytes(), want.Bytes()) {
+		t.Fatal("buffered frames differ from frames written one at a time")
+	}
+	for i := 0; i < n; i++ {
+		var got Request
+		if err := c.ReadFrame(&got); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if got.ID != uint64(i) || got.Value != frame(i).Value {
+			t.Fatalf("frame %d: got %+v", i, got)
+		}
+	}
+}
