@@ -32,7 +32,7 @@ func digests(t *testing.T, cfg CampaignConfig) map[string]string {
 // TestFleetTenantDeterminism is the heart of the isolation guarantee: the
 // same tenant seed produces byte-identical records regardless of how many
 // co-tenants run alongside it, at what concurrency, in which creation
-// order. Run under -race by the fleet CI shakeout.
+// order.
 func TestFleetTenantDeterminism(t *testing.T) {
 	const seed, requests = 42, 120
 

@@ -1,9 +1,7 @@
 package fleet
 
 // Fleet-layer session-resilience tests: router drain and tenant-tagged
-// resilient tails across a stream-listener restart. Test names
-// deliberately match the CI resilience shakeout's -run filter
-// (Resume|Reconnect|Drain|Heartbeat).
+// resilient tails across a stream-listener restart.
 
 import (
 	"context"

@@ -17,13 +17,9 @@ import (
 // hot path: "baseline" is the hardened exec path (deadline + retry
 // eligibility + closed breaker, no metrics), "observed" adds the full
 // Observe wiring — whose only per-exec cost is one sharded
-// latency-histogram observe (two LOCK XADDs plus a last-command cache
-// hit); every counter is a pull-based mirror. The budget is observed ≤
-// 1.05× the PR 4 BenchmarkExecWithBreaker baseline: consolidating the
-// device and breaker maps into one entry lookup bought back more than the
-// histogram costs, so "observed" lands below the PR 4 numbers even though
-// it carries ~26ns of instrumentation over today's faster baseline
-// (EXPERIMENTS.md records both comparisons).
+// latency-histogram observe (a map lookup for the command's histogram, a
+// binary search over its buckets and two LOCK XADDs); every counter is a
+// pull-based mirror. EXPERIMENTS.md records the runs.
 func BenchmarkExecObserved(b *testing.B) {
 	build := func(b *testing.B, observe bool) *Core {
 		b.Helper()

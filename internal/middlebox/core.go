@@ -42,37 +42,8 @@ type deviceEntry struct {
 	// (rad_middlebox_exec_seconds{device,command}), prebuilt from the
 	// command catalog so the hot path pays one map read, never a
 	// registration. histOther absorbs commands outside the catalog.
-	// lastHist caches the most recent lookup: robot command streams repeat
-	// the same command in long runs (homing loops, polling), so the common
-	// case is an atomic load plus one string compare instead of a map
-	// access. A stale entry is harmless — it just misses into the map.
 	hist      map[string]*obs.Histogram
 	histOther *obs.Histogram
-	lastHist  atomic.Pointer[cmdHist]
-}
-
-// cmdHist is one immutable (command name, histogram) pair for
-// deviceEntry.lastHist.
-type cmdHist struct {
-	name string
-	h    *obs.Histogram
-}
-
-// observeSlow is the exec path's histogram lookup miss path: resolve the
-// command's histogram in the map, refresh the last-command cache, record
-// (with a trace-id exemplar when the exec was traced). The hit path is
-// spelled out inline in handleExec.
-func (e *deviceEntry) observeSlow(name string, d time.Duration, traceID uint64) {
-	h, ok := e.hist[name]
-	if !ok {
-		h = e.histOther
-	}
-	e.lastHist.Store(&cmdHist{name: name, h: h})
-	if traceID != 0 {
-		h.ObserveExemplar(d, traceID)
-	} else {
-		h.Observe(d)
-	}
 }
 
 // Core is the transport-independent middlebox: it owns the device
@@ -113,12 +84,9 @@ type Core struct {
 	retryRng *rand.Rand
 
 	// broker, when attached, fans every committed trace record out to live
-	// subscribers (radwatch tails, the online IDS). Immutable after
-	// AttachBroker; nil means no live feed. brokerWired reports that the sink
-	// publishes into the broker itself (through its commit hook), so the
-	// logging path must not double-publish.
-	broker      *stream.Broker
-	brokerWired bool
+	// subscribers (radwatch tails, the online IDS) from the sink's commit
+	// hook. Immutable after AttachBroker; nil means no live feed.
+	broker *stream.Broker
 
 	// spans, when attached, is the request-tracing flight recorder: one root
 	// span per request with children for exec attempts and store appends
@@ -183,18 +151,18 @@ func (c *Core) publishEntry(name string, e *deviceEntry) {
 	c.entries.Store(&next)
 }
 
-// AttachBroker connects a live-stream broker to the middlebox. When the trace
-// sink assigns sequence numbers (implements store.Notifier), the broker is
-// wired to its commit hook so subscribers see records with their
-// authoritative sequence numbers, in commit order; otherwise records are
-// published directly from the logging path (with whatever Seq they carry).
-// Call before serving traffic.
+// AttachBroker connects a live-stream broker to the middlebox: the broker
+// is wired to the trace sink's commit hook, so subscribers see records with
+// their authoritative sequence numbers, in commit order. The sink must
+// assign those numbers (implement store.Notifier); AttachBroker panics on
+// one that does not. Call before serving traffic.
 func (c *Core) AttachBroker(b *stream.Broker) {
-	c.broker = b
-	if n, ok := c.sink.(store.Notifier); ok {
-		b.AttachStore(n)
-		c.brokerWired = true
+	n, ok := c.sink.(store.Notifier)
+	if !ok {
+		panic(fmt.Sprintf("middlebox: AttachBroker needs a sequencing sink (store.Notifier), have %T", c.sink))
 	}
+	c.broker = b
+	b.AttachStore(n)
 }
 
 // SetSpans attaches a span flight recorder; tenant (may be empty) tags
@@ -253,12 +221,6 @@ func (c *Core) Snapshot() Stats {
 	}
 }
 
-// Stats returns a snapshot of the request counters.
-//
-// Deprecated: use Snapshot, which this aliases. Stats survives only so
-// pre-PR-1 callers keep compiling.
-func (c *Core) Stats() Stats { return c.Snapshot() }
-
 // Handle processes one request and produces its reply. It implements the
 // middlebox protocol:
 //
@@ -282,7 +244,7 @@ func (c *Core) Handle(req wire.Request) wire.Reply {
 }
 
 func (c *Core) handleExec(req wire.Request) wire.Reply {
-	e, ok := c.lookup(req.Device)
+	e, ok := c.table()[req.Device] // device, breaker, histograms: no lock
 	if !ok {
 		c.errors.Add(1)
 		return wire.Reply{ID: req.ID, Error: fmt.Sprintf("middlebox: device %q not registered", req.Device)}
@@ -298,57 +260,32 @@ func (c *Core) handleExec(req wire.Request) wire.Reply {
 	}
 	cmd := device.Command{Device: req.Device, Name: req.Name, Args: req.Args}
 	start := c.clock.Now()
-	var value string
-	var err error
-	var end time.Time
-	if !c.hardened {
-		value, err = d.Exec(cmd)
-		end = c.clock.Now()
-	} else {
-		// First attempt, inlined (see execAttempt): the fault-free hot
-		// path pays only the breaker's two-atomic-load bookkeeping and
-		// one deadline comparison over the legacy path above.
-		if c.realDeadline {
-			value, end, err = c.execDeadlined(d, cmd)
-		} else {
-			value, err = d.Exec(cmd)
-			end = c.clock.Now()
-			if t := c.policy.Timeout; t > 0 && end.Sub(start) > t {
-				c.timeouts.Add(1)
-				value = ""
-				err = fmt.Errorf("middlebox: %s: %w (timeout %s)", cmd.Device, fault.ErrDeadline, t)
-			}
-		}
-		if infra := err != nil && fault.IsInfra(err); infra {
-			br.Done(true)
+	// Without an exec policy the one attempt is a plain d.Exec: no
+	// deadline, no breaker, no retry.
+	value, end, err := c.execAttempt(d, cmd, start)
+	if c.hardened {
+		infra := err != nil && fault.IsInfra(err)
+		br.Done(infra)
+		if infra {
 			c.infraErrs.Add(1)
 			// The first attempt failed into the retry path: record its span
 			// (the fault-free path records only the root, keeping its span
 			// cost to one ring write), then continue the attempt loop.
 			c.recordAttempt(sctx, 1, br, start, end, err)
 			value, end, err = c.execRetry(d, br, cmd, sctx, value, end, err)
-		} else {
-			br.Done(false)
 		}
 	}
 	if e.hist != nil {
 		// Client-visible exec latency, retries and backoff included. The
 		// duration comes from the injected clock, so virtual-clock
-		// campaigns produce deterministic histograms. The last-command
-		// cache hit path is spelled out here so the common case pays one
-		// atomic load and a string compare, not a map access. Traced execs
-		// stamp the landing bucket's exemplar with their trace id, linking
+		// campaigns produce deterministic histograms. Traced execs stamp
+		// the landing bucket's exemplar with their trace id, linking
 		// rad_middlebox_exec_seconds buckets to /debug/spans trees.
-		d := end.Sub(start)
-		if last := e.lastHist.Load(); last != nil && last.name == req.Name {
-			if sctx.TraceID != 0 {
-				last.h.ObserveExemplar(d, sctx.TraceID)
-			} else {
-				last.h.Observe(d)
-			}
-		} else {
-			e.observeSlow(req.Name, d, sctx.TraceID)
+		h, ok := e.hist[req.Name]
+		if !ok {
+			h = e.histOther
 		}
+		h.ObserveExemplar(end.Sub(start), sctx.TraceID)
 	}
 
 	rec := store.Record{
@@ -410,13 +347,10 @@ func (c *Core) handleTrace(req wire.Request) wire.Reply {
 	return wire.Reply{ID: req.ID, Value: "ok"}
 }
 
+// log appends rec to the trace sink; an attached broker publishes it from
+// the sink's commit hook.
 func (c *Core) log(rec store.Record) {
 	if c.sink == nil {
-		// No sink assigns sequence numbers, but live tailers may still want
-		// the feed (e.g. a logging-disabled latency rig).
-		if c.broker != nil && !c.brokerWired {
-			c.broker.Publish(rec)
-		}
 		return
 	}
 	// Trace logging must never fail the command path; the middlebox drops
@@ -434,11 +368,6 @@ func (c *Core) log(rec store.Record) {
 		c.spans.Record(s)
 	} else {
 		_ = c.sink.Append(rec)
-	}
-	// Sinks that sequence records publish from their own commit hook; for
-	// plain sinks the logging path publishes directly.
-	if c.broker != nil && !c.brokerWired {
-		c.broker.Publish(rec)
 	}
 }
 

@@ -1,8 +1,6 @@
 package middlebox
 
-// Graceful-drain tests for the exec listener. Test names deliberately
-// match the CI resilience shakeout's -run filter
-// (Resume|Reconnect|Drain|Heartbeat).
+// Graceful-drain tests for the exec listener.
 
 import (
 	"context"

@@ -34,13 +34,11 @@ type ExecPolicy struct {
 	// the fact, which keeps campaigns deterministic.
 	Timeout time.Duration
 	// Retries is the number of extra attempts granted to idempotent
-	// commands after an infrastructure failure. Mutating commands never
-	// retry: a dropped response may mean the command executed.
+	// commands after an infrastructure failure, spaced by jittered
+	// exponential backoff from retryBase up to retryMax (charged to the
+	// clock). Mutating commands never retry: a dropped response may mean
+	// the command executed.
 	Retries int
-	// RetryBase and RetryMax bound the jittered exponential backoff
-	// between attempts (defaults 50ms and 2s, charged to the clock).
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// RetrySeed seeds the backoff jitter stream (0 selects 1).
 	RetrySeed uint64
 	// Breaker configures the per-device circuit breaker; a zero Threshold
@@ -48,18 +46,16 @@ type ExecPolicy struct {
 	Breaker fault.BreakerConfig
 }
 
+// retryBase and retryMax bound the jittered exponential backoff between
+// retry attempts.
+const retryBase, retryMax = 50 * time.Millisecond, 2 * time.Second
+
 // SetExecPolicy installs the resilience policy. Call before serving
 // traffic: it rebuilds the per-device breakers and is not synchronized
 // with in-flight execs.
 func (c *Core) SetExecPolicy(p ExecPolicy) {
 	c.cfgMu.Lock()
 	defer c.cfgMu.Unlock()
-	if p.RetryBase <= 0 {
-		p.RetryBase = 50 * time.Millisecond
-	}
-	if p.RetryMax <= 0 {
-		p.RetryMax = 2 * time.Second
-	}
 	seed := p.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -103,13 +99,6 @@ func idempotentCatalog() map[string]bool {
 		}
 	}
 	return m
-}
-
-// lookup resolves a device's entry — device, breaker, histograms — with one
-// atomic load and one map access; no lock.
-func (c *Core) lookup(name string) (*deviceEntry, bool) {
-	e, ok := c.table()[name]
-	return e, ok
 }
 
 // shedExec rejects a request whose breaker is open: no device contact, an
@@ -181,10 +170,8 @@ func (c *Core) recordAttempt(sctx span.Context, attempt int, br *fault.Breaker, 
 // attempt is abandoned when the deadline fires (execDeadlined); under a
 // virtual clock a hang advances simulated time and returns promptly, so
 // the deadline is a post-hoc elapsed-time check — no goroutine, no
-// nondeterminism. handleExec inlines the virtual-clock body of this
-// function for the first attempt: the fault-free hot path must not pay a
-// call frame (cmd alone is seven words), and its overhead budget over the
-// seed's plain exec path is tight.
+// nondeterminism. Without an exec policy (no timeout) this is the plain
+// d.Exec.
 func (c *Core) execAttempt(d device.Device, cmd device.Command, start time.Time) (string, time.Time, error) {
 	if c.realDeadline {
 		return c.execDeadlined(d, cmd)
@@ -230,7 +217,7 @@ func (c *Core) execRetry(d device.Device, br *fault.Breaker, cmd device.Command,
 func (c *Core) backoff(attempt int) time.Duration {
 	c.retryMu.Lock()
 	defer c.retryMu.Unlock()
-	return fault.Backoff(attempt, c.policy.RetryBase, c.policy.RetryMax, c.retryRng)
+	return fault.Backoff(attempt, retryBase, retryMax, c.retryRng)
 }
 
 // execDeadlined runs one attempt under a real-clock deadline: the attempt

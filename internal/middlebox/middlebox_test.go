@@ -27,8 +27,8 @@ func TestCorePing(t *testing.T) {
 	if reply.ID != 5 || reply.Value != "pong" || reply.Error != "" {
 		t.Errorf("ping reply = %+v", reply)
 	}
-	if core.Stats().Pings != 1 {
-		t.Errorf("pings = %d", core.Stats().Pings)
+	if core.Snapshot().Pings != 1 {
+		t.Errorf("pings = %d", core.Snapshot().Pings)
 	}
 }
 
@@ -70,8 +70,8 @@ func TestCoreExecUnknownDevice(t *testing.T) {
 	if sink.Len() != 0 {
 		t.Error("unknown-device request should not be logged as a trace")
 	}
-	if core.Stats().Errors != 1 {
-		t.Errorf("errors = %d", core.Stats().Errors)
+	if core.Snapshot().Errors != 1 {
+		t.Errorf("errors = %d", core.Snapshot().Errors)
 	}
 }
 

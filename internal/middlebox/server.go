@@ -2,8 +2,6 @@ package middlebox
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -76,23 +74,17 @@ type Handler interface {
 }
 
 // Server exposes a Handler over TCP using the wire protocol. One goroutine
-// per connection; requests on a connection are served in order. A
-// connection that does not open with the wire preamble (wire.Accept) is
-// dropped without a reply.
+// per connection; requests on a connection are served in order. The
+// connection lifecycle is the shared wire.Listener's: a connection that
+// does not open with the wire preamble is dropped without a reply.
 type Server struct {
 	core    Handler
 	profile NetworkProfile
-	wireM   *wire.Metrics
 	spans   *span.Recorder
+	wl      *wire.Listener
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	rng    *rand.Rand
-	closed bool
-	idle   time.Duration
-
-	wg sync.WaitGroup
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
 
 // NewServer wraps core with the given emulated network profile.
@@ -104,12 +96,13 @@ func NewServer(core *Core, profile NetworkProfile, seed uint64) *Server {
 // fleet.Router multiplexing hundreds of them — with the given emulated
 // network profile.
 func NewHandlerServer(h Handler, profile NetworkProfile, seed uint64) *Server {
-	return &Server{
+	s := &Server{
 		core:    h,
 		profile: profile,
-		conns:   make(map[net.Conn]struct{}),
 		rng:     rand.New(rand.NewPCG(seed, seed^0xa0761d6478bd642f)),
 	}
+	s.wl = wire.NewListener("middlebox", s.serveConn)
+	return s
 }
 
 // SetProtocol does nothing: every connection speaks the one wire protocol.
@@ -119,7 +112,7 @@ func (s *Server) SetProtocol(wire.Proto) {}
 
 // Observe registers wire metrics (frame counters, encode/decode latency
 // histograms) in reg. Call before Start.
-func (s *Server) Observe(reg *obs.Registry) { s.wireM = wire.NewMetrics(reg) }
+func (s *Server) Observe(reg *obs.Registry) { s.wl.Metrics = wire.NewMetrics(reg) }
 
 // SetSpans attaches a span flight recorder: every request served gets a
 // "server.request" root span (stitched under the client's span when the
@@ -131,11 +124,7 @@ func (s *Server) SetSpans(r *span.Recorder) { s.spans = r }
 
 // Draining reports whether Drain (or Close) has begun — the middlebox
 // contribution to a drain-aware /healthz.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) Draining() bool { return s.wl.Draining() }
 
 // SetIdleTimeout bounds how long a connection may sit between requests
 // before it is reaped. The exec protocol is strict request/reply, so a
@@ -143,78 +132,40 @@ func (s *Server) Draining() bool {
 // (crashed without a FIN); without the deadline such a connection holds
 // its goroutine and socket until process exit. Zero (the default) never
 // times out. Call before Start.
-func (s *Server) SetIdleTimeout(d time.Duration) { s.idle = d }
+func (s *Server) SetIdleTimeout(d time.Duration) { s.wl.IdleTimeout = d }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and begins serving in the
 // background. It returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("middlebox: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", errors.New("middlebox: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
+func (s *Server) Start(addr string) (string, error) { return s.wl.Start(addr) }
 
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
+// Close stops the listener, closes all live connections, and waits for the
+// connection goroutines to exit.
+func (s *Server) Close() error { return s.wl.Close() }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
+// Drain is graceful shutdown: stop accepting, let every in-flight request
+// finish and its reply flush, then close. Each connection's drain hook
+// expires its read deadline, which ends a blocked ReadFrame without
+// touching the write direction, so a reply mid-flight still goes out. Past
+// ctx's deadline the stragglers are severed and Drain returns ctx.Err()
+// without waiting (see wire.Listener.Drain); nil means everything flushed
+// in time. Close afterwards waits for any stragglers.
+func (s *Server) Drain(ctx context.Context) error { return s.wl.Drain(ctx) }
 
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	wc, err := wire.Accept(conn, s.wireM)
-	if err != nil {
-		return // dead or protocol-confused peer: drop the connection
+func (s *Server) serveConn(conn net.Conn, wc *wire.Conn) {
+	if !s.wl.OnDrain(conn, func() { _ = conn.SetReadDeadline(time.Now()) }) {
+		return
 	}
 	if s.spans.Enabled() {
 		wc.CaptureCodecLatency()
 	}
 	for {
-		// The closed check and any deadline reset share the mutex with
-		// Drain, so a drain nudge (an expired read deadline) can never be
-		// overwritten by this connection's own idle deadline.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		// Arm's closed check and idle-deadline re-arm share the critical
+		// section Drain runs the hook above in, so a drain nudge (an
+		// expired read deadline) can never be overwritten by this
+		// connection's own idle deadline.
+		if !s.wl.Arm(conn) {
 			return
 		}
-		if s.idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.idle))
-		}
-		s.mu.Unlock()
 		var req wire.Request
 		if err := wc.ReadFrame(&req); err != nil {
 			return // EOF, idle timeout, or a broken/odd frame: drop the connection
@@ -236,9 +187,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				Name: "wire.decode", Tenant: req.Tenant, Start: reqStart.Add(-dec), End: reqStart})
 			req.TraceID, req.SpanID = sctx.TraceID, sctx.SpanID
 		}
-		s.sleep(s.sampleDelay()) // inbound network
+		time.Sleep(s.sampleDelay()) // inbound network
 		reply := s.core.Handle(req)
-		s.sleep(s.sampleDelay()) // outbound network
+		time.Sleep(s.sampleDelay()) // outbound network
 		werr := wc.WriteFrame(reply)
 		if sctx.Valid() {
 			end := time.Now()
@@ -265,72 +216,6 @@ func (s *Server) sampleDelay() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.profile.Delay(s.rng)
-}
-
-func (s *Server) sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Close stops the listener, closes all live connections, and waits for the
-// connection goroutines to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Drain is graceful shutdown: stop accepting, let every in-flight request
-// finish and its reply flush, then close. Idle connections are nudged with
-// an expired read deadline (which ends their blocked ReadFrame without
-// touching the write direction, so a reply mid-flight still goes out), and
-// the connection goroutines are awaited up to ctx's deadline, after which
-// the stragglers are severed Close-style and Drain returns ctx.Err()
-// without waiting further (a Handler stuck in user code cannot be
-// unblocked by a dead socket; like net/http's Shutdown, its goroutine is
-// abandoned to finish on its own). Returns nil when everything flushed in
-// time. Close afterwards is a harmless no-op that waits for any
-// stragglers.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn := range s.conns {
-		_ = conn.SetReadDeadline(time.Now())
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		return ctx.Err()
-	}
 }
 
 // ensure interface-style usage stays honest.

@@ -49,26 +49,6 @@ func TestAttachBrokerPublishesWithStoreSeqs(t *testing.T) {
 	}
 }
 
-// TestAttachBrokerWithPlainSink covers the fallback: a sink without a commit
-// hook still feeds subscribers, directly from the logging path.
-func TestAttachBrokerWithPlainSink(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	core := NewCore(clock, plainSink{})
-	core.Register(c9.New(device.NewEnv(clock, 1)))
-
-	broker := stream.NewBroker()
-	defer broker.Close()
-	core.AttachBroker(broker)
-	sub := broker.Subscribe(stream.SubOptions{})
-
-	if rep := core.Handle(execReq(device.Init)); rep.Error != "" {
-		t.Fatal(rep.Error)
-	}
-	if _, ok := sub.TryRecv(); !ok {
-		t.Error("plain-sink middlebox published nothing")
-	}
-}
-
 // TestSnapshotIncludesSubscriberStats is the per-subscriber accounting
 // satellite: Core.Snapshot must expose each live subscriber's delivery
 // counters alongside the request counters.
@@ -113,7 +93,3 @@ func TestSnapshotIncludesSubscriberStats(t *testing.T) {
 		t.Error("subscriber with drops not marked lagging")
 	}
 }
-
-type plainSink struct{}
-
-func (plainSink) Append(store.Record) error { return nil }

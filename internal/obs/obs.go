@@ -152,11 +152,6 @@ type Histogram struct {
 	bounds []int64 // bucket upper bounds in nanoseconds, ascending
 	shards []histShard
 	mask   uint32
-	// hint caches the last bucket index: latency streams cluster, so the
-	// next observation usually lands in the same bucket and skips the
-	// binary search. Purely a fast path — a stale or torn hint just falls
-	// back to the search.
-	hint atomic.Int32
 	// ex holds one exemplar trace id per bucket (len(bounds)+1): the trace
 	// id of the most recent traced observation that landed there, linking a
 	// bucket back to a tree on /debug/spans. Last-writer-wins per bucket —
@@ -187,42 +182,19 @@ func newHistogram(buckets []time.Duration) *Histogram {
 }
 
 // Observe records one duration. Negative durations clamp to zero; values
-// above the last bound land in the overflow (+Inf) bucket. Lock-free, and
-// shaped to inline into the caller: the common case — the observation
-// lands in the same bucket as the last one — is a hint check plus two
-// atomic adds; only a bucket change pays the (out-of-line) binary search.
-func (h *Histogram) Observe(d time.Duration) {
-	n := int64(d)
-	if n < 0 {
-		n = 0
-	}
-	// The hint may be any index in [0, len(bounds)]; len(bounds) is the
-	// overflow bucket, valid when n exceeds the last bound — so streams
-	// that sit above the top bound stay on the fast path too.
-	i := int(h.hint.Load())
-	if i > len(h.bounds) || (i > 0 && n <= h.bounds[i-1]) || (i < len(h.bounds) && h.bounds[i] < n) {
-		i = h.rebucket(n)
-	}
-	s := &h.shards[shardIndex(h.mask)]
-	s.counts[i].Add(1)
-	s.sum.Add(n)
-}
+// above the last bound land in the overflow (+Inf) bucket. Lock-free.
+func (h *Histogram) Observe(d time.Duration) { h.ObserveExemplar(d, 0) }
 
-// ObserveExemplar records one duration and stamps the landing bucket's
-// exemplar with traceID (when non-zero), so the rendered histogram can link
-// each bucket to a recent trace. Off the untraced hot path: Observe never
-// touches exemplars; instrumented callers opt in per observation.
+// ObserveExemplar records one duration and, when traceID is non-zero,
+// stamps the landing bucket's exemplar with it, so the rendered histogram
+// can link each bucket to a recent trace. The observation itself is a
+// binary search for the bucket plus two atomic adds.
 func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
 	n := int64(d)
 	if n < 0 {
 		n = 0
 	}
-	// Same hint fast path as Observe: traced streams cluster in one bucket
-	// too, and the traced hot path's budget is as tight as the untraced one.
-	i := int(h.hint.Load())
-	if i > len(h.bounds) || (i > 0 && n <= h.bounds[i-1]) || (i < len(h.bounds) && h.bounds[i] < n) {
-		i = h.rebucket(n)
-	}
+	i := h.bucket(n)
 	s := &h.shards[shardIndex(h.mask)]
 	s.counts[i].Add(1)
 	s.sum.Add(n)
@@ -240,17 +212,6 @@ func (h *Histogram) Exemplars() []uint64 {
 		out[i] = h.ex[i].Load()
 	}
 	return out
-}
-
-// rebucket is Observe's slow path: binary-search the bucket and refresh
-// the hint. Kept out of Observe so Observe stays within the inlining
-// budget.
-//
-//go:noinline
-func (h *Histogram) rebucket(n int64) int {
-	i := h.bucket(n)
-	h.hint.Store(int32(i))
-	return i
 }
 
 // bucket returns the index of the first bucket whose bound is >= n (the

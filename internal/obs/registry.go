@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,7 +36,8 @@ func (k Kind) String() string {
 // set, bound to exactly one of the value holders. Pull-based children
 // (cfn/gfn) read their value at render time, so instrumented subsystems
 // that already keep atomic counters expose them with zero added hot-path
-// cost.
+// cost. The callbacks are atomic because re-registration replaces them
+// while a render may be reading them outside the registry lock.
 type entry struct {
 	name   string
 	labels []label
@@ -45,8 +47,8 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	cfn     func() uint64
-	gfn     func() float64
+	cfn     atomic.Pointer[func() uint64]
+	gfn     atomic.Pointer[func() float64]
 }
 
 type label struct{ key, value string }
@@ -86,7 +88,7 @@ func (r *Registry) SetHelp(name, text string) {
 func (r *Registry) Counter(name string, kv ...string) *Counter {
 	var c *Counter
 	r.register(name, KindCounter, kv, func(e *entry) {
-		if e.counter == nil && e.cfn == nil {
+		if e.counter == nil && e.cfn.Load() == nil {
 			e.counter = newCounter()
 		}
 		if e.counter == nil {
@@ -104,7 +106,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, kv ...string) {
 		if e.counter != nil {
 			panic("obs: " + e.id + " is registered as a direct counter")
 		}
-		e.cfn = fn
+		e.cfn.Store(&fn)
 	})
 }
 
@@ -113,7 +115,7 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, kv ...string) {
 func (r *Registry) Gauge(name string, kv ...string) *Gauge {
 	var g *Gauge
 	r.register(name, KindGauge, kv, func(e *entry) {
-		if e.gauge == nil && e.gfn == nil {
+		if e.gauge == nil && e.gfn.Load() == nil {
 			e.gauge = &Gauge{}
 		}
 		if e.gauge == nil {
@@ -131,7 +133,7 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
 		if e.gauge != nil {
 			panic("obs: " + e.id + " is registered as a direct gauge")
 		}
-		e.gfn = fn
+		e.gfn.Store(&fn)
 	})
 }
 

@@ -85,16 +85,16 @@ func writeHistogram(bw *bufio.Writer, e *entry) {
 
 // counterValue reads a counter child, direct or pull-based.
 func (e *entry) counterValue() uint64 {
-	if e.cfn != nil {
-		return e.cfn()
+	if fn := e.cfn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return e.counter.Value()
 }
 
 // gaugeValue reads a gauge child, direct or pull-based.
 func (e *entry) gaugeValue() float64 {
-	if e.gfn != nil {
-		return e.gfn()
+	if fn := e.gfn.Load(); fn != nil {
+		return (*fn)()
 	}
 	return float64(e.gauge.Value())
 }

@@ -339,10 +339,18 @@ func (s *Subscriber) offer(ev *Event) {
 
 // Recv blocks until an event is available or the subscriber is closed; ok is
 // false only when the subscriber is closed and its ring fully drained.
-func (s *Subscriber) Recv() (ev Event, ok bool) {
+func (s *Subscriber) Recv() (Event, bool) { return s.take(true) }
+
+// TryRecv is Recv without blocking: ok is false when the ring is empty.
+func (s *Subscriber) TryRecv() (Event, bool) { return s.take(false) }
+
+// take dequeues the oldest buffered event. With wait set it first blocks
+// until an event is buffered or the subscriber is closed; ok is false when
+// the ring is empty.
+func (s *Subscriber) take(wait bool) (ev Event, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.n == 0 && !s.closed {
+	for wait && s.n == 0 && !s.closed {
 		s.cond.Wait()
 	}
 	if s.n == 0 {
@@ -350,25 +358,6 @@ func (s *Subscriber) Recv() (ev Event, ok bool) {
 	}
 	ev = s.buf[s.head]
 	s.buf[s.head] = Event{} // release references held by the slot
-	s.head = (s.head + 1) % len(s.buf)
-	s.n--
-	s.delivered++
-	if s.broker != nil {
-		s.broker.delivered.Add(1)
-	}
-	s.cond.Broadcast()
-	return ev, true
-}
-
-// TryRecv is Recv without blocking: ok is false when the ring is empty.
-func (s *Subscriber) TryRecv() (ev Event, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return Event{}, false
-	}
-	ev = s.buf[s.head]
-	s.buf[s.head] = Event{}
 	s.head = (s.head + 1) % len(s.buf)
 	s.n--
 	s.delivered++

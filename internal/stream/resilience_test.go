@@ -1,9 +1,7 @@
 package stream_test
 
 // Session-resilience tests: exactly-once resume, heartbeat supervision,
-// auto-reconnecting tails, and graceful drain. Test names deliberately
-// match the CI resilience shakeout's -run filter
-// (Resume|Reconnect|Drain|Heartbeat).
+// auto-reconnecting tails, and graceful drain.
 
 import (
 	"context"

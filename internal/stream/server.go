@@ -22,25 +22,17 @@ import (
 // and drop accounting are per-tailer; a stalled client under drop-oldest
 // costs the middlebox nothing but that client's own ring.
 //
-// Like the middlebox listener, the tail listener drops, unanswered, any
-// connection that does not open with the wire preamble.
+// The connection lifecycle is the shared wire.Listener's, as for the
+// middlebox listener: a connection that does not open with the wire
+// preamble is dropped unanswered, and one still negotiating is tracked, so
+// Drain and Close sever it instead of waiting on it.
 type Server struct {
 	broker   *Broker
 	db       *tracedb.DB // snapshot source; nil disables snapshot-then-follow
-	wireM    *wire.Metrics
 	spans    *span.Recorder
 	resolver TenantResolver // nil: single-tenant listener
 	hb       HeartbeatConfig
-
-	mu sync.Mutex
-	ln net.Listener
-	// conns tracks every accepted connection from the moment it lands —
-	// value nil until its subscription attaches — so Close can sever a
-	// client that dies (or stalls) mid-negotiation instead of waiting on
-	// it forever.
-	conns  map[net.Conn]*Subscriber
-	closed bool
-	wg     sync.WaitGroup
+	wl       *wire.Listener
 }
 
 // maxSubscriberBuffer caps a client-requested ring so one tail cannot pin
@@ -50,7 +42,9 @@ const maxSubscriberBuffer = 1 << 16
 // NewServer wraps broker; db (which may be nil) serves Subscribe.Snapshot
 // replays.
 func NewServer(broker *Broker, db *tracedb.DB) *Server {
-	return &Server{broker: broker, db: db, conns: make(map[net.Conn]*Subscriber)}
+	s := &Server{broker: broker, db: db}
+	s.wl = wire.NewListener("stream", s.serveConn)
+	return s
 }
 
 // SetProtocol does nothing: every connection speaks the one wire protocol.
@@ -60,7 +54,7 @@ func (s *Server) SetProtocol(wire.Proto) {}
 
 // Observe registers wire metrics in reg (shared with any other listener
 // observing the same registry). Call before Start.
-func (s *Server) Observe(reg *obs.Registry) { s.wireM = wire.NewMetrics(reg) }
+func (s *Server) Observe(reg *obs.Registry) { s.wl.Metrics = wire.NewMetrics(reg) }
 
 // SetSpans attaches a span flight recorder: every traced record delivered
 // to a tailer gets a "stream.deliver" child span under the record's exec
@@ -69,11 +63,7 @@ func (s *Server) SetSpans(r *span.Recorder) { s.spans = r }
 
 // Draining reports whether Drain (or Close) has begun — the stream
 // listener's contribution to a drain-aware /healthz.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) Draining() bool { return s.wl.Draining() }
 
 // TenantResolver maps a tenant-tagged Subscribe frame to that tenant's
 // broker and snapshot store (db may be nil: snapshot-then-follow disabled
@@ -115,131 +105,91 @@ func (s *Server) SetHeartbeat(hb HeartbeatConfig) { s.hb = hb }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the background,
 // returning the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+func (s *Server) Start(addr string) (string, error) { return s.wl.Start(addr) }
+
+// Close stops the listener, closes every live tail, and waits for the
+// connection goroutines to exit.
+func (s *Server) Close() error { return s.wl.Close() }
+
+// Drain is graceful shutdown: stop accepting and detach every subscriber
+// from its broker (no new events enter the rings), so each pump flushes
+// its already-buffered events to its client and ends the tail. It returns
+// nil once every tail has flushed; past ctx's deadline it severs the rest
+// and returns ctx.Err() without waiting (see wire.Listener.Drain). Close
+// afterwards waits for them.
+func (s *Server) Drain(ctx context.Context) error { return s.wl.Drain(ctx) }
+
+// serveConn serves one connection past the handshake: it opens the tail
+// its Subscribe frame asks for and runs it. A refused subscription gets
+// one error frame saying why.
+func (s *Server) serveConn(conn net.Conn, wc *wire.Conn) {
+	tc := &tailConn{wc: wc}
+	tail, err := s.subscribe(conn, tc)
 	if err != nil {
-		return "", fmt.Errorf("stream: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", errors.New("stream: server already closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = nil // tracked before negotiation; see Server.conns
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	wc, err := wire.Accept(conn, s.wireM)
-	if err != nil {
-		return // dead or protocol-confused peer: nothing to tell anyone
-	}
-	var req wire.Subscribe
-	if err := wc.ReadFrame(&req); err != nil {
-		if !errors.Is(err, io.EOF) {
-			// The peer completed the handshake, so it can decode an error
-			// frame: report the malformed subscribe precisely instead of
-			// closing silently.
-			_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
-				Error: fmt.Sprintf("stream: bad subscribe frame: %v", err)})
+		if !errors.Is(err, io.EOF) { // the client left before subscribing
+			_ = tc.write(wire.Event{Kind: wire.EventError, Error: err.Error()})
 		}
 		return
+	}
+	s.serveTail(conn, tc, tail)
+}
+
+// subscribe reads and validates the Subscribe frame, then opens its tail
+// against the resolved tenant's broker and store. A plain subscription's
+// tail has no store; a snapshot or resume subscription replays from it.
+func (s *Server) subscribe(conn net.Conn, tc *tailConn) (*Tail, error) {
+	var req wire.Subscribe
+	if err := tc.wc.ReadFrame(&req); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, err
+		}
+		// The peer completed the handshake, so it can decode an error
+		// frame: report the malformed subscribe precisely instead of
+		// closing silently.
+		return nil, fmt.Errorf("stream: bad subscribe frame: %v", err)
 	}
 	if err := req.Validate(); err != nil {
-		_ = wc.WriteFrame(wire.Event{Kind: wire.EventError, Error: err.Error()})
-		return
+		return nil, err
 	}
+	tc.tenant = req.Tenant
 	broker, db := s.broker, s.db
 	if req.Tenant != "" {
 		if s.resolver == nil {
-			_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
-				Error: fmt.Sprintf("stream: tenant %q requested but this listener is single-tenant", req.Tenant)})
-			return
+			return nil, fmt.Errorf("stream: tenant %q requested but this listener is single-tenant", req.Tenant)
 		}
 		var err error
-		broker, db, err = s.resolver(req.Tenant)
-		if err != nil {
-			_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
-				Error: fmt.Sprintf("stream: tenant %q: %v", req.Tenant, err)})
-			return
+		if broker, db, err = s.resolver(req.Tenant); err != nil {
+			return nil, fmt.Errorf("stream: tenant %q: %v", req.Tenant, err)
 		}
 	}
-	if (req.Snapshot || req.ResumeFrom > 0) && db == nil {
-		_ = wc.WriteFrame(wire.Event{Kind: wire.EventError,
-			Error: "stream: snapshot requested but the middlebox has no persistent store"})
-		return
+	replay := req.Snapshot || req.ResumeFrom > 0
+	if replay && db == nil {
+		return nil, errors.New("stream: snapshot requested but the middlebox has no persistent store")
 	}
 	opts := subOptions(req, conn)
-	tc := &tailConn{wc: wc, tenant: req.Tenant}
-
 	if req.ResumeFrom > 0 {
 		// Exactly-once resume: replay [ResumeFrom, now) from the store via
 		// snapshot-then-follow, pushing the seq predicate down into both the
 		// snapshot scan and the live-feed filter. The store head and the
 		// retention floor bound what is replayable.
 		if head := db.NextSeq(); req.ResumeFrom > head {
-			_ = tc.write(wire.Event{Kind: wire.EventError,
-				Error: fmt.Sprintf("stream: resume from seq %d is beyond the store head %d", req.ResumeFrom, head)})
-			return
+			return nil, fmt.Errorf("stream: resume from seq %d is beyond the store head %d", req.ResumeFrom, head)
 		}
 		if floor := db.SeqFloor(); req.ResumeFrom < floor {
 			// The resume point predates retention: say exactly how many
 			// records are unrecoverable, then degrade to a full snapshot of
 			// what the store still holds.
-			if tc.write(wire.Event{Kind: wire.EventResumeGap, Gap: floor - req.ResumeFrom}) != nil {
-				return
+			if err := tc.write(wire.Event{Kind: wire.EventResumeGap, Gap: floor - req.ResumeFrom}); err != nil {
+				return nil, err
 			}
 		} else {
 			opts.Filter.MinSeq = req.ResumeFrom
 		}
-		s.serveTail(conn, wc, tc, broker, db, opts)
-		return
 	}
-	if req.Snapshot {
-		s.serveTail(conn, wc, tc, broker, db, opts)
-		return
+	if !replay {
+		db = nil
 	}
-	sub := broker.Subscribe(opts)
-	if !s.track(conn, sub) {
-		sub.Close()
-		return
-	}
-	defer s.untrack(conn, sub)
-	s.supervise(conn, wc, tc, sub)
-	s.pump(tc, sub.drain, sub.name)
+	return broker.Tail(db, opts), nil
 }
 
 // tailConn serializes writes to one tail connection. A wire.Conn is not
@@ -274,117 +224,97 @@ func (tc *tailConn) flush() error {
 	return tc.wc.Flush()
 }
 
-// supervise watches one subscribed connection for death. Under a heartbeat
-// regime the peer is actively probed: pings every interval, a read
-// deadline covering the expected pong, and reaping on the first missed
-// deadline — which detects a half-open connection (peer gone, TCP none the
-// wiser) that would otherwise leak the subscriber and its goroutines until
-// the next write. With heartbeats off, the passive watcher stands in: any
-// read completing means the conversation is over.
-func (s *Server) supervise(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subscriber) {
-	if s.hb.Interval > 0 {
-		s.superviseHeartbeat(conn, wc, tc, sub)
-		return
-	}
-	s.watchConn(conn, sub)
-}
-
-// watchConn closes sub as soon as the client's connection dies. The tail
-// protocol is server-push after the Subscribe frame, so any read
-// completing — EOF, a reset, or a protocol-violating extra byte — means
-// the conversation is over. Without the watcher a dead tailer is only
-// discovered on the next write: a quiet feed would leave its subscriber
-// registered (and a Block-policy ring able to stall the producer)
-// indefinitely.
-func (s *Server) watchConn(conn net.Conn, sub *Subscriber) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		var buf [1]byte
-		_, _ = conn.Read(buf[:])
-		sub.Close() // wakes the pump's Recv; untrack detaches the ring
-	}()
-}
-
-// superviseHeartbeat runs the active liveness pair for one connection:
-// a pinger writing probes every interval and a reader that demands each
-// pong inside interval+grace. Either side failing reaps the subscriber at
-// that moment — the reap point where the ring detaches and (through
-// detach) its per-subscriber obs metrics unregister.
-func (s *Server) superviseHeartbeat(conn net.Conn, wc *wire.Conn, tc *tailConn, sub *Subscriber) {
-	hb := s.hb
-	deadline := hb.Interval + hb.grace()
-	done := make(chan struct{})
-	s.wg.Add(2)
-	go func() { // reader: the client's only legal frames after Subscribe are pongs
-		defer s.wg.Done()
-		defer close(done)
-		defer sub.Close()
-		for {
-			_ = conn.SetReadDeadline(time.Now().Add(deadline))
-			var pong wire.Pong
-			if err := wc.ReadFrame(&pong); err != nil {
-				return // timeout (half-open), EOF, or a protocol violation
-			}
-		}
-	}()
-	go func() { // pinger
-		defer s.wg.Done()
-		t := time.NewTicker(hb.Interval)
-		defer t.Stop()
-		var seq uint64
-		for {
-			select {
-			case <-t.C:
-				seq++
-				if tc.write(&wire.Ping{Seq: seq}) != nil {
-					sub.Close()
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-}
-
-// serveTail runs the snapshot-then-follow protocol: history, the
-// snapshot-end marker, then the live feed — against the resolved tenant's
-// broker and store. The snapshot's frames are queued and go out in batches;
-// the snapshot-end marker writes whatever is still queued.
-func (s *Server) serveTail(conn net.Conn, wc *wire.Conn, tc *tailConn, broker *Broker, db *tracedb.DB, opts SubOptions) {
-	tail := broker.Tail(db, opts)
+// serveTail runs one subscription to its end against the resolved
+// tenant's broker and store. A tail with a store replays its history first:
+// the snapshot's frames are queued and go out in batches, and the
+// snapshot-end marker writes whatever is still queued. Every tail then
+// follows the live feed.
+func (s *Server) serveTail(conn net.Conn, tc *tailConn, tail *Tail) {
 	// Close the whole tail, not just its subscriber: a client that dies
 	// mid-snapshot abandons the iterator, and an unreleased iterator pins
 	// segment files the lifecycle engine has retired.
 	defer tail.Close()
-	if !s.track(conn, tail.Subscriber()) {
+	sub := tail.Subscriber()
+	// Draining detaches the subscriber without severing the connection: no
+	// new events enter the ring, and the pump flushes what it holds.
+	if !s.wl.OnDrain(conn, sub.Close) {
 		return
 	}
-	defer s.untrack(conn, tail.Subscriber())
-	s.supervise(conn, wc, tc, tail.Subscriber())
-
-	err := tail.Snapshot(func(r *store.Record) error {
-		return tc.queue(wire.Event{Kind: wire.EventTrace, Record: r})
-	})
-	if err != nil {
-		_ = tc.write(wire.Event{Kind: wire.EventError, Error: err.Error()})
-		return
+	stop := s.supervise(conn, tc, sub)
+	defer stop()
+	if tail.it != nil {
+		err := tail.Snapshot(func(r *store.Record) error {
+			return tc.queue(wire.Event{Kind: wire.EventTrace, Record: r})
+		})
+		if err != nil {
+			_ = tc.write(wire.Event{Kind: wire.EventError, Error: err.Error()})
+			return
+		}
+		if tc.write(wire.Event{Kind: wire.EventSnapshotEnd}) != nil {
+			return
+		}
 	}
-	if tc.write(wire.Event{Kind: wire.EventSnapshotEnd}) != nil {
-		return
-	}
-	s.pump(tc, tail.drain, tail.Subscriber().name)
+	s.pump(tc, tail)
 }
 
-// pump forwards live events until the client disconnects or the
-// subscription closes. drain is the subscription's Subscriber.drain, or
-// Tail.drain to drop the live events a snapshot already replayed. Each
-// wakeup drains everything the ring holds and queues it as frames; the
-// queued frames are written once the ring is empty, before the pump waits
-// for more (and whenever a full write buffer or a heartbeat ping writes
-// them sooner). name labels delivery spans.
-func (s *Server) pump(tc *tailConn, drain func([]Event, bool) ([]Event, uint64, bool), name string) {
+// supervise starts the connection's one reader and, with heartbeats on,
+// its pinger. After Subscribe a client may only send pongs, so any other
+// frame, EOF, a reset or — with heartbeats on — no frame within Interval
+// plus the grace (a half-open peer) closes the subscriber. That is the reap
+// point: the ring detaches, its obs metrics unregister, and the pump's wait
+// ends. The returned stop closes the connection, which ends the reader, and
+// waits for both goroutines.
+func (s *Server) supervise(conn net.Conn, tc *tailConn, sub *Subscriber) (stop func()) {
+	hb := s.hb
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		defer sub.Close()
+		for {
+			if hb.Interval > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(hb.Interval + hb.grace()))
+			}
+			var pong wire.Pong
+			if tc.wc.ReadFrame(&pong) != nil {
+				return // timeout (half-open), EOF, or a protocol violation
+			}
+		}
+	}()
+	if hb.Interval > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t := time.NewTicker(hb.Interval)
+			defer t.Stop()
+			for seq := uint64(1); ; seq++ {
+				select {
+				case <-t.C:
+					if tc.write(&wire.Ping{Seq: seq}) != nil {
+						sub.Close()
+						return
+					}
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	return func() {
+		_ = conn.Close()
+		wg.Wait()
+	}
+}
+
+// pump forwards a tail's live events until the client disconnects or the
+// subscription closes. Tail.drain drops the live events a snapshot already
+// replayed. Each wakeup drains everything the ring holds and queues it as
+// frames; the queued frames are written once the ring is empty, before the
+// pump waits for more (and whenever a full write buffer or a heartbeat ping
+// writes them sooner).
+func (s *Server) pump(tc *tailConn, tail *Tail) {
 	var (
 		batch    []Event
 		dropped  uint64
@@ -393,7 +323,7 @@ func (s *Server) pump(tc *tailConn, drain func([]Event, bool) ([]Event, uint64, 
 		wait     bool
 	)
 	for {
-		batch, dropped, ok = drain(batch[:0], wait)
+		batch, dropped, ok = tail.drain(batch[:0], wait)
 		if !ok {
 			_ = tc.flush() // the tail ends either way; a dead client just misses the rest
 			return
@@ -407,7 +337,7 @@ func (s *Server) pump(tc *tailConn, drain func([]Event, bool) ([]Event, uint64, 
 		}
 		wait = false
 		for i := range batch {
-			if s.queueEvent(tc, &batch[i], name, dropped, &reported) != nil {
+			if s.queueEvent(tc, &batch[i], tail.sub.name, dropped, &reported) != nil {
 				return
 			}
 		}
@@ -451,93 +381,6 @@ func (s *Server) queueEvent(tc *tailConn, ev *Event, name string, dropped uint64
 		s.spans.Record(sp)
 	}
 	return err
-}
-
-// track registers a connection's subscriber for shutdown; it reports false
-// when the server is already closed.
-func (s *Server) track(conn net.Conn, sub *Subscriber) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[conn] = sub
-	return true
-}
-
-func (s *Server) untrack(conn net.Conn, sub *Subscriber) {
-	sub.Close()
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-}
-
-// Close stops the listener, closes every live tail, and waits for the
-// connection goroutines to exit.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn, sub := range s.conns {
-		if sub != nil {
-			sub.Close() // unblocks Recv
-		}
-		// A nil sub is a connection still negotiating or awaiting its
-		// subscribe frame; closing the conn unblocks that read.
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// Drain is graceful shutdown: stop accepting, detach every subscriber from
-// its broker (no new events enter the rings), let each pump flush its
-// already-buffered events to its client, and wait for the connection
-// goroutines — up to ctx's deadline, after which the remaining connections
-// are severed Close-style. It returns nil when every tail flushed in time,
-// ctx.Err() otherwise. Close afterwards is a harmless no-op.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	for conn, sub := range s.conns {
-		if sub != nil {
-			// Detaching (not severing) lets Recv drain the ring: the pump
-			// writes out the buffered backlog, then exits on ring empty.
-			sub.Close()
-		} else {
-			// Still negotiating: nothing buffered to flush.
-			_ = conn.Close()
-		}
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
 }
 
 // subOptions maps a validated Subscribe frame onto broker options.

@@ -27,16 +27,18 @@ type Tail struct {
 	sub      *Subscriber
 	it       *tracedb.Iterator
 	boundary uint64 // highest snapshot seq + 1; live events below it are duplicates
-	snapDone bool
 	dups     uint64
 }
 
 // Tail opens a snapshot-then-follow subscription over db. Call Snapshot to
 // drain the historical records, then Recv for live events; Close when done.
+// A nil db opens a plain live tail: Snapshot replays nothing.
 func (b *Broker) Tail(db *tracedb.DB, opts SubOptions) *Tail {
-	sub := b.Subscribe(opts)   // 1: live events start buffering now
-	it := db.Scan(opts.Filter) // 2: snapshot covers everything committed before 1
-	return &Tail{sub: sub, it: it}
+	t := &Tail{sub: b.Subscribe(opts)} // 1: live events start buffering now
+	if db != nil {
+		t.it = db.Scan(opts.Filter) // 2: snapshot covers everything committed before 1
+	}
+	return t
 }
 
 // Snapshot streams every historical record (already filtered, in sequence
@@ -46,6 +48,9 @@ func (b *Broker) Tail(db *tracedb.DB, opts SubOptions) *Tail {
 // the snapshot scan's read error, if any. Must be called (to completion)
 // before Recv.
 func (t *Tail) Snapshot(fn func(*store.Record) error) error {
+	if t.it == nil {
+		return nil
+	}
 	for t.it.Next() {
 		r := t.it.Ref()
 		t.boundary = r.Seq + 1
@@ -53,7 +58,6 @@ func (t *Tail) Snapshot(fn func(*store.Record) error) error {
 			return err
 		}
 	}
-	t.snapDone = true
 	return t.it.Err()
 }
 
@@ -102,5 +106,7 @@ func (t *Tail) Subscriber() *Subscriber { return t.sub }
 // the store's lifecycle engine has retired.
 func (t *Tail) Close() {
 	t.sub.Close()
-	t.it.Close()
+	if t.it != nil {
+		t.it.Close()
+	}
 }

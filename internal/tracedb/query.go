@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"rad/internal/parallel"
 	"rad/internal/store"
 )
 
@@ -366,65 +365,15 @@ func (it *Iterator) release() {
 	releasePlans(it.plans)
 }
 
-// collectChunk is one unit of Collect's fan-out: a run of candidate blocks
-// within a single segment, sized by payload so dense compacted stores (few
-// segments, big blocks) parallelize as well as fragmented ones.
-type collectChunk struct {
-	seg     *segment
-	blocks  []blockMeta
-	covered []bool
-}
-
-// collectChunkBytes is the target decoded payload per parallel work unit.
-const collectChunkBytes = 1 << 20
-
-// Collect materializes the records matching q in sequence order, fanning
-// the block reads out across payload-sized chunks on the shared worker
-// pool. The result is identical to draining Scan(q) at the same snapshot.
+// Collect materializes the records matching q in sequence order: Scan(q),
+// drained into a slice.
 func (db *DB) Collect(q Query) ([]store.Record, error) {
-	plans, tail := db.plan(q)
-	defer releasePlans(plans)
-	var chunks []collectChunk
-	for _, p := range plans {
-		start, payload := 0, int64(0)
-		for i := range p.blocks {
-			payload += int64(p.blocks[i].payloadLen)
-			if payload >= collectChunkBytes {
-				chunks = append(chunks, collectChunk{p.seg, p.blocks[start : i+1], p.covered[start : i+1]})
-				start, payload = i+1, 0
-			}
-		}
-		if start < len(p.blocks) {
-			chunks = append(chunks, collectChunk{p.seg, p.blocks[start:], p.covered[start:]})
-		}
+	it := db.Scan(q)
+	var out []store.Record
+	for it.Next() {
+		out = append(out, it.Record())
 	}
-	per, err := parallel.Map(chunks, 0, func(_ int, c collectChunk) ([]store.Record, error) {
-		var out []store.Record
-		var scratch []byte
-		for i, m := range c.blocks {
-			filter := &q
-			if c.covered[i] {
-				filter = nil
-			}
-			var err error
-			if out, err = c.seg.readBlock(m, &scratch, out, filter); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := len(tail)
-	for _, s := range per {
-		total += len(s)
-	}
-	out := make([]store.Record, 0, total)
-	for _, s := range per {
-		out = append(out, s...)
-	}
-	return append(out, tail...), nil
+	return out, it.Err()
 }
 
 // CountByCommand returns the number of records per command type

@@ -4,8 +4,7 @@ package rad_test
 // restarted mid-campaign while a fleet of auto-reconnecting tails consumes
 // the trace feed. Every tail must observe every record exactly once — no
 // gaps across the outage, no duplicates from the resume replay — and the
-// whole run must be byte-reproducible per seed. Test names deliberately match the CI
-// resilience shakeout's -run filter (Resume|Reconnect|Drain|Heartbeat).
+// whole run must be byte-reproducible per seed.
 
 import (
 	"crypto/sha256"
