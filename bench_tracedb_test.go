@@ -1,9 +1,9 @@
 package rad_test
 
-// Benchmarks for the persistent trace store: ingest throughput through the
-// Batcher flush boundary, and the payoff of the per-segment posting lists —
-// an indexed per-command-type scan against a full-segment scan over the
-// same campaign. Run:
+// Benchmarks for the persistent trace store: batched ingest throughput,
+// and the payoff of the per-segment posting lists — an indexed
+// per-command-type scan against a full-segment scan over the same
+// campaign. Run:
 //
 //	go test -bench=BenchmarkTraceDB -benchmem
 
@@ -45,18 +45,17 @@ func BenchmarkTraceDBAppend(b *testing.B) {
 func BenchmarkTraceDBScanIndexed(b *testing.B) {
 	ds := benchDataset(b)
 	recs := ds.Store.All()
-	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{})
+	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{BlockRecords: 512})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	bt := rad.NewTraceBatcher(db, 512)
 	for _, r := range recs {
-		if err := bt.Append(r); err != nil {
+		if err := db.Append(r); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := bt.Flush(); err != nil {
+	if err := db.Flush(); err != nil {
 		b.Fatal(err)
 	}
 
@@ -204,18 +203,17 @@ func BenchmarkCompactedScanIndexed(b *testing.B) {
 func BenchmarkPlannerSelectivity(b *testing.B) {
 	ds := benchDataset(b)
 	recs := ds.Store.All()
-	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{})
+	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{BlockRecords: 512})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	bt := rad.NewTraceBatcher(db, 512)
 	for _, r := range recs {
-		if err := bt.Append(r); err != nil {
+		if err := db.Append(r); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := bt.Flush(); err != nil {
+	if err := db.Flush(); err != nil {
 		b.Fatal(err)
 	}
 

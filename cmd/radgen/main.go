@@ -108,27 +108,22 @@ func run(args []string) error {
 	return nil
 }
 
-// writeTraceDB ingests the campaign into a persistent tracedb store through
-// the Batcher flush boundary, so each flush lands as one on-disk block. With
-// a dead-letter directory it then folds the spilled records of a crashed or
-// fault-injected middlebox into the same store, returning how many it
-// recovered; with compact set it finishes with a lifecycle compaction pass.
+// writeTraceDB ingests the campaign into a persistent tracedb store,
+// staging 4096 records per on-disk block. With a dead-letter directory it
+// then folds the spilled records of a crashed or fault-injected middlebox
+// into the same store, returning how many it recovered; with compact set it
+// finishes with a lifecycle compaction pass.
 func writeTraceDB(dir, dlqDir string, records []store.Record, compact bool) (int, tracedb.CompactStats, error) {
 	var cs tracedb.CompactStats
-	db, err := tracedb.Open(dir, tracedb.Options{})
+	db, err := tracedb.Open(dir, tracedb.Options{BlockRecords: 4096})
 	if err != nil {
 		return 0, cs, err
 	}
-	b := store.NewBatcher(db, 4096)
 	for _, r := range records {
-		if err := b.Append(r); err != nil {
+		if err := db.Append(r); err != nil {
 			db.Close()
 			return 0, cs, fmt.Errorf("ingest tracedb: %w", err)
 		}
-	}
-	if err := b.Flush(); err != nil {
-		db.Close()
-		return 0, cs, fmt.Errorf("ingest tracedb: %w", err)
 	}
 	reingested := 0
 	if dlqDir != "" {

@@ -1,6 +1,7 @@
 // Command radmiddlebox runs a standalone trusted middlebox: it hosts the
 // five simulated Hein Lab devices, serves the wire protocol over TCP, and
-// logs every command to a persistent tracedb store and/or JSONL/CSV trace
+// logs every command once, to a persistent tracedb store (or an in-memory
+// one without -store), exporting each committed record to JSONL/CSV trace
 // files — the deployment of Fig. 1 with the physical devices replaced by
 // simulators and the MongoDB instance by the embedded store.
 //
@@ -40,6 +41,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -159,11 +162,14 @@ func run(args []string, stop <-chan struct{}) error {
 		spanTenant = fleet.DefaultTenant
 	}
 
-	// Trace sinks: in-memory store for stats plus the optional persistent
-	// store and file logs.
-	mem := store.NewMemStore()
-	sinks := []store.Sink{mem}
-	var flushers []interface{ Flush() error }
+	// The sequencing sink is the one commit point: the tracedb with -store,
+	// else an in-memory store. Each record is appended there once; the
+	// trace exports, the record count and the live broker ride its commit
+	// hook, so none of them can refuse or duplicate a committed record.
+	var seq interface {
+		store.Sink
+		store.Notifier
+	}
 	var tdb *tracedb.DB
 	if *storeDir != "" {
 		db, err := tracedb.Open(*storeDir, tracedb.Options{Clock: clock,
@@ -176,44 +182,18 @@ func run(args []string, stop <-chan struct{}) error {
 			return err
 		}
 		defer db.Close()
-		tdb = db
-		sinks = append(sinks, tdb)
+		tdb, seq = db, db
 		if reg != nil {
 			tdb.Observe(reg)
 		}
-	}
-	if reg != nil {
-		mem.Observe(reg)
-	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
+	} else {
+		mem := store.NewMemStore()
+		if reg != nil {
+			mem.Observe(reg)
 		}
-		defer f.Close()
-		w := store.NewJSONLWriter(f)
-		sinks = append(sinks, w)
-		flushers = append(flushers, w)
+		seq = mem
 	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := store.NewCSVWriter(f)
-		sinks = append(sinks, w)
-		flushers = append(flushers, w)
-	}
-
-	// The tee forwards commit notifications from its sequencing sink (the
-	// tracedb when present, else the memory store) so an attached broker
-	// publishes records with their authoritative sequence numbers.
-	var seqSink store.Sink = mem
-	if tdb != nil {
-		seqSink = tdb
-	}
-	var sink store.Sink = &teeSink{sinks: sinks, seq: seqSink}
+	var sink store.Sink = seq
 	if faults.SinkErrProb > 0 {
 		flaky := fault.WrapSink(sink, faults, *seed+9)
 		if reg != nil {
@@ -245,6 +225,31 @@ func run(args []string, stop <-chan struct{}) error {
 			failover.Observe(reg)
 		}
 		sink = failover
+	}
+
+	// The record count and the exports attach after re-ingest, so they
+	// cover this run's records only.
+	var logged atomic.Uint64
+	seq.SetOnCommit(func(recs []store.Record) { logged.Add(uint64(len(recs))) })
+	var exports []*export
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		exports = append(exports, &export{path: *tracePath, f: f, w: store.NewJSONLWriter(f)})
+	}
+	if *csvPath != "" {
+		f, err := os.Create(*csvPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		exports = append(exports, &export{path: *csvPath, f: f, w: store.NewCSVWriter(f)})
+	}
+	for _, e := range exports {
+		seq.SetOnCommit(e.write)
 	}
 	core := middlebox.NewCore(clock, sink)
 	core.SetSpans(spans, spanTenant)
@@ -466,14 +471,12 @@ func run(args []string, stop <-chan struct{}) error {
 	} else if err := srv.Close(); err != nil {
 		return err
 	}
-	for _, f := range flushers {
-		if err := f.Flush(); err != nil {
-			return err
-		}
-	}
 	stats := core.Snapshot()
-	fmt.Printf("\nshut down: %d execs, %d trace uploads, %d pings, %d errors; %d records logged\n",
-		stats.Execs, stats.Traces, stats.Pings, stats.Errors, mem.Len())
+	fmt.Printf("\nshut down: %d execs, %d trace uploads, %d pings, %d errors; %d records logged, %d sink refusals\n",
+		stats.Execs, stats.Traces, stats.Pings, stats.Errors, logged.Load(), stats.SinkErrors)
+	for _, e := range exports {
+		fmt.Printf("export %s: %d write failures\n", e.path, e.close())
+	}
 	if fleetRouter != nil {
 		fst := fleetRouter.Snapshot()
 		fmt.Printf("fleet: %d tenant labs, %d requests routed, %d rejected\n",
@@ -553,27 +556,41 @@ var (
 	obsReady    chan string
 )
 
-// teeSink fans records to all sinks and forwards commit notifications from
-// its designated sequencing sink, so Middlebox.AttachBroker sees a
-// TraceNotifier and wires the broker to authoritative sequence numbers.
-type teeSink struct {
-	sinks []store.Sink
-	seq   store.Sink
+// export writes the committed records to a trace file from the
+// sequencing sink's commit hook, which runs once per record in seq order.
+// It never refuses a record: a failed write is counted for the shutdown
+// summary.
+type export struct {
+	path string
+	f    *os.File
+	w    interface {
+		Append(store.Record) error
+		Flush() error
+	}
+	mu       sync.Mutex // orders the hook against the shutdown close
+	failures int
 }
 
-func (t *teeSink) Append(r store.Record) error {
-	for _, s := range t.sinks {
-		if err := s.Append(r); err != nil {
-			return err
+func (e *export) write(recs []store.Record) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, r := range recs {
+		if e.w.Append(r) != nil {
+			e.failures++
 		}
 	}
-	return nil
 }
 
-// SetOnCommit implements store.Notifier by delegating to the sequencing
-// sink.
-func (t *teeSink) SetOnCommit(fn func([]store.Record)) {
-	if n, ok := t.seq.(store.Notifier); ok {
-		n.SetOnCommit(fn)
+// close writes out buffered records and closes the file, returning the
+// export's write failures; a failed flush or close counts as one more.
+func (e *export) close() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.w.Flush() != nil {
+		e.failures++
 	}
+	if e.f.Close() != nil {
+		e.failures++
+	}
+	return e.failures
 }

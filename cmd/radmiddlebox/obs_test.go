@@ -97,7 +97,7 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 		"rad_tracedb_records",
 		"rad_stream_published_total",
 		"rad_fault_injected_total",
-		"rad_store_records",
+		"rad_middlebox_sink_errors_total",
 		"rad_parallel_calls_total",
 	} {
 		if !strings.Contains(body, family) {

@@ -172,20 +172,17 @@ func (f *FaultyDevice) Exec(cmd device.Command) (string, error) {
 }
 
 // FlakySink wraps a store.Sink with injected write errors, for exercising
-// sink failover. It forwards batches as batches (preserving tracedb block
-// boundaries) and passes commit-hook installation through to the wrapped
-// sink, so a broker attached above a FlakySink still sees authoritative
-// sequence numbers.
+// sink failover. An injected error refuses the record before it reaches
+// the wrapped sink, so it is never committed. Commit-hook installation
+// passes through to the wrapped sink, so a broker attached above a
+// FlakySink still sees authoritative sequence numbers.
 type FlakySink struct {
 	sink store.Sink
 	dec  *decider
 	obs  *injObs // nil unless Observe was called
 }
 
-var (
-	_ store.Sink      = (*FlakySink)(nil)
-	_ store.BatchSink = (*FlakySink)(nil)
-)
+var _ store.Sink = (*FlakySink)(nil)
 
 // WrapSink wraps sink with Profile.SinkErrProb write failures.
 func WrapSink(sink store.Sink, p Profile, seed uint64) *FlakySink {
@@ -204,18 +201,6 @@ func (f *FlakySink) Append(r store.Record) error {
 		return &Fault{Kind: KindSink, Target: "sink"}
 	}
 	return f.sink.Append(r)
-}
-
-// AppendBatch implements store.BatchSink. A fault fails the whole batch
-// (the failure unit the dead-letter queue spills).
-func (f *FlakySink) AppendBatch(recs []store.Record) error {
-	if f.dec.next().sinkErr {
-		if o := f.obs; o != nil {
-			o.sinkErr.Inc()
-		}
-		return &Fault{Kind: KindSink, Target: "sink"}
-	}
-	return store.AppendAll(f.sink, recs)
 }
 
 // SetOnCommit implements store.Notifier when the wrapped sink does;

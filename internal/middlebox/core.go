@@ -98,10 +98,11 @@ type Core struct {
 
 	// Request counters are atomics so that concurrent device sessions never
 	// serialize on the registry lock just to bump a statistic.
-	execs  atomic.Uint64
-	traces atomic.Uint64
-	pings  atomic.Uint64
-	errors atomic.Uint64
+	execs    atomic.Uint64
+	traces   atomic.Uint64
+	pings    atomic.Uint64
+	errors   atomic.Uint64
+	sinkErrs atomic.Uint64 // records the trace sink refused
 
 	// Resilience counters (hardened exec path only).
 	timeouts  atomic.Uint64 // attempts that exceeded the exec deadline
@@ -116,6 +117,9 @@ type Stats struct {
 	Traces uint64 // DIRECT-mode trace uploads
 	Pings  uint64
 	Errors uint64 // requests that produced an error reply
+	// SinkErrors counts trace records the sink refused. The request still
+	// succeeded: tracing must not break the lab (§III).
+	SinkErrors uint64
 	// Subscribers holds per-subscriber live-stream delivery accounting when a
 	// broker is attached (nil otherwise).
 	Subscribers []stream.SubscriberStats
@@ -216,6 +220,7 @@ func (c *Core) Snapshot() Stats {
 		Traces:      c.traces.Load(),
 		Pings:       c.pings.Load(),
 		Errors:      c.errors.Load(),
+		SinkErrors:  c.sinkErrs.Load(),
 		Subscribers: c.broker.Stats(), // nil-safe: nil broker reports nil
 		Resilience:  c.resilience(),
 	}
@@ -353,13 +358,14 @@ func (c *Core) log(rec store.Record) {
 	if c.sink == nil {
 		return
 	}
-	// Trace logging must never fail the command path; the middlebox drops
-	// the record if the sink errors (a full disk must not stop the lab).
-	// Traced records get a store-append child span bracketing the write —
-	// under a virtual clock the bracket is zero-width and deterministic.
+	// Trace logging must never fail the command path: a refused record is
+	// counted, not returned (a full disk must not stop the lab). Traced
+	// records get a store-append child span bracketing the write — under a
+	// virtual clock the bracket is zero-width and deterministic.
+	var err error
 	if rec.TraceID != 0 {
 		start := c.clock.Now()
-		err := c.sink.Append(rec)
+		err = c.sink.Append(rec)
 		s := span.Span{TraceID: rec.TraceID, SpanID: c.spans.NewID(), ParentID: rec.SpanID,
 			Name: "store.append", Tenant: c.spanTenant, Start: start, End: c.clock.Now()}
 		if err != nil {
@@ -367,7 +373,10 @@ func (c *Core) log(rec store.Record) {
 		}
 		c.spans.Record(s)
 	} else {
-		_ = c.sink.Append(rec)
+		err = c.sink.Append(rec)
+	}
+	if err != nil {
+		c.sinkErrs.Add(1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package middlebox
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,40 @@ func TestCoreNilSink(t *testing.T) {
 	reply := core.Handle(wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init})
 	if reply.Error != "" {
 		t.Errorf("exec with nil sink: %+v", reply)
+	}
+}
+
+// refusingSink refuses every record, like a full disk.
+type refusingSink struct{}
+
+func (refusingSink) Append(store.Record) error { return errors.New("disk full") }
+
+// TestCoreCountsSinkRefusals: a refused trace record never fails the lab
+// command, and it is counted. Behind a FailoverSink the record spills to
+// the dead-letter queue instead, so nothing is refused.
+func TestCoreCountsSinkRefusals(t *testing.T) {
+	dlq, err := store.OpenDLQ(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sink store.Sink
+		want uint64
+	}{
+		{"bare", refusingSink{}, 1},
+		{"failover", store.NewFailoverSink(refusingSink{}, dlq), 0},
+	} {
+		clock := simclock.NewVirtual(time.Unix(0, 0))
+		core := NewCore(clock, tc.sink)
+		core.Register(c9.New(device.NewEnv(clock, 1)))
+		reply := core.Handle(wire.Request{ID: 1, Op: wire.OpExec, Device: "C9", Name: device.Init})
+		if reply.Error != "" || reply.Value != "ok" {
+			t.Errorf("%s: exec reply = %+v, want success", tc.name, reply)
+		}
+		if got := core.Snapshot().SinkErrors; got != tc.want {
+			t.Errorf("%s: SinkErrors = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

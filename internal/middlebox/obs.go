@@ -27,6 +27,8 @@ func (c *Core) Observe(reg *obs.Registry) {
 	reg.CounterFunc("rad_middlebox_requests_total", c.pings.Load, "op", "ping")
 	reg.SetHelp("rad_middlebox_errors_total", "Requests that produced an error reply.")
 	reg.CounterFunc("rad_middlebox_errors_total", c.errors.Load)
+	reg.SetHelp("rad_middlebox_sink_errors_total", "Trace records the sink refused; the request itself still succeeded.")
+	reg.CounterFunc("rad_middlebox_sink_errors_total", c.sinkErrs.Load)
 	reg.SetHelp("rad_middlebox_exec_seconds", "REMOTE-mode exec latency as the client sees it, retries included.")
 
 	// Hardened exec path activity (all zero when no ExecPolicy is set).

@@ -73,8 +73,6 @@ func (c *CSVWriter) AppendBatch(recs []Record) error {
 	return c.Flush()
 }
 
-var _ BatchSink = (*CSVWriter)(nil)
-
 // Flush flushes buffered rows to the underlying writer.
 func (c *CSVWriter) Flush() error {
 	c.w.Flush()

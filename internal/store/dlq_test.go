@@ -151,14 +151,16 @@ func TestFailoverSinkSpillsAndRecovers(t *testing.T) {
 	if err := sink.Append(sampleRecord(0)); err != nil {
 		t.Fatalf("failover append: %v", err)
 	}
-	if err := sink.AppendBatch([]Record{sampleRecord(1), sampleRecord(2)}); err != nil {
-		t.Fatalf("failover batch: %v", err)
+	for i := 1; i <= 2; i++ {
+		if err := sink.Append(sampleRecord(i)); err != nil {
+			t.Fatalf("failover append %d: %v", i, err)
+		}
 	}
 	if primary.inner.Len() != 0 {
 		t.Fatal("records reached a refusing primary")
 	}
 	st := sink.Stats()
-	if st.PrimaryErrors != 2 || st.SpilledRecords != 3 {
+	if st.PrimaryErrors != 3 || st.SpilledRecords != 3 {
 		t.Errorf("stats = %+v", st)
 	}
 
@@ -167,14 +169,21 @@ func TestFailoverSinkSpillsAndRecovers(t *testing.T) {
 	if err := sink.Append(sampleRecord(3)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := q.Drain(func(recs []Record) error { return AppendAll(primary, recs) })
+	n, err := q.Drain(func(recs []Record) error {
+		for _, r := range recs {
+			if err := primary.Append(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil || n != 3 {
 		t.Fatalf("drain = %d, %v", n, err)
 	}
 	if primary.inner.Len() != 4 {
 		t.Fatalf("primary holds %d records, want 4", primary.inner.Len())
 	}
-	if st := sink.Stats(); st.PrimaryErrors != 2 {
+	if st := sink.Stats(); st.PrimaryErrors != 3 {
 		t.Errorf("healed appends counted as errors: %+v", st)
 	}
 }

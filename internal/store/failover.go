@@ -7,17 +7,15 @@ import (
 )
 
 // FailoverSink makes a primary sink's Append path lossless under write
-// errors: a record or batch the primary refuses is spilled to a
-// disk-backed DeadLetterQueue instead of being dropped, and the append
-// reports success — the record is accepted, just deferred. Re-ingest the
-// queue into the primary once it recovers (tracedb.DB.Reingest, or any
-// Drain loop).
+// errors: a record the primary refuses is spilled to a disk-backed
+// DeadLetterQueue instead of being dropped, and the append reports success
+// — the record is accepted, just deferred. Re-ingest the queue into the
+// primary once it recovers (tracedb.DB.Reingest, or any Drain loop).
 //
-// Failover is at-least-once at the batch granularity: if a per-record
-// fallback half-commits a batch before erroring, the whole batch is
-// spilled and the committed prefix will appear twice after re-ingest.
-// With the repo's sinks (MemStore, tracedb) batches commit atomically, so
-// this does not arise in practice.
+// A record lands in the primary or the DLQ, never both, because the
+// primaries used here (MemStore, tracedb.DB, or a fault.FlakySink over
+// either) refuse only records they did not commit: a refused record got no
+// sequence number and no commit hook saw it.
 type FailoverSink struct {
 	primary Sink
 	dlq     *DeadLetterQueue
@@ -32,10 +30,7 @@ type FailoverSink struct {
 	primaryErrs atomic.Uint64
 }
 
-var (
-	_ Sink      = (*FailoverSink)(nil)
-	_ BatchSink = (*FailoverSink)(nil)
-)
+var _ Sink = (*FailoverSink)(nil)
 
 // NewFailoverSink wraps primary with spill-to-dlq failover.
 func NewFailoverSink(primary Sink, dlq *DeadLetterQueue) *FailoverSink {
@@ -49,26 +44,20 @@ func (s *FailoverSink) SetSpans(r *span.Recorder, tenant string) {
 	s.spanTenant = tenant
 }
 
-// recordSpills emits one "dlq.spill" span per traced record in a spilled
-// batch. Point events at the record's own end time: the store has no clock
-// (by design — virtual-clock campaigns must stay deterministic), and the
-// spill's significance is which trace it happened to, not how long the
+// recordSpill emits a "dlq.spill" span when the refused record is traced.
+// The span is a point event at the record's own end time: the store has no
+// clock (by design — virtual-clock campaigns must stay deterministic), and
+// the spill's significance is which trace it happened to, not how long the
 // disk write took.
-func (s *FailoverSink) recordSpills(recs []Record) {
-	if !s.spans.Enabled() {
+func (s *FailoverSink) recordSpill(r *Record) {
+	if r.TraceID == 0 || !s.spans.Enabled() {
 		return
 	}
-	for i := range recs {
-		r := &recs[i]
-		if r.TraceID == 0 {
-			continue
-		}
-		sp := span.Span{TraceID: r.TraceID, SpanID: s.spans.NewID(), ParentID: r.SpanID,
-			Name: "dlq.spill", Tenant: s.spanTenant, Outcome: span.OutcomeError,
-			Start: r.EndTime, End: r.EndTime}
-		sp.SetAttr("device", r.Device)
-		s.spans.Record(sp)
-	}
+	sp := span.Span{TraceID: r.TraceID, SpanID: s.spans.NewID(), ParentID: r.SpanID,
+		Name: "dlq.spill", Tenant: s.spanTenant, Outcome: span.OutcomeError,
+		Start: r.EndTime, End: r.EndTime}
+	sp.SetAttr("device", r.Device)
+	s.spans.Record(sp)
 }
 
 // Append implements Sink. It only fails when both the primary and the
@@ -76,19 +65,8 @@ func (s *FailoverSink) recordSpills(recs []Record) {
 func (s *FailoverSink) Append(r Record) error {
 	if err := s.primary.Append(r); err != nil {
 		s.primaryErrs.Add(1)
-		s.recordSpills([]Record{r})
+		s.recordSpill(&r)
 		return s.dlq.Spill([]Record{r})
-	}
-	return nil
-}
-
-// AppendBatch implements BatchSink; a refused batch is spilled whole,
-// preserving the flush boundary for re-ingest.
-func (s *FailoverSink) AppendBatch(recs []Record) error {
-	if err := AppendAll(s.primary, recs); err != nil {
-		s.primaryErrs.Add(1)
-		s.recordSpills(recs)
-		return s.dlq.Spill(recs)
 	}
 	return nil
 }

@@ -51,8 +51,6 @@ func (j *JSONLWriter) AppendBatch(recs []Record) error {
 	return j.Flush()
 }
 
-var _ BatchSink = (*JSONLWriter)(nil)
-
 // Flush flushes buffered lines to the underlying writer.
 func (j *JSONLWriter) Flush() error {
 	if err := j.w.Flush(); err != nil {
@@ -83,32 +81,3 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 	}
 	return out, nil
 }
-
-// Tee fans a record out to several sinks, stopping at the first error — used
-// when the middlebox logs to both the document store and a CSV file.
-type Tee []Sink
-
-var _ Sink = Tee(nil)
-
-// Append forwards r to every sink in order.
-func (t Tee) Append(r Record) error {
-	for _, s := range t {
-		if err := s.Append(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AppendBatch forwards the batch to every sink in order, preserving each
-// sink's own batching fast path.
-func (t Tee) AppendBatch(recs []Record) error {
-	for _, s := range t {
-		if err := AppendAll(s, recs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-var _ BatchSink = Tee(nil)

@@ -12,14 +12,18 @@ type Sink interface {
 }
 
 // Notifier is implemented by sequencing sinks (MemStore, tracedb.DB) that
-// can invoke a commit hook with seq-assigned records. The hook fires exactly
-// once per record, in sequence order, after the record is visible to the
-// sink's readers — the contract a live-stream broker needs to guarantee
-// gap-free snapshot-then-follow handoff.
+// can invoke commit hooks with seq-assigned records. A sequencing sink is a
+// deployment's one commit point: the live-stream broker, trace exports and
+// counters all consume its hooks instead of being appended to themselves.
+// Every hook fires exactly once per record, in sequence order, after the
+// record is visible to the sink's readers — the contract a live-stream
+// broker needs to guarantee gap-free snapshot-then-follow handoff.
 //
-// The hook runs while the sink's internal lock is held: it must be fast,
-// must not call back into the sink, and must not retain the slice (the
-// backing array is reused).
+// SetOnCommit adds a hook; it never replaces one. Hooks run in the order
+// they were added, each seeing every record committed after it was added.
+// They run while the sink's internal lock is held: they must be fast, must
+// not call back into the sink, and must not retain the slice (the backing
+// array is reused).
 type Notifier interface {
 	SetOnCommit(fn func(recs []Record))
 }
@@ -31,7 +35,7 @@ type MemStore struct {
 	mu       sync.RWMutex
 	records  []Record
 	nextSeq  uint64
-	onCommit func(recs []Record)
+	onCommit []func(recs []Record)
 }
 
 var (
@@ -42,12 +46,18 @@ var (
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// SetOnCommit installs the commit hook (see Notifier). Only one hook is
-// held; a later call replaces the earlier one.
+// SetOnCommit adds a commit hook (see Notifier).
 func (s *MemStore) SetOnCommit(fn func(recs []Record)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.onCommit = fn
+	s.onCommit = append(s.onCommit, fn)
+}
+
+// commit runs the hooks over newly stored records. Caller holds s.mu.
+func (s *MemStore) commit(recs []Record) {
+	for _, fn := range s.onCommit {
+		fn(recs)
+	}
 }
 
 // Append stores the record, assigning its sequence number.
@@ -57,15 +67,13 @@ func (s *MemStore) Append(r Record) error {
 	r.Seq = s.nextSeq
 	s.nextSeq++
 	s.records = append(s.records, r)
-	if s.onCommit != nil {
-		s.onCommit(s.records[len(s.records)-1:])
-	}
+	s.commit(s.records[len(s.records)-1:])
 	return nil
 }
 
 // AppendBatch stores all records under one lock acquisition, assigning
-// consecutive sequence numbers in slice order — the flush boundary batched
-// producers (store.Batcher, the campaign merge) rely on.
+// consecutive sequence numbers in slice order — the boundary the campaign
+// merge and dead-letter re-ingest rely on.
 func (s *MemStore) AppendBatch(recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,13 +88,11 @@ func (s *MemStore) AppendBatch(recs []Record) error {
 		s.nextSeq++
 		s.records = append(s.records, r)
 	}
-	if s.onCommit != nil && len(recs) > 0 {
-		s.onCommit(s.records[start:])
+	if len(recs) > 0 {
+		s.commit(s.records[start:])
 	}
 	return nil
 }
-
-var _ BatchSink = (*MemStore)(nil)
 
 // Len returns the number of stored records.
 func (s *MemStore) Len() int {

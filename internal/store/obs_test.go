@@ -25,8 +25,10 @@ func TestObsStoreFailoverMetrics(t *testing.T) {
 	if err := fo.Append(rec); err != nil { // refused -> spilled
 		t.Fatal(err)
 	}
-	if err := fo.AppendBatch([]Record{rec, rec}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := fo.Append(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	primary.healthy = true
 	if err := fo.Append(rec); err != nil {
@@ -37,11 +39,11 @@ func TestObsStoreFailoverMetrics(t *testing.T) {
 	for _, c := range reg.Snapshot().Counters {
 		counters[c.Name] = c.Value
 	}
-	if counters["rad_store_primary_errors_total"] != 2 {
-		t.Errorf("primary errors = %d, want 2", counters["rad_store_primary_errors_total"])
+	if counters["rad_store_primary_errors_total"] != 3 {
+		t.Errorf("primary errors = %d, want 3", counters["rad_store_primary_errors_total"])
 	}
-	if counters["rad_store_spilled_batches_total"] != 2 {
-		t.Errorf("spilled batches = %d, want 2", counters["rad_store_spilled_batches_total"])
+	if counters["rad_store_spilled_batches_total"] != 3 {
+		t.Errorf("spilled batches = %d, want 3", counters["rad_store_spilled_batches_total"])
 	}
 	if counters["rad_store_spilled_records_total"] != 3 {
 		t.Errorf("spilled records = %d, want 3", counters["rad_store_spilled_records_total"])

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -194,14 +196,21 @@ func TestJSONLReadSkipsBlankLinesRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestTeeFansOut(t *testing.T) {
-	a, b := NewMemStore(), NewMemStore()
-	tee := Tee{a, b}
-	if err := tee.Append(sampleRecord(0)); err != nil {
+// TestMemStoreHooksAccumulate: every SetOnCommit adds a hook, and the
+// hooks run in the order they were added, each seeing every later commit.
+func TestMemStoreHooksAccumulate(t *testing.T) {
+	s := NewMemStore()
+	var calls []string
+	s.SetOnCommit(func(recs []Record) { calls = append(calls, fmt.Sprintf("a%d", recs[0].Seq)) })
+	if err := s.Append(sampleRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("tee lens = %d, %d; want 1, 1", a.Len(), b.Len())
+	s.SetOnCommit(func(recs []Record) { calls = append(calls, fmt.Sprintf("b%d+%d", recs[0].Seq, len(recs))) })
+	if err := s.AppendBatch([]Record{sampleRecord(1), sampleRecord(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a0", "a1", "b1+2"}; !reflect.DeepEqual(calls, want) {
+		t.Errorf("hook calls = %v, want %v", calls, want)
 	}
 }
 

@@ -19,10 +19,10 @@
 //	| endian length  | endian CRC32C  | (length bytes)    |
 //	+----------------+----------------+-------------------+
 //
-// One block is one flush boundary: a store.Batcher flush, an AppendBatch
-// call, or the automatic flush of BlockRecords staged per-record appends
-// lands as exactly one block (split only when it would exceed the block
-// size cap). The payload is a record count followed by that many records in
+// One block is one flush boundary: an AppendBatch call, or the
+// Options.BlockRecords per-record appends staged between two writes, lands
+// as exactly one block (split only when it would exceed the block size
+// cap). The payload is a record count followed by that many records in
 // the canonical binary encoding below. Integers are varints, strings are
 // length-prefixed bytes, timestamps are UnixNano:
 //

@@ -29,7 +29,8 @@ var compactHook func(stage string) error
 
 // Compact merges runs of fragmented sealed segments — segments whose
 // average block payload is far below the target block size, the debris of
-// small Batcher flushes — into dense, freshly indexed segments. It runs
+// a chatty writer's small blocks (Options.BlockRecords appends each, or
+// fewer on Flush) — into dense, freshly indexed segments. It runs
 // concurrently with the writer and with readers: sources are immutable
 // while compaction reads them, the rewritten segment is swapped in under
 // the write lock (copy-on-write), and retired source files are unlinked

@@ -24,10 +24,11 @@ type Options struct {
 	// one compaction step merges into a single output segment. Defaults to
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// BlockRecords is the number of per-record Append calls staged before
-	// they are automatically flushed as one block. Defaults to
-	// store.DefaultBatchSize. AppendBatch always lands as its own block
-	// (the store.Batcher flush boundary) regardless of this setting.
+	// BlockRecords is the number of per-record Append calls staged in one
+	// block: a full staging buffer is written as one block before the next
+	// record is staged. Defaults to DefaultBlockRecords; a bulk loader
+	// raises it to write denser blocks. AppendBatch always lands as its own
+	// block regardless of this setting.
 	BlockRecords int
 	// Clock is the time source for observability timings (recovery,
 	// append, and flush latency histograms — see Observe) and for the
@@ -43,12 +44,15 @@ type Options struct {
 // DefaultSegmentBytes is the default segment rotation threshold.
 const DefaultSegmentBytes = 4 << 20
 
+// DefaultBlockRecords is the default Options.BlockRecords.
+const DefaultBlockRecords = 256
+
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("tracedb: database is closed")
 
 // DB is an embedded, persistent trace store. It implements store.Sink and
-// store.BatchSink, assigning sequence numbers exactly like MemStore, so it
-// drops in as the middlebox's primary sink. One writer and any number of
+// store.Notifier, assigning sequence numbers exactly like MemStore, so it
+// drops in as the middlebox's sequencing sink. One writer and any number of
 // concurrent readers are safe; readers observe a consistent snapshot taken
 // at Scan/Collect time (committed blocks plus the staged per-record
 // appends). The lifecycle engine (Compact, Retain, and the background loop
@@ -66,7 +70,7 @@ type DB struct {
 	nextSeq  uint64
 	seqFloor uint64 // persisted lower bound for nextSeq (see Retain)
 	closed   bool
-	onCommit func(recs []store.Record)
+	onCommit []func(recs []store.Record)
 
 	// Lifecycle engine state: lcMu single-flights Compact/Retain, lcStats
 	// are the always-on counters, lcStop/lcDone bracket the background
@@ -86,9 +90,8 @@ type DB struct {
 }
 
 var (
-	_ store.Sink      = (*DB)(nil)
-	_ store.BatchSink = (*DB)(nil)
-	_ store.Notifier  = (*DB)(nil)
+	_ store.Sink     = (*DB)(nil)
+	_ store.Notifier = (*DB)(nil)
 )
 
 // segFile is one segment file discovered during recovery.
@@ -215,7 +218,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
 	if opts.BlockRecords <= 0 {
-		opts.BlockRecords = store.DefaultBatchSize
+		opts.BlockRecords = DefaultBlockRecords
 	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real{}
@@ -273,19 +276,29 @@ func Open(dir string, opts Options) (*DB, error) {
 // Dir returns the store's directory.
 func (db *DB) Dir() string { return db.dir }
 
-// SetOnCommit installs the commit hook (see store.Notifier): it fires
-// exactly once per record, in sequence order, under the write lock, as soon
-// as the record is visible to readers (staged appends are already visible to
-// Scan/Collect, so the hook fires at staging time, not at block flush).
+// SetOnCommit adds a commit hook (see store.Notifier): it fires exactly
+// once per record, in sequence order, under the write lock, as soon as the
+// record is visible to readers (staged appends are already visible to
+// Scan/Collect, so hooks fire at staging time, not at block write).
 func (db *DB) SetOnCommit(fn func(recs []store.Record)) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.onCommit = fn
+	db.onCommit = append(db.onCommit, fn)
 }
 
-// Append assigns the next sequence number and stages the record; staged
-// records are flushed as one block every Options.BlockRecords appends, on
-// Flush, or on Close. Staged records are already visible to readers.
+// commit runs the hooks over newly committed records. Caller holds db.mu.
+func (db *DB) commit(recs []store.Record) {
+	for _, fn := range db.onCommit {
+		fn(recs)
+	}
+}
+
+// Append assigns the next sequence number and stages the record, visible
+// to readers and published to the commit hooks. A full staging buffer
+// (Options.BlockRecords records) is first written as one block; staged
+// records are also written on Flush, Sync, or Close. An error means the
+// record was not committed: it got no sequence number, was not staged, and
+// no hook saw it.
 func (db *DB) Append(r store.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -302,22 +315,23 @@ func (db *DB) appendLocked(r store.Record) error {
 	if db.closed {
 		return ErrClosed
 	}
+	if len(db.pending) >= db.opts.BlockRecords {
+		if err := db.flushLocked(); err != nil {
+			return err
+		}
+	}
 	r.Seq = db.nextSeq
 	db.nextSeq++
 	db.pending = append(db.pending, r)
-	if db.onCommit != nil {
-		db.onCommit(db.pending[len(db.pending)-1:])
-	}
-	if len(db.pending) >= db.opts.BlockRecords {
-		return db.flushLocked()
-	}
+	db.commit(db.pending[len(db.pending)-1:])
 	return nil
 }
 
 // AppendBatch assigns consecutive sequence numbers in slice order and writes
-// the whole batch as one block — the store.Batcher flush boundary maps 1:1
-// onto on-disk blocks. Any staged per-record appends are flushed first so
-// sequence order and storage order agree.
+// the whole batch as one block, so a bulk producer's batch boundary (a
+// dead-letter spill, a preload) maps 1:1 onto on-disk blocks. Any staged
+// per-record appends are flushed first so sequence order and storage order
+// agree.
 func (db *DB) AppendBatch(recs []store.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -349,9 +363,7 @@ func (db *DB) appendBatchLocked(recs []store.Record) error {
 	if err := db.appendBlockLocked(block); err != nil {
 		return err
 	}
-	if db.onCommit != nil {
-		db.onCommit(block)
-	}
+	db.commit(block)
 	return nil
 }
 

@@ -236,6 +236,65 @@ func TestStagedAppendsVisibleAndFlushed(t *testing.T) {
 	sameRecords(t, got, want)
 }
 
+// TestAppendErrorMeansNotCommitted pins the refusal contract a
+// FailoverSink relies on: an Append that returns an error gave the record
+// no sequence number, did not stage it, and published it to no hook — so
+// spilling a refused record can never duplicate one the store holds.
+func TestAppendErrorMeansNotCommitted(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{BlockRecords: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := 0
+	db.SetOnCommit(func(recs []store.Record) { published += len(recs) })
+	if err := db.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	// Close the active segment underneath: every block write now fails.
+	db.segs[len(db.segs)-1].f.Close()
+	refused := 0
+	for i := 1; i < 6; i++ {
+		n, next, pub := db.Len(), db.NextSeq(), published
+		if err := db.Append(testRecord(i)); err == nil {
+			continue
+		}
+		refused++
+		if db.Len() != n || db.NextSeq() != next || published != pub {
+			t.Fatalf("refused append %d changed the store: Len %d→%d, NextSeq %d→%d, published %d→%d",
+				i, n, db.Len(), next, db.NextSeq(), pub, published)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no append was refused with the segment file closed")
+	}
+	_ = db.Close() // the closed file fails the final sync; that is expected
+}
+
+// TestCommitHooksAccumulate: every SetOnCommit adds a hook, and the hooks
+// run in the order they were added, each seeing every later commit.
+func TestCommitHooksAccumulate(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var log []string
+	db.SetOnCommit(func(recs []store.Record) { log = append(log, fmt.Sprintf("a%d", recs[0].Seq)) })
+	if err := db.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	db.SetOnCommit(func(recs []store.Record) { log = append(log, fmt.Sprintf("b%d", recs[0].Seq)) })
+	if err := db.Append(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AppendBatch(testRecords(1)); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a0", "a1", "b1", "a2", "b2"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("hook calls = %v, want %v", log, want)
+	}
+}
+
 func TestSequenceResumeAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{})
@@ -362,23 +421,22 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 	sameRecords(t, got, expected(recs))
 }
 
-// TestBatcherFlushBoundary checks the intended producer wiring: a
-// store.Batcher in front of the DB lands each flush as one block.
+// TestBatcherFlushBoundary checks the bulk-loader wiring: per-record
+// appends staged Options.BlockRecords at a time land as one block each.
 func TestBatcherFlushBoundary(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{})
+	db, err := Open(t.TempDir(), Options{BlockRecords: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	b := store.NewBatcher(db, 32)
 	recs := testRecords(100)
 	for _, r := range recs {
-		if err := b.Append(r); err != nil {
+		if err := db.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Flush(); err != nil {
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db.Collect(Query{})
@@ -388,7 +446,7 @@ func TestBatcherFlushBoundary(t *testing.T) {
 	sameRecords(t, got, expected(recs))
 	// 100 records at batch size 32 = 4 flushes = 4 blocks.
 	if nb := len(db.segs[0].index.blocks); nb != 4 {
-		t.Errorf("%d blocks on disk, want 4 (one per Batcher flush)", nb)
+		t.Errorf("%d blocks on disk, want 4 (one per %d staged appends)", nb, db.opts.BlockRecords)
 	}
 }
 

@@ -166,10 +166,6 @@ var (
 	ReadTraceJSONL = store.ReadJSONL
 )
 
-// NewTraceBatcher wraps a sink with a flush-bounded staging buffer; each
-// flush reaches the sink as one batch (and lands in a TraceDB as one block).
-var NewTraceBatcher = store.NewBatcher
-
 // UnknownProcedure labels all unsupervised commands (§IV).
 const UnknownProcedure = store.UnknownProcedure
 

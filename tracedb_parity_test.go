@@ -40,20 +40,19 @@ func TestTraceDBQueryParityWithMemStore(t *testing.T) {
 	mem := ds.Store
 	recs := mem.All()
 
-	db, err := rad.OpenTraceDB(t.TempDir(), rad.TraceDBOptions{SegmentBytes: 1 << 20})
+	db, err := rad.OpenTraceDB(t.TempDir(), rad.TraceDBOptions{SegmentBytes: 1 << 20, BlockRecords: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	// Ingest through the Batcher flush boundary, as the middlebox would.
-	b := rad.NewTraceBatcher(db, 512)
+	// Ingest per record, 512 staged records to a block.
 	for _, r := range recs {
-		if err := b.Append(r); err != nil {
+		if err := db.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Flush(); err != nil {
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if db.Len() != mem.Len() {
