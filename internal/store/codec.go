@@ -1,0 +1,169 @@
+package store
+
+import (
+	"encoding/binary"
+	"time"
+
+	"rad/internal/device"
+)
+
+// The record encoding: the one binary form of a Record, used both for
+// tracedb's block payloads and for the record a wire trace event carries.
+// Integers are varints, strings are length-prefixed bytes, and the fields
+// are positional, so a record delimits itself:
+//
+//	uvarint seq
+//	varint  timeNanos, endTimeNanos
+//	string  device, name
+//	uvarint nargs, then nargs strings
+//	string  response, exception, procedure, run, mode
+//
+// A time is an instant: it is written as UnixNano and decodes as
+// time.Unix(0, n), so neither its zone nor its monotonic reading survives.
+// The zero time is written as time.Time{}.UnixNano() and decodes back to
+// the zero time, which reserves that one instant,
+// 1754-08-30T22:43:41.128654848Z. Other times outside the UnixNano range
+// (years before 1678 or after 2262) are not representable; device traces
+// are always inside it.
+//
+// The encoding is canonical: re-encoding a decoded record reproduces its
+// bytes. TraceID and SpanID are not part of it.
+
+// MinRecordBytes is the size of the smallest encoded record: three
+// one-byte varints and eight zero lengths. A decoder bounds an announced
+// record count by it before allocating.
+const MinRecordBytes = 11
+
+// zeroNanos is what the zero time encodes as.
+var zeroNanos = time.Time{}.UnixNano()
+
+// AppendRecord appends r's encoding to b.
+func AppendRecord(b []byte, r *Record) []byte {
+	b = binary.AppendUvarint(b, r.Seq)
+	b = binary.AppendVarint(b, r.Time.UnixNano())
+	b = binary.AppendVarint(b, r.EndTime.UnixNano())
+	b = appendString(b, r.Device)
+	b = appendString(b, r.Name)
+	b = binary.AppendUvarint(b, uint64(len(r.Args)))
+	for _, a := range r.Args {
+		b = appendString(b, a)
+	}
+	b = appendString(b, r.Response)
+	b = appendString(b, r.Exception)
+	b = appendString(b, r.Procedure)
+	b = appendString(b, r.Run)
+	return appendString(b, r.Mode)
+}
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// DecodeRecord parses one record from the front of b and reports the bytes
+// it consumed; ok is false when b does not start with a whole record. It
+// never panics: every length is checked against the bytes left before
+// anything is allocated. Strings in Vocabulary come back as shared
+// instances.
+func DecodeRecord(b []byte) (r Record, n int, ok bool) {
+	d := recordDecoder{b: b}
+	r.Seq = d.uvarint()
+	r.Time = d.time()
+	r.EndTime = d.time()
+	r.Device = d.str()
+	r.Name = d.str()
+	if nargs := d.uvarint(); nargs > uint64(len(d.b)) {
+		d.bad = true
+	} else if nargs > 0 {
+		r.Args = make([]string, nargs)
+		for i := range r.Args {
+			r.Args[i] = d.str()
+		}
+	}
+	r.Response = d.str()
+	r.Exception = d.str()
+	r.Procedure = d.str()
+	r.Run = d.str()
+	r.Mode = d.str()
+	if d.bad {
+		return Record{}, 0, false
+	}
+	return r, len(b) - len(d.b), true
+}
+
+// recordDecoder reads fields off the front of b. bad is set at the first
+// malformed field; reading on past it is harmless, since every read is
+// bounds-checked, and DecodeRecord then discards the result.
+type recordDecoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *recordDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.bad = true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *recordDecoder) time() time.Time {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.bad = true
+		return time.Time{}
+	}
+	d.b = d.b[n:]
+	if v == zeroNanos {
+		return time.Time{}
+	}
+	return time.Unix(0, v)
+}
+
+func (d *recordDecoder) str() string {
+	l := d.uvarint()
+	if l > uint64(len(d.b)) {
+		d.bad = true
+		return ""
+	}
+	s := intern(d.b[:l])
+	d.b = d.b[l:]
+	return s
+}
+
+// Vocabulary lists the words that recur across records: the catalog's
+// device and command names, the procedure labels, the trace modes and the
+// devices' "ok" reply.
+func Vocabulary() []string {
+	words := []string{
+		UnknownProcedure, "P1", "P2", "P3", "P4", "P5", "P6", "replay",
+		"DIRECT", "REMOTE", "ok",
+	}
+	for _, spec := range device.Catalog() {
+		words = append(words, spec.Device, spec.Name)
+	}
+	return words
+}
+
+// vocabulary maps each Vocabulary word to its shared instance.
+var vocabulary = func() map[string]string {
+	m := make(map[string]string)
+	for _, w := range Vocabulary() {
+		m[w] = w
+	}
+	return m
+}()
+
+// intern returns the shared instance of b when it is a Vocabulary word,
+// and a copy otherwise. The lookup itself does not allocate.
+func intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := vocabulary[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}

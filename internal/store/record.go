@@ -38,9 +38,10 @@ type Record struct {
 
 	// TraceID/SpanID carry the in-process trace context of the exec that
 	// produced this record (internal/obs/span). They are observability-only
-	// plumbing — deliberately excluded from JSON, CSV, the tracedb codec,
-	// and campaign digests — so the persisted dataset and its byte-identity
-	// contracts are unchanged by tracing. Zero means untraced.
+	// plumbing — deliberately excluded from JSON, CSV, the record encoding
+	// (AppendRecord), and campaign digests — so the persisted dataset and
+	// its byte-identity contracts are unchanged by tracing; a wire event
+	// carries them in fields of its own. Zero means untraced.
 	TraceID uint64 `json:"-"`
 	SpanID  uint64 `json:"-"`
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,6 +187,65 @@ func TestWireV2SnapshotThenFollow(t *testing.T) {
 	}
 	if ev, err := client.Recv(); err != nil || ev.Kind != wire.EventTrace || ev.Record.Seq != 5 {
 		t.Fatalf("live event after snapshot: %+v, %v", ev, err)
+	}
+}
+
+// TestSnapshotTailMatchesStore: a snapshot tail over TCP delivers every
+// record exactly as the store holds it — the same instant in the same
+// location, and a zero EndTime still zero — because the wire event carries
+// the store's record encoding.
+func TestSnapshotTailMatchesStore(t *testing.T) {
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	broker := stream.NewBroker()
+	defer broker.Close()
+	broker.AttachStore(db)
+	_, addr := startServer(t, broker, db)
+
+	start := time.Date(2021, 10, 1, 9, 30, 0, 123456789, time.FixedZone("PDT", -7*3600))
+	for _, r := range []store.Record{
+		{Time: start, EndTime: start.Add(3 * time.Millisecond), Device: "UR3e", Name: "move_joints",
+			Args: []string{"0.5", "ünïcödé"}, Response: "ok", Procedure: "P2", Run: "run-1", Mode: "REMOTE"},
+		{Time: start.Add(time.Second), Device: "C9", Name: "MVNG", Exception: "timeout",
+			Procedure: store.UnknownProcedure, Mode: "DIRECT"},
+	} {
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Collect(tracedb.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 2 {
+		t.Fatalf("store holds %d records, want 2", len(want))
+	}
+	if !want[1].EndTime.IsZero() {
+		t.Errorf("store read a zero EndTime back as %v", want[1].EndTime)
+	}
+
+	client, err := stream.Dial(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for i := range want {
+		ev, err := client.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != wire.EventTrace || ev.Record == nil || !reflect.DeepEqual(*ev.Record, want[i]) {
+			t.Errorf("snapshot record %d:\n got %+v\nwant %+v", i, ev.Record, want[i])
+		}
+	}
+	if ev, err := client.Recv(); err != nil || ev.Kind != wire.EventSnapshotEnd {
+		t.Fatalf("want snapshot end, got %+v, %v", ev, err)
 	}
 }
 

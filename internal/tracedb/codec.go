@@ -22,18 +22,11 @@
 // One block is one flush boundary: an AppendBatch call, or the
 // Options.BlockRecords per-record appends staged between two writes, lands
 // as exactly one block (split only when it would exceed the block size
-// cap). The payload is a record count followed by that many records in
-// the canonical binary encoding below. Integers are varints, strings are
-// length-prefixed bytes, timestamps are UnixNano:
-//
-//	uvarint seq
-//	varint  timeNanos, endTimeNanos
-//	string  device, name
-//	uvarint nargs, then nargs strings
-//	string  response, exception, procedure, run, mode
-//
-// The encoding is canonical — encoding any decoded batch reproduces the
-// original bytes — which is what FuzzSegmentRoundTrip pins down.
+// cap). The payload is a uvarint record count followed by that many
+// records in store's record encoding (store.AppendRecord), the same bytes
+// a wire trace event carries. The encoding is canonical — encoding any
+// decoded batch reproduces the original bytes — which is what
+// FuzzSegmentRoundTrip pins down.
 //
 // # Crash safety
 //
@@ -50,7 +43,6 @@ import (
 	"errors"
 	"hash/crc32"
 	"slices"
-	"time"
 
 	"rad/internal/store"
 )
@@ -81,33 +73,9 @@ var errCorrupt = errors.New("tracedb: corrupt block payload")
 func encodePayload(buf []byte, recs []store.Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
 	for i := range recs {
-		buf = appendRecord(buf, recs[i])
+		buf = store.AppendRecord(buf, &recs[i])
 	}
 	return buf
-}
-
-// appendRecord appends one record in the canonical encoding.
-func appendRecord(buf []byte, r store.Record) []byte {
-	buf = binary.AppendUvarint(buf, r.Seq)
-	buf = binary.AppendVarint(buf, r.Time.UnixNano())
-	buf = binary.AppendVarint(buf, r.EndTime.UnixNano())
-	buf = appendString(buf, r.Device)
-	buf = appendString(buf, r.Name)
-	buf = binary.AppendUvarint(buf, uint64(len(r.Args)))
-	for _, a := range r.Args {
-		buf = appendString(buf, a)
-	}
-	buf = appendString(buf, r.Response)
-	buf = appendString(buf, r.Exception)
-	buf = appendString(buf, r.Procedure)
-	buf = appendString(buf, r.Run)
-	buf = appendString(buf, r.Mode)
-	return buf
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
 }
 
 // recordSizeEstimate upper-bounds a record's encoded size, used to split
@@ -125,14 +93,14 @@ func recordSizeEstimate(r store.Record) int {
 // decodePayload parses a block payload and appends its records to dst —
 // only the records q matches, when q is non-nil, so a record the query
 // rejects never lands in dst. Every record is parsed either way. It never
-// panics on corrupt input: every length is checked against the remaining
-// bytes before any allocation, and trailing garbage after the last record
-// is rejected so that a decoded payload always re-encodes
-// byte-identically. On error the returned slice is nil, though dst's
-// backing array may already hold some of the block's records.
+// panics on corrupt input: the record count is bounded by the bytes left
+// over store.MinRecordBytes before anything is allocated, and trailing
+// garbage after the last record is rejected so that a decoded payload
+// always re-encodes byte-identically. On error the returned slice is nil,
+// though dst's backing array may already hold some of the block's records.
 func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, error) {
 	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64(len(b)) {
+	if n <= 0 || count > uint64((len(b)-n)/store.MinRecordBytes) {
 		return nil, errCorrupt
 	}
 	if q == nil {
@@ -140,9 +108,9 @@ func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, erro
 	}
 	pos := n
 	for i := uint64(0); i < count; i++ {
-		r, adv, err := decodeRecord(b[pos:])
-		if err != nil {
-			return nil, err
+		r, adv, ok := store.DecodeRecord(b[pos:])
+		if !ok {
+			return nil, errCorrupt
 		}
 		pos += adv
 		if q == nil || q.Match(r) {
@@ -153,84 +121,4 @@ func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, erro
 		return nil, errCorrupt
 	}
 	return dst, nil
-}
-
-// decodeRecord parses one record, returning the bytes consumed.
-func decodeRecord(b []byte) (store.Record, int, error) {
-	var r store.Record
-	pos := 0
-
-	u, n := binary.Uvarint(b[pos:])
-	if n <= 0 {
-		return r, 0, errCorrupt
-	}
-	r.Seq = u
-	pos += n
-
-	v, n := binary.Varint(b[pos:])
-	if n <= 0 {
-		return r, 0, errCorrupt
-	}
-	r.Time = time.Unix(0, v)
-	pos += n
-
-	v, n = binary.Varint(b[pos:])
-	if n <= 0 {
-		return r, 0, errCorrupt
-	}
-	r.EndTime = time.Unix(0, v)
-	pos += n
-
-	readString := func() (string, bool) {
-		l, n := binary.Uvarint(b[pos:])
-		if n <= 0 {
-			return "", false
-		}
-		pos += n
-		if l > uint64(len(b)-pos) {
-			return "", false
-		}
-		s := string(b[pos : pos+int(l)])
-		pos += int(l)
-		return s, true
-	}
-
-	var ok bool
-	if r.Device, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	if r.Name, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	nargs, n := binary.Uvarint(b[pos:])
-	if n <= 0 || nargs > uint64(len(b)-pos) {
-		return r, 0, errCorrupt
-	}
-	pos += n
-	if nargs > 0 {
-		r.Args = make([]string, 0, nargs)
-		for i := uint64(0); i < nargs; i++ {
-			a, ok := readString()
-			if !ok {
-				return r, 0, errCorrupt
-			}
-			r.Args = append(r.Args, a)
-		}
-	}
-	if r.Response, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	if r.Exception, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	if r.Procedure, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	if r.Run, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	if r.Mode, ok = readString(); !ok {
-		return r, 0, errCorrupt
-	}
-	return r, pos, nil
 }

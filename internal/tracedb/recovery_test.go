@@ -1,9 +1,13 @@
 package tracedb
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"rad/internal/store"
 )
 
 // writeThreeBatches builds a single-segment store of three 20-record blocks
@@ -236,5 +240,34 @@ func TestRecoveryIgnoresForeignFiles(t *testing.T) {
 	defer db.Close()
 	if db.Segments() != 1 {
 		t.Errorf("%d segments, want just the fresh one", db.Segments())
+	}
+}
+
+// TestRecoveryBoundsBlockRecordCount: a block's announced record count is
+// bounded by the smallest record, so a payload announcing more records than
+// its bytes can hold is rejected before any room is made for them — the
+// recovery scan decodes CRC-valid blocks of up to MaxBlockBytes — while a
+// payload of exactly that many minimal records still decodes.
+func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
+	const size = 1 << 20
+	lying := binary.AppendUvarint(nil, size)
+	lying = append(lying, make([]byte, size-len(lying))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodePayload(lying, nil, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a payload announcing more records than it holds decoded")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("rejecting the payload allocated %d bytes, want under 1 MiB", n)
+	}
+
+	const count = 4096
+	full := binary.AppendUvarint(nil, count)
+	full = append(full, make([]byte, count*store.MinRecordBytes)...)
+	recs, err := decodePayload(full, nil, nil)
+	if err != nil || len(recs) != count {
+		t.Fatalf("payload of %d minimal records: %d decoded, err %v", count, len(recs), err)
 	}
 }

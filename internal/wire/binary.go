@@ -14,25 +14,25 @@ package wire
 // The type byte names the message (Request, Reply, Subscribe, Event);
 // fields carry explicit tags so zero-valued fields are simply omitted
 // (one tag byte instead of a quoted JSON key) and decoding is a
-// tag-dispatch loop, never a reflected field walk. Nested messages — the
-// store.Record and power.Sample embedded in an Event — are tag streams
-// terminated by the reserved end tag 0; the top level needs no terminator
-// because the frame length delimits it.
+// tag-dispatch loop, never a reflected field walk. The top level needs no
+// terminator because the frame length delimits it. An Event's record is
+// its tag followed by store's record encoding (store.AppendRecord), the
+// bytes tracedb stores, which delimits itself; its power sample is a
+// nested tag stream closed by the reserved end tag 0.
 //
-// Value shapes: uvarint (counters, lengths), zigzag varint (signed nanos,
-// zone offsets), length-prefixed UTF-8 bytes (strings), and raw
-// little-endian float64 bits (power samples). Timestamps travel as
-// UnixNano plus the zone offset in seconds, which preserves exactly what an
-// RFC 3339 round trip (the JSONL export) preserves: the instant and the
-// offset, not the zone name or the monotonic reading. Times outside the UnixNano range
+// Value shapes: uvarint (counters, lengths), zigzag varint (signed nanos),
+// length-prefixed UTF-8 bytes (strings), and raw little-endian float64
+// bits (power samples). A time is an instant: varint UnixNano, decoded
+// with time.Unix, so neither zone nor monotonic reading survives — the
+// same rule the record encoding follows. Times outside the UnixNano range
 // (years ≲1678 or ≳2262) are not representable — device traces are always
 // inside it.
 //
-// Decoding interns the protocol's fixed vocabulary — ops, event kinds,
-// policies, modes, procedure labels, and the 52-command device catalog —
-// so the strings on the hot path resolve to shared instances instead of
-// fresh allocations. Interning is a perf heuristic only: unknown strings
-// are simply copied.
+// Decoding interns the protocol's fixed words — ops, event kinds,
+// policies — plus store.Vocabulary (the 52-command catalog, procedure
+// labels, modes), so the strings on the hot path resolve to shared
+// instances instead of fresh allocations. Interning is a perf heuristic
+// only: unknown strings are simply copied.
 
 import (
 	"encoding/binary"
@@ -42,7 +42,6 @@ import (
 	"reflect"
 	"time"
 
-	"rad/internal/device"
 	"rad/internal/power"
 	"rad/internal/store"
 )
@@ -115,46 +114,22 @@ const (
 	pingSeq byte = iota + 1
 )
 
-// store.Record field tags (nested inside an Event).
-const (
-	recSeq byte = iota + 1
-	recTime
-	recEndTime
-	recDevice
-	recName
-	recArgs
-	recResponse
-	recException
-	recProcedure
-	recRun
-	recMode
-)
-
 // power.Sample field tags (nested inside an Event).
 const (
 	sampTime byte = iota + 1
 	sampValues
 )
 
-// internTable maps the protocol's fixed vocabulary to shared string
-// instances so hot-path decodes allocate nothing for them.
+// internTable maps the protocol's fixed words and store.Vocabulary to
+// shared string instances so hot-path decodes allocate nothing for them.
 var internTable = buildInternTable()
 
 func buildInternTable() map[string]string {
-	words := []string{
+	words := append([]string{
 		string(OpExec), string(OpTrace), string(OpPing), string(OpSubscribe),
 		EventTrace, EventPower, EventSnapshotEnd, EventError, EventResumeGap,
-		PolicyDropOldest, PolicyBlock,
-		"DIRECT", "REMOTE",
-		store.UnknownProcedure,
-		// The paper's supervised procedure labels (internal/procedure sits
-		// above the tracer, so the literals are repeated here).
-		"P1", "P2", "P3", "P4", "P5", "P6",
-		"ok", "pong", "replay",
-	}
-	for _, spec := range device.Catalog() {
-		words = append(words, spec.Device, spec.Name)
-	}
+		PolicyDropOldest, PolicyBlock, "pong",
+	}, store.Vocabulary()...)
 	m := make(map[string]string, len(words))
 	for _, w := range words {
 		m[w] = w
@@ -284,18 +259,6 @@ func putBool(b []byte, tag byte, v bool) []byte {
 	return append(b, tag)
 }
 
-// putTime encodes a non-zero time as UnixNano plus the zone offset in
-// seconds; the zero time is omitted.
-func putTime(b []byte, tag byte, t time.Time) []byte {
-	if t.IsZero() {
-		return b
-	}
-	b = append(b, tag)
-	b = binary.AppendVarint(b, t.UnixNano())
-	_, off := t.Zone()
-	return binary.AppendVarint(b, int64(off))
-}
-
 func appendRequest(b []byte, q *Request) []byte {
 	b = append(b, binRequest)
 	b = putUint(b, reqID, q.ID)
@@ -345,7 +308,7 @@ func appendEvent(b []byte, e *Event) []byte {
 	b = putStr(b, evKind, e.Kind)
 	if e.Record != nil {
 		b = append(b, evRecord)
-		b = appendRecordBody(b, e.Record)
+		b = store.AppendRecord(b, e.Record)
 	}
 	if e.Sample != nil {
 		b = append(b, evSample)
@@ -366,25 +329,13 @@ func appendPingPong(b []byte, typ byte, seq uint64) []byte {
 	return putUint(b, pingSeq, seq)
 }
 
-// appendRecordBody encodes a nested record: its tagged fields followed by
-// the end tag.
-func appendRecordBody(b []byte, r *store.Record) []byte {
-	b = putUint(b, recSeq, r.Seq)
-	b = putTime(b, recTime, r.Time)
-	b = putTime(b, recEndTime, r.EndTime)
-	b = putStr(b, recDevice, r.Device)
-	b = putStr(b, recName, r.Name)
-	b = putStrs(b, recArgs, r.Args)
-	b = putStr(b, recResponse, r.Response)
-	b = putStr(b, recException, r.Exception)
-	b = putStr(b, recProcedure, r.Procedure)
-	b = putStr(b, recRun, r.Run)
-	b = putStr(b, recMode, r.Mode)
-	return append(b, 0)
-}
-
+// appendSampleBody encodes a nested sample: a non-zero time as its
+// UnixNano instant, the values, then the end tag.
 func appendSampleBody(b []byte, s *power.Sample) []byte {
-	b = putTime(b, sampTime, s.Time)
+	if !s.Time.IsZero() {
+		b = append(b, sampTime)
+		b = binary.AppendVarint(b, s.Time.UnixNano())
+	}
 	if len(s.Values) > 0 {
 		b = append(b, sampValues)
 		b = binary.AppendUvarint(b, uint64(len(s.Values)))
@@ -560,26 +511,6 @@ func (r *breader) floats() []float64 {
 	return out
 }
 
-// maxZoneOffset bounds a sane UTC offset (UTC±18h covers every real zone).
-const maxZoneOffset = 18 * 3600
-
-func (r *breader) time() time.Time {
-	nanos := r.varint()
-	off := r.varint()
-	if r.err != nil {
-		return time.Time{}
-	}
-	if off < -maxZoneOffset || off > maxZoneOffset {
-		r.fail("time zone offset %d out of range", off)
-		return time.Time{}
-	}
-	t := time.Unix(0, nanos)
-	if off == 0 {
-		return t.UTC()
-	}
-	return t.In(time.FixedZone("", int(off)))
-}
-
 func decodeRequest(r *breader, q *Request) {
 	*q = Request{}
 	for {
@@ -695,9 +626,13 @@ func decodeEvent(r *breader, e *Event) {
 		case evKind:
 			e.Kind = r.str()
 		case evRecord:
-			rec := new(store.Record)
-			decodeRecordBody(r, rec)
-			e.Record = rec
+			rec, n, ok := store.DecodeRecord(r.b)
+			if !ok {
+				r.fail("event: malformed record")
+				return
+			}
+			r.b = r.b[n:]
+			e.Record = &rec
 		case evSample:
 			s := new(power.Sample)
 			decodeSampleBody(r, s)
@@ -714,45 +649,6 @@ func decodeEvent(r *breader, e *Event) {
 			e.SpanID = r.uvarint()
 		default:
 			r.fail("event: unknown field tag %d", t)
-			return
-		}
-		if r.err != nil {
-			return
-		}
-	}
-}
-
-// decodeRecordBody reads a nested record's tag stream up to and including
-// its end tag.
-func decodeRecordBody(r *breader, rec *store.Record) {
-	for {
-		switch t := r.tag(); t {
-		case 0:
-			return
-		case recSeq:
-			rec.Seq = r.uvarint()
-		case recTime:
-			rec.Time = r.time()
-		case recEndTime:
-			rec.EndTime = r.time()
-		case recDevice:
-			rec.Device = r.str()
-		case recName:
-			rec.Name = r.str()
-		case recArgs:
-			rec.Args = r.strs()
-		case recResponse:
-			rec.Response = r.str()
-		case recException:
-			rec.Exception = r.str()
-		case recProcedure:
-			rec.Procedure = r.str()
-		case recRun:
-			rec.Run = r.str()
-		case recMode:
-			rec.Mode = r.str()
-		default:
-			r.fail("record: unknown field tag %d", t)
 			return
 		}
 		if r.err != nil {
@@ -786,7 +682,7 @@ func decodeSampleBody(r *breader, s *power.Sample) {
 		case 0:
 			return
 		case sampTime:
-			s.Time = r.time()
+			s.Time = time.Unix(0, r.varint())
 		case sampValues:
 			s.Values = r.floats()
 		default:
