@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"time"
 
 	"rad/internal/device"
@@ -60,18 +61,21 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// DecodeRecord parses one record from the front of b and reports the bytes
-// it consumed; ok is false when b does not start with a whole record. It
+// DecodeRecord parses one record from the front of b into *r, replacing
+// all of it, and reports the bytes it consumed; ok is false when b does not
+// start with a whole record, and *r then holds no valid record. Decoding
+// in place spares a caller that keeps or reuses a record a copy of it. It
 // never panics: every length is checked against the bytes left before
 // anything is allocated. Strings in Vocabulary come back as shared
 // instances.
-func DecodeRecord(b []byte) (r Record, n int, ok bool) {
+func DecodeRecord(b []byte, r *Record) (n int, ok bool) {
 	d := recordDecoder{b: b}
 	r.Seq = d.uvarint()
 	r.Time = d.time()
 	r.EndTime = d.time()
 	r.Device = d.str()
 	r.Name = d.str()
+	r.Args = nil
 	if nargs := d.uvarint(); nargs > uint64(len(d.b)) {
 		d.bad = true
 	} else if nargs > 0 {
@@ -85,10 +89,76 @@ func DecodeRecord(b []byte) (r Record, n int, ok bool) {
 	r.Procedure = d.str()
 	r.Run = d.str()
 	r.Mode = d.str()
+	r.TraceID, r.SpanID = 0, 0
 	if d.bad {
-		return Record{}, 0, false
+		return 0, false
 	}
-	return r, len(b) - len(d.b), true
+	return len(b) - len(d.b), true
+}
+
+// A block is a uvarint record count followed by that many records and
+// nothing after them. It is tracedb's block payload, and what a wire trace
+// event carries when a snapshot replay forwards a stored block undecoded.
+
+// ErrCorruptBlock reports a block whose bytes do not hold the records its
+// count announces: the count exceeds what the bytes can hold, a record does
+// not decode, or bytes follow the last record.
+var ErrCorruptBlock = errors.New("store: corrupt block")
+
+// AppendBlock appends the block of recs to b.
+func AppendBlock(b []byte, recs []Record) []byte {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for i := range recs {
+		b = AppendRecord(b, &recs[i])
+	}
+	return b
+}
+
+// BlockReader decodes a block one record at a time, so a reader holds the
+// block's bytes and one record rather than a slice of all of them. The zero
+// BlockReader holds no records.
+type BlockReader struct {
+	b    []byte // bytes not yet decoded
+	left int    // records not yet decoded
+}
+
+// Reset starts reading block b, which the reader keeps, uncopied, until its
+// last record is read. It fails with ErrCorruptBlock, allocating nothing,
+// when b does not open with a record count, when the count exceeds the
+// records its bytes can hold at MinRecordBytes each, or when b announces no
+// records yet holds more bytes.
+func (br *BlockReader) Reset(b []byte) error {
+	*br = BlockReader{}
+	count, n := binary.Uvarint(b)
+	if n <= 0 || count > uint64((len(b)-n)/MinRecordBytes) || (count == 0 && n != len(b)) {
+		return ErrCorruptBlock
+	}
+	br.b, br.left = b[n:], int(count)
+	return nil
+}
+
+// Len reports how many records are left to read.
+func (br *BlockReader) Len() int { return br.left }
+
+// Next decodes the next record into *r. It fails with ErrCorruptBlock
+// when no record is left, when the record does not decode, or when bytes
+// follow the block's last record; a failure ends the block, leaving Len at
+// zero.
+func (br *BlockReader) Next(r *Record) error {
+	if br.left == 0 {
+		return ErrCorruptBlock
+	}
+	n, ok := DecodeRecord(br.b, r)
+	br.left--
+	if !ok || (br.left == 0 && n != len(br.b)) {
+		*br = BlockReader{}
+		return ErrCorruptBlock
+	}
+	br.b = br.b[n:]
+	if br.left == 0 {
+		br.b = nil
+	}
+	return nil
 }
 
 // recordDecoder reads fields off the front of b. bad is set at the first

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +81,67 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			got.Exception != in.Exception || got.Procedure != in.Procedure ||
 			got.Run != in.Run || got.Mode != in.Mode || len(got.Args) != len(in.Args) {
 			t.Fatalf("round trip mismatch:\n in:  %+v\n out: %+v", in, got)
+		}
+	})
+}
+
+// FuzzBlockReader hardens the one block reader that tracedb's recovery scan
+// and the stream client share, in memory: arbitrary bytes must decode or
+// fail, never panic or make room for a record count the bytes cannot hold.
+// A block that decodes in full ends exactly at its last record, and
+// re-encodes to one that reads back the same records.
+func FuzzBlockReader(f *testing.F) {
+	valid := AppendBlock(nil, []Record{
+		{Seq: 1, Time: time.Unix(100, 5), EndTime: time.Unix(101, 0), Device: "C9", Name: "ARM",
+			Args: []string{"1", "ünïcödé"}, Response: "ok", Procedure: "P1", Run: "run-3", Mode: "REMOTE"},
+		{Seq: 2, Device: "UR3e", Name: "movej", Exception: "timeout"},
+	})
+	f.Add(valid)
+	f.Add(append(binary.AppendUvarint(nil, 1<<40), valid[1:]...)) // a count its bytes cannot hold
+	f.Add(valid[:len(valid)-1])                                   // the last record truncated
+	f.Add(append(append([]byte(nil), valid...), 0))               // a byte after the last record
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var br BlockReader
+		if br.Reset(data) != nil {
+			return
+		}
+		if br.Len() > len(data)/MinRecordBytes {
+			t.Fatalf("accepted a count of %d records in %d bytes", br.Len(), len(data))
+		}
+		var got []Record
+		for br.Len() > 0 {
+			var r Record
+			if err := br.Next(&r); err != nil {
+				if br.Len() != 0 {
+					t.Fatalf("a failed read left %d records to read", br.Len())
+				}
+				return
+			}
+			got = append(got, r)
+		}
+		_, end := binary.Uvarint(data)
+		for range got {
+			var r Record
+			n, _ := DecodeRecord(data[end:], &r)
+			end += n
+		}
+		if end != len(data) {
+			t.Fatalf("read %d records ending at byte %d of %d", len(got), end, len(data))
+		}
+		if err := br.Reset(AppendBlock(nil, got)); err != nil {
+			t.Fatalf("re-encoded block: %v", err)
+		}
+		for i := range got {
+			var r Record
+			if err := br.Next(&r); err != nil || !reflect.DeepEqual(r, got[i]) {
+				t.Fatalf("re-encoded record %d: %+v, %v; want %+v", i, r, err, got[i])
+			}
+		}
+		if br.Len() != 0 {
+			t.Fatalf("re-encoded block holds %d more records", br.Len())
 		}
 	})
 }

@@ -116,7 +116,7 @@ func TestChaosTailDuringCompactRetain(t *testing.T) {
 	first := uint64(total)
 	prev := int64(-1)
 	snapshotted := 0
-	err = tail.Snapshot(func(r *store.Record) error {
+	_, err = snapshotRecords(tail, func(r *store.Record) error {
 		if r.Seq < first {
 			first = r.Seq
 		}

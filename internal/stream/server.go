@@ -198,7 +198,8 @@ func (s *Server) subscribe(conn net.Conn, tc *tailConn) (*Tail, error) {
 // control frames with the pump's events.
 //
 // Event frames are queued (wire.Conn.Buffer) and written in batches; write
-// sends its frame at once, behind whatever is queued.
+// sends its frame at once, behind whatever is queued. So does queueBlock,
+// its block written from the snapshot's read buffer (wire.Conn.BufferBlock).
 type tailConn struct {
 	mu sync.Mutex
 	wc *wire.Conn
@@ -218,6 +219,12 @@ func (tc *tailConn) queue(v any) error {
 	return tc.wc.Buffer(v)
 }
 
+func (tc *tailConn) queueBlock(block []byte) error {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.wc.BufferBlock(block)
+}
+
 func (tc *tailConn) flush() error {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -226,9 +233,10 @@ func (tc *tailConn) flush() error {
 
 // serveTail runs one subscription to its end against the resolved
 // tenant's broker and store. A tail with a store replays its history first:
-// the snapshot's frames are queued and go out in batches, and the
-// snapshot-end marker writes whatever is still queued. Every tail then
-// follows the live feed.
+// each block the subscription covers is forwarded as stored, one event
+// frame carrying the block, and every other record as its own frame. The
+// frames are queued and go out in batches, and the snapshot-end marker
+// writes whatever is still queued. Every tail then follows the live feed.
 func (s *Server) serveTail(conn net.Conn, tc *tailConn, tail *Tail) {
 	// Close the whole tail, not just its subscriber: a client that dies
 	// mid-snapshot abandons the iterator, and an unreleased iterator pins
@@ -243,7 +251,7 @@ func (s *Server) serveTail(conn net.Conn, tc *tailConn, tail *Tail) {
 	stop := s.supervise(conn, tc, sub)
 	defer stop()
 	if tail.it != nil {
-		err := tail.Snapshot(func(r *store.Record) error {
+		err := tail.Snapshot(tc.queueBlock, func(r *store.Record) error {
 			return tc.queue(wire.Event{Kind: wire.EventTrace, Record: r})
 		})
 		if err != nil {
@@ -424,9 +432,13 @@ type Client struct {
 	wc   *wire.Conn
 	idle time.Duration
 	// ev is the decode target of every event frame, reused across Recv
-	// calls; Recv returns a copy. The Record each frame carries is still
-	// allocated per frame, since callers keep it.
+	// calls; Recv returns a copy of a record-by-record event.
 	ev wire.Event
+	// block reads the records of the last block event, one per Recv, from
+	// ev.Block; the connection keeps those bytes until its next read, which
+	// Recv makes only once the block is exhausted. Each record is allocated
+	// on its own, since callers keep it.
+	block store.BlockReader
 }
 
 // Dial connects to a stream listener and subscribes. The request's Op is
@@ -459,11 +471,20 @@ func DialProto(addr string, req wire.Subscribe, _ wire.Proto) (*Client, error) {
 // out.
 func (c *Client) SetIdleTimeout(d time.Duration) { c.idle = d }
 
-// Recv reads the next event frame, transparently answering the server's
-// liveness pings. A server-reported subscription failure is surfaced as a
-// *SubscribeError; io.EOF means the server closed the stream.
+// Recv returns the next event, transparently answering the server's
+// liveness pings. A frame that carries a block of records yields one
+// EventTrace per record, a record per call. A server-reported subscription
+// failure is surfaced as a *SubscribeError; io.EOF means the server closed
+// the stream.
 func (c *Client) Recv() (wire.Event, error) {
 	for {
+		if c.block.Len() > 0 {
+			r := new(store.Record)
+			if err := c.block.Next(r); err != nil {
+				return wire.Event{}, fmt.Errorf("stream: block event: %w", err)
+			}
+			return wire.Event{Kind: wire.EventTrace, Record: r}, nil
+		}
 		if c.idle > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
 		}
@@ -481,6 +502,12 @@ func (c *Client) Recv() (wire.Event, error) {
 		}
 		if c.ev.Kind == wire.EventError {
 			return wire.Event{}, &SubscribeError{Msg: c.ev.Error}
+		}
+		if c.ev.Block != nil {
+			if err := c.block.Reset(c.ev.Block); err != nil {
+				return wire.Event{}, fmt.Errorf("stream: block event: %w", err)
+			}
+			continue
 		}
 		return c.ev, nil
 	}

@@ -42,19 +42,30 @@ func (b *Broker) Tail(db *tracedb.DB, opts SubOptions) *Tail {
 }
 
 // Snapshot streams every historical record (already filtered, in sequence
-// order) to fn and records the live-handoff boundary. The record fn gets
-// points into the snapshot iterator's current block and is valid only for
-// the call: fn copies what it keeps. Snapshot returns fn's first error, or
-// the snapshot scan's read error, if any. Must be called (to completion)
-// before Recv.
-func (t *Tail) Snapshot(fn func(*store.Record) error) error {
+// order) and records the live-handoff boundary. A block whose every record
+// the planner's index metadata proves to match goes to block whole, as its
+// stored payload — a store block, undecoded (store.BlockReader reads it).
+// Every other record goes to rec: those of blocks the subscription matches
+// only in part, or not provably in full (the one holding a resume point),
+// and the staged tail. Both arguments point into the snapshot iterator's
+// current block and are valid only for the call: the callbacks copy what
+// they keep. Snapshot returns a callback's first error, or the snapshot
+// scan's read error, if any. Must be called (to completion) before Recv.
+func (t *Tail) Snapshot(block func(payload []byte) error, rec func(*store.Record) error) error {
 	if t.it == nil {
 		return nil
 	}
-	for t.it.Next() {
-		r := t.it.Ref()
-		t.boundary = r.Seq + 1
-		if err := fn(r); err != nil {
+	for t.it.NextBlock() {
+		var err error
+		if payload, maxSeq := t.it.Block(); payload != nil {
+			t.boundary = maxSeq + 1
+			err = block(payload)
+		} else {
+			r := t.it.Ref()
+			t.boundary = r.Seq + 1
+			err = rec(r)
+		}
+		if err != nil {
 			return err
 		}
 	}

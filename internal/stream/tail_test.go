@@ -86,13 +86,16 @@ func TestTailHandoffGapFreeFullCampaign(t *testing.T) {
 	}
 
 	var snapshotted int
-	err = tail.Snapshot(func(r *store.Record) error {
+	blocks, err := snapshotRecords(tail, func(r *store.Record) error {
 		record(*r, "snapshot")
 		snapshotted++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if blocks == 0 {
+		t.Error("the unfiltered snapshot forwarded no block whole")
 	}
 	if snapshotted < attachAfter/2 {
 		t.Errorf("snapshot replayed only %d records before a mid-campaign attach", snapshotted)
@@ -145,7 +148,7 @@ func TestTailAfterQuiescentStore(t *testing.T) {
 	tail := broker.Tail(db, stream.SubOptions{Buffer: 64, Policy: stream.Block})
 	defer tail.Close()
 	var want uint64
-	err = tail.Snapshot(func(r *store.Record) error {
+	_, err = snapshotRecords(tail, func(r *store.Record) error {
 		if r.Seq != want {
 			t.Fatalf("snapshot seq %d, want %d", r.Seq, want)
 		}
@@ -197,7 +200,7 @@ func TestTailFilterConsistency(t *testing.T) {
 	defer tail.Close()
 
 	var got []uint64
-	if err := tail.Snapshot(func(r *store.Record) error {
+	if _, err := snapshotRecords(tail, func(r *store.Record) error {
 		if r.Device != "UR3e" {
 			t.Errorf("snapshot leaked %s record", r.Device)
 		}
@@ -220,4 +223,28 @@ func TestTailFilterConsistency(t *testing.T) {
 			t.Fatalf("live event %d: (%s, %v)", i, ev.Record.Device, ok)
 		}
 	}
+}
+
+// snapshotRecords runs tail.Snapshot with fn for every record, decoding the
+// blocks it forwards whole with store.BlockReader, and reports how many of
+// them came as blocks.
+func snapshotRecords(tail *stream.Tail, fn func(*store.Record) error) (blocks int, err error) {
+	err = tail.Snapshot(func(payload []byte) error {
+		blocks++
+		var br store.BlockReader
+		if err := br.Reset(payload); err != nil {
+			return err
+		}
+		var r store.Record
+		for br.Len() > 0 {
+			if err := br.Next(&r); err != nil {
+				return err
+			}
+			if err := fn(&r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, fn)
+	return blocks, err
 }

@@ -3,9 +3,12 @@ package stream_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -190,12 +193,18 @@ func TestWireV2SnapshotThenFollow(t *testing.T) {
 	}
 }
 
-// TestSnapshotTailMatchesStore: a snapshot tail over TCP delivers every
-// record exactly as the store holds it — the same instant in the same
-// location, and a zero EndTime still zero — because the wire event carries
-// the store's record encoding.
+// TestSnapshotTailMatchesStore: a snapshot tail over TCP delivers exactly
+// the records the store holds for its subscription, in order, then the
+// snapshot-end marker — the same instant in the same location, and a zero
+// EndTime still zero. The cases shape the store so the server forwards
+// some blocks whole and sends the rest record by record: written blocks
+// plus a staged tail, a device filter that covers one block and matches
+// another only in part, and a resume point inside a written block, whose
+// block must go record by record or the resume would replay duplicates.
 func TestSnapshotTailMatchesStore(t *testing.T) {
-	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
+	// Four records to a block: seqs 0-3 are all C9, 4-7 alternate C9 and
+	// UR3e, 8-11 are all UR3e, and 12-13 stay staged.
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{BlockRecords: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,48 +214,158 @@ func TestSnapshotTailMatchesStore(t *testing.T) {
 	broker.AttachStore(db)
 	_, addr := startServer(t, broker, db)
 
-	start := time.Date(2021, 10, 1, 9, 30, 0, 123456789, time.FixedZone("PDT", -7*3600))
-	for _, r := range []store.Record{
-		{Time: start, EndTime: start.Add(3 * time.Millisecond), Device: "UR3e", Name: "move_joints",
-			Args: []string{"0.5", "ünïcödé"}, Response: "ok", Procedure: "P2", Run: "run-1", Mode: "REMOTE"},
-		{Time: start.Add(time.Second), Device: "C9", Name: "MVNG", Exception: "timeout",
-			Procedure: store.UnknownProcedure, Mode: "DIRECT"},
-	} {
+	// The wire and the store both decode a time as time.Unix does, so only
+	// staged records, which the store hands back as appended, need their
+	// times built that way to compare equal.
+	start := time.Unix(1633105800, 123456789)
+	for i := 0; i < 14; i++ {
+		r := store.Record{Time: start.Add(time.Duration(i) * time.Second), Device: "UR3e", Name: "move_joints",
+			Args: []string{fmt.Sprintf("%d.5", i), "ünïcödé"}, Response: "ok", Procedure: "P2", Run: "run-1", Mode: "REMOTE"}
+		if i < 4 || (i < 8 && i%2 == 0) || i == 12 {
+			r.Device, r.Name, r.Args, r.Response = "C9", "MVNG", nil, ""
+			r.Exception, r.Procedure, r.Mode = "timeout", store.UnknownProcedure, "DIRECT"
+		} else {
+			r.EndTime = r.Time.Add(3 * time.Millisecond)
+		}
 		if err := db.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.Collect(tracedb.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 2 {
-		t.Fatalf("store holds %d records, want 2", len(want))
-	}
-	if !want[1].EndTime.IsZero() {
-		t.Errorf("store read a zero EndTime back as %v", want[1].EndTime)
+	if pl := db.Explain(tracedb.Query{}); pl.TotalBlocks != 3 || pl.StagedTail != 2 {
+		t.Fatalf("store holds %d blocks and %d staged records, want 3 and 2", pl.TotalBlocks, pl.StagedTail)
 	}
 
-	client, err := stream.Dial(addr, wire.Subscribe{Snapshot: true, Policy: wire.PolicyBlock})
+	for _, tc := range []struct {
+		name string
+		sub  wire.Subscribe
+		q    tracedb.Query
+		// candidate and covered blocks the planner must pick for q, so the
+		// case forwards blocks whole and sends others record by record.
+		candidate, covered int
+	}{
+		{"blocks and staged tail", wire.Subscribe{Snapshot: true}, tracedb.Query{}, 3, 3},
+		{"device filter, partly covered", wire.Subscribe{Snapshot: true, Device: "C9"}, tracedb.Query{Device: "C9"}, 2, 1},
+		{"resume inside a written block", wire.Subscribe{ResumeFrom: 6}, tracedb.Query{MinSeq: 6}, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if pl := db.Explain(tc.q); pl.CandidateBlocks != tc.candidate || pl.CoveredBlocks != tc.covered {
+				t.Fatalf("planner picks %d blocks, %d covered; want %d and %d",
+					pl.CandidateBlocks, pl.CoveredBlocks, tc.candidate, tc.covered)
+			}
+			want, err := db.Collect(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.sub.Policy = wire.PolicyBlock
+			client, err := stream.Dial(addr, tc.sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.SetIdleTimeout(5 * time.Second)
+			for i := range want {
+				ev, err := client.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Kind != wire.EventTrace || ev.Record == nil || !reflect.DeepEqual(*ev.Record, want[i]) {
+					t.Fatalf("snapshot record %d:\n got %+v\nwant %+v", i, ev.Record, want[i])
+				}
+				// Every C9 record was appended with a zero EndTime: seqs 0-3
+				// reach the client in a forwarded block, 12 from the staged tail.
+				if ev.Record.Device == "C9" && !ev.Record.EndTime.IsZero() {
+					t.Fatalf("snapshot record seq %d: EndTime %v, want the zero time", ev.Record.Seq, ev.Record.EndTime)
+				}
+			}
+			if ev, err := client.Recv(); err != nil || ev.Kind != wire.EventSnapshotEnd {
+				t.Fatalf("after %d records want snapshot end, got %+v, %v", len(want), ev, err)
+			}
+		})
+	}
+}
+
+// TestClientRejectsMalformedBlock: a block event whose bytes do not hold
+// the records its count announces ends Recv with an error after the
+// records that do decode — never a panic, and no room made for a count the
+// bytes cannot hold.
+func TestClientRejectsMalformedBlock(t *testing.T) {
+	recs := []store.Record{
+		{Seq: 0, Time: time.Unix(0, 1000), Device: "C9", Name: "MVNG", Args: []string{"x"}},
+		{Seq: 1, Time: time.Unix(0, 2000), Device: "UR3e", Name: "movej", Run: "run-1"},
+	}
+	valid := store.AppendBlock(nil, recs)
+	for _, tc := range []struct {
+		name  string
+		block []byte
+		good  int // records Recv returns before the error
+	}{
+		{"count beyond its bytes", append(binary.AppendUvarint(nil, 1<<24), valid[1:]...), 0},
+		{"truncated record", valid[:len(valid)-2], 1},
+		{"bytes after the last record", append(append([]byte(nil), valid...), 0), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := serveFrames(t, wire.Event{Kind: wire.EventTrace, Block: tc.block})
+			client, err := stream.Dial(addr, wire.Subscribe{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			client.SetIdleTimeout(5 * time.Second)
+			for i := 0; i < tc.good; i++ {
+				if ev, err := client.Recv(); err != nil || !reflect.DeepEqual(*ev.Record, recs[i]) {
+					t.Fatalf("record %d: %+v, %v", i, ev.Record, err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = client.Recv()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, store.ErrCorruptBlock) {
+				t.Fatalf("Recv of the malformed record: %v, want %v", err, store.ErrCorruptBlock)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+				t.Errorf("rejecting the block allocated %d bytes, want under 1 MiB", n)
+			}
+		})
+	}
+}
+
+// serveFrames starts a listener that answers one subscription with frames
+// and then holds the connection open until the client leaves.
+func serveFrames(t *testing.T, frames ...wire.Event) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	for i := range want {
-		ev, err := client.Recv()
+	done := make(chan struct{})
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if ev.Kind != wire.EventTrace || ev.Record == nil || !reflect.DeepEqual(*ev.Record, want[i]) {
-			t.Errorf("snapshot record %d:\n got %+v\nwant %+v", i, ev.Record, want[i])
+		defer conn.Close()
+		wc, err := wire.Accept(conn, nil)
+		if err != nil {
+			return
 		}
-	}
-	if ev, err := client.Recv(); err != nil || ev.Kind != wire.EventSnapshotEnd {
-		t.Fatalf("want snapshot end, got %+v, %v", ev, err)
-	}
+		var sub wire.Subscribe
+		if wc.ReadFrame(&sub) != nil {
+			return
+		}
+		for _, f := range frames {
+			if wc.WriteFrame(f) != nil {
+				return
+			}
+		}
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	return ln.Addr().String()
 }
 
 func snapshotFixture(t *testing.T) (db *tracedb.DB, broker *stream.Broker, addr string) {

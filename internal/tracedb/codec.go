@@ -22,10 +22,11 @@
 // One block is one flush boundary: an AppendBatch call, or the
 // Options.BlockRecords per-record appends staged between two writes, lands
 // as exactly one block (split only when it would exceed the block size
-// cap). The payload is a uvarint record count followed by that many
-// records in store's record encoding (store.AppendRecord), the same bytes
-// a wire trace event carries. The encoding is canonical — encoding any
-// decoded batch reproduces the original bytes — which is what
+// cap). The payload is a store block (store.AppendBlock): a uvarint record
+// count followed by that many records in store's record encoding. A wire
+// trace event carries either those bytes as stored, when a snapshot replay
+// forwards the whole block, or one record's. The encoding is canonical —
+// encoding any decoded batch reproduces the original bytes — which is what
 // FuzzSegmentRoundTrip pins down.
 //
 // # Crash safety
@@ -40,7 +41,6 @@ package tracedb
 
 import (
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"slices"
 
@@ -58,25 +58,19 @@ const (
 	MaxBlockBytes = 16 << 20
 	// targetBlockBytes is the soft payload size at which a large batch is
 	// split across several blocks; it keeps every block far under
-	// MaxBlockBytes and bounds the unit of read amplification.
+	// MaxBlockBytes and bounds the unit of read amplification. It also
+	// makes every block of two or more records fit one wire event frame
+	// (wire.MaxFrameSize, also 1 MiB), header included, though only by
+	// recordSizeEstimate's slack: the estimate counts each of a record's
+	// length and count prefixes, eight at least, at 5 bytes, and a value
+	// under 1 MiB needs at most 3, so such a block encodes at least 32
+	// bytes under its estimate, against about 15 for its record count and
+	// frame header. TestCompactBlocksFitOneFrame pins it.
 	targetBlockBytes = 1 << 20
 )
 
 // castagnoli is the CRC32C polynomial table used for block checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errCorrupt marks a block whose payload fails structural validation; the
-// recovery scan treats it exactly like a failed checksum.
-var errCorrupt = errors.New("tracedb: corrupt block payload")
-
-// encodePayload appends the canonical block payload for recs to buf.
-func encodePayload(buf []byte, recs []store.Record) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for i := range recs {
-		buf = store.AppendRecord(buf, &recs[i])
-	}
-	return buf
-}
 
 // recordSizeEstimate upper-bounds a record's encoded size, used to split
 // oversized batches at block boundaries before encoding.
@@ -90,35 +84,28 @@ func recordSizeEstimate(r store.Record) int {
 	return n
 }
 
-// decodePayload parses a block payload and appends its records to dst —
-// only the records q matches, when q is non-nil, so a record the query
-// rejects never lands in dst. Every record is parsed either way. It never
-// panics on corrupt input: the record count is bounded by the bytes left
-// over store.MinRecordBytes before anything is allocated, and trailing
-// garbage after the last record is rejected so that a decoded payload
-// always re-encodes byte-identically. On error the returned slice is nil,
-// though dst's backing array may already hold some of the block's records.
+// decodePayload parses a block payload with store.BlockReader and appends
+// its records to dst — only the records q matches, when q is non-nil, so a
+// record the query rejects never lands in dst. Every record is parsed
+// either way, and a malformed payload is store.ErrCorruptBlock. On error
+// the returned slice is nil, though dst's backing array may already hold
+// some of the block's records.
 func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, error) {
-	count, n := binary.Uvarint(b)
-	if n <= 0 || count > uint64((len(b)-n)/store.MinRecordBytes) {
-		return nil, errCorrupt
+	var br store.BlockReader
+	if err := br.Reset(b); err != nil {
+		return nil, err
 	}
 	if q == nil {
-		dst = slices.Grow(dst, int(count))
+		dst = slices.Grow(dst, br.Len())
 	}
-	pos := n
-	for i := uint64(0); i < count; i++ {
-		r, adv, ok := store.DecodeRecord(b[pos:])
-		if !ok {
-			return nil, errCorrupt
+	var r store.Record
+	for br.Len() > 0 {
+		if err := br.Next(&r); err != nil {
+			return nil, err
 		}
-		pos += adv
 		if q == nil || q.Match(r) {
 			dst = append(dst, r)
 		}
-	}
-	if pos != len(b) {
-		return nil, errCorrupt
 	}
 	return dst, nil
 }

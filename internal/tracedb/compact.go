@@ -198,7 +198,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		if len(batch) == 0 {
 			return nil
 		}
-		encBuf = encodePayload(encBuf[:0], batch)
+		encBuf = store.AppendBlock(encBuf[:0], batch)
 		if err := ns.appendBlock(encBuf, batch); err != nil {
 			return err
 		}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"rad/internal/simclock"
 	"rad/internal/store"
+	"rad/internal/wire"
 )
 
 // lcRecords builds n records with deterministic devices, keys, runs, and
@@ -54,7 +57,7 @@ func ingestSmallBlocks(t testing.TB, db *DB, recs []store.Record, perBlock int) 
 // the byte-identity oracle for before/after comparisons.
 func canonical(t testing.TB, recs []store.Record) []byte {
 	t.Helper()
-	return encodePayload(nil, recs)
+	return store.AppendBlock(nil, recs)
 }
 
 func collectAll(t testing.TB, db *DB) []store.Record {
@@ -519,6 +522,65 @@ func TestLifecycleInfo(t *testing.T) {
 	}
 	if info.CompactedSegments == 0 {
 		t.Fatalf("no compacted segment live after Maintain")
+	}
+}
+
+// TestCompactBlocksFitOneFrame: however large a block the compactor is
+// asked for, it re-batches into blocks that each fit one wire event frame,
+// header included, since a snapshot replay forwards stored blocks as
+// frames. Every block of an unfiltered scan is covered, so each one is
+// handed to wire.Conn.BufferBlock, which refuses a frame over
+// wire.MaxFrameSize. Each record encodes to exactly 1 KiB: a split on
+// exact record sizes would fill a block with exactly 1 MiB of records,
+// which its record count and frame header would push over the limit.
+func TestCompactBlocksFitOneFrame(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{
+		SegmentBytes: 512 << 10,
+		Lifecycle:    LifecycleOptions{CompactBlockBytes: 4 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	recs := lcRecords(3000, time.Unix(1000, 0))
+	for i := range recs {
+		r := &recs[i]
+		r.Seq, r.Args = uint64(i), []string{""} // the seq Append assigns
+		// The arg's length prefix takes a second byte once it is padded.
+		r.Args[0] = strings.Repeat("x", 1<<10-len(store.AppendRecord(nil, r))-1)
+		if n := len(store.AppendRecord(nil, r)); n != 1<<10 {
+			t.Fatalf("record %d encodes to %d bytes, want 1 KiB", i, n)
+		}
+	}
+	ingestSmallBlocks(t, db, recs, 100)
+	want := canonical(t, collectAll(t, db))
+	if _, err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, collectAll(t, db)); !bytes.Equal(got, want) {
+		t.Fatal("compaction changed the store's records")
+	}
+	wc := wire.NewConn(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(""), io.Discard}, wire.V2, nil)
+	largest := 0
+	it := db.Scan(Query{})
+	for it.NextBlock() {
+		payload, _ := it.Block()
+		if payload == nil {
+			t.Fatalf("record %d of an unfiltered scan was not in a covered block", it.Ref().Seq)
+		}
+		if err := wc.BufferBlock(payload); err != nil {
+			t.Fatalf("block of %d bytes: %v", len(payload), err)
+		}
+		largest = max(largest, len(payload))
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if largest <= wire.MaxFrameSize/2 {
+		t.Fatalf("largest block holds %d bytes, want more than half of a %d-byte frame", largest, wire.MaxFrameSize)
 	}
 }
 

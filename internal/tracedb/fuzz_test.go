@@ -47,7 +47,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := encodePayload(nil, before)
+		want := store.AppendBlock(nil, before)
 
 		if _, err := db.Compact(); err != nil {
 			t.Fatalf("compact: %v", err)
@@ -56,7 +56,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodePayload(nil, after); !bytes.Equal(want, got) {
+		if got := store.AppendBlock(nil, after); !bytes.Equal(want, got) {
 			t.Fatalf("compaction changed the store: %d records -> %d", len(before), len(after))
 		}
 		if err := db.Close(); err != nil {
@@ -72,7 +72,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := encodePayload(nil, reopened); !bytes.Equal(want, got) {
+		if got := store.AppendBlock(nil, reopened); !bytes.Equal(want, got) {
 			t.Fatalf("reopen after compaction changed the store: %d records -> %d",
 				len(before), len(reopened))
 		}
@@ -148,12 +148,12 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 
 		// Contract 1: canonical payload codec.
-		payload := encodePayload(nil, recs)
+		payload := store.AppendBlock(nil, recs)
 		decoded, err := decodePayload(payload, nil, nil)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if re := encodePayload(nil, decoded); !bytes.Equal(re, payload) {
+		if re := store.AppendBlock(nil, decoded); !bytes.Equal(re, payload) {
 			t.Fatalf("re-encode differs: %d vs %d bytes", len(re), len(payload))
 		}
 
@@ -242,7 +242,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 			if got[i].Seq != uint64(i) {
 				t.Fatalf("recovered record %d has seq %d", i, got[i].Seq)
 			}
-			if re := encodePayload(nil, got[i:i+1]); !bytes.Equal(re, encodePayload(nil, recs[i:i+1])) {
+			if re := store.AppendBlock(nil, got[i:i+1]); !bytes.Equal(re, store.AppendBlock(nil, recs[i:i+1])) {
 				t.Fatalf("recovered record %d differs from the flushed one", i)
 			}
 		}

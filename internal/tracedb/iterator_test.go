@@ -12,7 +12,8 @@ import (
 // record copied out with Record must not change when later blocks are
 // decoded — on the covered path (no re-filter) and on the re-filtered one.
 // Record after exhaustion and after Close returns the last record, as it
-// did before the reuse.
+// did before the reuse. NextBlock walks the same records, handing out the
+// covered blocks whole and the rest in place (Ref).
 func TestIteratorReuseKeepsCopiedRecords(t *testing.T) {
 	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -39,9 +40,6 @@ func TestIteratorReuseKeepsCopiedRecords(t *testing.T) {
 			it := db.Scan(tc.q)
 			var got []store.Record
 			for it.Next() {
-				if !reflect.DeepEqual(*it.Ref(), it.Record()) {
-					t.Fatalf("Ref and Record disagree at seq %d", it.Record().Seq)
-				}
 				got = append(got, it.Record())
 			}
 			if err := it.Err(); err != nil {
@@ -50,6 +48,41 @@ func TestIteratorReuseKeepsCopiedRecords(t *testing.T) {
 			sameRecords(t, got, want)
 			// After exhaustion Record still returns the last record.
 			sameRecords(t, []store.Record{it.Record()}, want[len(want)-1:])
+
+			it = db.Scan(tc.q)
+			got, blocks := nil, 0
+			for it.NextBlock() {
+				payload, maxSeq := it.Block()
+				if payload == nil {
+					if !reflect.DeepEqual(*it.Ref(), it.Record()) {
+						t.Fatalf("Ref and Record disagree at seq %d", it.Record().Seq)
+					}
+					got = append(got, it.Record())
+					continue
+				}
+				blocks++
+				var br store.BlockReader
+				if err := br.Reset(payload); err != nil {
+					t.Fatal(err)
+				}
+				for br.Len() > 0 {
+					var r store.Record
+					if err := br.Next(&r); err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, r)
+				}
+				if last := got[len(got)-1].Seq; last != maxSeq {
+					t.Fatalf("block ends at seq %d, Block reports %d", last, maxSeq)
+				}
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, got, want)
+			if covered := db.Explain(tc.q).CoveredBlocks; blocks != covered {
+				t.Fatalf("NextBlock handed out %d blocks whole, the plan covers %d", blocks, covered)
+			}
 
 			// Close mid-scan, past the first block, ends the iteration and
 			// leaves Record on the last record Next positioned.

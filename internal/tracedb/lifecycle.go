@@ -25,6 +25,10 @@ type LifecycleOptions struct {
 	// degrade toward full scans. The default, DefaultCompactBlockBytes,
 	// is dense enough to collapse small-flush debris by orders of
 	// magnitude while keeping rare-key and time-window pruning effective.
+	// Larger values are capped at the 1 MiB at which appends split a
+	// batch, so that, as on the append path, only a block of one record
+	// can exceed the wire's frame limit: a snapshot replay forwards stored
+	// blocks to a tail as they are.
 	CompactBlockBytes int64
 	// CompactFragBytes marks a sealed segment fragmented — a compaction
 	// source — when its average block payload is below this. Defaults to
@@ -48,7 +52,7 @@ const DefaultCompactFragBytes = DefaultCompactBlockBytes / 4
 
 func (o LifecycleOptions) blockBytes() int64 {
 	if o.CompactBlockBytes > 0 {
-		return o.CompactBlockBytes
+		return min(o.CompactBlockBytes, targetBlockBytes)
 	}
 	return DefaultCompactBlockBytes
 }

@@ -144,7 +144,7 @@ func TestPlannerMatchesReferenceFilter(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if !bytes.Equal(encodePayload(nil, want), encodePayload(nil, got)) {
+		if !bytes.Equal(store.AppendBlock(nil, want), store.AppendBlock(nil, got)) {
 			t.Fatalf("query %+v: indexed scan %d records, reference %d", q, len(got), len(want))
 		}
 		// The iterator path agrees with Collect.
@@ -156,7 +156,7 @@ func TestPlannerMatchesReferenceFilter(t *testing.T) {
 		if err := it.Err(); err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if !bytes.Equal(encodePayload(nil, want), encodePayload(nil, itGot)) {
+		if !bytes.Equal(store.AppendBlock(nil, want), store.AppendBlock(nil, itGot)) {
 			t.Fatalf("query %+v: iterator %d records, reference %d", q, len(itGot), len(want))
 		}
 	}
@@ -188,7 +188,7 @@ func TestPlannerMatchesReferenceAfterCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		if !bytes.Equal(encodePayload(nil, want), encodePayload(nil, got)) {
+		if !bytes.Equal(store.AppendBlock(nil, want), store.AppendBlock(nil, got)) {
 			t.Fatalf("post-compaction query %+v: %d records, reference %d", q, len(got), len(want))
 		}
 	}

@@ -245,7 +245,8 @@ func (db *DB) Explain(q Query) QueryPlan {
 //
 // Blocks are read through one payload buffer and decoded into one record
 // slice, both reused from block to block; Record copies a record out, Ref
-// points at it in place.
+// points at it in place. NextBlock hands out a covered block's payload
+// instead of decoding it.
 type Iterator struct {
 	q     Query
 	plans []segPlan
@@ -257,9 +258,13 @@ type Iterator struct {
 	// current record. A block with no matching record is decoded without
 	// touching cur, so the current record survives until another record
 	// replaces it.
-	cur      []store.Record
-	ci       int
-	payload  []byte // block read buffer
+	cur     []store.Record
+	ci      int
+	payload []byte // block read buffer
+	// block is the covered block NextBlock positioned, a view of payload,
+	// and blockSeq its highest seq; block is nil at a record.
+	block    []byte
+	blockSeq uint64
 	err      error
 	released bool
 }
@@ -277,7 +282,18 @@ func (db *DB) Scan(q Query) *Iterator {
 // Next advances to the next matching record, reporting whether one exists.
 // It returns false once the snapshot is exhausted or a read error occurred;
 // either way the snapshot's segment references are released.
-func (it *Iterator) Next() bool {
+func (it *Iterator) Next() bool { return it.advance(false) }
+
+// NextBlock advances like Next, except that a covered block — one the
+// planner's index metadata proves to match in full — is not decoded: it is
+// positioned whole, and Block returns its payload. Records of the other
+// blocks and of the staged tail are positioned one at a time, as by Next,
+// and Block returns nil for them.
+func (it *Iterator) NextBlock() bool { return it.advance(true) }
+
+// advance is Next, and with blocks set NextBlock.
+func (it *Iterator) advance(blocks bool) bool {
+	it.block = nil
 	if it.err != nil {
 		return false
 	}
@@ -301,20 +317,28 @@ func (it *Iterator) Next() bool {
 			it.bi = 0
 			continue
 		}
-		m := p.blocks[it.bi]
+		m, covered := p.blocks[it.bi], p.covered[it.bi]
+		it.bi++
+		// A block of no records (possible only in a foreign store) has no
+		// highest seq to hand out, and decodes to nothing below.
+		if blocks && covered && m.count > 0 {
+			payload, err := p.seg.readPayload(m, &it.payload)
+			if err != nil {
+				it.fail(err)
+				return false
+			}
+			it.block, it.blockSeq = payload, m.maxSeq
+			return true
+		}
 		// A covered block's index metadata proves every record matches, so
 		// the per-record re-filter is skipped.
 		filter := &it.q
-		if p.covered[it.bi] {
+		if covered {
 			filter = nil
 		}
-		it.bi++
 		recs, err := p.seg.readBlock(m, &it.payload, it.cur[:0], filter)
 		if err != nil {
-			// The failed decode may have overwritten cur's records.
-			it.cur, it.ci = nil, 0
-			it.err = err
-			it.release()
+			it.fail(err)
 			return false
 		}
 		if len(recs) > 0 {
@@ -323,9 +347,24 @@ func (it *Iterator) Next() bool {
 	}
 }
 
+// fail ends the iteration with a read error.
+func (it *Iterator) fail(err error) {
+	// A failed decode may have overwritten cur's records.
+	it.cur, it.ci = nil, 0
+	it.err = err
+	it.release()
+}
+
+// Block returns the covered block the last NextBlock positioned: its
+// checksum-verified payload, a store block (store.BlockReader reads it),
+// and the highest seq it holds. The payload belongs to the iterator and is
+// overwritten by the next advance; it is nil when the iterator stands at a
+// record.
+func (it *Iterator) Block() (payload []byte, maxSeq uint64) { return it.block, it.blockSeq }
+
 // Record returns a copy of the record positioned by the last successful
-// Next — the zero Record before the first. The copy stays valid however
-// far the iterator advances.
+// Next or NextBlock — the zero Record before the first. The copy stays
+// valid however far the iterator advances.
 func (it *Iterator) Record() store.Record {
 	if it.ci == 0 {
 		return store.Record{}
@@ -333,11 +372,12 @@ func (it *Iterator) Record() store.Record {
 	return it.cur[it.ci-1]
 }
 
-// Ref returns the record positioned by the last successful Next in place,
-// without copying it. The pointee belongs to the iterator: the next call
-// to Next may overwrite it with a later block's record, so a caller keeping
-// the record must copy it (or use Record). Ref must not be called before
-// the first successful Next.
+// Ref returns the record positioned by the last successful Next or
+// NextBlock in place, without copying it. The pointee belongs to the
+// iterator: the next advance may overwrite it with a later block's record,
+// so a caller keeping the record must copy it (or use Record). Ref must not
+// be called before a record is positioned, nor while NextBlock stands at a
+// block.
 func (it *Iterator) Ref() *store.Record { return &it.cur[it.ci-1] }
 
 // Err returns the first read error the iterator encountered, if any.
@@ -357,7 +397,7 @@ func (it *Iterator) Close() {
 // release drops the snapshot's segment references and the block read
 // buffer.
 func (it *Iterator) release() {
-	it.payload = nil
+	it.payload, it.block = nil, nil
 	if it.released {
 		return
 	}

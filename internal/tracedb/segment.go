@@ -209,11 +209,10 @@ func (s *segment) appendBlock(payload []byte, recs []store.Record) error {
 	return nil
 }
 
-// readBlock reads one committed block into *scratch (grown when too small,
-// so a caller reading block after block reuses one buffer), re-verifies its
-// checksum against the indexed CRC, and appends its records to dst — only
-// those q matches, when q is non-nil (see decodePayload).
-func (s *segment) readBlock(m blockMeta, scratch *[]byte, dst []store.Record, q *Query) ([]store.Record, error) {
+// readPayload reads one committed block's payload into *scratch (grown
+// when too small, so a caller reading block after block reuses one buffer)
+// and re-verifies its checksum against the indexed CRC.
+func (s *segment) readPayload(m blockMeta, scratch *[]byte) ([]byte, error) {
 	if cap(*scratch) < int(m.payloadLen) {
 		*scratch = make([]byte, m.payloadLen)
 	}
@@ -223,6 +222,17 @@ func (s *segment) readBlock(m blockMeta, scratch *[]byte, dst []store.Record, q 
 	}
 	if crc32.Checksum(payload, castagnoli) != m.crc {
 		return nil, fmt.Errorf("tracedb: block at %d: checksum mismatch", m.off)
+	}
+	return payload, nil
+}
+
+// readBlock reads one committed block like readPayload and appends its
+// records to dst — only those q matches, when q is non-nil (see
+// decodePayload).
+func (s *segment) readBlock(m blockMeta, scratch *[]byte, dst []store.Record, q *Query) ([]store.Record, error) {
+	payload, err := s.readPayload(m, scratch)
+	if err != nil {
+		return nil, err
 	}
 	recs, err := decodePayload(payload, dst, q)
 	if err != nil {

@@ -481,7 +481,7 @@ func (db *DB) writeOneBlockLocked(recs []store.Record) error {
 		db.segs = append(db.segs, next)
 		active = next
 	}
-	db.encBuf = encodePayload(db.encBuf[:0], recs)
+	db.encBuf = store.AppendBlock(db.encBuf[:0], recs)
 	if err := active.appendBlock(db.encBuf, recs); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@
 package wire
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"testing"
@@ -30,9 +31,11 @@ func (l *loopReader) Write(p []byte) (int, error) { return len(p), nil }
 // exact: writing a frame through a Conn allocates nothing, whether the
 // caller passes a value or a pointer, and reading a frame whose strings are
 // protocol vocabulary allocates nothing (interning hands back shared
-// instances). Frames carrying novel strings or slices pay only for those
-// values. Excluded under -race: the detector's instrumentation shifts
-// allocation counts.
+// instances). A block frame costs nothing either way: written, its block
+// sent from the caller's slice, and read, once the connection's read
+// buffer has grown to it. Frames carrying novel strings or slices pay only
+// for those values. Excluded under -race: the detector's instrumentation
+// shifts allocation counts.
 func TestWireV2FrameAllocs(t *testing.T) {
 	req := Request{ID: 42, Op: OpExec, Device: "UR3e", Name: "move_joints",
 		Args: []string{"0.5", "-1.2"}, Procedure: "P2", Run: "bench"}
@@ -79,6 +82,46 @@ func TestWireV2FrameAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("Conn.WriteFrame(%s): %.1f allocs/op, want 0", tc.name, n)
+		}
+	}
+
+	// A block of any size goes out from the caller's slice in one vectored
+	// write.
+	recs := make([]store.Record, 2000)
+	for i := range recs {
+		recs[i] = rec
+		recs[i].Seq = uint64(i)
+	}
+	small, large := store.AppendBlock(nil, recs[:10]), store.AppendBlock(nil, recs)
+	if len(large) <= pooledLimit {
+		t.Fatalf("large block of %d bytes is not above the pooled frame size", len(large))
+	}
+	for _, tc := range []struct {
+		name  string
+		block []byte
+	}{{"small", small}, {"large", large}} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := w.BufferBlock(tc.block); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Conn.BufferBlock(%s block): %.1f allocs/op, want 0", tc.name, n)
+		}
+
+		// Reading it back allocates no payload buffer per frame: the block
+		// aliases the connection's read buffer.
+		bc := NewConn(&loopReader{frame: frame(Event{Kind: EventTrace, Block: tc.block})}, V2, nil)
+		var ev Event
+		if n := testing.AllocsPerRun(200, func() {
+			tf := TailFrame{Event: &ev}
+			if err := bc.ReadFrame(&tf); err != nil || !bytes.Equal(ev.Block, tc.block) {
+				t.Fatalf("ReadFrame(%s block): %d bytes, %v", tc.name, len(ev.Block), err)
+			}
+		}); n != 0 {
+			t.Errorf("Conn.ReadFrame(%s block): %.1f allocs/op, want 0", tc.name, n)
 		}
 	}
 

@@ -17,8 +17,10 @@ package wire
 // tag-dispatch loop, never a reflected field walk. The top level needs no
 // terminator because the frame length delimits it. An Event's record is
 // its tag followed by store's record encoding (store.AppendRecord), the
-// bytes tracedb stores, which delimits itself; its power sample is a
-// nested tag stream closed by the reserved end tag 0.
+// bytes tracedb stores, which delimits itself; its block is a
+// length-prefixed store block, the bytes of a stored block, and is always
+// the frame's last field; its power sample is a nested tag stream closed
+// by the reserved end tag 0.
 //
 // Value shapes: uvarint (counters, lengths), zigzag varint (signed nanos),
 // length-prefixed UTF-8 bytes (strings), and raw little-endian float64
@@ -107,6 +109,7 @@ const (
 	evGap
 	evTraceID
 	evSpanID
+	evBlock
 )
 
 // Ping/Pong field tags (both frames share the one-field shape).
@@ -303,6 +306,10 @@ func appendSubscribe(b []byte, s *Subscribe) []byte {
 	return b
 }
 
+// appendEvent encodes every field of e except the block bytes themselves:
+// the block is the last field, and its tag and length end the output, so
+// the caller appends e.Block, or writes it from e.Block without copying it
+// (Conn.BufferBlock).
 func appendEvent(b []byte, e *Event) []byte {
 	b = append(b, binEvent)
 	b = putStr(b, evKind, e.Kind)
@@ -319,6 +326,10 @@ func appendEvent(b []byte, e *Event) []byte {
 	b = putUint(b, evGap, e.Gap)
 	b = putUint(b, evTraceID, e.TraceID)
 	b = putUint(b, evSpanID, e.SpanID)
+	if len(e.Block) > 0 {
+		b = append(b, evBlock)
+		b = binary.AppendUvarint(b, uint64(len(e.Block)))
+	}
 	return b
 }
 
@@ -363,9 +374,9 @@ func appendBinaryFrame(dst []byte, v any) ([]byte, error) {
 	case Subscribe:
 		return appendSubscribe(dst, &f), nil
 	case *Event:
-		return appendEvent(dst, f), nil
+		return append(appendEvent(dst, f), f.Block...), nil
 	case Event:
-		return appendEvent(dst, &f), nil
+		return append(appendEvent(dst, &f), f.Block...), nil
 	case *Ping:
 		return appendPingPong(dst, binPing, f.Seq), nil
 	case Ping:
@@ -617,6 +628,8 @@ func decodeSubscribe(r *breader, s *Subscribe) {
 	}
 }
 
+// decodeEvent decodes into e. A block is not copied: e.Block aliases the
+// payload.
 func decodeEvent(r *breader, e *Event) {
 	*e = Event{}
 	for {
@@ -626,13 +639,14 @@ func decodeEvent(r *breader, e *Event) {
 		case evKind:
 			e.Kind = r.str()
 		case evRecord:
-			rec, n, ok := store.DecodeRecord(r.b)
+			rec := new(store.Record)
+			n, ok := store.DecodeRecord(r.b, rec)
 			if !ok {
 				r.fail("event: malformed record")
 				return
 			}
 			r.b = r.b[n:]
-			e.Record = &rec
+			e.Record = rec
 		case evSample:
 			s := new(power.Sample)
 			decodeSampleBody(r, s)
@@ -647,6 +661,17 @@ func decodeEvent(r *breader, e *Event) {
 			e.TraceID = r.uvarint()
 		case evSpanID:
 			e.SpanID = r.uvarint()
+		case evBlock:
+			n := r.uvarint()
+			if r.err != nil {
+				return
+			}
+			if n == 0 || n > uint64(len(r.b)) {
+				r.fail("event: block of %d bytes announced with %d left", n, len(r.b))
+				return
+			}
+			e.Block = r.b[:n:n]
+			r.b = r.b[n:]
 		default:
 			r.fail("event: unknown field tag %d", t)
 			return

@@ -70,6 +70,15 @@ type Conn struct {
 	// buffer while frames are pending, nil otherwise. Like the codec it is
 	// single-threaded per direction.
 	out *[]byte
+	// iov and bufs hand the pending output and a large block to one
+	// vectored write without allocating (flush).
+	iov  [2][]byte
+	bufs net.Buffers
+
+	// in is the read buffer every frame's payload is read into, grown to
+	// the largest frame read so far. A decoded Event's Block aliases it, so
+	// it is the connection's own rather than pooled.
+	in []byte
 
 	// capture, when set, retains the latest per-frame codec latencies for
 	// LastCodecLatency. Like the metrics timers it measures the marshal step
@@ -143,7 +152,9 @@ func Dial(addr string, m *Metrics) (net.Conn, *Conn, error) {
 	return conn, wc, nil
 }
 
-// ReadFrame reads one frame and decodes it into v.
+// ReadFrame reads one frame and decodes it into v. An Event's Block is not
+// copied: it aliases the connection's read buffer until the next
+// ReadFrame, so a caller reads the block before reading on.
 func (c *Conn) ReadFrame(v any) error {
 	size, err := binary.ReadUvarint(c.br)
 	if err != nil {
@@ -155,9 +166,7 @@ func (c *Conn) ReadFrame(v any) error {
 	if size > MaxFrameSize {
 		return frameTooLarge(size)
 	}
-	pb := getBuf()
-	defer putBuf(pb)
-	payload := sizeBuf(pb, int(size))
+	payload := sizeBuf(&c.in, int(size))
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return fmt.Errorf("wire: read frame payload: %w", err)
 	}
@@ -181,21 +190,47 @@ const flushThreshold = 32 << 10
 // must Flush when the burst ends. A frame that fails to encode leaves the
 // pending frames untouched; a failed Write drops them with the connection.
 func (c *Conn) Buffer(v any) error {
+	start, mark := c.open()
+	buf, err := appendBinaryFrame(append(*c.out, 0), v)
+	return c.seal(start, mark, buf, nil, err)
+}
+
+// BufferBlock is Buffer for an EventTrace frame carrying block, a store
+// block, except that the block is not copied: the pending frames, the
+// frame's other fields and the block go out at once in one vectored write,
+// the block straight from the caller's slice. It is not part of Buffer
+// because handing the caller's bytes to the writer would make every frame
+// Buffer encodes escape to the heap.
+func (c *Conn) BufferBlock(block []byte) error {
+	start, mark := c.open()
+	ev := Event{Kind: EventTrace, Block: block}
+	return c.seal(start, mark, appendEvent(append(*c.out, 0), &ev), block, nil)
+}
+
+// open readies the pending output for a frame and returns the encode
+// timer's start and the offset the frame starts at. The frame's first byte
+// is reserved for its uvarint length prefix, enough for any frame under
+// 128 bytes; seal shifts a longer payload right to make room.
+func (c *Conn) open() (start time.Time, mark int) {
 	if c.out == nil {
 		c.out = getBuf()
 		*c.out = (*c.out)[:0]
 	}
-	start := c.stamp()
-	mark := len(*c.out)
-	// Reserve one byte for the uvarint length prefix, enough for any frame
-	// under 128 bytes; a longer payload shifts right to make room.
-	buf, err := appendBinaryFrame(append(*c.out, 0), v)
+	return c.stamp(), len(*c.out)
+}
+
+// seal completes the frame buf holds from mark on, which block, when not
+// nil, follows on the wire: it writes the length prefix, and writes the
+// pending output when block is set or the output reached flushThreshold.
+// A frame that failed to encode (err) or is too large is dropped.
+func (c *Conn) seal(start time.Time, mark int, buf, block []byte, err error) error {
 	*c.out = buf // keep any growth for the pool
 	if err != nil {
 		c.truncate(mark)
 		return err
 	}
-	n := len(buf) - mark - 1
+	head := len(buf) - mark - 1
+	n := head + len(block)
 	if n > MaxFrameSize {
 		c.truncate(mark)
 		return frameTooLarge(uint64(n))
@@ -204,26 +239,38 @@ func (c *Conn) Buffer(v any) error {
 	ln := binary.PutUvarint(prefix[:], uint64(n))
 	if ln > 1 {
 		buf = append(buf, prefix[1:ln]...)
-		copy(buf[mark+ln:], buf[mark+1:mark+1+n])
+		copy(buf[mark+ln:], buf[mark+1:mark+1+head])
 	}
 	copy(buf[mark:], prefix[:ln])
 	*c.out = buf
 	c.observeWrite(start)
-	if len(buf) >= flushThreshold {
-		return c.Flush()
+	if block != nil || len(buf) >= flushThreshold {
+		return c.flush(block)
 	}
 	return nil
 }
 
 // Flush writes every pending frame with a single Write call and returns
 // the emptied buffer to the pool, so an idle connection holds none.
-func (c *Conn) Flush() error {
+func (c *Conn) Flush() error { return c.flush(nil) }
+
+// flush is Flush, with block — the last pending frame's block bytes —
+// written after the pending output in the same vectored write.
+func (c *Conn) flush(block []byte) error {
 	pb := c.out
 	if pb == nil {
 		return nil
 	}
 	c.out = nil
-	_, err := c.w.Write(*pb)
+	var err error
+	if block == nil {
+		_, err = c.w.Write(*pb)
+	} else {
+		c.iov = [2][]byte{*pb, block}
+		c.bufs = c.iov[:]
+		_, err = c.bufs.WriteTo(c.w)
+		c.iov, c.bufs = [2][]byte{}, nil
+	}
 	putBuf(pb)
 	if err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)

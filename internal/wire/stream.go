@@ -116,6 +116,14 @@ const (
 type Event struct {
 	Kind   string        `json:"kind"`
 	Record *store.Record `json:"record,omitempty"`
+	// Block, on an EventTrace frame, carries several records at once: a
+	// store block (store.AppendBlock), the bytes of a stored block as the
+	// store holds them. A snapshot replay sends each block whose every
+	// record matches the subscription this way; store.BlockReader decodes
+	// it. A decoded Block is not a copy: it aliases the frame it was read
+	// from, which Conn.ReadFrame keeps valid until the connection's next
+	// read.
+	Block  []byte        `json:"block,omitempty"`
 	Sample *power.Sample `json:"sample,omitempty"`
 	// Dropped is the number of events shed for this subscriber (drop-oldest
 	// policy) since the previous frame — the drop accounting a tailer needs

@@ -96,13 +96,13 @@ type Reply struct {
 	Error string `json:"error,omitempty"`
 }
 
-// pooledLimit caps how large a buffer the frame pools retain. Typical
+// pooledLimit caps how large a buffer the frame pool retains. Typical
 // frames are well under a kilobyte; a rare near-MaxFrameSize frame must not
 // pin a megabyte in every pool slot.
 const pooledLimit = 64 << 10
 
-// bufPool holds raw payload buffers shared by both directions of the
-// binary codec.
+// bufPool holds the binary codec's output buffers. Each connection reads
+// into a buffer of its own (Conn.ReadFrame).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -114,10 +114,11 @@ func putBuf(pb *[]byte) {
 }
 
 // sizeBuf returns (*pb)[:n], growing the backing array when it is too
-// small. Growth goes to the next power of two (capped at pooledLimit, the
-// largest buffer the pool retains), so a ramp of slowly growing frames
-// amortizes its reallocation instead of paying one per read; frames above
-// pooledLimit get an exact-size buffer, since it will not be pooled anyway.
+// small — a connection's read buffer. Growth goes to the next power of two
+// (capped at pooledLimit), so a ramp of slowly growing frames amortizes its
+// reallocation instead of paying one per read; frames above pooledLimit,
+// block events, get an exact-size buffer, so a connection holds no more
+// than its largest frame.
 func sizeBuf(pb *[]byte, n int) []byte {
 	if cap(*pb) < n {
 		c := n
