@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"time"
-
-	"rad/internal/device"
 )
 
 // The record encoding: the one binary form of a Record, used both for
@@ -66,8 +64,9 @@ func appendString(b []byte, s string) []byte {
 // start with a whole record, and *r then holds no valid record. Decoding
 // in place spares a caller that keeps or reuses a record a copy of it. It
 // never panics: every length is checked against the bytes left before
-// anything is allocated. Strings in Vocabulary come back as shared
-// instances.
+// anything is allocated. Every string is a copy of its bytes or the shared
+// instance of an intern-table word (Intern), and Args is a fresh slice, so
+// the record never aliases b and a copy of it never aliases r.
 func DecodeRecord(b []byte, r *Record) (n int, ok bool) {
 	d := recordDecoder{b: b}
 	r.Seq = d.uvarint()
@@ -198,42 +197,7 @@ func (d *recordDecoder) str() string {
 		d.bad = true
 		return ""
 	}
-	s := intern(d.b[:l])
+	s := Intern(d.b[:l])
 	d.b = d.b[l:]
 	return s
-}
-
-// Vocabulary lists the words that recur across records: the catalog's
-// device and command names, the procedure labels, the trace modes and the
-// devices' "ok" reply.
-func Vocabulary() []string {
-	words := []string{
-		UnknownProcedure, "P1", "P2", "P3", "P4", "P5", "P6", "replay",
-		"DIRECT", "REMOTE", "ok",
-	}
-	for _, spec := range device.Catalog() {
-		words = append(words, spec.Device, spec.Name)
-	}
-	return words
-}
-
-// vocabulary maps each Vocabulary word to its shared instance.
-var vocabulary = func() map[string]string {
-	m := make(map[string]string)
-	for _, w := range Vocabulary() {
-		m[w] = w
-	}
-	return m
-}()
-
-// intern returns the shared instance of b when it is a Vocabulary word,
-// and a copy otherwise. The lookup itself does not allocate.
-func intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := vocabulary[string(b)]; ok {
-		return s
-	}
-	return string(b)
 }

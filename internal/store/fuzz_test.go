@@ -97,6 +97,10 @@ func FuzzBlockReader(f *testing.F) {
 		{Seq: 2, Device: "UR3e", Name: "movej", Exception: "timeout"},
 	})
 	f.Add(valid)
+	// Near-misses of intern-table words: same length and sampled bytes as a
+	// word, another byte changed.
+	f.Add(AppendBlock(nil, []Record{{Seq: 3, Device: "UX3e", Name: "mOve_joints", Args: []string{"MvNG"},
+		Response: "dIRECT", Procedure: "P1", Run: "rEplay", Mode: "RxMOTE"}}))
 	f.Add(append(binary.AppendUvarint(nil, 1<<40), valid[1:]...)) // a count its bytes cannot hold
 	f.Add(valid[:len(valid)-1])                                   // the last record truncated
 	f.Add(append(append([]byte(nil), valid...), 0))               // a byte after the last record

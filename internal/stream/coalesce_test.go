@@ -3,6 +3,7 @@ package stream_test
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,14 +52,6 @@ func replayStore(t *testing.T, n int) (*tracedb.DB, *stream.Broker, *stream.Serv
 	broker.AttachStore(db)
 	srv, addr := startServer(t, broker, db)
 	return db, broker, srv, addr
-}
-
-// recordKey renders every persisted field of a record, with times as
-// instants, so records decoded by different layers compare equal.
-func recordKey(r *store.Record) string {
-	return fmt.Sprintf("%d|%d|%d|%s|%s|%q|%s|%s|%s|%s|%s", r.Seq,
-		r.Time.UnixNano(), r.EndTime.UnixNano(), r.Device, r.Name, r.Args,
-		r.Response, r.Exception, r.Procedure, r.Run, r.Mode)
 }
 
 // TestStreamSnapshotFlushesLoneLiveEvent: after a snapshot larger than one
@@ -225,24 +218,61 @@ func TestStreamClientClosedMidSnapshotDetaches(t *testing.T) {
 	}
 }
 
-// TestStreamRecvRecordsSurviveLaterFrames: Client.Recv reuses its decode
-// target, but the Record each event carries is the caller's to keep —
-// ResilientTail, radwatch and the online IDS all retain them. Pointers kept
-// across thousands of Recv calls must still describe the store's records.
+// TestStreamRecvRecordsSurviveLaterFrames: Client.Recv decodes every record
+// into one it owns, so consecutive calls return the same *store.Record, and
+// callers that keep records (ResilientTail, radwatch, the online IDS) keep
+// copies. A copy kept across thousands of later frames must still describe
+// the store's record: a string or Args slice aliasing the read buffer or
+// the reused record would change under it. The frames cover every path a
+// record takes: forwarded blocks, the one-record frames of a block the
+// filter matches only in part, and those of the staged tail.
 func TestStreamRecvRecordsSurviveLaterFrames(t *testing.T) {
-	const n = 3000
-	db, _, _, addr := replayStore(t, n)
-	want, err := db.Collect(tracedb.Query{})
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := stream.Dial(addr, wire.Subscribe{Name: "keeper", Snapshot: true})
+	t.Cleanup(func() { db.Close() })
+	// Five blocks of UR3e records, then one in which every fourth record is
+	// C9's, then 200 staged UR3e records.
+	for b := 0; b < 6; b++ {
+		recs := make([]store.Record, 500)
+		for i := range recs {
+			recs[i] = replayRecord(b*500 + i)
+			if b == 5 && i%4 == 0 {
+				recs[i].Device, recs[i].Name = "C9", "MVNG"
+			}
+		}
+		if err := db.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 3000; i < 3200; i++ {
+		if err := db.Append(replayRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := tracedb.Query{Device: "UR3e"}
+	if pl := db.Explain(q); pl.CandidateBlocks != 6 || pl.CoveredBlocks != 5 || pl.StagedTail != 200 {
+		t.Fatalf("planner picks %d blocks, %d covered, %d staged; want 6, 5 and 200",
+			pl.CandidateBlocks, pl.CoveredBlocks, pl.StagedTail)
+	}
+	want, err := db.Collect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := stream.NewBroker()
+	t.Cleanup(broker.Close)
+	broker.AttachStore(db)
+	_, addr := startServer(t, broker, db)
+
+	client, err := stream.Dial(addr, wire.Subscribe{Name: "keeper", Snapshot: true, Device: "UR3e"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 	client.SetIdleTimeout(5 * time.Second)
-	var kept []*store.Record
+	var kept []store.Record
+	var owned *store.Record
 	for {
 		ev, err := client.Recv()
 		if err != nil {
@@ -251,14 +281,19 @@ func TestStreamRecvRecordsSurviveLaterFrames(t *testing.T) {
 		if ev.Kind == wire.EventSnapshotEnd {
 			break
 		}
-		kept = append(kept, ev.Record)
+		if owned == nil {
+			owned = ev.Record
+		} else if ev.Record != owned {
+			t.Fatalf("Recv %d returned a record other than the client's", len(kept))
+		}
+		kept = append(kept, *ev.Record)
 	}
 	if len(kept) != len(want) {
 		t.Fatalf("replayed %d records, store holds %d", len(kept), len(want))
 	}
 	for i := range want {
-		if got, w := recordKey(kept[i]), recordKey(&want[i]); got != w {
-			t.Fatalf("record %d after %d later frames:\n got  %s\n want %s", i, n-i, got, w)
+		if !reflect.DeepEqual(kept[i], want[i]) {
+			t.Fatalf("record %d after %d later frames:\n got  %+v\n want %+v", i, len(want)-1-i, kept[i], want[i])
 		}
 	}
 }

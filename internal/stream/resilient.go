@@ -187,6 +187,9 @@ func (rt *ResilientTail) sleep(d time.Duration) bool {
 // returns io.EOF after Close, a *SubscribeError when the server refuses a
 // fresh subscription outright, and the last transport error once
 // MaxAttempts consecutive reconnects have failed.
+//
+// A trace event's Record is valid only until the next Recv, as with
+// Client.Recv.
 func (rt *ResilientTail) Recv() (wire.Event, error) {
 	attempt := 0
 	for {

@@ -431,13 +431,14 @@ type Client struct {
 	conn net.Conn
 	wc   *wire.Conn
 	idle time.Duration
-	// ev is the decode target of every event frame, reused across Recv
-	// calls; Recv returns a copy of a record-by-record event.
-	ev wire.Event
+	// ev is the decode target of every event frame, and rec that of every
+	// trace record, whether it came in a frame of its own or in a block;
+	// both are reused across Recv calls.
+	ev  wire.Event
+	rec store.Record
 	// block reads the records of the last block event, one per Recv, from
 	// ev.Block; the connection keeps those bytes until its next read, which
-	// Recv makes only once the block is exhausted. Each record is allocated
-	// on its own, since callers keep it.
+	// Recv makes only once the block is exhausted.
 	block store.BlockReader
 }
 
@@ -476,18 +477,25 @@ func (c *Client) SetIdleTimeout(d time.Duration) { c.idle = d }
 // EventTrace per record, a record per call. A server-reported subscription
 // failure is surfaced as a *SubscribeError; io.EOF means the server closed
 // the stream.
+//
+// A trace event's Record is the client's, not the caller's: every Recv
+// decodes into the same one, so it is valid only until the next Recv, as
+// with bufio.Scanner.Bytes. A caller that keeps a record keeps a copy
+// (*ev.Record). The copy aliases nothing Recv reuses, since decoding gives
+// the record a fresh Args slice and strings that are either copies or the
+// shared, immutable words of store.Intern's table.
 func (c *Client) Recv() (wire.Event, error) {
 	for {
 		if c.block.Len() > 0 {
-			r := new(store.Record)
-			if err := c.block.Next(r); err != nil {
+			if err := c.block.Next(&c.rec); err != nil {
 				return wire.Event{}, fmt.Errorf("stream: block event: %w", err)
 			}
-			return wire.Event{Kind: wire.EventTrace, Record: r}, nil
+			return wire.Event{Kind: wire.EventTrace, Record: &c.rec}, nil
 		}
 		if c.idle > 0 {
 			_ = c.conn.SetReadDeadline(time.Now().Add(c.idle))
 		}
+		c.ev.Record = &c.rec
 		tf := wire.TailFrame{Event: &c.ev}
 		if err := c.wc.ReadFrame(&tf); err != nil {
 			return wire.Event{}, err

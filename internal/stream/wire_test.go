@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/device"
 	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
@@ -327,6 +328,39 @@ func TestClientRejectsMalformedBlock(t *testing.T) {
 				t.Errorf("rejecting the block allocated %d bytes, want under 1 MiB", n)
 			}
 		})
+	}
+}
+
+// TestClientRecvBlockAllocationFree: draining a forwarded block of
+// vocabulary-only records allocates nothing per record. Recv decodes each
+// into the record the client owns, and every string is an intern-table
+// word; what is left is reading the frame.
+func TestClientRecvBlockAllocationFree(t *testing.T) {
+	catalog := device.Catalog()
+	recs := make([]store.Record, 4096)
+	for i := range recs {
+		spec := catalog[i%len(catalog)]
+		start := time.Unix(1633105800, int64(i)*1000)
+		recs[i] = store.Record{Seq: uint64(i), Time: start, EndTime: start.Add(time.Millisecond),
+			Device: spec.Device, Name: spec.Name, Response: "ok", Procedure: "P2", Run: "replay", Mode: "REMOTE"}
+	}
+	addr := serveFrames(t, wire.Event{Kind: wire.EventTrace, Block: store.AppendBlock(nil, recs)})
+	client, err := stream.Dial(addr, wire.Subscribe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.SetIdleTimeout(5 * time.Second)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range recs {
+		if ev, err := client.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != uint64(i) {
+			t.Fatalf("record %d: %+v, %v", i, ev.Record, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / float64(len(recs)); per >= 0.01 {
+		t.Fatalf("draining a %d-record block: %.3f allocations per record, want under 0.01", len(recs), per)
 	}
 }
 

@@ -30,11 +30,12 @@ package wire
 // (years ≲1678 or ≳2262) are not representable — device traces are always
 // inside it.
 //
-// Decoding interns the protocol's fixed words — ops, event kinds,
-// policies — plus store.Vocabulary (the 52-command catalog, procedure
-// labels, modes), so the strings on the hot path resolve to shared
-// instances instead of fresh allocations. Interning is a perf heuristic
-// only: unknown strings are simply copied.
+// Decoding interns every string through store's intern table (store.Intern),
+// which holds the protocol's fixed words — ops, event kinds, policies —
+// and store.Vocabulary (the 52-command catalog, procedure labels, modes),
+// so the strings on the hot path resolve to shared instances instead of
+// fresh allocations. Interning is a perf heuristic only: unknown strings
+// are simply copied.
 
 import (
 	"encoding/binary"
@@ -123,37 +124,7 @@ const (
 	sampValues
 )
 
-// internTable maps the protocol's fixed words and store.Vocabulary to
-// shared string instances so hot-path decodes allocate nothing for them.
-var internTable = buildInternTable()
-
-func buildInternTable() map[string]string {
-	words := append([]string{
-		string(OpExec), string(OpTrace), string(OpPing), string(OpSubscribe),
-		EventTrace, EventPower, EventSnapshotEnd, EventError, EventResumeGap,
-		PolicyDropOldest, PolicyBlock, "pong",
-	}, store.Vocabulary()...)
-	m := make(map[string]string, len(words))
-	for _, w := range words {
-		m[w] = w
-	}
-	return m
-}
-
-// intern returns a shared string for b when it is part of the protocol
-// vocabulary, and a fresh copy otherwise. The map lookup with a []byte→
-// string conversion key does not allocate.
-func intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if s, ok := internTable[string(b)]; ok {
-		return s
-	}
-	return string(b)
-}
-
-// Per-connection learned vocabulary. The static intern table covers the
+// Per-connection learned vocabulary. Store's intern table covers the
 // protocol's fixed words; tenant IDs are an open vocabulary chosen by the
 // peer, yet each one repeats on every frame of a fleet workload. A
 // connection therefore learns the tenant IDs it sees and hands back shared
@@ -184,15 +155,12 @@ type connVocab struct {
 	words map[string]string
 }
 
-// intern resolves b through the static table, then the learned table,
+// intern resolves b through store's intern table, then the learned table,
 // learning it when there is room. A word past maxVocabWordLen is copied
 // without being retained; a connection past MaxConnVocab distinct words is
 // a protocol violation.
 func (v *connVocab) intern(b []byte) (string, error) {
-	if len(b) == 0 {
-		return "", nil
-	}
-	if s, ok := internTable[string(b)]; ok {
+	if s, ok := store.Interned(b); ok || len(b) == 0 {
 		return s, nil
 	}
 	if v == nil || len(b) > maxVocabWordLen {
@@ -455,7 +423,7 @@ func (r *breader) str() string {
 		r.fail("string of %d bytes announced with %d left", n, len(r.b))
 		return ""
 	}
-	s := intern(r.b[:n])
+	s := store.Intern(r.b[:n])
 	r.b = r.b[n:]
 	return s
 }
@@ -628,9 +596,11 @@ func decodeSubscribe(r *breader, s *Subscribe) {
 	}
 }
 
-// decodeEvent decodes into e. A block is not copied: e.Block aliases the
-// payload.
+// decodeEvent decodes into e. A record is decoded into the one e.Record
+// points at on entry, if any, rather than a new one; a block is not copied:
+// e.Block aliases the payload.
 func decodeEvent(r *breader, e *Event) {
+	rec := e.Record
 	*e = Event{}
 	for {
 		switch t := r.tag(); t {
@@ -639,7 +609,9 @@ func decodeEvent(r *breader, e *Event) {
 		case evKind:
 			e.Kind = r.str()
 		case evRecord:
-			rec := new(store.Record)
+			if rec == nil {
+				rec = new(store.Record)
+			}
 			n, ok := store.DecodeRecord(r.b, rec)
 			if !ok {
 				r.fail("event: malformed record")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rad/internal/power"
 	"rad/internal/store"
@@ -167,17 +168,48 @@ func firstByte(b []byte) byte {
 	return b[0]
 }
 
-// TestWireInternSharesVocabulary: decoding a protocol-vocabulary string
-// yields the shared instance; unknown strings still decode correctly.
+// TestWireInternSharesVocabulary: every protocol word and every
+// store.Vocabulary word decodes to its one shared instance in store's
+// intern table, whether a frame's string or a learned-vocabulary field
+// carries it, and a connection does not learn it. A near-miss (a word with
+// one byte changed away from the bytes the table hashes) decodes equal to
+// what was sent, as a copy that later writes to the frame cannot change.
 func TestWireInternSharesVocabulary(t *testing.T) {
-	if got := intern([]byte("DIRECT")); got != "DIRECT" {
-		t.Errorf("intern(DIRECT) = %q", got)
+	words := []string{
+		string(OpExec), string(OpTrace), string(OpPing), string(OpSubscribe),
+		EventTrace, EventPower, EventSnapshotEnd, EventError, EventResumeGap,
+		PolicyDropOldest, PolicyBlock, "pong",
 	}
-	if got := intern([]byte("not-in-the-catalog")); got != "not-in-the-catalog" {
-		t.Errorf("intern(unknown) = %q", got)
+	for _, w := range append(words, store.Vocabulary()...) {
+		shared, ok := store.Interned([]byte(w))
+		if !ok {
+			t.Fatalf("%q is not in the intern table", w)
+		}
+		payload, _ := appendBinaryFrame(nil, &Reply{ID: 1, Value: w})
+		var rep Reply
+		if err := decodeBinaryFrame(payload, &rep); err != nil || rep.Value != w {
+			t.Fatalf("decode %q: %+v, %v", w, rep, err)
+		}
+		if unsafe.StringData(rep.Value) != unsafe.StringData(shared) {
+			t.Fatalf("decoded %q is not the shared instance", w)
+		}
+		var v connVocab
+		if s, err := v.intern([]byte(w)); err != nil || unsafe.StringData(s) != unsafe.StringData(shared) || len(v.words) != 0 {
+			t.Fatalf("learned-vocabulary decode of %q: %q, %v, %d words learned", w, s, err, len(v.words))
+		}
 	}
-	if got := intern(nil); got != "" {
-		t.Errorf("intern(nil) = %q", got)
+	for _, w := range []string{EventSnapshotEnd, PolicyDropOldest, "move_joints", "REMOTE"} {
+		near := []byte(w)
+		near[1] ^= 0x20
+		payload, _ := appendBinaryFrame(nil, &Reply{ID: 1, Value: string(near)})
+		var rep Reply
+		if err := decodeBinaryFrame(payload, &rep); err != nil || rep.Value != string(near) {
+			t.Fatalf("decode %q: %+v, %v", near, rep, err)
+		}
+		clear(payload)
+		if rep.Value != string(near) {
+			t.Fatalf("decoded %q changed with its frame to %q", near, rep.Value)
+		}
 	}
 }
 

@@ -253,6 +253,10 @@ func FuzzBinaryFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), "C9", "ARM", "1|2", "ok", "", int64(100), true, uint64(0), 0.0)
 	f.Add(uint64(0), "", "", "", "", "err", int64(-5), false, uint64(9), -1.5)
 	f.Add(uint64(1<<63), "UR3e", "move_joints", "\xff\xfe", "π", "trace", int64(1633078800123456789), true, uint64(1<<40), 1e300)
+	// Near-misses of intern-table words: same length and sampled bytes as a
+	// word, another byte changed.
+	f.Add(uint64(2), "UX3e", "mOve_joints", "MvNG", "eXec", "tRace", int64(7), false, uint64(3), 0.5)
+	f.Add(uint64(3), "QUantos", "snApshot-end", "dRop-oldest", "rEsume-gap", "sUbscribe", int64(-7), true, uint64(1), 2.0)
 	f.Fuzz(func(t *testing.T, id uint64, dev, name, arg, value, errStr string,
 		nanos int64, flag bool, count uint64, val float64) {
 		if nanos == (time.Time{}).UnixNano() {

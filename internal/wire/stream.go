@@ -114,7 +114,11 @@ const (
 
 // Event is one server → client tail frame.
 type Event struct {
-	Kind   string        `json:"kind"`
+	Kind string `json:"kind"`
+	// Record, on an EventTrace frame, carries one record. A reader may
+	// decode every frame's record into one it reuses (see TailFrame), as
+	// stream.Client does: the record its Recv returns is valid only until
+	// its next Recv.
 	Record *store.Record `json:"record,omitempty"`
 	// Block, on an EventTrace frame, carries several records at once: a
 	// store block (store.AppendBlock), the bytes of a stored block as the
@@ -157,7 +161,11 @@ type Pong struct {
 // or a liveness Ping (exactly one field is set after the read). A reader
 // that reuses one Event across frames sets Event before each read: an event
 // frame is decoded into it, overwriting every field, instead of into a fresh
-// Event.
+// Event. A reader that reuses a record too also points Event.Record at it
+// before each read: a record is then decoded into it rather than into a new
+// one, and Event.Record is nil after a frame that carries none. That is how
+// stream.Client.Recv decodes every record into one it owns; its doc says how
+// long the record stays valid.
 type TailFrame struct {
 	Event *Event
 	Ping  *Ping
