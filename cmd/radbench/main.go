@@ -3,12 +3,15 @@
 //
 // Usage:
 //
-//	radbench [-seed N] [-scale F] [-only fig4,fig5a,fig5b,fig6,table1,fig7a,fig7b,fig7c,fig7d,rq1,ablations,powerids,attacks]
+//	radbench [-seed N] [-scale F] [-from STORE] [-only fig4,fig5a,fig5b,fig6,table1,fig7a,fig7b,fig7c,fig7d,rq1,ablations,powerids,attacks]
 //
 // Without -only, radbench runs fig4 through fig7d; rq1, ablations,
 // powerids and attacks run only when -only names them. fig4 runs in real
 // time over loopback TCP (≈ a minute at full size); the remaining
-// experiments run on a synthesized dataset in virtual time.
+// experiments run on a synthesized dataset in virtual time. With -from,
+// every experiment that reads the dataset (fig5a, fig5b, fig6, table1,
+// rq1, ablations) reads it from a tracedb directory, such as one radgen
+// -store wrote, instead of generating it.
 package main
 
 import (
@@ -20,7 +23,7 @@ import (
 
 	"rad/internal/experiments"
 	dataset "rad/internal/rad"
-	"rad/internal/store"
+	"rad/internal/tracedb"
 )
 
 // experimentNames lists every name -only accepts.
@@ -38,7 +41,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("radbench", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 11, "campaign seed (drives every random stream)")
 	scale := fs.Float64("scale", 1.0, "unsupervised-bulk scale (1.0 = the full 128,785-object dataset)")
-	fromFile := fs.String("from", "", "analyze an exported commands.jsonl instead of generating (fig5a/fig5b/fig6/table1/rq1/ablations)")
+	fromStore := fs.String("from", "", "read the dataset from this tracedb directory instead of generating it (fig5a/fig5b/fig6/table1/rq1/ablations)")
 	only := fs.String("only", "", "comma-separated experiment subset (default: all)")
 	fig4Seqs := fs.Int("fig4-sequences", 6, "fig4: joystick button-press sequences per mode")
 	fig4Cmds := fs.Int("fig4-commands", 30, "fig4: ARM commands per sequence")
@@ -59,12 +62,11 @@ func run(args []string) error {
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
 	var ds *dataset.Dataset
-	needDataset := sel("fig5a") || sel("fig5b") || sel("fig6") || sel("table1")
-	if needDataset {
+	if sel("fig5a") || sel("fig5b") || sel("fig6") || sel("table1") || want["rq1"] || want["ablations"] {
 		var err error
-		if *fromFile != "" {
-			fmt.Printf("loading RAD from %s...\n", *fromFile)
-			ds, err = loadDataset(*fromFile)
+		if *fromStore != "" {
+			fmt.Printf("loading RAD from %s...\n", *fromStore)
+			ds, err = loadDataset(*fromStore)
 		} else {
 			fmt.Printf("generating RAD (seed=%d scale=%.2f)...\n", *seed, *scale)
 			ds, err = dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})
@@ -125,15 +127,8 @@ func run(args []string) error {
 		}
 		fmt.Print(renderFig7d(res))
 	}
-	if sel("ablations") && len(want) > 0 {
+	if want["ablations"] {
 		fmt.Println("running ablation studies (smoothing, Jenks space, streaming window)...")
-		if ds == nil {
-			var err error
-			ds, err = dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})
-			if err != nil {
-				return fmt.Errorf("generate dataset: %w", err)
-			}
-		}
 		sm := experiments.AblationSmoothing(ds, nil)
 		js := experiments.AblationJenksSpace(ds)
 		wr, err := experiments.AblationStreamWindow(ds, nil)
@@ -142,21 +137,14 @@ func run(args []string) error {
 		}
 		fmt.Println(experiments.RenderAblations(sm, js, wr))
 	}
-	if sel("rq1") && len(want) > 0 {
-		if ds == nil {
-			var err error
-			ds, err = dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})
-			if err != nil {
-				return fmt.Errorf("generate dataset: %w", err)
-			}
-		}
+	if want["rq1"] {
 		res, err := experiments.RQ1Classification(ds)
 		if err != nil {
 			return fmt.Errorf("rq1: %w", err)
 		}
 		fmt.Println(experiments.RenderRQ1(res))
 	}
-	if sel("powerids") && len(want) > 0 {
+	if want["powerids"] {
 		fmt.Println("running the power side-channel IDS benchmark (RQ3)...")
 		rows, err := experiments.PowerIDSBenchmark(*seed)
 		if err != nil {
@@ -164,7 +152,7 @@ func run(args []string) error {
 		}
 		fmt.Println(experiments.RenderPowerIDS(rows))
 	}
-	if sel("attacks") && len(want) > 0 {
+	if want["attacks"] {
 		fmt.Println("running the attack benchmark (6 attack families vs. the P2 workload)...")
 		rows, err := experiments.AttackBenchmark(*seed, 3)
 		if err != nil {
@@ -175,14 +163,10 @@ func run(args []string) error {
 	return nil
 }
 
-// loadDataset reads an exported commands.jsonl and rebuilds the Dataset view.
-func loadDataset(path string) (*dataset.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	records, err := store.ReadJSONL(f)
+// loadDataset reads every record of the tracedb store in dir and rebuilds
+// the Dataset view over them.
+func loadDataset(dir string) (*dataset.Dataset, error) {
+	records, err := tracedb.ReadAll(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ import (
 	"path/filepath"
 	"strconv"
 
+	"rad/internal/device"
 	"rad/internal/power"
 	dataset "rad/internal/rad"
 	"rad/internal/store"
@@ -100,8 +101,8 @@ func run(args []string) error {
 
 	byDev := ds.Store.CountByDevice()
 	fmt.Printf("wrote %d trace objects to %s\n", len(records), *out)
-	for dev, n := range byDev {
-		fmt.Printf("  %-8s %7d\n", dev, n)
+	for _, dev := range device.Names() {
+		fmt.Printf("  %-8s %7d\n", dev, byDev[dev])
 	}
 	fmt.Printf("supervised runs: %d (3 anomalous); power captures: %d P2 runs\n",
 		len(ds.Runs), len(ds.PowerByRun))

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"rad/internal/analysis/metrics"
 	"rad/internal/analysis/ngram"
@@ -133,8 +134,8 @@ func run(args []string) error {
 	if len(byRule) == 0 {
 		fmt.Println("  no violations (the campaign stays inside the restricted command set)")
 	}
-	for rule, n := range byRule {
-		fmt.Printf("  %-22s %d\n", rule, n)
+	for _, rule := range sortedKeys(byRule) {
+		fmt.Printf("  %-22s %d\n", rule, byRule[rule])
 	}
 
 	// 5. Auto-labelling the unsupervised bulk (§VII: "automatically generate
@@ -158,8 +159,8 @@ func run(args []string) error {
 		commands[seg.Label] += len(seg.Records)
 	}
 	fmt.Printf("%d unknown-procedure records segmented into %d sessions:\n", len(unknown), len(segments))
-	for label, n := range byLabel {
-		fmt.Printf("  %-20s %4d sessions %7d commands\n", label, n, commands[label])
+	for _, label := range sortedKeys(byLabel) {
+		fmt.Printf("  %-20s %4d sessions %7d commands\n", label, byLabel[label], commands[label])
 	}
 
 	// 6. Attack benchmark: the generated-anomaly suite (§VII) against the
@@ -213,4 +214,15 @@ func joinWords(xs []string) string {
 		out += x
 	}
 	return out
+}
+
+// sortedKeys returns m's keys in order, so a count table prints the same
+// way every run.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -100,7 +100,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-to: %w", err)
 	}
 
-	db, err := tracedb.Open(*storeDir, tracedb.Options{
+	db, err := tracedb.OpenExisting(*storeDir, tracedb.Options{
 		Lifecycle: tracedb.LifecycleOptions{RetainMaxAge: *retainAge, RetainMaxBytes: *retainBytes},
 	})
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +303,23 @@ func TestQueryRejectsBadFlags(t *testing.T) {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("%s: accepted %v", name, args)
 		}
+	}
+	// A path holding no store is refused by name, in every mode, and
+	// nothing is created there.
+	empty := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "nosuchdir")
+	for _, path := range []string{missing, empty} {
+		for _, mode := range []string{"info", "scan", "compact"} {
+			err := run([]string{"-store", path, "-mode", mode}, &bytes.Buffer{})
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("-store %s -mode %s: %v, want an error naming the path", path, mode, err)
+			}
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("refused -store created %s (stat: %v)", missing, err)
+	}
+	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
+		t.Errorf("refused -store left %d files in %s", len(entries), empty)
 	}
 }

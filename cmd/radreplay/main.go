@@ -6,12 +6,12 @@
 //
 // Usage:
 //
-//	radreplay -trace FILE.jsonl | -store DIR [-middlebox ADDR] [-device NAME] [-run LABEL] [-limit N]
+//	radreplay -store DIR [-middlebox ADDR] [-device NAME] [-run LABEL] [-limit N]
 //
-// The replay source is either a JSONL export (-trace) or a persistent
-// tracedb directory (-store), so a campaign persisted by radgen or a live
-// middlebox round-trips through the middlebox without an intermediate
-// export. Device/run filters are pushed down into the store's indexed scan.
+// The replay source is a tracedb directory, so a campaign persisted by
+// radgen or a live middlebox round-trips through the middlebox without an
+// intermediate export. Device/run filters are pushed down into the store's
+// indexed scan.
 //
 // With no -middlebox, radreplay spins up an in-process middlebox over
 // loopback TCP with the requested network profile (-network lan|cloud|none),
@@ -48,8 +48,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("radreplay", flag.ContinueOnError)
-	tracePath := fs.String("trace", "", "JSONL trace to replay")
-	storeDir := fs.String("store", "", "tracedb directory to replay from (alternative to -trace)")
+	storeDir := fs.String("store", "", "tracedb directory to replay from (required)")
 	mbAddr := fs.String("middlebox", "", "middlebox address (empty = spin one up locally)")
 	network := fs.String("network", "cloud", "emulated network for the local middlebox: lan, cloud, none")
 	devFilter := fs.String("device", "", "replay only this device's commands")
@@ -58,60 +57,34 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if (*tracePath == "") == (*storeDir == "") {
-		return fmt.Errorf("exactly one of -trace or -store is required")
+	if *storeDir == "" {
+		return fmt.Errorf("-store is required")
 	}
 
-	// Filter and bound the replay set. The tracedb path pushes the filters
-	// into the store's indexed scan; the JSONL path filters in memory.
+	// Filter and bound the replay set; the filters are pushed into the
+	// store's indexed scan.
+	db, err := tracedb.OpenExisting(*storeDir, tracedb.Options{})
+	if err != nil {
+		return err
+	}
+	total := db.Len()
 	var replaySet []store.Record
-	total := 0
-	if *storeDir != "" {
-		db, err := tracedb.Open(*storeDir, tracedb.Options{})
-		if err != nil {
-			return err
-		}
-		total = db.Len()
-		it := db.Scan(tracedb.Query{Device: *devFilter, Run: *runFilter})
-		for it.Next() {
-			replaySet = append(replaySet, it.Record())
-			if *limit > 0 && len(replaySet) >= *limit {
-				break
-			}
-		}
-		err = it.Err()
-		if cerr := db.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		records, err := store.ReadJSONL(f)
-		_ = f.Close()
-		if err != nil {
-			return err
-		}
-		total = len(records)
-		for _, r := range records {
-			if *devFilter != "" && r.Device != *devFilter {
-				continue
-			}
-			if *runFilter != "" && r.Run != *runFilter {
-				continue
-			}
-			replaySet = append(replaySet, r)
-			if *limit > 0 && len(replaySet) >= *limit {
-				break
-			}
+	it := db.Scan(tracedb.Query{Device: *devFilter, Run: *runFilter})
+	for it.Next() {
+		replaySet = append(replaySet, it.Record())
+		if *limit > 0 && len(replaySet) >= *limit {
+			break
 		}
 	}
+	err = it.Err()
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
 	if len(replaySet) == 0 {
-		return fmt.Errorf("no records match the filters (trace has %d records)", total)
+		return fmt.Errorf("no records match the filters (store has %d records)", total)
 	}
 
 	addr := *mbAddr

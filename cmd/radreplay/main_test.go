@@ -3,46 +3,17 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rad/internal/procedure"
-	"rad/internal/store"
 	"rad/internal/tracedb"
 )
 
-// TestReplayEndToEnd generates a small trace, writes it to JSONL, and
-// replays the C9 portion against a fresh loopback middlebox.
-func TestReplayEndToEnd(t *testing.T) {
-	lab, err := procedure.NewVirtualLab(procedure.VirtualLabConfig{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	procedure.RunJoystick(lab.Lab, procedure.Options{Run: "j", Seed: 3}, 6)
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := store.NewJSONLWriter(f)
-	for _, r := range lab.Sink.All() {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	_ = f.Close()
-	_ = lab.Close()
-
-	if err := run([]string{"-trace", path, "-device", "C9", "-limit", "15", "-network", "none"}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-}
-
-// TestReplayFromTraceDB persists a small trace into a tracedb directory and
-// replays it from there — the persisted-campaign round trip.
-func TestReplayFromTraceDB(t *testing.T) {
+// writeJoystickStore persists a small joystick trace into a tracedb
+// directory and returns the directory.
+func writeJoystickStore(t *testing.T) string {
+	t.Helper()
 	lab, err := procedure.NewVirtualLab(procedure.VirtualLabConfig{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -60,27 +31,49 @@ func TestReplayFromTraceDB(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = lab.Close()
+	return dir
+}
 
+// TestReplayFromTraceDB persists a small trace into a tracedb directory and
+// replays it from there — the persisted-campaign round trip.
+func TestReplayFromTraceDB(t *testing.T) {
+	dir := writeJoystickStore(t)
 	if err := run([]string{"-store", dir, "-device", "C9", "-limit", "15", "-network", "none"}); err != nil {
 		t.Fatalf("replay from tracedb: %v", err)
 	}
 }
 
+// TestReplayRequiresTrace: the replay source is a tracedb directory that
+// already holds a store. A missing -store, the retired -trace flag, and a
+// path holding no store are refused, and the refusal names the path and
+// creates nothing there.
 func TestReplayRequiresTrace(t *testing.T) {
 	if err := run(nil); err == nil {
-		t.Error("missing -trace accepted")
+		t.Error("missing -store accepted")
 	}
-	if err := run([]string{"-trace", "x.jsonl", "-store", "d"}); err == nil {
-		t.Error("both -trace and -store accepted")
+	if err := run([]string{"-trace", "x.jsonl"}); err == nil {
+		t.Error("retired -trace flag accepted")
+	}
+	empty := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "nosuchdir")
+	for _, dir := range []string{missing, empty} {
+		err := run([]string{"-store", dir, "-network", "none"})
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("-store %s: %v, want an error naming the path", dir, err)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("refused -store created %s (stat: %v)", missing, err)
+	}
+	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
+		t.Errorf("refused -store left %d files in %s", len(entries), empty)
 	}
 }
 
 func TestReplayRejectsEmptyFilterResult(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.jsonl")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-trace", path}); err == nil {
-		t.Error("empty trace accepted")
+	dir := writeJoystickStore(t)
+	err := run([]string{"-store", dir, "-device", "Quantos", "-network", "none"})
+	if err == nil || !strings.Contains(err.Error(), "no records match") {
+		t.Errorf("empty replay set: %v, want a no-records error", err)
 	}
 }

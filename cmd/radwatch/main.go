@@ -8,7 +8,7 @@
 // Usage:
 //
 //	radwatch -addr HOST:PORT [filters] [-snapshot] [-power] [-reconnect] [-format text|jsonl|csv] [-limit N]
-//	radwatch -addr HOST:PORT -ids -train TRACE.jsonl [-order N] [-window N] [-alerts FILE]
+//	radwatch -addr HOST:PORT -ids -train STORE [-order N] [-window N] [-rules] [-format jsonl|csv] [-limit N]
 //	radwatch -obs HOST:PORT [-interval DUR] [-limit N]
 //	radwatch -obs HOST:PORT -spans [-span-min DUR] [-span-tenant ID] [-span-outcome S] [-limit N]
 //
@@ -36,10 +36,12 @@
 // the exact loss ("... N dropped").
 //
 // -ids turns the watcher into an online intrusion detector: it trains the
-// §V-B perplexity model on the benign runs in -train (grouped by run label),
-// scores a sliding window over the live command stream, runs the middlebox
-// rule set, and emits structured alerts (JSONL by default, CSV with -format
-// csv) instead of raw records.
+// §V-B perplexity model on every record of the tracedb directory -train
+// (such as one radgen -store wrote), one training sequence per run label
+// with the unlabelled bulk as one more, scores a sliding window over the
+// live command stream, with -rules also runs the middlebox rule set, and
+// emits structured alerts (JSONL by default, CSV with -format csv) instead
+// of raw records.
 package main
 
 import (
@@ -55,6 +57,7 @@ import (
 	"rad/internal/ids"
 	"rad/internal/store"
 	"rad/internal/stream"
+	"rad/internal/tracedb"
 	"rad/internal/wire"
 )
 
@@ -88,7 +91,7 @@ func run(args []string, out io.Writer) error {
 	reconnectSeed := fs.Uint64("reconnect-seed", 1, "reconnect: seed for the backoff-jitter PRNG (reproducible redial schedules)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "reconnect: treat a connection silent for this long as half-open and redial (pair with the server's heartbeat interval; 0 disables)")
 	idsMode := fs.Bool("ids", false, "run the online IDS over the stream instead of printing records")
-	train := fs.String("train", "", "ids: JSONL trace file of benign runs to train on")
+	train := fs.String("train", "", "ids: tracedb directory whose records train the detector")
 	order := fs.Int("order", 2, "ids: n-gram model order")
 	window := fs.Int("window", 0, "ids: sliding-window size in commands (0 = auto)")
 	rules := fs.Bool("rules", false, "ids: also run the middlebox rule engine")
@@ -245,24 +248,14 @@ func orDash(s string) string {
 	return s
 }
 
-// trainDetector fits the perplexity model on the benign runs in a JSONL
-// trace export, one training sequence per run label.
-func trainDetector(path string, order int) (*ids.PerplexityDetector, error) {
-	f, err := os.Open(path)
+// trainDetector fits an order-n perplexity model on every record of the
+// tracedb store in dir: one command sequence per run label, in collection
+// order, with the unlabelled bulk as one more.
+func trainDetector(dir string, order int) (*ids.PerplexityDetector, error) {
+	recs, err := tracedb.ReadAll(dir)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	recs, err := store.ReadJSONL(f)
-	if err != nil {
-		return nil, err
-	}
-	return detectorFromRecords(recs, order)
-}
-
-// detectorFromRecords groups records into per-run command sequences
-// (collection order) and trains an order-n detector on them.
-func detectorFromRecords(recs []store.Record, order int) (*ids.PerplexityDetector, error) {
 	byRun := make(map[string][]string)
 	var runOrder []string
 	for _, r := range recs {

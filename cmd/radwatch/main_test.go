@@ -114,24 +114,23 @@ func TestWatchSnapshotReplaysStore(t *testing.T) {
 }
 
 func TestWatchIDSEmitsAlerts(t *testing.T) {
-	// Train on a repetitive benign run, then stream commands the model has
-	// never seen: the online IDS must emit perplexity alerts as JSONL.
-	trainPath := filepath.Join(t.TempDir(), "train.jsonl")
-	f, err := os.Create(trainPath)
+	// Train on a store holding a repetitive benign run, then stream
+	// commands the model has never seen: the online IDS must emit
+	// perplexity alerts as JSONL.
+	trainPath := filepath.Join(t.TempDir(), "train")
+	db, err := tracedb.Open(trainPath, tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := store.NewJSONLWriter(f)
 	pattern := []string{"HOME", "MVNG", "GRIP", "RLSE"}
 	for i := 0; i < 80; i++ {
-		if err := w.Append(store.Record{Device: "C9", Name: pattern[i%len(pattern)], Run: "benign"}); err != nil {
+		if err := db.Append(store.Record{Device: "C9", Name: pattern[i%len(pattern)], Run: "benign"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 
 	broker, addr := startStream(t, nil)
 	stop := make(chan struct{})
@@ -175,6 +174,22 @@ func TestWatchRequiresAddr(t *testing.T) {
 	}
 	if err := run([]string{"-addr", "x", "-ids"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-ids without -train accepted")
+	}
+	// -train takes a tracedb directory that holds a store: a path without
+	// one is refused before any dial, by name, and nothing is created.
+	empty := t.TempDir()
+	missing := filepath.Join(t.TempDir(), "nosuchdir")
+	for _, dir := range []string{missing, empty} {
+		err := run([]string{"-addr", "x", "-ids", "-train", dir}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("-train %s: %v, want an error naming the path", dir, err)
+		}
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("refused -train created %s (stat: %v)", missing, err)
+	}
+	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
+		t.Errorf("refused -train left %d files in %s", len(entries), empty)
 	}
 }
 

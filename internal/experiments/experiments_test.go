@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"rad/internal/device"
 	"rad/internal/rad"
 )
 
@@ -81,6 +83,27 @@ func TestFig5aDistribution(t *testing.T) {
 				t.Errorf("C9's most frequent command = %s, want MVNG", cc.Name)
 			}
 			break
+		}
+	}
+}
+
+// TestFig5aRenderDeterministic: the rendered Fig. 5(a) is one fixed text,
+// whose legend lists the devices in the paper's order (device.Names), so a
+// rerun or a reload of the same dataset prints the same bytes.
+func TestFig5aRenderDeterministic(t *testing.T) {
+	res := Fig5aCommandDistribution(dataset(t))
+	var legend []string
+	for _, dev := range device.Names() {
+		legend = append(legend, fmt.Sprintf("%s (%d)", dev, res.DeviceTotals[dev]))
+	}
+	wantLegend := "legend: " + strings.Join(legend, ", ") + "\n"
+	want := RenderFig5a(res)
+	if !strings.Contains(want, wantLegend) {
+		t.Fatalf("legend not in device.Names order, want %q in:\n%s", wantLegend, want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := RenderFig5a(res); got != want {
+			t.Fatalf("render %d differs from the first:\n%s\nfirst:\n%s", i, got, want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"rad/internal/device"
 )
 
 // This file renders experiment results as text in the shape of the paper's
@@ -27,19 +29,17 @@ func RenderFig4(res Fig4Result) string {
 }
 
 // RenderFig5a formats the command-wise distribution with per-device legend
-// totals.
+// totals, in the paper's device order (device.Names).
 func RenderFig5a(res Fig5aResult) string {
 	var b strings.Builder
 	b.WriteString("Fig. 5(a) — command-wise distribution of trace objects\n")
 	fmt.Fprintf(&b, "total trace objects: %d\n", res.Total)
 	b.WriteString("legend: ")
-	first := true
-	for dev, n := range res.DeviceTotals {
-		if !first {
+	for i, dev := range device.Names() {
+		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s (%d)", dev, n)
-		first = false
+		fmt.Fprintf(&b, "%s (%d)", dev, res.DeviceTotals[dev])
 	}
 	b.WriteString("\n")
 	maxCount := 0

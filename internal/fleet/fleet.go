@@ -107,10 +107,6 @@ type Tenant struct {
 	requests atomic.Uint64 // requests routed to this tenant
 }
 
-// Resources returns the tenant's initialized resources (nil if the factory
-// failed or has not finished).
-func (t *Tenant) Resources() *Resources { return t.res.Load() }
-
 // stripe is one shard of the tenant table.
 type stripe struct {
 	mu      sync.RWMutex
@@ -363,16 +359,6 @@ func (r *Router) Drain(ctx context.Context) error {
 // Draining reports whether Drain (or Close) has begun — the fleet
 // contribution to a drain-aware /healthz.
 func (r *Router) Draining() bool { return r.draining.Load() }
-
-// Rollups summarizes the flight recorder's buffered spans by tenant, when
-// the router was configured with one — the per-lab trace view next to
-// Snapshot's per-lab exec view.
-func (r *Router) Rollups() []span.TenantRollup {
-	if r.cfg.Spans == nil {
-		return nil
-	}
-	return r.cfg.Spans.Rollup()
-}
 
 // Close tears down every tenant that defined a Close, returning the first
 // error. The router itself needs no teardown.

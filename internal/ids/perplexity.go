@@ -61,10 +61,6 @@ func TrainPerplexity(train [][]string, n int) (*PerplexityDetector, error) {
 // Threshold returns the detector's decision threshold.
 func (d *PerplexityDetector) Threshold() float64 { return d.threshold }
 
-// SetThreshold overrides the decision threshold (e.g. with a Jenks split
-// over a validation set).
-func (d *PerplexityDetector) SetThreshold(t float64) { d.threshold = t }
-
 // ScoreWindow returns the window's perplexity under the trained model. It
 // is the single scoring path shared by every mode — batch classification
 // over whole runs, threshold calibration, and the online streaming detector
@@ -187,10 +183,6 @@ func (d *PerplexityDetector) NewStream(window int) *Stream {
 
 // Threshold returns the stream's window-calibrated alert threshold.
 func (s *Stream) Threshold() float64 { return s.threshold }
-
-// SetThreshold overrides the alert threshold (e.g. with a Jenks break over
-// the training window-score population).
-func (s *Stream) SetThreshold(t float64) { s.threshold = t }
 
 // Size returns the window size (in commands) the stream scores.
 func (s *Stream) Size() int { return s.size }

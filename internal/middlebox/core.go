@@ -177,9 +177,6 @@ func (c *Core) SetSpans(r *span.Recorder, tenant string) {
 	c.spanTenant = tenant
 }
 
-// Spans returns the attached span recorder (nil when tracing is off).
-func (c *Core) Spans() *span.Recorder { return c.spans }
-
 // Register connects a device to the middlebox. Registering a device with a
 // name already in use replaces the previous registration (and resets its
 // circuit breaker when one is configured).
@@ -196,15 +193,6 @@ func (c *Core) Register(d device.Device) {
 	// The entry is built completely before the map carrying it is published,
 	// so lock-free readers only ever see finished entries.
 	c.publishEntry(d.Name(), e)
-}
-
-// Device returns the registered device with the given name, if any.
-func (c *Core) Device(name string) (device.Device, bool) {
-	e, ok := c.table()[name]
-	if !ok {
-		return nil, false
-	}
-	return e.dev, true
 }
 
 // Snapshot returns a consistent point-in-time copy of the request counters

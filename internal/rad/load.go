@@ -9,15 +9,15 @@ import (
 	"rad/internal/store"
 )
 
-// FromRecords rebuilds a Dataset view over exported trace records (e.g. read
-// back from radgen's commands.jsonl), re-deriving the supervised-run index
-// from the labels: run IDs from the "run-N" naming, procedure types from the
-// labels, and anomaly ground truth from hardware-fault exceptions. Power
-// captures are not part of the command export, so PowerByRun is empty.
+// FromRecords rebuilds a Dataset view over stored trace records (e.g. read
+// back from a tracedb store that radgen or the middlebox wrote),
+// re-deriving the supervised-run index from the labels: run IDs from the
+// "run-N" naming, procedure types from the labels, anomaly ground truth
+// from hardware-fault exceptions, and each run's note from its ID. Power
+// captures are not part of the command dataset, so PowerByRun is empty.
 //
-// This closes the generate-once/analyze-many loop: a dataset written to disk
-// by cmd/radgen feeds the same Fig. 5/6/Table I harnesses as a freshly
-// generated one.
+// This closes the generate-once/analyze-many loop: a stored campaign feeds
+// the same Fig. 5/6/Table I harnesses as a freshly generated one.
 func FromRecords(records []store.Record) (*Dataset, error) {
 	st := store.NewMemStore()
 	for _, r := range records {
@@ -69,7 +69,7 @@ func fromStore(st *store.MemStore) (*Dataset, error) {
 		ds.Runs = append(ds.Runs, RunInfo{
 			ID: agg.id, Run: agg.run, Procedure: agg.proc,
 			Anomalous: agg.anomalous, Commands: agg.commands,
-			Note: "reconstructed from exported trace",
+			Note: runNote(agg.id),
 		})
 	}
 	return ds, nil

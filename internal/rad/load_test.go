@@ -40,8 +40,8 @@ func TestFromRecordsRoundTrip(t *testing.T) {
 	}
 	for i, run := range loaded.Runs {
 		want := orig.Runs[i]
-		if run.ID != want.ID || run.Run != want.Run || run.Procedure != want.Procedure {
-			t.Errorf("run %d: %+v, want id/run/proc of %+v", i, run, want)
+		if run.ID != want.ID || run.Run != want.Run || run.Procedure != want.Procedure || run.Note != want.Note {
+			t.Errorf("run %d: %+v, want id/run/proc/note of %+v", i, run, want)
 		}
 		if run.Anomalous != want.Anomalous {
 			t.Errorf("run %d anomalous = %v, want %v", i, run.Anomalous, want.Anomalous)

@@ -69,6 +69,28 @@ type RunInfo struct {
 	Note      string
 }
 
+// runNotes are the supervised runs' notes, by run ID. No record carries a
+// note, so Generate and FromRecords both take a run's note from here.
+var runNotes = [NumSupervisedRuns]string{
+	"joystick session", "joystick session", "joystick session", "joystick session",
+	"joystick session", "joystick session", "joystick session", "joystick session",
+	"joystick session", "joystick session", "joystick session", "joystick session",
+	12: "used joystick to position N9; ran out of solid before dosing",
+	16: "ANOMALY: Quantos front door crashed with the robot",
+	17: "ANOMALY: Quantos front door crashed into UR3e at ~10%",
+	18: "wrong gripper configuration; operator stopped at ~10%",
+	22: "ANOMALY: arm crashed with the Tecan at the end",
+}
+
+// runNote returns the note of the supervised run with the given ID, or ""
+// for an ID outside the campaign's.
+func runNote(id int) string {
+	if id < 0 || id >= len(runNotes) {
+		return ""
+	}
+	return runNotes[id]
+}
+
 // Config configures Generate.
 type Config struct {
 	// Seed drives the entire campaign deterministically.
@@ -197,7 +219,6 @@ type supSpec struct {
 	id      int
 	kind    string
 	opts    procedure.Options
-	note    string
 	labSeed uint64
 	start   time.Time
 	// fractions of the dry-run command count at which to crash or stop
@@ -276,26 +297,25 @@ func newPlan(cfg Config) *plan {
 	// IDs 0–11: joystick sessions of varying length.
 	for id := 0; id < 12; id++ {
 		specs = append(specs, supSpec{kind: procedure.Joystick,
-			opts: procedure.Options{Seed: runSeed(id)},
-			note: "joystick session"})
+			opts: procedure.Options{Seed: runSeed(id)}})
 	}
 	// IDs 12–16: Automated Solubility with N9.
 	specs = append(specs,
-		supSpec{kind: procedure.P1, note: "used joystick to position N9; ran out of solid before dosing",
+		supSpec{kind: procedure.P1,
 			opts: procedure.Options{Seed: runSeed(12), JoystickPrefix: 40, StopBeforeDosing: true}},
 		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(13), Solid: "NABH4"}},
 		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(14), Solid: "CSTI"}},
 		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(15), Solid: "GENTISTIC"}},
-		supSpec{kind: procedure.P1, note: "ANOMALY: Quantos front door crashed with the robot",
+		supSpec{kind: procedure.P1,
 			opts:    procedure.Options{Seed: runSeed(16), Solid: "NABH4"},
 			crashAt: 0.65, crashDev: device.Quantos, crashWhy: "front door crashed with the N9 robot"},
 	)
 	// IDs 17–20: Automated Solubility with N9 and UR3e.
 	specs = append(specs,
-		supSpec{kind: procedure.P2, note: "ANOMALY: Quantos front door crashed into UR3e at ~10%",
+		supSpec{kind: procedure.P2,
 			opts:    procedure.Options{Seed: runSeed(17), Solid: "NABH4"},
 			crashAt: 0.08, crashDev: device.Quantos, crashWhy: "front door crashed into UR3e"},
-		supSpec{kind: procedure.P2, note: "wrong gripper configuration; operator stopped at ~10%",
+		supSpec{kind: procedure.P2,
 			opts:   procedure.Options{Seed: runSeed(18), Solid: "NABH4"},
 			stopAt: 0.10},
 		supSpec{kind: procedure.P2, opts: procedure.Options{Seed: runSeed(19), Solid: "CSTI"}},
@@ -304,7 +324,7 @@ func newPlan(cfg Config) *plan {
 	// IDs 21–24: Crystal Solubility.
 	specs = append(specs,
 		supSpec{kind: procedure.P3, opts: procedure.Options{Seed: runSeed(21)}},
-		supSpec{kind: procedure.P3, note: "ANOMALY: arm crashed with the Tecan at the end",
+		supSpec{kind: procedure.P3,
 			opts:    procedure.Options{Seed: runSeed(22)},
 			crashAt: 0.97, crashDev: device.C9, crashWhy: "N9 arm crashed with the Tecan"},
 		supSpec{kind: procedure.P3, opts: procedure.Options{Seed: runSeed(23)}},
@@ -427,7 +447,7 @@ func (p *plan) runSupervised(sp supSpec) (supResult, error) {
 	out := supResult{
 		info: RunInfo{
 			ID: sp.id, Run: sp.opts.Run, Procedure: sp.kind,
-			Anomalous: res.Anomalous, Commands: res.Commands, Note: sp.note,
+			Anomalous: res.Anomalous, Commands: res.Commands, Note: runNote(sp.id),
 		},
 		records: vl.Sink.All(),
 	}

@@ -258,18 +258,30 @@ func exportHash(t *testing.T, ds *Dataset) string {
 	t.Helper()
 	h := sha256.New()
 	var buf bytes.Buffer
-	csvw := store.NewCSVWriter(&buf)
-	if err := csvw.AppendBatch(ds.Store.All()); err != nil {
+	if err := export(store.NewCSVWriter(&buf), ds.Store.All()); err != nil {
 		t.Fatalf("CSV export: %v", err)
 	}
 	h.Write(buf.Bytes())
 	buf.Reset()
-	jw := store.NewJSONLWriter(&buf)
-	if err := jw.AppendBatch(ds.Store.All()); err != nil {
+	if err := export(store.NewJSONLWriter(&buf), ds.Store.All()); err != nil {
 		t.Fatalf("JSONL export: %v", err)
 	}
 	h.Write(buf.Bytes())
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// export writes recs through an export writer, one Append each, then
+// flushes it.
+func export(w interface {
+	Append(store.Record) error
+	Flush() error
+}, recs []store.Record) error {
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
 }
 
 // TestGenerateParallelDeterministic is the regression test for the canonical

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"time"
 )
 
@@ -111,6 +112,58 @@ func AppendBlock(b []byte, recs []Record) []byte {
 		b = AppendRecord(b, &recs[i])
 	}
 	return b
+}
+
+// A frame is how a block is stored: a 4-byte big-endian payload length,
+// the payload's 4-byte big-endian CRC32C, then the payload, which is a
+// block. A tracedb segment is a run of frames after its magic header, and
+// a dead-letter spill is one frame, so AppendFrame writes both and
+// ParseFrameHeader and CheckFrame check both.
+
+// FrameHeaderSize is the length + checksum prefix of every frame.
+const FrameHeaderSize = 8
+
+// MaxFramePayload bounds a frame's payload, so a corrupted length field can
+// never force an unbounded allocation.
+const MaxFramePayload = 16 << 20
+
+// ErrCorruptFrame reports a frame whose header is short, whose length is
+// zero or above MaxFramePayload, or whose payload fails its checksum.
+var ErrCorruptFrame = errors.New("store: corrupt frame")
+
+// castagnoli is the CRC32C polynomial table of frame checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// AppendFrame appends the frame of the block of recs to b.
+func AppendFrame(b []byte, recs []Record) []byte {
+	start := len(b)
+	b = AppendBlock(append(b, make([]byte, FrameHeaderSize)...), recs)
+	payload := b[start+FrameHeaderSize:]
+	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	return b
+}
+
+// ParseFrameHeader reads the frame header at the front of h: the payload's
+// length and checksum. It fails with ErrCorruptFrame when h is shorter
+// than a header or the length is zero or above MaxFramePayload.
+func ParseFrameHeader(h []byte) (n int, crc uint32, err error) {
+	if len(h) < FrameHeaderSize {
+		return 0, 0, ErrCorruptFrame
+	}
+	n = int(binary.BigEndian.Uint32(h))
+	if n == 0 || n > MaxFramePayload {
+		return 0, 0, ErrCorruptFrame
+	}
+	return n, binary.BigEndian.Uint32(h[4:]), nil
+}
+
+// CheckFrame fails with ErrCorruptFrame when payload's CRC32C is not crc.
+func CheckFrame(payload []byte, crc uint32) error {
+	if crc32.Checksum(payload, castagnoli) != crc {
+		return ErrCorruptFrame
+	}
+	return nil
 }
 
 // BlockReader decodes a block one record at a time, so a reader holds the

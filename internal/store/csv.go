@@ -62,17 +62,6 @@ func (c *CSVWriter) Append(r Record) error {
 	return nil
 }
 
-// AppendBatch writes the records as one burst of rows; the encoding is
-// identical to per-record Append.
-func (c *CSVWriter) AppendBatch(recs []Record) error {
-	for _, r := range recs {
-		if err := c.Append(r); err != nil {
-			return err
-		}
-	}
-	return c.Flush()
-}
-
 // Flush flushes buffered rows to the underlying writer.
 func (c *CSVWriter) Flush() error {
 	c.w.Flush()

@@ -12,11 +12,11 @@ import (
 )
 
 // DeadLetterQueue is a disk-backed spill area for trace batches a primary
-// sink refused: each failed batch lands as its own JSONL spill file
-// (written to a temp name, then renamed, so a crash never leaves a
-// half-readable spill), and Drain re-ingests the files in spill order once
-// the primary recovers. Together with FailoverSink it is the middlebox's
-// guarantee that an accepted record survives a flaky store.
+// sink refused: each failed batch lands durably as its own spill file, one
+// frame (AppendFrame) holding the batch as a block, and Drain re-ingests
+// the files in spill order once the primary recovers. Together with
+// FailoverSink it is the middlebox's guarantee that an accepted record
+// survives a flaky store.
 type DeadLetterQueue struct {
 	dir string
 
@@ -36,12 +36,15 @@ type DeadLetterQueue struct {
 
 const (
 	dlqPrefix = "dlq-"
-	dlqSuffix = ".jsonl"
+	dlqSuffix = ".blk"
+	// legacySuffix ends an older build's JSONL spills, which Pending refuses.
+	legacySuffix = ".jsonl"
 )
 
 // OpenDLQ opens (or creates) a dead-letter directory. Spill numbering
 // resumes after the highest existing spill file, so a re-opened queue
-// never overwrites pending dead letters.
+// never overwrites pending dead letters. A JSONL spill left by an older
+// build fails the open with its name, so no dead letter is skipped.
 func OpenDLQ(dir string) (*DeadLetterQueue, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dlq: %w", err)
@@ -75,48 +78,25 @@ func parseSpillID(name string) (int, bool) {
 	return id, true
 }
 
-// Spill persists one failed batch as a new spill file. The write goes to a
-// temporary name first and is renamed into place, so Drain never observes
-// a torn spill.
+// Spill persists one failed batch as a new spill file.
 func (q *DeadLetterQueue) Spill(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
+	frame := AppendFrame(nil, recs)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	id := q.next
-	final := filepath.Join(q.dir, spillName(id))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := WriteFileAtomic(filepath.Join(q.dir, spillName(q.next)), frame); err != nil {
 		return fmt.Errorf("dlq: spill: %w", err)
 	}
-	w := NewJSONLWriter(f)
-	if err := w.AppendBatch(recs); err == nil {
-		err = w.Flush()
-	} else {
-		_ = w.Flush()
-	}
-	if err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("dlq: spill: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("dlq: spill: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("dlq: spill: %w", err)
-	}
-	q.next = id + 1
+	q.next++
 	q.spilledBatches.Add(1)
 	q.spilledRecords.Add(uint64(len(recs)))
 	return nil
 }
 
-// Pending returns the queue's spill files, oldest first.
+// Pending returns the queue's spill files, oldest first. A JSONL spill of
+// an older build is an error naming it.
 func (q *DeadLetterQueue) Pending() ([]string, error) {
 	entries, err := os.ReadDir(q.dir)
 	if err != nil {
@@ -131,8 +111,13 @@ func (q *DeadLetterQueue) Pending() ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		if id, ok := parseSpillID(e.Name()); ok {
-			spills = append(spills, spill{id, filepath.Join(q.dir, e.Name())})
+		name := e.Name()
+		if strings.HasPrefix(name, dlqPrefix) && strings.HasSuffix(name, legacySuffix) {
+			return nil, fmt.Errorf("dlq: %s is a JSONL spill of an older build, which this build cannot read: re-ingest it with that build",
+				filepath.Join(q.dir, name))
+		}
+		if id, ok := parseSpillID(name); ok {
+			spills = append(spills, spill{id, filepath.Join(q.dir, name)})
 		}
 	}
 	sort.Slice(spills, func(i, j int) bool { return spills[i].id < spills[j].id })
@@ -147,7 +132,8 @@ func (q *DeadLetterQueue) Pending() ([]string, error) {
 // handed to fn and the file is deleted only after fn succeeds, so a crash
 // mid-drain re-delivers (at-least-once) rather than loses. It returns the
 // number of records re-ingested; on error, already-drained files stay
-// deleted and the failing spill remains pending.
+// deleted and the failing spill, named in the error, remains pending — a
+// spill that fails its frame check too, so none is skipped.
 func (q *DeadLetterQueue) Drain(fn func(recs []Record) error) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -158,22 +144,14 @@ func (q *DeadLetterQueue) Drain(fn func(recs []Record) error) (int, error) {
 	}
 	total := 0
 	for _, path := range files {
-		f, err := os.Open(path)
+		recs, err := readSpill(path)
+		if err == nil {
+			err = fn(recs)
+		}
+		if err == nil {
+			err = os.Remove(path)
+		}
 		if err != nil {
-			q.drainErrors.Add(1)
-			return total, fmt.Errorf("dlq: drain %s: %w", path, err)
-		}
-		recs, err := ReadJSONL(f)
-		_ = f.Close()
-		if err != nil {
-			q.drainErrors.Add(1)
-			return total, fmt.Errorf("dlq: drain %s: %w", path, err)
-		}
-		if err := fn(recs); err != nil {
-			q.drainErrors.Add(1)
-			return total, fmt.Errorf("dlq: drain %s: %w", path, err)
-		}
-		if err := os.Remove(path); err != nil {
 			q.drainErrors.Add(1)
 			return total, fmt.Errorf("dlq: drain %s: %w", path, err)
 		}
@@ -182,6 +160,37 @@ func (q *DeadLetterQueue) Drain(fn func(recs []Record) error) (int, error) {
 		q.drainedRecords.Add(uint64(len(recs)))
 	}
 	return total, nil
+}
+
+// readSpill reads the batch of one spill file, which must be exactly one
+// frame whose payload passes its checksum and decodes as a block.
+func readSpill(path string) ([]Record, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	n, crc, err := ParseFrameHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	if len(b) != FrameHeaderSize+n {
+		return nil, ErrCorruptFrame
+	}
+	payload := b[FrameHeaderSize:]
+	if err := CheckFrame(payload, crc); err != nil {
+		return nil, err
+	}
+	var br BlockReader
+	if err := br.Reset(payload); err != nil {
+		return nil, err
+	}
+	recs := make([]Record, br.Len())
+	for i := range recs {
+		if err := br.Next(&recs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
 }
 
 // DLQStats counts what the queue has absorbed — and given back — since it
@@ -238,4 +247,40 @@ func OpenTenantDLQ(root, tenant string) (*DeadLetterQueue, error) {
 		return nil, fmt.Errorf("dlq: invalid tenant id %q", tenant)
 	}
 	return OpenDLQ(filepath.Join(root, "tenants", tenant))
+}
+
+// WriteFileAtomic replaces path with data durably: it writes path+".tmp",
+// syncs it, renames it over path and syncs the directory, so a crash or a
+// power loss leaves either the old file or the whole new one.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	SyncDir(filepath.Dir(path))
+	return nil
+}
+
+// SyncDir fsyncs a directory so a just-renamed file survives power loss;
+// errors are ignored (the rename itself is already atomic on crash-free
+// filesystems, and recovery tolerates a missing file).
+func SyncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
+	}
 }

@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -102,7 +104,7 @@ func TestDLQNumberingSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crash-leftover temp file must be ignored, not drained.
-	if err := os.WriteFile(filepath.Join(dir, "dlq-000099.jsonl.tmp"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "dlq-000099.blk.tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,12 +119,98 @@ func TestDLQNumberingSurvivesReopen(t *testing.T) {
 	if len(pending) != 3 {
 		t.Fatalf("pending after reopen = %v", pending)
 	}
-	if base := filepath.Base(pending[2]); base != "dlq-000002.jsonl" {
-		t.Errorf("reopened queue numbered its spill %s, want dlq-000002.jsonl", base)
+	if base := filepath.Base(pending[2]); base != "dlq-000002.blk" {
+		t.Errorf("reopened queue numbered its spill %s, want dlq-000002.blk", base)
 	}
 	n, err := q2.Drain(func(recs []Record) error { return nil })
 	if err != nil || n != 3 {
 		t.Fatalf("drain across restart = %d, %v", n, err)
+	}
+}
+
+// TestDLQSpillIsOneBlockFrame: a spill file holds exactly the frame
+// AppendFrame makes of its batch, the frame tracedb's segments use, and
+// leaves no temp file behind.
+func TestDLQSpillIsOneBlockFrame(t *testing.T) {
+	dir := t.TempDir()
+	q, err := OpenDLQ(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Record{sampleRecord(0), sampleRecord(1), sampleRecord(2)}
+	if err := q.Spill(batch); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "dlq-000000.blk" {
+		t.Fatalf("dir holds %v, want the one spill dlq-000000.blk", entries)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := AppendFrame(nil, batch); !bytes.Equal(got, want) {
+		t.Fatalf("spill bytes differ from AppendFrame of the batch:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestDLQDrainStopsAtDamagedSpill: a spill that fails its frame check —
+// flipped payload byte, torn tail, trailing bytes — stops Drain with the
+// file's name before anything is ingested, and every spill stays pending.
+func TestDLQDrainStopsAtDamagedSpill(t *testing.T) {
+	for name, damage := range map[string]func([]byte) []byte{
+		"flipped":  func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b },
+		"torn":     func(b []byte) []byte { return b[:len(b)-3] },
+		"trailing": func(b []byte) []byte { return append(b, 0) },
+		"empty":    func([]byte) []byte { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			q, err := OpenDLQ(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := q.Spill([]Record{sampleRecord(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pending, _ := q.Pending()
+			b, err := os.ReadFile(pending[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(pending[0], damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			calls := 0
+			n, err := q.Drain(func([]Record) error { calls++; return nil })
+			if err == nil || !strings.Contains(err.Error(), pending[0]) {
+				t.Fatalf("drain = %d, %v; want an error naming %s", n, err, pending[0])
+			}
+			if n != 0 || calls != 0 {
+				t.Errorf("drain ingested %d records in %d calls past a damaged spill", n, calls)
+			}
+			if after, _ := q.Pending(); len(after) != 2 {
+				t.Errorf("pending after a failed drain = %v, want both spills", after)
+			}
+		})
+	}
+}
+
+// TestDLQRefusesLegacyJSONLSpill: a JSONL spill of an older build cannot be
+// read by this one, so opening its directory fails with the file's name
+// instead of skipping a dead letter.
+func TestDLQRefusesLegacyJSONLSpill(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "dlq-000004.jsonl")
+	if err := os.WriteFile(legacy, []byte(`{"seq":0,"device":"C9","name":"ARM"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenDLQ(dir); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("OpenDLQ over a legacy spill: %v, want an error naming %s", err, legacy)
 	}
 }
 

@@ -38,7 +38,12 @@ func TestGoldenExportFormats(t *testing.T) {
 
 	var csvBuf bytes.Buffer
 	cw := NewCSVWriter(&csvBuf)
-	if err := cw.AppendBatch([]Record{full, minimal}); err != nil {
+	for _, r := range []Record{full, minimal} {
+		if err := cw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantCSV := "seq,time,end_time,device,name,args,response,exception,procedure,run,mode\n" +
@@ -50,7 +55,12 @@ func TestGoldenExportFormats(t *testing.T) {
 
 	var jsonlBuf bytes.Buffer
 	jw := NewJSONLWriter(&jsonlBuf)
-	if err := jw.AppendBatch([]Record{full, minimal}); err != nil {
+	for _, r := range []Record{full, minimal} {
+		if err := jw.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	wantJSONL := `{"seq":7,"time":"2021-12-16T10:30:00.5Z","endTime":"2021-12-16T10:30:01.5Z","device":"Quantos","name":"start_dosing","args":["sub.1","amount=5.0"],"response":"ok","procedure":"P2","run":"2021-12-16_run1","mode":"DIRECT"}` + "\n" +

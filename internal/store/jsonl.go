@@ -40,17 +40,6 @@ func (j *JSONLWriter) Append(r Record) error {
 	return nil
 }
 
-// AppendBatch writes the records as one burst of lines; the encoding is
-// identical to per-record Append.
-func (j *JSONLWriter) AppendBatch(recs []Record) error {
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
-			return err
-		}
-	}
-	return j.Flush()
-}
-
 // Flush flushes buffered lines to the underlying writer.
 func (j *JSONLWriter) Flush() error {
 	if err := j.w.Flush(); err != nil {

@@ -164,10 +164,6 @@ func (d *IDS) Run(sub *Subscriber) uint64 {
 	}
 }
 
-// Reset clears the sliding window (e.g. at a procedure boundary); alerts
-// and counters are kept.
-func (d *IDS) Reset() { d.win.Reset() }
-
 // Alerts returns a copy of every alert raised so far, in stream order.
 func (d *IDS) Alerts() []Alert {
 	d.mu.Lock()

@@ -12,7 +12,8 @@
 //
 // A store is a directory of segment files named seg-00000000.seg,
 // seg-00000001.seg, … Each segment starts with an 8-byte magic header and is
-// followed by a sequence of blocks:
+// followed by a sequence of blocks, each in store's frame (store.AppendFrame,
+// which a dead-letter spill uses too):
 //
 //	+----------------+----------------+-------------------+
 //	| 4-byte big-    | 4-byte big-    | payload           |
@@ -41,7 +42,6 @@ package tracedb
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"slices"
 
 	"rad/internal/store"
@@ -51,26 +51,18 @@ const (
 	// segMagic opens every segment file; a file without it holds no
 	// committed records.
 	segMagic = "RADTDB1\n"
-	// blockHeaderSize is the length + checksum prefix of every block.
-	blockHeaderSize = 8
-	// MaxBlockBytes bounds a single block payload so a corrupted length
-	// field can never force an unbounded allocation during recovery.
-	MaxBlockBytes = 16 << 20
 	// targetBlockBytes is the soft payload size at which a large batch is
 	// split across several blocks; it keeps every block far under
-	// MaxBlockBytes and bounds the unit of read amplification. It also
-	// makes every block of two or more records fit one wire event frame
-	// (wire.MaxFrameSize, also 1 MiB), header included, though only by
-	// recordSizeEstimate's slack: the estimate counts each of a record's
+	// store.MaxFramePayload and bounds the unit of read amplification. It
+	// also makes every block of two or more records fit one wire event
+	// frame (wire.MaxFrameSize, also 1 MiB), header included, though only
+	// by recordSizeEstimate's slack: the estimate counts each of a record's
 	// length and count prefixes, eight at least, at 5 bytes, and a value
 	// under 1 MiB needs at most 3, so such a block encodes at least 32
 	// bytes under its estimate, against about 15 for its record count and
 	// frame header. TestCompactBlocksFitOneFrame pins it.
 	targetBlockBytes = 1 << 20
 )
-
-// castagnoli is the CRC32C polynomial table used for block checksums.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // recordSizeEstimate upper-bounds a record's encoded size, used to split
 // oversized batches at block boundaries before encoding.

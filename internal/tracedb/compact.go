@@ -198,8 +198,8 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		if len(batch) == 0 {
 			return nil
 		}
-		encBuf = store.AppendBlock(encBuf[:0], batch)
-		if err := ns.appendBlock(encBuf, batch); err != nil {
+		encBuf = store.AppendFrame(encBuf[:0], batch)
+		if err := ns.appendFrame(encBuf, batch); err != nil {
 			return err
 		}
 		stats.BlocksOut++
@@ -247,7 +247,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 	if err := os.Rename(tmpPath, finalPath); err != nil {
 		return cleanup(fmt.Errorf("tracedb: install compacted segment: %w", err))
 	}
-	syncDir(db.dir)
+	store.SyncDir(db.dir)
 	if compactHook != nil {
 		if err := compactHook("renamed"); err != nil {
 			return stats, false, err // simulated crash: sources still live
@@ -308,16 +308,6 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		db.lcStats.bytesReclaimed.Add(uint64(d))
 	}
 	return stats, true, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file survives power loss;
-// errors are ignored (the rename itself is already atomic on crash-free
-// filesystems, and recovery tolerates a missing file).
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // pruneRetiredLocked drops drained entries from the retired list so a

@@ -187,13 +187,13 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		var frameEnds []int64
 		var cum []int
 		off, n := int64(len(segMagic)), 0
-		for off+blockHeaderSize <= int64(len(raw)) {
+		for off+store.FrameHeaderSize <= int64(len(raw)) {
 			plen := int64(binary.BigEndian.Uint32(raw[off : off+4]))
-			blockRecs, err := decodePayload(raw[off+blockHeaderSize:off+blockHeaderSize+plen], nil, nil)
+			blockRecs, err := decodePayload(raw[off+store.FrameHeaderSize:off+store.FrameHeaderSize+plen], nil, nil)
 			if err != nil {
 				t.Fatalf("pristine block undecodable: %v", err)
 			}
-			off += blockHeaderSize + plen
+			off += store.FrameHeaderSize + plen
 			n += len(blockRecs)
 			frameEnds = append(frameEnds, off)
 			cum = append(cum, n)

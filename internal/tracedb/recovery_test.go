@@ -25,7 +25,7 @@ func writeThreeBatches(t *testing.T, dir string) (segPath string, ends []int64, 
 		t.Fatalf("%d segments, want 1", db.Segments())
 	}
 	for _, m := range db.segs[0].index.blocks {
-		ends = append(ends, m.off+blockHeaderSize+int64(m.payloadLen))
+		ends = append(ends, m.off+store.FrameHeaderSize+int64(m.payloadLen))
 	}
 	if len(ends) != 3 {
 		t.Fatalf("%d blocks, want 3", len(ends))
@@ -134,7 +134,7 @@ func TestRecoveryCorruptMiddleBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pos := ends[0] + blockHeaderSize + 3 // inside block 2's payload
+	pos := ends[0] + store.FrameHeaderSize + 3 // inside block 2's payload
 	b := make([]byte, 1)
 	if _, err := f.ReadAt(b, pos); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestRecoveryIgnoresForeignFiles(t *testing.T) {
 // TestRecoveryBoundsBlockRecordCount: a block's announced record count is
 // bounded by the smallest record, so a payload announcing more records than
 // its bytes can hold is rejected before any room is made for them — the
-// recovery scan decodes CRC-valid blocks of up to MaxBlockBytes — while a
+// recovery scan decodes CRC-valid blocks of up to store.MaxFramePayload — while a
 // payload of exactly that many minimal records still decodes.
 func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
 	const size = 1 << 20

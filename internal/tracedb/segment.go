@@ -1,9 +1,7 @@
 package tracedb
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,35 +148,31 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 	}
 
 	off := int64(len(segMagic))
-	var bh [blockHeaderSize]byte
+	var bh [store.FrameHeaderSize]byte
 	for {
-		if off+blockHeaderSize > fileSize {
+		if _, err := f.ReadAt(bh[:], off); err != nil {
 			break // torn inside a block header
 		}
-		if _, err := f.ReadAt(bh[:], off); err != nil {
-			break
-		}
-		payloadLen := int64(binary.BigEndian.Uint32(bh[0:4]))
-		wantCRC := binary.BigEndian.Uint32(bh[4:8])
-		if payloadLen == 0 || payloadLen > MaxBlockBytes {
+		n, wantCRC, err := store.ParseFrameHeader(bh[:])
+		if err != nil {
 			break // corrupted length field
 		}
-		if off+blockHeaderSize+payloadLen > fileSize {
+		if off+store.FrameHeaderSize+int64(n) > fileSize {
 			break // torn inside the payload
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := f.ReadAt(payload, off+blockHeaderSize); err != nil {
+		payload := make([]byte, n)
+		if _, err := f.ReadAt(payload, off+store.FrameHeaderSize); err != nil {
 			break
 		}
-		if crc32.Checksum(payload, castagnoli) != wantCRC {
+		if store.CheckFrame(payload, wantCRC) != nil {
 			break // corrupted payload
 		}
 		recs, err := decodePayload(payload, nil, nil)
 		if err != nil {
 			break // checksum collision with a structurally broken payload
 		}
-		s.index.addBlock(off, int(payloadLen), wantCRC, recs)
-		off += blockHeaderSize + payloadLen
+		s.index.addBlock(off, n, wantCRC, recs)
+		off += store.FrameHeaderSize + int64(n)
 	}
 	if off < fileSize {
 		if err := f.Truncate(off); err != nil {
@@ -190,21 +184,21 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 	return s, nil
 }
 
-// appendBlock writes recs (whose canonical payload encoding is payload) as
-// one checksummed block at the committed tail. The committed size and index
-// advance only after the whole frame is on the file, so a failed or partial
-// write leaves the committed state untouched and the next Open truncates
-// the debris.
-func (s *segment) appendBlock(payload []byte, recs []store.Record) error {
-	frame := make([]byte, blockHeaderSize+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	crc := crc32.Checksum(payload, castagnoli)
-	binary.BigEndian.PutUint32(frame[4:8], crc)
-	copy(frame[blockHeaderSize:], payload)
+// appendFrame writes frame, the store.AppendFrame of recs, as one block at
+// the committed tail. A frame that fails store.ParseFrameHeader is refused
+// unwritten, since recovery would stop at it. The committed size and index
+// advance only after the whole frame is on the file, so a failed or
+// partial write leaves the committed state untouched and the next Open
+// truncates the debris.
+func (s *segment) appendFrame(frame []byte, recs []store.Record) error {
+	n, crc, err := store.ParseFrameHeader(frame)
+	if err != nil {
+		return fmt.Errorf("tracedb: append block: %w", err)
+	}
 	if _, err := s.f.WriteAt(frame, s.size); err != nil {
 		return fmt.Errorf("tracedb: append block: %w", err)
 	}
-	s.index.addBlock(s.size, len(payload), crc, recs)
+	s.index.addBlock(s.size, n, crc, recs)
 	s.size += int64(len(frame))
 	return nil
 }
@@ -217,11 +211,11 @@ func (s *segment) readPayload(m blockMeta, scratch *[]byte) ([]byte, error) {
 		*scratch = make([]byte, m.payloadLen)
 	}
 	payload := (*scratch)[:m.payloadLen]
-	if _, err := s.f.ReadAt(payload, m.off+blockHeaderSize); err != nil {
+	if _, err := s.f.ReadAt(payload, m.off+store.FrameHeaderSize); err != nil {
 		return nil, fmt.Errorf("tracedb: read block at %d: %w", m.off, err)
 	}
-	if crc32.Checksum(payload, castagnoli) != m.crc {
-		return nil, fmt.Errorf("tracedb: block at %d: checksum mismatch", m.off)
+	if err := store.CheckFrame(payload, m.crc); err != nil {
+		return nil, fmt.Errorf("tracedb: block at %d: %w", m.off, err)
 	}
 	return payload, nil
 }

@@ -66,7 +66,7 @@ type DB struct {
 	segs     []*segment
 	retired  []*segment     // retired but still pinned by in-flight snapshots
 	pending  []store.Record // staged per-record appends, not yet in a block
-	encBuf   []byte         // reusable payload encode buffer (writer-only)
+	encBuf   []byte         // reusable frame encode buffer (writer-only)
 	nextSeq  uint64
 	seqFloor uint64 // persisted lower bound for nextSeq (see Retain)
 	closed   bool
@@ -176,33 +176,15 @@ func loadSeqFloor(dir string) uint64 {
 	return floor
 }
 
-// persistSeqFloor durably installs a new sequence floor (tmp + fsync +
-// rename + directory sync, like a compacted segment). Retention calls it
-// before any victim segment is dropped, so a crash at any point leaves
-// either the old floor with the victims intact or the new floor — never a
-// store that re-issues retired sequence numbers.
+// persistSeqFloor durably installs a new sequence floor
+// (store.WriteFileAtomic, as a compacted segment is installed). Retention
+// calls it before any victim segment is dropped, so a crash at any point
+// leaves either the old floor with the victims intact or the new floor —
+// never a store that re-issues retired sequence numbers.
 func persistSeqFloor(dir string, floor uint64) error {
-	path := filepath.Join(dir, seqFloorFile)
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("tracedb: create seq floor: %w", err)
-	}
-	if _, err = fmt.Fprintf(f, "%d\n", floor); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := store.WriteFileAtomic(filepath.Join(dir, seqFloorFile), fmt.Appendf(nil, "%d\n", floor)); err != nil {
 		return fmt.Errorf("tracedb: write seq floor: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("tracedb: install seq floor: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 
@@ -273,6 +255,36 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
+// OpenExisting opens the store in dir like Open, for a tool that reads a
+// stored campaign back, but creates nothing: a path that is not a
+// directory holding a segment file is an error naming it.
+func OpenExisting(dir string, opts Options) (*DB, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("tracedb: %w", err)
+	}
+	for _, e := range entries {
+		if _, _, _, ok := parseSegmentName(e.Name()); ok && !e.IsDir() {
+			return Open(dir, opts)
+		}
+	}
+	return nil, fmt.Errorf("tracedb: %s holds no store", dir)
+}
+
+// ReadAll returns every record of the existing store in dir
+// (OpenExisting), in sequence order.
+func ReadAll(dir string) ([]store.Record, error) {
+	db, err := OpenExisting(dir, Options{})
+	if err != nil {
+		return nil, err
+	}
+	recs, err := db.Collect(Query{})
+	if cerr := db.Close(); err == nil {
+		err = cerr
+	}
+	return recs, err
+}
+
 // Dir returns the store's directory.
 func (db *DB) Dir() string { return db.dir }
 
@@ -296,7 +308,7 @@ func (db *DB) commit(recs []store.Record) {
 // Append assigns the next sequence number and stages the record, visible
 // to readers and published to the commit hooks. A full staging buffer
 // (Options.BlockRecords records) is first written as one block; staged
-// records are also written on Flush, Sync, or Close. An error means the
+// records are also written on Flush or Close. An error means the
 // record was not committed: it got no sequence number, was not staged, and
 // no hook saw it.
 func (db *DB) Append(r store.Record) error {
@@ -375,24 +387,6 @@ func (db *DB) Flush() error {
 		return ErrClosed
 	}
 	return db.flushLocked()
-}
-
-// Sync flushes staged records and fsyncs every segment file.
-func (db *DB) Sync() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	if err := db.flushLocked(); err != nil {
-		return err
-	}
-	for _, s := range db.segs {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("tracedb: sync %s: %w", s.path, err)
-		}
-	}
-	return nil
 }
 
 // Close stops the lifecycle loop, flushes staged records, syncs, and closes
@@ -481,13 +475,13 @@ func (db *DB) writeOneBlockLocked(recs []store.Record) error {
 		db.segs = append(db.segs, next)
 		active = next
 	}
-	db.encBuf = store.AppendBlock(db.encBuf[:0], recs)
-	if err := active.appendBlock(db.encBuf, recs); err != nil {
+	db.encBuf = store.AppendFrame(db.encBuf[:0], recs)
+	if err := active.appendFrame(db.encBuf, recs); err != nil {
 		return err
 	}
 	if o := db.obs; o != nil {
 		o.blocksWritten.Add(1)
-		o.bytesWritten.Add(uint64(blockHeaderSize + len(db.encBuf)))
+		o.bytesWritten.Add(uint64(len(db.encBuf)))
 	}
 	return nil
 }
