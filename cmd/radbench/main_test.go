@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rad/internal/store"
+	"rad/internal/tracedb"
 )
 
 // TestRadbenchSubsets exercises the CLI driver over quick experiment
@@ -51,5 +54,33 @@ func TestRadbenchRejectsBadFlag(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
 		t.Errorf("refused -from left %d files in %s", len(entries), empty)
+	}
+}
+
+// TestRadbenchFromLiveStore: -from reads a store the middlebox collected
+// live, whose run labels are whatever radtrace -run gave them, beside the
+// run-N labels of a generated campaign.
+func TestRadbenchFromLiveStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "mbstore")
+	db, err := tracedb.Open(dir, tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	presses := []string{"INIT", "MVNG", "MVNG", "HOME"}
+	for _, run := range []string{"run-2", "vfy"} {
+		for i := 0; i < 40; i++ {
+			r := store.Record{Device: "C9", Name: presses[i%len(presses)], Procedure: "P4", Run: run, Mode: "REMOTE"}
+			if err := db.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, only := range []string{"fig5a", "fig5b,fig6"} {
+		if err := run([]string{"-from", dir, "-only", only}); err != nil {
+			t.Errorf("-from %s -only %s: %v", dir, only, err)
+		}
 	}
 }

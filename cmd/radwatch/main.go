@@ -36,12 +36,13 @@
 // the exact loss ("... N dropped").
 //
 // -ids turns the watcher into an online intrusion detector: it trains the
-// §V-B perplexity model on every record of the tracedb directory -train
+// §V-B perplexity model on the benign runs of the tracedb directory -train
 // (such as one radgen -store wrote), one training sequence per run label
-// with the unlabelled bulk as one more, scores a sliding window over the
-// live command stream, with -rules also runs the middlebox rule set, and
-// emits structured alerts (JSONL by default, CSV with -format csv) instead
-// of raw records.
+// with the unlabelled bulk as one more, and leaves out the runs that end
+// in a hardware fault (runs 16, 17 and 22 of the campaign), as radids
+// does; it scores a sliding window over the live command stream, with
+// -rules also runs the middlebox rule set, and emits structured alerts
+// (JSONL by default, CSV with -format csv) instead of raw records.
 package main
 
 import (
@@ -55,6 +56,7 @@ import (
 	"time"
 
 	"rad/internal/ids"
+	"rad/internal/rad"
 	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
@@ -248,29 +250,28 @@ func orDash(s string) string {
 	return s
 }
 
-// trainDetector fits an order-n perplexity model on every record of the
-// tracedb store in dir: one command sequence per run label, in collection
-// order, with the unlabelled bulk as one more.
+// trainDetector fits an order-n perplexity model on the tracedb store in
+// dir: one command sequence per run label that rad.FromRecords does not mark
+// anomalous, in run ID order, and the unlabelled bulk, in collection order,
+// as one more. An anomalous run ends in a hardware fault, so the model
+// would learn the sequences it is meant to flag.
 func trainDetector(dir string, order int) (*ids.PerplexityDetector, error) {
 	recs, err := tracedb.ReadAll(dir)
 	if err != nil {
 		return nil, err
 	}
-	byRun := make(map[string][]string)
-	var runOrder []string
-	for _, r := range recs {
-		run := r.Run
-		if run == "" {
-			run = "(unsupervised)"
-		}
-		if _, ok := byRun[run]; !ok {
-			runOrder = append(runOrder, run)
-		}
-		byRun[run] = append(byRun[run], r.Name)
+	ds, err := rad.FromRecords(recs)
+	if err != nil {
+		return nil, err
 	}
-	seqs := make([][]string, 0, len(runOrder))
-	for _, run := range runOrder {
-		seqs = append(seqs, byRun[run])
+	var seqs [][]string
+	for _, run := range ds.Runs {
+		if !run.Anomalous {
+			seqs = append(seqs, ds.RunSequence(run.Run))
+		}
+	}
+	if bulk := ds.Store.CommandSequence(func(r store.Record) bool { return r.Run == "" }); len(bulk) > 0 {
+		seqs = append(seqs, bulk)
 	}
 	return ids.TrainPerplexity(seqs, order)
 }

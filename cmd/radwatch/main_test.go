@@ -168,6 +168,55 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 	}
 }
 
+// TestTrainDetectorSkipsAnomalousRuns: the online model learns benign
+// behaviour only. A run that ends in a hardware fault is left out of
+// training, so adding one to the training store leaves the threshold where
+// the benign runs and the unlabelled bulk put it.
+func TestTrainDetectorSkipsAnomalousRuns(t *testing.T) {
+	write := func(withCrash bool) string {
+		dir := filepath.Join(t.TempDir(), "train")
+		db, err := tracedb.Open(dir, tracedb.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pattern := []string{"HOME", "MVNG", "GRIP", "RLSE"}
+		for i := 0; i < 80; i++ {
+			recs := []store.Record{
+				{Device: "C9", Name: pattern[i%len(pattern)], Run: "benign"},
+				{Device: "C9", Name: pattern[(i+1)%len(pattern)]},
+			}
+			if withCrash && i < 10 {
+				crash := store.Record{Device: "C9", Name: []string{"ZAP", "QUX"}[i%2], Run: "run-16"}
+				if i == 9 {
+					crash.Exception = "hardware fault: arm crashed"
+				}
+				recs = append(recs, crash)
+			}
+			for _, r := range recs {
+				if err := db.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	benign, err := trainDetector(write(false), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCrash, err := trainDetector(write(true), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if benign.Threshold() != withCrash.Threshold() {
+		t.Errorf("threshold %v with an anomalous run in the training store, %v without",
+			withCrash.Threshold(), benign.Threshold())
+	}
+}
+
 func TestWatchRequiresAddr(t *testing.T) {
 	if err := run(nil, &bytes.Buffer{}); err == nil {
 		t.Fatal("no -addr accepted")

@@ -13,8 +13,11 @@ import (
 // back from a tracedb store that radgen or the middlebox wrote),
 // re-deriving the supervised-run index from the labels: run IDs from the
 // "run-N" naming, procedure types from the labels, anomaly ground truth
-// from hardware-fault exceptions, and each run's note from its ID. Power
-// captures are not part of the command dataset, so PowerByRun is empty.
+// from hardware-fault exceptions, and each run's note from its ID. A label
+// that is not a run-N ID, such as one radtrace -run gave a live run, gets
+// an ID after the highest numbered run, in sorted label order, and no
+// note. Power captures are not part of the command dataset, so PowerByRun
+// is empty.
 //
 // This closes the generate-once/analyze-many loop: a stored campaign feeds
 // the same Fig. 5/6/Table I harnesses as a freshly generated one.
@@ -25,65 +28,78 @@ func FromRecords(records []store.Record) (*Dataset, error) {
 			return nil, fmt.Errorf("rad: load record: %w", err)
 		}
 	}
-	return fromStore(st)
+	return fromStore(st), nil
 }
 
 // fromStore derives the run index from a populated store.
-func fromStore(st *store.MemStore) (*Dataset, error) {
+func fromStore(st *store.MemStore) *Dataset {
 	ds := &Dataset{Store: st, Targets: map[string]int{}}
 	for dev, n := range st.CountByDevice() {
 		ds.Targets[dev] = n
 	}
 	type runAgg struct {
 		id        int
+		numbered  bool // the label is run-N with N the id
 		run       string
 		proc      string
 		commands  int
 		anomalous bool
 	}
 	byRun := make(map[string]*runAgg)
+	var aggs []*runAgg
 	for _, r := range st.All() {
 		if r.Run == "" {
 			continue
 		}
 		agg, ok := byRun[r.Run]
 		if !ok {
-			id, err := runID(r.Run)
-			if err != nil {
-				return nil, err
-			}
-			agg = &runAgg{id: id, run: r.Run, proc: r.Procedure}
+			agg = &runAgg{run: r.Run, proc: r.Procedure}
+			agg.id, agg.numbered = runID(r.Run)
 			byRun[r.Run] = agg
+			aggs = append(aggs, agg)
 		}
 		agg.commands++
 		if r.Exception != "" && strings.Contains(r.Exception, "hardware fault") {
 			agg.anomalous = true
 		}
 	}
-	aggs := make([]*runAgg, 0, len(byRun))
-	for _, agg := range byRun {
-		aggs = append(aggs, agg)
+	next := 0
+	var free []*runAgg
+	for _, agg := range aggs {
+		if agg.numbered {
+			next = max(next, agg.id+1)
+		} else {
+			free = append(free, agg)
+		}
+	}
+	sort.Slice(free, func(i, j int) bool { return free[i].run < free[j].run })
+	for i, agg := range free {
+		agg.id = next + i
 	}
 	sort.Slice(aggs, func(i, j int) bool { return aggs[i].id < aggs[j].id })
 	for _, agg := range aggs {
-		ds.Runs = append(ds.Runs, RunInfo{
+		info := RunInfo{
 			ID: agg.id, Run: agg.run, Procedure: agg.proc,
 			Anomalous: agg.anomalous, Commands: agg.commands,
-			Note: runNote(agg.id),
-		})
+		}
+		if agg.numbered {
+			info.Note = runNote(agg.id)
+		}
+		ds.Runs = append(ds.Runs, info)
 	}
-	return ds, nil
+	return ds
 }
 
-// runID parses the numeric suffix of a "run-N" label.
-func runID(run string) (int, error) {
+// runID parses a "run-N" label, N a decimal with no sign or leading zero;
+// ok is false for any other label.
+func runID(run string) (id int, ok bool) {
 	const prefix = "run-"
 	if !strings.HasPrefix(run, prefix) {
-		return 0, fmt.Errorf("rad: run label %q is not run-N", run)
+		return 0, false
 	}
 	id, err := strconv.Atoi(run[len(prefix):])
-	if err != nil {
-		return 0, fmt.Errorf("rad: run label %q: %w", run, err)
+	if err != nil || id < 0 || prefix+strconv.Itoa(id) != run {
+		return 0, false
 	}
-	return id, nil
+	return id, true
 }

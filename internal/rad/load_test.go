@@ -2,6 +2,7 @@ package rad
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"rad/internal/store"
@@ -59,10 +60,39 @@ func TestFromRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromRecordsRejectsBadRunLabels(t *testing.T) {
-	recs := []store.Record{{Device: "C9", Name: "MVNG", Run: "weird-label", Procedure: "P4"}}
-	if _, err := FromRecords(recs); err == nil {
-		t.Error("bad run label accepted")
+// TestFromRecordsLabelsAfterNumberedRuns: a store collected live holds run
+// labels radgen never writes (radtrace -run vfy). Such a label is a run all
+// the same: it gets an ID after the highest numbered run, in sorted label
+// order, and no note, while run-N keeps ID N and its note. Anomaly ground
+// truth comes from the hardware-fault rule whatever the label.
+func TestFromRecordsLabelsAfterNumberedRuns(t *testing.T) {
+	recs := []store.Record{
+		{Device: "C9", Name: "MVNG", Run: "vfy", Procedure: "P4"},
+		{Device: "C9", Name: "MVNG", Run: "run-2", Procedure: "P4"},
+		{Device: "C9", Name: "HOME", Run: "vfy", Procedure: "P4"},
+		{Device: "Quantos", Name: "front_door", Run: "bench", Procedure: "P1",
+			Exception: "hardware fault: door crashed"},
+		{Device: "C9", Name: "MVNG", Run: "run-07", Procedure: "P4"},
+		{Device: "C9", Name: "MVNG"},
+	}
+	ds, err := FromRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RunInfo{
+		{ID: 2, Run: "run-2", Procedure: "P4", Commands: 1, Note: runNote(2)},
+		{ID: 3, Run: "bench", Procedure: "P1", Commands: 1, Anomalous: true},
+		{ID: 4, Run: "run-07", Procedure: "P4", Commands: 1},
+		{ID: 5, Run: "vfy", Procedure: "P4", Commands: 2},
+	}
+	if !reflect.DeepEqual(ds.Runs, want) {
+		t.Fatalf("runs:\n got  %+v\n want %+v", ds.Runs, want)
+	}
+	if runNote(2) == "" {
+		t.Fatal("run 2 has no note to keep")
+	}
+	if seq := ds.RunSequence("vfy"); !reflect.DeepEqual(seq, []string{"MVNG", "HOME"}) {
+		t.Errorf("vfy sequence %v", seq)
 	}
 }
 

@@ -202,12 +202,12 @@ func (b *Broker) Subscribe(opts SubOptions) *Subscriber {
 		opts.Buffer = DefaultBuffer
 	}
 	s := &Subscriber{
-		broker: b,
-		name:   opts.Name,
-		policy: opts.Policy,
-		filter: opts.Filter,
-		power:  opts.Power,
-		buf:    make([]Event, opts.Buffer),
+		broker:   b,
+		name:     opts.Name,
+		policy:   opts.Policy,
+		filter:   opts.Filter,
+		power:    opts.Power,
+		capacity: opts.Buffer,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	b.mu.Lock()
@@ -287,10 +287,14 @@ type Subscriber struct {
 	policy Policy
 	filter tracedb.Query
 	power  bool
+	// capacity is the ring's size, which Stats reports from the start.
+	capacity int
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	buf       []Event // ring storage
+	mu   sync.Mutex
+	cond *sync.Cond
+	// buf is the ring, allocated at the first event offered: a
+	// subscription that only replays a snapshot allocates none.
+	buf       []Event
 	head, n   int
 	closed    bool
 	delivered uint64
@@ -318,11 +322,14 @@ func (s *Subscriber) offer(ev *Event) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.policy == Block && s.n == len(s.buf) && !s.closed {
+	for s.policy == Block && s.n == s.capacity && !s.closed {
 		s.cond.Wait()
 	}
 	if s.closed {
 		return
+	}
+	if s.buf == nil {
+		s.buf = make([]Event, s.capacity)
 	}
 	if s.n == len(s.buf) { // full under DropOldest: shed the oldest
 		s.head = (s.head + 1) % len(s.buf)
@@ -409,8 +416,8 @@ func (s *Subscriber) Stats() SubscriberStats {
 		Delivered: s.delivered,
 		Dropped:   s.dropped,
 		Buffered:  s.n,
-		Capacity:  len(s.buf),
-		Lagging:   2*s.n >= len(s.buf) || s.dropped > 0,
+		Capacity:  s.capacity,
+		Lagging:   2*s.n >= s.capacity || s.dropped > 0,
 	}
 }
 

@@ -315,6 +315,26 @@ func TestBrokerStatsSnapshotsEverySubscriber(t *testing.T) {
 	}
 }
 
+// TestSubscriberStatsBeforeFirstEvent: a subscriber's ring is allocated at
+// the first event offered to it, yet its Stats report the configured
+// capacity from the start, and an empty ring never reads as lagging.
+func TestSubscriberStatsBeforeFirstEvent(t *testing.T) {
+	b := stream.NewBroker()
+	defer b.Close()
+	for _, tc := range []struct{ buffer, want int }{{0, stream.DefaultBuffer}, {8, 8}} {
+		sub := b.Subscribe(stream.SubOptions{Name: "idle", Buffer: tc.buffer})
+		if st := sub.Stats(); st.Capacity != tc.want || st.Lagging || st.Buffered != 0 {
+			t.Errorf("buffer %d: stats before any event %+v, want capacity %d, not lagging", tc.buffer, st, tc.want)
+		}
+		sub.Close()
+	}
+	sub := b.Subscribe(stream.SubOptions{Name: "one", Buffer: 8})
+	b.Publish(rec(0, "C9", "MVNG"))
+	if st := sub.Stats(); st.Capacity != 8 || st.Lagging || st.Buffered != 1 {
+		t.Errorf("stats after one event %+v, want capacity 8, one buffered, not lagging", st)
+	}
+}
+
 func TestNilBrokerIsInert(t *testing.T) {
 	var b *stream.Broker
 	b.Publish(rec(0, "C9", "MVNG")) // must not panic

@@ -206,7 +206,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		batch, batchBytes = batch[:0], 0
 		return nil
 	}
-	var scratch []byte
+	var buf *[]byte
 	var recs []store.Record
 	for _, s := range srcs {
 		stats.SegmentsIn++
@@ -214,7 +214,8 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		stats.BytesIn += s.size
 		for _, m := range s.index.blocks {
 			var err error
-			recs, err = s.readBlock(m, &scratch, recs[:0], nil)
+			buf = store.GrowBlockBuf(buf, int(m.payloadLen))
+			recs, err = s.readBlock(m, *buf, recs[:0], nil)
 			if err != nil {
 				return cleanup(fmt.Errorf("tracedb: compaction read: %w", err))
 			}
@@ -231,6 +232,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 			}
 		}
 	}
+	store.PutBlockBuf(buf) // the records were copied out
 	if err := flushBatch(); err != nil {
 		return cleanup(err)
 	}

@@ -246,7 +246,9 @@ func (db *DB) Explain(q Query) QueryPlan {
 // Blocks are read through one payload buffer and decoded into one record
 // slice, both reused from block to block; Record copies a record out, Ref
 // points at it in place. NextBlock hands out a covered block's payload
-// instead of decoding it.
+// instead of decoding it. The payload buffer is a store block buffer
+// (store.GrowBlockBuf), taken at the first block read and handed back to
+// store's pool once the blocks run out or the iterator is released.
 type Iterator struct {
 	q     Query
 	plans []segPlan
@@ -260,7 +262,7 @@ type Iterator struct {
 	// replaces it.
 	cur     []store.Record
 	ci      int
-	payload []byte // block read buffer
+	payload *[]byte // block read buffer; nil when none is held
 	// block is the covered block NextBlock positioned, a view of payload,
 	// and blockSeq its highest seq; block is nil at a record.
 	block    []byte
@@ -303,6 +305,9 @@ func (it *Iterator) advance(blocks bool) bool {
 			return true
 		}
 		if it.si >= len(it.plans) {
+			// No block is left to read, and none is positioned.
+			store.PutBlockBuf(it.payload)
+			it.payload = nil
 			if len(it.tail) > 0 {
 				it.cur, it.ci = it.tail, 0
 				it.tail = nil
@@ -321,8 +326,9 @@ func (it *Iterator) advance(blocks bool) bool {
 		it.bi++
 		// A block of no records (possible only in a foreign store) has no
 		// highest seq to hand out, and decodes to nothing below.
+		it.payload = store.GrowBlockBuf(it.payload, int(m.payloadLen))
 		if blocks && covered && m.count > 0 {
-			payload, err := p.seg.readPayload(m, &it.payload)
+			payload, err := p.seg.readPayload(m, *it.payload)
 			if err != nil {
 				it.fail(err)
 				return false
@@ -336,7 +342,7 @@ func (it *Iterator) advance(blocks bool) bool {
 		if covered {
 			filter = nil
 		}
-		recs, err := p.seg.readBlock(m, &it.payload, it.cur[:0], filter)
+		recs, err := p.seg.readBlock(m, *it.payload, it.cur[:0], filter)
 		if err != nil {
 			it.fail(err)
 			return false
@@ -358,8 +364,9 @@ func (it *Iterator) fail(err error) {
 // Block returns the covered block the last NextBlock positioned: its
 // checksum-verified payload, a store block (store.BlockReader reads it),
 // and the highest seq it holds. The payload belongs to the iterator and is
-// overwritten by the next advance; it is nil when the iterator stands at a
-// record.
+// valid only until the next advance, which overwrites it or hands its
+// buffer to another reader; it is nil when the iterator stands at a record.
+// Close leaves a positioned block's buffer to the caller, unpooled.
 func (it *Iterator) Block() (payload []byte, maxSeq uint64) { return it.block, it.blockSeq }
 
 // Record returns a copy of the record positioned by the last successful
@@ -395,8 +402,12 @@ func (it *Iterator) Close() {
 }
 
 // release drops the snapshot's segment references and the block read
-// buffer.
+// buffer, which goes back to store's pool unless a block the caller may
+// still read is positioned in it.
 func (it *Iterator) release() {
+	if it.block == nil {
+		store.PutBlockBuf(it.payload)
+	}
 	it.payload, it.block = nil, nil
 	if it.released {
 		return

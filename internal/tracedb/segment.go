@@ -203,14 +203,11 @@ func (s *segment) appendFrame(frame []byte, recs []store.Record) error {
 	return nil
 }
 
-// readPayload reads one committed block's payload into *scratch (grown
-// when too small, so a caller reading block after block reuses one buffer)
-// and re-verifies its checksum against the indexed CRC.
-func (s *segment) readPayload(m blockMeta, scratch *[]byte) ([]byte, error) {
-	if cap(*scratch) < int(m.payloadLen) {
-		*scratch = make([]byte, m.payloadLen)
-	}
-	payload := (*scratch)[:m.payloadLen]
+// readPayload reads one committed block's payload into buf, which must
+// hold m.payloadLen bytes (a store block buffer, store.GrowBlockBuf), and
+// re-verifies its checksum against the indexed CRC.
+func (s *segment) readPayload(m blockMeta, buf []byte) ([]byte, error) {
+	payload := buf[:m.payloadLen]
 	if _, err := s.f.ReadAt(payload, m.off+store.FrameHeaderSize); err != nil {
 		return nil, fmt.Errorf("tracedb: read block at %d: %w", m.off, err)
 	}
@@ -223,8 +220,8 @@ func (s *segment) readPayload(m blockMeta, scratch *[]byte) ([]byte, error) {
 // readBlock reads one committed block like readPayload and appends its
 // records to dst — only those q matches, when q is non-nil (see
 // decodePayload).
-func (s *segment) readBlock(m blockMeta, scratch *[]byte, dst []store.Record, q *Query) ([]store.Record, error) {
-	payload, err := s.readPayload(m, scratch)
+func (s *segment) readBlock(m blockMeta, buf []byte, dst []store.Record, q *Query) ([]store.Record, error) {
+	payload, err := s.readPayload(m, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -213,9 +213,11 @@ func TestWireInternSharesVocabulary(t *testing.T) {
 	}
 }
 
-// TestFrameGrowPathPowerOfTwo pins the satellite fix: pooled read buffers
-// grow to the next power of two up to the pool's limit, and exactly-sized
-// above it (an oversize one-off must not poison the pool's growth pattern).
+// TestFrameGrowPathPowerOfTwo pins how a connection sizes its read
+// buffers: a frame up to the pool's limit is read into the connection's
+// own buffer, grown to the next power of two; a larger one (a block event)
+// into a store block buffer, whose capacity is a multiple of 64 KiB, and
+// the connection's own buffer does not grow for it.
 func TestFrameGrowPathPowerOfTwo(t *testing.T) {
 	cases := []struct {
 		n, wantCap int
@@ -227,17 +229,26 @@ func TestFrameGrowPathPowerOfTwo(t *testing.T) {
 		{4097, 8192},
 		{pooledLimit - 1, pooledLimit},
 		{pooledLimit, pooledLimit},
-		{pooledLimit + 1, pooledLimit + 1}, // above the pool gate: exact
-		{MaxFrameSize, MaxFrameSize},
 	}
 	for _, tc := range cases {
-		var buf []byte
-		got := sizeBuf(&buf, tc.n)
+		c := NewConn(bytes.NewBuffer(nil), V2, nil)
+		got := c.payload(tc.n)
 		if len(got) != tc.n {
-			t.Errorf("sizeBuf(%d): len = %d", tc.n, len(got))
+			t.Errorf("payload(%d): len = %d", tc.n, len(got))
 		}
-		if cap(buf) != tc.wantCap {
-			t.Errorf("sizeBuf(%d): cap = %d, want %d", tc.n, cap(buf), tc.wantCap)
+		if cap(c.in) != tc.wantCap || c.block != nil {
+			t.Errorf("payload(%d): cap = %d, block buffer %v; want cap %d and none",
+				tc.n, cap(c.in), c.block != nil, tc.wantCap)
+		}
+	}
+	for _, n := range []int{pooledLimit + 1, 313_000, MaxFrameSize} {
+		c := NewConn(bytes.NewBuffer(nil), V2, nil)
+		got := c.payload(n)
+		if len(got) != n || c.in != nil || c.block == nil || &(*c.block)[0] != &got[0] {
+			t.Fatalf("payload(%d): len %d, own buffer cap %d, not the block buffer", n, len(got), cap(c.in))
+		}
+		if cap(got)%(64<<10) != 0 {
+			t.Errorf("payload(%d): block buffer cap %d is not a multiple of 64 KiB", n, cap(got))
 		}
 	}
 	// Growth reuses a buffer that is already big enough.

@@ -21,6 +21,8 @@ import (
 	"io"
 	"net"
 	"time"
+
+	"rad/internal/store"
 )
 
 // Version is the wire protocol version the preamble carries.
@@ -75,10 +77,14 @@ type Conn struct {
 	iov  [2][]byte
 	bufs net.Buffers
 
-	// in is the read buffer every frame's payload is read into, grown to
-	// the largest frame read so far. A decoded Event's Block aliases it, so
-	// it is the connection's own rather than pooled.
-	in []byte
+	// in is the read buffer of frames up to pooledLimit, grown to the
+	// largest of them read so far. block is that of a larger frame (a block
+	// event): a store block buffer (store.GrowBlockBuf), held from the frame
+	// that needs it until the next ReadFrame that does not, which hands it
+	// back to store's pool. A decoded Event's Block aliases one or the
+	// other, so neither is let go while the caller may still read it.
+	in    []byte
+	block *[]byte
 
 	// capture, when set, retains the latest per-frame codec latencies for
 	// LastCodecLatency. Like the metrics timers it measures the marshal step
@@ -154,9 +160,17 @@ func Dial(addr string, m *Metrics) (net.Conn, *Conn, error) {
 
 // ReadFrame reads one frame and decodes it into v. An Event's Block is not
 // copied: it aliases the connection's read buffer until the next
-// ReadFrame, so a caller reads the block before reading on.
+// ReadFrame, so a caller reads the block before reading on. After that the
+// bytes may be another connection's: a block's buffer goes back to a pool
+// every connection in the process shares.
 func (c *Conn) ReadFrame(v any) error {
 	size, err := binary.ReadUvarint(c.br)
+	if err != nil || size <= pooledLimit || size > MaxFrameSize {
+		// The caller is done with the previous frame, and this one needs
+		// no block buffer.
+		store.PutBlockBuf(c.block)
+		c.block = nil
+	}
 	if err != nil {
 		if errors.Is(err, io.EOF) {
 			return io.EOF
@@ -166,7 +180,7 @@ func (c *Conn) ReadFrame(v any) error {
 	if size > MaxFrameSize {
 		return frameTooLarge(size)
 	}
-	payload := sizeBuf(&c.in, int(size))
+	payload := c.payload(int(size))
 	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return fmt.Errorf("wire: read frame payload: %w", err)
 	}
@@ -176,6 +190,16 @@ func (c *Conn) ReadFrame(v any) error {
 	}
 	c.observeRead(start)
 	return nil
+}
+
+// payload returns the buffer an n-byte frame is read into: the
+// connection's own up to pooledLimit, a store block buffer above it.
+func (c *Conn) payload(n int) []byte {
+	if n <= pooledLimit {
+		return sizeBuf(&c.in, n)
+	}
+	c.block = store.GrowBlockBuf(c.block, n)
+	return *c.block
 }
 
 // flushThreshold is the pending output at which Buffer writes: large

@@ -102,7 +102,8 @@ type Reply struct {
 const pooledLimit = 64 << 10
 
 // bufPool holds the binary codec's output buffers. Each connection reads
-// into a buffer of its own (Conn.ReadFrame).
+// a frame up to pooledLimit into a buffer of its own, and a larger one into
+// a store block buffer (Conn.ReadFrame).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -113,19 +114,13 @@ func putBuf(pb *[]byte) {
 	}
 }
 
-// sizeBuf returns (*pb)[:n], growing the backing array when it is too
-// small — a connection's read buffer. Growth goes to the next power of two
-// (capped at pooledLimit), so a ramp of slowly growing frames amortizes its
-// reallocation instead of paying one per read; frames above pooledLimit,
-// block events, get an exact-size buffer, so a connection holds no more
-// than its largest frame.
+// sizeBuf returns (*pb)[:n], growing the backing array to the next power
+// of two when it is too small — a connection's read buffer for frames up to
+// pooledLimit — so a ramp of slowly growing frames amortizes its
+// reallocation instead of paying one per read.
 func sizeBuf(pb *[]byte, n int) []byte {
 	if cap(*pb) < n {
-		c := n
-		if n <= pooledLimit {
-			c = 1 << bits.Len(uint(n-1))
-		}
-		*pb = make([]byte, c)
+		*pb = make([]byte, 1<<bits.Len(uint(n-1)))
 	}
 	return (*pb)[:n]
 }
