@@ -5,6 +5,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"time"
+	"unsafe"
 )
 
 // The record encoding: the one binary form of a Record, used both for
@@ -69,7 +70,13 @@ func appendString(b []byte, s string) []byte {
 // instance of an intern-table word (Intern), and Args is a fresh slice, so
 // the record never aliases b and a copy of it never aliases r.
 func DecodeRecord(b []byte, r *Record) (n int, ok bool) {
-	d := recordDecoder{b: b}
+	return decodeRecord(b, r, nil)
+}
+
+// decodeRecord is DecodeRecord, with the strings and Args taken from a
+// when it is not nil.
+func decodeRecord(b []byte, r *Record, a *arena) (n int, ok bool) {
+	d := recordDecoder{b: b, arena: a}
 	r.Seq = d.uvarint()
 	r.Time = d.time()
 	r.EndTime = d.time()
@@ -79,7 +86,7 @@ func DecodeRecord(b []byte, r *Record) (n int, ok bool) {
 	if nargs := d.uvarint(); nargs > uint64(len(d.b)) {
 		d.bad = true
 	} else if nargs > 0 {
-		r.Args = make([]string, nargs)
+		r.Args = d.args(int(nargs))
 		for i := range r.Args {
 			r.Args[i] = d.str()
 		}
@@ -172,6 +179,10 @@ func CheckFrame(payload []byte, crc uint32) error {
 type BlockReader struct {
 	b    []byte // bytes not yet decoded
 	left int    // records not yet decoded
+	// arena holds the strings and Args of the records Next decodes. Reset
+	// keeps it, so a reader decoding block after block fills each chunk
+	// before it allocates the next.
+	arena arena
 }
 
 // Reset starts reading block b, which the reader keeps, uncopied, until its
@@ -180,7 +191,7 @@ type BlockReader struct {
 // records its bytes can hold at MinRecordBytes each, or when b announces no
 // records yet holds more bytes.
 func (br *BlockReader) Reset(b []byte) error {
-	*br = BlockReader{}
+	br.b, br.left = nil, 0
 	count, n := binary.Uvarint(b)
 	if n <= 0 || count > uint64((len(b)-n)/MinRecordBytes) || (count == 0 && n != len(b)) {
 		return ErrCorruptBlock
@@ -192,18 +203,24 @@ func (br *BlockReader) Reset(b []byte) error {
 // Len reports how many records are left to read.
 func (br *BlockReader) Len() int { return br.left }
 
-// Next decodes the next record into *r. It fails with ErrCorruptBlock
-// when no record is left, when the record does not decode, or when bytes
-// follow the block's last record; a failure ends the block, leaving Len at
-// zero.
+// Next decodes the next record into *r, as DecodeRecord would, except
+// that the record's strings that are not intern-table words, and its Args,
+// are carved from chunks of a few KiB the reader shares across the records
+// it decodes, instead of allocated one by one. A chunk is append-only, so a
+// record never aliases the block, r's earlier contents or another record,
+// and a copy of it stays valid however many records are decoded after it;
+// but a record kept alive keeps its chunks alive. It fails with
+// ErrCorruptBlock when no record is left, when the record does not decode,
+// or when bytes follow the block's last record; a failure ends the block,
+// leaving Len at zero.
 func (br *BlockReader) Next(r *Record) error {
 	if br.left == 0 {
 		return ErrCorruptBlock
 	}
-	n, ok := DecodeRecord(br.b, r)
+	n, ok := decodeRecord(br.b, r, &br.arena)
 	br.left--
 	if !ok || (br.left == 0 && n != len(br.b)) {
-		*br = BlockReader{}
+		br.b, br.left = nil, 0
 		return ErrCorruptBlock
 	}
 	br.b = br.b[n:]
@@ -215,10 +232,12 @@ func (br *BlockReader) Next(r *Record) error {
 
 // recordDecoder reads fields off the front of b. bad is set at the first
 // malformed field; reading on past it is harmless, since every read is
-// bounds-checked, and DecodeRecord then discards the result.
+// bounds-checked, and DecodeRecord then discards the result. Strings and
+// Args come from arena when it is set.
 type recordDecoder struct {
-	b   []byte
-	bad bool
+	b     []byte
+	bad   bool
+	arena *arena
 }
 
 func (d *recordDecoder) uvarint() uint64 {
@@ -250,7 +269,66 @@ func (d *recordDecoder) str() string {
 		d.bad = true
 		return ""
 	}
-	s := Intern(d.b[:l])
+	b := d.b[:l]
 	d.b = d.b[l:]
-	return s
+	if d.arena != nil {
+		return d.arena.str(b)
+	}
+	return Intern(b)
+}
+
+// args returns a record's n Args, all empty.
+func (d *recordDecoder) args(n int) []string {
+	if d.arena != nil {
+		return d.arena.args(n)
+	}
+	return make([]string, n)
+}
+
+// An arena hands out the strings and Args slices of the records a
+// BlockReader decodes from shared chunks. Each chunk is append-only: the
+// arena never writes a byte or slot again once it has handed it out, and
+// moves on to a fresh chunk when the current one is full, leaving the old
+// one to the records that point into it.
+type arena struct {
+	bytes []byte   // string chunk: bytes[:len] handed out, the rest free
+	slots []string // Args chunk: slots[:len] handed out, the rest free
+}
+
+const (
+	arenaBytes = 4 << 10 // bytes per string chunk
+	arenaSlots = 256     // strings per Args chunk, 4 KiB of headers
+)
+
+// str returns b as a string: the shared instance of an intern-table word,
+// else a copy of b in the string chunk. A string longer than an eighth of a
+// chunk gets an allocation of its own, so a chunk is never mostly waste.
+func (a *arena) str(b []byte) string {
+	if s, ok := Interned(b); ok || len(b) == 0 {
+		return s
+	}
+	if len(b) > arenaBytes/8 {
+		return string(b)
+	}
+	if cap(a.bytes)-len(a.bytes) < len(b) {
+		a.bytes = make([]byte, 0, arenaBytes)
+	}
+	off := len(a.bytes)
+	a.bytes = append(a.bytes, b...)
+	return unsafe.String(&a.bytes[off], len(b))
+}
+
+// args returns n empty strings from the Args chunk, capped at n so that
+// appending to them never reaches another record's. A long list gets an
+// allocation of its own, as a long string does.
+func (a *arena) args(n int) []string {
+	if n > arenaSlots/8 {
+		return make([]string, n)
+	}
+	if cap(a.slots)-len(a.slots) < n {
+		a.slots = make([]string, 0, arenaSlots)
+	}
+	off := len(a.slots)
+	a.slots = a.slots[:off+n]
+	return a.slots[off : off+n : off+n]
 }

@@ -88,8 +88,10 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzBlockReader hardens the one block reader that tracedb's recovery scan
 // and the stream client share, in memory: arbitrary bytes must decode or
 // fail, never panic or make room for a record count the bytes cannot hold.
-// A block that decodes in full ends exactly at its last record, and
-// re-encodes to one that reads back the same records.
+// A block that decodes in full ends exactly at its last record, each record
+// equal to DecodeRecord's of the same bytes though its strings and Args come
+// from the reader's shared chunks, and re-encodes to one that reads back the
+// same records.
 func FuzzBlockReader(f *testing.F) {
 	valid := AppendBlock(nil, []Record{
 		{Seq: 1, Time: time.Unix(100, 5), EndTime: time.Unix(101, 0), Device: "C9", Name: "ARM",
@@ -127,9 +129,12 @@ func FuzzBlockReader(f *testing.F) {
 			got = append(got, r)
 		}
 		_, end := binary.Uvarint(data)
-		for range got {
+		for i := range got {
 			var r Record
 			n, _ := DecodeRecord(data[end:], &r)
+			if !reflect.DeepEqual(r, got[i]) {
+				t.Fatalf("record %d: BlockReader %+v, DecodeRecord %+v", i, got[i], r)
+			}
 			end += n
 		}
 		if end != len(data) {

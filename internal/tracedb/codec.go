@@ -76,14 +76,15 @@ func recordSizeEstimate(r store.Record) int {
 	return n
 }
 
-// decodePayload parses a block payload with store.BlockReader and appends
-// its records to dst — only the records q matches, when q is non-nil, so a
-// record the query rejects never lands in dst. Every record is parsed
-// either way, and a malformed payload is store.ErrCorruptBlock. On error
-// the returned slice is nil, though dst's backing array may already hold
-// some of the block's records.
-func decodePayload(b []byte, dst []store.Record, q *Query) ([]store.Record, error) {
-	var br store.BlockReader
+// decodePayload parses a block payload with br and appends its records to
+// dst — only the records q matches, when q is non-nil, so a record the
+// query rejects never lands in dst. Every record is parsed either way, and
+// a malformed payload is store.ErrCorruptBlock. On error the returned
+// slice is nil, though dst's backing array may already hold some of the
+// block's records. A caller decoding block after block passes the same
+// reader, so the records share its string chunks rather than each block
+// starting chunks of its own.
+func decodePayload(br *store.BlockReader, b []byte, dst []store.Record, q *Query) ([]store.Record, error) {
 	if err := br.Reset(b); err != nil {
 		return nil, err
 	}

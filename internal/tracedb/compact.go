@@ -207,6 +207,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		return nil
 	}
 	var buf *[]byte
+	var br store.BlockReader
 	var recs []store.Record
 	for _, s := range srcs {
 		stats.SegmentsIn++
@@ -215,7 +216,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		for _, m := range s.index.blocks {
 			var err error
 			buf = store.GrowBlockBuf(buf, int(m.payloadLen))
-			recs, err = s.readBlock(m, *buf, recs[:0], nil)
+			recs, err = s.readBlock(m, *buf, &br, recs[:0], nil)
 			if err != nil {
 				return cleanup(fmt.Errorf("tracedb: compaction read: %w", err))
 			}
@@ -232,7 +233,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 			}
 		}
 	}
-	store.PutBlockBuf(buf) // the records were copied out
+	store.PutBlockBuf(buf) // no decoded record aliases it
 	if err := flushBatch(); err != nil {
 		return cleanup(err)
 	}

@@ -149,7 +149,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 
 		// Contract 1: canonical payload codec.
 		payload := store.AppendBlock(nil, recs)
-		decoded, err := decodePayload(payload, nil, nil)
+		decoded, err := decodePayload(new(store.BlockReader), payload, nil, nil)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
@@ -189,7 +189,7 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		off, n := int64(len(segMagic)), 0
 		for off+store.FrameHeaderSize <= int64(len(raw)) {
 			plen := int64(binary.BigEndian.Uint32(raw[off : off+4]))
-			blockRecs, err := decodePayload(raw[off+store.FrameHeaderSize:off+store.FrameHeaderSize+plen], nil, nil)
+			blockRecs, err := decodePayload(new(store.BlockReader), raw[off+store.FrameHeaderSize:off+store.FrameHeaderSize+plen], nil, nil)
 			if err != nil {
 				t.Fatalf("pristine block undecodable: %v", err)
 			}

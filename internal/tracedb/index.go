@@ -2,6 +2,7 @@ package tracedb
 
 import (
 	"math"
+	"strings"
 
 	"rad/internal/store"
 )
@@ -81,6 +82,12 @@ type segmentIndex struct {
 
 	count  int
 	maxSeq uint64
+
+	// names holds one copy of each string the index keeps, sole values
+	// and posting-list keys: a decoded record's strings may share a chunk
+	// with those of the records beside it (store.BlockReader.Next), which
+	// the index must not keep alive.
+	names map[string]string
 }
 
 func newSegmentIndex() segmentIndex {
@@ -91,6 +98,7 @@ func newSegmentIndex() segmentIndex {
 		byProc:       make(map[string][]int32),
 		deviceCounts: make(map[string]int),
 		keyCounts:    make(map[string]int),
+		names:        make(map[string]string),
 	}
 }
 
@@ -134,30 +142,54 @@ func (ix *segmentIndex) addBlock(off int64, payloadLen int, crc uint32, recs []s
 				m.pure &^= pureProc
 			}
 		}
-		post(ix.byDevice, r.Device, bi)
-		post(ix.byKey, key, bi)
+		ix.post(ix.byDevice, r.Device, bi)
+		ix.post(ix.byKey, key, bi)
 		if r.Run != "" {
-			post(ix.byRun, r.Run, bi)
+			ix.post(ix.byRun, r.Run, bi)
 		}
-		post(ix.byProc, r.Procedure, bi)
+		ix.post(ix.byProc, r.Procedure, bi)
 		ix.deviceCounts[r.Device]++
 		ix.keyCounts[key]++
 		if r.Seq > ix.maxSeq {
 			ix.maxSeq = r.Seq
 		}
 	}
+	// A sole value is kept only where it is authoritative.
+	m.soleDevice = ix.sole(m.pure&pureDevice != 0, m.soleDevice)
+	m.soleKey = ix.sole(m.pure&pureKey != 0, m.soleKey)
+	m.soleRun = ix.sole(m.pure&pureRun != 0, m.soleRun)
+	m.soleProc = ix.sole(m.pure&pureProc != 0, m.soleProc)
 	ix.count += len(recs)
 	ix.blocks = append(ix.blocks, m)
 }
 
+// own returns the index's copy of s, made at the index's first sight of s.
+func (ix *segmentIndex) own(s string) string {
+	if c, ok := ix.names[s]; ok {
+		return c
+	}
+	c := strings.Clone(s)
+	ix.names[c] = c
+	return c
+}
+
+// sole returns the index's copy of v when pure, and "" otherwise.
+func (ix *segmentIndex) sole(pure bool, v string) string {
+	if !pure {
+		return ""
+	}
+	return ix.own(v)
+}
+
 // post appends bi to the posting list unless it is already the tail entry —
 // blocks are indexed in order, so the list stays sorted and deduplicated.
-func post(m map[string][]int32, k string, bi int32) {
+// The map's key is the index's own copy of k.
+func (ix *segmentIndex) post(m map[string][]int32, k string, bi int32) {
 	l := m[k]
 	if len(l) > 0 && l[len(l)-1] == bi {
 		return
 	}
-	m[k] = append(m[k], bi)
+	m[ix.own(k)] = append(l, bi)
 }
 
 // fieldList is one set equality filter's posting list, labelled with the

@@ -262,7 +262,8 @@ type Iterator struct {
 	// replaces it.
 	cur     []store.Record
 	ci      int
-	payload *[]byte // block read buffer; nil when none is held
+	payload *[]byte           // block read buffer; nil when none is held
+	br      store.BlockReader // decodes the blocks not handed out whole
 	// block is the covered block NextBlock positioned, a view of payload,
 	// and blockSeq its highest seq; block is nil at a record.
 	block    []byte
@@ -342,7 +343,7 @@ func (it *Iterator) advance(blocks bool) bool {
 		if covered {
 			filter = nil
 		}
-		recs, err := p.seg.readBlock(m, *it.payload, it.cur[:0], filter)
+		recs, err := p.seg.readBlock(m, *it.payload, &it.br, it.cur[:0], filter)
 		if err != nil {
 			it.fail(err)
 			return false

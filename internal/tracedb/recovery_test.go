@@ -254,7 +254,7 @@ func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
 	lying = append(lying, make([]byte, size-len(lying))...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := decodePayload(lying, nil, nil)
+	_, err := decodePayload(new(store.BlockReader), lying, nil, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a payload announcing more records than it holds decoded")
@@ -266,7 +266,7 @@ func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
 	const count = 4096
 	full := binary.AppendUvarint(nil, count)
 	full = append(full, make([]byte, count*store.MinRecordBytes)...)
-	recs, err := decodePayload(full, nil, nil)
+	recs, err := decodePayload(new(store.BlockReader), full, nil, nil)
 	if err != nil || len(recs) != count {
 		t.Fatalf("payload of %d minimal records: %d decoded, err %v", count, len(recs), err)
 	}

@@ -149,6 +149,7 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 
 	off := int64(len(segMagic))
 	var bh [store.FrameHeaderSize]byte
+	var br store.BlockReader
 	for {
 		if _, err := f.ReadAt(bh[:], off); err != nil {
 			break // torn inside a block header
@@ -167,7 +168,7 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 		if store.CheckFrame(payload, wantCRC) != nil {
 			break // corrupted payload
 		}
-		recs, err := decodePayload(payload, nil, nil)
+		recs, err := decodePayload(&br, payload, nil, nil)
 		if err != nil {
 			break // checksum collision with a structurally broken payload
 		}
@@ -218,14 +219,14 @@ func (s *segment) readPayload(m blockMeta, buf []byte) ([]byte, error) {
 }
 
 // readBlock reads one committed block like readPayload and appends its
-// records to dst — only those q matches, when q is non-nil (see
-// decodePayload).
-func (s *segment) readBlock(m blockMeta, buf []byte, dst []store.Record, q *Query) ([]store.Record, error) {
+// records, decoded by br, to dst — only those q matches, when q is non-nil
+// (see decodePayload).
+func (s *segment) readBlock(m blockMeta, buf []byte, br *store.BlockReader, dst []store.Record, q *Query) ([]store.Record, error) {
 	payload, err := s.readPayload(m, buf)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := decodePayload(payload, dst, q)
+	recs, err := decodePayload(br, payload, dst, q)
 	if err != nil {
 		return nil, fmt.Errorf("tracedb: block at %d: %w", m.off, err)
 	}
