@@ -11,14 +11,39 @@ import (
 )
 
 // TestRadbenchSubsets exercises the CLI driver over quick experiment
-// subsets (the full run is exercised by the bench suite and EXPERIMENTS.md).
+// subsets (the full run is exercised by the bench suite and EXPERIMENTS.md),
+// and -from over a store the middlebox collected live, whose run labels
+// are whatever radtrace -run gave them, beside the run-N labels of a
+// generated campaign.
 func TestRadbenchSubsets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a dataset")
 	}
-	for _, only := range []string{"fig5a", "fig5b,fig6,table1", "fig7c,fig7d"} {
-		if err := run([]string{"-scale", "0.02", "-only", only}); err != nil {
-			t.Fatalf("-only %s: %v", only, err)
+	live := filepath.Join(t.TempDir(), "mbstore")
+	db, err := tracedb.Open(live, tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	presses := []string{"INIT", "MVNG", "MVNG", "HOME"}
+	for _, run := range []string{"run-2", "vfy"} {
+		for i := 0; i < 40; i++ {
+			r := store.Record{Device: "C9", Name: presses[i%len(presses)], Procedure: "P4", Run: run, Mode: "REMOTE"}
+			if err := db.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-scale", "0.02", "-only", "fig5a"},
+		{"-scale", "0.02", "-only", "fig5b,fig6,table1"},
+		{"-scale", "0.02", "-only", "fig7c,fig7d"},
+		{"-from", live, "-only", "fig5a,fig5b,fig6"},
+	} {
+		if err := run(args); err != nil {
+			t.Fatalf("%q: %v", args, err)
 		}
 	}
 }
@@ -54,33 +79,5 @@ func TestRadbenchRejectsBadFlag(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(empty); len(entries) != 0 {
 		t.Errorf("refused -from left %d files in %s", len(entries), empty)
-	}
-}
-
-// TestRadbenchFromLiveStore: -from reads a store the middlebox collected
-// live, whose run labels are whatever radtrace -run gave them, beside the
-// run-N labels of a generated campaign.
-func TestRadbenchFromLiveStore(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "mbstore")
-	db, err := tracedb.Open(dir, tracedb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	presses := []string{"INIT", "MVNG", "MVNG", "HOME"}
-	for _, run := range []string{"run-2", "vfy"} {
-		for i := 0; i < 40; i++ {
-			r := store.Record{Device: "C9", Name: presses[i%len(presses)], Procedure: "P4", Run: run, Mode: "REMOTE"}
-			if err := db.Append(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, only := range []string{"fig5a", "fig5b,fig6"} {
-		if err := run([]string{"-from", dir, "-only", only}); err != nil {
-			t.Errorf("-from %s -only %s: %v", dir, only, err)
-		}
 	}
 }

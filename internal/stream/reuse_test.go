@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -152,13 +153,17 @@ func sameRecords(got, want []store.Record) error {
 
 // TestReplayReuseKeepsRecords replays each store back to back, four times
 // at once, filtered to one device, and resumed from inside a block, all on
-// one server. Every replay must deliver exactly Collect's records, and the
-// copies kept from every replay are compared only once all of them are
-// done: by then each pooled buffer has passed through several connections
-// and iterators, and each client has decoded thousands of records after
-// the ones kept.
+// one server. Every replay must deliver exactly Collect's records, which
+// must be the records appended, and the copies kept from every replay are
+// compared only once all of them are done: by then each pooled buffer has
+// passed through several connections and iterators, and each client has
+// decoded thousands of records after the ones kept. (Collect decodes as
+// the client does, so it is checked against the records appended too.)
 func TestReplayReuseKeepsRecords(t *testing.T) {
 	recs := reuseRecords(10_000)
+	for i := range recs {
+		recs[i].Seq = uint64(i)
+	}
 	for name, db := range reuseStores(t, recs) {
 		t.Run(name, func(t *testing.T) {
 			broker := stream.NewBroker()
@@ -182,22 +187,19 @@ func TestReplayReuseKeepsRecords(t *testing.T) {
 			}
 			kept := make([][]store.Record, len(cases))
 			errs := make([]error, len(cases))
-			concurrent := make(chan int, len(cases))
+			var concurrent sync.WaitGroup
 			for i, tc := range cases {
 				if !strings.HasPrefix(tc.name, "concurrent") {
 					kept[i], errs[i] = replayKeep(addr, tc.sub)
 					continue
 				}
+				concurrent.Add(1)
 				go func(i int, sub wire.Subscribe) {
+					defer concurrent.Done()
 					kept[i], errs[i] = replayKeep(addr, sub)
-					concurrent <- i
 				}(i, tc.sub)
 			}
-			for _, tc := range cases {
-				if strings.HasPrefix(tc.name, "concurrent") {
-					<-concurrent
-				}
-			}
+			concurrent.Wait()
 			for i, tc := range cases {
 				if errs[i] != nil {
 					t.Fatalf("%s: %v", tc.name, errs[i])
@@ -206,8 +208,17 @@ func TestReplayReuseKeepsRecords(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var appended []store.Record
+				for _, r := range recs {
+					if tc.q.Match(r) {
+						appended = append(appended, r)
+					}
+				}
 				if len(want) == 0 || len(want) == len(recs) && tc.q != (tracedb.Query{}) {
 					t.Fatalf("%s: the store holds %d matching records", tc.name, len(want))
+				}
+				if err := sameRecords(want, appended); err != nil {
+					t.Fatalf("%s: Collect: %v", tc.name, err)
 				}
 				if err := sameRecords(kept[i], want); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)

@@ -481,9 +481,14 @@ func (c *Client) SetIdleTimeout(d time.Duration) { c.idle = d }
 // A trace event's Record is the client's, not the caller's: every Recv
 // decodes into the same one, so it is valid only until the next Recv, as
 // with bufio.Scanner.Bytes. A caller that keeps a record keeps a copy
-// (*ev.Record). The copy aliases nothing Recv reuses, since decoding gives
-// the record a fresh Args slice and strings that are either copies or the
-// shared, immutable words of store.Intern's table.
+// (*ev.Record). The copy aliases nothing Recv reuses: not the record, and
+// not the connection's read buffer, which after the next read may hold
+// another connection's frames. Its strings are the shared, immutable words
+// of store.Intern's table or copies, and its Args a slice of its own; a
+// record from a block event takes both from chunks shared with the
+// records decoded beside it (store.BlockReader.Next), so a kept copy keeps
+// those chunks alive. Close never touches the read buffer, so it may be
+// called while Recv blocks.
 func (c *Client) Recv() (wire.Event, error) {
 	for {
 		if c.block.Len() > 0 {

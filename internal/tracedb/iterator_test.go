@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -162,4 +163,56 @@ func TestIteratorRecordAfterEmptyBlocks(t *testing.T) {
 	sameRecords(t, []store.Record{it.Record()}, []store.Record{last})
 	it.Close()
 	sameRecords(t, []store.Record{it.Record()}, []store.Record{last})
+}
+
+// TestIteratorBlockOutlivesOtherScans: a covered block NextBlock positions
+// lives in a buffer from a pool that every scan shares. It must stay as
+// read while other scans take buffers from that pool and hand them back,
+// until its iterator advances, and Close must not hand a positioned
+// block's buffer to the next scan.
+func TestIteratorBlockOutlivesOtherScans(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ingest(t, db, testRecords(600), 100) // six blocks
+	// Four scans in lockstep hold four buffers at once, so they take every
+	// spare the pool holds.
+	scanAll := func() {
+		its := make([]*Iterator, 4)
+		for i := range its {
+			its[i] = db.Scan(Query{})
+		}
+		for more := true; more; {
+			more = false
+			for _, o := range its {
+				more = o.NextBlock() || more
+			}
+		}
+		for _, o := range its {
+			if err := o.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	it := db.Scan(Query{})
+	for _, close := range []bool{false, true} {
+		if !it.NextBlock() {
+			t.Fatal("no block to position")
+		}
+		block, _ := it.Block()
+		if block == nil {
+			t.Fatal("an unfiltered scan positioned a record, not a block")
+		}
+		want := bytes.Clone(block)
+		if close {
+			it.Close()
+		}
+		scanAll()
+		scanAll()
+		if !bytes.Equal(block, want) {
+			t.Fatalf("a positioned block changed while other scans ran (closed: %v)", close)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rad/internal/store"
 )
 
 func TestWireNegotiateV2(t *testing.T) {
@@ -220,5 +223,53 @@ func TestWireV2ReadFrameEOF(t *testing.T) {
 	var req Request
 	if err := wc.ReadFrame(&req); !errors.Is(err, io.EOF) {
 		t.Fatalf("read on closed conn: %v, want io.EOF", err)
+	}
+}
+
+// TestReadFrameBlockOutlivesOtherConns: a block event above pooledLimit is
+// read into a buffer from a pool that every connection shares. Its Block
+// must stay as read while other connections read block events and hand
+// their buffers back, until its own connection reads its next frame.
+func TestReadFrameBlockOutlivesOtherConns(t *testing.T) {
+	block := func(seq0 int) []byte {
+		recs := make([]store.Record, 2000)
+		for i := range recs {
+			recs[i] = store.Record{Seq: uint64(seq0 + i), Time: time.Unix(0, int64(i)),
+				Device: "UR3e", Name: "move_joints", Args: []string{"0.5"}, Procedure: "P2"}
+		}
+		return store.AppendBlock(nil, recs)
+	}
+	mine, theirs := block(0), block(5000)
+	if len(mine) <= pooledLimit {
+		t.Fatalf("block of %d bytes is not above the pooled frame size", len(mine))
+	}
+	small := frame(Reply{ID: 1, Value: "ok"})
+	stream := func(b []byte) *Conn {
+		return NewConn(bytes.NewBuffer(append(frame(Event{Kind: EventTrace, Block: b}), small...)), V2, nil)
+	}
+	var ev Event
+	c := stream(mine)
+	if err := c.ReadFrame(&TailFrame{Event: &ev}); err != nil || !bytes.Equal(ev.Block, mine) {
+		t.Fatalf("read %d block bytes, %v", len(ev.Block), err)
+	}
+	// Four connections in lockstep hold four buffers at once, so they take
+	// every spare the pool holds, then hand them back.
+	for round := 0; round < 2; round++ {
+		others := []*Conn{stream(theirs), stream(theirs), stream(theirs), stream(theirs)}
+		for _, o := range others {
+			var oev Event
+			if err := o.ReadFrame(&TailFrame{Event: &oev}); err != nil || !bytes.Equal(oev.Block, theirs) {
+				t.Fatalf("other connection read %d block bytes, %v", len(oev.Block), err)
+			}
+		}
+		for _, o := range others {
+			var rep Reply
+			if err := o.ReadFrame(&rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(ev.Block, mine) {
+		t.Fatal("a block changed while other connections read theirs")
 	}
 }

@@ -126,7 +126,8 @@ type Event struct {
 	// record matches the subscription this way; store.BlockReader decodes
 	// it. A decoded Block is not a copy: it aliases the frame it was read
 	// from, which Conn.ReadFrame keeps valid until the connection's next
-	// read.
+	// read; after that a block's buffer may hold another connection's
+	// frame.
 	Block  []byte        `json:"block,omitempty"`
 	Sample *power.Sample `json:"sample,omitempty"`
 	// Dropped is the number of events shed for this subscriber (drop-oldest
