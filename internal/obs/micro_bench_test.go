@@ -24,11 +24,3 @@ func BenchmarkObserveConst(b *testing.B) {
 		h.Observe(d)
 	}
 }
-
-func BenchmarkShardIndexMicro(b *testing.B) {
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += shardIndex(7)
-	}
-	_ = sink
-}

@@ -15,11 +15,9 @@
 // Design rules:
 //
 //   - The observed hot paths are sacred. Counter.Add and Histogram.Observe
-//     are lock-free: per-P-style sharded cache-line-padded atomics, merged
-//     only at render time — the same shard-then-merge discipline
-//     internal/parallel applies to the analysis kernels. The middlebox exec
-//     path's overhead budget (≤5% over the PR 4 hardened baseline,
-//     BenchmarkExecObserved) is the constraint the layout serves.
+//     are lock-free: one atomic add per word they touch, nothing else. The
+//     middlebox exec path's overhead budget (≤5% over the PR 4 hardened
+//     baseline, BenchmarkExecObserved) is the constraint the layout serves.
 //   - Reads never see a metric go backwards, but a render racing concurrent
 //     observes may split one observation across two renders (each atomic is
 //     individually exact; cross-atomic consistency is not promised —
@@ -35,78 +33,28 @@
 package obs
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
-// shardCount is the number of per-metric shards: the next power of two at
-// or above GOMAXPROCS at package init, capped at 64. One shard per P is the
-// target; the cap bounds the per-metric footprint on very wide machines.
-var shardCount = func() int {
-	n := runtime.GOMAXPROCS(0)
-	s := 1
-	for s < n && s < 64 {
-		s <<= 1
-	}
-	return s
-}()
-
-// shardIndex picks a shard for the calling goroutine. Go does not expose
-// the current P, so the index is a multiplicative hash of a stack address:
-// every goroutine has its own stack, so concurrent writers spread across
-// shards, which is all the layout needs — any goroutine may use any shard,
-// because reads merge all of them. The choice only steers contention, never
-// correctness.
-func shardIndex(mask uint32) uint32 {
-	var probe byte
-	h := uint64(uintptr(unsafe.Pointer(&probe)))
-	h *= 0x9e3779b97f4a7c15 // Fibonacci hashing: spread nearby addresses
-	return uint32(h>>33) & mask
-}
-
-// pad fills a counter shard out to a cache line so neighbouring shards
-// never false-share.
-const cacheLine = 64
-
-type counterShard struct {
-	v atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
-// Counter is a monotonically increasing sharded counter. The zero value is
-// not ready to use; obtain one from Registry.Counter.
+// Counter is a monotonically increasing counter: one atomic word. The zero
+// value is ready to use; Registry.Counter hands out registered ones.
 type Counter struct {
-	shards []counterShard
-	mask   uint32
-}
-
-func newCounter() *Counter {
-	return &Counter{shards: make([]counterShard, shardCount), mask: uint32(shardCount - 1)}
+	v atomic.Uint64
 }
 
 // Add increments the counter by n. Lock-free; safe for any number of
 // concurrent callers.
-func (c *Counter) Add(n uint64) {
-	c.shards[shardIndex(c.mask)].v.Add(n)
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Value merges the shards into the counter's current total.
-func (c *Counter) Value() uint64 {
-	var total uint64
-	for i := range c.shards {
-		total += c.shards[i].v.Load()
-	}
-	return total
-}
+// Value returns the counter's current total.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down (ring occupancy, active
-// workers). A single atomic word: gauges are set/adjusted off the hot
-// paths, so sharding would buy nothing.
+// workers). A single atomic word, like Counter.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -134,24 +82,14 @@ var DefaultLatencyBuckets = []time.Duration{
 	10 * time.Second, 30 * time.Second, 60 * time.Second,
 }
 
-// histShard holds one shard's bucket counts and duration sum. counts has
-// len(bounds)+1 entries; the final entry is the overflow (+Inf) bucket.
-// The struct is padded so adjacent shards' sums never share a line; the
-// counts slices are separate allocations and spread naturally.
-type histShard struct {
-	counts []atomic.Uint64
-	sum    atomic.Int64 // nanoseconds
-	_      [cacheLine - unsafe.Sizeof([]atomic.Uint64{}) - 8]byte
-}
-
-// Histogram is a fixed-bucket latency histogram with sharded lock-free
-// observes. Bucket bounds are set at construction and never change; the
-// total count is derived from the buckets at read time, so Observe pays
-// exactly two atomic adds.
+// Histogram is a fixed-bucket latency histogram with lock-free observes.
+// Bucket bounds are set at construction and never change; the total count
+// is derived from the buckets at read time, so Observe pays exactly two
+// atomic adds.
 type Histogram struct {
-	bounds []int64 // bucket upper bounds in nanoseconds, ascending
-	shards []histShard
-	mask   uint32
+	bounds []int64         // bucket upper bounds in nanoseconds, ascending
+	counts []atomic.Uint64 // len(bounds)+1; the final entry is the overflow (+Inf) bucket
+	sum    atomic.Int64    // nanoseconds
 	// ex holds one exemplar trace id per bucket (len(bounds)+1): the trace
 	// id of the most recent traced observation that landed there, linking a
 	// bucket back to a tree on /debug/spans. Last-writer-wins per bucket —
@@ -173,12 +111,8 @@ func newHistogram(buckets []time.Duration) *Histogram {
 		bounds[i] = n
 		prev = n
 	}
-	h := &Histogram{bounds: bounds, shards: make([]histShard, shardCount), mask: uint32(shardCount - 1),
+	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1),
 		ex: make([]atomic.Uint64, len(bounds)+1)}
-	for i := range h.shards {
-		h.shards[i].counts = make([]atomic.Uint64, len(bounds)+1)
-	}
-	return h
 }
 
 // Observe records one duration. Negative durations clamp to zero; values
@@ -195,9 +129,8 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID uint64) {
 		n = 0
 	}
 	i := h.bucket(n)
-	s := &h.shards[shardIndex(h.mask)]
-	s.counts[i].Add(1)
-	s.sum.Add(n)
+	h.counts[i].Add(1)
+	h.sum.Add(n)
 	if traceID != 0 {
 		h.ex[i].Store(traceID)
 	}
@@ -230,34 +163,24 @@ func (h *Histogram) bucket(n int64) int {
 	return lo
 }
 
-// Count merges the shards into the total number of observations.
+// Count returns the total number of observations.
 func (h *Histogram) Count() uint64 {
 	var total uint64
-	for i := range h.shards {
-		for j := range h.shards[i].counts {
-			total += h.shards[i].counts[j].Load()
-		}
+	for i := range h.counts {
+		total += h.counts[i].Load()
 	}
 	return total
 }
 
-// Sum merges the shards into the total observed duration.
-func (h *Histogram) Sum() time.Duration {
-	var total int64
-	for i := range h.shards {
-		total += h.shards[i].sum.Load()
-	}
-	return time.Duration(total)
-}
+// Sum returns the total observed duration.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// counts merges the shards into one per-bucket (non-cumulative) count
-// slice of len(bounds)+1; the final entry is the overflow bucket.
-func (h *Histogram) counts() []uint64 {
-	out := make([]uint64, len(h.bounds)+1)
-	for i := range h.shards {
-		for j := range h.shards[i].counts {
-			out[j] += h.shards[i].counts[j].Load()
-		}
+// bucketCounts returns the per-bucket (non-cumulative) counts, len(bounds)+1;
+// the final entry is the overflow bucket.
+func (h *Histogram) bucketCounts() []uint64 {
+	out := make([]uint64, len(h.counts))
+	for i := range h.counts {
+		out[i] = h.counts[i].Load()
 	}
 	return out
 }

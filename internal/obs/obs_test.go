@@ -160,7 +160,7 @@ func TestObsHistogramOverflowHint(t *testing.T) {
 		h.Observe(time.Minute) // all overflow
 	}
 	h.Observe(time.Microsecond) // back to the first bucket
-	counts := h.counts()
+	counts := h.bucketCounts()
 	if counts[0] != 1 || counts[len(counts)-1] != 10 {
 		t.Fatalf("counts = %v, want 1 in first bucket and 10 in overflow", counts)
 	}
@@ -254,7 +254,7 @@ func TestObsHistogramOverflowBucket(t *testing.T) {
 
 // TestObsHistogramConcurrentObserveWhileRender hammers a histogram from
 // several goroutines while concurrently rendering both expositions — the
-// -race guarantee that the sharded hot path and the merging readers never
+// -race guarantee that the lock-free hot path and the readers never
 // conflict, and that no render ever sees a decreasing count.
 func TestObsHistogramConcurrentObserveWhileRender(t *testing.T) {
 	reg := NewRegistry()

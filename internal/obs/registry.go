@@ -89,7 +89,7 @@ func (r *Registry) Counter(name string, kv ...string) *Counter {
 	var c *Counter
 	r.register(name, KindCounter, kv, func(e *entry) {
 		if e.counter == nil && e.cfn.Load() == nil {
-			e.counter = newCounter()
+			e.counter = &Counter{}
 		}
 		if e.counter == nil {
 			panic("obs: " + e.id + " is registered as a pull-based counter")

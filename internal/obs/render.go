@@ -54,7 +54,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // writeHistogram renders one histogram child: cumulative buckets, sum in
 // seconds, and the derived count.
 func writeHistogram(bw *bufio.Writer, e *entry) {
-	counts := e.hist.counts()
+	counts := e.hist.bucketCounts()
 	var cum uint64
 	for i, c := range counts {
 		cum += c
@@ -203,7 +203,7 @@ func (r *Registry) Snapshot() Snapshot {
 		case KindGauge:
 			s.Gauges = append(s.Gauges, GaugeSnapshot{Name: e.name, Labels: labels, Value: e.gaugeValue()})
 		case KindHistogram:
-			counts := e.hist.counts()
+			counts := e.hist.bucketCounts()
 			exemplars := e.hist.Exemplars()
 			hs := HistogramSnapshot{
 				Name: e.name, Labels: labels,
