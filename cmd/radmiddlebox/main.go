@@ -105,7 +105,7 @@ func run(args []string, stop <-chan struct{}) error {
 	heartbeat := fs.Duration("heartbeat", 0, "stream liveness: ping subscribers at this interval and reap any that stop answering (0 disables)")
 	idleTimeout := fs.Duration("idle-timeout", 0, "reap exec connections idle past this deadline — half-open peers stop holding sockets and goroutines (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown budget on SIGINT/SIGTERM: in-flight requests finish and subscriber rings flush before connections are severed (0 closes immediately)")
-	spanBuffer := fs.Int("span-buffer", 512, "span flight-recorder ring capacity per CPU shard (0 disables request tracing)")
+	spanBuffer := fs.Int("span-buffer", 512, "span flight-recorder ring capacity: the most spans held at once, the oldest overwritten first (0 disables request tracing)")
 	spanSample := fs.Uint64("span-sample", 0, "trace sampling: keep one trace in N (0 or 1 keeps every trace)")
 	slowSpan := fs.Duration("slow-span", 0, "log every span at least this long (0 disables the slow-span log)")
 	fleetMode := fs.Bool("fleet", false, "serve a multi-tenant fleet: tenant-tagged requests route to lazily-instantiated per-tenant labs; untagged peers keep reaching the default lab unchanged")
@@ -147,10 +147,10 @@ func run(args []string, stop <-chan struct{}) error {
 	var spans *span.Recorder
 	if *spanBuffer > 0 {
 		spans = span.NewRecorder(span.Config{
-			BufferPerShard: *spanBuffer,
-			Seed:           *seed,
-			SampleEvery:    *spanSample,
-			SlowThreshold:  *slowSpan,
+			Buffer:        *spanBuffer,
+			Seed:          *seed,
+			SampleEvery:   *spanSample,
+			SlowThreshold: *slowSpan,
 			OnSlow: func(s span.Span) {
 				fmt.Printf("slow span: %s %s/%s %.1fms trace=%s\n",
 					s.Name, s.Tenant, s.Outcome, float64(s.Duration())/1e6, span.FormatID(s.TraceID))

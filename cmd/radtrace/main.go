@@ -37,7 +37,7 @@ func run(args []string) error {
 	solid := fs.String("solid", "NABH4", "solid for solubility screens")
 	presses := fs.Int("presses", 20, "button presses for joystick sessions")
 	seed := fs.Uint64("seed", 0, "per-run random seed (0 = nondeterministic)")
-	spanBuffer := fs.Int("span-buffer", 512, "client span flight-recorder ring capacity per CPU shard (0 disables request tracing)")
+	spanBuffer := fs.Int("span-buffer", 512, "client span flight-recorder ring capacity: the most spans held at once, the oldest overwritten first (0 disables request tracing)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -56,7 +56,7 @@ func run(args []string) error {
 	// middlebox's -obs-addr).
 	var spans *span.Recorder
 	if *spanBuffer > 0 {
-		spans = span.NewRecorder(span.Config{BufferPerShard: *spanBuffer, Seed: *seed})
+		spans = span.NewRecorder(span.Config{Buffer: *spanBuffer, Seed: *seed})
 		sess.SetSpans(spans)
 	}
 

@@ -26,7 +26,7 @@ func TestFleetTracedCampaignDigests(t *testing.T) {
 
 	untraced := digests(t, CampaignConfig{Tenants: tenants, Requests: requests, Seed: seed, Faults: true})
 
-	rec := span.NewRecorder(span.Config{Seed: seed, BufferPerShard: 1024})
+	rec := span.NewRecorder(span.Config{Seed: seed, Buffer: 1024})
 	traced := digests(t, CampaignConfig{Tenants: tenants, Requests: requests, Seed: seed, Faults: true, Spans: rec})
 	for id, d := range untraced {
 		if traced[id] != d {
@@ -51,7 +51,7 @@ func TestFleetTracedCampaignDigests(t *testing.T) {
 
 	// A traced rerun with a fresh recorder reproduces both the digests and
 	// the span accounting (seeded id stream, deterministic sampler).
-	rec2 := span.NewRecorder(span.Config{Seed: seed, BufferPerShard: 1024})
+	rec2 := span.NewRecorder(span.Config{Seed: seed, Buffer: 1024})
 	again := digests(t, CampaignConfig{Tenants: tenants, Requests: requests, Seed: seed, Faults: true, Spans: rec2})
 	for id, d := range traced {
 		if again[id] != d {
@@ -71,7 +71,7 @@ func TestFleetTracedCampaignDigests(t *testing.T) {
 // spans the entire time.
 func TestFleetTracedMixedWireDigests(t *testing.T) {
 	runStorm := func() (map[string]string, *span.Recorder) {
-		rec := span.NewRecorder(span.Config{Seed: 7, BufferPerShard: 1024})
+		rec := span.NewRecorder(span.Config{Seed: 7, Buffer: 1024})
 		mems := &sync.Map{}
 		r, err := NewRouter(Config{Spans: rec, Factory: func(id string) (*Resources, error) {
 			clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))

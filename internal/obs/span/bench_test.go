@@ -7,8 +7,8 @@ import (
 
 // BenchmarkRecord prices the recorder's hot path in isolation: Adopt is
 // the per-request trace-context cost (one counter bump plus two splitmix
-// rounds), Record is the per-span cost (sampler check, shard pick, one
-// ring copy under the shard mutex), and Exec composes the two the way a
+// rounds), Record is the per-span cost (sampler check, one ring copy
+// under the recorder's mutex), and Exec composes the two the way a
 // traced middlebox exec does. These are the numbers the ≤5% tracing
 // budget in BenchmarkExecObserved decomposes into.
 func BenchmarkRecord(b *testing.B) {

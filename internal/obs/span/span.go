@@ -5,16 +5,16 @@
 // id, and the recorder assembles the spans it still holds into trees on
 // demand (/debug/spans, radwatch -spans).
 //
-// It is a flight recorder, not an exporter: spans land in per-CPU-style
-// sharded ring buffers of bounded memory, the newest spans overwrite the
-// oldest, and every loss is counted exactly (Stats.Evicted, Stats.Sampled).
-// Nothing leaves the process unless something asks.
+// It is a flight recorder, not an exporter: spans land in one ring buffer
+// of bounded memory, the newest span overwrites the oldest, and every loss
+// is counted exactly (Stats.Evicted, Stats.Sampled). Nothing leaves the
+// process unless something asks.
 //
 // Design rules, inherited from the obs metrics kit it lives beside:
 //
-//   - The traced hot paths are sacred. Record is one sampler check, one
-//     shard pick, and one short critical section copying the span by value
-//     into a preallocated ring — no allocation, no channel, no I/O. A nil
+//   - The traced hot paths are sacred. Record is one sampler check and one
+//     short critical section copying the span by value into a preallocated
+//     ring — no allocation, no channel, no I/O. A nil
 //     *Recorder is valid everywhere and makes every method a no-op, so
 //     uninstrumented paths pay a single nil check.
 //   - Deterministic under simclock. Span ids come from a seeded splitmix64
@@ -28,12 +28,10 @@
 package span
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Context is the trace-propagation pair a request carries across process
@@ -105,15 +103,11 @@ func (s *Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 func (s *Span) Failed() bool { return s.Outcome != "" && s.Outcome != OutcomeOK }
 
 // Config parameterizes a Recorder. The zero value is usable: every trace
-// sampled, default ring sizing, no slow-span hook.
+// sampled, a 512-span ring, no slow-span hook.
 type Config struct {
-	// BufferPerShard is the span capacity of each shard's ring (rounded up
-	// to a power of two; default 512). Total bounded memory is
-	// shards × BufferPerShard spans.
-	BufferPerShard int
-	// Shards overrides the shard count (rounded up to a power of two;
-	// default: GOMAXPROCS rounded up, capped at 64 — the obs layout).
-	Shards int
+	// Buffer is the ring's capacity: the most spans the recorder holds at
+	// once (default 512). A full ring overwrites its oldest span.
+	Buffer int
 	// Seed seeds the span-id stream and the sampling decision; 0 selects 1.
 	// Two recorders with the same seed assign the same id sequence, which is
 	// what keeps virtual-clock campaigns reproducible span-for-span.
@@ -129,67 +123,31 @@ type Config struct {
 	OnSlow func(Span)
 }
 
-// shard is one ring of recorded spans. A plain mutex, not atomics: the
-// critical section is a value copy into a preallocated slot, shards keep
-// concurrent writers apart, and rings must be read whole for tree assembly
-// anyway.
-type shard struct {
-	mu      sync.Mutex
-	ring    []Span
-	next    uint64 // total spans ever written to this shard
-	evicted uint64 // spans overwritten before ever being read
-	_       [24]byte
-}
-
-// Recorder is the span flight recorder. Safe for concurrent use; a nil
-// *Recorder is a valid no-op recorder.
+// Recorder is the span flight recorder: one ring of spans under one mutex.
+// A plain mutex, not atomics: the critical section is a value copy into a
+// preallocated slot, and the ring must be read whole for tree assembly
+// anyway. Safe for concurrent use; a nil *Recorder is a valid no-op
+// recorder.
 type Recorder struct {
 	cfg    Config
-	shards []shard
-	mask   uint32
 	ids    atomic.Uint64 // span-id counter feeding the seeded stream
 	sample atomic.Uint64 // spans discarded by the sampler
+
+	mu       sync.Mutex
+	ring     []Span
+	head     int    // slot the next span goes to; the oldest once the ring is full
+	recorded uint64 // total spans ever written to the ring
 }
 
 // NewRecorder builds a recorder.
 func NewRecorder(cfg Config) *Recorder {
-	if cfg.BufferPerShard <= 0 {
-		cfg.BufferPerShard = 512
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards > 64 {
-			cfg.Shards = 64
-		}
+	if cfg.Buffer <= 0 {
+		cfg.Buffer = 512
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	nshard := ceilPow2(cfg.Shards)
-	ring := ceilPow2(cfg.BufferPerShard)
-	r := &Recorder{cfg: cfg, shards: make([]shard, nshard), mask: uint32(nshard - 1)}
-	for i := range r.shards {
-		r.shards[i].ring = make([]Span, ring)
-	}
-	return r
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// shardIndex picks a shard for the calling goroutine — the obs kit's
-// stack-address Fibonacci hash: goroutines spread across shards, and the
-// choice only steers contention, never correctness.
-func shardIndex(mask uint32) uint32 {
-	var probe byte
-	h := uint64(uintptr(unsafe.Pointer(&probe)))
-	h *= 0x9e3779b97f4a7c15
-	return uint32(h>>33) & mask
+	return &Recorder{cfg: cfg, ring: make([]Span, cfg.Buffer)}
 }
 
 // splitmix64 is the id stream's output function: a bijective mixer, so a
@@ -267,7 +225,7 @@ func (r *Recorder) Sampled(traceID uint64) bool {
 
 // Record stores one completed span. Spans of unsampled traces are counted
 // and discarded; a full ring overwrites its oldest span (counted in
-// Stats.Evicted). Never blocks beyond the shard's short critical section.
+// Stats.Evicted). Never blocks beyond the ring's short critical section.
 func (r *Recorder) Record(s Span) {
 	if r == nil {
 		return
@@ -276,15 +234,13 @@ func (r *Recorder) Record(s Span) {
 		r.sample.Add(1)
 		return
 	}
-	sh := &r.shards[shardIndex(r.mask)]
-	sh.mu.Lock()
-	n := uint64(len(sh.ring))
-	if sh.next >= n {
-		sh.evicted++
+	r.mu.Lock()
+	r.ring[r.head] = s
+	if r.head++; r.head == len(r.ring) {
+		r.head = 0
 	}
-	sh.ring[sh.next&(n-1)] = s
-	sh.next++
-	sh.mu.Unlock()
+	r.recorded++
+	r.mu.Unlock()
 	if th := r.cfg.SlowThreshold; th > 0 && s.End.Sub(s.Start) >= th && r.cfg.OnSlow != nil {
 		r.cfg.OnSlow(s)
 	}
@@ -292,7 +248,7 @@ func (r *Recorder) Record(s Span) {
 
 // Stats is the recorder's exact loss accounting.
 type Stats struct {
-	// Recorded counts spans accepted into the rings (including ones since
+	// Recorded counts spans accepted into the ring (including ones since
 	// evicted).
 	Recorded uint64 `json:"recorded"`
 	// Evicted counts spans overwritten by newer ones (drop-oldest losses).
@@ -308,42 +264,24 @@ func (r *Recorder) Stats() Stats {
 	if r == nil {
 		return Stats{}
 	}
-	st := Stats{Sampled: r.sample.Load()}
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		st.Recorded += sh.next
-		st.Evicted += sh.evicted
-		held := sh.next
-		if held > uint64(len(sh.ring)) {
-			held = uint64(len(sh.ring))
-		}
-		st.Buffered += int(held)
-		sh.mu.Unlock()
-	}
-	return st
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	held := min(r.recorded, uint64(len(r.ring)))
+	return Stats{Recorded: r.recorded, Evicted: r.recorded - held,
+		Sampled: r.sample.Load(), Buffered: int(held)}
 }
 
-// Spans copies out every span currently buffered, oldest first per shard.
+// Spans copies out every span currently buffered, oldest first.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	var out []Span
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n := uint64(len(sh.ring))
-		held := sh.next
-		if held > n {
-			held = n
-		}
-		for j := sh.next - held; j < sh.next; j++ {
-			out = append(out, sh.ring[j&(n-1)])
-		}
-		sh.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.recorded < uint64(len(r.ring)) {
+		return append([]Span(nil), r.ring[:r.recorded]...)
 	}
-	return out
+	return append(append(make([]Span, 0, len(r.ring)), r.ring[r.head:]...), r.ring[:r.head]...)
 }
 
 // Tree is one trace tree node: a span and the children recorded under it.

@@ -41,7 +41,7 @@ func TestSpanNilRecorderIsNoop(t *testing.T) {
 }
 
 func TestSpanRingEvictionAccounting(t *testing.T) {
-	r := NewRecorder(Config{BufferPerShard: 4, Shards: 1})
+	r := NewRecorder(Config{Buffer: 4})
 	for i := 0; i < 10; i++ {
 		r.Record(Span{TraceID: uint64(i + 1), SpanID: uint64(i + 1), Name: "s", Start: at(i), End: at(i + 1)})
 	}
@@ -67,9 +67,56 @@ func TestSpanRingEvictionAccounting(t *testing.T) {
 	}
 }
 
+// TestSpanRingKeepsNewestAcrossGoroutines records from goroutines that
+// take turns, each filling the whole ring and staying alive until the
+// last has recorded (so no two share a stack). Drop-oldest is global:
+// whichever goroutine recorded them, the ring keeps exactly the newest
+// Buffer spans, in record order, and Evicted counts every other span.
+func TestSpanRingKeepsNewestAcrossGoroutines(t *testing.T) {
+	const buffer, goroutines = 64, 4
+	r := NewRecorder(Config{Buffer: buffer})
+	var id uint64
+	turn := make([]chan struct{}, goroutines+1)
+	for g := range turn {
+		turn[g] = make(chan struct{})
+	}
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-turn[g]
+			for i := 0; i < buffer; i++ {
+				id++
+				r.Record(Span{TraceID: id, SpanID: id, Name: "s", Start: at(int(id)), End: at(int(id) + 1)})
+			}
+			close(turn[g+1])
+			<-release
+		}(g)
+	}
+	close(turn[0])
+	<-turn[goroutines]
+	spans := r.Spans()
+	st := r.Stats()
+	close(release)
+	wg.Wait()
+	if len(spans) != buffer {
+		t.Fatalf("len(Spans) = %d, want %d", len(spans), buffer)
+	}
+	for i, s := range spans {
+		if want := id - buffer + 1 + uint64(i); s.TraceID != want {
+			t.Fatalf("span %d trace = %d, want %d: the ring kept an older span", i, s.TraceID, want)
+		}
+	}
+	if st.Recorded != id || st.Evicted != id-buffer || st.Buffered != buffer {
+		t.Fatalf("stats = %+v, want %d recorded, %d evicted, %d buffered", st, id, id-buffer, buffer)
+	}
+}
+
 func TestSpanSamplerDeterministicAndExact(t *testing.T) {
-	a := NewRecorder(Config{SampleEvery: 4, Seed: 99, Shards: 1, BufferPerShard: 1024})
-	b := NewRecorder(Config{SampleEvery: 4, Seed: 99, Shards: 1, BufferPerShard: 1024})
+	a := NewRecorder(Config{SampleEvery: 4, Seed: 99, Buffer: 1024})
+	b := NewRecorder(Config{SampleEvery: 4, Seed: 99, Buffer: 1024})
 	kept := 0
 	for i := uint64(1); i <= 400; i++ {
 		if a.Sampled(i) != b.Sampled(i) {
@@ -116,7 +163,7 @@ func TestSpanSeededIDStreamReproducible(t *testing.T) {
 }
 
 func TestSpanTreeAssemblyAndFilters(t *testing.T) {
-	r := NewRecorder(Config{Shards: 1, BufferPerShard: 64})
+	r := NewRecorder(Config{Buffer: 64})
 	root := r.NewContext()
 	child := r.Child(root)
 	grand := r.Child(child)
@@ -163,7 +210,7 @@ func TestSpanTreeAssemblyAndFilters(t *testing.T) {
 func TestSpanOrphanBecomesRoot(t *testing.T) {
 	// A child whose parent span was evicted (or lives in another process's
 	// recorder) must still render, as its own root.
-	r := NewRecorder(Config{Shards: 1, BufferPerShard: 8})
+	r := NewRecorder(Config{Buffer: 8})
 	r.Record(Span{TraceID: 5, SpanID: 10, ParentID: 999, Name: "orphan", Start: at(0), End: at(1)})
 	roots := r.Roots(Filter{})
 	if len(roots) != 1 || roots[0].Span.Name != "orphan" {
@@ -177,7 +224,7 @@ func TestSpanAssembleScopesParentByTrace(t *testing.T) {
 	// other trace (both streams are seed^counter over small counters).
 	// Parent matching must be scoped by trace id, or trace 2's server tree
 	// would nest under trace 1's unrelated span.
-	r := NewRecorder(Config{Shards: 1, BufferPerShard: 8})
+	r := NewRecorder(Config{Buffer: 8})
 	r.Record(Span{TraceID: 1, SpanID: 77, Name: "middlebox.exec", Start: at(0), End: at(1)})
 	r.Record(Span{TraceID: 2, SpanID: 50, ParentID: 77, Name: "server.request", Start: at(2), End: at(3)})
 	r.Record(Span{TraceID: 2, SpanID: 51, ParentID: 50, Name: "middlebox.exec", Start: at(2), End: at(3)})
@@ -210,7 +257,7 @@ func TestSpanAttrsBounded(t *testing.T) {
 }
 
 func TestSpanTenantRollups(t *testing.T) {
-	r := NewRecorder(Config{Shards: 1, BufferPerShard: 64})
+	r := NewRecorder(Config{Buffer: 64})
 	r.Record(Span{TraceID: 1, SpanID: 1, Tenant: "alpha", Outcome: OutcomeOK, Start: at(0), End: at(10)})
 	r.Record(Span{TraceID: 2, SpanID: 2, Tenant: "alpha", Outcome: OutcomeError, Start: at(0), End: at(30)})
 	r.Record(Span{TraceID: 3, SpanID: 3, Tenant: "beta", Outcome: OutcomeTimeout, Start: at(0), End: at(5)})
@@ -236,7 +283,7 @@ func TestSpanTenantRollups(t *testing.T) {
 
 func TestSpanSlowHook(t *testing.T) {
 	var slow []Span
-	r := NewRecorder(Config{Shards: 1, SlowThreshold: 10 * time.Millisecond,
+	r := NewRecorder(Config{SlowThreshold: 10 * time.Millisecond,
 		OnSlow: func(s Span) { slow = append(slow, s) }})
 	r.Record(Span{TraceID: 1, SpanID: 1, Name: "quick", Start: at(0), End: at(1)})
 	r.Record(Span{TraceID: 2, SpanID: 2, Name: "slow", Start: at(0), End: at(50)})
@@ -246,7 +293,7 @@ func TestSpanSlowHook(t *testing.T) {
 }
 
 func TestSpanHandlerJSONAndText(t *testing.T) {
-	r := NewRecorder(Config{Shards: 1, BufferPerShard: 64})
+	r := NewRecorder(Config{Buffer: 64})
 	root := r.NewContext()
 	s := Span{TraceID: root.TraceID, SpanID: root.SpanID, Name: "middlebox.exec",
 		Tenant: "alpha", Outcome: OutcomeOK, Start: at(0), End: at(25)}
@@ -311,7 +358,7 @@ func TestSpanHandlerJSONAndText(t *testing.T) {
 }
 
 func TestSpanRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(Config{BufferPerShard: 32, SampleEvery: 2, SlowThreshold: time.Nanosecond,
+	r := NewRecorder(Config{Buffer: 32, SampleEvery: 2, SlowThreshold: time.Nanosecond,
 		OnSlow: func(Span) {}})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
