@@ -33,7 +33,7 @@ import (
 // campaign seed and the tenant's ID (never from creation order), so one
 // tenant's output is byte-identical no matter how many co-tenants run, in
 // what order, or on how many OS threads. The only shared state is the
-// router's striped table and the atomic rollups, which carry no
+// router's tenant table and the atomic rollups, which carry no
 // randomness.
 type Campaign struct {
 	cfg    CampaignConfig

@@ -6,7 +6,7 @@
 // router breaks that assumption so a single process can serve thousands of
 // labs: requests carry an optional tenant ID (wire.Request.Tenant, zero-
 // value compatible with every pre-fleet peer), and the Router resolves it
-// through a striped-lock tenant table to a lazily-instantiated
+// through one read-mostly tenant table to a lazily-instantiated
 // middlebox.Core. Per-tenant state is deliberately cheap — command
 // catalogs are shared process-wide, wire buffers are pooled, dead letters
 // land in per-tenant subdirectories of one DLQ root — and every
@@ -40,11 +40,6 @@ const DefaultTenant = "default"
 // let a hostile peer allocate a lab per garbage ID.
 const DefaultMaxTenants = 4096
 
-// stripeCount shards the tenant table. Power of two so the stripe pick is
-// a mask, sized so that even a few hundred concurrently-active tenants
-// rarely collide on a stripe lock.
-const stripeCount = 64
-
 // Resources is everything one tenant lab owns. Core is mandatory; the rest
 // are optional capabilities the router exposes when present.
 type Resources struct {
@@ -67,7 +62,7 @@ type Resources struct {
 }
 
 // Factory builds a tenant's resources on first use. It runs outside the
-// tenant-table locks, so a slow factory (opening a tracedb, say) delays
+// tenant-table lock, so a slow factory (opening a tracedb, say) delays
 // only requests for that tenant, never the rest of the fleet.
 type Factory func(tenant string) (*Resources, error)
 
@@ -91,7 +86,7 @@ type Config struct {
 }
 
 // Tenant is one instantiated lab: its resources plus routing accounting.
-// The struct is created as a placeholder under the stripe lock and
+// The struct is created as a placeholder under the table lock and
 // initialized exactly once outside it.
 type Tenant struct {
 	ID string
@@ -107,17 +102,13 @@ type Tenant struct {
 	requests atomic.Uint64 // requests routed to this tenant
 }
 
-// stripe is one shard of the tenant table.
-type stripe struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-}
-
 // Router implements middlebox.Handler by resolving each request's tenant
 // ID to its lab. Safe for concurrent use by any number of connections.
 type Router struct {
-	cfg     Config
-	stripes [stripeCount]stripe
+	cfg Config
+
+	mu    sync.RWMutex
+	table map[string]*Tenant
 
 	// Fleet-wide rollups. Plain atomics — never a lock — so the hot path
 	// and the obs render callbacks cannot serialize tenants.
@@ -135,18 +126,15 @@ func NewRouter(cfg Config) (*Router, error) {
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = DefaultMaxTenants
 	}
-	r := &Router{cfg: cfg}
-	for i := range r.stripes {
-		r.stripes[i].tenants = make(map[string]*Tenant)
-	}
+	r := &Router{cfg: cfg, table: make(map[string]*Tenant)}
 	if cfg.Registry != nil {
 		r.observe(cfg.Registry)
 	}
 	return r, nil
 }
 
-// fnv1a hashes a tenant ID for stripe selection (and, in campaign.go, for
-// order-independent per-tenant seeds).
+// fnv1a hashes a tenant ID into an order-independent per-tenant seed
+// (campaign.go).
 func fnv1a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -156,33 +144,28 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-func (r *Router) stripe(id string) *stripe {
-	return &r.stripes[fnv1a(id)&(stripeCount-1)]
-}
-
 // tenant resolves (instantiating if needed) the lab for id. The fast path
-// is one stripe read-lock and a map hit; the slow path inserts a
-// placeholder under the stripe write-lock and runs the factory outside it.
+// is one read-lock and a map hit; the slow path inserts a placeholder
+// under the write-lock and runs the factory outside it.
 func (r *Router) tenant(id string) (*Tenant, error) {
-	s := r.stripe(id)
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	t := r.table[id]
+	r.mu.RUnlock()
 	if t == nil {
-		s.mu.Lock()
-		if t = s.tenants[id]; t == nil {
+		r.mu.Lock()
+		if t = r.table[id]; t == nil {
 			// The cap counts placeholders too (counted down again on
 			// factory failure), so a hostile peer cannot race N goroutines
 			// past it.
 			if r.tenants.Add(1) > int64(r.cfg.MaxTenants) {
 				r.tenants.Add(-1)
-				s.mu.Unlock()
+				r.mu.Unlock()
 				return nil, fmt.Errorf("fleet: tenant limit reached (%d)", r.cfg.MaxTenants)
 			}
 			t = &Tenant{ID: id}
-			s.tenants[id] = t
+			r.table[id] = t
 		}
-		s.mu.Unlock()
+		r.mu.Unlock()
 	}
 	t.once.Do(func() {
 		res, err := r.cfg.Factory(id)
@@ -249,32 +232,28 @@ func (r *Router) ResolveStream(tenant string) (*stream.Broker, *tracedb.DB, erro
 // Lookup returns the tenant if it is already instantiated, without
 // creating it.
 func (r *Router) Lookup(id string) (*Tenant, bool) {
-	s := r.stripe(id)
-	s.mu.RLock()
-	t := s.tenants[id]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	t := r.table[id]
+	r.mu.RUnlock()
 	if t == nil || t.res.Load() == nil {
 		return nil, false
 	}
 	return t, true
 }
 
-// walk visits every initialized tenant. Each stripe's lock is held only
-// long enough to copy its slice of tenant pointers; the visit itself runs
-// lock-free, so walking never blocks routing.
+// walk visits every initialized tenant. The read-lock is held only long
+// enough to copy the tenant pointers; the visit itself runs lock-free, so
+// walking never blocks routing.
 func (r *Router) walk(fn func(*Tenant, *Resources)) {
-	for i := range r.stripes {
-		s := &r.stripes[i]
-		s.mu.RLock()
-		batch := make([]*Tenant, 0, len(s.tenants))
-		for _, t := range s.tenants {
-			batch = append(batch, t)
-		}
-		s.mu.RUnlock()
-		for _, t := range batch {
-			if res := t.res.Load(); res != nil {
-				fn(t, res)
-			}
+	r.mu.RLock()
+	batch := make([]*Tenant, 0, len(r.table))
+	for _, t := range r.table {
+		batch = append(batch, t)
+	}
+	r.mu.RUnlock()
+	for _, t := range batch {
+		if res := t.res.Load(); res != nil {
+			fn(t, res)
 		}
 	}
 }
@@ -296,7 +275,7 @@ type Stats struct {
 
 // Snapshot aggregates every tenant's middlebox.Snapshot without stopping
 // the world: the rollups are atomic loads, the tenant walk copies pointers
-// under brief per-stripe read locks, and each Core.Snapshot is itself
+// under one brief read lock, and each Core.Snapshot is itself
 // lock-free (the copy-on-write device registry), so hundreds of tenants
 // keep executing at full speed while the fleet is observed.
 func (r *Router) Snapshot() Stats {
