@@ -191,3 +191,63 @@ func TestFleetStreamTenantRouting(t *testing.T) {
 		t.Fatal("hostile tenant subscription was accepted")
 	}
 }
+
+// TestFleetTenantFloodOnOneConnection presents 5,000 distinct tenant IDs
+// over one TCP connection to a router capped at 16 tenants. The router's
+// MaxTenants is the bound on per-tenant state: the first 16 labs answer,
+// every later tenant draws the router's limit error, and the connection,
+// which keeps nothing per tenant, still serves an admitted tenant after
+// the flood.
+func TestFleetTenantFloodOnOneConnection(t *testing.T) {
+	const maxTenants, flood = 16, 5000
+	r, err := NewRouter(Config{MaxTenants: maxTenants, Factory: testFactory(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := middlebox.NewHandlerServer(r, middlebox.NetworkProfile{}, 1)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, wc, err := wire.Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exec := func(id uint64, tenant string) wire.Reply {
+		t.Helper()
+		if err := wc.WriteFrame(execReq(id, tenant)); err != nil {
+			t.Fatalf("request %d: %v", id, err)
+		}
+		var rep wire.Reply
+		if err := wc.ReadFrame(&rep); err != nil {
+			t.Fatalf("request %d: read reply: %v", id, err)
+		}
+		return rep
+	}
+
+	limitErr := fmt.Sprintf("fleet: tenant limit reached (%d)", maxTenants)
+	answered := 0
+	for i := 0; i < flood; i++ {
+		rep := exec(uint64(i), fmt.Sprintf("flood-%05d", i))
+		switch {
+		case i < maxTenants && rep.Error == "":
+			answered++
+		case i >= maxTenants && rep.Error == limitErr:
+		default:
+			t.Fatalf("tenant %d answered %q", i, rep.Error)
+		}
+	}
+	if answered != maxTenants {
+		t.Fatalf("%d labs answered, want %d", answered, maxTenants)
+	}
+	if rep := exec(flood, "flood-00003"); rep.Error != "" {
+		t.Fatalf("admitted tenant after the flood: %s", rep.Error)
+	}
+	st := r.Snapshot()
+	if st.Tenants != maxTenants || st.Rejected != flood-maxTenants || st.Routed != maxTenants+1 {
+		t.Fatalf("snapshot = %d tenants, %d rejected, %d routed; want %d, %d, %d",
+			st.Tenants, st.Rejected, st.Routed, maxTenants, flood-maxTenants, maxTenants+1)
+	}
+}

@@ -170,10 +170,10 @@ func firstByte(b []byte) byte {
 
 // TestWireInternSharesVocabulary: every protocol word and every
 // store.Vocabulary word decodes to its one shared instance in store's
-// intern table, whether a frame's string or a learned-vocabulary field
-// carries it, and a connection does not learn it. A near-miss (a word with
-// one byte changed away from the bytes the table hashes) decodes equal to
-// what was sent, as a copy that later writes to the frame cannot change.
+// intern table, whether a reply's value or a request's tenant carries it.
+// A near-miss (a word with one byte changed away from the bytes the table
+// hashes) decodes equal to what was sent, as a copy that later writes to
+// the frame cannot change.
 func TestWireInternSharesVocabulary(t *testing.T) {
 	words := []string{
 		string(OpExec), string(OpTrace), string(OpPing), string(OpSubscribe),
@@ -193,9 +193,10 @@ func TestWireInternSharesVocabulary(t *testing.T) {
 		if unsafe.StringData(rep.Value) != unsafe.StringData(shared) {
 			t.Fatalf("decoded %q is not the shared instance", w)
 		}
-		var v connVocab
-		if s, err := v.intern([]byte(w)); err != nil || unsafe.StringData(s) != unsafe.StringData(shared) || len(v.words) != 0 {
-			t.Fatalf("learned-vocabulary decode of %q: %q, %v, %d words learned", w, s, err, len(v.words))
+		payload, _ = appendBinaryFrame(nil, &Request{ID: 1, Op: OpExec, Tenant: w})
+		var q Request
+		if err := decodeBinaryFrame(payload, &q); err != nil || unsafe.StringData(q.Tenant) != unsafe.StringData(shared) {
+			t.Fatalf("tenant decode of %q: %q, %v", w, q.Tenant, err)
 		}
 	}
 	for _, w := range []string{EventSnapshotEnd, PolicyDropOldest, "move_joints", "REMOTE"} {

@@ -62,12 +62,6 @@ type Conn struct {
 	br *bufio.Reader
 	m  *Metrics
 
-	// vocab is this connection's learned-word intern table (tenant IDs and
-	// other open-vocabulary strings that repeat across frames). It is only
-	// touched from the read path, which is single-threaded per direction, so
-	// it needs no lock; its growth is bounded by MaxConnVocab.
-	vocab connVocab
-
 	// out holds encoded frames not yet written (Buffer, Flush): a pooled
 	// buffer while frames are pending, nil otherwise. Like the codec it is
 	// single-threaded per direction.
@@ -185,7 +179,7 @@ func (c *Conn) ReadFrame(v any) error {
 		return fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	start := c.stamp()
-	if err := decodeBinaryFrameVocab(payload, v, &c.vocab); err != nil {
+	if err := decodeBinaryFrame(payload, v); err != nil {
 		return err
 	}
 	c.observeRead(start)
