@@ -7,6 +7,7 @@ import (
 
 	"rad/internal/device"
 	"rad/internal/rad"
+	"rad/internal/store"
 )
 
 // testDataset is the shared scaled-down campaign (generation dominates test
@@ -292,6 +293,55 @@ func TestFig7dWeightScaling(t *testing.T) {
 	}
 	if !(res.PeakAmplitude[0] < res.PeakAmplitude[1] && res.PeakAmplitude[1] < res.PeakAmplitude[2]) {
 		t.Errorf("amplitudes %v should grow with payload", res.PeakAmplitude)
+	}
+}
+
+// TestRenderFig6LabelsTheRunsItWasGiven renders Fig. 6 over datasets
+// read back from a store collected live: the title counts the runs the
+// matrix holds, the legend names each stretch of consecutive run IDs that
+// share a procedure, and rows and columns carry the IDs FromRecords gave
+// the runs, not their positions.
+func TestRenderFig6LabelsTheRunsItWasGiven(t *testing.T) {
+	const scale = "(* = anomalous run; scale: ' ' <0.5, '.' <0.65, ':' <0.8, 'o' <0.9, 'O' <0.97, '#' ≥0.97)\n"
+	for _, tc := range []struct {
+		name string
+		recs []store.Record
+		want string
+	}{{
+		name: "run-2 and vfy",
+		recs: []store.Record{
+			{Device: "C9", Name: "MVNG", Run: "run-2", Procedure: "P4"},
+			{Device: "C9", Name: "HOME", Run: "vfy", Procedure: "P4"},
+			{Device: "C9", Name: "MVNG", Run: "vfy", Procedure: "P4"},
+		},
+		want: "Fig. 6 — pairwise TF-IDF similarity of the 2 supervised runs\n" +
+			"(2–3 Joystick/P4; darker = more similar)\n" +
+			"      2  3\n" +
+			" 2   #  .   P4 joystick session\n" +
+			" 3   .  #   P4 \n" + scale,
+	}, {
+		name: "a P1 run between",
+		recs: []store.Record{
+			{Device: "C9", Name: "MVNG", Run: "run-2", Procedure: "P4"},
+			{Device: "C9", Name: "HOME", Run: "vfy", Procedure: "P4"},
+			{Device: "C9", Name: "MVNG", Run: "vfy", Procedure: "P4"},
+			{Device: "Quantos", Name: "front_door", Run: "run-5", Procedure: "P1",
+				Exception: "hardware fault: door crashed"},
+		},
+		want: "Fig. 6 — pairwise TF-IDF similarity of the 3 supervised runs\n" +
+			"(2 Joystick/P4, 5 P1, 6 Joystick/P4; darker = more similar)\n" +
+			"      2  5  6\n" +
+			" 2   #     .   P4 joystick session\n" +
+			" 5*     #      P1 joystick session\n" +
+			" 6   .     #   P4 \n" + scale,
+	}} {
+		ds, err := rad.FromRecords(tc.recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RenderFig6(Fig6SimilarityMatrix(ds)); got != tc.want {
+			t.Errorf("%s:\n got\n%s\n want\n%s", tc.name, got, tc.want)
+		}
 	}
 }
 

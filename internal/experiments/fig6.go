@@ -5,9 +5,9 @@ import (
 	"rad/internal/rad"
 )
 
-// Fig6Result is the 25×25 pairwise TF-IDF cosine-similarity matrix over the
-// supervised runs, in Fig. 6 ID order (0–11 Joystick, 12–16 P1, 17–20 P2,
-// 21–24 P3).
+// Fig6Result is the pairwise TF-IDF cosine-similarity matrix over the
+// dataset's runs, in run ID order: 25×25 for the campaign (0–11 Joystick,
+// 12–16 P1, 17–20 P2, 21–24 P3).
 type Fig6Result struct {
 	Matrix [][]float64
 	Runs   []rad.RunInfo

@@ -3,9 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"rad/internal/device"
+	"rad/internal/procedure"
+	"rad/internal/rad"
 )
 
 // This file renders experiment results as text in the shape of the paper's
@@ -76,13 +79,18 @@ func RenderFig5b(tables []NGramTable) string {
 	return b.String()
 }
 
-// RenderFig6 draws the 25×25 similarity matrix as a text heatmap.
+// RenderFig6 draws the runs' pairwise similarity matrix as a text
+// heatmap, each row and column labelled by its run ID.
 func RenderFig6(res Fig6Result) string {
 	var b strings.Builder
-	b.WriteString("Fig. 6 — pairwise TF-IDF similarity of the 25 supervised runs\n")
-	b.WriteString("(0–11 Joystick/P4, 12–16 P1, 17–20 P2, 21–24 P3; darker = more similar)\n    ")
-	for j := range res.Matrix {
-		fmt.Fprintf(&b, "%3d", j)
+	noun := "runs"
+	if len(res.Runs) == 1 {
+		noun = "run"
+	}
+	fmt.Fprintf(&b, "Fig. 6 — pairwise TF-IDF similarity of the %d supervised %s\n", len(res.Runs), noun)
+	fmt.Fprintf(&b, "(%s; darker = more similar)\n    ", procedureRanges(res.Runs))
+	for _, run := range res.Runs {
+		fmt.Fprintf(&b, "%3d", run.ID)
 	}
 	b.WriteString("\n")
 	for i, row := range res.Matrix {
@@ -90,7 +98,7 @@ func RenderFig6(res Fig6Result) string {
 		if res.Runs[i].Anomalous {
 			marker = "*"
 		}
-		fmt.Fprintf(&b, "%2d%s ", i, marker)
+		fmt.Fprintf(&b, "%2d%s ", res.Runs[i].ID, marker)
 		for _, v := range row {
 			b.WriteString(" " + heatChar(v) + " ")
 		}
@@ -98,6 +106,29 @@ func RenderFig6(res Fig6Result) string {
 	}
 	b.WriteString("(* = anomalous run; scale: ' ' <0.5, '.' <0.65, ':' <0.8, 'o' <0.9, 'O' <0.97, '#' ≥0.97)\n")
 	return b.String()
+}
+
+// procedureRanges names each stretch of consecutive run IDs that share a
+// procedure, e.g. "0–11 Joystick/P4, 12–16 P1".
+func procedureRanges(runs []rad.RunInfo) string {
+	var parts []string
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].Procedure == runs[i].Procedure && runs[j].ID == runs[j-1].ID+1 {
+			j++
+		}
+		ids := strconv.Itoa(runs[i].ID)
+		if j-i > 1 {
+			ids += "–" + strconv.Itoa(runs[j-1].ID)
+		}
+		label := runs[i].Procedure
+		if label == procedure.Joystick {
+			label = "Joystick/" + label
+		}
+		parts = append(parts, ids+" "+label)
+		i = j
+	}
+	return strings.Join(parts, ", ")
 }
 
 func heatChar(v float64) string {
