@@ -2,16 +2,24 @@ package store
 
 import "testing"
 
-// TestGrowBlockBuf pins how block buffers are sized and which are pooled:
-// a new buffer's capacity is its first length rounded up to 64 KiB, a
-// buffer that is large enough is resliced in place, one too small is
-// replaced, and one above the largest wire frame never enters the pool.
+// TestGrowBlockBuf pins how block buffers are sized and which are kept: a
+// new buffer's capacity is its first length rounded up to 64 KiB, a buffer
+// that is large enough is resliced in place, one too small is replaced,
+// one above the largest wire frame is never kept, and at most
+// maxSpareBlockBufs spares are, handed out again last in, first out.
 func TestGrowBlockBuf(t *testing.T) {
+	spares := func() []*[]byte {
+		spareBlockBufs.mu.Lock()
+		defer spareBlockBufs.mu.Unlock()
+		return append([]*[]byte(nil), spareBlockBufs.bufs...)
+	}
 	drain := func() {
-		for blockBufs.Get() != nil {
-		}
+		spareBlockBufs.mu.Lock()
+		spareBlockBufs.bufs = nil
+		spareBlockBufs.mu.Unlock()
 	}
 	drain()
+	t.Cleanup(drain)
 	for _, tc := range []struct{ n, wantCap int }{
 		{1, 64 << 10},
 		{64 << 10, 64 << 10},
@@ -37,9 +45,24 @@ func TestGrowBlockBuf(t *testing.T) {
 	huge := GrowBlockBuf(nil, 1<<20+1)
 	PutBlockBuf(huge)
 	PutBlockBuf(nil)
-	for x := blockBufs.Get(); x != nil; x = blockBufs.Get() {
-		if x.(*[]byte) == huge {
-			t.Fatal("a buffer above the largest wire frame was pooled")
-		}
+	if got := spares(); len(got) != 0 {
+		t.Fatalf("%d spares kept, want none: a buffer above the largest wire frame was kept", len(got))
+	}
+
+	var put []*[]byte
+	for i := 0; i < maxSpareBlockBufs+1; i++ {
+		put = append(put, GrowBlockBuf(nil, 64<<10))
+	}
+	for _, pb := range put {
+		PutBlockBuf(pb)
+	}
+	if got := spares(); len(got) != maxSpareBlockBufs {
+		t.Fatalf("%d spares kept, want %d", len(got), maxSpareBlockBufs)
+	}
+	if got := GrowBlockBuf(nil, 1); got != put[maxSpareBlockBufs-1] {
+		t.Error("the most recently kept spare was not handed out first")
+	}
+	if got := GrowBlockBuf(nil, 128<<10); cap(*got) != 128<<10 || len(spares()) != maxSpareBlockBufs-2 {
+		t.Errorf("a spare too small was not dropped for a new buffer: cap %d, %d spares left", cap(*got), len(spares()))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	dataset "rad/internal/rad"
+	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
 	"rad/internal/wire"
@@ -15,22 +16,17 @@ import (
 // TestSecondReplayAllocatesOnlyRecords replays the seeded campaign (seed 1,
 // scale 0.2: 25,757 records in blocks of 4096, as the serving-path
 // benchmark preloads it) twice and counts what the second replay allocates,
-// server and client together. It takes its block buffers from the pool the
-// first one filled, allocates no subscriber ring, and decodes its records'
+// server and client together. It takes the block buffers the first one
+// handed back, allocates no subscriber ring, and decodes its records'
 // strings and Args into shared chunks, so what is left is mostly those
 // chunks: under 45 bytes per record, where exact-size block buffers and an
-// up-front ring cost ~100. Excluded under -race, whose instrumentation
-// allocates.
-//
-// It runs at GOMAXPROCS 1, as the benchmark does. With more Ps the count
-// is not exact: sync.Pool keeps each P's last Put in a slot only that P's
-// Gets see, so a replay whose goroutines run on another P sometimes misses
-// a spare and allocates a buffer of its own.
+// up-front ring cost ~100. The spares are shared by every thread, so this
+// holds at any GOMAXPROCS (CI runs it at 1 and 2). Excluded under -race,
+// whose instrumentation allocates.
 func TestSecondReplayAllocatesOnlyRecords(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the seeded campaign")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ds, err := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.2})
 	if err != nil {
 		t.Fatal(err)
@@ -50,10 +46,6 @@ func TestSecondReplayAllocatesOnlyRecords(t *testing.T) {
 	broker := stream.NewBroker()
 	t.Cleanup(broker.Close)
 	_, addr := startServer(t, broker, db)
-	// Collect the generator's garbage now: two collections between one
-	// replay handing its buffers back and the next taking them would empty
-	// the pool, as they would between any two replays.
-	runtime.GC()
 
 	replay := func() int {
 		client, err := stream.Dial(addr, wire.Subscribe{Name: "replay", Snapshot: true})
@@ -73,6 +65,17 @@ func TestSecondReplayAllocatesOnlyRecords(t *testing.T) {
 				n++
 			}
 		}
+	}
+	// A replay holds at most two block buffers at once, the server's
+	// iterator's and the client connection's, but only one when the
+	// server has read its last block before the client reads its first
+	// (then the client takes the buffer the server handed back). So that
+	// the count below does not depend on that race, two spares of the
+	// largest frame size are handed back first; the first replay takes
+	// them and must hand them back for the second.
+	seed := []*[]byte{store.GrowBlockBuf(nil, wire.MaxFrameSize), store.GrowBlockBuf(nil, wire.MaxFrameSize)}
+	for _, pb := range seed {
+		store.PutBlockBuf(pb)
 	}
 	if n := replay(); n != total {
 		t.Fatalf("first replay delivered %d records, want %d", n, total)

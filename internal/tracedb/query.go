@@ -248,7 +248,7 @@ func (db *DB) Explain(q Query) QueryPlan {
 // points at it in place. NextBlock hands out a covered block's payload
 // instead of decoding it. The payload buffer is a store block buffer
 // (store.GrowBlockBuf), taken at the first block read and handed back to
-// store's pool once the blocks run out or the iterator is released.
+// store's spares once the blocks run out or the iterator is released.
 type Iterator struct {
 	q     Query
 	plans []segPlan
@@ -367,7 +367,7 @@ func (it *Iterator) fail(err error) {
 // and the highest seq it holds. The payload belongs to the iterator and is
 // valid only until the next advance, which overwrites it or hands its
 // buffer to another reader; it is nil when the iterator stands at a record.
-// Close leaves a positioned block's buffer to the caller, unpooled.
+// Close leaves a positioned block's buffer to the caller, not handed back.
 func (it *Iterator) Block() (payload []byte, maxSeq uint64) { return it.block, it.blockSeq }
 
 // Record returns a copy of the record positioned by the last successful
@@ -403,7 +403,7 @@ func (it *Iterator) Close() {
 }
 
 // release drops the snapshot's segment references and the block read
-// buffer, which goes back to store's pool unless a block the caller may
+// buffer, which goes back to store's spares unless a block the caller may
 // still read is positioned in it.
 func (it *Iterator) release() {
 	if it.block == nil {

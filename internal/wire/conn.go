@@ -75,7 +75,7 @@ type Conn struct {
 	// largest of them read so far. block is that of a larger frame (a block
 	// event): a store block buffer (store.GrowBlockBuf), held from the frame
 	// that needs it until the next ReadFrame that does not, which hands it
-	// back to store's pool. A decoded Event's Block aliases one or the
+	// back to store's spares. A decoded Event's Block aliases one or the
 	// other, so neither is let go while the caller may still read it.
 	in    []byte
 	block *[]byte
@@ -155,8 +155,8 @@ func Dial(addr string, m *Metrics) (net.Conn, *Conn, error) {
 // ReadFrame reads one frame and decodes it into v. An Event's Block is not
 // copied: it aliases the connection's read buffer until the next
 // ReadFrame, so a caller reads the block before reading on. After that the
-// bytes may be another connection's: a block's buffer goes back to a pool
-// every connection in the process shares.
+// bytes may be another connection's: a block's buffer goes back to the
+// spares every connection in the process shares.
 func (c *Conn) ReadFrame(v any) error {
 	size, err := binary.ReadUvarint(c.br)
 	if err != nil || size <= pooledLimit || size > MaxFrameSize {
