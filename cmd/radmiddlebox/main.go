@@ -355,8 +355,7 @@ func run(args []string, stop <-chan struct{}) error {
 		}
 		core.AttachBroker(broker)
 		if monitor != nil {
-			stopBridge := broker.AttachMonitor(monitor, 256)
-			defer stopBridge()
+			broker.AttachMonitor(monitor)
 		}
 		streamSrv = stream.NewServer(broker, tdb)
 		streamSrv.SetSpans(spans)

@@ -28,7 +28,7 @@ type Monitor struct {
 	samples  []Sample
 	payload  float64 // currently carried payload, kg
 	lastPose robot.Config
-	subs     []*Subscription
+	onSample []func(Sample)
 }
 
 // NewMonitor creates a monitor with the given current model, clock, and
@@ -41,6 +41,20 @@ func NewMonitor(model Model, clock simclock.Clock, seed uint64) *Monitor {
 		rng:      rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb)),
 		lastPose: home,
 	}
+}
+
+// SetOnSample adds a hook that receives every sample the monitor records,
+// as the paper's power-monitoring module receives them from the UR3e's
+// real-time interface (`while True: data = rtde.receive(...)` at 25 Hz,
+// Fig. 3, bottom). It never replaces a hook; hooks run in the order they
+// were added. They run on the goroutine driving the arm, while the
+// monitor's lock is held: they must never block (a slow consumer must not
+// stall the robot), must not call back into the monitor, and must not
+// modify the sample's Values.
+func (m *Monitor) SetOnSample(fn func(Sample)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.onSample = append(m.onSample, fn)
 }
 
 // SetPayload records the mass (kg) currently carried by the gripper. Weights
@@ -197,5 +211,7 @@ func (m *Monitor) appendLocked(s robot.State) {
 
 	sample := Sample{Time: now, Values: v}
 	m.samples = append(m.samples, sample)
-	m.publishLocked(sample)
+	for _, fn := range m.onSample {
+		fn(sample)
+	}
 }

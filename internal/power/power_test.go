@@ -286,3 +286,42 @@ func ExamplePropertyNames() {
 	fmt.Println(len(names), names[0])
 	// Output: 122 actual_q_0
 }
+
+// TestSubscriptionReceivesLiveSamples: a sample hook is the monitor's live
+// feed. It sees every sample RecordMove records, in order, while the
+// simulated clock still reads the sample's time, each with the full
+// property vector.
+func TestSubscriptionReceivesLiveSamples(t *testing.T) {
+	m, clock := newTestMonitor(1)
+	var got []Sample
+	m.SetOnSample(func(s Sample) {
+		if !s.Time.Equal(clock.Now()) {
+			t.Errorf("sample at %v reached the hook at %v", s.Time, clock.Now())
+		}
+		got = append(got, s)
+	})
+	start, end := m.RecordMove(testMove(t, "L0", "L1", 200))
+	want := m.Samples()[start:end]
+	if len(got) != len(want) {
+		t.Fatalf("hook saw %d samples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Time.Equal(want[i].Time) || len(got[i].Values) != NumProperties {
+			t.Fatalf("sample %d: hook saw %v with %d values, recorded %v", i, got[i].Time, len(got[i].Values), want[i].Time)
+		}
+	}
+}
+
+// TestMultipleSubscribersIndependent: every hook sees every sample
+// recorded after it was added, whatever the other hooks do.
+func TestMultipleSubscribersIndependent(t *testing.T) {
+	m, _ := newTestMonitor(1)
+	var a, b int
+	m.SetOnSample(func(Sample) { a++ })
+	m.RecordQuiescent(time.Second) // 25 samples
+	m.SetOnSample(func(Sample) { b++ })
+	m.RecordQuiescent(time.Second)
+	if a != 50 || b != 25 {
+		t.Errorf("hooks saw %d and %d samples, want 50 and 25", a, b)
+	}
+}

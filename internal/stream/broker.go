@@ -114,22 +114,12 @@ func (b *Broker) AttachStore(n store.Notifier) {
 	n.SetOnCommit(b.PublishBatch)
 }
 
-// AttachMonitor bridges a power monitor's live sample feed into the broker
-// on a background goroutine. The returned stop function cancels the bridge
-// and waits for it to drain.
-func (b *Broker) AttachMonitor(m *power.Monitor, buffer int) (stop func()) {
-	sub := m.Subscribe(buffer)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for s := range sub.C() {
-			b.PublishPower(s)
-		}
-	}()
-	return func() {
-		sub.Cancel()
-		<-done
-	}
+// AttachMonitor publishes every sample a power monitor records, from the
+// monitor's sample hook (power.Monitor.SetOnSample), on the goroutine
+// driving the arm. A power sample never waits on a subscriber, so a slow
+// tail never stalls the robot: see Subscriber.offer.
+func (b *Broker) AttachMonitor(m *power.Monitor) {
+	m.SetOnSample(b.PublishPower)
 }
 
 // Publish offers one committed trace record to every subscriber.
@@ -308,7 +298,10 @@ type Subscriber struct {
 
 // offer enqueues one event, applying the filter and the overflow policy. The
 // event is copied into the ring; the pointer is not retained (publishers
-// reuse the pointee across subscribers).
+// reuse the pointee across subscribers). A power sample never waits: it is
+// published from the power monitor's sample hook, on the goroutine driving
+// the arm, so at a full Block ring the sample itself is dropped and counted,
+// never a buffered event.
 func (s *Subscriber) offer(ev *Event) {
 	switch ev.Kind {
 	case KindTrace:
@@ -323,6 +316,10 @@ func (s *Subscriber) offer(ev *Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.policy == Block && s.n == s.capacity && !s.closed {
+		if ev.Kind == KindPower {
+			s.countDropLocked()
+			return
+		}
 		s.cond.Wait()
 	}
 	if s.closed {
@@ -334,14 +331,19 @@ func (s *Subscriber) offer(ev *Event) {
 	if s.n == len(s.buf) { // full under DropOldest: shed the oldest
 		s.head = (s.head + 1) % len(s.buf)
 		s.n--
-		s.dropped++
-		if s.broker != nil {
-			s.broker.dropped.Add(1)
-		}
+		s.countDropLocked()
 	}
 	s.buf[(s.head+s.n)%len(s.buf)] = *ev
 	s.n++
 	s.cond.Broadcast()
+}
+
+// countDropLocked counts one shed event. Caller holds s.mu.
+func (s *Subscriber) countDropLocked() {
+	s.dropped++
+	if s.broker != nil {
+		s.broker.dropped.Add(1)
+	}
 }
 
 // Recv blocks until an event is available or the subscriber is closed; ok is

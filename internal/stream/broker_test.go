@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rad/internal/power"
+	"rad/internal/robot"
 	"rad/internal/simclock"
 	"rad/internal/store"
 	"rad/internal/stream"
@@ -374,17 +375,16 @@ func TestMemStoreCommitHookPublishes(t *testing.T) {
 }
 
 func TestMonitorBridgePublishesPowerSamples(t *testing.T) {
-	// The monitor's live feed is bridged on a goroutine; publish a few
-	// samples through a real monitor and stop the bridge.
+	// The monitor publishes from its sample hook, on the goroutine
+	// recording the samples, so they are buffered when RecordQuiescent
+	// returns.
 	b := stream.NewBroker()
 	defer b.Close()
 	sub := b.Subscribe(stream.SubOptions{Power: true, Policy: stream.Block, Buffer: 64})
 
 	m := power.NewMonitor(power.DefaultModel(), simclock.NewVirtual(time.Unix(0, 0)), 1)
-	stop := b.AttachMonitor(m, 16)
-	m.RecordQuiescent(200 * time.Millisecond) // a few idle samples at 25 Hz
-	// The bridge goroutine races the assertions; stopping it first drains it.
-	stop()
+	b.AttachMonitor(m)
+	_, end := m.RecordQuiescent(200 * time.Millisecond) // a few idle samples at 25 Hz
 
 	got := 0
 	for {
@@ -396,7 +396,55 @@ func TestMonitorBridgePublishesPowerSamples(t *testing.T) {
 			got++
 		}
 	}
-	if got == 0 {
-		t.Error("no power samples reached the subscriber")
+	if got != end || got == 0 {
+		t.Errorf("%d power samples reached the subscriber, want %d", got, end)
+	}
+}
+
+// TestPowerSampleNeverStallsRobot: a Block power subscriber that is never
+// read must not stall the arm. At its full ring each further sample is
+// dropped and counted, and the trace event it buffered first is kept.
+func TestPowerSampleNeverStallsRobot(t *testing.T) {
+	const buffer = 4
+	b := stream.NewBroker()
+	defer b.Close()
+	sub := b.Subscribe(stream.SubOptions{Power: true, Policy: stream.Block, Buffer: buffer})
+	b.Publish(rec(0, "UR3e", "movej"))
+
+	m := power.NewMonitor(power.DefaultModel(), simclock.NewVirtual(time.Unix(0, 0)), 1)
+	b.AttachMonitor(m)
+	a, _ := robot.Location("L0")
+	z, _ := robot.Location("L1")
+	mv, err := robot.NewMove(a, z, robot.LinearToAngular(200), robot.DefaultAccel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 1)
+	go func() {
+		start, end := m.RecordMove(mv)
+		done <- end - start
+	}()
+	var produced int
+	select {
+	case produced = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("RecordMove stalled behind a Block power subscriber nobody reads")
+	}
+
+	kept := buffer - 1 // the trace event holds one slot
+	if st := sub.Stats(); st.Dropped != uint64(produced-kept) || st.Buffered != buffer {
+		t.Fatalf("stats = %+v after %d samples, want %d dropped and %d buffered", st, produced, produced-kept, buffer)
+	}
+	samples := m.Samples()
+	for i := 0; i < buffer; i++ {
+		ev, ok := sub.TryRecv()
+		switch {
+		case !ok:
+			t.Fatalf("event %d missing", i)
+		case i == 0 && (ev.Kind != stream.KindTrace || ev.Record.Name != "movej"):
+			t.Fatalf("first event = %+v, want the buffered trace event", ev)
+		case i > 0 && (ev.Kind != stream.KindPower || !ev.Sample.Time.Equal(samples[i-1].Time)):
+			t.Fatalf("event %d = kind %d at %v, want power sample %d", i, ev.Kind, ev.Sample.Time, i-1)
+		}
 	}
 }
