@@ -14,9 +14,9 @@
 //
 //   - The traced hot paths are sacred. Record is one sampler check and one
 //     short critical section copying the span by value into a preallocated
-//     ring — no allocation, no channel, no I/O. A nil
-//     *Recorder is valid everywhere and makes every method a no-op, so
-//     uninstrumented paths pay a single nil check.
+//     ring — no allocation, no channel, no I/O. A nil *Recorder is valid
+//     everywhere and makes every method a no-op, so uninstrumented paths
+//     pay a single nil check.
 //   - Deterministic under simclock. Span ids come from a seeded splitmix64
 //     counter stream and the sampling decision is a pure function of the
 //     trace id and the seed, so a virtual-clock campaign samples the same
