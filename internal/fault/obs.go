@@ -5,7 +5,7 @@ import "rad/internal/obs"
 // injObs holds one injector's prebuilt fault counters
 // (rad_fault_injected_total{target,kind}), one per fault class the
 // injector can fire, so the injection branches pay a nil check and one
-// sharded counter increment — nothing is registered at fire time.
+// counter increment — nothing is registered at fire time.
 type injObs struct {
 	latency *obs.Counter
 	reset   *obs.Counter

@@ -16,7 +16,7 @@ import (
 // BenchmarkExecObserved prices the observability layer on the fault-free
 // hot path: "baseline" is the hardened exec path (deadline + retry
 // eligibility + closed breaker, no metrics), "observed" adds the full
-// Observe wiring — whose only per-exec cost is one sharded
+// Observe wiring — whose only per-exec cost is one
 // latency-histogram observe (a map lookup for the command's histogram, a
 // binary search over its buckets and two LOCK XADDs); every counter is a
 // pull-based mirror. EXPERIMENTS.md records the runs.
@@ -66,8 +66,8 @@ func BenchmarkExecObserved(b *testing.B) {
 	// Request/Record) must be free. "traced" then prices the opt-in
 	// recorder itself: one trace-context adopt (a single counter bump plus
 	// two splitmix rounds, ~13ns), span construction (~21ns, dominated by
-	// zeroing the inline attr array), one ring write under the sharded
-	// mutex (~29ns incl. the by-value copy), and the histogram exemplar
+	// zeroing the inline attr array), one ring write under the recorder's
+	// mutex (~29ns incl. the by-value copy at PR 10), and the histogram exemplar
 	// store — ~75ns total on the harshest denominator (no sink, virtual
 	// clock), under 7% of the realistic ~1.1µs exec path with a tracedb
 	// sink (EXPERIMENTS.md records the decomposition).
