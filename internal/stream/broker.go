@@ -117,7 +117,9 @@ func (b *Broker) AttachStore(n store.Notifier) {
 // AttachMonitor publishes every sample a power monitor records, from the
 // monitor's sample hook (power.Monitor.SetOnSample), on the goroutine
 // driving the arm. A power sample never waits on a subscriber, so a slow
-// tail never stalls the robot: see Subscriber.offer.
+// tail never stalls the robot: see Subscriber.offer. The one wait left is
+// the broker's read lock, which a subscription change takes only briefly
+// unless a full Block ring is already stalling the trace path.
 func (b *Broker) AttachMonitor(m *power.Monitor) {
 	m.SetOnSample(b.PublishPower)
 }
