@@ -109,19 +109,23 @@ func run(args []string) error {
 	return nil
 }
 
-// writeTraceDB ingests the campaign into a persistent tracedb store,
-// staging 4096 records per on-disk block. With a dead-letter directory it
+// ingestBatch is how many records radgen writes per tracedb AppendBatch,
+// and so per on-disk block.
+const ingestBatch = 4096
+
+// writeTraceDB ingests the campaign into a persistent tracedb store, one
+// ingestBatch-record block per AppendBatch. With a dead-letter directory it
 // then folds the spilled records of a crashed or fault-injected middlebox
 // into the same store, returning how many it recovered; with compact set it
 // finishes with a lifecycle compaction pass.
 func writeTraceDB(dir, dlqDir string, records []store.Record, compact bool) (int, tracedb.CompactStats, error) {
 	var cs tracedb.CompactStats
-	db, err := tracedb.Open(dir, tracedb.Options{BlockRecords: 4096})
+	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
 		return 0, cs, err
 	}
-	for _, r := range records {
-		if err := db.Append(r); err != nil {
+	for i := 0; i < len(records); i += ingestBatch {
+		if err := db.AppendBatch(records[i:min(i+ingestBatch, len(records))]); err != nil {
 			db.Close()
 			return 0, cs, fmt.Errorf("ingest tracedb: %w", err)
 		}

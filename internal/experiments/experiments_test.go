@@ -332,7 +332,7 @@ func TestRenderFig6LabelsTheRunsItWasGiven(t *testing.T) {
 			"(2 Joystick/P4, 5 P1, 6 Joystick/P4; darker = more similar)\n" +
 			"      2  5  6\n" +
 			" 2   #     .   P4 joystick session\n" +
-			" 5*     #      P1 joystick session\n" +
+			" 5*     #      P1 \n" +
 			" 6   .     #   P4 \n" + scale,
 	}} {
 		ds, err := rad.FromRecords(tc.recs)

@@ -12,12 +12,14 @@ import (
 // FromRecords rebuilds a Dataset view over stored trace records (e.g. read
 // back from a tracedb store that radgen or the middlebox wrote),
 // re-deriving the supervised-run index from the labels: run IDs from the
-// "run-N" naming, procedure types from the labels, anomaly ground truth
-// from hardware-fault exceptions, and each run's note from its ID. A label
-// that is not a run-N ID, such as one radtrace -run gave a live run, gets
-// an ID after the highest numbered run, in sorted label order, and no
-// note. Power captures are not part of the command dataset, so PowerByRun
-// is empty.
+// "run-N" naming, procedure types from the labels, and anomaly ground
+// truth from hardware-fault exceptions. A run-N gets the note of the
+// campaign's run N only when it ran the same procedure and shares its
+// anomaly flag, so a live run-5 recorded under P1 is not labelled a
+// joystick session. A label that is not a run-N ID, such as one radtrace
+// -run gave a live run, gets an ID after the highest numbered run, in
+// sorted label order, and no note. Power captures are not part of the
+// command dataset, so PowerByRun is empty.
 //
 // This closes the generate-once/analyze-many loop: a stored campaign feeds
 // the same Fig. 5/6/Table I harnesses as a freshly generated one.
@@ -82,7 +84,7 @@ func fromStore(st *store.MemStore) *Dataset {
 			ID: agg.id, Run: agg.run, Procedure: agg.proc,
 			Anomalous: agg.anomalous, Commands: agg.commands,
 		}
-		if agg.numbered {
+		if proc, anomalous := campaignRun(agg.id); agg.numbered && proc == agg.proc && anomalous == agg.anomalous {
 			info.Note = runNote(agg.id)
 		}
 		ds.Runs = append(ds.Runs, info)

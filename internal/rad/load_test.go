@@ -96,6 +96,51 @@ func TestFromRecordsLabelsAfterNumberedRuns(t *testing.T) {
 	}
 }
 
+// TestFromRecordsNoteOnlyForTheCampaignsRun: a run-N keeps the note of the
+// campaign's run N only when it ran the same procedure and shares its
+// anomaly flag; any other run-N, such as one recorded live, gets no note.
+func TestFromRecordsNoteOnlyForTheCampaignsRun(t *testing.T) {
+	fault := "hardware fault: door crashed"
+	recs := []store.Record{
+		{Device: "C9", Name: "MVNG", Run: "run-2", Procedure: "P4"},
+		{Device: "Quantos", Name: "front_door", Run: "run-5", Procedure: "P1", Exception: fault},
+		{Device: "Quantos", Name: "front_door", Run: "run-12", Procedure: "P1", Exception: fault},
+		{Device: "Quantos", Name: "front_door", Run: "run-16", Procedure: "P1", Exception: fault},
+		{Device: "C9", Name: "MVNG", Run: "run-17", Procedure: "P2"},
+		{Device: "C9", Name: "MVNG", Run: "run-22", Procedure: "P4", Exception: fault},
+	}
+	ds, err := FromRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"run-2": runNote(2), "run-5": "", "run-12": "", "run-16": runNote(16), "run-17": "", "run-22": "",
+	}
+	for _, run := range ds.Runs {
+		if run.Note != want[run.Run] {
+			t.Errorf("%s (%s, anomalous %v): note %q, want %q", run.Run, run.Procedure, run.Anomalous, run.Note, want[run.Run])
+		}
+	}
+	if runNote(2) == "" || runNote(16) == "" {
+		t.Fatal("runs 2 and 16 have no note to keep")
+	}
+}
+
+// TestCampaignRunMatchesGenerate: campaignRun, which FromRecords matches
+// a stored run against, lays the runs out as Generate does.
+func TestCampaignRunMatchesGenerate(t *testing.T) {
+	ds := dataset(t)
+	if len(ds.Runs) != NumSupervisedRuns {
+		t.Fatalf("%d runs, want %d", len(ds.Runs), NumSupervisedRuns)
+	}
+	for _, run := range ds.Runs {
+		if proc, anomalous := campaignRun(run.ID); proc != run.Procedure || anomalous != run.Anomalous {
+			t.Errorf("run %d: campaignRun says %s anomalous %v, Generate ran %s anomalous %v",
+				run.ID, proc, anomalous, run.Procedure, run.Anomalous)
+		}
+	}
+}
+
 func TestFromRecordsEmptyIsValid(t *testing.T) {
 	ds, err := FromRecords(nil)
 	if err != nil {

@@ -91,6 +91,24 @@ func runNote(id int) string {
 	return runNotes[id]
 }
 
+// campaignRun returns the procedure and anomaly flag of the campaign's
+// supervised run with the given ID, as Generate lays the runs out: IDs
+// 0–11 are P4, 12–16 P1, 17–20 P2 and 21–24 P3, and runs 16, 17 and 22 end
+// in a hardware fault.
+func campaignRun(id int) (proc string, anomalous bool) {
+	switch {
+	case id < 12:
+		proc = procedure.Joystick
+	case id < 17:
+		proc = procedure.P1
+	case id < 21:
+		proc = procedure.P2
+	default:
+		proc = procedure.P3
+	}
+	return proc, id == 16 || id == 17 || id == 22
+}
+
 // Config configures Generate.
 type Config struct {
 	// Seed drives the entire campaign deterministically.

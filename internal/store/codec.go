@@ -39,8 +39,11 @@ const MinRecordBytes = 11
 var zeroNanos = time.Time{}.UnixNano()
 
 // AppendRecord appends r's encoding to b.
-func AppendRecord(b []byte, r *Record) []byte {
-	b = binary.AppendUvarint(b, r.Seq)
+func AppendRecord(b []byte, r *Record) []byte { return appendRecord(b, r, r.Seq) }
+
+// appendRecord appends r's encoding to b, with seq in place of r.Seq.
+func appendRecord(b []byte, r *Record, seq uint64) []byte {
+	b = binary.AppendUvarint(b, seq)
 	b = binary.AppendVarint(b, r.Time.UnixNano())
 	b = binary.AppendVarint(b, r.EndTime.UnixNano())
 	b = appendString(b, r.Device)
@@ -113,10 +116,18 @@ func decodeRecord(b []byte, r *Record, a *arena) (n int, ok bool) {
 var ErrCorruptBlock = errors.New("store: corrupt block")
 
 // AppendBlock appends the block of recs to b.
-func AppendBlock(b []byte, recs []Record) []byte {
+func AppendBlock(b []byte, recs []Record) []byte { return appendBlock(b, recs, 0, false) }
+
+// appendBlock appends the block of recs to b; when numbered, record i is
+// written with seq+i in place of its own Seq.
+func appendBlock(b []byte, recs []Record, seq uint64, numbered bool) []byte {
 	b = binary.AppendUvarint(b, uint64(len(recs)))
 	for i := range recs {
-		b = AppendRecord(b, &recs[i])
+		s := recs[i].Seq
+		if numbered {
+			s = seq + uint64(i)
+		}
+		b = appendRecord(b, &recs[i], s)
 	}
 	return b
 }
@@ -142,9 +153,19 @@ var ErrCorruptFrame = errors.New("store: corrupt frame")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends the frame of the block of recs to b.
-func AppendFrame(b []byte, recs []Record) []byte {
+func AppendFrame(b []byte, recs []Record) []byte { return appendFrame(b, recs, 0, false) }
+
+// AppendFrameSeq appends the frame AppendFrame would of recs numbered
+// consecutively from seq: record i is written with Seq seq+i, whatever its
+// own Seq holds. A sequencer writes the batch it numbers this way instead
+// of stamping the numbers on a copy of it.
+func AppendFrameSeq(b []byte, recs []Record, seq uint64) []byte {
+	return appendFrame(b, recs, seq, true)
+}
+
+func appendFrame(b []byte, recs []Record, seq uint64, numbered bool) []byte {
 	start := len(b)
-	b = AppendBlock(append(b, make([]byte, FrameHeaderSize)...), recs)
+	b = appendBlock(append(b, make([]byte, FrameHeaderSize)...), recs, seq, numbered)
 	payload := b[start+FrameHeaderSize:]
 	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))

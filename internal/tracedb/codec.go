@@ -66,7 +66,7 @@ const (
 
 // recordSizeEstimate upper-bounds a record's encoded size, used to split
 // oversized batches at block boundaries before encoding.
-func recordSizeEstimate(r store.Record) int {
+func recordSizeEstimate(r *store.Record) int {
 	n := 3*binary.MaxVarintLen64 + 8*binary.MaxVarintLen32
 	n += len(r.Device) + len(r.Name) + len(r.Response) + len(r.Exception)
 	n += len(r.Procedure) + len(r.Run) + len(r.Mode)

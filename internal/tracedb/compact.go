@@ -194,12 +194,13 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 	var batch []store.Record
 	var batchBytes int
 	var encBuf []byte
+	var tally blockTally
 	flushBatch := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
 		encBuf = store.AppendFrame(encBuf[:0], batch)
-		if err := ns.appendFrame(encBuf, batch); err != nil {
+		if err := ns.appendFrames(&tally, encBuf, batch, 0, false); err != nil {
 			return err
 		}
 		stats.BlocksOut++
@@ -221,7 +222,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 				return cleanup(fmt.Errorf("tracedb: compaction read: %w", err))
 			}
 			for i := range recs {
-				est := recordSizeEstimate(recs[i])
+				est := recordSizeEstimate(&recs[i])
 				if int64(batchBytes+est) > blockBytes && len(batch) > 0 {
 					if err := flushBatch(); err != nil {
 						return cleanup(err)

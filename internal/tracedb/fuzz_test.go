@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -77,6 +78,114 @@ func FuzzCompactRoundTrip(f *testing.F) {
 				len(before), len(reopened))
 		}
 	})
+}
+
+// FuzzSegmentIndex checks the segment index, which folds each block into a
+// tally of its distinct values before it updates posting lists and counts,
+// against refAddBlock, a fold that updates them record by record. The
+// bytes become blocks of records over a small alphabet, 4 bytes a record:
+// empty devices, names, runs and procedures; the device names "a.b" and
+// "a", so that the pairs (a.b, c) and (a, b.c) share the command type
+// "a.b.c"; unsorted times and seqs; and block ends, empty blocks included,
+// wherever the bytes put them. One tally serves every block, as it does a
+// writer. numbered indexes the blocks as numbered from seq, as AppendBatch
+// writes them.
+func FuzzSegmentIndex(f *testing.F) {
+	f.Add([]byte{}, false, uint64(0))
+	f.Add([]byte{10, 0, 5, 9, 15 | 0x80, 1, 3, 2}, false, uint64(0))
+	f.Add([]byte{0, 0, 0, 0, 0x40 | 5, 4, 200, 7, 6, 8, 100, 3, 5 | 0x80, 4, 1, 1, 10, 0, 5, 9}, true, uint64(40))
+	f.Add(bytes.Repeat([]byte{1, 4, 9, 2, 6, 1, 250, 1, 10 | 0x80, 7, 30, 0, 15, 2, 3, 4}, 40), false, uint64(0))
+	devices := []string{"", "C9", "a.b", "a"}
+	names := []string{"", "MVNG", "c", "b.c"}
+	runs := []string{"", "run-1", "run-2"}
+	procs := []string{"", "P1", "P4"}
+
+	f.Fuzz(func(t *testing.T, data []byte, numbered bool, seq uint64) {
+		got, want := newSegmentIndex(), newSegmentIndex()
+		var tally blockTally
+		var block []store.Record
+		add := func() {
+			m := blockMeta{off: int64(len(got.blocks)) * 100, payloadLen: int32(len(block)), crc: uint32(len(data))}
+			got.addBlock(&tally, m, block, seq, numbered)
+			refAddBlock(&want, m, block, seq, numbered)
+			seq += uint64(len(block))
+			block = block[:0]
+		}
+		for ; len(data) >= 4; data = data[4:] {
+			a, b, c, d := data[0], data[1], data[2], data[3]
+			if a&0x40 != 0 {
+				add() // ends the block so far, empty or not
+			}
+			block = append(block, store.Record{
+				Seq:       uint64(d),
+				Time:      time.Unix(0, int64(int8(c))*1000),
+				Device:    devices[a%4],
+				Name:      names[a/4%4],
+				Run:       runs[b%3],
+				Procedure: procs[b/3%3],
+			})
+			if a&0x80 != 0 {
+				add()
+			}
+		}
+		add()
+		got.names, want.names = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tallied index\n%+v\nper-record fold\n%+v", got, want)
+		}
+	})
+}
+
+// refAddBlock is what addBlock must build: it updates the posting lists,
+// counts, purity bits and sole values record by record.
+func refAddBlock(ix *segmentIndex, m blockMeta, recs []store.Record, seq uint64, numbered bool) {
+	bi := int32(len(ix.blocks))
+	post := func(lists map[string][]int32, k string) {
+		if l := lists[k]; len(l) == 0 || l[len(l)-1] != bi {
+			lists[k] = append(l, bi)
+		}
+	}
+	m.count = int32(len(recs))
+	for i, r := range recs {
+		n, s, key := r.Time.UnixNano(), r.Seq, r.Key()
+		if numbered {
+			s = seq + uint64(i)
+		}
+		if i == 0 {
+			m.minTimeN, m.maxTimeN, m.minSeq, m.maxSeq = n, n, s, s
+			m.pure = pureDevice | pureKey | pureRun | pureProc
+			m.soleDevice, m.soleKey, m.soleRun, m.soleProc = r.Device, key, r.Run, r.Procedure
+		}
+		m.minTimeN, m.maxTimeN = min(m.minTimeN, n), max(m.maxTimeN, n)
+		m.minSeq, m.maxSeq = min(m.minSeq, s), max(m.maxSeq, s)
+		for _, f := range []struct {
+			bit       uint8
+			sole, got string
+		}{{pureDevice, m.soleDevice, r.Device}, {pureKey, m.soleKey, key}, {pureRun, m.soleRun, r.Run}, {pureProc, m.soleProc, r.Procedure}} {
+			if f.sole != f.got {
+				m.pure &^= f.bit
+			}
+		}
+		post(ix.byDevice, r.Device)
+		post(ix.byKey, key)
+		if r.Run != "" {
+			post(ix.byRun, r.Run)
+		}
+		post(ix.byProc, r.Procedure)
+		ix.deviceCounts[r.Device]++
+		ix.keyCounts[key]++
+		ix.maxSeq = max(ix.maxSeq, s)
+	}
+	for _, f := range []struct {
+		bit  uint8
+		sole *string
+	}{{pureDevice, &m.soleDevice}, {pureKey, &m.soleKey}, {pureRun, &m.soleRun}, {pureProc, &m.soleProc}} {
+		if m.pure&f.bit == 0 {
+			*f.sole = ""
+		}
+	}
+	ix.count += len(recs)
+	ix.blocks = append(ix.blocks, m)
 }
 
 // recordsFromFuzz derives a deterministic batch of records from raw fuzz

@@ -102,65 +102,139 @@ func newSegmentIndex() segmentIndex {
 	}
 }
 
-// addBlock indexes one committed block. recs must be the block's records in
-// on-disk order.
-func (ix *segmentIndex) addBlock(off int64, payloadLen int, crc uint32, recs []store.Record) {
-	bi := int32(len(ix.blocks))
-	m := blockMeta{off: off, payloadLen: int32(payloadLen), crc: crc, count: int32(len(recs))}
+// addBlock indexes one committed block, whose location, payload length
+// and checksum m holds. recs must be the block's records in on-disk order.
+// A writer that numbered them from seq as it encoded them
+// (store.AppendFrameSeq) passes numbered; otherwise each record's own Seq
+// is indexed. t is the writer's scratch: one pass folds the records into
+// it, and the index then updates each posting list and count once per
+// distinct value of the block.
+func (ix *segmentIndex) addBlock(t *blockTally, m blockMeta, recs []store.Record, seq uint64, numbered bool) {
+	t.reset()
+	m.count = int32(len(recs))
 	for i := range recs {
 		r := &recs[i]
 		n := r.Time.UnixNano()
-		key := r.Key()
+		s := r.Seq
+		if numbered {
+			s = seq + uint64(i)
+		}
 		if i == 0 {
-			m.minTimeN, m.maxTimeN = n, n
-			m.minSeq, m.maxSeq = r.Seq, r.Seq
-			m.pure = pureDevice | pureKey | pureRun | pureProc
-			m.soleDevice, m.soleKey, m.soleRun, m.soleProc = r.Device, key, r.Run, r.Procedure
+			m.minTimeN, m.maxTimeN, m.minSeq, m.maxSeq = n, n, s, s
 		} else {
-			if n < m.minTimeN {
-				m.minTimeN = n
-			}
-			if n > m.maxTimeN {
-				m.maxTimeN = n
-			}
-			if r.Seq < m.minSeq {
-				m.minSeq = r.Seq
-			}
-			if r.Seq > m.maxSeq {
-				m.maxSeq = r.Seq
-			}
-			if m.soleDevice != r.Device {
-				m.pure &^= pureDevice
-			}
-			if m.soleKey != key {
-				m.pure &^= pureKey
-			}
-			if m.soleRun != r.Run {
-				m.pure &^= pureRun
-			}
-			if m.soleProc != r.Procedure {
-				m.pure &^= pureProc
-			}
+			m.minTimeN, m.maxTimeN = min(m.minTimeN, n), max(m.maxTimeN, n)
+			m.minSeq, m.maxSeq = min(m.minSeq, s), max(m.maxSeq, s)
 		}
-		ix.post(ix.byDevice, r.Device, bi)
-		ix.post(ix.byKey, key, bi)
-		if r.Run != "" {
-			ix.post(ix.byRun, r.Run, bi)
-		}
-		ix.post(ix.byProc, r.Procedure, bi)
-		ix.deviceCounts[r.Device]++
-		ix.keyCounts[key]++
-		if r.Seq > ix.maxSeq {
-			ix.maxSeq = r.Seq
+		t.pairs.add(pair{r.Device, r.Name}, 1)
+		t.runs.add(r.Run, 1)
+		t.procs.add(r.Procedure, 1)
+	}
+	for i, p := range t.pairs.vals {
+		t.devices.add(p.device, t.pairs.counts[i])
+		t.key = append(append(append(t.key[:0], p.device...), '.'), p.name...)
+		t.keys.add(ix.ownBytes(t.key), t.pairs.counts[i])
+	}
+	bi := int32(len(ix.blocks))
+	for i, d := range t.devices.vals {
+		dev := ix.own(d)
+		post(ix.byDevice, dev, bi)
+		ix.deviceCounts[dev] += t.devices.counts[i]
+	}
+	for i, key := range t.keys.vals {
+		post(ix.byKey, key, bi)
+		ix.keyCounts[key] += t.keys.counts[i]
+	}
+	for _, r := range t.runs.vals {
+		if r != "" {
+			post(ix.byRun, ix.own(r), bi)
 		}
 	}
-	// A sole value is kept only where it is authoritative.
-	m.soleDevice = ix.sole(m.pure&pureDevice != 0, m.soleDevice)
-	m.soleKey = ix.sole(m.pure&pureKey != 0, m.soleKey)
-	m.soleRun = ix.sole(m.pure&pureRun != 0, m.soleRun)
-	m.soleProc = ix.sole(m.pure&pureProc != 0, m.soleProc)
+	for _, p := range t.procs.vals {
+		post(ix.byProc, ix.own(p), bi)
+	}
+	// A field is pure, and its sole value kept, where the block holds one
+	// value of it; an empty block holds none.
+	for _, f := range [...]struct {
+		bit  uint8
+		vals []string
+		sole *string
+	}{
+		{pureDevice, t.devices.vals, &m.soleDevice}, {pureKey, t.keys.vals, &m.soleKey},
+		{pureRun, t.runs.vals, &m.soleRun}, {pureProc, t.procs.vals, &m.soleProc},
+	} {
+		if len(f.vals) == 1 {
+			m.pure |= f.bit
+			*f.sole = ix.own(f.vals[0])
+		}
+	}
+	ix.maxSeq = max(ix.maxSeq, m.maxSeq)
 	ix.count += len(recs)
 	ix.blocks = append(ix.blocks, m)
+}
+
+// blockTally is the scratch addBlock folds one block's records into: the
+// block's distinct (device, name) pairs, runs and procedures, and the
+// devices and command types the pairs make, each with its record count.
+// Its writer owns it and reuses it from block to block: the DB for
+// appends, the compactor for its output, the recovery scan for the segment
+// it reads.
+type blockTally struct {
+	pairs   valueTally[pair]
+	runs    valueTally[string]
+	procs   valueTally[string]
+	devices valueTally[string]
+	keys    valueTally[string] // the index's own copies (ownBytes)
+	key     []byte             // one "Device.Name" command type at a time
+}
+
+// pair is a record's (Device, Name); its command type is Record.Key(),
+// which two pairs can share when a device name holds a '.'.
+type pair struct{ device, name string }
+
+func (t *blockTally) reset() {
+	t.pairs.reset()
+	t.runs.reset()
+	t.procs.reset()
+	t.devices.reset()
+	t.keys.reset()
+}
+
+// valueTally counts the distinct values of one field, in first-seen
+// order.
+type valueTally[K comparable] struct {
+	vals   []K
+	counts []int
+	at     map[K]int // index into vals
+	last   int       // the most recently added value's index
+}
+
+// add counts n more of v. Records of a block tend to repeat the value of
+// the record before them, which is tried before the map.
+func (t *valueTally[K]) add(v K, n int) {
+	if len(t.vals) > 0 && t.vals[t.last] == v {
+		t.counts[t.last] += n
+		return
+	}
+	i, ok := t.at[v]
+	if !ok {
+		if t.at == nil {
+			t.at = make(map[K]int)
+		}
+		i = len(t.vals)
+		t.at[v] = i
+		t.vals = append(t.vals, v)
+		t.counts = append(t.counts, 0)
+	}
+	t.counts[i] += n
+	t.last = i
+}
+
+// reset empties the tally, keeping its memory but none of the values, so
+// it holds no record's strings alive.
+func (t *valueTally[K]) reset() {
+	clear(t.at)
+	clear(t.vals)
+	t.vals, t.counts = t.vals[:0], t.counts[:0]
 }
 
 // own returns the index's copy of s, made at the index's first sight of s.
@@ -173,23 +247,24 @@ func (ix *segmentIndex) own(s string) string {
 	return c
 }
 
-// sole returns the index's copy of v when pure, and "" otherwise.
-func (ix *segmentIndex) sole(pure bool, v string) string {
-	if !pure {
-		return ""
+// ownBytes is own for a string held as bytes; it allocates only at the
+// index's first sight of the string.
+func (ix *segmentIndex) ownBytes(b []byte) string {
+	if c, ok := ix.names[string(b)]; ok {
+		return c
 	}
-	return ix.own(v)
+	c := string(b)
+	ix.names[c] = c
+	return c
 }
 
-// post appends bi to the posting list unless it is already the tail entry —
-// blocks are indexed in order, so the list stays sorted and deduplicated.
-// The map's key is the index's own copy of k.
-func (ix *segmentIndex) post(m map[string][]int32, k string, bi int32) {
-	l := m[k]
-	if len(l) > 0 && l[len(l)-1] == bi {
-		return
+// post appends bi to k's posting list in m unless it is already the tail
+// entry: blocks are indexed in order, so the list stays sorted and
+// deduplicated. k must be the index's own copy (own), which keys the list.
+func post(m map[string][]int32, k string, bi int32) {
+	if l := m[k]; len(l) == 0 || l[len(l)-1] != bi {
+		m[k] = append(l, bi)
 	}
-	m[ix.own(k)] = append(l, bi)
 }
 
 // fieldList is one set equality filter's posting list, labelled with the

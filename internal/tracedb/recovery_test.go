@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -270,4 +271,75 @@ func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
 	if err != nil || len(recs) != count {
 		t.Fatalf("payload of %d minimal records: %d decoded, err %v", count, len(recs), err)
 	}
+}
+
+// TestWrittenIndexEqualsRecovered: the index a store builds while it
+// writes, through per-record appends and their flushes, AppendBatch and a
+// compaction's output, equals the index Open rebuilds from the same files.
+func TestWrittenIndexEqualsRecovered(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{BlockRecords: 16, SegmentBytes: 4 << 10}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecords(600)
+	for _, r := range recs[:200] {
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 200; i < 400; i += 50 {
+		if err := db.AppendBatch(recs[i : i+50]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := db.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SegmentsIn < 2 {
+		t.Fatalf("compaction merged %d segments, want a run of them", stats.SegmentsIn)
+	}
+	for _, r := range recs[400:] {
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	written := segmentIndexes(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	recovered := segmentIndexes(db)
+	if len(written) != len(recovered) {
+		t.Fatalf("%d segments written, %d recovered", len(written), len(recovered))
+	}
+	for name, w := range written {
+		if r, ok := recovered[name]; !ok || !reflect.DeepEqual(w, r) {
+			t.Errorf("segment %s: index written\n%+v\nrecovered\n%+v", name, w, r)
+		}
+	}
+}
+
+// segmentIndexes returns each segment's index by file name.
+func segmentIndexes(db *DB) map[string]segmentIndex {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	out := make(map[string]segmentIndex)
+	for _, s := range db.segs {
+		out[filepath.Base(s.path)] = s.index
+	}
+	return out
 }

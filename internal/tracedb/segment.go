@@ -150,6 +150,9 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 	off := int64(len(segMagic))
 	var bh [store.FrameHeaderSize]byte
 	var br store.BlockReader
+	var t blockTally
+	var buf *[]byte
+	var recs []store.Record
 	for {
 		if _, err := f.ReadAt(bh[:], off); err != nil {
 			break // torn inside a block header
@@ -161,20 +164,21 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 		if off+store.FrameHeaderSize+int64(n) > fileSize {
 			break // torn inside the payload
 		}
-		payload := make([]byte, n)
+		buf = store.GrowBlockBuf(buf, n)
+		payload := *buf
 		if _, err := f.ReadAt(payload, off+store.FrameHeaderSize); err != nil {
 			break
 		}
 		if store.CheckFrame(payload, wantCRC) != nil {
 			break // corrupted payload
 		}
-		recs, err := decodePayload(&br, payload, nil, nil)
-		if err != nil {
+		if recs, err = decodePayload(&br, payload, recs[:0], nil); err != nil {
 			break // checksum collision with a structurally broken payload
 		}
-		s.index.addBlock(off, n, wantCRC, recs)
+		s.index.addBlock(&t, blockMeta{off: off, payloadLen: int32(n), crc: wantCRC}, recs, 0, false)
 		off += store.FrameHeaderSize + int64(n)
 	}
+	store.PutBlockBuf(buf) // no decoded record aliases it
 	if off < fileSize {
 		if err := f.Truncate(off); err != nil {
 			f.Close()
@@ -185,22 +189,42 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 	return s, nil
 }
 
-// appendFrame writes frame, the store.AppendFrame of recs, as one block at
-// the committed tail. A frame that fails store.ParseFrameHeader is refused
-// unwritten, since recovery would stop at it. The committed size and index
-// advance only after the whole frame is on the file, so a failed or
-// partial write leaves the committed state untouched and the next Open
-// truncates the debris.
-func (s *segment) appendFrame(frame []byte, recs []store.Record) error {
-	n, crc, err := store.ParseFrameHeader(frame)
-	if err != nil {
+// appendFrames writes frames, the frames of recs that store.AppendFrame
+// made, or store.AppendFrameSeq numbering them from seq when numbered is
+// set, at the committed tail in one write, and indexes each block through
+// t. A frame that fails store.ParseFrameHeader refuses them all unwritten,
+// since recovery would stop at it. The committed size and index advance
+// only after every frame is on the file, so a failed or partial write
+// commits none of them: the debris is truncated where the file allows it,
+// and otherwise the next write overwrites it or the next Open truncates
+// it.
+func (s *segment) appendFrames(t *blockTally, frames []byte, recs []store.Record, seq uint64, numbered bool) error {
+	for b := frames; len(b) > 0; {
+		n, _, err := store.ParseFrameHeader(b)
+		if err == nil && len(b) < store.FrameHeaderSize+n {
+			err = store.ErrCorruptFrame
+		}
+		if err != nil {
+			return fmt.Errorf("tracedb: append block: %w", err)
+		}
+		b = b[store.FrameHeaderSize+n:]
+	}
+	if _, err := s.f.WriteAt(frames, s.size); err != nil {
+		_ = s.f.Truncate(s.size) // best effort; the comment above covers a failure
 		return fmt.Errorf("tracedb: append block: %w", err)
 	}
-	if _, err := s.f.WriteAt(frame, s.size); err != nil {
-		return fmt.Errorf("tracedb: append block: %w", err)
+	var br store.BlockReader
+	for b := frames; len(b) > 0; {
+		n, crc, _ := store.ParseFrameHeader(b) // checked above
+		// Reset reads the block's record count; no record is decoded. It
+		// cannot fail on a block AppendFrame wrote.
+		_ = br.Reset(b[store.FrameHeaderSize : store.FrameHeaderSize+n])
+		k := br.Len()
+		s.index.addBlock(t, blockMeta{off: s.size, payloadLen: int32(n), crc: crc}, recs[:k], seq, numbered)
+		recs, seq = recs[k:], seq+uint64(k)
+		s.size += int64(store.FrameHeaderSize + n)
+		b = b[store.FrameHeaderSize+n:]
 	}
-	s.index.addBlock(s.size, n, crc, recs)
-	s.size += int64(len(frame))
 	return nil
 }
 

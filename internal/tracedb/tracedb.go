@@ -19,9 +19,10 @@ import (
 // Options tunes a DB. The zero value selects the defaults.
 type Options struct {
 	// SegmentBytes is the size threshold at which the active segment is
-	// rotated; a block never spans segments, so a segment may exceed the
-	// threshold by at most one block. It also caps how much source payload
-	// one compaction step merges into a single output segment. Defaults to
+	// rotated. A write (one AppendBatch, or one flush of staged appends)
+	// never spans segments, so a segment may exceed the threshold by at
+	// most one write's blocks. It also caps how much source payload one
+	// compaction step merges into a single output segment. Defaults to
 	// DefaultSegmentBytes.
 	SegmentBytes int64
 	// BlockRecords is the number of per-record Append calls staged in one
@@ -67,6 +68,7 @@ type DB struct {
 	retired  []*segment     // retired but still pinned by in-flight snapshots
 	pending  []store.Record // staged per-record appends, not yet in a block
 	encBuf   []byte         // reusable frame encode buffer (writer-only)
+	tally    blockTally     // the writer's index scratch (addBlock)
 	nextSeq  uint64
 	seqFloor uint64 // persisted lower bound for nextSeq (see Retain)
 	closed   bool
@@ -343,7 +345,12 @@ func (db *DB) appendLocked(r store.Record) error {
 // the whole batch as one block, so a bulk producer's batch boundary (a
 // dead-letter spill, a preload) maps 1:1 onto on-disk blocks. Any staged
 // per-record appends are flushed first so sequence order and storage order
-// agree.
+// agree. recs is neither modified nor kept: its records are written and
+// indexed with the numbers they are assigned, and only the commit hooks,
+// when there are any, get a copy that carries them. An error means no
+// record of the batch was committed: none got a sequence number, none is
+// readable, indexed or counted by Len, and no hook saw one, however many
+// blocks the batch spans.
 func (db *DB) AppendBatch(recs []store.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -366,16 +373,19 @@ func (db *DB) appendBatchLocked(recs []store.Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	block := make([]store.Record, len(recs))
-	copy(block, recs)
-	for i := range block {
-		block[i].Seq = db.nextSeq
-		db.nextSeq++
-	}
-	if err := db.appendBlockLocked(block); err != nil {
+	seq := db.nextSeq
+	if err := db.writeLocked(recs, seq); err != nil {
 		return err
 	}
-	db.commit(block)
+	db.nextSeq += uint64(len(recs))
+	if len(db.onCommit) > 0 {
+		block := make([]store.Record, len(recs))
+		copy(block, recs)
+		for i := range block {
+			block[i].Seq = seq + uint64(i)
+		}
+		db.commit(block)
+	}
 	return nil
 }
 
@@ -431,7 +441,8 @@ func (db *DB) flushLocked() error {
 	if db.obs != nil {
 		start = db.clock.Now()
 	}
-	if err := db.appendBlockLocked(db.pending); err != nil {
+	// Staged records are numbered consecutively (appendLocked).
+	if err := db.writeLocked(db.pending, db.pending[0].Seq); err != nil {
 		return err
 	}
 	if o := db.obs; o != nil {
@@ -441,28 +452,26 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-// appendBlockLocked writes recs (sequence numbers already assigned) as one
-// block, rotating the active segment at the size threshold and splitting
-// batches whose payload would exceed the soft block cap.
-func (db *DB) appendBlockLocked(recs []store.Record) error {
-	start, sz := 0, 0
-	for i := range recs {
-		rs := recordSizeEstimate(recs[i])
-		if sz+rs > targetBlockBytes && i > start {
-			if err := db.writeOneBlockLocked(recs[start:i]); err != nil {
-				return err
+// writeLocked writes recs, numbered consecutively from seq, as one block,
+// split where its payload would exceed the soft block cap, in one write at
+// the tail of the active segment, which it first rotates at the size
+// threshold. Either every block is committed and indexed or, on error,
+// none is.
+func (db *DB) writeLocked(recs []store.Record, seq uint64) error {
+	b, blocks := db.encBuf[:0], 0
+	for start := 0; start < len(recs); blocks++ {
+		end, sz := start, 0
+		for ; end < len(recs); end++ {
+			rs := recordSizeEstimate(&recs[end])
+			if sz+rs > targetBlockBytes && end > start {
+				break
 			}
-			start, sz = i, 0
+			sz += rs
 		}
-		sz += rs
+		b = store.AppendFrameSeq(b, recs[start:end], seq+uint64(start))
+		start = end
 	}
-	return db.writeOneBlockLocked(recs[start:])
-}
-
-func (db *DB) writeOneBlockLocked(recs []store.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
+	db.encBuf = b
 	active := db.segs[len(db.segs)-1]
 	if active.size >= db.opts.SegmentBytes && active.index.count > 0 {
 		if err := active.f.Sync(); err != nil {
@@ -475,13 +484,12 @@ func (db *DB) writeOneBlockLocked(recs []store.Record) error {
 		db.segs = append(db.segs, next)
 		active = next
 	}
-	db.encBuf = store.AppendFrame(db.encBuf[:0], recs)
-	if err := active.appendFrame(db.encBuf, recs); err != nil {
+	if err := active.appendFrames(&db.tally, b, recs, seq, true); err != nil {
 		return err
 	}
 	if o := db.obs; o != nil {
-		o.blocksWritten.Add(1)
-		o.bytesWritten.Add(uint64(len(db.encBuf)))
+		o.blocksWritten.Add(uint64(blocks))
+		o.bytesWritten.Add(uint64(len(b)))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package tracedb
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -268,6 +269,51 @@ func TestAppendErrorMeansNotCommitted(t *testing.T) {
 		t.Fatal("no append was refused with the segment file closed")
 	}
 	_ = db.Close() // the closed file fails the final sync; that is expected
+}
+
+// TestAppendBatchErrorMeansNotCommitted is the same refusal contract for a
+// batch, which DLQ re-ingest and bulk loads rely on: a refused AppendBatch
+// gave no record of it a sequence number, and left Len, the index and the
+// hooks as they were, whether the batch fits one block or spans several.
+func TestAppendBatchErrorMeansNotCommitted(t *testing.T) {
+	split := testRecords(3)
+	for i := range split {
+		split[i].Response = strings.Repeat("x", targetBlockBytes/2)
+	}
+	for _, tc := range []struct {
+		name   string
+		recs   []store.Record
+		blocks int // blocks the batch is written as when it succeeds
+	}{{"one block", testRecords(2), 1}, {"split", split, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			published := 0
+			db.SetOnCommit(func(recs []store.Record) { published += len(recs) })
+			if err := db.AppendBatch(tc.recs); err != nil {
+				t.Fatal(err)
+			}
+			active := db.segs[len(db.segs)-1]
+			if got := len(active.index.blocks); got != tc.blocks {
+				t.Fatalf("batch written as %d blocks, want %d", got, tc.blocks)
+			}
+			// Close the active segment underneath: every block write now fails.
+			active.f.Close()
+			n, next, pub := db.Len(), db.NextSeq(), published
+			blocks, size := len(active.index.blocks), active.size
+			if err := db.AppendBatch(tc.recs); err == nil {
+				t.Fatal("AppendBatch succeeded with the segment file closed")
+			}
+			if db.Len() != n || db.NextSeq() != next || published != pub ||
+				len(active.index.blocks) != blocks || active.size != size || db.Segments() != 1 {
+				t.Fatalf("refused batch changed the store: Len %d→%d, NextSeq %d→%d, published %d→%d, blocks %d→%d, size %d→%d, segments %d",
+					n, db.Len(), next, db.NextSeq(), pub, published, blocks, len(active.index.blocks), size, active.size, db.Segments())
+			}
+		})
+	}
 }
 
 // TestCommitHooksAccumulate: every SetOnCommit adds a hook, and the hooks
