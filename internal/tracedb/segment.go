@@ -201,9 +201,6 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 func (s *segment) appendFrames(t *blockTally, frames []byte, recs []store.Record, seq uint64, numbered bool) error {
 	for b := frames; len(b) > 0; {
 		n, _, err := store.ParseFrameHeader(b)
-		if err == nil && len(b) < store.FrameHeaderSize+n {
-			err = store.ErrCorruptFrame
-		}
 		if err != nil {
 			return fmt.Errorf("tracedb: append block: %w", err)
 		}
