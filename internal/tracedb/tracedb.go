@@ -27,9 +27,10 @@ type Options struct {
 	SegmentBytes int64
 	// BlockRecords is the number of per-record Append calls staged in one
 	// block: a full staging buffer is written as one block before the next
-	// record is staged. Defaults to DefaultBlockRecords; a bulk loader
-	// raises it to write denser blocks. AppendBatch always lands as its own
-	// block regardless of this setting.
+	// record is staged. Defaults to DefaultBlockRecords. AppendBatch
+	// always lands as its own block regardless of this setting, so a bulk
+	// loader sizes its blocks by its batches (radgen writes 4096 records
+	// per batch).
 	BlockRecords int
 	// Clock is the time source for observability timings (recovery,
 	// append, and flush latency histograms — see Observe) and for the
