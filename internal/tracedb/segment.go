@@ -207,7 +207,7 @@ func (s *segment) appendFrames(t *blockTally, frames []byte, recs []store.Record
 		b = b[store.FrameHeaderSize+n:]
 	}
 	if _, err := s.f.WriteAt(frames, s.size); err != nil {
-		_ = s.f.Truncate(s.size) // best effort; the comment above covers a failure
+		_ = s.f.Truncate(s.size) // best effort: a failure leaves the debris to the next write or Open
 		return fmt.Errorf("tracedb: append block: %w", err)
 	}
 	var br store.BlockReader
