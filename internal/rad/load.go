@@ -84,8 +84,10 @@ func fromStore(st *store.MemStore) *Dataset {
 			ID: agg.id, Run: agg.run, Procedure: agg.proc,
 			Anomalous: agg.anomalous, Commands: agg.commands,
 		}
-		if proc, anomalous := campaignRun(agg.id); agg.numbered && proc == agg.proc && anomalous == agg.anomalous {
-			info.Note = runNote(agg.id)
+		if agg.numbered && agg.id < NumSupervisedRuns {
+			if c := campaignRuns[agg.id]; c.kind == agg.proc && (c.crashAt > 0) == agg.anomalous {
+				info.Note = c.note
+			}
 		}
 		ds.Runs = append(ds.Runs, info)
 	}

@@ -80,7 +80,7 @@ func TestFromRecordsLabelsAfterNumberedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []RunInfo{
-		{ID: 2, Run: "run-2", Procedure: "P4", Commands: 1, Note: runNote(2)},
+		{ID: 2, Run: "run-2", Procedure: "P4", Commands: 1, Note: campaignRuns[2].note},
 		{ID: 3, Run: "bench", Procedure: "P1", Commands: 1, Anomalous: true},
 		{ID: 4, Run: "run-07", Procedure: "P4", Commands: 1},
 		{ID: 5, Run: "vfy", Procedure: "P4", Commands: 2},
@@ -88,7 +88,7 @@ func TestFromRecordsLabelsAfterNumberedRuns(t *testing.T) {
 	if !reflect.DeepEqual(ds.Runs, want) {
 		t.Fatalf("runs:\n got  %+v\n want %+v", ds.Runs, want)
 	}
-	if runNote(2) == "" {
+	if campaignRuns[2].note == "" {
 		t.Fatal("run 2 has no note to keep")
 	}
 	if seq := ds.RunSequence("vfy"); !reflect.DeepEqual(seq, []string{"MVNG", "HOME"}) {
@@ -114,30 +114,15 @@ func TestFromRecordsNoteOnlyForTheCampaignsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"run-2": runNote(2), "run-5": "", "run-12": "", "run-16": runNote(16), "run-17": "", "run-22": "",
+		"run-2": campaignRuns[2].note, "run-5": "", "run-12": "", "run-16": campaignRuns[16].note, "run-17": "", "run-22": "",
 	}
 	for _, run := range ds.Runs {
 		if run.Note != want[run.Run] {
 			t.Errorf("%s (%s, anomalous %v): note %q, want %q", run.Run, run.Procedure, run.Anomalous, run.Note, want[run.Run])
 		}
 	}
-	if runNote(2) == "" || runNote(16) == "" {
+	if campaignRuns[2].note == "" || campaignRuns[16].note == "" {
 		t.Fatal("runs 2 and 16 have no note to keep")
-	}
-}
-
-// TestCampaignRunMatchesGenerate: campaignRun, which FromRecords matches
-// a stored run against, lays the runs out as Generate does.
-func TestCampaignRunMatchesGenerate(t *testing.T) {
-	ds := dataset(t)
-	if len(ds.Runs) != NumSupervisedRuns {
-		t.Fatalf("%d runs, want %d", len(ds.Runs), NumSupervisedRuns)
-	}
-	for _, run := range ds.Runs {
-		if proc, anomalous := campaignRun(run.ID); proc != run.Procedure || anomalous != run.Anomalous {
-			t.Errorf("run %d: campaignRun says %s anomalous %v, Generate ran %s anomalous %v",
-				run.ID, proc, anomalous, run.Procedure, run.Anomalous)
-		}
 	}
 }
 

@@ -69,45 +69,57 @@ type RunInfo struct {
 	Note      string
 }
 
-// runNotes are the supervised runs' notes, by run ID. No record carries a
-// note, so Generate and FromRecords both take a run's note from here.
-var runNotes = [NumSupervisedRuns]string{
-	"joystick session", "joystick session", "joystick session", "joystick session",
-	"joystick session", "joystick session", "joystick session", "joystick session",
-	"joystick session", "joystick session", "joystick session", "joystick session",
-	12: "used joystick to position N9; ran out of solid before dosing",
-	16: "ANOMALY: Quantos front door crashed with the robot",
-	17: "ANOMALY: Quantos front door crashed into UR3e at ~10%",
-	18: "wrong gripper configuration; operator stopped at ~10%",
-	22: "ANOMALY: arm crashed with the Tecan at the end",
+// campaignRun is one supervised run of the campaign as Generate runs it:
+// its procedure, the options that shape it, where it crashes or is
+// stopped, and its note. No record carries a note, so Generate and
+// FromRecords both take a run's note from here.
+type campaignRun struct {
+	kind string
+	opts procedure.Options // newPlan sets Seed, Run and Quirks
+	// fractions of the dry-run command count at which to crash or stop
+	// (0 = none); a run that crashes ends in a hardware fault, the
+	// campaign's anomalies.
+	crashAt  float64
+	crashDev string
+	crashWhy string
+	stopAt   float64
+	note     string
 }
 
-// runNote returns the note of the supervised run with the given ID, or ""
-// for an ID outside the campaign's.
-func runNote(id int) string {
-	if id < 0 || id >= len(runNotes) {
-		return ""
+// campaignRuns are the campaign's supervised runs by run ID, in Fig. 6
+// order.
+var campaignRuns = func() (runs [NumSupervisedRuns]campaignRun) {
+	// IDs 0–11: joystick sessions of varying length.
+	for id := 0; id < 12; id++ {
+		runs[id] = campaignRun{kind: procedure.Joystick, note: "joystick session"}
 	}
-	return runNotes[id]
-}
-
-// campaignRun returns the procedure and anomaly flag of the campaign's
-// supervised run with the given ID, as Generate lays the runs out: IDs
-// 0–11 are P4, 12–16 P1, 17–20 P2 and 21–24 P3, and runs 16, 17 and 22 end
-// in a hardware fault.
-func campaignRun(id int) (proc string, anomalous bool) {
-	switch {
-	case id < 12:
-		proc = procedure.Joystick
-	case id < 17:
-		proc = procedure.P1
-	case id < 21:
-		proc = procedure.P2
-	default:
-		proc = procedure.P3
-	}
-	return proc, id == 16 || id == 17 || id == 22
-}
+	copy(runs[12:], []campaignRun{
+		// IDs 12–16: Automated Solubility with N9.
+		{kind: procedure.P1, opts: procedure.Options{JoystickPrefix: 40, StopBeforeDosing: true},
+			note: "used joystick to position N9; ran out of solid before dosing"},
+		{kind: procedure.P1, opts: procedure.Options{Solid: "NABH4"}},
+		{kind: procedure.P1, opts: procedure.Options{Solid: "CSTI"}},
+		{kind: procedure.P1, opts: procedure.Options{Solid: "GENTISTIC"}},
+		{kind: procedure.P1, opts: procedure.Options{Solid: "NABH4"},
+			crashAt: 0.65, crashDev: device.Quantos, crashWhy: "front door crashed with the N9 robot",
+			note: "ANOMALY: Quantos front door crashed with the robot"},
+		// IDs 17–20: Automated Solubility with N9 and UR3e.
+		{kind: procedure.P2, opts: procedure.Options{Solid: "NABH4"},
+			crashAt: 0.08, crashDev: device.Quantos, crashWhy: "front door crashed into UR3e",
+			note: "ANOMALY: Quantos front door crashed into UR3e at ~10%"},
+		{kind: procedure.P2, opts: procedure.Options{Solid: "NABH4"}, stopAt: 0.10,
+			note: "wrong gripper configuration; operator stopped at ~10%"},
+		{kind: procedure.P2, opts: procedure.Options{Solid: "CSTI"}},
+		{kind: procedure.P2, opts: procedure.Options{Solid: "GENTISTIC"}},
+		// IDs 21–24: Crystal Solubility.
+		{kind: procedure.P3},
+		{kind: procedure.P3, crashAt: 0.97, crashDev: device.C9, crashWhy: "N9 arm crashed with the Tecan",
+			note: "ANOMALY: arm crashed with the Tecan at the end"},
+		{kind: procedure.P3},
+		{kind: procedure.P3},
+	})
+	return runs
+}()
 
 // Config configures Generate.
 type Config struct {
@@ -234,17 +246,10 @@ func scaledTargets(scale float64) map[string]int {
 
 // supSpec is one supervised run shard, fully planned.
 type supSpec struct {
+	campaignRun
 	id      int
-	kind    string
-	opts    procedure.Options
 	labSeed uint64
 	start   time.Time
-	// fractions of the dry-run command count at which to crash or stop
-	// (0 = none).
-	crashAt  float64
-	crashDev string
-	crashWhy string
-	stopAt   float64
 }
 
 // structSpec is one structured unsupervised session shard.
@@ -311,49 +316,16 @@ func newPlan(cfg Config) *plan {
 	// perplexity IDS's false positives (Table I).
 	quirks := map[int]int{2: 6, 5: 3, 9: 2, 13: 4, 19: 4, 23: 3}
 
-	specs := make([]supSpec, 0, NumSupervisedRuns)
-	// IDs 0–11: joystick sessions of varying length.
-	for id := 0; id < 12; id++ {
-		specs = append(specs, supSpec{kind: procedure.Joystick,
-			opts: procedure.Options{Seed: runSeed(id)}})
-	}
-	// IDs 12–16: Automated Solubility with N9.
-	specs = append(specs,
-		supSpec{kind: procedure.P1,
-			opts: procedure.Options{Seed: runSeed(12), JoystickPrefix: 40, StopBeforeDosing: true}},
-		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(13), Solid: "NABH4"}},
-		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(14), Solid: "CSTI"}},
-		supSpec{kind: procedure.P1, opts: procedure.Options{Seed: runSeed(15), Solid: "GENTISTIC"}},
-		supSpec{kind: procedure.P1,
-			opts:    procedure.Options{Seed: runSeed(16), Solid: "NABH4"},
-			crashAt: 0.65, crashDev: device.Quantos, crashWhy: "front door crashed with the N9 robot"},
-	)
-	// IDs 17–20: Automated Solubility with N9 and UR3e.
-	specs = append(specs,
-		supSpec{kind: procedure.P2,
-			opts:    procedure.Options{Seed: runSeed(17), Solid: "NABH4"},
-			crashAt: 0.08, crashDev: device.Quantos, crashWhy: "front door crashed into UR3e"},
-		supSpec{kind: procedure.P2,
-			opts:   procedure.Options{Seed: runSeed(18), Solid: "NABH4"},
-			stopAt: 0.10},
-		supSpec{kind: procedure.P2, opts: procedure.Options{Seed: runSeed(19), Solid: "CSTI"}},
-		supSpec{kind: procedure.P2, opts: procedure.Options{Seed: runSeed(20), Solid: "GENTISTIC"}},
-	)
-	// IDs 21–24: Crystal Solubility.
-	specs = append(specs,
-		supSpec{kind: procedure.P3, opts: procedure.Options{Seed: runSeed(21)}},
-		supSpec{kind: procedure.P3,
-			opts:    procedure.Options{Seed: runSeed(22)},
-			crashAt: 0.97, crashDev: device.C9, crashWhy: "N9 arm crashed with the Tecan"},
-		supSpec{kind: procedure.P3, opts: procedure.Options{Seed: runSeed(23)}},
-		supSpec{kind: procedure.P3, opts: procedure.Options{Seed: runSeed(24)}},
-	)
+	specs := make([]supSpec, NumSupervisedRuns)
 	for id := range specs {
-		specs[id].id = id
-		specs[id].opts.Run = fmt.Sprintf("run-%d", id)
-		specs[id].opts.Quirks = quirks[id]
-		specs[id].labSeed = nextSeed()
-		specs[id].start = sched.nextDay(1 + sched.rng.IntN(2))
+		sp := &specs[id]
+		sp.campaignRun = campaignRuns[id]
+		sp.id = id
+		sp.opts.Seed = runSeed(id)
+		sp.opts.Run = fmt.Sprintf("run-%d", id)
+		sp.opts.Quirks = quirks[id]
+		sp.labSeed = nextSeed()
+		sp.start = sched.nextDay(1 + sched.rng.IntN(2))
 	}
 	p.supervised = specs
 
@@ -465,7 +437,7 @@ func (p *plan) runSupervised(sp supSpec) (supResult, error) {
 	out := supResult{
 		info: RunInfo{
 			ID: sp.id, Run: sp.opts.Run, Procedure: sp.kind,
-			Anomalous: res.Anomalous, Commands: res.Commands, Note: runNote(sp.id),
+			Anomalous: res.Anomalous, Commands: res.Commands, Note: sp.note,
 		},
 		records: vl.Sink.All(),
 	}
