@@ -8,6 +8,7 @@ package rad_test
 //	go test -bench=BenchmarkTraceDB -benchmem
 
 import (
+	"fmt"
 	"testing"
 
 	"rad"
@@ -39,24 +40,56 @@ func BenchmarkTraceDBAppend(b *testing.B) {
 	b.ReportMetric(batch, "records/op")
 }
 
+// BenchmarkTraceDBAppendDistinct is BenchmarkTraceDBAppend on the block
+// shape the index gains least on: within each 256-record batch every
+// record has its own device, command name, run and procedure, so the
+// index's one-pass tally holds as many values as the block has records.
+// The campaign's blocks hold a few dozen distinct command types and a
+// handful of runs and procedures. The same 256 values recur from batch to
+// batch, as a segment's devices and command types do.
+func BenchmarkTraceDBAppendDistinct(b *testing.B) {
+	ds := benchDataset(b)
+	const batch = 256
+	recs := make([]rad.TraceRecord, batch)
+	copy(recs, ds.Store.All())
+	for i := range recs {
+		recs[i].Device = fmt.Sprintf("dev%d", i)
+		recs[i].Name = fmt.Sprintf("cmd%d", i)
+		recs[i].Run = fmt.Sprintf("run-%d", i)
+		recs[i].Procedure = fmt.Sprintf("proc%d", i)
+	}
+	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.AppendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(batch, "records/op")
+}
+
 // BenchmarkTraceDBScanIndexed compares an indexed scan (posting lists prune
 // non-matching blocks before any disk read) against a full scan that decodes
 // the whole campaign and filters in memory — same result set, same store.
 func BenchmarkTraceDBScanIndexed(b *testing.B) {
 	ds := benchDataset(b)
 	recs := ds.Store.All()
-	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{BlockRecords: 512})
+	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	for _, r := range recs {
-		if err := db.Append(r); err != nil {
+	for i := 0; i < len(recs); i += 512 {
+		if err := db.AppendBatch(recs[i:min(i+512, len(recs))]); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := db.Flush(); err != nil {
-		b.Fatal(err)
 	}
 
 	// A rare command type: present, but confined to few blocks.
@@ -203,18 +236,15 @@ func BenchmarkCompactedScanIndexed(b *testing.B) {
 func BenchmarkPlannerSelectivity(b *testing.B) {
 	ds := benchDataset(b)
 	recs := ds.Store.All()
-	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{BlockRecords: 512})
+	db, err := rad.OpenTraceDB(b.TempDir(), rad.TraceDBOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	for _, r := range recs {
-		if err := db.Append(r); err != nil {
+	for i := 0; i < len(recs); i += 512 {
+		if err := db.AppendBatch(recs[i:min(i+512, len(recs))]); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := db.Flush(); err != nil {
-		b.Fatal(err)
 	}
 
 	q := rad.TraceQuery{Device: "Quantos", Key: "Quantos.start_dosing"}

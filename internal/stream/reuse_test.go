@@ -97,14 +97,16 @@ func reuseStores(t *testing.T, recs []store.Record) map[string]*tracedb.DB {
 			t.Fatal(err)
 		}
 	}
-	compacted := open(tracedb.Options{SegmentBytes: 64 << 10, BlockRecords: 16})
-	for _, r := range recs {
+	compacted := open(tracedb.Options{SegmentBytes: 64 << 10})
+	for i, r := range recs {
 		if err := compacted.Append(r); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := compacted.Flush(); err != nil {
-		t.Fatal(err)
+		if (i+1)%16 == 0 || i == len(recs)-1 {
+			if err := compacted.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if st, err := compacted.Compact(); err != nil || st.Compactions == 0 {
 		t.Fatalf("compact: %+v, %v", st, err)

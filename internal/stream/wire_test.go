@@ -205,7 +205,7 @@ func TestWireV2SnapshotThenFollow(t *testing.T) {
 func TestSnapshotTailMatchesStore(t *testing.T) {
 	// Four records to a block: seqs 0-3 are all C9, 4-7 alternate C9 and
 	// UR3e, 8-11 are all UR3e, and 12-13 stay staged.
-	db, err := tracedb.Open(t.TempDir(), tracedb.Options{BlockRecords: 4})
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,6 +230,11 @@ func TestSnapshotTailMatchesStore(t *testing.T) {
 		}
 		if err := db.Append(r); err != nil {
 			t.Fatal(err)
+		}
+		if i%4 == 3 && i < 12 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if pl := db.Explain(tracedb.Query{}); pl.TotalBlocks != 3 || pl.StagedTail != 2 {

@@ -21,7 +21,7 @@
 //	+----------------+----------------+-------------------+
 //
 // One block is one flush boundary: an AppendBatch call, or the
-// Options.BlockRecords per-record appends staged between two writes, lands
+// DefaultBlockRecords per-record appends staged between two writes, lands
 // as exactly one block (split only when it would exceed the block size
 // cap). The payload is a store block (store.AppendBlock): a uvarint record
 // count followed by that many records in store's record encoding. A wire

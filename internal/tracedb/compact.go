@@ -29,7 +29,7 @@ var compactHook func(stage string) error
 
 // Compact merges runs of fragmented sealed segments — segments whose
 // average block payload is far below the target block size, the debris of
-// a chatty writer's small blocks (Options.BlockRecords appends each, or
+// a chatty writer's small blocks (DefaultBlockRecords appends each, or
 // fewer on Flush) — into dense, freshly indexed segments. It runs
 // concurrently with the writer and with readers: sources are immutable
 // while compaction reads them, the rewritten segment is swapped in under
@@ -199,8 +199,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		if len(batch) == 0 {
 			return nil
 		}
-		encBuf = store.AppendFrame(encBuf[:0], batch)
-		if err := ns.appendFrames(&tally, encBuf, batch, 0, false); err != nil {
+		if _, err := ns.appendBlocks(&tally, &encBuf, batch, 0, false); err != nil {
 			return err
 		}
 		stats.BlocksOut++

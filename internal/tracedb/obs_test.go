@@ -14,7 +14,7 @@ import (
 // and block totals, and the size gauges mirror the store's own accessors.
 func TestObsTracedbMetrics(t *testing.T) {
 	clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
-	db, err := Open(t.TempDir(), Options{BlockRecords: 4, Clock: clock})
+	db, err := Open(t.TempDir(), Options{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +96,19 @@ func TestObsTracedbMetrics(t *testing.T) {
 // TestObsTracedbUnobservedPathUnchanged: a DB without Observe behaves
 // identically (guard against the refactor of Append into appendLocked).
 func TestObsTracedbUnobservedPathUnchanged(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 2})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	for i := 0; i < 5; i++ {
+	const n = DefaultBlockRecords + 5 // one staging buffer is written
+	for i := 0; i < n; i++ {
 		if err := db.Append(store.Record{Device: "C9", Name: "MVNG"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if db.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", db.Len())
+	if db.Len() != n {
+		t.Fatalf("Len = %d, want %d", db.Len(), n)
 	}
 	if db.Recovery() < 0 {
 		t.Fatal("negative recovery duration")

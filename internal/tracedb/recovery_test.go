@@ -278,20 +278,13 @@ func TestRecoveryBoundsBlockRecordCount(t *testing.T) {
 // compaction's output, equals the index Open rebuilds from the same files.
 func TestWrittenIndexEqualsRecovered(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{BlockRecords: 16, SegmentBytes: 4 << 10}
+	opts := Options{SegmentBytes: 4 << 10}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := testRecords(600)
-	for _, r := range recs[:200] {
-		if err := db.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	appendFlushing(t, db, recs[:200], 16)
 	for i := 200; i < 400; i += 50 {
 		if err := db.AppendBatch(recs[i : i+50]); err != nil {
 			t.Fatal(err)
@@ -304,14 +297,7 @@ func TestWrittenIndexEqualsRecovered(t *testing.T) {
 	if stats.SegmentsIn < 2 {
 		t.Fatalf("compaction merged %d segments, want a run of them", stats.SegmentsIn)
 	}
-	for _, r := range recs[400:] {
-		if err := db.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	appendFlushing(t, db, recs[400:], 16)
 	written := segmentIndexes(db)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -329,6 +315,23 @@ func TestWrittenIndexEqualsRecovered(t *testing.T) {
 	for name, w := range written {
 		if r, ok := recovered[name]; !ok || !reflect.DeepEqual(w, r) {
 			t.Errorf("segment %s: index written\n%+v\nrecovered\n%+v", name, w, r)
+		}
+	}
+}
+
+// appendFlushing appends recs one at a time and flushes after every
+// perBlock of them and at the end, so each run of perBlock per-record
+// appends lands as one block.
+func appendFlushing(t *testing.T, db *DB, recs []store.Record, perBlock int) {
+	t.Helper()
+	for i, r := range recs {
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%perBlock == 0 || i == len(recs)-1 {
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

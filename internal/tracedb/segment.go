@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -189,40 +190,64 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 	return s, nil
 }
 
-// appendFrames writes frames, the frames of recs that store.AppendFrame
-// made, or store.AppendFrameSeq numbering them from seq when numbered is
-// set, at the committed tail in one write, and indexes each block through
-// t. A frame that fails store.ParseFrameHeader refuses them all unwritten,
-// since recovery would stop at it. The committed size and index advance
-// only after every frame is on the file, so a failed or partial write
-// commits none of them: the debris is truncated where the file allows it,
-// and otherwise the next write overwrites it or the next Open truncates
-// it.
-func (s *segment) appendFrames(t *blockTally, frames []byte, recs []store.Record, seq uint64, numbered bool) error {
-	for b := frames; len(b) > 0; {
-		n, _, err := store.ParseFrameHeader(b)
-		if err != nil {
-			return fmt.Errorf("tracedb: append block: %w", err)
+// errDebris marks the error of a failed write of several blocks whose
+// debris could not be truncated: whole frames of it may stand past the
+// committed tail, and the next Open would recover them as committed.
+var errDebris = errors.New("tracedb: a failed write left blocks the segment could not drop; reopen the store")
+
+// appendBlocks writes recs at the committed tail as one block, or as
+// several where a block's payload would pass targetBlockBytes, and indexes
+// each block through t. A writer that numbers the records as it writes
+// them passes numbered and the first number, seq (store.AppendFrameSeq);
+// otherwise each record keeps its own Seq (store.AppendFrame). The frames
+// are encoded into *buf and go to the file in one write; a block over
+// store.MaxFramePayload is refused unwritten, since recovery would stop at
+// it. The committed size and index advance only after the write succeeds,
+// so a failed write commits none of the blocks, and its debris is
+// truncated. If that fails too after a write of several blocks, the error
+// wraps errDebris. It returns the number of blocks written.
+func (s *segment) appendBlocks(t *blockTally, buf *[]byte, recs []store.Record, seq uint64, numbered bool) (int, error) {
+	b := (*buf)[:0]
+	var one [1]blockMeta
+	blocks := one[:0] // each block's frame offset in b, payload length, CRC and record count
+	for start := 0; start < len(recs); {
+		end, sz := start, 0
+		for ; end < len(recs); end++ {
+			rs := recordSizeEstimate(&recs[end])
+			if sz+rs > targetBlockBytes && end > start {
+				break
+			}
+			sz += rs
 		}
-		b = b[store.FrameHeaderSize+n:]
+		at := len(b)
+		if numbered {
+			b = store.AppendFrameSeq(b, recs[start:end], seq+uint64(start))
+		} else {
+			b = store.AppendFrame(b, recs[start:end])
+		}
+		n, crc, err := store.ParseFrameHeader(b[at:])
+		if err != nil {
+			*buf = b
+			return 0, fmt.Errorf("tracedb: append block: %w", err)
+		}
+		blocks = append(blocks, blockMeta{off: int64(at), payloadLen: int32(n), crc: crc, count: int32(end - start)})
+		start = end
 	}
-	if _, err := s.f.WriteAt(frames, s.size); err != nil {
-		_ = s.f.Truncate(s.size) // best effort: a failure leaves the debris to the next write or Open
-		return fmt.Errorf("tracedb: append block: %w", err)
+	*buf = b
+	if _, err := s.f.WriteAt(b, s.size); err != nil {
+		if terr := s.f.Truncate(s.size); terr != nil && len(blocks) > 1 {
+			return 0, fmt.Errorf("%w: %w", errDebris, err)
+		}
+		return 0, fmt.Errorf("tracedb: append block: %w", err)
 	}
-	var br store.BlockReader
-	for b := frames; len(b) > 0; {
-		n, crc, _ := store.ParseFrameHeader(b) // checked above
-		// Reset reads the block's record count; no record is decoded. It
-		// cannot fail on a block AppendFrame wrote.
-		_ = br.Reset(b[store.FrameHeaderSize : store.FrameHeaderSize+n])
-		k := br.Len()
-		s.index.addBlock(t, blockMeta{off: s.size, payloadLen: int32(n), crc: crc}, recs[:k], seq, numbered)
+	for _, m := range blocks {
+		k := int(m.count)
+		m.off += s.size
+		s.index.addBlock(t, m, recs[:k], seq, numbered)
 		recs, seq = recs[k:], seq+uint64(k)
-		s.size += int64(store.FrameHeaderSize + n)
-		b = b[store.FrameHeaderSize+n:]
 	}
-	return nil
+	s.size += int64(len(b))
+	return len(blocks), nil
 }
 
 // readPayload reads one committed block's payload into buf, which must

@@ -25,13 +25,6 @@ type Options struct {
 	// compaction step merges into a single output segment. Defaults to
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// BlockRecords is the number of per-record Append calls staged in one
-	// block: a full staging buffer is written as one block before the next
-	// record is staged. Defaults to DefaultBlockRecords. AppendBatch
-	// always lands as its own block regardless of this setting, so a bulk
-	// loader sizes its blocks by its batches (radgen writes 4096 records
-	// per batch).
-	BlockRecords int
 	// Clock is the time source for observability timings (recovery,
 	// append, and flush latency histograms — see Observe) and for the
 	// retention age horizon. It never affects the append path. Defaults to
@@ -46,7 +39,10 @@ type Options struct {
 // DefaultSegmentBytes is the default segment rotation threshold.
 const DefaultSegmentBytes = 4 << 20
 
-// DefaultBlockRecords is the default Options.BlockRecords.
+// DefaultBlockRecords is the number of per-record Append calls staged in
+// one block: a full staging buffer is written as one block before the next
+// record is staged. AppendBatch lands as its own block, so a bulk loader
+// sizes its blocks by its batches (radgen writes 4096 records per batch).
 const DefaultBlockRecords = 256
 
 // ErrClosed is returned by operations on a closed DB.
@@ -73,6 +69,7 @@ type DB struct {
 	nextSeq  uint64
 	seqFloor uint64 // persisted lower bound for nextSeq (see Retain)
 	closed   bool
+	stuck    error // a failed write's errDebris, which every later write returns
 	onCommit []func(recs []store.Record)
 
 	// Lifecycle engine state: lcMu single-flights Compact/Retain, lcStats
@@ -202,9 +199,6 @@ func Open(dir string, opts Options) (*DB, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if opts.BlockRecords <= 0 {
-		opts.BlockRecords = DefaultBlockRecords
-	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real{}
 	}
@@ -310,7 +304,7 @@ func (db *DB) commit(recs []store.Record) {
 
 // Append assigns the next sequence number and stages the record, visible
 // to readers and published to the commit hooks. A full staging buffer
-// (Options.BlockRecords records) is first written as one block; staged
+// (DefaultBlockRecords records) is first written as one block; staged
 // records are also written on Flush or Close. An error means the
 // record was not committed: it got no sequence number, was not staged, and
 // no hook saw it.
@@ -330,7 +324,10 @@ func (db *DB) appendLocked(r store.Record) error {
 	if db.closed {
 		return ErrClosed
 	}
-	if len(db.pending) >= db.opts.BlockRecords {
+	if db.stuck != nil {
+		return db.stuck
+	}
+	if len(db.pending) >= DefaultBlockRecords {
 		if err := db.flushLocked(); err != nil {
 			return err
 		}
@@ -351,7 +348,11 @@ func (db *DB) appendLocked(r store.Record) error {
 // when there are any, get a copy that carries them. An error means no
 // record of the batch was committed: none got a sequence number, none is
 // readable, indexed or counted by Len, and no hook saw one, however many
-// blocks the batch spans.
+// blocks the batch spans. One case comes back after a restart: a batch of
+// several blocks whose failed write could not be truncated may have left
+// whole blocks on the file, which the next Open recovers as committed. The
+// DB then refuses every later write until it is reopened, so no other
+// record takes those sequence numbers.
 func (db *DB) AppendBatch(recs []store.Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -453,26 +454,15 @@ func (db *DB) flushLocked() error {
 	return nil
 }
 
-// writeLocked writes recs, numbered consecutively from seq, as one block,
-// split where its payload would exceed the soft block cap, in one write at
-// the tail of the active segment, which it first rotates at the size
-// threshold. Either every block is committed and indexed or, on error,
-// none is.
+// writeLocked writes recs, numbered consecutively from seq, in one write
+// at the tail of the active segment (segment.appendBlocks), which it first
+// rotates at the size threshold. Either every block is committed and
+// indexed or, on error, none is. After errDebris the DB refuses every later
+// write, so no record takes the seqs of blocks the next Open may recover.
 func (db *DB) writeLocked(recs []store.Record, seq uint64) error {
-	b, blocks := db.encBuf[:0], 0
-	for start := 0; start < len(recs); blocks++ {
-		end, sz := start, 0
-		for ; end < len(recs); end++ {
-			rs := recordSizeEstimate(&recs[end])
-			if sz+rs > targetBlockBytes && end > start {
-				break
-			}
-			sz += rs
-		}
-		b = store.AppendFrameSeq(b, recs[start:end], seq+uint64(start))
-		start = end
+	if db.stuck != nil {
+		return db.stuck
 	}
-	db.encBuf = b
 	active := db.segs[len(db.segs)-1]
 	if active.size >= db.opts.SegmentBytes && active.index.count > 0 {
 		if err := active.f.Sync(); err != nil {
@@ -485,12 +475,16 @@ func (db *DB) writeLocked(recs []store.Record, seq uint64) error {
 		db.segs = append(db.segs, next)
 		active = next
 	}
-	if err := active.appendFrames(&db.tally, b, recs, seq, true); err != nil {
+	blocks, err := active.appendBlocks(&db.tally, &db.encBuf, recs, seq, true)
+	if errors.Is(err, errDebris) {
+		db.stuck = err
+	}
+	if err != nil {
 		return err
 	}
 	if o := db.obs; o != nil {
 		o.blocksWritten.Add(uint64(blocks))
-		o.bytesWritten.Add(uint64(len(b)))
+		o.bytesWritten.Add(uint64(len(db.encBuf)))
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package tracedb
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -198,7 +200,7 @@ func TestRoundTripRotationAndQueries(t *testing.T) {
 }
 
 func TestStagedAppendsVisibleAndFlushed(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 100})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,19 +244,21 @@ func TestStagedAppendsVisibleAndFlushed(t *testing.T) {
 // no sequence number, did not stage it, and published it to no hook — so
 // spilling a refused record can never duplicate one the store holds.
 func TestAppendErrorMeansNotCommitted(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 2})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	published := 0
 	db.SetOnCommit(func(recs []store.Record) { published += len(recs) })
-	if err := db.Append(testRecord(0)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < DefaultBlockRecords-1; i++ {
+		if err := db.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Close the active segment underneath: every block write now fails.
 	db.segs[len(db.segs)-1].f.Close()
 	refused := 0
-	for i := 1; i < 6; i++ {
+	for i := DefaultBlockRecords - 1; i < DefaultBlockRecords+4; i++ {
 		n, next, pub := db.Len(), db.NextSeq(), published
 		if err := db.Append(testRecord(i)); err == nil {
 			continue
@@ -275,6 +279,10 @@ func TestAppendErrorMeansNotCommitted(t *testing.T) {
 // batch, which DLQ re-ingest and bulk loads rely on: a refused AppendBatch
 // gave no record of it a sequence number, and left Len, the index and the
 // hooks as they were, whether the batch fits one block or spans several.
+// Once the file works again, a failed one-block write has left at most a
+// torn frame and writing goes on. A failed write of several blocks whose
+// debris could not be truncated may have left whole frames that the next
+// Open recovers, so the store refuses every later write instead.
 func TestAppendBatchErrorMeansNotCommitted(t *testing.T) {
 	split := testRecords(3)
 	for i := range split {
@@ -311,6 +319,25 @@ func TestAppendBatchErrorMeansNotCommitted(t *testing.T) {
 				len(active.index.blocks) != blocks || active.size != size || db.Segments() != 1 {
 				t.Fatalf("refused batch changed the store: Len %d→%d, NextSeq %d→%d, published %d→%d, blocks %d→%d, size %d→%d, segments %d",
 					n, db.Len(), next, db.NextSeq(), pub, published, blocks, len(active.index.blocks), size, active.size, db.Segments())
+			}
+			if active.f, err = os.OpenFile(active.path, os.O_RDWR, 0); err != nil {
+				t.Fatal(err)
+			}
+			err = db.AppendBatch(tc.recs)
+			if tc.blocks == 1 {
+				if err != nil {
+					t.Fatalf("AppendBatch once the file works again: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, errDebris) {
+				t.Fatalf("AppendBatch after undropped debris: %v, want errDebris", err)
+			}
+			if err := db.Append(testRecord(0)); !errors.Is(err, errDebris) {
+				t.Fatalf("Append after undropped debris: %v, want errDebris", err)
+			}
+			if db.NextSeq() != next || db.Len() != n {
+				t.Fatalf("refused writes changed the store: NextSeq %d→%d, Len %d→%d", next, db.NextSeq(), n, db.Len())
 			}
 		})
 	}
@@ -468,15 +495,15 @@ func TestConcurrentReadersDuringIngest(t *testing.T) {
 }
 
 // TestBatcherFlushBoundary checks the bulk-loader wiring: per-record
-// appends staged Options.BlockRecords at a time land as one block each.
+// appends staged DefaultBlockRecords at a time land as one block each.
 func TestBatcherFlushBoundary(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{BlockRecords: 32})
+	db, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	recs := testRecords(100)
+	recs := testRecords(3*DefaultBlockRecords + 4)
 	for _, r := range recs {
 		if err := db.Append(r); err != nil {
 			t.Fatal(err)
@@ -490,9 +517,9 @@ func TestBatcherFlushBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRecords(t, got, expected(recs))
-	// 100 records at batch size 32 = 4 flushes = 4 blocks.
+	// Three full staging buffers and a flushed remainder = 4 blocks.
 	if nb := len(db.segs[0].index.blocks); nb != 4 {
-		t.Errorf("%d blocks on disk, want 4 (one per %d staged appends)", nb, db.opts.BlockRecords)
+		t.Errorf("%d blocks on disk, want 4 (one per %d staged appends)", nb, DefaultBlockRecords)
 	}
 }
 

@@ -177,7 +177,8 @@ const UnknownProcedure = store.UnknownProcedure
 // campaign without regenerating it.
 type TraceDB = tracedb.DB
 
-// TraceDBOptions tunes segment rotation and the per-record staging size.
+// TraceDBOptions tunes segment rotation, the timing clock and the storage
+// lifecycle.
 type TraceDBOptions = tracedb.Options
 
 // TraceQuery selects records by time range, device, command type,

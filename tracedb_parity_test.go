@@ -40,13 +40,14 @@ func TestTraceDBQueryParityWithMemStore(t *testing.T) {
 	mem := ds.Store
 	recs := mem.All()
 
-	db, err := rad.OpenTraceDB(t.TempDir(), rad.TraceDBOptions{SegmentBytes: 1 << 20, BlockRecords: 512})
+	db, err := rad.OpenTraceDB(t.TempDir(), rad.TraceDBOptions{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 
-	// Ingest per record, 512 staged records to a block.
+	// Ingest per record, tracedb.DefaultBlockRecords staged records to a
+	// block.
 	for _, r := range recs {
 		if err := db.Append(r); err != nil {
 			t.Fatal(err)
