@@ -235,6 +235,8 @@ func (s *segment) appendBlocks(t *blockTally, buf *[]byte, recs []store.Record, 
 	}
 	*buf = b
 	if _, err := s.f.WriteAt(b, s.size); err != nil {
+		// A lone block's debris is at most a torn frame, which the next
+		// write overwrites or Open drops.
 		if terr := s.f.Truncate(s.size); terr != nil && len(blocks) > 1 {
 			return 0, fmt.Errorf("%w: %w", errDebris, err)
 		}
