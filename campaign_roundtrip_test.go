@@ -2,21 +2,20 @@ package rad_test
 
 // The paper's tables from the store the serving path wrote. RATracer fills
 // one store and the analysis scripts read RAD back from it; here a seeded
-// campaign is uploaded record by record through DIRECT trace uploads to a
-// real middlebox over TCP, read back twice — by snapshot replay from the
-// middlebox's stream listener, and from its tracedb directory after
-// shutdown — and every paper table rendered from either copy must be
-// byte-identical to the in-memory campaign's.
+// campaign is uploaded record by record through DIRECT trace uploads to
+// the middlebox deployment radmiddlebox serves (deploy.Start), read back
+// twice — by snapshot replay from its stream listener, and from its
+// tracedb directory after shutdown — and every paper table rendered from
+// either copy must be byte-identical to the in-memory campaign's.
 
 import (
 	"slices"
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/experiments"
-	"rad/internal/middlebox"
 	dataset "rad/internal/rad"
-	"rad/internal/simclock"
 	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
@@ -36,25 +35,12 @@ func TestPaperTablesFromServedStore(t *testing.T) {
 	wantTables := paperTables(t, ds)
 
 	dir := t.TempDir()
-	db, err := tracedb.Open(dir, tracedb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := middlebox.NewCore(simclock.Real{}, db)
-	broker := stream.NewBroker()
-	core.AttachBroker(broker)
-	mbox := middlebox.NewServer(core, middlebox.NetworkProfile{}, 1)
-	mboxAddr, err := mbox.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tails := stream.NewServer(broker, db)
-	tailAddr, err := tails.Start("127.0.0.1:0")
+	mbox, err := deploy.Start(deploy.Config{Listen: "127.0.0.1:0", StoreDir: dir, StreamAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	lab, err := tracer.DialTCP(mboxAddr)
+	lab, err := tracer.DialTCP(mbox.Addrs.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +58,7 @@ func TestPaperTablesFromServedStore(t *testing.T) {
 	lab.Close()
 
 	// Read back 1: snapshot replay over the wire, up to the snapshot's end.
-	sub, err := stream.Dial(tailAddr, wire.Subscribe{Name: "roundtrip", Snapshot: true, Policy: wire.PolicyBlock})
+	sub, err := stream.Dial(mbox.Addrs.Stream, wire.Subscribe{Name: "roundtrip", Snapshot: true, Policy: wire.PolicyBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,10 +80,7 @@ func TestPaperTablesFromServedStore(t *testing.T) {
 		}
 	}
 	sub.Close()
-	tails.Close()
-	mbox.Close()
-	broker.Close()
-	if err := db.Close(); err != nil {
+	if err := mbox.Close(); err != nil {
 		t.Fatal(err)
 	}
 

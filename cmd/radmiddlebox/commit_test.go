@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/simclock"
 	"rad/internal/store"
@@ -28,21 +29,36 @@ import (
 // error.
 func bootMiddlebox(t *testing.T, args ...string) (addr string, stop func() error) {
 	t.Helper()
-	listenReady = make(chan string, 1)
-	defer func() { listenReady = nil }()
+	addrs, stop := boot(t, args...)
+	return addrs.Exec, stop
+}
+
+// bootStreaming is bootMiddlebox with a stream listener on an ephemeral
+// port; it returns both bound addresses.
+func bootStreaming(t *testing.T, args ...string) (addr, streamAddr string, stop func() error) {
+	t.Helper()
+	addrs, stop := boot(t, append([]string{"-stream", "127.0.0.1:0"}, args...)...)
+	return addrs.Exec, addrs.Stream, stop
+}
+
+func boot(t *testing.T, args ...string) (deploy.Addrs, func() error) {
+	t.Helper()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	quit := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
 		done <- run(append([]string{"-listen", "127.0.0.1:0", "-network", "none"}, args...), quit)
 	}()
+	var addrs deploy.Addrs
 	select {
-	case addr = <-listenReady:
+	case addrs = <-ready:
 	case err := <-done:
 		t.Fatalf("server exited early: %v", err)
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never came up")
 	}
-	return addr, func() error {
+	return addrs, func() error {
 		close(quit)
 		select {
 		case err := <-done:

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/simclock"
 	"rad/internal/tracer"
@@ -15,8 +16,8 @@ import (
 // peers keep working against the default lab, and hostile tenant IDs are
 // refused — all over one listener.
 func TestMiddleboxFleetMode(t *testing.T) {
-	listenReady = make(chan string, 1)
-	defer func() { listenReady = nil }()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -28,7 +29,8 @@ func TestMiddleboxFleetMode(t *testing.T) {
 
 	var addr string
 	select {
-	case addr = <-listenReady:
+	case a := <-ready:
+		addr = a.Exec
 	case err := <-done:
 		t.Fatalf("server exited early: %v", err)
 	case <-time.After(5 * time.Second):

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/simclock"
 	"rad/internal/store"
@@ -23,8 +24,8 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 	csvPath := filepath.Join(dir, "trace.csv")
 	storeDir := filepath.Join(dir, "tracedb")
 
-	listenReady = make(chan string, 1)
-	defer func() { listenReady = nil }()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -36,7 +37,8 @@ func TestMiddleboxServesAndFlushes(t *testing.T) {
 
 	var addr string
 	select {
-	case addr = <-listenReady:
+	case a := <-ready:
+		addr = a.Exec
 	case err := <-done:
 		t.Fatalf("server exited early: %v", err)
 	case <-time.After(5 * time.Second):
@@ -123,9 +125,8 @@ func TestMiddleboxStreamsLive(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "tracedb")
 
-	listenReady = make(chan string, 1)
-	streamReady = make(chan string, 1)
-	defer func() { listenReady, streamReady = nil, nil }()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -136,15 +137,13 @@ func TestMiddleboxStreamsLive(t *testing.T) {
 	}()
 
 	var addr, streamAddr string
-	for i := 0; i < 2; i++ {
-		select {
-		case addr = <-listenReady:
-		case streamAddr = <-streamReady:
-		case err := <-done:
-			t.Fatalf("server exited early: %v", err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("server never came up")
-		}
+	select {
+	case a := <-ready:
+		addr, streamAddr = a.Exec, a.Stream
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never came up")
 	}
 
 	watcher, err := stream.Dial(streamAddr, wire.Subscribe{
@@ -208,27 +207,31 @@ func TestMiddleboxRejectsBadNetwork(t *testing.T) {
 // -fault-profile none,sink=1 so every append fails and spills to the
 // dead-letter queue, then restarts the middlebox healthy against the same
 // -store and -dlq and checks the spilled records were folded back in: the
-// lab loses nothing across a sink outage plus a restart.
+// lab loses nothing across a sink outage plus a restart. The restart
+// writes a -trace export, which must hold only the restart's own records:
+// the exports attach after the re-ingest.
 func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "tracedb")
 	dlqDir := filepath.Join(dir, "dlq")
+	tracePath := filepath.Join(dir, "trace.jsonl")
 
-	boot := func(profile string) (stop chan struct{}, done chan error, addr string) {
+	boot := func(profile, trace string) (stop chan struct{}, done chan error, addr string) {
 		t.Helper()
-		listenReady = make(chan string, 1)
+		ready = make(chan deploy.Addrs, 1)
 		stop = make(chan struct{})
 		done = make(chan error, 1)
 		go func() {
 			done <- run([]string{
-				"-listen", "127.0.0.1:0", "-trace", "", "-network", "none",
+				"-listen", "127.0.0.1:0", "-trace", trace, "-network", "none",
 				"-store", storeDir, "-dlq", dlqDir,
 				"-fault-profile", profile,
 				"-exec-timeout", "30s", "-retries", "2", "-breaker-threshold", "3",
 			}, stop)
 		}()
 		select {
-		case addr = <-listenReady:
+		case a := <-ready:
+			addr = a.Exec
 		case err := <-done:
 			t.Fatalf("server exited early: %v", err)
 		case <-time.After(5 * time.Second):
@@ -268,7 +271,7 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	}
 
 	// Run 1: every sink append fails; both commands must dead-letter.
-	stop, done, addr := boot("none,sink=1")
+	stop, done, addr := boot("none,sink=1", "")
 	drive(addr, device.Init, "MVNG")
 	shutdown(stop, done)
 
@@ -282,7 +285,7 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 
 	// Run 2: healthy sinks; startup re-ingest folds the dead letters in,
 	// and a fresh command lands directly.
-	stop, done, addr = boot("")
+	stop, done, addr = boot("", tracePath)
 	drive(addr, device.Init, "MVNG")
 	shutdown(stop, done)
 
@@ -304,6 +307,26 @@ func TestMiddleboxDLQFailoverAcrossRestarts(t *testing.T) {
 	for _, r := range recs {
 		if r.Device != device.C9 {
 			t.Errorf("unexpected record: %+v", r)
+		}
+	}
+
+	// The restart's export holds its two live records, seqs 2 and 3, and
+	// not the two it re-ingested.
+	jf, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	exported, err := store.ReadJSONL(jf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exported) != 2 {
+		t.Fatalf("restart export holds %d records, want the 2 live ones", len(exported))
+	}
+	for i, r := range exported {
+		if want := uint64(2 + i); r.Seq != want || r.Device != device.C9 {
+			t.Errorf("export record %d: seq %d device %s, want seq %d on C9", i, r.Seq, r.Device, want)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/obs"
 	"rad/internal/simclock"
@@ -29,9 +30,8 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "tracedb")
 
-	listenReady = make(chan string, 1)
-	obsReady = make(chan string, 1)
-	defer func() { listenReady = nil; obsReady = nil }()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -47,15 +47,13 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 	}()
 
 	var addr, obsAddr string
-	for i := 0; i < 2; i++ {
-		select {
-		case addr = <-listenReady:
-		case obsAddr = <-obsReady:
-		case err := <-done:
-			t.Fatalf("server exited early: %v", err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("server never came up")
-		}
+	select {
+	case a := <-ready:
+		addr, obsAddr = a.Exec, a.Obs
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never came up")
 	}
 
 	transport, err := tracer.DialTCP(addr)

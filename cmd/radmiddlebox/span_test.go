@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/obs/span"
 	"rad/internal/simclock"
@@ -24,10 +25,8 @@ import (
 // into one tree per request, while /healthz reports serving.
 func TestSpanCrossProcessTraceStitching(t *testing.T) {
 	dir := t.TempDir()
-	listenReady = make(chan string, 1)
-	streamReady = make(chan string, 1)
-	obsReady = make(chan string, 1)
-	defer func() { listenReady = nil; streamReady = nil; obsReady = nil }()
+	ready = make(chan deploy.Addrs, 1)
+	defer func() { ready = nil }()
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
@@ -39,16 +38,13 @@ func TestSpanCrossProcessTraceStitching(t *testing.T) {
 		}, stop)
 	}()
 	var addr, streamAddr, obsAddr string
-	for i := 0; i < 3; i++ {
-		select {
-		case addr = <-listenReady:
-		case streamAddr = <-streamReady:
-		case obsAddr = <-obsReady:
-		case err := <-done:
-			t.Fatalf("server exited early: %v", err)
-		case <-time.After(5 * time.Second):
-			t.Fatal("server never came up")
-		}
+	select {
+	case a := <-ready:
+		addr, streamAddr, obsAddr = a.Exec, a.Stream, a.Obs
+	case err := <-done:
+		t.Fatalf("server exited early: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("server never came up")
 	}
 
 	// A live watcher, so stream-delivery spans are recorded.

@@ -27,12 +27,8 @@ import (
 
 	"rad/internal/analysis/stats"
 	"rad/internal/device"
-	"rad/internal/device/c9"
-	"rad/internal/device/ika"
-	"rad/internal/device/quantos"
-	"rad/internal/device/tecan"
-	"rad/internal/device/ur3e"
 	"rad/internal/middlebox"
+	"rad/internal/procedure"
 	"rad/internal/simclock"
 	"rad/internal/store"
 	"rad/internal/tracedb"
@@ -89,23 +85,15 @@ func run(args []string) error {
 
 	addr := *mbAddr
 	if addr == "" {
-		var profile middlebox.NetworkProfile
-		switch *network {
-		case "lan":
-			profile = middlebox.LANProfile()
-		case "cloud":
-			profile = middlebox.CloudProfile()
-		case "none":
-		default:
-			return fmt.Errorf("unknown network %q", *network)
+		profile, err := middlebox.ParseNetworkProfile(*network)
+		if err != nil {
+			return err
 		}
 		clock := simclock.Real{}
 		core := middlebox.NewCore(clock, nil)
-		core.Register(c9.New(device.NewEnv(clock, 1)))
-		core.Register(ur3e.New(device.NewEnv(clock, 2), nil))
-		core.Register(ika.New(device.NewEnv(clock, 3)))
-		core.Register(tecan.New(device.NewEnv(clock, 4)))
-		core.Register(quantos.New(device.NewEnv(clock, 5)))
+		for _, d := range procedure.NewDevices(clock, 0, nil).All() {
+			core.Register(d)
+		}
 		srv := middlebox.NewServer(core, profile, 1)
 		bound, err := srv.Start("127.0.0.1:0")
 		if err != nil {

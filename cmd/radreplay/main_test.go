@@ -70,6 +70,16 @@ func TestReplayRequiresTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsUnknownNetwork: the local middlebox's -network names a
+// profile, and a name that is none of lan, cloud and none is refused.
+func TestReplayRejectsUnknownNetwork(t *testing.T) {
+	dir := writeJoystickStore(t)
+	err := run([]string{"-store", dir, "-network", "carrier-pigeon"})
+	if err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
+		t.Errorf("-network carrier-pigeon: %v, want an error naming the profile", err)
+	}
+}
+
 func TestReplayRejectsEmptyFilterResult(t *testing.T) {
 	dir := writeJoystickStore(t)
 	err := run([]string{"-store", dir, "-device", "Quantos", "-network", "none"})

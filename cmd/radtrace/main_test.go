@@ -3,13 +3,8 @@ package main
 import (
 	"testing"
 
-	"rad/internal/device"
-	"rad/internal/device/c9"
-	"rad/internal/device/ika"
-	"rad/internal/device/quantos"
-	"rad/internal/device/tecan"
-	"rad/internal/device/ur3e"
 	"rad/internal/middlebox"
+	"rad/internal/procedure"
 	"rad/internal/simclock"
 	"rad/internal/store"
 )
@@ -20,11 +15,9 @@ func startMiddlebox(t *testing.T) (addr string, sink *store.MemStore) {
 	clock := simclock.Real{}
 	sink = store.NewMemStore()
 	core := middlebox.NewCore(clock, sink)
-	core.Register(c9.New(device.NewEnv(clock, 1)))
-	core.Register(ur3e.New(device.NewEnv(clock, 2), nil))
-	core.Register(ika.New(device.NewEnv(clock, 3)))
-	core.Register(tecan.New(device.NewEnv(clock, 4)))
-	core.Register(quantos.New(device.NewEnv(clock, 5)))
+	for _, d := range procedure.NewDevices(clock, 0, nil).All() {
+		core.Register(d)
+	}
 	srv := middlebox.NewServer(core, middlebox.NetworkProfile{}, 1)
 	a, err := srv.Start("127.0.0.1:0")
 	if err != nil {

@@ -43,7 +43,7 @@ func main() {
 	// see this (weights are not command arguments, §VI).
 	cur = record(100, func(lab *rad.VirtualLab, arm rad.Device) {
 		move(arm, "storage_rack", 0)
-		lab.Lab.RawUR3e.SetNextPayload(1.0)
+		lab.Lab.Raw.UR3e.SetNextPayload(1.0)
 		grip(arm, "close_gripper")
 		move(arm, "L0", 0)
 		lab.Lab.Monitor.Reset()

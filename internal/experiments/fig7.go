@@ -194,7 +194,7 @@ func Fig7bSolids(seed uint64) (Fig7bResult, error) {
 			return Fig7bResult{}, err
 		}
 		cur, err := capture(vl, func() error {
-			vl.Lab.RawUR3e.SetNextPayload(0.020) // the vial
+			vl.Lab.Raw.UR3e.SetNextPayload(0.020) // the vial
 			steps := [][]string{
 				{"move_to_location", "above_rack"},
 				{"move_to_location", "storage_rack"},
@@ -292,7 +292,7 @@ func Fig7dWeights(seed uint64) (Fig7dResult, error) {
 			vl.Close()
 			return Fig7dResult{}, err
 		}
-		vl.Lab.RawUR3e.SetNextPayload(kg)
+		vl.Lab.Raw.UR3e.SetNextPayload(kg)
 		if _, err := arm.Exec(device.Command{Name: "close_gripper"}); err != nil {
 			vl.Close()
 			return Fig7dResult{}, err

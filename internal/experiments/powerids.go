@@ -107,7 +107,7 @@ func segmentCurrents(seed uint64, velMMS, payloadKg float64) ([][]float64, error
 	}
 	defer vl.Close()
 	if payloadKg > 0 {
-		vl.Lab.RawUR3e.SetNextPayload(payloadKg)
+		vl.Lab.Raw.UR3e.SetNextPayload(payloadKg)
 		if _, err := arm.Exec(device.Command{Name: "close_gripper"}); err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package middlebox
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -52,6 +53,20 @@ func CloudProfile() NetworkProfile {
 		SpikeProb:   0.01,
 		SpikeDelay:  40 * time.Millisecond,
 	}
+}
+
+// ParseNetworkProfile maps a profile name to its profile: "lan", "cloud",
+// or "none" (no emulated delay).
+func ParseNetworkProfile(name string) (NetworkProfile, error) {
+	switch name {
+	case "lan":
+		return LANProfile(), nil
+	case "cloud":
+		return CloudProfile(), nil
+	case "none":
+		return NetworkProfile{}, nil
+	}
+	return NetworkProfile{}, fmt.Errorf("unknown network profile %q", name)
 }
 
 // Delay samples one direction's delay using rng.

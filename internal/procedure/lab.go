@@ -72,11 +72,7 @@ type Lab struct {
 	Quantos device.Device
 
 	// Raw simulators, for physical context that is not a command.
-	RawC9      *c9.C9
-	RawUR3e    *ur3e.UR3e
-	RawIKA     *ika.IKA
-	RawTecan   *tecan.Tecan
-	RawQuantos *quantos.Quantos
+	Raw Devices
 
 	Clock   simclock.Clock
 	RNG     *rand.Rand
@@ -89,11 +85,11 @@ type Lab struct {
 func (l *Lab) Faultable(name string) (device.Faultable, bool) {
 	switch name {
 	case device.C9:
-		return l.RawC9, l.RawC9 != nil
+		return l.Raw.C9, l.Raw.C9 != nil
 	case device.UR3e:
-		return l.RawUR3e, l.RawUR3e != nil
+		return l.Raw.UR3e, l.Raw.UR3e != nil
 	case device.Quantos:
-		return l.RawQuantos, l.RawQuantos != nil
+		return l.Raw.Quantos, l.Raw.Quantos != nil
 	default:
 		return nil, false
 	}
@@ -115,6 +111,33 @@ func (l *Lab) Device(name string) (device.Device, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// Devices is one lab's five simulators.
+type Devices struct {
+	C9      *c9.C9
+	UR3e    *ur3e.UR3e
+	IKA     *ika.IKA
+	Tecan   *tecan.Tecan
+	Quantos *quantos.Quantos
+}
+
+// NewDevices builds a lab's five simulators on clock, seeded seed+1…+5 in
+// the order All returns them. monitor, when set, records the UR3e's power
+// draw.
+func NewDevices(clock simclock.Clock, seed uint64, monitor *power.Monitor) Devices {
+	return Devices{
+		C9:      c9.New(device.NewEnv(clock, seed+1)),
+		UR3e:    ur3e.New(device.NewEnv(clock, seed+2), monitor),
+		IKA:     ika.New(device.NewEnv(clock, seed+3)),
+		Tecan:   tecan.New(device.NewEnv(clock, seed+4)),
+		Quantos: quantos.New(device.NewEnv(clock, seed+5)),
+	}
+}
+
+// All returns the devices in seed order: C9, UR3e, IKA, Tecan, Quantos.
+func (d Devices) All() []device.Device {
+	return []device.Device{d.C9, d.UR3e, d.IKA, d.Tecan, d.Quantos}
 }
 
 // VirtualLabConfig configures NewVirtualLab.
@@ -171,14 +194,10 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 
 	vlab := &VirtualLab{Core: core, Sink: sink, Clock: clock}
 
-	rawC9 := c9.New(device.NewEnv(clock, cfg.Seed+1))
-	rawUR := ur3e.New(device.NewEnv(clock, cfg.Seed+2), monitor)
-	rawIKA := ika.New(device.NewEnv(clock, cfg.Seed+3))
-	rawTecan := tecan.New(device.NewEnv(clock, cfg.Seed+4))
-	rawQuantos := quantos.New(device.NewEnv(clock, cfg.Seed+5))
+	raw := NewDevices(clock, cfg.Seed, monitor)
 	// The UR3e attaches directly (its real protocol is TCP, not serial).
-	core.Register(rawUR)
-	serialSide := []device.Device{rawC9, rawIKA, rawTecan, rawQuantos}
+	core.Register(raw.UR3e)
+	serialSide := []device.Device{raw.C9, raw.IKA, raw.Tecan, raw.Quantos}
 	if cfg.SerialDevices {
 		for _, d := range serialSide {
 			labEnd, devEnd := serial.Pipe(clock, clock, serial.DefaultBaud)
@@ -204,25 +223,15 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 	sess := tracer.NewSession(transport, clock, tracer.Config{DefaultMode: tracer.ModeRemote})
 
 	lab := &Lab{
-		RawC9: rawC9, RawUR3e: rawUR, RawIKA: rawIKA, RawTecan: rawTecan, RawQuantos: rawQuantos,
-		Clock: clock, RNG: rand.New(rand.NewPCG(cfg.Seed+7, cfg.Seed^0x2545f4914f6cdd1d)),
+		Raw: raw, Clock: clock, RNG: rand.New(rand.NewPCG(cfg.Seed+7, cfg.Seed^0x2545f4914f6cdd1d)),
 		Session: sess, Monitor: monitor,
 	}
-	var err error
-	if lab.C9, err = sess.Virtual(device.C9); err != nil {
-		return nil, fmt.Errorf("procedure: virtualize C9: %w", err)
-	}
-	if lab.UR3e, err = sess.Virtual(device.UR3e); err != nil {
-		return nil, fmt.Errorf("procedure: virtualize UR3e: %w", err)
-	}
-	if lab.IKA, err = sess.Virtual(device.IKA); err != nil {
-		return nil, fmt.Errorf("procedure: virtualize IKA: %w", err)
-	}
-	if lab.Tecan, err = sess.Virtual(device.Tecan); err != nil {
-		return nil, fmt.Errorf("procedure: virtualize Tecan: %w", err)
-	}
-	if lab.Quantos, err = sess.Virtual(device.Quantos); err != nil {
-		return nil, fmt.Errorf("procedure: virtualize Quantos: %w", err)
+	virtual := []*device.Device{&lab.C9, &lab.UR3e, &lab.IKA, &lab.Tecan, &lab.Quantos}
+	for i, d := range raw.All() {
+		var err error
+		if *virtual[i], err = sess.Virtual(d.Name()); err != nil {
+			return nil, fmt.Errorf("procedure: virtualize %s: %w", d.Name(), err)
+		}
 	}
 	vlab.Lab = lab
 	return vlab, nil

@@ -45,7 +45,7 @@ func (s *script) weightBody() error {
 	if err := s.mustExec(s.lab.UR3e, "move_to_location", "storage_rack", f(vel)); err != nil {
 		return err
 	}
-	s.lab.RawUR3e.SetNextPayload(s.opts.PayloadKg)
+	s.lab.Raw.UR3e.SetNextPayload(s.opts.PayloadKg)
 	if err := s.mustExec(s.lab.UR3e, "close_gripper"); err != nil {
 		return err
 	}

@@ -281,8 +281,8 @@ func (s *script) urMoveVial(from, to string) error {
 	// the raw simulator lives on the far side of a middlebox (REMOTE-only
 	// deployments such as cmd/radtrace), the lab computer has no handle to
 	// it — exactly as in the real lab, where mass is physics, not software.
-	if s.lab.RawUR3e != nil {
-		s.lab.RawUR3e.SetNextPayload(s.payload())
+	if s.lab.Raw.UR3e != nil {
+		s.lab.Raw.UR3e.SetNextPayload(s.payload())
 	}
 	for _, loc := range waypoints[from] {
 		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, f(vel)); err != nil {

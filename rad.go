@@ -9,13 +9,9 @@ import (
 	"rad/internal/attack"
 	"rad/internal/device"
 	"rad/internal/experiments"
-	"rad/internal/fault"
 	"rad/internal/fleet"
 	"rad/internal/ids"
 	"rad/internal/middlebox"
-	"rad/internal/obs"
-	"rad/internal/obs/span"
-	"rad/internal/parallel"
 	"rad/internal/power"
 	"rad/internal/procedure"
 	dataset "rad/internal/rad"
@@ -98,40 +94,6 @@ var DialMiddlebox = tracer.DialTCP
 // transport.
 var NewTransportRouter = tracer.NewRouter
 
-// --- Fault injection and resilience (internal/fault) ---
-
-// ParseFaultProfile parses "none", "flaky", or "chaos", optionally with
-// key=value overrides (e.g. "flaky,hang=0.01,hangfor=30s").
-var ParseFaultProfile = fault.ParseProfile
-
-// ChaosFaults is the built-in heavy fault profile.
-var ChaosFaults = fault.Chaos
-
-// WrapFaultyDevice and WrapFlakySink wrap a device / trace sink with
-// seeded, reproducible fault injection.
-var (
-	WrapFaultyDevice = fault.WrapDevice
-	WrapFlakySink    = fault.WrapSink
-)
-
-// ExecPolicy hardens the middlebox REMOTE exec path: per-attempt
-// deadlines, jittered-backoff retries for idempotent commands, and
-// per-device circuit breakers. The zero value keeps the seed-exact
-// single-attempt path.
-type ExecPolicy = middlebox.ExecPolicy
-
-// Resilience surfaces the hardened path's activity in the middlebox's
-// Snapshot.
-type Resilience = middlebox.Resilience
-
-// OpenDLQ opens (or creates) a dead-letter directory: the disk-backed
-// spill area a failover sink writes refused trace batches to.
-var OpenDLQ = store.OpenDLQ
-
-// NewFailoverSink makes a primary sink lossless under write errors by
-// spilling refused records to a dead-letter queue.
-var NewFailoverSink = store.NewFailoverSink
-
 // FleetCampaign drives hundreds of concurrent tenant workloads through one
 // router, each lab on its own virtual clock with a seed derived purely from
 // (campaign seed, tenant ID) — byte-reproducible under any interleaving.
@@ -144,11 +106,6 @@ type TraceRecord = store.Record
 
 // TraceSink consumes trace records.
 type TraceSink = store.Sink
-
-// TraceNotifier is implemented by sinks that assign sequence numbers and
-// expose a commit hook (the in-memory store, TraceDB); a broker attaches to
-// one to publish records with their authoritative sequence numbers.
-type TraceNotifier = store.Notifier
 
 // NewTraceStore returns an empty in-memory trace store (the MongoDB
 // analog).
@@ -243,35 +200,6 @@ const (
 // streaming perplexity scorer plus the rule engine over a live feed — from
 // a trained PerplexityDetector.
 var NewStreamIDS = stream.NewIDS
-
-// --- Observability (internal/obs) ---
-
-// NewMetricsRegistry returns an empty registry; NewMetricsMux wraps one in an
-// http.ServeMux serving /metrics (Prometheus text), /snapshot (JSON), and
-// net/http/pprof under /debug/pprof/; NewMetricsMuxWith adds a drain-aware
-// /healthz and the span flight recorder at /debug/spans.
-var (
-	NewMetricsRegistry = obs.NewRegistry
-	NewMetricsMux      = obs.ServeMux
-	NewMetricsMuxWith  = obs.ServeMuxWith
-)
-
-// ObserveParallel registers the shared worker-pool instruments (kernel calls,
-// tasks, active workers) into reg. Package-level: the parallel kernels have
-// no object to hang an Observe method on.
-var ObserveParallel = parallel.Observe
-
-// RegisterRuntimeMetrics adds Go runtime telemetry (goroutines, heap
-// in-use/alloc, GC cycle count and pause p99) to reg as pull-based gauges.
-var RegisterRuntimeMetrics = obs.RegisterRuntimeMetrics
-
-// NewSpanRecorder builds the span flight recorder: bounded per-CPU ring
-// buffers holding recent request trace trees. SpanHandler serves them as
-// /debug/spans (JSON and human-readable text, filterable).
-var (
-	NewSpanRecorder = span.NewRecorder
-	SpanHandler     = span.Handler
-)
 
 // --- The virtual lab and procedures ---
 
