@@ -15,8 +15,8 @@
 //   - The lab: NewVirtualLab assembles the five simulated Hein Lab devices
 //     (C9, UR3e, IKA, Tecan, Quantos) behind a middlebox under a virtual
 //     clock, and the procedure runners (RunJoystick, RunSolubilityN9,
-//     RunSolubilityN9UR, RunCrystalSolubility, RunVelocityTest,
-//     RunWeightTest) execute the paper's workloads P1–P6 against it.
+//     RunSolubilityN9UR, RunCrystalSolubility) execute the paper's
+//     supervised workloads P1–P4 against it.
 //   - The dataset: GenerateDataset synthesizes the full three-month campaign
 //     — 128,785 command trace objects over 52 command types, 25 supervised
 //     runs with 3 crash anomalies, and UR3e power telemetry.

@@ -31,12 +31,6 @@ func Tally(predicted, actual []bool) Confusion {
 	return c
 }
 
-// Add returns the element-wise sum of two confusion matrices (used to
-// aggregate across cross-validation folds).
-func (c Confusion) Add(o Confusion) Confusion {
-	return Confusion{TP: c.TP + o.TP, TN: c.TN + o.TN, FP: c.FP + o.FP, FN: c.FN + o.FN}
-}
-
 // Total returns the number of classified samples.
 func (c Confusion) Total() int { return c.TP + c.TN + c.FP + c.FN }
 

@@ -61,16 +61,6 @@ func TestTally(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := Confusion{TP: 1, TN: 2, FP: 3, FN: 4}
-	b := Confusion{TP: 10, TN: 20, FP: 30, FN: 40}
-	got := a.Add(b)
-	want := Confusion{TP: 11, TN: 22, FP: 33, FN: 44}
-	if got != want {
-		t.Errorf("Add = %+v", got)
-	}
-}
-
 func TestZeroMatrixSafe(t *testing.T) {
 	var c Confusion
 	for name, v := range map[string]float64{

@@ -180,9 +180,6 @@ func Train(seqs [][]string, n int, alpha float64) *Model {
 // Order returns the model's n.
 func (m *Model) Order() int { return m.n }
 
-// VocabSize returns the training vocabulary size.
-func (m *Model) VocabSize() int { return len(m.vocab) }
-
 // Prob returns the smoothed conditional probability P(next | context). The
 // context must have length n-1; longer contexts use their last n-1 items.
 func (m *Model) Prob(context []string, next string) float64 {

@@ -105,8 +105,8 @@ func TestTrainDefaults(t *testing.T) {
 	if m.Order() != 1 {
 		t.Errorf("order = %d, want clamped to 1", m.Order())
 	}
-	if m.VocabSize() != 2 {
-		t.Errorf("vocab = %d", m.VocabSize())
+	if len(m.vocab) != 2 {
+		t.Errorf("vocab = %d", len(m.vocab))
 	}
 }
 

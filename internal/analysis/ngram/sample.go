@@ -1,42 +1,11 @@
 package ngram
 
-import (
-	"math/rand/v2"
-	"sort"
-)
+import "sort"
 
 // This file implements the program-synthesis use case §V motivates: "program
 // synthesis, generating a sequence of low-level commands from a high-level
 // specification". A trained command language model can extend a prefix with
-// plausible continuations — sampling from the learned distribution or
-// following its most likely path.
-
-// Sample extends prefix with n tokens drawn from the model's smoothed
-// conditional distribution. The returned slice is the full sequence
-// (prefix + continuation). A nil rng or empty vocabulary returns the prefix
-// unchanged.
-func (m *Model) Sample(rng *rand.Rand, prefix []string, n int) []string {
-	if rng == nil || len(m.vocab) == 0 || n <= 0 {
-		return append([]string(nil), prefix...)
-	}
-	vocab := m.vocabList()
-	out := append([]string(nil), prefix...)
-	for k := 0; k < n; k++ {
-		ctx := context(out, m.n-1)
-		r := rng.Float64()
-		acc := 0.0
-		pick := vocab[len(vocab)-1]
-		for _, tok := range vocab {
-			acc += m.Prob(ctx, tok)
-			if r < acc {
-				pick = tok
-				break
-			}
-		}
-		out = append(out, pick)
-	}
-	return out
-}
+// plausible continuations by following its most likely path.
 
 // MostLikely extends prefix with n tokens by greedily following the model's
 // argmax continuation — the skeleton of the procedure the model has learned.

@@ -1,9 +1,6 @@
 package ngram
 
-import (
-	"math/rand/v2"
-	"testing"
-)
+import "testing"
 
 func alternating(n int) []string {
 	out := make([]string, n)
@@ -42,43 +39,12 @@ func TestMostLikelyDeterministic(t *testing.T) {
 	}
 }
 
-func TestSampleStaysMostlyInDistribution(t *testing.T) {
-	m := Train([][]string{alternating(200)}, 2, 0.01)
-	rng := rand.New(rand.NewPCG(1, 2))
-	out := m.Sample(rng, []string{"ARM"}, 200)
-	if len(out) != 201 {
-		t.Fatalf("len %d", len(out))
-	}
-	// With tiny smoothing the learned alternation dominates: most ARM
-	// tokens should be followed by MVNG.
-	follows := 0
-	total := 0
-	for i := 0; i+1 < len(out); i++ {
-		if out[i] == "ARM" {
-			total++
-			if out[i+1] == "MVNG" {
-				follows++
-			}
-		}
-	}
-	if total == 0 || float64(follows)/float64(total) < 0.9 {
-		t.Errorf("P(MVNG|ARM) in samples = %d/%d, want ≈1", follows, total)
-	}
-}
-
 func TestSampleEdgeCases(t *testing.T) {
 	m := Train([][]string{{"A", "B"}}, 2, 1)
-	if got := m.Sample(nil, []string{"A"}, 5); len(got) != 1 {
-		t.Errorf("nil rng: %v", got)
-	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	if got := m.Sample(rng, []string{"A"}, 0); len(got) != 1 {
+	if got := m.MostLikely([]string{"A"}, 0); len(got) != 1 {
 		t.Errorf("n=0: %v", got)
 	}
 	empty := Train(nil, 2, 1)
-	if got := empty.Sample(rng, []string{"A"}, 3); len(got) != 1 {
-		t.Errorf("empty vocab: %v", got)
-	}
 	if got := empty.MostLikely([]string{"A"}, 3); len(got) != 1 {
 		t.Errorf("empty vocab most-likely: %v", got)
 	}
@@ -87,8 +53,6 @@ func TestSampleEdgeCases(t *testing.T) {
 func TestSamplePrefixNotMutated(t *testing.T) {
 	m := Train([][]string{alternating(20)}, 2, 0.1)
 	prefix := []string{"ARM"}
-	rng := rand.New(rand.NewPCG(3, 4))
-	_ = m.Sample(rng, prefix, 5)
 	_ = m.MostLikely(prefix, 5)
 	if len(prefix) != 1 || prefix[0] != "ARM" {
 		t.Error("prefix mutated")

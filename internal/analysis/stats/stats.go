@@ -1,5 +1,5 @@
 // Package stats implements the descriptive statistics used by the
-// evaluation harness: mean/stddev, quartiles with the box-plot geometry of
+// evaluation harness: the mean, quartiles with the box-plot geometry of
 // Fig. 4 (IQR, 1.5·IQR whiskers, outliers), and the Pearson correlation
 // coefficient used for the Fig. 7(b) solid-invariance claim.
 package stats
@@ -21,33 +21,9 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation, or NaN for empty input.
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics (type-7, the numpy/pandas default).
-// It returns NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
+// quantileSorted returns the q-quantile (0 ≤ q ≤ 1) of a sorted, non-empty
+// sample using linear interpolation between order statistics (type-7, the
+// numpy/pandas default).
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]

@@ -5,7 +5,6 @@ package tfidf
 
 import (
 	"math"
-	"sort"
 
 	"rad/internal/parallel"
 )
@@ -116,31 +115,4 @@ func SimilarityMatrixParallel(docs [][]string, workers int) [][]float64 {
 		}
 	}
 	return m
-}
-
-// TopTerms returns the k highest-weighted terms of a vector, for fingerprint
-// inspection; ties break lexicographically.
-func TopTerms(vec map[string]float64, k int) []string {
-	type tw struct {
-		term string
-		w    float64
-	}
-	all := make([]tw, 0, len(vec))
-	for term, w := range vec {
-		all = append(all, tw{term, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].term < all[j].term
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	out := make([]string, len(all))
-	for i, t := range all {
-		out[i] = t.term
-	}
-	return out
 }

@@ -88,17 +88,6 @@ func TestSimilarityMatrixProperties(t *testing.T) {
 	}
 }
 
-func TestTopTerms(t *testing.T) {
-	vec := map[string]float64{"a": 0.1, "b": 0.9, "c": 0.5}
-	got := TopTerms(vec, 2)
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Errorf("TopTerms = %v", got)
-	}
-	if got := TopTerms(vec, 10); len(got) != 3 {
-		t.Errorf("TopTerms overflow k = %v", got)
-	}
-}
-
 // Property: cosine similarity is symmetric and bounded for arbitrary
 // non-negative sparse vectors.
 func TestCosineSymmetricBoundedProperty(t *testing.T) {

@@ -245,7 +245,7 @@ func Start(cfg Config) (_ *Deployment, err error) {
 		if d.Spans != nil {
 			opts.Spans = span.Handler(d.Spans)
 		}
-		d.obsSrv = &http.Server{Handler: obs.ServeMuxWith(reg, opts)}
+		d.obsSrv = &http.Server{Handler: obs.ServeMux(reg, opts)}
 		go func() { _ = d.obsSrv.Serve(ln) }()
 		d.Addrs.Obs = ln.Addr().String()
 	}

@@ -69,20 +69,6 @@ func (c *C9) InjectFault(reason string) {
 	c.fault = reason
 }
 
-// ClearFault disarms any armed fault.
-func (c *C9) ClearFault() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fault = ""
-}
-
-// Moving reports whether any axis is still in motion.
-func (c *C9) Moving() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.movingLocked()
-}
-
 func (c *C9) movingLocked() bool {
 	return c.env.Clock.Now().Before(c.moveUntil)
 }

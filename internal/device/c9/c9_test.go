@@ -147,12 +147,10 @@ func TestFaultInjection(t *testing.T) {
 	if fe.Device != device.C9 {
 		t.Errorf("fault device = %q", fe.Device)
 	}
-	// Fault persists until cleared.
+	// The fault persists.
 	if _, err := c.Exec(device.Command{Name: "HOME"}); err == nil {
 		t.Error("fault should persist")
 	}
-	c.ClearFault()
-	exec(t, c, "ARM", "10", "0", "0")
 }
 
 func TestUnknownCommand(t *testing.T) {

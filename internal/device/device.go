@@ -73,11 +73,9 @@ type Device interface {
 // door hitting the UR3e); procedures inject those faults through this
 // interface so the resulting traces carry crash signatures.
 type Faultable interface {
-	// InjectFault arms a fault. The device reports it on subsequent relevant
-	// commands until ClearFault is called.
+	// InjectFault arms a fault. The device reports it on every subsequent
+	// relevant command.
 	InjectFault(reason string)
-	// ClearFault disarms any armed fault.
-	ClearFault()
 }
 
 // Sentinel errors shared by the device simulators.

@@ -69,13 +69,6 @@ func (q *Quantos) InjectFault(reason string) {
 	q.fault = reason
 }
 
-// ClearFault disarms any armed fault.
-func (q *Quantos) ClearFault() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.fault = ""
-}
-
 // DoorOpen reports the front door state.
 func (q *Quantos) DoorOpen() bool {
 	q.mu.Lock()

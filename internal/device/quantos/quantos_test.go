@@ -132,8 +132,6 @@ func TestFrontDoorFault(t *testing.T) {
 	if _, err := q.Exec(device.Command{Name: "start_dosing"}); err == nil {
 		t.Error("dosing should fail while fault armed")
 	}
-	q.ClearFault()
-	exec(t, q, "front_door", "open")
 }
 
 func TestTargetMassValidation(t *testing.T) {

@@ -63,13 +63,6 @@ func New(env *device.Env) *Tecan {
 // Name implements device.Device.
 func (p *Tecan) Name() string { return device.Tecan }
 
-// Busy reports whether the plunger is still moving.
-func (p *Tecan) Busy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.busyLocked()
-}
-
 func (p *Tecan) busyLocked() bool { return p.env.Clock.Now().Before(p.busyUntil) }
 
 func (p *Tecan) settleLocked() {

@@ -140,19 +140,3 @@ func TestUnknownCommand(t *testing.T) {
 		t.Errorf("want ErrUnknownCommand, got %v", err)
 	}
 }
-
-func TestBusyAccessor(t *testing.T) {
-	p, clock := newTestPump()
-	exec(t, p, device.Init)
-	if p.Busy() {
-		t.Error("fresh pump reported busy")
-	}
-	exec(t, p, "A", "3000")
-	if !p.Busy() {
-		t.Error("pump not busy during move")
-	}
-	clock.Advance(time.Minute)
-	if p.Busy() {
-		t.Error("pump busy after move completed")
-	}
-}

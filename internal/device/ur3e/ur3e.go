@@ -71,9 +71,6 @@ func New(env *device.Env, monitor *power.Monitor) *UR3e {
 // Name implements device.Device.
 func (u *UR3e) Name() string { return device.UR3e }
 
-// Monitor returns the attached power monitor (nil if none).
-func (u *UR3e) Monitor() *power.Monitor { return u.monitor }
-
 // Pose returns the arm's current joint configuration.
 func (u *UR3e) Pose() robot.Config {
 	u.mu.Lock()
@@ -97,13 +94,6 @@ func (u *UR3e) InjectFault(reason string) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.fault = reason
-}
-
-// ClearFault disarms any armed fault.
-func (u *UR3e) ClearFault() {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	u.fault = ""
 }
 
 // Exec implements device.Device.

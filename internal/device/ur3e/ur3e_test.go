@@ -146,8 +146,6 @@ func TestFaultOnMotion(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("want FaultError, got %v", err)
 	}
-	arm.ClearFault()
-	exec(t, arm, "move_to_location", "quantos_tray")
 }
 
 func TestWorksWithoutMonitor(t *testing.T) {

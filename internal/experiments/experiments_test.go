@@ -203,6 +203,11 @@ func TestTableIShape(t *testing.T) {
 			t.Errorf("n=%d TP = %d, want 3", r.N, r.Confusion.TP)
 		}
 	}
+	// The bigram model's Jenks split separates the classes exactly: every
+	// crash run lands above the break and no benign run does.
+	if rows[0].Confusion.FP != 0 {
+		t.Errorf("bigram Jenks split flagged %d benign runs (break %v)", rows[0].Confusion.FP, rows[0].BreakValue)
+	}
 	// The paper's ordering claims: trigram does not lose to bigram, and
 	// performance slightly degrades between trigram and four-gram.
 	if rows[1].Accuracy < rows[0].Accuracy {

@@ -1,8 +1,8 @@
 // Package fault is a deterministic, seedable fault-injection framework for
-// the virtual lab: composable injectors that wrap a device.Device, a
-// serial line, or a store.Sink and make them misbehave the way real CPS
-// hardware does — latency spikes, dropped or garbled serial responses,
-// device hangs, wire-connection resets, and sink write errors.
+// the virtual lab: composable injectors that wrap a device.Device or a
+// store.Sink and make them misbehave the way real CPS hardware does —
+// latency spikes, dropped or garbled serial responses, device hangs,
+// wire-connection resets, and sink write errors.
 //
 // Everything is driven by the injected simclock.Clock and a per-wrapper
 // seeded PRNG, so a fault campaign is reproducible: the same seed and the
@@ -15,9 +15,9 @@
 // middlebox exec path is built from: the per-device circuit breaker
 // (closed → open → half-open) and the jittered exponential backoff used
 // between idempotent retries. IsInfra classifies an error as an
-// infrastructure failure (injected fault, exec deadline, serial timeout,
-// dead link) as opposed to a device-reported command error; only
-// infrastructure failures feed the breaker and qualify for retry.
+// infrastructure failure (injected fault, exec deadline, dead link) as
+// opposed to a device-reported command error; only infrastructure
+// failures feed the breaker and qualify for retry.
 package fault
 
 import (
@@ -214,8 +214,7 @@ func (f *Fault) Error() string {
 var ErrDeadline = errors.New("exec deadline exceeded")
 
 // IsInfra reports whether err is an infrastructure failure — an injected
-// fault, an exceeded exec deadline, a serial read timeout, or a dead
-// link — rather than a device-reported command error (bad arguments,
+// fault, an exceeded exec deadline, or a dead link — rather than a device-reported command error (bad arguments,
 // hardware fault, collision). Only infrastructure failures feed the
 // circuit breaker and qualify for retry: a device that answers "ERR bad
 // args" is a healthy device.
@@ -226,7 +225,6 @@ func IsInfra(err error) bool {
 	var f *Fault
 	return errors.As(err, &f) ||
 		errors.Is(err, ErrDeadline) ||
-		errors.Is(err, serial.ErrTimeout) ||
 		errors.Is(err, serial.ErrClosed)
 }
 

@@ -164,7 +164,7 @@ func TestFaultyDeviceLatencyAndHang(t *testing.T) {
 	if inner.calls != callsBeforeReset {
 		t.Error("a reset fault must not reach the device")
 	}
-	if dev.Name() != "IKA" || dev.Unwrap() != device.Device(inner) {
+	if dev.Name() != "IKA" {
 		t.Error("wrapper identity broken")
 	}
 }
@@ -190,43 +190,6 @@ func TestFlakySink(t *testing.T) {
 	}
 }
 
-func TestFaultyLineDropAndGarble(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	a, b := serial.Pipe(clock, clock, serial.DefaultBaud)
-	defer a.Close()
-	line := WrapLine(a, "lab-wire", Profile{DropProb: 1}, 9)
-
-	// Dropped request: the peer never hears it; its read deadline is what
-	// rescues the reader.
-	b.SetReadTimeout(30 * time.Millisecond)
-	if err := line.WriteLine("POSN 0"); err != nil {
-		t.Fatalf("dropped WriteLine reported %v", err)
-	}
-	if _, err := b.ReadLine(); !errors.Is(err, serial.ErrTimeout) {
-		t.Fatalf("read after a dropped request returned %v, want ErrTimeout", err)
-	}
-
-	line.SetProfile(Profile{GarbleProb: 1})
-	if err := line.WriteLine("POSN 0"); err != nil {
-		t.Fatalf("garbled WriteLine: %v", err)
-	}
-	got, err := b.ReadLine()
-	if err != nil {
-		t.Fatalf("ReadLine after garbled write: %v", err)
-	}
-	if got == "POSN 0" || len(got) != len("POSN 0") {
-		t.Fatalf("garble produced %q (same length, different bytes expected)", got)
-	}
-
-	line.SetProfile(None())
-	if err := line.WriteLine("POSN 0"); err != nil {
-		t.Fatalf("healed WriteLine: %v", err)
-	}
-	if got, err := b.ReadLine(); err != nil || got != "POSN 0" {
-		t.Fatalf("healed line delivered %q, %v", got, err)
-	}
-}
-
 func TestIsInfra(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -235,7 +198,6 @@ func TestIsInfra(t *testing.T) {
 		{nil, false},
 		{&Fault{Kind: KindHang, Target: "C9"}, true},
 		{fmt.Errorf("middlebox: C9: %w (timeout 5s)", ErrDeadline), true},
-		{serial.ErrTimeout, true},
 		{serial.ErrClosed, true},
 		{errors.New("C9: unknown command FOO"), false},
 		{fmt.Errorf("wrapped: %w", &Fault{Kind: KindSink}), true},

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rad/internal/device"
-	"rad/internal/serial"
 	"rad/internal/simclock"
 	"rad/internal/store"
 )
@@ -119,9 +118,6 @@ func WrapDevice(d device.Device, clock simclock.Clock, p Profile, seed uint64) *
 // Name implements device.Device.
 func (f *FaultyDevice) Name() string { return f.dev.Name() }
 
-// Unwrap returns the wrapped device.
-func (f *FaultyDevice) Unwrap() device.Device { return f.dev }
-
 // SetProfile swaps the fault profile (e.g. to heal a device mid-test so a
 // half-open breaker probe can succeed). The decision stream position is
 // preserved.
@@ -209,47 +205,4 @@ func (f *FlakySink) SetOnCommit(fn func(recs []store.Record)) {
 	if n, ok := f.sink.(store.Notifier); ok {
 		n.SetOnCommit(fn)
 	}
-}
-
-// FaultyLine wraps a serial.Line with wire-level faults on the transmit
-// side: written lines are dropped (the peer never sees the request, so the
-// reader's deadline is what saves the caller) or garbled in transit.
-// Reads pass through — the peer's transmit side owns its own faults.
-type FaultyLine struct {
-	line  serial.Line
-	label string
-	dec   *decider
-	obs   *injObs // nil unless Observe was called
-}
-
-var _ serial.Line = (*FaultyLine)(nil)
-
-// WrapLine wraps line with the profile's drop/garble faults.
-func WrapLine(line serial.Line, label string, p Profile, seed uint64) *FaultyLine {
-	return &FaultyLine{line: line, label: label, dec: newDecider(p, seed)}
-}
-
-// SetProfile swaps the fault profile.
-func (f *FaultyLine) SetProfile(p Profile) { f.dec.setProfile(p) }
-
-// ReadLine implements serial.Line.
-func (f *FaultyLine) ReadLine() (string, error) { return f.line.ReadLine() }
-
-// WriteLine implements serial.Line, dropping or garbling the outgoing
-// line when the respective fault fires.
-func (f *FaultyLine) WriteLine(s string) error {
-	d := f.dec.next()
-	switch {
-	case d.drop:
-		if o := f.obs; o != nil {
-			o.drop.Inc()
-		}
-		return nil // swallowed: the peer never hears the request
-	case d.garble:
-		if o := f.obs; o != nil {
-			o.garble.Inc()
-		}
-		return f.line.WriteLine(garbleString(s, d.mangle))
-	}
-	return f.line.WriteLine(s)
 }

@@ -40,12 +40,3 @@ func (f *FaultyDevice) Observe(reg *obs.Registry) {
 func (f *FlakySink) Observe(reg *obs.Registry) {
 	f.obs = &injObs{sinkErr: injCounter(reg, "sink", "sink_error")}
 }
-
-// Observe registers the line wrapper's injected-fault counters into reg.
-// Call before serving traffic.
-func (f *FaultyLine) Observe(reg *obs.Registry) {
-	f.obs = &injObs{
-		drop:   injCounter(reg, f.label, "drop"),
-		garble: injCounter(reg, f.label, "garble"),
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"rad/internal/device"
 	"rad/internal/obs"
-	"rad/internal/serial"
 	"rad/internal/simclock"
 	"rad/internal/store"
 )
@@ -54,24 +53,5 @@ func TestObsFaultInjectedCounters(t *testing.T) {
 	quiet.Exec(device.Command{Device: "IKA", Name: "IN_PV_4"})
 	if _, ok := injectedByKind(reg)["IKA/reset"]; ok {
 		t.Error("unobserved wrapper leaked metrics into the registry")
-	}
-}
-
-// TestObsFaultLineCounters: line-level drop injections count under the
-// line's label (a dropped line is swallowed, so no reader is needed).
-func TestObsFaultLineCounters(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	reg := obs.NewRegistry()
-	a, _ := serial.Pipe(clock, clock, serial.DefaultBaud)
-	defer a.Close()
-	fl := WrapLine(a, "lab-uplink", Profile{DropProb: 1}, 7)
-	fl.Observe(reg)
-	for i := 0; i < 5; i++ {
-		if err := fl.WriteLine("PING"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := injectedByKind(reg)["lab-uplink/drop"]; got != 5 {
-		t.Errorf("lab-uplink/drop = %d, want 5", got)
 	}
 }

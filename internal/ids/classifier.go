@@ -75,9 +75,3 @@ func (c *ProcedureClassifier) Labels() []string {
 	}
 	return out
 }
-
-// Similarity returns the cosine similarity between two runs under the
-// classifier's fitted vectorizer.
-func (c *ProcedureClassifier) Similarity(a, b []string) float64 {
-	return tfidf.Cosine(c.vec.Transform(a), c.vec.Transform(b))
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/analysis/jenks"
 	"rad/internal/device"
 	"rad/internal/store"
 )
@@ -52,6 +53,8 @@ func TestTrainPerplexityEmpty(t *testing.T) {
 	}
 }
 
+// TestClassifyJenksBatch runs the paper's batch protocol (§V-B) as Table I
+// does: score each sequence, then split the scores with Jenks natural breaks.
 func TestClassifyJenksBatch(t *testing.T) {
 	d, err := TrainPerplexity(benignTraining(), 2)
 	if err != nil {
@@ -62,7 +65,14 @@ func TestClassifyJenksBatch(t *testing.T) {
 		repeat([]string{"ARM", "MVNG"}, 15),
 		repeat([]string{"HOME", "OUTP", "BIAS"}, 10), // anomaly
 	}
-	flags, breakVal := d.ClassifyJenks(batch)
+	scores := make([]float64, len(batch))
+	for i, seq := range batch {
+		scores[i] = d.Score(seq)
+	}
+	flags, breakVal, ok := jenks.Split2(scores)
+	if !ok {
+		t.Fatalf("no Jenks split of %v", scores)
+	}
 	if flags[0] || flags[1] {
 		t.Errorf("benign traces flagged: %v (break %v)", flags, breakVal)
 	}
@@ -93,10 +103,6 @@ func TestStreamingDetectorRaisesMidStream(t *testing.T) {
 	}
 	if !alerted {
 		t.Error("stream never alerted on the injected pattern")
-	}
-	st.Reset()
-	if score, alert := st.Observe("ARM"); alert || !math.IsNaN(score) {
-		t.Error("reset stream should warm up again")
 	}
 }
 
@@ -137,21 +143,6 @@ func TestTrainClassifierValidation(t *testing.T) {
 	}
 }
 
-func TestClassifierSimilaritySymmetric(t *testing.T) {
-	a := repeat([]string{"ARM", "MVNG"}, 5)
-	b := repeat([]string{"Q", "A"}, 5)
-	c, err := TrainClassifier([][]string{a, b}, []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1, s2 := c.Similarity(a, b), c.Similarity(b, a); math.Abs(s1-s2) > 1e-12 {
-		t.Errorf("similarity asymmetric: %v vs %v", s1, s2)
-	}
-	if s := c.Similarity(a, a); math.Abs(s-1) > 1e-9 {
-		t.Errorf("self similarity = %v", s)
-	}
-}
-
 func rec(dev, name string, at time.Time) store.Record {
 	return store.Record{Device: dev, Name: name, Time: at, EndTime: at.Add(time.Millisecond)}
 }
@@ -159,10 +150,8 @@ func rec(dev, name string, at time.Time) store.Record {
 func TestRuleEngineUnknownCommand(t *testing.T) {
 	e := NewRuleEngine(0)
 	t0 := time.Unix(1000, 0)
-	vs := e.Scan([]store.Record{
-		rec(device.C9, device.Init, t0),
-		rec(device.C9, "SELF_DESTRUCT", t0.Add(time.Second)),
-	})
+	vs := e.Check(rec(device.C9, device.Init, t0))
+	vs = append(vs, e.Check(rec(device.C9, "SELF_DESTRUCT", t0.Add(time.Second)))...)
 	if len(vs) != 1 || vs[0].Rule != "unknown-command" {
 		t.Errorf("violations = %+v", vs)
 	}

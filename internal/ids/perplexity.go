@@ -10,7 +10,6 @@ import (
 	"errors"
 	"math"
 
-	"rad/internal/analysis/jenks"
 	"rad/internal/analysis/ngram"
 	"rad/internal/parallel"
 )
@@ -92,43 +91,9 @@ func (d *PerplexityDetector) WindowScores(seq []string, window int) []float64 {
 	return out
 }
 
-// TrainingWindowScores scores every size-`window` slide over every training
-// sequence — the population online detectors calibrate their thresholds on.
-// The concatenation order is deterministic (training order, then position).
-func (d *PerplexityDetector) TrainingWindowScores(window int) []float64 {
-	per, _ := parallel.Map(d.train, 0, func(_ int, seq []string) ([]float64, error) {
-		return d.WindowScores(seq, window), nil
-	})
-	var out []float64
-	for _, scores := range per {
-		out = append(out, scores...)
-	}
-	return out
-}
-
 // Anomalous reports whether the sequence scores above the threshold.
 func (d *PerplexityDetector) Anomalous(seq []string) bool {
 	return d.Score(seq) > d.threshold
-}
-
-// ClassifyJenks scores a batch of sequences and splits the scores into
-// benign/anomalous with Jenks natural breaks, the paper's batch protocol
-// (§V-B). It returns the per-sequence anomaly flags and the break value.
-func (d *PerplexityDetector) ClassifyJenks(seqs [][]string) ([]bool, float64) {
-	// Scores are independent per sequence; the Jenks split itself stays
-	// serial (it sorts the full score vector).
-	scores, _ := parallel.Map(seqs, 0, func(_ int, seq []string) (float64, error) {
-		return d.Score(seq), nil
-	})
-	upper, breakVal, ok := jenks.Split2(scores)
-	if !ok {
-		// No separable structure: fall back to the trained threshold.
-		for i, s := range scores {
-			upper[i] = s > d.threshold
-		}
-		return upper, d.threshold
-	}
-	return upper, breakVal
 }
 
 // Stream is a real-time detector over one live command stream: it maintains
@@ -184,9 +149,6 @@ func (d *PerplexityDetector) NewStream(window int) *Stream {
 // Threshold returns the stream's window-calibrated alert threshold.
 func (s *Stream) Threshold() float64 { return s.threshold }
 
-// Size returns the window size (in commands) the stream scores.
-func (s *Stream) Size() int { return s.size }
-
 // Observe feeds one command and returns the current window perplexity and
 // whether it breaches the threshold. Until the window has at least one
 // scorable transition the score is NaN and alert is false.
@@ -203,6 +165,3 @@ func (s *Stream) Observe(command string) (score float64, alert bool) {
 	// their perplexity estimate is too noisy to act on.
 	return score, len(s.window) == s.size && score > s.threshold
 }
-
-// Reset clears the stream's window (e.g. at a procedure boundary).
-func (s *Stream) Reset() { s.window = s.window[:0] }

@@ -88,12 +88,3 @@ func (e *RuleEngine) Check(r store.Record) []Violation {
 	}
 	return out
 }
-
-// Scan runs the engine over a whole trace and returns all violations.
-func (e *RuleEngine) Scan(recs []store.Record) []Violation {
-	var out []Violation
-	for _, r := range recs {
-		out = append(out, e.Check(r)...)
-	}
-	return out
-}

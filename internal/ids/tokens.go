@@ -163,9 +163,6 @@ type ArgAwareDetector struct {
 	detector  *PerplexityDetector
 }
 
-// Quantizer exposes the fitted quantizer.
-func (d *ArgAwareDetector) Quantizer() *ArgQuantizer { return d.quantizer }
-
 // Threshold returns the decision threshold.
 func (d *ArgAwareDetector) Threshold() float64 { return d.detector.Threshold() }
 

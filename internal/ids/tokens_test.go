@@ -150,14 +150,11 @@ func TestTrainArgAwareEmpty(t *testing.T) {
 	}
 }
 
-func TestQuantizerAccessors(t *testing.T) {
+func TestArgAwareThresholdPositive(t *testing.T) {
 	runs := [][]store.Record{{rec2("C9", "SPED", "100")}, {rec2("C9", "SPED", "200")}}
 	det, err := TrainArgAwarePerplexity(runs, 2, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if det.Quantizer() == nil {
-		t.Error("quantizer not exposed")
 	}
 	if det.Threshold() <= 0 {
 		t.Error("threshold not positive")

@@ -29,7 +29,7 @@ func TestObsPrometheusConformance(t *testing.T) {
 	reg.SetHelp("conf_reqs_total", "Requests handled.")
 	reg.Counter("conf_reqs_total", "op", "exec").Add(3)
 	reg.Counter("conf_reqs_total", "op", "trace").Add(1)
-	reg.Gauge("conf_depth").Set(-2)
+	reg.Gauge("conf_depth").Add(-2)
 	reg.CounterFunc("conf_pull_total", func() uint64 { return 9 })
 	reg.GaugeFunc("conf_ratio", func() float64 { return 0.25 })
 	reg.Counter(`conf_escaped_total`, "path", "a\\b\"c\nd").Inc()
@@ -117,7 +117,7 @@ conf_reqs_total{op="trace"} 1
 // 200 when no callback is wired.
 func TestObsHealthzDrainAware(t *testing.T) {
 	serving := true
-	mux := ServeMuxWith(NewRegistry(), MuxOptions{Health: func() bool { return serving }})
+	mux := ServeMux(NewRegistry(), MuxOptions{Health: func() bool { return serving }})
 
 	if code, body := healthGet(t, mux); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("serving healthz = %d %q", code, body)
@@ -127,7 +127,7 @@ func TestObsHealthzDrainAware(t *testing.T) {
 		t.Fatalf("draining healthz = %d %q", code, body)
 	}
 
-	plain := ServeMux(NewRegistry())
+	plain := ServeMux(NewRegistry(), MuxOptions{})
 	if code, _ := healthGet(t, plain); code != 200 {
 		t.Fatalf("default healthz = %d", code)
 	}

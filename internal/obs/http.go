@@ -22,18 +22,14 @@ type MuxOptions struct {
 //
 //	/metrics        Prometheus text exposition
 //	/snapshot       the JSON Snapshot (radwatch -obs polls this)
-//	/healthz        200 while serving, 503 once draining
+//	/healthz        200 while serving, 503 once opts.Health reports draining
+//	/debug/spans    opts.Spans, when set
 //	/debug/pprof/   the standard Go profiling handlers
 //	/               a plain-text index of the above
 //
 // radmiddlebox mounts this on -obs-addr; anything that can scrape
 // Prometheus or hit an HTTP endpoint can watch the middlebox live.
-func ServeMux(r *Registry) *http.ServeMux {
-	return ServeMuxWith(r, MuxOptions{})
-}
-
-// ServeMuxWith is ServeMux plus the optional health and span endpoints.
-func ServeMuxWith(r *Registry, opts MuxOptions) *http.ServeMux {
+func ServeMux(r *Registry, opts MuxOptions) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

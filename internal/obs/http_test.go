@@ -16,7 +16,7 @@ func TestObsHTTPEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("http_reqs_total", "op", "exec").Add(3)
 	reg.Histogram("http_lat_seconds", nil).Observe(5 * time.Millisecond)
-	srv := httptest.NewServer(ServeMux(reg))
+	srv := httptest.NewServer(ServeMux(reg, MuxOptions{}))
 	defer srv.Close()
 
 	get := func(path string) (string, string) {

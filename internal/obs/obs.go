@@ -59,9 +59,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adjusts the gauge by delta (which may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

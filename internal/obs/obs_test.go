@@ -40,7 +40,7 @@ func TestObsCounterConcurrent(t *testing.T) {
 func TestObsGauge(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("depth")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)

@@ -41,9 +41,6 @@ type PageJSON struct {
 // FormatID renders a span/trace id the way the JSON surface does.
 func FormatID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-// ParseID parses an id rendered by FormatID.
-func ParseID(s string) (uint64, error) { return strconv.ParseUint(s, 16, 64) }
-
 func toJSON(s *Span) SpanJSON {
 	j := SpanJSON{
 		TraceID:  FormatID(s.TraceID),

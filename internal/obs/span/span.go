@@ -190,14 +190,6 @@ func (r *Recorder) NewContext() Context {
 	return Context{TraceID: splitmix64(r.cfg.Seed ^ (n - 1)), SpanID: splitmix64(r.cfg.Seed ^ n)}
 }
 
-// Child derives the context for a child span of parent.
-func (r *Recorder) Child(parent Context) Context {
-	if r == nil {
-		return Context{}
-	}
-	return Context{TraceID: parent.TraceID, SpanID: r.NewID()}
-}
-
 // Adopt continues a trace received from a peer: the remote context's span
 // becomes the parent. On an invalid (untraced) remote context it starts a
 // fresh trace instead, so callers never branch.

@@ -178,7 +178,7 @@ func TestRecordQuiescentLowCurrent(t *testing.T) {
 		t.Errorf("clock advanced %v, want 2s", got)
 	}
 	for i, s := range m.Samples() {
-		if v := math.Abs(s.JointVelocity(0)); v > 0.05 {
+		if v, _ := s.Property("actual_qd_0"); math.Abs(v) > 0.05 {
 			t.Errorf("quiescent sample %d has velocity %v", i, v)
 		}
 	}

@@ -96,12 +96,6 @@ func (s Sample) JointCurrent(j int) float64 {
 	return v
 }
 
-// JointVelocity returns the actual angular velocity of joint j.
-func (s Sample) JointVelocity(j int) float64 {
-	v, _ := s.Property(fmt.Sprintf("actual_qd_%d", j))
-	return v
-}
-
 // CurrentSeries extracts the joint-j current time series from samples.
 func CurrentSeries(samples []Sample, joint int) []float64 {
 	out := make([]float64, len(samples))

@@ -1,9 +1,10 @@
 // Package procedure implements the Hein Lab workloads whose traces make up
 // RAD (§IV): the four supervised procedure types — P1 Automated Solubility
 // with N9, P2 Automated Solubility with N9 and UR3e, P3 Crystal Solubility,
-// P4 Joystick Movements — the two controlled power experiments P5 (velocity
-// sweep) and P6 (payload sweep), and the filler prototyping sessions that
-// account for the dataset's "unknown procedure" bulk.
+// P4 Joystick Movements — and the filler prototyping sessions that account
+// for the dataset's "unknown procedure" bulk. The controlled power
+// experiments P5 (velocity sweep) and P6 (payload sweep) drive the arm
+// directly in internal/experiments (Fig. 7c, 7d).
 //
 // Procedures execute against virtualized devices from a tracer.Session, so
 // the same scripts run over a real TCP middlebox (Fig. 4 latency runs) or an
@@ -36,29 +37,7 @@ const (
 	P2       = "P2" // Automated Solubility with N9 and UR3e
 	P3       = "P3" // Crystal Solubility
 	Joystick = "P4" // Joystick Movements
-	P5       = "P5" // UR3e movements with different velocities
-	P6       = "P6" // UR3e movements with different payload weights
 )
-
-// HumanName returns the paper's descriptive name for a procedure label.
-func HumanName(label string) string {
-	switch label {
-	case P1:
-		return "Automated Solubility with N9"
-	case P2:
-		return "Automated Solubility with N9 and UR3e"
-	case P3:
-		return "Crystal Solubility"
-	case Joystick:
-		return "Joystick Movements"
-	case P5:
-		return "UR3e movements with different velocities"
-	case P6:
-		return "UR3e movements with different payload weights"
-	default:
-		return label
-	}
-}
 
 // Lab bundles everything a procedure script needs: the virtualized devices
 // it sends commands through, the raw simulators for physical context (fault

@@ -184,25 +184,6 @@ func TestJoystickPrefixChangesP1Profile(t *testing.T) {
 	}
 }
 
-func TestVelocityAndWeightTests(t *testing.T) {
-	vl := newLab(t, true)
-	res := RunVelocityTest(vl.Lab, Options{Run: "p5", VelocityMMS: 250})
-	if res.Err != nil {
-		t.Fatalf("P5: %+v", res)
-	}
-	if vl.Lab.Monitor.Len() == 0 {
-		t.Fatal("P5 recorded no power samples")
-	}
-	before := vl.Lab.Monitor.Len()
-	res = RunWeightTest(vl.Lab, Options{Run: "p6", PayloadKg: 1.0})
-	if res.Err != nil {
-		t.Fatalf("P6: %+v", res)
-	}
-	if vl.Lab.Monitor.Len() <= before {
-		t.Error("P6 recorded no power samples")
-	}
-}
-
 func TestFillDeviceExactCount(t *testing.T) {
 	vl := newLab(t, false)
 	for _, tc := range []struct {
@@ -263,15 +244,6 @@ func TestRunsAreDeterministicBySeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("sequence diverges at %d: %s vs %s", i, a[i], b[i])
 		}
-	}
-}
-
-func TestHumanNames(t *testing.T) {
-	if HumanName(P1) != "Automated Solubility with N9" {
-		t.Error("P1 name")
-	}
-	if HumanName("other") != "other" {
-		t.Error("fallback name")
 	}
 }
 

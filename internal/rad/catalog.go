@@ -20,12 +20,3 @@ func deviceLegendOrder(counts map[string]int) []string {
 func deviceCatalog(dev string) []device.CommandSpec {
 	return device.CommandsFor(dev)
 }
-
-// catalogKeys indexes the 52 command-type keys.
-func catalogKeys() map[string]bool {
-	out := make(map[string]bool, 52)
-	for _, spec := range device.Catalog() {
-		out[spec.Key()] = true
-	}
-	return out
-}

@@ -1,9 +1,7 @@
 package rad
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"rad/internal/store"
 )
@@ -30,26 +28,6 @@ func (d *Dataset) SupervisedSequences() (seqs [][]string, anomalous []bool) {
 // order, used for the Fig. 5(b) n-gram distribution.
 func (d *Dataset) AllSequence() []string {
 	return d.Store.CommandSequence(nil)
-}
-
-// Span returns the collection campaign's first and last trace instants and
-// its duration — the paper's dataset was "collected … over a three-month
-// period" (§IV).
-func (d *Dataset) Span() (first, last time.Time, days float64) {
-	recs := d.Store.All()
-	if len(recs) == 0 {
-		return time.Time{}, time.Time{}, 0
-	}
-	first, last = recs[0].Time, recs[0].Time
-	for _, r := range recs {
-		if r.Time.Before(first) {
-			first = r.Time
-		}
-		if r.Time.After(last) {
-			last = r.Time
-		}
-	}
-	return first, last, last.Sub(first).Hours() / 24
 }
 
 // CommandCount pairs a command type with its trace-object count.
@@ -84,35 +62,4 @@ func (d *Dataset) CommandDistribution() []CommandCount {
 		out = append(out, devCmds...)
 	}
 	return out
-}
-
-// Verify checks the dataset's structural invariants against the paper's §IV
-// description: 25 supervised runs, 3 anomalies, per-device totals equal to
-// the scaled targets, and every traced command type in the 52-type catalog.
-func (d *Dataset) Verify() error {
-	if len(d.Runs) != NumSupervisedRuns {
-		return fmt.Errorf("rad: %d supervised runs, want %d", len(d.Runs), NumSupervisedRuns)
-	}
-	anomalies := 0
-	for _, r := range d.Runs {
-		if r.Anomalous {
-			anomalies++
-		}
-	}
-	if anomalies != 3 {
-		return fmt.Errorf("rad: %d anomalies, want 3", anomalies)
-	}
-	counts := d.Store.CountByDevice()
-	for dev, want := range d.Targets {
-		if got := counts[dev]; got != want && got < want {
-			return fmt.Errorf("rad: %s has %d trace objects, want %d", dev, got, want)
-		}
-	}
-	catalog := catalogKeys()
-	for key := range d.Store.CountByCommand() {
-		if !catalog[key] {
-			return fmt.Errorf("rad: traced command %s not in the 52-type catalog", key)
-		}
-	}
-	return nil
 }

@@ -89,18 +89,3 @@ func (m *Move) StateAt(t float64) State {
 	}
 	return s
 }
-
-// Sample returns the move's states sampled every dt seconds, including the
-// initial state at t=0 and the final resting state. dt must be positive.
-func (m *Move) Sample(dt float64) []State {
-	if dt <= 0 {
-		return nil
-	}
-	n := int(math.Ceil(m.elapsed/dt)) + 1
-	out := make([]State, 0, n+1)
-	for t := 0.0; t < m.elapsed; t += dt {
-		out = append(out, m.StateAt(t))
-	}
-	out = append(out, m.StateAt(m.elapsed))
-	return out
-}

@@ -211,28 +211,6 @@ func TestMoveFasterVelocityShorterDuration(t *testing.T) {
 	}
 }
 
-func TestSampleIncludesEndpoints(t *testing.T) {
-	from, _ := Location("L1")
-	to, _ := Location("L2")
-	m, err := NewMove(from, to, 0.7, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := m.Sample(0.04) // the paper's 40 ms tick
-	if len(samples) < 2 {
-		t.Fatalf("got %d samples", len(samples))
-	}
-	last := samples[len(samples)-1]
-	for i := range last.Pos {
-		if !almostEqual(last.Pos[i], to[i], 1e-9) {
-			t.Errorf("final sample joint %d = %v, want %v", i, last.Pos[i], to[i])
-		}
-	}
-	if got := m.Sample(0); got != nil {
-		t.Error("Sample(0) should return nil")
-	}
-}
-
 func TestAllNamedLocationsResolve(t *testing.T) {
 	for _, name := range LocationNames() {
 		if _, ok := Location(name); !ok {

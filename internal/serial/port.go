@@ -23,19 +23,6 @@ const DefaultBaud = 115200
 // ErrClosed is returned on reads and writes to a closed port.
 var ErrClosed = errors.New("serial: port closed")
 
-// ErrTimeout is returned by Read/ReadLine when a read deadline set with
-// SetReadTimeout expires before any data arrives — the error a driver sees
-// when its device goes silent mid-exchange.
-var ErrTimeout = errors.New("serial: read timed out")
-
-// Line is the line-oriented half of a serial endpoint: what the Firmware
-// loop and the driver Client actually speak. *Port implements it; fault
-// injectors wrap it.
-type Line interface {
-	ReadLine() (string, error)
-	WriteLine(s string) error
-}
-
 // Port is one end of an emulated serial link. Writes charge transmission
 // time (10 bits per byte at the link's baud rate) to the writer's clock and
 // deliver bytes to the peer; reads block until data or close.
@@ -48,11 +35,7 @@ type Port struct {
 	peer   *buffer
 	local  *buffer
 	closed *bool
-
-	readTimeout time.Duration // 0 = block forever (guarded by mu)
 }
-
-var _ Line = (*Port)(nil)
 
 // buffer is a byte queue shared between the two ends.
 type buffer struct {
@@ -100,36 +83,14 @@ func (p *Port) Write(data []byte) (int, error) {
 	return len(data), nil
 }
 
-// SetReadTimeout bounds how long a Read (and therefore ReadLine) waits for
-// data before returning ErrTimeout; 0 restores the default of blocking
-// forever. The deadline is wall-clock time — like the FTDI driver's
-// timeout, it protects the reading goroutine from a silent peer even in
-// virtual-time rigs, where a hung peer never advances the simulated clock.
-func (p *Port) SetReadTimeout(d time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.readTimeout = d
-}
-
 // Read fills buf with available bytes, blocking until at least one byte
-// arrives, the link closes, or the port's read timeout (if set) expires.
+// arrives or the link closes.
 func (p *Port) Read(buf []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var deadline time.Time
-	if p.readTimeout > 0 {
-		deadline = time.Now().Add(p.readTimeout)
-		// The waker re-checks the deadline; Broadcast is safe without the
-		// lock, and Stop below cuts the timer loose on the happy path.
-		t := time.AfterFunc(p.readTimeout, p.cond.Broadcast)
-		defer t.Stop()
-	}
 	for len(p.local.data) == 0 {
 		if *p.closed {
 			return 0, ErrClosed
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return 0, ErrTimeout
 		}
 		p.cond.Wait()
 	}

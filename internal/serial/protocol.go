@@ -50,16 +50,11 @@ func decodeRequest(line string) (name string, args []string, err error) {
 // link closes.
 type Firmware struct {
 	dev  device.Device
-	port Line
-
-	mu   sync.Mutex
-	reqs uint64
-	errs uint64
+	port *Port
 }
 
-// NewFirmware binds a device to the device end of a serial link (any Line,
-// so fault injectors can sit between the firmware and its port).
-func NewFirmware(dev device.Device, port Line) *Firmware {
+// NewFirmware binds a device to the device end of a serial link.
+func NewFirmware(dev device.Device, port *Port) *Firmware {
 	return &Firmware{dev: dev, port: port}
 }
 
@@ -75,36 +70,17 @@ func (f *Firmware) Serve() {
 		var resp string
 		if err != nil {
 			resp = "ERR " + err.Error()
-			f.count(true)
 		} else {
 			value, execErr := f.dev.Exec(device.Command{Device: f.dev.Name(), Name: name, Args: args})
 			if execErr != nil {
 				resp = "ERR " + strings.ReplaceAll(execErr.Error(), "\n", " ")
-				f.count(true)
 			} else {
 				resp = strings.TrimRight("OK "+value, " ")
-				f.count(false)
 			}
 		}
 		if err := f.port.WriteLine(resp); err != nil {
 			return
 		}
-	}
-}
-
-// Stats returns (requests served, error responses).
-func (f *Firmware) Stats() (reqs, errs uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.reqs, f.errs
-}
-
-func (f *Firmware) count(isErr bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.reqs++
-	if isErr {
-		f.errs++
 	}
 }
 
@@ -120,14 +96,14 @@ func (e *RemoteDeviceError) Error() string { return e.Msg }
 type Client struct {
 	name string
 	mu   sync.Mutex
-	port Line
+	port *Port
 }
 
 var _ device.Device = (*Client)(nil)
 
 // NewClient wraps the lab-computer end of a serial link for the named
-// device (any Line, so fault injectors can sit between driver and port).
-func NewClient(name string, port Line) *Client {
+// device.
+func NewClient(name string, port *Port) *Client {
 	return &Client{name: name, port: port}
 }
 
@@ -159,32 +135,4 @@ func (c *Client) Exec(cmd device.Command) (string, error) {
 	default:
 		return "", fmt.Errorf("serial: response %q: %w", resp, ErrBadFrame)
 	}
-}
-
-// FTDI wraps a serial port with the byte-oriented read/write API of the
-// proprietary FTDI driver — the exact class boundary (class FtdiDevice,
-// Fig. 3) RATracer virtualizes. ReadWrite sends a payload and returns the
-// device's next line-delimited reply, mirroring the Hein Lab's ftdi_serial
-// wrapper.
-type FTDI struct {
-	mu   sync.Mutex
-	port *Port
-}
-
-// NewFTDI wraps the lab-computer end of a link.
-func NewFTDI(port *Port) *FTDI { return &FTDI{port: port} }
-
-// ReadWrite writes data and reads the next reply line (with terminator
-// stripped), the shape of ftdi_serial's api_read_write.
-func (f *FTDI) ReadWrite(data []byte) ([]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if _, err := f.port.Write(data); err != nil {
-		return nil, err
-	}
-	line, err := f.port.ReadLine()
-	if err != nil {
-		return nil, err
-	}
-	return []byte(line), nil
 }

@@ -62,9 +62,6 @@ func OpenDLQ(dir string) (*DeadLetterQueue, error) {
 	return q, nil
 }
 
-// Dir returns the queue's directory.
-func (q *DeadLetterQueue) Dir() string { return q.dir }
-
 func spillName(id int) string { return fmt.Sprintf("%s%06d%s", dlqPrefix, id, dlqSuffix) }
 
 func parseSpillID(name string) (int, bool) {

@@ -123,11 +123,6 @@ func (s *MemStore) Filter(pred func(Record) bool) []Record {
 	return out
 }
 
-// ByDevice returns the records for one device.
-func (s *MemStore) ByDevice(device string) []Record {
-	return s.Filter(func(r Record) bool { return r.Device == device })
-}
-
 // ByProcedure returns the records labelled with the given procedure type.
 func (s *MemStore) ByProcedure(proc string) []Record {
 	return s.Filter(func(r Record) bool { return r.Procedure == proc })

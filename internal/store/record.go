@@ -56,10 +56,6 @@ func (r Record) Key() string { return r.Device + "." + r.Name }
 // Latency returns the command's observed response time.
 func (r Record) Latency() time.Duration { return r.EndTime.Sub(r.Time) }
 
-// Anomalous reports whether the record carries an exception, the per-record
-// signal of a hardware fault.
-func (r Record) Anomalous() bool { return r.Exception != "" }
-
 // joinArgs renders arguments for the CSV export.
 func joinArgs(args []string) string { return strings.Join(args, "|") }
 

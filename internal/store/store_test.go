@@ -51,9 +51,6 @@ func TestMemStoreQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(s.ByDevice("C9")); got != 3 {
-		t.Errorf("ByDevice(C9) = %d, want 3", got)
-	}
 	if got := len(s.ByProcedure("Joystick")); got != 2 {
 		t.Errorf("ByProcedure(Joystick) = %d, want 2", got)
 	}
@@ -218,13 +215,6 @@ func TestRecordHelpers(t *testing.T) {
 	r := sampleRecord(0)
 	if r.Key() != "C9.ARM" {
 		t.Errorf("Key = %q", r.Key())
-	}
-	if r.Anomalous() {
-		t.Error("clean record reported anomalous")
-	}
-	r.Exception = "crash"
-	if !r.Anomalous() {
-		t.Error("exception record not anomalous")
 	}
 }
 

@@ -60,8 +60,8 @@ type IDSConfig struct {
 // record feed and accumulating structured alerts in its own store.
 //
 // Observe is the synchronous core — one record in, zero or more alerts out —
-// so the same detector runs over a broker subscription (Run), a network tail
-// (radwatch -ids), or a replayed slice of records. Observe is not safe for
+// so the same detector runs over a network tail (radwatch -ids), a broker
+// subscription, or a replayed slice of records. Observe is not safe for
 // concurrent callers; Alerts and Processed are.
 type IDS struct {
 	win     *ids.Stream
@@ -144,24 +144,6 @@ func (d *IDS) Observe(rec store.Record) []Alert {
 		}
 	}
 	return out
-}
-
-// Run consumes a broker subscription until it closes, observing every trace
-// event. Power events are ignored. It returns the number of records
-// processed.
-func (d *IDS) Run(sub *Subscriber) uint64 {
-	var n uint64
-	for {
-		ev, ok := sub.Recv()
-		if !ok {
-			return n
-		}
-		if ev.Kind != KindTrace {
-			continue
-		}
-		d.Observe(ev.Record)
-		n++
-	}
 }
 
 // Alerts returns a copy of every alert raised so far, in stream order.

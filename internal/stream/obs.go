@@ -41,34 +41,6 @@ func (b *Broker) Observe(reg *obs.Registry) {
 	}
 }
 
-// Observe registers the resilient tail's delivery accounting into reg as
-// pull-based child metrics, optionally tagged with caller-supplied labels
-// (e.g. "tenant", "lab-a") so a process running several tails keeps them
-// apart. Every read snapshots Stats under the tail's own mutex — no new
-// state, no write-path cost.
-func (rt *ResilientTail) Observe(reg *obs.Registry, labels ...string) {
-	reg.SetHelp("rad_stream_tail_reconnects_total", "Successful tail re-subscriptions after the first connect.")
-	reg.CounterFunc("rad_stream_tail_reconnects_total", func() uint64 {
-		return rt.Stats().Reconnects
-	}, labels...)
-	reg.SetHelp("rad_stream_tail_duplicates_total", "Re-delivered records suppressed by the tail's seq cursor.")
-	reg.CounterFunc("rad_stream_tail_duplicates_total", func() uint64 {
-		return rt.Stats().Duplicates
-	}, labels...)
-	reg.SetHelp("rad_stream_tail_gap_records_total", "Records lost to retention across all resume gaps.")
-	reg.CounterFunc("rad_stream_tail_gap_records_total", func() uint64 {
-		return rt.Stats().GapRecords
-	}, labels...)
-	reg.SetHelp("rad_stream_tail_delivered_total", "Trace records the tail handed to its consumer.")
-	reg.CounterFunc("rad_stream_tail_delivered_total", func() uint64 {
-		return rt.Stats().Delivered
-	}, labels...)
-	reg.SetHelp("rad_stream_tail_last_seq", "Highest trace seq delivered by the tail.")
-	reg.GaugeFunc("rad_stream_tail_last_seq", func() float64 {
-		return float64(rt.Stats().LastSeq)
-	}, labels...)
-}
-
 // observeSubLocked registers one subscriber's child metrics. Caller holds
 // b.mu; the subscriber is not yet receiving concurrent offers through this
 // broker registration, so writing s.obsLabels is safe.

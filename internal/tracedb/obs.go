@@ -2,7 +2,6 @@ package tracedb
 
 import (
 	"sync/atomic"
-	"time"
 
 	"rad/internal/obs"
 )
@@ -101,6 +100,3 @@ func (db *DB) indexBlocks() int {
 	}
 	return n
 }
-
-// Recovery reports how long Open spent recovering the existing segments.
-func (db *DB) Recovery() time.Duration { return db.recovery }

@@ -9,7 +9,6 @@ import (
 	"rad/internal/attack"
 	"rad/internal/device"
 	"rad/internal/experiments"
-	"rad/internal/fleet"
 	"rad/internal/ids"
 	"rad/internal/middlebox"
 	"rad/internal/power"
@@ -62,7 +61,7 @@ type NetworkProfile = middlebox.NetworkProfile
 // NewMiddlebox builds the trusted middlebox core of Fig. 1 — device
 // registry, command execution, and trace logging — logging to sink (which
 // may be nil).
-func NewMiddlebox(clock simclock.Clock, sink TraceSink) *middlebox.Core {
+func NewMiddlebox(clock simclock.Clock, sink store.Sink) *middlebox.Core {
 	return middlebox.NewCore(clock, sink)
 }
 
@@ -94,18 +93,10 @@ var DialMiddlebox = tracer.DialTCP
 // transport.
 var NewTransportRouter = tracer.NewRouter
 
-// FleetCampaign drives hundreds of concurrent tenant workloads through one
-// router, each lab on its own virtual clock with a seed derived purely from
-// (campaign seed, tenant ID) — byte-reproducible under any interleaving.
-type FleetCampaign = fleet.Campaign
-
 // --- Trace storage ---
 
 // TraceRecord is one trace object in the command dataset.
 type TraceRecord = store.Record
-
-// TraceSink consumes trace records.
-type TraceSink = store.Sink
 
 // NewTraceStore returns an empty in-memory trace store (the MongoDB
 // analog).
@@ -129,9 +120,9 @@ const UnknownProcedure = store.UnknownProcedure
 // --- Persistent trace storage (internal/tracedb) ---
 
 // TraceDB is the persistent, indexed, crash-safe embedded trace store — the
-// durable stand-in for RATracer's MongoDB instance. It implements TraceSink,
-// so the middlebox logs straight to it; reopen the directory to query a
-// campaign without regenerating it.
+// durable stand-in for RATracer's MongoDB instance. NewMiddlebox takes it
+// as its sink, so the middlebox logs straight to it; reopen the directory
+// to query a campaign without regenerating it.
 type TraceDB = tracedb.DB
 
 // TraceDBOptions tunes segment rotation, the timing clock and the storage
@@ -160,17 +151,9 @@ type TraceLifecycleOptions = tracedb.LifecycleOptions
 // Broker.AttachStore.
 var NewBroker = stream.NewBroker
 
-// SubOptions configures a broker subscription: name, buffer, overflow
-// policy, and filter.
-type SubOptions = stream.SubOptions
-
 // NewStreamServer wraps a broker (and an optional TraceDB for snapshot
-// replays) for TCP serving; DialStream connects a client to a stream
-// listener.
-var (
-	NewStreamServer = stream.NewServer
-	DialStream      = stream.Dial
-)
+// replays) for TCP serving.
+var NewStreamServer = stream.NewServer
 
 // StreamResilientTail is the self-healing consumer: an auto-reconnecting
 // tail that tracks the last delivered sequence number, redials with
@@ -195,11 +178,6 @@ const (
 	StreamEventTrace  = wire.EventTrace
 	StreamPolicyBlock = wire.PolicyBlock
 )
-
-// NewStreamIDS builds the online intrusion detector — a sliding-window
-// streaming perplexity scorer plus the rule engine over a live feed — from
-// a trained PerplexityDetector.
-var NewStreamIDS = stream.NewIDS
 
 // --- The virtual lab and procedures ---
 
@@ -232,8 +210,6 @@ var (
 	RunSolubilityN9      = procedure.RunSolubilityN9
 	RunSolubilityN9UR    = procedure.RunSolubilityN9UR
 	RunCrystalSolubility = procedure.RunCrystalSolubility
-	RunVelocityTest      = procedure.RunVelocityTest
-	RunWeightTest        = procedure.RunWeightTest
 )
 
 // --- The dataset ---
@@ -279,12 +255,11 @@ var (
 
 // FitTFIDF fits a vectorizer; CosineSimilarity compares two fingerprints;
 // SimilarityMatrix computes all pairwise similarities (Fig. 6) on
-// GOMAXPROCS workers; SimilarityMatrixParallel bounds the worker count.
+// GOMAXPROCS workers.
 var (
-	FitTFIDF                 = tfidf.Fit
-	CosineSimilarity         = tfidf.Cosine
-	SimilarityMatrix         = tfidf.SimilarityMatrix
-	SimilarityMatrixParallel = tfidf.SimilarityMatrixParallel
+	FitTFIDF         = tfidf.Fit
+	CosineSimilarity = tfidf.Cosine
+	SimilarityMatrix = tfidf.SimilarityMatrix
 )
 
 // JenksSplit2 splits scores into two natural classes (§V-B).

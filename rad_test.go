@@ -163,12 +163,6 @@ func TestPublicDatasetSmall(t *testing.T) {
 	if len(ds.Runs) != 25 {
 		t.Errorf("%d supervised runs", len(ds.Runs))
 	}
-	if err := ds.Verify(); err == nil {
-		// Verify may legitimately fail at tiny scales where structured
-		// activity overshoots targets; both outcomes are acceptable here —
-		// this test only exercises the public path.
-		_ = err
-	}
 	dist := ds.CommandDistribution()
 	if len(dist) != 52 {
 		t.Errorf("distribution entries: %d", len(dist))
