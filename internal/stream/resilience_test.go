@@ -6,10 +6,14 @@ package stream_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,7 +149,7 @@ func TestServerResumeBeforeFloorDegrades(t *testing.T) {
 	if _, err := db.Retain(); err != nil {
 		t.Fatal(err)
 	}
-	floor := db.SeqFloor()
+	floor := seqFloor(db)
 	if floor == 0 {
 		t.Fatal("retention never raised the seq floor — segment sizing is off")
 	}
@@ -174,6 +178,118 @@ func TestServerResumeBeforeFloorDegrades(t *testing.T) {
 	}
 	if ev.Kind != wire.EventTrace || ev.Record.Seq != floor {
 		t.Fatalf("post-gap snapshot starts at %s seq %d, want trace seq %d", ev.Kind, ev.Record.Seq, floor)
+	}
+}
+
+// TestServerResumeDuringRetain resumes subscriptions at the retention
+// floor while a writer appends, flushes and retains small segments, so the
+// floor moves under the resumes. Each resumed subscription must start
+// exactly at its ResumeFrom, or with a resume-gap notice whose count leads
+// exactly to the first record it then replays: a record lost silently, or
+// a count that misstates the loss, fails the test.
+func TestServerResumeDuringRetain(t *testing.T) {
+	db := openDB(t, tracedb.Options{
+		SegmentBytes: 2 << 10,
+		Lifecycle:    tracedb.LifecycleOptions{RetainMaxBytes: 4 << 10},
+	})
+	broker := stream.NewBroker()
+	defer broker.Close()
+	broker.AttachStore(db)
+	_, addr := startServer(t, broker, db)
+	appendN(t, db, 1) // the first resume point, seq 1, is the head
+
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		rec := store.Record{Device: "C9", Name: "MVNG", Args: []string{strings.Repeat("x", 64)}}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := 0; i < 10; i++ {
+				if err := db.Append(rec); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Errorf("flush: %v", err)
+				return
+			}
+			if _, err := db.Retain(); err != nil {
+				t.Errorf("retain: %v", err)
+				return
+			}
+		}
+	}()
+
+	var exact, notices atomic.Int64
+	deadline := time.Now().Add(2 * time.Second)
+	var clients sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for time.Now().Before(deadline) {
+				gap, err := resumeOnce(addr, max(seqFloor(db), 1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if gap {
+					notices.Add(1)
+				} else {
+					exact.Add(1)
+				}
+			}
+		}()
+	}
+	clients.Wait()
+	close(stop)
+	<-writerDone
+	if seqFloor(db) == 0 {
+		t.Fatal("retention never raised the seq floor")
+	}
+	t.Logf("%d resumes: %d exact, %d after a resume-gap notice", exact.Load()+notices.Load(), exact.Load(), notices.Load())
+}
+
+// seqFloor returns db's retention floor, which every snapshot records;
+// this one plans no block.
+func seqFloor(db *tracedb.DB) uint64 {
+	it := db.Scan(tracedb.Query{MinSeq: math.MaxUint64})
+	defer it.Close()
+	return it.SeqFloor()
+}
+
+// resumeOnce resumes a subscription from seq from and reads up to its first
+// trace event, which must be seq from, or from plus the count of a
+// resume-gap notice that came before it. gap reports a notice.
+func resumeOnce(addr string, from uint64) (gap bool, err error) {
+	client, err := stream.Dial(addr, wire.Subscribe{ResumeFrom: from, Policy: wire.PolicyBlock})
+	if err != nil {
+		return false, err
+	}
+	defer client.Close()
+	client.SetIdleTimeout(10 * time.Second) // a stalled writer fails the test, not hangs it
+	var lost uint64
+	for {
+		ev, err := client.Recv()
+		if err != nil {
+			return false, fmt.Errorf("resume from %d: %w", from, err)
+		}
+		switch ev.Kind {
+		case wire.EventResumeGap:
+			lost = ev.Gap
+		case wire.EventTrace:
+			if want := from + lost; ev.Record.Seq != want {
+				return false, fmt.Errorf("resume from %d after a gap notice of %d began at seq %d, want %d",
+					from, lost, ev.Record.Seq, want)
+			}
+			return lost > 0, nil
+		}
 	}
 }
 

@@ -166,30 +166,32 @@ func (s *Server) subscribe(conn net.Conn, tc *tailConn) (*Tail, error) {
 	if replay && db == nil {
 		return nil, errors.New("stream: snapshot requested but the middlebox has no persistent store")
 	}
-	opts := subOptions(req, conn)
-	if req.ResumeFrom > 0 {
-		// Exactly-once resume: replay [ResumeFrom, now) from the store via
-		// snapshot-then-follow, pushing the seq predicate down into both the
-		// snapshot scan and the live-feed filter. The store head and the
-		// retention floor bound what is replayable.
-		if head := db.NextSeq(); req.ResumeFrom > head {
-			return nil, fmt.Errorf("stream: resume from seq %d is beyond the store head %d", req.ResumeFrom, head)
-		}
-		if floor := db.SeqFloor(); req.ResumeFrom < floor {
-			// The resume point predates retention: say exactly how many
-			// records are unrecoverable, then degrade to a full snapshot of
-			// what the store still holds.
-			if err := tc.write(wire.Event{Kind: wire.EventResumeGap, Gap: floor - req.ResumeFrom}); err != nil {
-				return nil, err
-			}
-		} else {
-			opts.Filter.MinSeq = req.ResumeFrom
-		}
-	}
 	if !replay {
 		db = nil
 	}
-	return broker.Tail(db, opts), nil
+	if req.ResumeFrom > 0 {
+		if head := db.NextSeq(); req.ResumeFrom > head {
+			return nil, fmt.Errorf("stream: resume from seq %d is beyond the store head %d", req.ResumeFrom, head)
+		}
+	}
+	// Exactly-once resume: replay [ResumeFrom, now) from the store via
+	// snapshot-then-follow, pushing the seq predicate down into both the
+	// snapshot scan and the live-feed filter. The store head (checked
+	// above) and the retention floor bound what is replayable.
+	opts := subOptions(req, conn)
+	opts.Filter.MinSeq = req.ResumeFrom
+	tail := broker.Tail(db, opts)
+	if req.ResumeFrom > 0 && req.ResumeFrom < tail.it.SeqFloor() {
+		// Retention had retired the resume point when the snapshot was
+		// taken: say exactly how many records are unrecoverable; the
+		// snapshot replays what the store still holds, from the floor.
+		gap := tail.it.SeqFloor() - req.ResumeFrom
+		if err := tc.write(wire.Event{Kind: wire.EventResumeGap, Gap: gap}); err != nil {
+			tail.Close()
+			return nil, err
+		}
+	}
+	return tail, nil
 }
 
 // tailConn serializes writes to one tail connection. A wire.Conn is not
@@ -262,7 +264,7 @@ func (s *Server) serveTail(conn net.Conn, tc *tailConn, tail *Tail) {
 			return
 		}
 	}
-	s.pump(tc, tail)
+	s.pump(tc, sub)
 }
 
 // supervise starts the connection's one reader and, with heartbeats on,
@@ -317,12 +319,11 @@ func (s *Server) supervise(conn net.Conn, tc *tailConn, sub *Subscriber) (stop f
 }
 
 // pump forwards a tail's live events until the client disconnects or the
-// subscription closes. Tail.drain drops the live events a snapshot already
-// replayed. Each wakeup drains everything the ring holds and queues it as
-// frames; the queued frames are written once the ring is empty, before the
-// pump waits for more (and whenever a full write buffer or a heartbeat ping
-// writes them sooner).
-func (s *Server) pump(tc *tailConn, tail *Tail) {
+// subscription closes. Each wakeup drains everything the ring holds and
+// queues it as frames; the queued frames are written once the ring is
+// empty, before the pump waits for more (and whenever a full write buffer
+// or a heartbeat ping writes them sooner).
+func (s *Server) pump(tc *tailConn, sub *Subscriber) {
 	var (
 		batch    []Event
 		dropped  uint64
@@ -331,7 +332,7 @@ func (s *Server) pump(tc *tailConn, tail *Tail) {
 		wait     bool
 	)
 	for {
-		batch, dropped, ok = tail.drain(batch[:0], wait)
+		batch, dropped, ok = sub.drain(batch[:0], wait)
 		if !ok {
 			_ = tc.flush() // the tail ends either way; a dead client just misses the rest
 			return
@@ -345,7 +346,7 @@ func (s *Server) pump(tc *tailConn, tail *Tail) {
 		}
 		wait = false
 		for i := range batch {
-			if s.queueEvent(tc, &batch[i], tail.sub.name, dropped, &reported) != nil {
+			if s.queueEvent(tc, &batch[i], sub.name, dropped, &reported) != nil {
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -101,9 +102,11 @@ func TestTailHandoffGapFreeFullCampaign(t *testing.T) {
 		t.Errorf("snapshot replayed only %d records before a mid-campaign attach", snapshotted)
 	}
 
+	// The ring holds only what the snapshot did not deliver: record fails
+	// on a seq delivered twice.
 	received := snapshotted
 	for received < total {
-		ev, ok := tail.Recv()
+		ev, ok := tail.Subscriber().Recv()
 		if !ok {
 			t.Fatalf("tail closed after %d/%d records", received, total)
 		}
@@ -123,8 +126,7 @@ func TestTailHandoffGapFreeFullCampaign(t *testing.T) {
 	if st := tail.Subscriber().Stats(); st.Dropped != 0 {
 		t.Errorf("Block tail dropped %d events", st.Dropped)
 	}
-	t.Logf("campaign handoff: %d snapshot + %d live, %d overlap duplicates discarded",
-		snapshotted, received-snapshotted, tail.Duplicates())
+	t.Logf("campaign handoff: %d snapshot + %d live", snapshotted, received-snapshotted)
 }
 
 // TestTailAfterQuiescentStore covers the degenerate handoff: everything is
@@ -162,17 +164,92 @@ func TestTailAfterQuiescentStore(t *testing.T) {
 		t.Fatalf("snapshot replayed %d records, want 50", want)
 	}
 	// The 50 committed records were published before the subscriber existed,
-	// so its ring holds nothing — no overlap, no duplicates. A fresh live
-	// record comes straight through.
+	// so its ring holds none of them. A fresh live record comes straight
+	// through.
+	if n := tail.Subscriber().Stats().Buffered; n != 0 {
+		t.Fatalf("ring holds %d events after the snapshot of a quiescent store, want 0", n)
+	}
 	if err := db.Append(store.Record{Device: "UR3e", Name: "movej"}); err != nil {
 		t.Fatal(err)
 	}
-	ev, ok := tail.Recv()
+	ev, ok := tail.Subscriber().Recv()
 	if !ok || ev.Record.Seq != 50 {
 		t.Fatalf("live event after snapshot: (%d, %v), want seq 50", ev.Record.Seq, ok)
 	}
-	if tail.Duplicates() != 0 {
-		t.Errorf("discarded %d duplicates, want 0 (no overlap window)", tail.Duplicates())
+}
+
+// TestTailHandoffExactUnderAppends attaches a tail 200 times while a writer
+// appends without pause, so records commit around every attach. Each
+// tail's snapshot and ring must split the records between them: the first
+// live event follows the snapshot's last record exactly, never repeating
+// one the snapshot delivered, never skipping one.
+func TestTailHandoffExactUnderAppends(t *testing.T) {
+	db, err := tracedb.Open(t.TempDir(), tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	broker := stream.NewBroker()
+	defer broker.Close()
+	broker.AttachStore(db)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := db.Append(store.Record{Device: "C9", Name: "MVNG"}); err != nil {
+				t.Errorf("append: %v", err)
+				broker.Close() // end the tail waiting for a live event
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+
+	const attaches = 200
+	var dups, gaps int
+	for i := 0; i < attaches; i++ {
+		// Replay the last few hundred records, not the whole growing store.
+		from := db.NextSeq()
+		from -= min(from, 256)
+		tail := broker.Tail(db, stream.SubOptions{
+			Policy: stream.Block, Filter: tracedb.Query{MinSeq: from},
+		})
+		next := from
+		_, err := snapshotRecords(tail, func(r *store.Record) error {
+			if r.Seq != next {
+				return fmt.Errorf("snapshot seq %d, want %d", r.Seq, next)
+			}
+			next++
+			return nil
+		})
+		if err != nil {
+			tail.Close()
+			t.Fatal(err)
+		}
+		ev, ok := tail.Subscriber().Recv()
+		tail.Close()
+		switch {
+		case !ok:
+			t.Fatalf("attach %d: tail closed before a live event", i)
+		case ev.Record.Seq < next:
+			dups++
+		case ev.Record.Seq > next:
+			gaps++
+		}
+	}
+	if dups+gaps > 0 {
+		t.Fatalf("of %d attaches under appends, %d rings began with a record the snapshot delivered and %d skipped one",
+			attaches, dups, gaps)
 	}
 }
 
@@ -218,7 +295,7 @@ func TestTailFilterConsistency(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		ev, ok := tail.Recv()
+		ev, ok := tail.Subscriber().Recv()
 		if !ok || ev.Record.Device != "UR3e" {
 			t.Fatalf("live event %d: (%s, %v)", i, ev.Record.Device, ok)
 		}

@@ -567,7 +567,7 @@ func TestCompactBlocksFitOneFrame(t *testing.T) {
 	largest := 0
 	it := db.Scan(Query{})
 	for it.NextBlock() {
-		payload, _ := it.Block()
+		payload := it.Block()
 		if payload == nil {
 			t.Fatalf("record %d of an unfiltered scan was not in a covered block", it.Ref().Seq)
 		}

@@ -181,9 +181,9 @@ func (db *DB) Retain() (RetainStats, error) {
 	}
 	// Persist the sequence floor before the victims disappear: if retention
 	// retires every record-bearing segment while the active segment is
-	// empty, a reopen would otherwise restart numbering at zero, and
-	// stream.Tail's duplicate boundary plus any seq-keyed consumer would
-	// misclassify fresh records as already seen.
+	// empty, a reopen would otherwise restart numbering at zero, and a
+	// seq-keyed consumer, such as stream.ResilientTail's resume cursor,
+	// would misclassify fresh records as already seen.
 	floor := db.seqFloor
 	for s := range victim {
 		if s.index.count > 0 && s.index.maxSeq+1 > floor {

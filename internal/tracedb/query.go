@@ -128,14 +128,18 @@ func planSegment(ix *segmentIndex, q Query, fromN, toN int64) (blocks []blockMet
 }
 
 // plan snapshots the scan state for q under the read lock: per-segment
-// candidate blocks plus the matching staged records. Blocks committed after
-// the snapshot are not seen — iterators read a consistent prefix even while
-// ingest continues. Every planned segment is acquired; the caller must
-// release the plans (Iterator does so on exhaustion or Close).
-func (db *DB) plan(q Query) (plans []segPlan, tail []store.Record) {
+// candidate blocks plus the matching staged records, and the seq floor.
+// Blocks committed after the snapshot are not seen — iterators read a
+// consistent prefix even while ingest continues. attach, when not nil, runs
+// under the same read lock. Every planned segment is acquired; the caller
+// must release the plans (Iterator does so on exhaustion or Close).
+func (db *DB) plan(q Query, attach func()) (plans []segPlan, tail []store.Record, floor uint64) {
 	fromN, toN := q.timeBounds()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	if attach != nil {
+		attach()
+	}
 	for _, s := range db.segs {
 		if s.index.count == 0 {
 			continue
@@ -154,7 +158,7 @@ func (db *DB) plan(q Query) (plans []segPlan, tail []store.Record) {
 			tail = append(tail, db.pending[i])
 		}
 	}
-	return plans, tail
+	return plans, tail, db.seqFloor
 }
 
 // releasePlans drops the snapshot references a plan holds.
@@ -264,10 +268,10 @@ type Iterator struct {
 	ci      int
 	payload *[]byte           // block read buffer; nil when none is held
 	br      store.BlockReader // decodes the blocks not handed out whole
-	// block is the covered block NextBlock positioned, a view of payload,
-	// and blockSeq its highest seq; block is nil at a record.
+	// block is the covered block NextBlock positioned, a view of payload;
+	// it is nil at a record.
 	block    []byte
-	blockSeq uint64
+	floor    uint64
 	err      error
 	released bool
 }
@@ -277,9 +281,20 @@ type Iterator struct {
 // indexes; non-matching blocks are never read or decoded. An abandoned
 // iterator (not drained to exhaustion) must be Closed, or segment files
 // retired while it was in flight are never reclaimed.
-func (db *DB) Scan(q Query) *Iterator {
-	plans, tail := db.plan(q)
-	return &Iterator{q: q, plans: plans, tail: tail}
+func (db *DB) Scan(q Query) *Iterator { return db.ScanAttached(q, nil) }
+
+// ScanAttached is Scan with attach, when not nil, called inside the
+// critical section that takes the snapshot, under the store's read lock.
+// Commits wait for that lock, and the commit hooks (SetOnCommit) fire
+// while a commit holds it, so every record committed before attach runs
+// is in the snapshot and every one committed after reaches the hooks
+// only: an attach that starts following the hooks' records hands off from
+// the snapshot to them with no record in both and none in neither. attach
+// must not call the DB.
+func (db *DB) ScanAttached(q Query, attach func()) *Iterator {
+	it := &Iterator{q: q}
+	it.plans, it.tail, it.floor = db.plan(q, attach)
+	return it
 }
 
 // Next advances to the next matching record, reporting whether one exists.
@@ -325,8 +340,8 @@ func (it *Iterator) advance(blocks bool) bool {
 		}
 		m, covered := p.blocks[it.bi], p.covered[it.bi]
 		it.bi++
-		// A block of no records (possible only in a foreign store) has no
-		// highest seq to hand out, and decodes to nothing below.
+		// A block of no records (possible only in a foreign store) has
+		// nothing to hand out, and decodes to nothing below.
 		it.payload = store.GrowBlockBuf(it.payload, int(m.payloadLen))
 		if blocks && covered && m.count > 0 {
 			payload, err := p.seg.readPayload(m, *it.payload)
@@ -334,7 +349,7 @@ func (it *Iterator) advance(blocks bool) bool {
 				it.fail(err)
 				return false
 			}
-			it.block, it.blockSeq = payload, m.maxSeq
+			it.block = payload
 			return true
 		}
 		// A covered block's index metadata proves every record matches, so
@@ -363,12 +378,12 @@ func (it *Iterator) fail(err error) {
 }
 
 // Block returns the covered block the last NextBlock positioned: its
-// checksum-verified payload, a store block (store.BlockReader reads it),
-// and the highest seq it holds. The payload belongs to the iterator and is
-// valid only until the next advance, which overwrites it or hands its
-// buffer to another reader; it is nil when the iterator stands at a record.
-// Close leaves a positioned block's buffer to the caller, not handed back.
-func (it *Iterator) Block() (payload []byte, maxSeq uint64) { return it.block, it.blockSeq }
+// checksum-verified payload, a store block (store.BlockReader reads it).
+// The payload belongs to the iterator and is valid only until the next
+// advance, which overwrites it or hands its buffer to another reader; it
+// is nil when the iterator stands at a record. Close leaves a positioned
+// block's buffer to the caller, not handed back.
+func (it *Iterator) Block() []byte { return it.block }
 
 // Record returns a copy of the record positioned by the last successful
 // Next or NextBlock — the zero Record before the first. The copy stays
@@ -387,6 +402,12 @@ func (it *Iterator) Record() store.Record {
 // be called before a record is positioned, nor while NextBlock stands at a
 // block.
 func (it *Iterator) Ref() *store.Record { return &it.cur[it.ci-1] }
+
+// SeqFloor returns the store's persisted retention floor when the
+// snapshot was taken: every record with a lower sequence number had been
+// (or may have been) discarded by Retain, so a scan from below it cannot
+// replay [MinSeq, SeqFloor) (see wire.EventResumeGap).
+func (it *Iterator) SeqFloor() uint64 { return it.floor }
 
 // Err returns the first read error the iterator encountered, if any.
 func (it *Iterator) Err() error { return it.err }

@@ -515,13 +515,3 @@ func (db *DB) NextSeq() uint64 {
 	defer db.mu.RUnlock()
 	return db.nextSeq
 }
-
-// SeqFloor returns the persisted retention floor: every record with a
-// lower sequence number has been (or may have been) discarded by Retain,
-// so a resume from below it cannot be honored exactly (see
-// wire.EventResumeGap).
-func (db *DB) SeqFloor() uint64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.seqFloor
-}

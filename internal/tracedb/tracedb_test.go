@@ -544,7 +544,7 @@ func TestIndexedScanReadsFewerBlocks(t *testing.T) {
 	for _, s := range db.segs {
 		all += len(s.index.blocks)
 	}
-	plans, _ := db.plan(Query{Key: "Quantos.tare"})
+	plans, _, _ := db.plan(Query{Key: "Quantos.tare"}, nil)
 	cand := 0
 	for _, p := range plans {
 		cand += len(p.blocks)

@@ -139,13 +139,19 @@ func (s *Session) SetLabels(procedure, run string) {
 func (s *Session) ModeFor(name string) Mode {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.modeLocked(name)
+}
+
+// modeLocked is ModeFor for a caller holding s.mu.
+func (s *Session) modeLocked(name string) Mode {
 	if m, ok := s.cfg.Modes[name]; ok {
 		return m
 	}
 	return s.cfg.DefaultMode
 }
 
-// DroppedTraces reports how many DIRECT-mode trace uploads failed.
+// DroppedTraces reports how many DIRECT-mode trace uploads failed or came
+// in after Close.
 func (s *Session) DroppedTraces() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -168,7 +174,10 @@ func (s *Session) Virtual(name string) (device.Device, error) {
 	return &Virtual{session: s, name: name}, nil
 }
 
-// Close flushes pending trace uploads and closes the transport.
+// Close flushes pending trace uploads and closes the transport. The upload
+// queue closes under s.mu, where Exec enqueues only after checking closed,
+// so a DIRECT exec still running when Close starts counts its trace as
+// dropped instead of sending on the closed queue.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -176,8 +185,8 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
 	close(s.traceCh)
+	s.mu.Unlock()
 	<-s.done
 	return s.transport.Close()
 }
@@ -212,6 +221,7 @@ func (v *Virtual) Exec(cmd device.Command) (string, error) {
 
 	s.mu.Lock()
 	proc, run := s.cfg.Procedure, s.cfg.Run
+	mode := s.modeLocked(v.name)
 	local := s.locals[v.name]
 	closed := s.closed
 	s.mu.Unlock()
@@ -219,7 +229,7 @@ func (v *Virtual) Exec(cmd device.Command) (string, error) {
 		return "", errors.New("tracer: session closed")
 	}
 
-	switch s.ModeFor(v.name) {
+	switch mode {
 	case ModeDirect:
 		if local == nil {
 			return "", fmt.Errorf("tracer: device %q not attached locally", v.name)
@@ -254,12 +264,17 @@ func (v *Virtual) Exec(cmd device.Command) (string, error) {
 		// The upload is queued, keeping tracing off the command latency
 		// path as in the paper; Flush waits for the queue to drain.
 		s.mu.Lock()
-		select {
-		case s.traceCh <- req:
-			s.pending++
-		default:
-			// Queue full: drop the trace rather than stall the lab.
+		if s.closed {
+			// Close ran while the command did: the queue is gone.
 			s.dropped++
+		} else {
+			select {
+			case s.traceCh <- req:
+				s.pending++
+			default:
+				// Queue full: drop the trace rather than stall the lab.
+				s.dropped++
+			}
 		}
 		s.mu.Unlock()
 		return value, err

@@ -2,6 +2,7 @@ package tracer
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,6 +215,60 @@ func TestAsyncTraceUploadFlushes(t *testing.T) {
 	if sess.DroppedTraces() != 0 {
 		t.Errorf("dropped = %d", sess.DroppedTraces())
 	}
+}
+
+// TestDirectExecRacesClose closes the session while DIRECT execs are inside
+// their device's Exec: each found the session open, and its trace comes
+// back after Close began. It must be counted as dropped, not sent on the
+// closed upload queue.
+func TestDirectExecRacesClose(t *testing.T) {
+	core, sink, clock, _, _ := newRig(t)
+	transport := NewLocalTransport(core, clock, middlebox.NetworkProfile{}, 1)
+	sess := NewSession(transport, clock, Config{DefaultMode: ModeDirect})
+	gated := &gatedDevice{entered: make(chan struct{}), gate: make(chan struct{})}
+	sess.AttachLocal(gated)
+	dev, err := sess.Virtual(device.C9)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const execs = 50
+	var wg sync.WaitGroup
+	for i := 0; i < execs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := dev.Exec(device.Command{Name: device.Init}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for i := 0; i < execs; i++ {
+		<-gated.entered
+	}
+	err = sess.Close()
+	close(gated.gate)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, dropped := sink.Len(), sess.DroppedTraces(); n != 0 || dropped != execs {
+		t.Fatalf("after Close: %d traces uploaded and %d dropped, want 0 and %d", n, dropped, execs)
+	}
+}
+
+// gatedDevice is a C9 whose Exec reports on entered, then waits for gate
+// to close.
+type gatedDevice struct {
+	entered, gate chan struct{}
+}
+
+func (d *gatedDevice) Name() string { return device.C9 }
+
+func (d *gatedDevice) Exec(device.Command) (string, error) {
+	d.entered <- struct{}{}
+	<-d.gate
+	return "ok", nil
 }
 
 func TestSetLabelsMidSession(t *testing.T) {

@@ -40,8 +40,6 @@ var testedOnly = map[string]string{
 	"rad/internal/stream.(*Subscriber).Recv":        "TestStreamIDSCleanRunRaisesNoAlerts",
 	"rad/internal/stream.(*Subscriber).TryRecv":     "TestPublishDeliversInOrder",
 	"rad/internal/stream.(*Subscriber).take":        "TestPublishDeliversInOrder",
-	"rad/internal/stream.(*Tail).Recv":              "TestTailHandoffGapFreeFullCampaign",
-	"rad/internal/stream.(*Tail).Duplicates":        "TestTailHandoffGapFreeFullCampaign",
 	"rad/internal/stream.(*ResilientTail).Stats":    "TestReconnectResilientTailResumesAcrossRestart",
 	"rad/internal/store.(*MemStore).Runs":           "TestTraceDBQueryParityWithMemStore",
 	"rad/internal/fleet.(*Router).Lookup":           "TestFleetRouterRouting",
