@@ -103,7 +103,7 @@ func BenchmarkSpecMine(b *testing.B) {
 	seq := seqs[21] // a P3 run: loop-heavy
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		spec := specmine.Mine(seq, specmine.Options{})
+		spec := specmine.Mine(seq)
 		if len(spec) == 0 {
 			b.Fatal("empty spec")
 		}

@@ -124,7 +124,7 @@ func run(args []string) error {
 
 	// 4. Rule engine over the whole campaign.
 	fmt.Println("\n== middlebox rule engine ==")
-	engine := ids.NewRuleEngine(0)
+	engine := ids.NewRuleEngine()
 	byRule := make(map[string]int)
 	for _, rec := range ds.Store.All() {
 		for _, v := range engine.Check(rec) {
@@ -180,11 +180,11 @@ func run(args []string) error {
 	var p3Seqs [][]string
 	for i, run := range ds.Runs {
 		if run.Procedure == procedure.P3 && !run.Anomalous {
-			p3Specs = append(p3Specs, specmine.Mine(seqs[i], specmine.Options{}))
+			p3Specs = append(p3Specs, specmine.Mine(seqs[i]))
 			p3Seqs = append(p3Seqs, seqs[i])
 		}
 	}
-	blocks := specmine.TopBlocks(p3Seqs, specmine.Options{}, 5)
+	blocks := specmine.TopBlocks(p3Seqs, 5)
 	fmt.Println("most-covering repeated blocks across benign P3 runs:")
 	for _, b := range blocks {
 		fmt.Printf("  ×%-4d { %s }\n", b.Min, joinWords(b.Block))

@@ -291,7 +291,7 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.Perplexi
 		}
 	}}
 	if withRules {
-		cfg.Rules = ids.NewRuleEngine(0)
+		cfg.Rules = ids.NewRuleEngine()
 	}
 	online, err := stream.NewIDS(cfg)
 	if err != nil {

@@ -31,7 +31,7 @@ func main() {
 		}
 		seq := lab.Sink.CommandSequence(nil)
 		seqs = append(seqs, seq)
-		specs = append(specs, rad.MineSpec(seq, rad.SpecOptions{}))
+		specs = append(specs, rad.MineSpec(seq))
 		fmt.Printf("run %d: %d vials, %d commands, spec of %d elements, loop coverage %.0f%%\n",
 			i, vials, len(seq), len(specs[i]), rad.SpecCoverage(seq, specs[i])*100)
 		_ = lab.Close()
@@ -40,7 +40,7 @@ func main() {
 	// The corpus-level building blocks: the repeated blocks that cover the
 	// most commands across the runs.
 	fmt.Println("\nmost-covering repeated blocks across the runs:")
-	for _, b := range rad.TopSpecBlocks(seqs, rad.SpecOptions{}, 5) {
+	for _, b := range rad.TopSpecBlocks(seqs, 5) {
 		fmt.Printf("  ×%-4d { %s }\n", b.Min, join(b.Block))
 	}
 

@@ -91,7 +91,7 @@ func TestIntegrationSpeedAttackTripsEveryDefense(t *testing.T) {
 		t.Error("protective stop not traced as a UR3e exception")
 	}
 	// (b) The rule engine flags the actuation fault.
-	engine := rad.NewRuleEngine(0)
+	engine := rad.NewRuleEngine()
 	faults := 0
 	for _, r := range recs {
 		for _, v := range engine.Check(r) {

@@ -60,27 +60,21 @@ func (s Spec) Commands() []string {
 	return out
 }
 
-// Options tune mining.
-type Options struct {
-	// MaxBlock is the longest block length considered (default 8).
-	MaxBlock int
-}
+// maxBlock is the longest block length Mine considers.
+const maxBlock = 8
 
 // Mine recovers a specification from one command sequence by folding tandem
 // repeats: at each position it chooses the block length whose consecutive
 // repetition covers the most commands, preferring shorter blocks on ties
 // (the tightest loop). Repeated calls over runs of the same procedure can
 // be merged with Merge.
-func Mine(seq []string, opts Options) Spec {
-	if opts.MaxBlock <= 0 {
-		opts.MaxBlock = 8
-	}
+func Mine(seq []string) Spec {
 	var spec Spec
 	i := 0
 	for i < len(seq) {
 		bestLen, bestReps := 1, 1
 		bestCover := 1
-		for blockLen := 1; blockLen <= opts.MaxBlock && i+blockLen <= len(seq); blockLen++ {
+		for blockLen := 1; blockLen <= maxBlock && i+blockLen <= len(seq); blockLen++ {
 			reps := 1
 			for {
 				start := i + reps*blockLen
@@ -97,12 +91,8 @@ func Mine(seq []string, opts Options) Spec {
 		spec = append(spec, Element{Block: block, Min: bestReps, Max: bestReps})
 		i += bestLen * bestReps
 	}
-	return mergeAdjacentLiterals(spec)
+	return spec
 }
-
-// mergeAdjacentLiterals keeps the spec readable by leaving literals as-is
-// (they are already minimal); kept as a hook for future simplification.
-func mergeAdjacentLiterals(spec Spec) Spec { return spec }
 
 // Merge combines specifications mined from multiple runs of the same
 // procedure: elements that align structurally (same block) widen their
@@ -151,10 +141,10 @@ func Coverage(seq []string, spec Spec) float64 {
 // TopBlocks returns the k most frequent repeated blocks across sequences,
 // by total commands covered — a corpus-level summary of the procedures'
 // building blocks.
-func TopBlocks(seqs [][]string, opts Options, k int) []Element {
+func TopBlocks(seqs [][]string, k int) []Element {
 	cover := make(map[string]*Element)
 	for _, seq := range seqs {
-		for _, e := range Mine(seq, opts) {
+		for _, e := range Mine(seq) {
 			if e.Literal() || e.Max <= 1 {
 				continue
 			}

@@ -10,7 +10,7 @@ func seq(s string) []string { return strings.Fields(s) }
 func TestMineFoldsTandemRepeats(t *testing.T) {
 	// init, then a 3-command loop body ×4, then a closer.
 	in := seq("init A B C A B C A B C A B C done")
-	spec := Mine(in, Options{})
+	spec := Mine(in)
 	if len(spec) != 3 {
 		t.Fatalf("spec has %d elements: %s", len(spec), spec)
 	}
@@ -31,11 +31,11 @@ func TestMineFoldsTandemRepeats(t *testing.T) {
 
 func TestMinePrefersLargestCover(t *testing.T) {
 	// "A A A A" could fold as ×4 of [A]; "A B A B" as ×2 of [A B].
-	spec := Mine(seq("A A A A"), Options{})
+	spec := Mine(seq("A A A A"))
 	if len(spec) != 1 || spec[0].Min != 4 || len(spec[0].Block) != 1 {
 		t.Errorf("A×4: %+v", spec)
 	}
-	spec = Mine(seq("A B A B"), Options{})
+	spec = Mine(seq("A B A B"))
 	if len(spec) != 1 || spec[0].Min != 2 || len(spec[0].Block) != 2 {
 		t.Errorf("(A B)×2: %+v", spec)
 	}
@@ -43,7 +43,7 @@ func TestMinePrefersLargestCover(t *testing.T) {
 
 func TestMineRoundTripCommands(t *testing.T) {
 	in := seq("x A B A B A B y y y z")
-	spec := Mine(in, Options{})
+	spec := Mine(in)
 	got := spec.Commands()
 	if strings.Join(got, " ") != strings.Join(in, " ") {
 		t.Errorf("round trip:\n in:  %v\n out: %v", in, got)
@@ -51,19 +51,22 @@ func TestMineRoundTripCommands(t *testing.T) {
 }
 
 func TestMineEmptyAndMaxBlock(t *testing.T) {
-	if got := Mine(nil, Options{}); len(got) != 0 {
+	if got := Mine(nil); len(got) != 0 {
 		t.Errorf("empty: %v", got)
 	}
-	// With MaxBlock 1 only single-command repeats fold.
-	spec := Mine(seq("A B A B"), Options{MaxBlock: 1})
-	if len(spec) != 4 {
-		t.Errorf("maxblock=1: %v", spec)
+	// Blocks of up to eight commands fold; a nine-command loop body stays
+	// literal.
+	if spec := Mine(seq("A B C D E F G H A B C D E F G H")); len(spec) != 1 || spec[0].Min != 2 {
+		t.Errorf("8-command block: %v", spec)
+	}
+	if spec := Mine(seq("A B C D E F G H I A B C D E F G H I")); len(spec) != 18 {
+		t.Errorf("9-command block: %v", spec)
 	}
 }
 
 func TestMergeWidensBounds(t *testing.T) {
-	a := Mine(seq("init A B A B done"), Options{})
-	b := Mine(seq("init A B A B A B A B done"), Options{})
+	a := Mine(seq("init A B A B done"))
+	b := Mine(seq("init A B A B A B A B done"))
 	merged, ok := Merge([]Spec{a, b})
 	if !ok {
 		t.Fatalf("structurally identical runs failed to merge:\na=%s\nb=%s", a, b)
@@ -78,8 +81,8 @@ func TestMergeWidensBounds(t *testing.T) {
 }
 
 func TestMergeRejectsDivergentStructure(t *testing.T) {
-	a := Mine(seq("init A A A done"), Options{})
-	b := Mine(seq("init B B B done"), Options{})
+	a := Mine(seq("init A A A done"))
+	b := Mine(seq("init B B B done"))
 	if _, ok := Merge([]Spec{a, b}); ok {
 		t.Error("divergent runs merged")
 	}
@@ -90,7 +93,7 @@ func TestMergeRejectsDivergentStructure(t *testing.T) {
 
 func TestCoverage(t *testing.T) {
 	in := seq("x A B A B A B y")
-	spec := Mine(in, Options{})
+	spec := Mine(in)
 	cov := Coverage(in, spec)
 	if cov < 0.7 || cov > 0.8 { // 6 of 8 commands in the loop
 		t.Errorf("coverage %v, want 0.75", cov)
@@ -105,7 +108,7 @@ func TestTopBlocks(t *testing.T) {
 		seq("Q Q Q Q A B A B"),
 		seq("Q Q Q C"),
 	}
-	top := TopBlocks(seqs, Options{}, 2)
+	top := TopBlocks(seqs, 2)
 	if len(top) != 2 {
 		t.Fatalf("top blocks: %v", top)
 	}
@@ -126,7 +129,7 @@ func TestMineRealisticProcedure(t *testing.T) {
 		}
 		in = append(in, "GRIP")
 	}
-	spec := Mine(in, Options{})
+	spec := Mine(in)
 	if cov := Coverage(in, spec); cov < 0.5 {
 		t.Errorf("loop coverage %v for a loop-structured trace:\n%s", cov, spec)
 	}

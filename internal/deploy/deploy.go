@@ -213,9 +213,7 @@ func Start(cfg Config) (_ *Deployment, err error) {
 	if cfg.StreamAddr != "" {
 		d.tails = stream.NewServer(d.Broker, d.DB)
 		d.tails.SetSpans(d.Spans)
-		if cfg.Heartbeat > 0 {
-			d.tails.SetHeartbeat(stream.HeartbeatConfig{Interval: cfg.Heartbeat})
-		}
+		d.tails.SetHeartbeat(cfg.Heartbeat)
 		if d.Fleet != nil {
 			d.tails.SetTenantResolver(d.Fleet.ResolveStream)
 		}

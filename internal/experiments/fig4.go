@@ -26,8 +26,6 @@ type Fig4Config struct {
 	CommandsPerSequence int
 	// Seed drives jitter.
 	Seed uint64
-	// Modes limits which deployment modes run (nil = all three).
-	Modes []string
 }
 
 // Fig4Mode holds one deployment mode's per-sequence response-time box plots.
@@ -65,12 +63,8 @@ func Fig4ResponseTime(cfg Fig4Config) (Fig4Result, error) {
 	if cfg.CommandsPerSequence <= 0 {
 		cfg.CommandsPerSequence = 30
 	}
-	modes := cfg.Modes
-	if len(modes) == 0 {
-		modes = []string{ModeDirect, ModeRemote, ModeCloud}
-	}
 	var out Fig4Result
-	for _, mode := range modes {
+	for _, mode := range []string{ModeDirect, ModeRemote, ModeCloud} {
 		m, err := fig4Mode(mode, cfg)
 		if err != nil {
 			return Fig4Result{}, err
@@ -86,14 +80,9 @@ func fig4Mode(mode string, cfg Fig4Config) (Fig4Mode, error) {
 	arm := c9.New(device.NewEnv(clock, cfg.Seed+1))
 	core.Register(arm)
 
-	var profile middlebox.NetworkProfile
-	switch mode {
-	case ModeDirect, ModeRemote:
-		profile = middlebox.LANProfile()
-	case ModeCloud:
+	profile := middlebox.LANProfile()
+	if mode == ModeCloud {
 		profile = middlebox.CloudProfile()
-	default:
-		return Fig4Mode{}, fmt.Errorf("experiments: unknown Fig4 mode %q", mode)
 	}
 
 	srv := middlebox.NewServer(core, profile, cfg.Seed+2)

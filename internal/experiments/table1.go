@@ -27,10 +27,6 @@ type TableIRow struct {
 
 // TableIConfig tunes the Table I experiment.
 type TableIConfig struct {
-	// Folds is the cross-validation fold count (paper: 5).
-	Folds int
-	// Seed drives the fold shuffle; zero selects DefaultTableISeed.
-	Seed uint64
 	// Orders are the model sizes to evaluate (paper: 2, 3, 4).
 	Orders []int
 	// Alpha is the Laplace smoothing constant; zero selects DefaultAlpha.
@@ -51,18 +47,15 @@ const DefaultAlpha = 0.1
 // only free variable (the paper likewise reports one arbitrary shuffle).
 const DefaultTableISeed = 5
 
+// tableIFolds is the paper's cross-validation fold count.
+const tableIFolds = 5
+
 // TableIPerplexityIDS reproduces Table I, following §V-B exactly: shuffle
 // the 25 supervised runs into five folds, hold each fold out in turn, score
 // each held-out run's perplexity under an n-gram model trained on the other
 // runs, then cluster all 25 out-of-fold scores into benign/anomalous with
 // Jenks natural breaks and compare against the crash ground truth.
 func TableIPerplexityIDS(ds *rad.Dataset, cfg TableIConfig) []TableIRow {
-	if cfg.Folds <= 0 {
-		cfg.Folds = 5
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = DefaultTableISeed
-	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = DefaultAlpha
 	}
@@ -70,7 +63,7 @@ func TableIPerplexityIDS(ds *rad.Dataset, cfg TableIConfig) []TableIRow {
 		cfg.Orders = []int{2, 3, 4}
 	}
 	seqs, truth := ds.SupervisedSequences()
-	folds := crossval.KFold(len(seqs), cfg.Folds, cfg.Seed)
+	folds := crossval.KFold(len(seqs), tableIFolds, DefaultTableISeed)
 
 	// Every (order, fold) pair trains its own model and writes only its own
 	// fold's score cells, so the full orders×folds grid fans out as one flat

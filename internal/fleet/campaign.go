@@ -16,7 +16,6 @@ import (
 	"rad/internal/device/ur3e"
 	"rad/internal/fault"
 	"rad/internal/middlebox"
-	"rad/internal/obs"
 	"rad/internal/obs/span"
 	"rad/internal/simclock"
 	"rad/internal/store"
@@ -62,9 +61,6 @@ type CampaignConfig struct {
 	// DLQRoot is the directory tenant DLQs are namespaced under; required
 	// when Faults is set.
 	DLQRoot string
-	// Registry, when set, receives fleet rollups and per-tenant child
-	// metrics.
-	Registry *obs.Registry
 	// Spans, when set, attaches the span flight recorder to every tenant
 	// core. Tracing must not perturb the dataset: span ids and ring state
 	// live outside the record codec and digests, so a traced campaign's
@@ -165,7 +161,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	router, err := NewRouter(Config{
 		Factory:    func(id string) (*Resources, error) { return c.buildLab(id, labs) },
 		MaxTenants: cfg.Tenants + 1, // + the default tenant, should anyone dial untagged
-		Registry:   cfg.Registry,
 		Spans:      cfg.Spans,
 	})
 	if err != nil {

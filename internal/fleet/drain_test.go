@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ import (
 
 // streamFactory builds tenants with a live broker over a persistent store,
 // the shape radmiddlebox -fleet -stream -store runs.
-func streamFactory(tb testing.TB, drained *atomic.Int32) Factory {
+func streamFactory(tb testing.TB) Factory {
 	tb.Helper()
 	return func(id string) (*Resources, error) {
 		clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
@@ -34,13 +33,6 @@ func streamFactory(tb testing.TB, drained *atomic.Int32) Factory {
 		broker := stream.NewBroker()
 		broker.AttachStore(db)
 		res := &Resources{Core: tenantCore(clock, db, id), Broker: broker, DB: db}
-		if drained != nil {
-			res.Drain = func(ctx context.Context) error {
-				drained.Add(1)
-				broker.Close()
-				return db.Flush()
-			}
-		}
 		res.Close = func() error { broker.Close(); return db.Close() }
 		return res, nil
 	}
@@ -52,21 +44,27 @@ func tenantCore(clock *simclock.Virtual, sink store.Sink, id string) *middlebox.
 	return core
 }
 
-// TestFleetRouterDrainQuiescesTenants: Drain visits every tenant — custom
-// hooks run, brokers close (their subscribers' tails end), and stores
-// flush — and a second Close stays a harmless teardown.
+// TestFleetRouterDrainQuiescesTenants: Drain visits every tenant — brokers
+// close (their subscribers' tails end) and stores write every staged record
+// to disk — and a second Close stays a harmless teardown.
 func TestFleetRouterDrainQuiescesTenants(t *testing.T) {
-	var drained atomic.Int32
-	r, err := NewRouter(Config{Factory: streamFactory(t, &drained)})
+	r, err := NewRouter(Config{Factory: streamFactory(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
 	tenants := []string{"lab-a", "lab-b", "lab-c"}
+	dbs := make([]*tracedb.DB, len(tenants))
 	for i, id := range tenants {
 		if reply := r.Handle(execReq(uint64(i), id)); reply.Error != "" {
 			t.Fatalf("exec %s: %s", id, reply.Error)
+		}
+		if _, dbs[i], err = r.ResolveStream(id); err != nil {
+			t.Fatal(err)
+		}
+		if on, all := dbs[i].Lifecycle().Records, dbs[i].Len(); on == all {
+			t.Fatalf("tenant %s: all %d records on disk before drain; want some staged", id, all)
 		}
 	}
 	// A live subscriber on one tenant's broker: drain must end its feed.
@@ -81,37 +79,40 @@ func TestFleetRouterDrainQuiescesTenants(t *testing.T) {
 	if err := r.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if got := int(drained.Load()); got != len(tenants) {
-		t.Fatalf("drain hooks ran for %d tenants, want %d", got, len(tenants))
+	for i, db := range dbs {
+		if on, all := db.Lifecycle().Records, db.Len(); on != all {
+			t.Fatalf("tenant %s: %d of %d records on disk after drain", tenants[i], on, all)
+		}
 	}
 	if _, ok := sub.Recv(); ok {
 		t.Fatal("subscriber still live after fleet drain")
 	}
 }
 
-// TestFleetRouterDrainHonorsContext: a tenant hook that outlives the
-// budget makes Drain return the context error instead of hanging.
+// TestFleetRouterDrainHonorsContext: a context already done makes Drain
+// return its error without quiescing any tenant, so the subscriber stays
+// live.
 func TestFleetRouterDrainHonorsContext(t *testing.T) {
-	r, err := NewRouter(Config{Factory: func(id string) (*Resources, error) {
-		clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
-		res := &Resources{Core: tenantCore(clock, store.NewMemStore(), id)}
-		res.Drain = func(ctx context.Context) error {
-			<-ctx.Done() // a lab that refuses to quiesce
-			return ctx.Err()
-		}
-		return res, nil
-	}})
+	r, err := NewRouter(Config{Factory: streamFactory(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if reply := r.Handle(execReq(1, "stuck")); reply.Error != "" {
+	if reply := r.Handle(execReq(1, "lab-a")); reply.Error != "" {
 		t.Fatal(reply.Error)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := r.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("drain returned %v, want deadline exceeded", err)
+	broker, _, err := r.ResolveStream("lab-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker.Subscribe(stream.SubOptions{Name: "live", Buffer: 8})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := r.Drain(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain returned %v, want context canceled", err)
+	}
+	if got := len(broker.Stats()); got != 1 {
+		t.Fatalf("%d live subscribers after a cancelled drain, want 1", got)
 	}
 }
 
@@ -120,7 +121,7 @@ func TestFleetRouterDrainHonorsContext(t *testing.T) {
 func TestFleetRouterDrainReleasesGoroutines(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
-		r, err := NewRouter(Config{Factory: streamFactory(t, nil)})
+		r, err := NewRouter(Config{Factory: streamFactory(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +154,7 @@ func TestFleetRouterDrainReleasesGoroutines(t *testing.T) {
 // listener dying and coming back — it renegotiates, resumes from its
 // cursor, and sees each tenant record exactly once.
 func TestReconnectTenantTailAcrossListenerRestart(t *testing.T) {
-	r, err := NewRouter(Config{Factory: streamFactory(t, nil)})
+	r, err := NewRouter(Config{Factory: streamFactory(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

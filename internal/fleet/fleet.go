@@ -54,9 +54,6 @@ type Resources struct {
 	// DLQ, when set, is the tenant's dead-letter queue; the router exports
 	// its spill/drain counters under a tenant label.
 	DLQ *store.DeadLetterQueue
-	// Drain, when set, gracefully quiesces the lab (Router.Drain calls it
-	// before the default broker/DB flush).
-	Drain func(ctx context.Context) error
 	// Close, when set, tears the lab down (Router.Close calls it).
 	Close func() error
 }
@@ -275,9 +272,10 @@ type Stats struct {
 
 // Snapshot aggregates every tenant's middlebox.Snapshot without stopping
 // the world: the rollups are atomic loads, the tenant walk copies pointers
-// under one brief read lock, and each Core.Snapshot is itself
-// lock-free (the copy-on-write device registry), so hundreds of tenants
-// keep executing at full speed while the fleet is observed.
+// under one brief read lock, and each Core.Snapshot is itself lock-free (a
+// tenant's device registry is complete before the router publishes the
+// tenant, and serving never edits it), so hundreds of tenants keep
+// executing at full speed while the fleet is observed.
 func (r *Router) Snapshot() Stats {
 	st := Stats{
 		Tenants:  int(r.tenants.Load()),
@@ -295,12 +293,11 @@ func (r *Router) Snapshot() Stats {
 	return st
 }
 
-// Drain gracefully quiesces every tenant: the tenant's own Drain hook when
-// it has one, else the default — close the lab's broker (detaching its
-// subscribers so their tails flush) and flush its trace store to disk.
-// Tenants are drained in walk order until ctx expires; the remainder are
-// skipped (Close still tears them down). Returns the first tenant error,
-// or ctx.Err() when the deadline cut the drain short.
+// Drain gracefully quiesces every tenant: it closes the lab's broker
+// (detaching its subscribers so their tails flush) and flushes its trace
+// store to disk. Tenants are drained in walk order until ctx expires; the
+// remainder are skipped (Close still tears them down). Returns the first
+// tenant error, or ctx.Err() when the deadline cut the drain short.
 func (r *Router) Drain(ctx context.Context) error {
 	r.draining.Store(true)
 	var first error
@@ -310,19 +307,13 @@ func (r *Router) Drain(ctx context.Context) error {
 			expired = true
 			return
 		}
-		var err error
-		switch {
-		case res.Drain != nil:
-			err = res.Drain(ctx)
-		default:
-			if res.Broker != nil {
-				res.Broker.Close()
-			}
-			if res.DB != nil {
-				err = res.DB.Flush()
-			}
+		if res.Broker != nil {
+			res.Broker.Close()
 		}
-		if err != nil && first == nil {
+		if res.DB == nil {
+			return
+		}
+		if err := res.DB.Flush(); err != nil && first == nil {
 			first = fmt.Errorf("fleet: drain tenant %s: %w", t.ID, err)
 		}
 	})

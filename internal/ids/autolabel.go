@@ -15,22 +15,22 @@ import (
 // session's TF-IDF fingerprint against the supervised runs, keeping the
 // "unknown" label when no centroid is similar enough.
 
-// DefaultSessionGap is the idle gap that separates two sessions: lab
-// procedures poll devices at sub-minute intervals, so a quarter hour of
-// silence means the session ended.
-const DefaultSessionGap = 15 * time.Minute
+// sessionGap is the idle gap that separates two sessions: lab procedures
+// poll devices at sub-minute intervals, so a quarter hour of silence means
+// the session ended.
+const sessionGap = 15 * time.Minute
+
+// minSimilarity is the AutoLabeler's acceptance threshold: a session less
+// similar than this to every centroid keeps the unknown label.
+const minSimilarity = 0.75
 
 // SegmentSessions splits records (in stream order) into sessions separated
-// by idle gaps of at least gap. A non-positive gap selects
-// DefaultSessionGap.
-func SegmentSessions(recs []store.Record, gap time.Duration) [][]store.Record {
-	if gap <= 0 {
-		gap = DefaultSessionGap
-	}
+// by idle gaps of at least sessionGap.
+func SegmentSessions(recs []store.Record) [][]store.Record {
 	var out [][]store.Record
 	var cur []store.Record
 	for i, r := range recs {
-		if i > 0 && r.Time.Sub(recs[i-1].EndTime) >= gap && len(cur) > 0 {
+		if i > 0 && r.Time.Sub(recs[i-1].EndTime) >= sessionGap && len(cur) > 0 {
 			out = append(out, cur)
 			cur = nil
 		}
@@ -55,11 +55,6 @@ type LabeledSegment struct {
 // AutoLabeler assigns procedure labels to unlabelled trace segments.
 type AutoLabeler struct {
 	clf *ProcedureClassifier
-	// MinSimilarity is the acceptance threshold; segments below it keep the
-	// unknown label (default 0.75).
-	MinSimilarity float64
-	// Gap is the session-segmentation idle gap (default DefaultSessionGap).
-	Gap time.Duration
 }
 
 // NewAutoLabeler builds a labeler from supervised runs (parallel sequences
@@ -69,16 +64,16 @@ func NewAutoLabeler(seqs [][]string, labels []string) (*AutoLabeler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &AutoLabeler{clf: clf, MinSimilarity: 0.75}, nil
+	return &AutoLabeler{clf: clf}, nil
 }
 
 // Label segments the record stream and classifies every session.
 func (al *AutoLabeler) Label(recs []store.Record) []LabeledSegment {
-	sessions := SegmentSessions(recs, al.Gap)
+	sessions := SegmentSessions(recs)
 	out := make([]LabeledSegment, 0, len(sessions))
 	for _, session := range sessions {
 		label, sim := al.clf.Classify(NameSequence(session))
-		if sim < al.MinSimilarity || label == "" {
+		if sim < minSimilarity || label == "" {
 			label = store.UnknownProcedure
 		}
 		out = append(out, LabeledSegment{Records: session, Label: label, Similarity: sim})

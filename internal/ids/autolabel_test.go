@@ -23,7 +23,7 @@ func TestSegmentSessionsSplitsAtGaps(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		recs = append(recs, timedRec("Q", t1.Add(time.Duration(i)*time.Second)))
 	}
-	sessions := SegmentSessions(recs, 15*time.Minute)
+	sessions := SegmentSessions(recs)
 	if len(sessions) != 2 {
 		t.Fatalf("%d sessions, want 2", len(sessions))
 	}
@@ -35,11 +35,11 @@ func TestSegmentSessionsSplitsAtGaps(t *testing.T) {
 func TestSegmentSessionsNoGap(t *testing.T) {
 	t0 := time.Unix(0, 0)
 	recs := []store.Record{timedRec("A", t0), timedRec("B", t0.Add(time.Second))}
-	sessions := SegmentSessions(recs, 0) // default gap
+	sessions := SegmentSessions(recs)
 	if len(sessions) != 1 {
 		t.Fatalf("%d sessions", len(sessions))
 	}
-	if got := SegmentSessions(nil, time.Minute); got != nil {
+	if got := SegmentSessions(nil); got != nil {
 		t.Error("empty input should give nil")
 	}
 }

@@ -148,7 +148,7 @@ func rec(dev, name string, at time.Time) store.Record {
 }
 
 func TestRuleEngineUnknownCommand(t *testing.T) {
-	e := NewRuleEngine(0)
+	e := NewRuleEngine()
 	t0 := time.Unix(1000, 0)
 	vs := e.Check(rec(device.C9, device.Init, t0))
 	vs = append(vs, e.Check(rec(device.C9, "SELF_DESTRUCT", t0.Add(time.Second)))...)
@@ -158,7 +158,7 @@ func TestRuleEngineUnknownCommand(t *testing.T) {
 }
 
 func TestRuleEngineUninitializedDevice(t *testing.T) {
-	e := NewRuleEngine(0)
+	e := NewRuleEngine()
 	vs := e.Check(rec(device.UR3e, "move_joints", time.Unix(0, 0)))
 	if len(vs) != 1 || vs[0].Rule != "uninitialized-device" {
 		t.Errorf("violations = %+v", vs)
@@ -171,7 +171,7 @@ func TestRuleEngineUninitializedDevice(t *testing.T) {
 }
 
 func TestRuleEngineActuationFault(t *testing.T) {
-	e := NewRuleEngine(0)
+	e := NewRuleEngine()
 	e.Check(rec(device.Quantos, device.Init, time.Unix(0, 0)))
 	r := rec(device.Quantos, "front_door", time.Unix(1, 0))
 	r.Exception = "Quantos: hardware fault: door crashed"
@@ -185,24 +185,6 @@ func TestRuleEngineActuationFault(t *testing.T) {
 	e.Check(rec(device.Tecan, device.Init, time.Unix(2, 0)))
 	if vs := e.Check(q); len(vs) != 0 {
 		t.Errorf("read fault flagged: %+v", vs)
-	}
-}
-
-func TestRuleEngineRateLimit(t *testing.T) {
-	e := NewRuleEngine(5)
-	t0 := time.Unix(5000, 0)
-	e.Check(rec(device.C9, device.Init, t0))
-	var hits int
-	for i := 0; i < 10; i++ {
-		vs := e.Check(rec(device.C9, "MVNG", t0.Add(time.Duration(i)*50*time.Millisecond)))
-		hits += len(vs)
-	}
-	if hits == 0 {
-		t.Error("rate limit never fired at 10 commands in half a second")
-	}
-	// A new second resets the budget.
-	if vs := e.Check(rec(device.C9, "MVNG", t0.Add(2*time.Second))); len(vs) != 0 {
-		t.Errorf("budget did not reset: %+v", vs)
 	}
 }
 

@@ -17,10 +17,6 @@ type RuleEngine struct {
 	catalog map[string]device.CommandSpec
 	// initialized tracks which devices have seen __init__.
 	initialized map[string]bool
-	// maxRate is the per-device command budget per second (0 disables).
-	maxRate float64
-	lastSec map[string]int64
-	inSec   map[string]int
 }
 
 // Violation is one rule hit.
@@ -31,15 +27,11 @@ type Violation struct {
 }
 
 // NewRuleEngine builds an engine enforcing the 52-command catalog, device
-// initialization ordering, and an optional per-device rate limit
-// (commands/second; 0 disables).
-func NewRuleEngine(maxRatePerSec float64) *RuleEngine {
+// initialization ordering, and that mutating commands do not fail.
+func NewRuleEngine() *RuleEngine {
 	return &RuleEngine{
 		catalog:     device.CatalogByKey(),
 		initialized: make(map[string]bool),
-		maxRate:     maxRatePerSec,
-		lastSec:     make(map[string]int64),
-		inSec:       make(map[string]int),
 	}
 }
 
@@ -70,21 +62,6 @@ func (e *RuleEngine) Check(r store.Record) []Violation {
 			Rule: "actuation-fault", Record: r,
 			Detail: fmt.Sprintf("mutating command %s raised: %s", r.Key(), r.Exception),
 		})
-	}
-
-	if e.maxRate > 0 {
-		sec := r.Time.Unix()
-		if e.lastSec[r.Device] != sec {
-			e.lastSec[r.Device] = sec
-			e.inSec[r.Device] = 0
-		}
-		e.inSec[r.Device]++
-		if float64(e.inSec[r.Device]) > e.maxRate {
-			out = append(out, Violation{
-				Rule: "rate-limit", Record: r,
-				Detail: fmt.Sprintf("%s exceeded %.0f commands/s", r.Device, e.maxRate),
-			})
-		}
 	}
 	return out
 }

@@ -54,15 +54,13 @@ type Core struct {
 	// without taking any lock.
 	sink store.Sink
 
-	// cfgMu serializes the configuration phase (Register / SetExecPolicy /
-	// Observe — all documented call-before-serving). The device registry
-	// itself is a copy-on-write map behind an atomic pointer: writers
-	// clone-and-publish under cfgMu, while the exec hot path, Snapshot, and
-	// the obs render callbacks read it with one atomic load and no lock —
-	// so fleet-wide aggregation across hundreds of tenant Cores never
-	// serializes any of them (ISSUE 7 satellite).
-	cfgMu   sync.Mutex
-	entries atomic.Pointer[map[string]*deviceEntry]
+	// devices is the device registry. Register, SetExecPolicy and Observe
+	// edit it in place, and all of them run before the core serves: every
+	// deployment, fleet tenant factory and test configures first. Serving
+	// only reads it, so the exec hot path, Snapshot and the obs render
+	// callbacks take no lock, and fleet-wide aggregation across hundreds
+	// of tenant Cores never serializes any of them.
+	devices map[string]*deviceEntry
 	// obsReg, when set by Observe, receives every metric the middlebox
 	// exports; per-device histograms live in the entries.
 	obsReg *obs.Registry
@@ -97,7 +95,7 @@ type Core struct {
 	spanTenant string
 
 	// Request counters are atomics so that concurrent device sessions never
-	// serialize on the registry lock just to bump a statistic.
+	// serialize on a lock just to bump a statistic.
 	execs    atomic.Uint64
 	traces   atomic.Uint64
 	pings    atomic.Uint64
@@ -134,25 +132,7 @@ type Stats struct {
 // and the wire buffers are pooled, so per-tenant cost is the device
 // registry and the counters.
 func NewCore(clock simclock.Clock, sink store.Sink) *Core {
-	c := &Core{clock: clock, sink: sink}
-	m := make(map[string]*deviceEntry)
-	c.entries.Store(&m)
-	return c
-}
-
-// table returns the current device registry: one atomic load, no lock.
-func (c *Core) table() map[string]*deviceEntry { return *c.entries.Load() }
-
-// publishEntry clones the registry with name→e added and publishes the new
-// map. Caller holds cfgMu.
-func (c *Core) publishEntry(name string, e *deviceEntry) {
-	old := c.table()
-	next := make(map[string]*deviceEntry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = e
-	c.entries.Store(&next)
+	return &Core{clock: clock, sink: sink, devices: make(map[string]*deviceEntry)}
 }
 
 // AttachBroker connects a live-stream broker to the middlebox: the broker
@@ -179,25 +159,21 @@ func (c *Core) SetSpans(r *span.Recorder, tenant string) {
 
 // Register connects a device to the middlebox. Registering a device with a
 // name already in use replaces the previous registration (and resets its
-// circuit breaker when one is configured).
+// circuit breaker when one is configured). Call before serving traffic.
 func (c *Core) Register(d device.Device) {
-	c.cfgMu.Lock()
-	defer c.cfgMu.Unlock()
 	e := &deviceEntry{dev: d}
 	if c.hardened {
 		e.breaker = fault.NewBreaker(d.Name(), c.clock, c.policy.Breaker)
 	}
 	if c.obsReg != nil {
-		c.observeDeviceLocked(d.Name(), e)
+		c.observeDevice(d.Name(), e)
 	}
-	// The entry is built completely before the map carrying it is published,
-	// so lock-free readers only ever see finished entries.
-	c.publishEntry(d.Name(), e)
+	c.devices[d.Name()] = e
 }
 
 // Snapshot returns a consistent point-in-time copy of the request counters
-// without taking any lock — the registry walk behind Resilience reads the
-// copy-on-write device table with one atomic load. Each counter is itself
+// without taking any lock — the registry walk behind Resilience only reads
+// the device table, which serving never edits. Each counter is itself
 // exact; a request that completes concurrently with Snapshot may or may not
 // be included, but no counter ever goes backwards between snapshots. A
 // fleet aggregating Snapshot across hundreds of tenants therefore never
@@ -237,7 +213,7 @@ func (c *Core) Handle(req wire.Request) wire.Reply {
 }
 
 func (c *Core) handleExec(req wire.Request) wire.Reply {
-	e, ok := c.table()[req.Device] // device, breaker, histograms: no lock
+	e, ok := c.devices[req.Device] // device, breaker, histograms: no lock
 	if !ok {
 		c.errors.Add(1)
 		return wire.Reply{ID: req.ID, Error: fmt.Sprintf("middlebox: device %q not registered", req.Device)}

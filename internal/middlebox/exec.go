@@ -54,8 +54,6 @@ const retryBase, retryMax = 50 * time.Millisecond, 2 * time.Second
 // traffic: it rebuilds the per-device breakers and is not synchronized
 // with in-flight execs.
 func (c *Core) SetExecPolicy(p ExecPolicy) {
-	c.cfgMu.Lock()
-	defer c.cfgMu.Unlock()
 	seed := p.RetrySeed
 	if seed == 0 {
 		seed = 1
@@ -68,19 +66,12 @@ func (c *Core) SetExecPolicy(p ExecPolicy) {
 	if c.hardened && c.idempotent == nil {
 		c.idempotent = sharedIdempotent()
 	}
-	// Rebuild the registry copy-on-write: entries are immutable once
-	// published, so the breaker swap constructs fresh entries rather than
-	// mutating ones a lock-free reader may hold.
-	old := c.table()
-	next := make(map[string]*deviceEntry, len(old))
-	for name, e := range old {
-		ne := &deviceEntry{dev: e.dev, hist: e.hist, histOther: e.histOther}
+	for name, e := range c.devices {
+		e.breaker = nil
 		if c.hardened {
-			ne.breaker = fault.NewBreaker(name, c.clock, p.Breaker)
+			e.breaker = fault.NewBreaker(name, c.clock, p.Breaker)
 		}
-		next[name] = ne
 	}
-	c.entries.Store(&next)
 }
 
 // sharedIdempotent builds the "Device.Name" → idempotent catalog once per
@@ -256,8 +247,8 @@ type Resilience struct {
 }
 
 // resilience snapshots the counters and the breakers (sorted by device so
-// snapshots are stable). Lock-free: the registry walk reads the
-// copy-on-write table.
+// snapshots are stable). Lock-free: serving never edits the registry it
+// walks.
 func (c *Core) resilience() Resilience {
 	r := Resilience{
 		Timeouts:    c.timeouts.Load(),
@@ -265,7 +256,7 @@ func (c *Core) resilience() Resilience {
 		Shed:        c.shed.Load(),
 		InfraErrors: c.infraErrs.Load(),
 	}
-	for _, e := range c.table() {
+	for _, e := range c.devices {
 		if e.breaker != nil {
 			r.Breakers = append(r.Breakers, e.breaker.Stats())
 		}

@@ -17,8 +17,6 @@ import (
 // the injected clock — a virtual-clock campaign renders deterministic
 // histograms, a real-clock server measures wall time.
 func (c *Core) Observe(reg *obs.Registry) {
-	c.cfgMu.Lock()
-	defer c.cfgMu.Unlock()
 	c.obsReg = reg
 
 	reg.SetHelp("rad_middlebox_requests_total", "Requests served, by middlebox protocol op.")
@@ -42,19 +40,17 @@ func (c *Core) Observe(reg *obs.Registry) {
 	// come after Observe).
 	reg.CounterFunc("rad_middlebox_stream_published_total", func() uint64 { return c.broker.Published() })
 
-	for name, e := range c.table() {
-		c.observeDeviceLocked(name, e)
+	for name, e := range c.devices {
+		c.observeDevice(name, e)
 	}
 }
 
-// observeDeviceLocked builds one device's latency histograms (prebuilt
-// from the command catalog so the exec hot path never registers anything)
-// and its breaker observability. The breaker metrics resolve the breaker
-// at render time, so SetExecPolicy rebuilding the breakers — or Register
-// replacing a device — never leaves them pointing at a stale one. Caller
-// holds c.cfgMu; e is not yet published (Register) or published before any
-// traffic (Observe's call-before-serving contract).
-func (c *Core) observeDeviceLocked(name string, e *deviceEntry) {
+// observeDevice builds one device's latency histograms (prebuilt from the
+// command catalog so the exec hot path never registers anything) and its
+// breaker observability. The breaker metrics resolve the breaker at render
+// time, so SetExecPolicy rebuilding the breakers — or Register replacing a
+// device — never leaves them pointing at a stale one.
+func (c *Core) observeDevice(name string, e *deviceEntry) {
 	reg := c.obsReg
 	hist := make(map[string]*obs.Histogram)
 	for _, spec := range device.CatalogByKey() {
@@ -84,7 +80,7 @@ func (c *Core) observeDeviceLocked(name string, e *deviceEntry) {
 // permanently closed breaker) when the device is unknown or not hardened.
 // Lock-free, so a fleet-wide metrics render never serializes tenants.
 func (c *Core) breakerFor(name string) *fault.Breaker {
-	if e := c.table()[name]; e != nil {
+	if e := c.devices[name]; e != nil {
 		return e.breaker
 	}
 	return nil

@@ -35,10 +35,6 @@ type Options struct {
 	// dissolution iterations each vial needs, but not robot trajectories
 	// (the Fig. 7b invariance).
 	Solid string
-	// VelocityMMS overrides the arm velocity for UR3e moves.
-	VelocityMMS float64
-	// PayloadKg is the vial+payload mass the UR3e carries.
-	PayloadKg float64
 	// JoystickPrefix prepends a joystick positioning session of the given
 	// number of button presses (run 12 used the joystick to move N9 to its
 	// starting position).

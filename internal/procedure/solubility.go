@@ -2,7 +2,13 @@ package procedure
 
 import (
 	"time"
+
+	"rad/internal/robot"
 )
+
+// vialPayloadKg is the mass the UR3e carries while it grips a vial: an
+// empty 20 mL vial.
+const vialPayloadKg = 0.020
 
 // Solids used in the solubility screens, with the typical number of
 // dissolution iterations each needs (more solvent additions for the less
@@ -259,9 +265,8 @@ func (s *script) n9MoveVial(from, to string) error {
 
 // urSweep runs the five-segment L0→L5 move_joints calibration sweep.
 func (s *script) urSweep() error {
-	vel := s.velocity()
 	for _, loc := range []string{"L0", "L1", "L2", "L3", "L4", "L5"} {
-		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, f(vel)); err != nil {
+		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, f(robot.DefaultVelocityMMS)); err != nil {
 			return err
 		}
 	}
@@ -276,16 +281,16 @@ func (s *script) urMoveVial(from, to string) error {
 		"quantos": {"above_quantos", "quantos_tray"},
 		"home":    {"home"},
 	}
-	vel := s.velocity()
+	vel := f(robot.DefaultVelocityMMS)
 	// Physical context: the vial's mass becomes the payload on grip. When
 	// the raw simulator lives on the far side of a middlebox (REMOTE-only
 	// deployments such as cmd/radtrace), the lab computer has no handle to
 	// it — exactly as in the real lab, where mass is physics, not software.
 	if s.lab.Raw.UR3e != nil {
-		s.lab.Raw.UR3e.SetNextPayload(s.payload())
+		s.lab.Raw.UR3e.SetNextPayload(vialPayloadKg)
 	}
 	for _, loc := range waypoints[from] {
-		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, f(vel)); err != nil {
+		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, vel); err != nil {
 			return err
 		}
 	}
@@ -293,7 +298,7 @@ func (s *script) urMoveVial(from, to string) error {
 		return err
 	}
 	for _, loc := range waypoints[to] {
-		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, f(vel)); err != nil {
+		if err := s.mustExec(s.lab.UR3e, "move_to_location", loc, vel); err != nil {
 			return err
 		}
 	}
@@ -301,20 +306,6 @@ func (s *script) urMoveVial(from, to string) error {
 		return err
 	}
 	return nil
-}
-
-func (s *script) velocity() float64 {
-	if s.opts.VelocityMMS > 0 {
-		return s.opts.VelocityMMS
-	}
-	return 200
-}
-
-func (s *script) payload() float64 {
-	if s.opts.PayloadKg > 0 {
-		return s.opts.PayloadKg
-	}
-	return 0.020 // an empty 20 mL vial
 }
 
 // doseSolid runs the Quantos dosing station: open the door for vial

@@ -98,13 +98,13 @@ func TestStreamSnapshotFlushesLoneLiveEvent(t *testing.T) {
 
 // TestStreamHeartbeatInterleavesQueuedEvents: with heartbeats on and the
 // ring kept busy, pings still reach the client between batches of events,
-// the client's pongs keep the connection alive, and events arrive in
-// sequence order.
+// the client's pongs keep the connection alive past the two-interval
+// deadline, and events arrive in sequence order.
 func TestStreamHeartbeatInterleavesQueuedEvents(t *testing.T) {
 	broker := stream.NewBroker()
 	defer broker.Close()
 	srv := stream.NewServer(broker, nil)
-	srv.SetHeartbeat(stream.HeartbeatConfig{Interval: 5 * time.Millisecond, Timeout: time.Second})
+	srv.SetHeartbeat(50 * time.Millisecond)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -125,11 +125,11 @@ func TestStreamHeartbeatInterleavesQueuedEvents(t *testing.T) {
 
 	const n = 5000
 	go func() {
-		// Bursts spread over ≥100 ms, so the feed spans many ping intervals.
+		// Bursts spread over ≥500 ms, so the feed spans ten ping intervals.
 		for i := 0; i < n; i++ {
 			broker.Publish(rec(uint64(i), "C9", "MVNG"))
-			if i%50 == 49 {
-				time.Sleep(time.Millisecond)
+			if i%100 == 99 {
+				time.Sleep(10 * time.Millisecond)
 			}
 		}
 	}()
@@ -165,12 +165,12 @@ func TestStreamHeartbeatInterleavesQueuedEvents(t *testing.T) {
 		want++
 	}
 	if pings < 3 {
-		t.Fatalf("%d pings during a ≥100 ms feed at a 5 ms interval, want ≥ 3", pings)
+		t.Fatalf("%d pings during a ≥500 ms feed at a 50 ms interval, want ≥ 3", pings)
 	}
 
-	// Keep ponging through a quiet stretch: the connection stays, and a
-	// later event still arrives behind the pings.
-	quiet := time.Now().Add(50 * time.Millisecond)
+	// Keep ponging through a quiet stretch of four intervals: the
+	// connection stays, and a later event still arrives behind the pings.
+	quiet := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(quiet) {
 		if ev := read(); ev != nil {
 			t.Fatalf("unexpected event %+v", ev)

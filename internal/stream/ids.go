@@ -44,12 +44,9 @@ type IDSConfig struct {
 	// PerplexityDetector.NewStream for the default/minimum behaviour).
 	Window int
 	// Rules optionally runs the middlebox rule engine over the same feed.
-	// The engine is stateful (initialization ordering, rate windows), so it
-	// must be fresh and must see the stream from its start.
+	// The engine is stateful (initialization ordering), so it must be fresh
+	// and must see the stream from its start.
 	Rules *ids.RuleEngine
-	// History bounds the rolling window-score population the online Jenks
-	// break is computed over; <= 0 selects 256.
-	History int
 	// OnAlert, when set, is called synchronously for every alert (after it
 	// is recorded).
 	OnAlert func(Alert)
@@ -70,7 +67,6 @@ type IDS struct {
 
 	history []float64 // rolling window scores, ring-ordered
 	histAt  int
-	histCap int
 
 	mu        sync.Mutex
 	alerts    []Alert
@@ -87,15 +83,11 @@ func NewIDS(cfg IDSConfig) (*IDS, error) {
 	if cfg.Detector == nil {
 		return nil, ErrNoDetector
 	}
-	if cfg.History <= 0 {
-		cfg.History = 256
-	}
 	return &IDS{
 		win:     cfg.Detector.NewStream(cfg.Window),
 		rules:   cfg.Rules,
 		onAlert: cfg.OnAlert,
-		history: make([]float64, 0, cfg.History),
-		histCap: cfg.History,
+		history: make([]float64, 0, scoreHistory),
 	}, nil
 }
 
@@ -162,14 +154,18 @@ func (d *IDS) Processed() uint64 {
 	return d.processed
 }
 
+// scoreHistory bounds the rolling window-score population the online Jenks
+// break is computed over.
+const scoreHistory = 256
+
 // pushScore appends a window score to the bounded rolling history.
 func (d *IDS) pushScore(s float64) {
-	if len(d.history) < d.histCap {
+	if len(d.history) < scoreHistory {
 		d.history = append(d.history, s)
 		return
 	}
 	d.history[d.histAt] = s
-	d.histAt = (d.histAt + 1) % d.histCap
+	d.histAt = (d.histAt + 1) % scoreHistory
 }
 
 // jenksBreak computes the two-class natural-breaks split over the rolling

@@ -219,7 +219,7 @@ func TestStreamIDSRuleAlerts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := stream.NewIDS(stream.IDSConfig{Detector: det, Rules: ids.NewRuleEngine(0)})
+	online, err := stream.NewIDS(stream.IDSConfig{Detector: det, Rules: ids.NewRuleEngine()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,6 @@ type ResilientConfig struct {
 	// (defaults 50ms / 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// MaxAttempts bounds consecutive failed reconnect attempts before Recv
-	// gives up and returns the dial error; 0 retries forever.
-	MaxAttempts int
 	// Seed seeds the backoff-jitter PRNG, making the redial schedule
 	// reproducible (the internal/fault PCG convention).
 	Seed uint64
@@ -83,12 +80,6 @@ type ResilientTail struct {
 // NewResilientTail builds the tail; the first connection is dialed lazily
 // by the first Recv.
 func NewResilientTail(cfg ResilientConfig) *ResilientTail {
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 50 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 2 * time.Second
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 1
@@ -184,9 +175,8 @@ func (rt *ResilientTail) sleep(d time.Duration) bool {
 // connection failures. Trace records arrive exactly once, in sequence
 // order per subscription; EventResumeGap and EventSnapshotEnd frames pass
 // through so the caller sees degradations and replay boundaries. It
-// returns io.EOF after Close, a *SubscribeError when the server refuses a
-// fresh subscription outright, and the last transport error once
-// MaxAttempts consecutive reconnects have failed.
+// returns io.EOF after Close and a *SubscribeError when the server refuses
+// a fresh subscription outright; any other failure it retries until Close.
 //
 // A trace event's Record is valid only until the next Recv, as with
 // Client.Recv.
@@ -224,13 +214,10 @@ func (rt *ResilientTail) Recv() (wire.Event, error) {
 			rt.mu.Unlock()
 			return wire.Event{}, err // a fresh subscription was refused: permanent
 		}
-		attempt++
-		if rt.cfg.MaxAttempts > 0 && attempt >= rt.cfg.MaxAttempts {
-			return wire.Event{}, err
-		}
-		if !rt.sleep(fault.Backoff(attempt-1, rt.cfg.BackoffBase, rt.cfg.BackoffMax, rt.rng)) {
+		if !rt.sleep(fault.Backoff(attempt, rt.cfg.BackoffBase, rt.cfg.BackoffMax, rt.rng)) {
 			return wire.Event{}, io.EOF
 		}
+		attempt++
 	}
 }
 

@@ -27,12 +27,12 @@ import (
 // preamble is dropped unanswered, and one still negotiating is tracked, so
 // Drain and Close sever it instead of waiting on it.
 type Server struct {
-	broker   *Broker
-	db       *tracedb.DB // snapshot source; nil disables snapshot-then-follow
-	spans    *span.Recorder
-	resolver TenantResolver // nil: single-tenant listener
-	hb       HeartbeatConfig
-	wl       *wire.Listener
+	broker    *Broker
+	db        *tracedb.DB // snapshot source; nil disables snapshot-then-follow
+	spans     *span.Recorder
+	resolver  TenantResolver // nil: single-tenant listener
+	heartbeat time.Duration  // ping interval; zero disables pings
+	wl        *wire.Listener
 }
 
 // maxSubscriberBuffer caps a client-requested ring so one tail cannot pin
@@ -77,31 +77,13 @@ type TenantResolver func(tenant string) (*Broker, *tracedb.DB, error)
 // broker — a pre-fleet tailer needs no change. Call before Start.
 func (s *Server) SetTenantResolver(r TenantResolver) { s.resolver = r }
 
-// HeartbeatConfig parameterizes connection liveness supervision.
-type HeartbeatConfig struct {
-	// Interval between server → client pings. Zero disables heartbeats
-	// (the pre-liveness behaviour).
-	Interval time.Duration
-	// Timeout is the extra grace beyond Interval the server allows for the
-	// pong before declaring the connection half-open and reaping it;
-	// non-positive defaults to Interval.
-	Timeout time.Duration
-}
-
-// grace returns the effective pong deadline slack.
-func (hb HeartbeatConfig) grace() time.Duration {
-	if hb.Timeout > 0 {
-		return hb.Timeout
-	}
-	return hb.Interval
-}
-
 // SetHeartbeat enables liveness probing of tail connections: every
-// Interval the server pings, and a connection that fails to pong within
-// Interval+Timeout is reaped — its subscriber detached, its metrics
+// interval the server pings, and a connection that sends no pong within
+// twice the interval is reaped — its subscriber detached, its metrics
 // unregistered, its goroutines collected — instead of holding a slot until
-// the next write discovers the corpse. Call before Start.
-func (s *Server) SetHeartbeat(hb HeartbeatConfig) { s.hb = hb }
+// the next write discovers the corpse. Zero disables pings. Call before
+// Start.
+func (s *Server) SetHeartbeat(interval time.Duration) { s.heartbeat = interval }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves in the background,
 // returning the bound address.
@@ -269,13 +251,13 @@ func (s *Server) serveTail(conn net.Conn, tc *tailConn, tail *Tail) {
 
 // supervise starts the connection's one reader and, with heartbeats on,
 // its pinger. After Subscribe a client may only send pongs, so any other
-// frame, EOF, a reset or — with heartbeats on — no frame within Interval
-// plus the grace (a half-open peer) closes the subscriber. That is the reap
+// frame, EOF, a reset or — with heartbeats on — no frame within two
+// intervals (a half-open peer) closes the subscriber. That is the reap
 // point: the ring detaches, its obs metrics unregister, and the pump's wait
 // ends. The returned stop closes the connection, which ends the reader, and
 // waits for both goroutines.
 func (s *Server) supervise(conn net.Conn, tc *tailConn, sub *Subscriber) (stop func()) {
-	hb := s.hb
+	interval := s.heartbeat
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -284,8 +266,8 @@ func (s *Server) supervise(conn net.Conn, tc *tailConn, sub *Subscriber) (stop f
 		defer close(done)
 		defer sub.Close()
 		for {
-			if hb.Interval > 0 {
-				_ = conn.SetReadDeadline(time.Now().Add(hb.Interval + hb.grace()))
+			if interval > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(2 * interval))
 			}
 			var pong wire.Pong
 			if tc.wc.ReadFrame(&pong) != nil {
@@ -293,11 +275,11 @@ func (s *Server) supervise(conn net.Conn, tc *tailConn, sub *Subscriber) (stop f
 			}
 		}
 	}()
-	if hb.Interval > 0 {
+	if interval > 0 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t := time.NewTicker(hb.Interval)
+			t := time.NewTicker(interval)
 			defer t.Stop()
 			for seq := uint64(1); ; seq++ {
 				select {

@@ -60,7 +60,7 @@ const (
 	// length and count prefixes, eight at least, at 5 bytes, and a value
 	// under 1 MiB needs at most 3, so such a block encodes at least 32
 	// bytes under its estimate, against about 15 for its record count and
-	// frame header. TestCompactBlocksFitOneFrame pins it.
+	// frame header. TestAppendBatchBlocksFitOneFrame pins it.
 	targetBlockBytes = 1 << 20
 )
 

@@ -71,7 +71,7 @@ func (db *DB) Compact() (CompactStats, error) {
 // fragmented reports whether a sealed segment is a compaction source: it
 // holds records and its average block payload is below the fragmentation
 // threshold.
-func fragmented(s *segment, fragBytes int64) bool {
+func fragmented(s *segment) bool {
 	if s.index.count == 0 || len(s.index.blocks) == 0 {
 		return false
 	}
@@ -79,15 +79,12 @@ func fragmented(s *segment, fragBytes int64) bool {
 	for i := range s.index.blocks {
 		payload += int64(s.index.blocks[i].payloadLen)
 	}
-	return payload/int64(len(s.index.blocks)) < fragBytes
+	return payload/int64(len(s.index.blocks)) < compactFragBytes
 }
 
 // compactOnce selects and merges one run of fragmented segments. ok is
 // false when no candidate run exists.
 func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
-	fragBytes := db.opts.Lifecycle.fragBytes()
-	blockBytes := db.opts.Lifecycle.blockBytes()
-
 	// Select the first maximal run of consecutive fragmented sealed
 	// segments whose combined payload fits one output segment, and pin the
 	// sources with snapshot references so retention in another process
@@ -112,7 +109,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		return p
 	}
 	for i := 0; i < len(sealed) && srcs == nil; i++ {
-		if !fragmented(sealed[i], fragBytes) {
+		if !fragmented(sealed[i]) {
 			continue
 		}
 		var run []*segment
@@ -120,7 +117,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		blocksIn := 0
 		for j := i; j < len(sealed); j++ {
 			s := sealed[j]
-			if !fragmented(s, fragBytes) {
+			if !fragmented(s) {
 				break
 			}
 			p := payloadOf(s)
@@ -139,7 +136,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		// keep both its block count and its range-derived file name —
 		// re-selecting it would livelock the maintenance loop and rename
 		// the rewrite over its own source.
-		estOut := int(payload/blockBytes) + 1
+		estOut := int(payload/compactBlockBytes) + 1
 		if len(run) >= 2 || (!run[0].compacted && blocksIn > estOut) {
 			srcs = run
 		} else {
@@ -222,7 +219,7 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 			}
 			for i := range recs {
 				est := recordSizeEstimate(&recs[i])
-				if int64(batchBytes+est) > blockBytes && len(batch) > 0 {
+				if batchBytes+est > compactBlockBytes && len(batch) > 0 {
 					if err := flushBatch(); err != nil {
 						return cleanup(err)
 					}

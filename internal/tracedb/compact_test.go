@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"rad/internal/simclock"
 	"rad/internal/store"
-	"rad/internal/wire"
 )
 
 // lcRecords builds n records with deterministic devices, keys, runs, and
@@ -503,7 +500,7 @@ func TestLifecycleInfo(t *testing.T) {
 	if info.Records != 2000 {
 		t.Fatalf("info.Records = %d", info.Records)
 	}
-	if info.Blocks.Fragmented == 0 || info.Blocks.AvgBytes >= DefaultCompactFragBytes {
+	if info.Blocks.Fragmented == 0 || info.Blocks.AvgBytes >= compactFragBytes {
 		t.Fatalf("small-flush store not seen as fragmented: %+v", info.Blocks)
 	}
 	if info.ExpiredBytes == 0 {
@@ -525,89 +522,28 @@ func TestLifecycleInfo(t *testing.T) {
 	}
 }
 
-// TestCompactBlocksFitOneFrame: however large a block the compactor is
-// asked for, it re-batches into blocks that each fit one wire event frame,
-// header included, since a snapshot replay forwards stored blocks as
-// frames. Every block of an unfiltered scan is covered, so each one is
-// handed to wire.Conn.BufferBlock, which refuses a frame over
-// wire.MaxFrameSize. Each record encodes to exactly 1 KiB: a split on
-// exact record sizes would fill a block with exactly 1 MiB of records,
-// which its record count and frame header would push over the limit.
-func TestCompactBlocksFitOneFrame(t *testing.T) {
-	db, err := Open(t.TempDir(), Options{
-		SegmentBytes: 512 << 10,
-		Lifecycle:    LifecycleOptions{CompactBlockBytes: 4 << 20},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	recs := lcRecords(3000, time.Unix(1000, 0))
-	for i := range recs {
-		r := &recs[i]
-		r.Seq, r.Args = uint64(i), []string{""} // the seq Append assigns
-		// The arg's length prefix takes a second byte once it is padded.
-		r.Args[0] = strings.Repeat("x", 1<<10-len(store.AppendRecord(nil, r))-1)
-		if n := len(store.AppendRecord(nil, r)); n != 1<<10 {
-			t.Fatalf("record %d encodes to %d bytes, want 1 KiB", i, n)
-		}
-	}
-	ingestSmallBlocks(t, db, recs, 100)
-	want := canonical(t, collectAll(t, db))
-	if _, err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if got := canonical(t, collectAll(t, db)); !bytes.Equal(got, want) {
-		t.Fatal("compaction changed the store's records")
-	}
-	wc := wire.NewConn(struct {
-		io.Reader
-		io.Writer
-	}{strings.NewReader(""), io.Discard}, wire.V2, nil)
-	largest := 0
-	it := db.Scan(Query{})
-	for it.NextBlock() {
-		payload := it.Block()
-		if payload == nil {
-			t.Fatalf("record %d of an unfiltered scan was not in a covered block", it.Ref().Seq)
-		}
-		if err := wc.BufferBlock(payload); err != nil {
-			t.Fatalf("block of %d bytes: %v", len(payload), err)
-		}
-		largest = max(largest, len(payload))
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if largest <= wire.MaxFrameSize/2 {
-		t.Fatalf("largest block holds %d bytes, want more than half of a %d-byte frame", largest, wire.MaxFrameSize)
-	}
-}
-
-// TestCompactLoneCompactedNotReselected pins the livelock fix: with the
-// fragmentation threshold raised to the block target, every segment —
-// including a fresh compactor output — looks fragmented, and because the
-// rewrite splits batches on the conservative recordSizeEstimate the output
-// can keep the same block count (and the same range-derived file name) as
-// its input. A lone compacted segment must therefore never be selected
-// again: re-compacting it would loop forever under lcMu (deadlocking
-// Close) and rename the rewrite over its own source, unlinking the live
-// file when the source retires.
+// TestCompactLoneCompactedNotReselected pins the livelock fix. Records
+// with almost no string bytes encode to under a quarter of their
+// recordSizeEstimate, so the compactor, which splits batches on that
+// estimate, writes blocks under compactFragBytes: its output still looks
+// fragmented, and keeps more blocks than its payload's estimated block
+// count. A lone compacted segment must therefore never be selected again:
+// re-compacting it would reuse its own range-derived file name, looping
+// under lcMu (deadlocking Close) or renaming the rewrite over its own
+// source, unlinking the live file when the source retires.
 func TestCompactLoneCompactedNotReselected(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{
-		SegmentBytes: 16 << 10,
-		Lifecycle: LifecycleOptions{
-			CompactBlockBytes: 64 << 10,
-			CompactFragBytes:  64 << 10, // everything qualifies as fragmented
-		},
-	}
+	opts := Options{SegmentBytes: 8 << 10}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	recs := lcRecords(1500, time.Unix(1000, 0))
+	recs := make([]store.Record, 3000)
+	for i := range recs {
+		at := time.Unix(0, int64(i))
+		recs[i] = store.Record{Time: at, EndTime: at, Device: "C9", Name: "Q"}
+	}
 	ingestSmallBlocks(t, db, recs, 4)
 	want := canonical(t, collectAll(t, db))
 
@@ -633,6 +569,17 @@ func TestCompactLoneCompactedNotReselected(t *testing.T) {
 		t.Fatal(r.err)
 	} else if r.stats.Compactions == 0 {
 		t.Fatal("first compaction pass did nothing")
+	}
+	db.mu.RLock()
+	lone := 0
+	for _, s := range db.segs[:len(db.segs)-1] {
+		if s.compacted && fragmented(s) && len(s.index.blocks) >= 2 {
+			lone++
+		}
+	}
+	db.mu.RUnlock()
+	if lone == 0 {
+		t.Fatal("no compacted segment of several fragmented blocks: the test no longer reaches the re-selection it guards")
 	}
 	// A second pass finds nothing: lone compacted survivors stay put.
 	if r := run(); r.err != nil {

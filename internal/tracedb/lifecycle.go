@@ -17,24 +17,6 @@ type LifecycleOptions struct {
 	// horizon uses Options.Clock, so virtual-clock campaigns age out
 	// virtually.
 	Interval time.Duration
-	// CompactBlockBytes is the payload size the compactor re-batches
-	// records into. Larger blocks amortize per-block overhead (header,
-	// CRC, read syscall, index entry) but coarsen the posting lists and
-	// time index — a block is the unit of pruning, so a very large block
-	// almost always contains any given command type and selective queries
-	// degrade toward full scans. The default, DefaultCompactBlockBytes,
-	// is dense enough to collapse small-flush debris by orders of
-	// magnitude while keeping rare-key and time-window pruning effective.
-	// Larger values are capped at the 1 MiB at which appends split a
-	// batch, so that, as on the append path, only a block of one record
-	// can exceed the wire's frame limit: a snapshot replay forwards stored
-	// blocks to a tail as they are.
-	CompactBlockBytes int64
-	// CompactFragBytes marks a sealed segment fragmented — a compaction
-	// source — when its average block payload is below this. Defaults to
-	// a quarter of the compacted block size, so freshly compacted
-	// segments are never re-selected as sources.
-	CompactFragBytes int64
 	// RetainMaxAge retires whole sealed segments whose newest record is
 	// older than this relative to Options.Clock.Now(). Zero keeps
 	// everything.
@@ -44,25 +26,21 @@ type LifecycleOptions struct {
 	RetainMaxBytes int64
 }
 
-// DefaultCompactBlockBytes is the compactor's default re-batch target.
-const DefaultCompactBlockBytes = 64 << 10
+// compactBlockBytes is the payload size the compactor re-batches records
+// into. Larger blocks amortize per-block overhead (header, CRC, read
+// syscall, index entry) but coarsen the posting lists and time index — a
+// block is the unit of pruning, so a very large block almost always
+// contains any given command type and selective queries degrade toward full
+// scans. 64 KiB is dense enough to collapse small-flush debris by orders of
+// magnitude while keeping rare-key and time-window pruning effective.
+const compactBlockBytes = 64 << 10
 
-// DefaultCompactFragBytes is the default fragmentation threshold.
-const DefaultCompactFragBytes = DefaultCompactBlockBytes / 4
-
-func (o LifecycleOptions) blockBytes() int64 {
-	if o.CompactBlockBytes > 0 {
-		return min(o.CompactBlockBytes, targetBlockBytes)
-	}
-	return DefaultCompactBlockBytes
-}
-
-func (o LifecycleOptions) fragBytes() int64 {
-	if o.CompactFragBytes > 0 {
-		return o.CompactFragBytes
-	}
-	return o.blockBytes() / 4
-}
+// compactFragBytes marks a sealed segment fragmented — a compaction source
+// — when its average block payload is below it: a quarter of the compacted
+// block size, which the compactor's blocks of ordinary records exceed.
+// Blocks of near-empty records can stay under it, so compactOnce never
+// re-selects a lone compacted segment either way.
+const compactFragBytes = compactBlockBytes / 4
 
 // lifecycleStats are the always-maintained lifecycle and planner counters;
 // Observe exposes them, and Lifecycle()/radquery -mode info read them
@@ -307,7 +285,6 @@ type LifecycleInfo struct {
 // engine's lifetime totals.
 func (db *DB) Lifecycle() LifecycleInfo {
 	pol := db.opts.Lifecycle
-	fragBytes := pol.fragBytes()
 	var info LifecycleInfo
 	var horizonN int64
 	if pol.RetainMaxAge > 0 {
@@ -356,7 +333,7 @@ func (db *DB) Lifecycle() LifecycleInfo {
 			if p > info.Blocks.MaxBytes {
 				info.Blocks.MaxBytes = p
 			}
-			if p < fragBytes {
+			if p < compactFragBytes {
 				info.Blocks.Fragmented++
 			}
 			payloadSum += p

@@ -1,8 +1,10 @@
 package tracedb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"rad/internal/store"
+	"rad/internal/wire"
 )
 
 // testRecord builds a deterministic synthetic record; i spreads records
@@ -273,6 +276,64 @@ func TestAppendErrorMeansNotCommitted(t *testing.T) {
 		t.Fatal("no append was refused with the segment file closed")
 	}
 	_ = db.Close() // the closed file fails the final sync; that is expected
+}
+
+// TestAppendBatchBlocksFitOneFrame: a batch too large for one block is
+// split into blocks that each fit one wire event frame, header included,
+// since a snapshot replay forwards stored blocks as frames. Every block of
+// an unfiltered scan is covered, so each one is handed to
+// wire.Conn.BufferBlock, which refuses a frame over wire.MaxFrameSize. Each
+// record encodes to exactly 1 KiB: a split on exact record sizes would fill
+// a block with exactly 1 MiB of records, which its record count and frame
+// header would push over the limit.
+func TestAppendBatchBlocksFitOneFrame(t *testing.T) {
+	db, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	recs := testRecords(3000)
+	for i := range recs {
+		r := &recs[i]
+		r.Seq, r.Args = uint64(i), []string{""} // the seq AppendBatch assigns
+		// The arg's length prefix takes a second byte once it is padded.
+		r.Args[0] = strings.Repeat("x", 1<<10-len(store.AppendRecord(nil, r))-1)
+		if n := len(store.AppendRecord(nil, r)); n != 1<<10 {
+			t.Fatalf("record %d encodes to %d bytes, want 1 KiB", i, n)
+		}
+	}
+	if err := db.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Collect(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(store.AppendBlock(nil, got), store.AppendBlock(nil, recs)) {
+		t.Fatal("the store's records differ from the batch")
+	}
+	wc := wire.NewConn(struct {
+		io.Reader
+		io.Writer
+	}{strings.NewReader(""), io.Discard}, wire.V2, nil)
+	blocks, largest := 0, 0
+	it := db.Scan(Query{})
+	for it.NextBlock() {
+		payload := it.Block()
+		if payload == nil {
+			t.Fatalf("record %d of an unfiltered scan was not in a covered block", it.Ref().Seq)
+		}
+		if err := wc.BufferBlock(payload); err != nil {
+			t.Fatalf("block of %d bytes: %v", len(payload), err)
+		}
+		blocks, largest = blocks+1, max(largest, len(payload))
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if blocks < 3 || largest <= wire.MaxFrameSize/2 {
+		t.Fatalf("batch split into %d blocks, the largest of %d bytes; want at least 3, one over half of a %d-byte frame", blocks, largest, wire.MaxFrameSize)
+	}
 }
 
 // TestAppendBatchErrorMeansNotCommitted is the same refusal contract for a

@@ -138,9 +138,10 @@ type TraceQuery = tracedb.Query
 // compaction temps and segments superseded by a completed compaction.
 var OpenTraceDB = tracedb.Open
 
-// TraceLifecycleOptions configures the store's lifecycle engine: background
-// compaction of fragmented segments and whole-segment retention (max age,
-// max bytes). Set on TraceDBOptions.Lifecycle.
+// TraceLifecycleOptions configures the store's lifecycle engine: the
+// cadence of its background pass, which compacts fragmented segments into
+// 64 KiB blocks, and whole-segment retention (max age, max bytes). Set on
+// TraceDBOptions.Lifecycle.
 type TraceLifecycleOptions = tracedb.LifecycleOptions
 
 // --- Live streaming and online detection (internal/stream) ---
@@ -191,8 +192,8 @@ type VirtualLabConfig = procedure.VirtualLabConfig
 // NewVirtualLab assembles a virtual lab.
 var NewVirtualLab = procedure.NewVirtualLab
 
-// ProcedureOptions tune a procedure run (vials, solid, velocity, payload,
-// crash injection, operator quirks).
+// ProcedureOptions tune a procedure run (vials, solid, joystick prefix,
+// early stops, crash injection, operator quirks).
 type ProcedureOptions = procedure.Options
 
 // CrashPlan schedules a physical crash partway through a run.
@@ -280,8 +281,9 @@ type PerplexityDetector = ids.PerplexityDetector
 // TrainPerplexityDetector fits a detector on valid command sequences.
 var TrainPerplexityDetector = ids.TrainPerplexity
 
-// NewRuleEngine builds the middlebox's first-line rule-based safeguard with
-// an optional per-device rate limit.
+// NewRuleEngine builds the middlebox's first-line rule-based safeguard: the
+// restricted command set, device initialization order, and mutating
+// commands that fail.
 var NewRuleEngine = ids.NewRuleEngine
 
 // PowerDetector matches joint-current signatures (§VI / RQ3).
@@ -351,10 +353,7 @@ var (
 // Spec is a mined procedure specification: repeated blocks with iteration
 // bounds (§V's specification-mining use case). Mining, merging across runs,
 // and the corpus-level block summary:
-type (
-	Spec        = specmine.Spec
-	SpecOptions = specmine.Options
-)
+type Spec = specmine.Spec
 
 var (
 	MineSpec      = specmine.Mine
