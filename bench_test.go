@@ -316,6 +316,6 @@ func BenchmarkPowerModel(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(vl.Lab.Monitor.Len())/float64(b.N), "samples/op")
+	b.ReportMetric(float64(len(vl.Power()))/float64(b.N), "samples/op")
 	_ = time.Now
 }

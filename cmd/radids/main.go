@@ -96,31 +96,17 @@ func run(args []string) error {
 
 	// 3. Procedure identification (RQ1): leave-one-out nearest-centroid.
 	fmt.Println("\n== TF-IDF procedure classifier (leave-one-out) ==")
-	correct := 0
-	for i := range seqs {
-		var trainSeqs [][]string
-		var trainLabels []string
-		for j := range seqs {
-			if j == i {
-				continue
-			}
-			trainSeqs = append(trainSeqs, seqs[j])
-			trainLabels = append(trainLabels, ds.Runs[j].Procedure)
-		}
-		clf, err := ids.TrainClassifier(trainSeqs, trainLabels)
-		if err != nil {
-			return err
-		}
-		got, sim := clf.Classify(seqs[i])
-		ok := got == ds.Runs[i].Procedure
-		if ok {
-			correct++
-		} else {
+	rq1, err := experiments.RQ1Classification(ds)
+	if err != nil {
+		return err
+	}
+	for _, row := range rq1.Rows {
+		if !row.Correct {
 			fmt.Printf("  run %2d (%s): classified %s (sim %.2f) — %s\n",
-				i, ds.Runs[i].Procedure, got, sim, ds.Runs[i].Note)
+				row.ID, row.Truth, row.Predicted, row.Similarity, row.Note)
 		}
 	}
-	fmt.Printf("procedure identification: %d/%d correct\n", correct, len(seqs))
+	fmt.Printf("procedure identification: %d/%d correct\n", rq1.Correct, rq1.Total)
 
 	// 4. Rule engine over the whole campaign.
 	fmt.Println("\n== middlebox rule engine ==")

@@ -18,12 +18,14 @@
 // directory survives crashes (torn tails are truncated on reopen) and is
 // queryable with radquery while the middlebox is down.
 //
-// -stream opens a second listener serving the live trace feed (tail it with
-// radwatch, or radquery -follow): every committed record fans out to
-// connected subscribers through per-connection bounded rings, and with
-// -store set, new subscribers can replay the whole store before going live
-// (snapshot-then-follow). Per-subscriber delivery counters appear in the
-// shutdown summary.
+// -stream opens a second listener serving the live feed, which radwatch
+// tails: every committed record fans out to connected subscribers through
+// per-connection bounded rings, and with -store set, new subscribers can
+// replay the whole store before going live (snapshot-then-follow). With
+// -power (the default) the UR3e's power samples ride the same feed to the
+// subscribers that ask for them (radwatch -power); the monitor keeps none,
+// and the shutdown summary prints how many it recorded. The broker's
+// published count and per-subscriber delivery counters appear there too.
 //
 // -fleet turns the listener multi-tenant: requests tagged with a tenant ID
 // route to lazily-instantiated independent labs (own devices, fault
@@ -199,9 +201,10 @@ func printSummary(d *deploy.Deployment, dlqDir string) {
 			fst.PrimaryErrors, fst.SpilledBatches, fst.SpilledRecords, dlqDir)
 	}
 	if d.Broker != nil {
+		subs := d.Broker.Stats()
 		fmt.Printf("stream: %d records published, %d subscribers at shutdown\n",
-			d.Broker.Published(), len(stats.Subscribers))
-		for _, s := range stats.Subscribers {
+			d.Broker.Published(), len(subs))
+		for _, s := range subs {
 			lag := ""
 			if s.Lagging {
 				lag = " (lagging)"

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	radquery -store DIR [-mode info|count|runs|scan|compact] [filters]
-//	radquery -follow -addr HOST:PORT [filters]
 //
 // Modes:
 //
@@ -28,11 +27,9 @@
 // which posting list drives, how many blocks are read versus provably
 // fully-covered — instead of executing it.
 //
-// -follow turns a scan into a live tail against a running middlebox's
-// -stream listener: the middlebox replays every matching record already in
-// its store (snapshot-then-follow, gap-free), then keeps streaming new ones
-// as they commit — the same subscriber radwatch uses. -store is not needed;
-// the middlebox reads its own.
+// A running middlebox's live feed is radwatch's: radwatch -snapshot
+// -format jsonl|csv takes the same filters and -limit, replays the
+// matching records already stored, then follows new ones as they commit.
 package main
 
 import (
@@ -44,9 +41,7 @@ import (
 	"time"
 
 	"rad/internal/store"
-	"rad/internal/stream"
 	"rad/internal/tracedb"
-	"rad/internal/wire"
 )
 
 func main() {
@@ -72,20 +67,8 @@ func run(args []string, out io.Writer) error {
 	explain := fs.Bool("explain", false, "scan: print the query plan instead of the records")
 	retainAge := fs.Duration("retain-age", 0, "compact: also retire sealed segments older than this")
 	retainBytes := fs.Int64("retain-bytes", 0, "compact: also retire oldest sealed segments past this byte budget")
-	follow := fs.Bool("follow", false, "live-tail a running middlebox instead of reading a store")
-	addr := fs.String("addr", "", "follow: the middlebox's -stream listener address")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *follow {
-		if *addr == "" {
-			return fmt.Errorf("-follow requires -addr")
-		}
-		return followScan(out, *addr, wire.Subscribe{
-			Name:   "radquery",
-			Device: *device, Key: *key, Procedure: *proc, Run: *runLabel,
-			Snapshot: true,
-		}, *limit, *format)
 	}
 	if *storeDir == "" {
 		return fmt.Errorf("-store is required")
@@ -249,49 +232,6 @@ func printCounts(out io.Writer, db *tracedb.DB, by string, q tracedb.Query) erro
 		fmt.Fprintf(out, "%8d  %s\n", counts[g], g)
 	}
 	return nil
-}
-
-// followScan is the -follow path: a snapshot-then-follow tail over the
-// middlebox's stream listener, rendered with the same sinks as a local scan.
-// It runs until the limit is reached or the middlebox closes the stream.
-func followScan(out io.Writer, addr string, req wire.Subscribe, limit int, format string) error {
-	var sink interface {
-		Append(store.Record) error
-		Flush() error
-	}
-	switch format {
-	case "jsonl":
-		sink = store.NewJSONLWriter(out)
-	case "csv":
-		sink = store.NewCSVWriter(out)
-	default:
-		return fmt.Errorf("unknown -format %q", format)
-	}
-
-	client, err := stream.Dial(addr, req)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-
-	n := 0
-	for limit <= 0 || n < limit {
-		ev, err := client.Recv()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return err
-		}
-		if ev.Kind != wire.EventTrace {
-			continue
-		}
-		if err := sink.Append(*ev.Record); err != nil {
-			return err
-		}
-		n++
-	}
-	return sink.Flush()
 }
 
 func printScan(out io.Writer, db *tracedb.DB, q tracedb.Query, limit int, format string) error {

@@ -10,7 +10,6 @@ import (
 
 	"rad/internal/procedure"
 	"rad/internal/store"
-	"rad/internal/stream"
 	"rad/internal/tracedb"
 )
 
@@ -211,94 +210,14 @@ func TestQueryCountByRunAndProcedure(t *testing.T) {
 	}
 }
 
-// TestQueryFollowTailsStream runs the -follow path against a live stream
-// listener: the persisted store replays as a snapshot, then live commits
-// keep arriving, all through the same scan formats.
-func TestQueryFollowTailsStream(t *testing.T) {
-	dir := buildStore(t)
-	db, err := tracedb.Open(dir, tracedb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	broker := stream.NewBroker()
-	defer broker.Close()
-	broker.AttachStore(db)
-	srv := stream.NewServer(broker, db)
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// Keep committing fresh records so the tail has a live side to follow
-	// past the 40-record snapshot.
-	stopAppend := make(chan struct{})
-	defer close(stopAppend)
-	go func() {
-		for {
-			select {
-			case <-stopAppend:
-				return
-			default:
-			}
-			_ = db.Append(store.Record{Device: "C9", Name: "LIVE", Response: "ok"})
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	var out bytes.Buffer
-	if err := run([]string{"-follow", "-addr", addr, "-limit", "45"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.ReadJSONL(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 45 {
-		t.Fatalf("follow returned %d records, want 45", len(got))
-	}
-	// The first 40 are the snapshot in sequence order; the rest are live.
-	for i := 0; i < 40; i++ {
-		if got[i].Seq != uint64(i) {
-			t.Fatalf("snapshot record %d has seq %d", i, got[i].Seq)
-		}
-	}
-	for _, r := range got[40:] {
-		if r.Name != "LIVE" || r.Seq < 40 {
-			t.Errorf("live record out of place: %+v", r)
-		}
-	}
-
-	// Server-side filter pushdown applies to both snapshot and live sides.
-	out.Reset()
-	if err := run([]string{"-follow", "-addr", addr, "-run", "run-7", "-limit", "10"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := store.ReadJSONL(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(filtered) != 10 {
-		t.Fatalf("filtered follow returned %d records, want 10", len(filtered))
-	}
-	for _, r := range filtered {
-		if r.Run != "run-7" {
-			t.Errorf("record leaked through run filter: %+v", r)
-		}
-	}
-}
-
 func TestQueryRejectsBadFlags(t *testing.T) {
 	dir := buildStore(t)
 	for name, args := range map[string][]string{
-		"no-store":       {"-mode", "info"},
-		"follow-no-addr": {"-follow"},
-		"bad-mode":       {"-store", dir, "-mode", "explode"},
-		"bad-by":         {"-store", dir, "-mode", "count", "-by", "color"},
-		"bad-format":     {"-store", dir, "-mode", "scan", "-format", "parquet"},
-		"bad-from":       {"-store", dir, "-from", "yesterday"},
+		"no-store":   {"-mode", "info"},
+		"bad-mode":   {"-store", dir, "-mode", "explode"},
+		"bad-by":     {"-store", dir, "-mode", "count", "-by", "color"},
+		"bad-format": {"-store", dir, "-mode", "scan", "-format", "parquet"},
+		"bad-from":   {"-store", dir, "-from", "yesterday"},
 	} {
 		if err := run(args, &bytes.Buffer{}); err == nil {
 			t.Errorf("%s: accepted %v", name, args)

@@ -38,8 +38,8 @@ func publishUntil(t *testing.T, broker *stream.Broker, stop chan struct{}) {
 				return
 			default:
 			}
-			broker.Publish(store.Record{Seq: seq, Device: "C9", Name: "MVNG",
-				Time: time.Unix(int64(seq), 0), Run: "r1"})
+			broker.PublishBatch([]store.Record{{Seq: seq, Device: "C9", Name: "MVNG",
+				Time: time.Unix(int64(seq), 0), Run: "r1"}})
 			seq++
 			time.Sleep(time.Millisecond)
 		}
@@ -113,6 +113,89 @@ func TestWatchSnapshotReplaysStore(t *testing.T) {
 	}
 }
 
+// TestWatchSnapshotTailsStream: -snapshot replays the stored records in
+// seq order and hands off to live commits with no gap and no duplicate,
+// and a -run filter is pushed down to both sides. Two watchers attach,
+// then ten records commit live, every other one in the filtered run.
+func TestWatchSnapshotTailsStream(t *testing.T) {
+	dir := t.TempDir()
+	db, err := tracedb.Open(dir, tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// 40 stored records, the last 10 in run-7.
+	for i := 0; i < 40; i++ {
+		r := store.Record{Device: "UR3e", Name: "movej"}
+		if i >= 30 {
+			r.Run = "run-7"
+		}
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	broker, addr := startStream(t, db)
+	broker.AttachStore(db)
+
+	watch := func(args ...string) (*bytes.Buffer, chan error) {
+		out, done := &bytes.Buffer{}, make(chan error, 1)
+		args = append([]string{"-addr", addr, "-snapshot", "-policy", "block", "-format", "jsonl"}, args...)
+		go func() { done <- run(args, out) }()
+		return out, done
+	}
+	allOut, allDone := watch("-limit", "45")
+	runOut, runDone := watch("-run", "run-7", "-limit", "15")
+	for deadline := time.Now().Add(5 * time.Second); len(broker.Stats()) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("watchers never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 10; i++ {
+		r := store.Record{Device: "C9", Name: "LIVE"}
+		if i%2 == 0 {
+			r.Run = "run-7"
+		}
+		if err := db.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	read := func(out *bytes.Buffer, done chan error, want int) []store.Record {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("watcher never reached its limit")
+		}
+		recs, err := store.ReadJSONL(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != want {
+			t.Fatalf("watcher printed %d records, want %d", len(recs), want)
+		}
+		return recs
+	}
+	for i, r := range read(allOut, allDone, 45) {
+		if r.Seq != uint64(i) || (r.Name == "LIVE") != (i >= 40) {
+			t.Errorf("record %d: seq %d %s, want seq %d, stored before 40 and live after", i, r.Seq, r.Name, i)
+		}
+	}
+	for i, r := range read(runOut, runDone, 15) {
+		want := uint64(30 + i) // the stored run, then the even live seqs
+		if i >= 10 {
+			want = uint64(40 + 2*(i-10))
+		}
+		if r.Run != "run-7" || r.Seq != want {
+			t.Errorf("filtered record %d: seq %d run %q, want seq %d in run-7", i, r.Seq, r.Run, want)
+		}
+	}
+}
+
 func TestWatchIDSEmitsAlerts(t *testing.T) {
 	// Train on a store holding a repetitive benign run, then stream
 	// commands the model has never seen: the online IDS must emit
@@ -144,7 +227,7 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 				return
 			default:
 			}
-			broker.Publish(store.Record{Seq: seq, Device: "C9", Name: weird[seq%4]})
+			broker.PublishBatch([]store.Record{{Seq: seq, Device: "C9", Name: weird[seq%4]}})
 			seq++
 			time.Sleep(time.Millisecond)
 		}
@@ -259,8 +342,8 @@ func TestWatchVanishedServerExitsNonzero(t *testing.T) {
 
 	// Two records, then the server vanishes under the watcher.
 	waitForPublished(t, broker, func() {
-		broker.Publish(store.Record{Seq: 0, Device: "C9", Name: "MVNG", Time: time.Unix(0, 0)})
-		broker.Publish(store.Record{Seq: 1, Device: "C9", Name: "MVNG", Time: time.Unix(1, 0)})
+		broker.PublishBatch([]store.Record{{Seq: 0, Device: "C9", Name: "MVNG", Time: time.Unix(0, 0)}})
+		broker.PublishBatch([]store.Record{{Seq: 1, Device: "C9", Name: "MVNG", Time: time.Unix(1, 0)}})
 	})
 	srv.Close()
 	broker.Close()

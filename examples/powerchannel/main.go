@@ -15,55 +15,39 @@ import (
 
 func main() {
 	det := rad.NewPowerDetector()
+	toL0 := func(_ *rad.VirtualLab, arm rad.Device) { move(arm, "L0", 0) }
 
 	// Phase 1 — enrolment: run each reference motion and learn its
 	// signature. (In the lab this is a power probe at the outlet; here it is
 	// the simulated RTDE feed.)
 	fmt.Println("enrolling reference motions:")
 	for _, loc := range []string{"L1", "L2", "L3"} {
-		cur := record(1, func(lab *rad.VirtualLab, arm rad.Device) {
-			move(arm, "L0", 0)
-			lab.Lab.Monitor.Reset()
-			move(arm, loc, 0)
-		})
+		cur := record(1, toL0, loc)
 		det.Learn("L0->"+loc, cur)
 		fmt.Printf("  L0->%s: %d samples, peak %.3f\n", loc, len(cur), peak(cur))
 	}
 
 	// Phase 2 — a repeat of a known motion on a different day (fresh noise).
-	cur := record(99, func(lab *rad.VirtualLab, arm rad.Device) {
-		move(arm, "L0", 0)
-		lab.Lab.Monitor.Reset()
-		move(arm, "L2", 0)
-	})
-	report(det, "repeat of L0->L2", cur)
+	report(det, "repeat of L0->L2", record(99, toL0, "L2"))
 
 	// Phase 3 — the same motion but secretly carrying a 1 kg payload: the
 	// trajectory matches, the amplitude does not. A command-based IDS cannot
 	// see this (weights are not command arguments, §VI).
-	cur = record(100, func(lab *rad.VirtualLab, arm rad.Device) {
+	cur := record(100, func(lab *rad.VirtualLab, arm rad.Device) {
 		move(arm, "storage_rack", 0)
 		lab.Lab.Raw.UR3e.SetNextPayload(1.0)
 		grip(arm, "close_gripper")
 		move(arm, "L0", 0)
-		lab.Lab.Monitor.Reset()
-		move(arm, "L2", 0)
-	})
+	}, "L2")
 	report(det, "L0->L2 with hidden 1 kg payload", cur)
 
 	// Phase 4 — an attacker drives the arm somewhere it never goes.
-	cur = record(101, func(lab *rad.VirtualLab, arm rad.Device) {
-		move(arm, "L0", 0)
-		lab.Lab.Monitor.Reset()
-		move(arm, "camera_station", 0)
-		move(arm, "quantos_tray", 0)
-	})
-	report(det, "unknown trajectory (L0->camera->quantos)", cur)
+	report(det, "unknown trajectory (L0->camera->quantos)", record(101, toL0, "camera_station", "quantos_tray"))
 }
 
-// record runs fn in a fresh power-enabled lab and returns the joint-1
-// current recorded after the last Monitor.Reset inside fn.
-func record(seed uint64, fn func(*rad.VirtualLab, rad.Device)) []float64 {
+// record runs setup in a fresh power-enabled lab, then moves the arm along
+// path and returns the joint-1 current the lab captured along path.
+func record(seed uint64, setup func(*rad.VirtualLab, rad.Device), path ...string) []float64 {
 	lab, err := rad.NewVirtualLab(rad.VirtualLabConfig{Seed: seed, WithPower: true})
 	if err != nil {
 		log.Fatal(err)
@@ -73,8 +57,12 @@ func record(seed uint64, fn func(*rad.VirtualLab, rad.Device)) []float64 {
 	if _, err := arm.Exec(rad.Command{Name: "__init__"}); err != nil {
 		log.Fatal(err)
 	}
-	fn(lab, arm)
-	return rad.CurrentSeries(lab.Lab.Monitor.Samples(), 0)
+	setup(lab, arm)
+	start := len(lab.Power())
+	for _, loc := range path {
+		move(arm, loc, 0)
+	}
+	return rad.CurrentSeries(lab.Power()[start:], 0)
 }
 
 func move(arm rad.Device, loc string, vel float64) {

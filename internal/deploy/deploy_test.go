@@ -2,12 +2,17 @@ package deploy
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"rad/internal/device"
+	"rad/internal/simclock"
 	"rad/internal/stream"
+	"rad/internal/tracer"
 	"rad/internal/wire"
 )
 
@@ -61,6 +66,17 @@ func TestStartFailureClosesWhatItBuilt(t *testing.T) {
 	}
 }
 
+// waitForSubscriber returns once d's broker has a subscriber.
+func waitForSubscriber(t *testing.T, d *Deployment) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); len(d.Broker.Stats()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("subscriber never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestDrainReportsWhileSubscribersAttached: Drain runs report after the
 // exec listener stops and before the stream listener drains, so the
 // report still sees the live subscriber that the stream drain detaches.
@@ -75,12 +91,7 @@ func TestDrainReportsWhileSubscribersAttached(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	for deadline := time.Now().Add(5 * time.Second); len(d.Core.Snapshot().Subscribers) == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("subscriber never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitForSubscriber(t, d)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -89,7 +100,7 @@ func TestDrainReportsWhileSubscribersAttached(t *testing.T) {
 		if !d.mbox.Draining() {
 			t.Error("report ran before the exec listener stopped")
 		}
-		reported = len(d.Core.Snapshot().Subscribers)
+		reported = len(d.Broker.Stats())
 	})
 	if severed != nil || err != nil {
 		t.Fatalf("Drain: severed %v, err %v", severed, err)
@@ -97,7 +108,94 @@ func TestDrainReportsWhileSubscribersAttached(t *testing.T) {
 	if reported != 1 {
 		t.Errorf("report saw %d subscribers, want 1", reported)
 	}
-	if n := len(d.Core.Snapshot().Subscribers); n != 0 {
+	if n := len(d.Broker.Stats()); n != 0 {
 		t.Errorf("%d subscribers attached after Drain, want 0", n)
+	}
+}
+
+// TestPowerStreamCarriesEverySample: with Power and a stream listener, the
+// UR3e's monitor keeps no samples, so the stream is their one way out. A
+// Block subscriber that asked for power, with a ring larger than one move,
+// receives every sample of a move served over the wire: as many as
+// Monitor.Len counts, the number the shutdown summary prints.
+func TestPowerStreamCarriesEverySample(t *testing.T) {
+	d, err := Start(Config{Listen: "127.0.0.1:0", StreamAddr: "127.0.0.1:0", Power: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	sub, err := stream.Dial(d.Addrs.Stream, wire.Subscribe{
+		Name: "power", Power: true, Policy: wire.PolicyBlock, Buffer: 4096,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	waitForSubscriber(t, d)
+	type tally struct {
+		traces, samples int
+		dropped         uint64
+		err             error
+	}
+	got := make(chan tally, 1)
+	go func() {
+		var n tally
+		for {
+			ev, err := sub.Recv()
+			if err != nil {
+				n.err = err
+				got <- n
+				return
+			}
+			n.dropped += ev.Dropped
+			switch ev.Kind {
+			case wire.EventTrace:
+				n.traces++
+			case wire.EventPower:
+				n.samples++
+			}
+		}
+	}()
+
+	transport, err := tracer.DialTCP(d.Addrs.Exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := tracer.NewSession(transport, simclock.Real{}, tracer.Config{DefaultMode: tracer.ModeRemote})
+	arm, err := sess.Virtual(device.UR3e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 0.1 rad base turn from home: a few 40 ms ticks of real time.
+	for _, cmd := range []device.Command{
+		{Name: device.Init},
+		{Name: "move_joints", Args: []string{"0.1", "-1.5707963", "0", "-1.5707963", "0", "0"}},
+	} {
+		if _, err := arm.Exec(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = sess.Close()
+
+	// Drain flushes the subscriber's ring, then ends its stream.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if severed, err := d.Drain(ctx, func() {}); severed != nil || err != nil {
+		t.Fatalf("Drain: severed %v, err %v", severed, err)
+	}
+	var n tally
+	select {
+	case n = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream never ended after Drain")
+	}
+	if !errors.Is(n.err, io.EOF) {
+		t.Errorf("stream ended with %v, want EOF", n.err)
+	}
+	if recorded := d.Monitor.Len(); recorded == 0 || n.samples != recorded || n.dropped != 0 {
+		t.Errorf("subscriber received %d samples (%d dropped), monitor recorded %d", n.samples, n.dropped, recorded)
+	}
+	if n.traces != 2 {
+		t.Errorf("subscriber received %d trace records, want 2", n.traces)
 	}
 }

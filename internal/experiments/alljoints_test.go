@@ -23,11 +23,11 @@ func TestAllJointsRepeatable(t *testing.T) {
 		if _, err := capture(vl, moveTo(arm, "L0", 0)); err != nil {
 			t.Fatal(err)
 		}
-		vl.Lab.Monitor.Reset()
-		if _, err := capture(vl, moveTo(arm, "L1", 0)); err != nil {
+		start := len(vl.Power())
+		if err := moveTo(arm, "L1", 0)(); err != nil {
 			t.Fatal(err)
 		}
-		samples := vl.Lab.Monitor.Samples()
+		samples := vl.Power()[start:]
 		out := make([][]float64, robot.NumJoints)
 		for j := 0; j < robot.NumJoints; j++ {
 			out[j] = power.CurrentSeries(samples, j)

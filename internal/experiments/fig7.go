@@ -45,12 +45,11 @@ func powerLab(seed uint64) (*procedure.VirtualLab, device.Device, error) {
 
 // capture runs fn and returns the joint-1 current recorded during it.
 func capture(vl *procedure.VirtualLab, fn func() error) ([]float64, error) {
-	start := vl.Lab.Monitor.Len()
+	start := len(vl.Power())
 	if err := fn(); err != nil {
 		return nil, err
 	}
-	samples := vl.Lab.Monitor.Samples()
-	return power.CurrentSeries(samples[start:], Joint1), nil
+	return power.CurrentSeries(vl.Power()[start:], Joint1), nil
 }
 
 func moveTo(arm device.Device, loc string, velMMS float64) func() error {

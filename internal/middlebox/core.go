@@ -81,11 +81,6 @@ type Core struct {
 	retryMu  sync.Mutex
 	retryRng *rand.Rand
 
-	// broker, when attached, fans every committed trace record out to live
-	// subscribers (radwatch tails, the online IDS) from the sink's commit
-	// hook. Immutable after AttachBroker; nil means no live feed.
-	broker *stream.Broker
-
 	// spans, when attached, is the request-tracing flight recorder: one root
 	// span per request with children for exec attempts and store appends
 	// (internal/obs/span). Immutable after SetSpans; nil keeps tracing off
@@ -118,9 +113,6 @@ type Stats struct {
 	// SinkErrors counts trace records the sink refused. The request still
 	// succeeded: tracing must not break the lab (§III).
 	SinkErrors uint64
-	// Subscribers holds per-subscriber live-stream delivery accounting when a
-	// broker is attached (nil otherwise).
-	Subscribers []stream.SubscriberStats
 	// Resilience reports the hardened exec path's activity (zero when no
 	// ExecPolicy is set).
 	Resilience Resilience
@@ -145,7 +137,6 @@ func (c *Core) AttachBroker(b *stream.Broker) {
 	if !ok {
 		panic(fmt.Sprintf("middlebox: AttachBroker needs a sequencing sink (store.Notifier), have %T", c.sink))
 	}
-	c.broker = b
 	b.AttachStore(n)
 }
 
@@ -180,13 +171,12 @@ func (c *Core) Register(d device.Device) {
 // stops, or even slows, any of them.
 func (c *Core) Snapshot() Stats {
 	return Stats{
-		Execs:       c.execs.Load(),
-		Traces:      c.traces.Load(),
-		Pings:       c.pings.Load(),
-		Errors:      c.errors.Load(),
-		SinkErrors:  c.sinkErrs.Load(),
-		Subscribers: c.broker.Stats(), // nil-safe: nil broker reports nil
-		Resilience:  c.resilience(),
+		Execs:      c.execs.Load(),
+		Traces:     c.traces.Load(),
+		Pings:      c.pings.Load(),
+		Errors:     c.errors.Load(),
+		SinkErrors: c.sinkErrs.Load(),
+		Resilience: c.resilience(),
 	}
 }
 

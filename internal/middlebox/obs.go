@@ -35,11 +35,6 @@ func (c *Core) Observe(reg *obs.Registry) {
 	reg.CounterFunc("rad_middlebox_exec_shed_total", c.shed.Load)
 	reg.CounterFunc("rad_middlebox_exec_infra_errors_total", c.infraErrs.Load)
 
-	// Live-stream fan-out, folded in from the attached broker (zero-valued
-	// when none is attached; resolved at render time so AttachBroker may
-	// come after Observe).
-	reg.CounterFunc("rad_middlebox_stream_published_total", func() uint64 { return c.broker.Published() })
-
 	for name, e := range c.devices {
 		c.observeDevice(name, e)
 	}

@@ -18,7 +18,8 @@ func execReq(name string) wire.Request {
 
 // TestAttachBrokerPublishesWithStoreSeqs checks the notifier wiring: with a
 // sequencing sink, every handled exec reaches a subscriber exactly once,
-// carrying the store's sequence number.
+// carrying the store's sequence number, and the broker's counters (the
+// shutdown summary's stream lines) account for each one.
 func TestAttachBrokerPublishesWithStoreSeqs(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	sink := store.NewMemStore()
@@ -47,49 +48,8 @@ func TestAttachBrokerPublishesWithStoreSeqs(t *testing.T) {
 	if _, ok := sub.TryRecv(); ok {
 		t.Error("record published twice (hook and logging path both fired)")
 	}
-}
-
-// TestSnapshotIncludesSubscriberStats is the per-subscriber accounting
-// satellite: Core.Snapshot must expose each live subscriber's delivery
-// counters alongside the request counters.
-func TestSnapshotIncludesSubscriberStats(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	core := NewCore(clock, store.NewMemStore())
-	core.Register(c9.New(device.NewEnv(clock, 1)))
-
-	if got := core.Snapshot().Subscribers; got != nil {
-		t.Fatalf("no broker attached but Subscribers = %v", got)
-	}
-
-	broker := stream.NewBroker()
-	defer broker.Close()
-	core.AttachBroker(broker)
-	sub := broker.Subscribe(stream.SubOptions{Name: "watcher", Buffer: 2})
-
-	for _, name := range []string{device.Init, "MVNG", "MVNG", "MVNG"} {
-		if rep := core.Handle(execReq(name)); rep.Error != "" {
-			t.Fatal(rep.Error)
-		}
-	}
-	sub.Recv() // deliver one
-
-	stats := core.Snapshot()
-	if len(stats.Subscribers) != 1 {
-		t.Fatalf("%d subscriber stats, want 1", len(stats.Subscribers))
-	}
-	s := stats.Subscribers[0]
-	if s.Name != "watcher" {
-		t.Errorf("stats name %q", s.Name)
-	}
-	if s.Delivered != 1 {
-		t.Errorf("Delivered = %d, want 1", s.Delivered)
-	}
-	// Four publishes into a two-slot ring, one consumed: exact accounting.
-	if s.Delivered+s.Dropped+uint64(s.Buffered) != 4 {
-		t.Errorf("delivered %d + dropped %d + buffered %d != 4 published",
-			s.Delivered, s.Dropped, s.Buffered)
-	}
-	if !s.Lagging {
-		t.Error("subscriber with drops not marked lagging")
+	stats := broker.Stats()
+	if broker.Published() != 3 || len(stats) != 1 || stats[0].Delivered != 3 || stats[0].Dropped != 0 {
+		t.Errorf("published %d, subscriber stats %+v, want 3 published and 3 delivered", broker.Published(), stats)
 	}
 }

@@ -17,6 +17,10 @@ import (
 // entries only on days with activity; callers control that by choosing when
 // to call RecordQuiescent.
 //
+// A Monitor forwards each sample to its hooks (SetOnSample) and keeps none:
+// a consumer that needs a capture collects one from a hook, as the paper's
+// collector writes the RTDE feed to its power dataset.
+//
 // A Monitor is safe for concurrent use; the UR3e device simulator drives it
 // from whatever goroutine serves the command.
 type Monitor struct {
@@ -25,7 +29,7 @@ type Monitor struct {
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	samples  []Sample
+	recorded int     // samples recorded so far
 	payload  float64 // currently carried payload, kg
 	lastPose robot.Config
 	onSample []func(Sample)
@@ -85,64 +89,43 @@ func (m *Monitor) Pose() robot.Config {
 }
 
 // RecordMove executes the move in simulated time: it advances the clock by
-// the move's duration, appends one sample per 40 ms tick, and updates the
-// tracked pose. It returns the half-open index range [start, end) of the
-// appended samples so callers can attribute them to a command instance.
-func (m *Monitor) RecordMove(mv *robot.Move) (start, end int) {
+// the move's duration, records one sample per 40 ms tick, and updates the
+// tracked pose.
+func (m *Monitor) RecordMove(mv *robot.Move) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	start = len(m.samples)
 	dur := mv.Duration()
 	for t := 0.0; t < dur; t += SamplePeriod {
-		m.appendLocked(mv.StateAt(t))
+		m.recordLocked(mv.StateAt(t))
 		m.clock.Sleep(time.Duration(SamplePeriod * float64(time.Second)))
 	}
-	m.appendLocked(mv.StateAt(dur))
+	m.recordLocked(mv.StateAt(dur))
 	m.lastPose = mv.To
-	return start, len(m.samples)
 }
 
-// RecordQuiescent appends idle samples (arm at rest at its last pose) for
+// RecordQuiescent records idle samples (arm at rest at its last pose) for
 // the given duration, advancing the clock.
-func (m *Monitor) RecordQuiescent(d time.Duration) (start, end int) {
+func (m *Monitor) RecordQuiescent(d time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	start = len(m.samples)
 	ticks := int(d.Seconds() / SamplePeriod)
 	state := robot.State{Pos: m.lastPose}
 	for i := 0; i < ticks; i++ {
-		m.appendLocked(state)
+		m.recordLocked(state)
 		m.clock.Sleep(time.Duration(SamplePeriod * float64(time.Second)))
 	}
-	return start, len(m.samples)
 }
 
-// Samples returns a copy of all recorded samples.
-func (m *Monitor) Samples() []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Sample, len(m.samples))
-	copy(out, m.samples)
-	return out
-}
-
-// Len returns the number of recorded samples.
+// Len returns the number of samples recorded so far.
 func (m *Monitor) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.samples)
+	return m.recorded
 }
 
-// Reset discards all recorded samples; pose and payload are kept.
-func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.samples = nil
-}
-
-// appendLocked builds the full 122-property record for one kinematic state
-// and appends it. Caller holds m.mu.
-func (m *Monitor) appendLocked(s robot.State) {
+// recordLocked builds the full 122-property record for one kinematic state
+// and hands it to every hook. Caller holds m.mu.
+func (m *Monitor) recordLocked(s robot.State) {
 	v := make([]float64, NumProperties)
 	set := func(name string, val float64) {
 		if i, ok := propertyIndex[name]; ok {
@@ -210,7 +193,7 @@ func (m *Monitor) appendLocked(s robot.State) {
 	set("tcp_force_scalar", gravity*m.payload)
 
 	sample := Sample{Time: now, Values: v}
-	m.samples = append(m.samples, sample)
+	m.recorded++
 	for _, fn := range m.onSample {
 		fn(sample)
 	}

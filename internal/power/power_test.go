@@ -60,16 +60,21 @@ func newTestMonitor(seed uint64) (*Monitor, *simclock.Virtual) {
 	return NewMonitor(DefaultModel(), clock, seed), clock
 }
 
+// collect gathers the samples m records from now on through a sample hook,
+// as a capture's collector does.
+func collect(m *Monitor) *[]Sample {
+	got := new([]Sample)
+	m.SetOnSample(func(s Sample) { *got = append(*got, s) })
+	return got
+}
+
 func TestRecordMoveSamplesAt25Hz(t *testing.T) {
 	m, clock := newTestMonitor(1)
 	mv := testMove(t, "L0", "L1", 200)
 	before := clock.Now()
-	start, end := m.RecordMove(mv)
-	if start != 0 {
-		t.Errorf("start = %d, want 0", start)
-	}
+	m.RecordMove(mv)
 	wantTicks := int(math.Ceil(mv.Duration()/SamplePeriod)) + 1
-	if got := end - start; got < wantTicks-1 || got > wantTicks+1 {
+	if got := m.Len(); got < wantTicks-1 || got > wantTicks+1 {
 		t.Errorf("recorded %d samples, want ≈%d", got, wantTicks)
 	}
 	elapsed := clock.Now().Sub(before).Seconds()
@@ -86,9 +91,10 @@ func TestRecordMoveDeterministicBySeed(t *testing.T) {
 	b, _ := newTestMonitor(42)
 	mv := testMove(t, "L1", "L2", 200)
 	mv2 := testMove(t, "L1", "L2", 200)
+	ga, gb := collect(a), collect(b)
 	a.RecordMove(mv)
 	b.RecordMove(mv2)
-	sa, sb := a.Samples(), b.Samples()
+	sa, sb := *ga, *gb
 	if len(sa) != len(sb) {
 		t.Fatalf("sample counts differ: %d vs %d", len(sa), len(sb))
 	}
@@ -104,10 +110,11 @@ func TestCurrentSignatureRepeatable(t *testing.T) {
 	// currents (the Fig. 7a repeatability claim).
 	a, _ := newTestMonitor(1)
 	b, _ := newTestMonitor(2)
+	ga, gb := collect(a), collect(b)
 	a.RecordMove(testMove(t, "L0", "L1", 200))
 	b.RecordMove(testMove(t, "L0", "L1", 200))
-	ca := CurrentSeries(a.Samples(), 0)
-	cb := CurrentSeries(b.Samples(), 0)
+	ca := CurrentSeries(*ga, 0)
+	cb := CurrentSeries(*gb, 0)
 	if len(ca) != len(cb) {
 		t.Fatalf("lengths differ: %d vs %d", len(ca), len(cb))
 	}
@@ -119,10 +126,11 @@ func TestCurrentSignatureRepeatable(t *testing.T) {
 func TestDifferentSegmentsDistinctSignatures(t *testing.T) {
 	a, _ := newTestMonitor(1)
 	b, _ := newTestMonitor(1)
+	ga, gb := collect(a), collect(b)
 	a.RecordMove(testMove(t, "L0", "L1", 200))
 	b.RecordMove(testMove(t, "L2", "L3", 200))
-	ca := CurrentSeries(a.Samples(), 0)
-	cb := CurrentSeries(b.Samples(), 0)
+	ca := CurrentSeries(*ga, 0)
+	cb := CurrentSeries(*gb, 0)
 	n := min(len(ca), len(cb))
 	if r := pearson(ca[:n], cb[:n]); r > 0.9 {
 		t.Errorf("different segments correlate at %v; signatures should differ", r)
@@ -132,10 +140,11 @@ func TestDifferentSegmentsDistinctSignatures(t *testing.T) {
 func TestVelocityScalesAmplitudeAndStretchesTime(t *testing.T) {
 	slow, _ := newTestMonitor(1)
 	fast, _ := newTestMonitor(1)
+	gs, gf := collect(slow), collect(fast)
 	slow.RecordMove(testMove(t, "L0", "L1", 100))
 	fast.RecordMove(testMove(t, "L0", "L1", 250))
-	cs := CurrentSeries(slow.Samples(), 0)
-	cf := CurrentSeries(fast.Samples(), 0)
+	cs := CurrentSeries(*gs, 0)
+	cf := CurrentSeries(*gf, 0)
 	if len(cs) <= len(cf) {
 		t.Errorf("100 mm/s trace (%d ticks) should be longer than 250 mm/s (%d ticks)",
 			len(cs), len(cf))
@@ -151,8 +160,9 @@ func TestPayloadRaisesCurrent(t *testing.T) {
 	for _, kg := range []float64{0.020, 0.500, 1.000} {
 		m, _ := newTestMonitor(1)
 		m.SetPayload(kg)
+		got := collect(m)
 		m.RecordMove(testMove(t, "L0", "L1", 200))
-		amps = append(amps, maxAbs(CurrentSeries(m.Samples(), 0)))
+		amps = append(amps, maxAbs(CurrentSeries(*got, 0)))
 	}
 	if !(amps[0] < amps[1] && amps[1] < amps[2]) {
 		t.Errorf("amplitudes should grow with payload, got %v", amps)
@@ -170,37 +180,26 @@ func TestSetPayloadClampsNegative(t *testing.T) {
 func TestRecordQuiescentLowCurrent(t *testing.T) {
 	m, clock := newTestMonitor(1)
 	before := clock.Now()
-	start, end := m.RecordQuiescent(2 * time.Second)
-	if end-start != 50 {
-		t.Errorf("2 s quiescent = %d samples, want 50", end-start)
+	samples := collect(m)
+	m.RecordQuiescent(2 * time.Second)
+	if m.Len() != 50 {
+		t.Errorf("2 s quiescent = %d samples, want 50", m.Len())
 	}
 	if got := clock.Now().Sub(before); got != 2*time.Second {
 		t.Errorf("clock advanced %v, want 2s", got)
 	}
-	for i, s := range m.Samples() {
+	for i, s := range *samples {
 		if v, _ := s.Property("actual_qd_0"); math.Abs(v) > 0.05 {
 			t.Errorf("quiescent sample %d has velocity %v", i, v)
 		}
 	}
 }
 
-func TestResetClearsSamplesKeepsPose(t *testing.T) {
-	m, _ := newTestMonitor(1)
-	mv := testMove(t, "L0", "L1", 200)
-	m.RecordMove(mv)
-	m.Reset()
-	if m.Len() != 0 {
-		t.Errorf("after Reset, Len = %d", m.Len())
-	}
-	if m.Pose() != mv.To {
-		t.Error("Reset should not move the arm")
-	}
-}
-
 func TestEverySampleHasFullSchema(t *testing.T) {
 	m, _ := newTestMonitor(1)
+	got := collect(m)
 	m.RecordMove(testMove(t, "L3", "L4", 200))
-	for i, s := range m.Samples() {
+	for i, s := range *got {
 		if len(s.Values) != NumProperties {
 			t.Fatalf("sample %d has %d values, want %d", i, len(s.Values), NumProperties)
 		}
@@ -288,9 +287,9 @@ func ExamplePropertyNames() {
 }
 
 // TestSubscriptionReceivesLiveSamples: a sample hook is the monitor's live
-// feed. It sees every sample RecordMove records, in order, while the
-// simulated clock still reads the sample's time, each with the full
-// property vector.
+// feed. It sees every sample RecordMove records, one 40 ms tick apart in
+// order, while the simulated clock still reads the sample's time, each
+// with the full property vector.
 func TestSubscriptionReceivesLiveSamples(t *testing.T) {
 	m, clock := newTestMonitor(1)
 	var got []Sample
@@ -300,14 +299,17 @@ func TestSubscriptionReceivesLiveSamples(t *testing.T) {
 		}
 		got = append(got, s)
 	})
-	start, end := m.RecordMove(testMove(t, "L0", "L1", 200))
-	want := m.Samples()[start:end]
-	if len(got) != len(want) {
-		t.Fatalf("hook saw %d samples, want %d", len(got), len(want))
+	m.RecordMove(testMove(t, "L0", "L1", 200))
+	if len(got) == 0 || len(got) != m.Len() {
+		t.Fatalf("hook saw %d samples, monitor recorded %d", len(got), m.Len())
 	}
-	for i := range want {
-		if !got[i].Time.Equal(want[i].Time) || len(got[i].Values) != NumProperties {
-			t.Fatalf("sample %d: hook saw %v with %d values, recorded %v", i, got[i].Time, len(got[i].Values), want[i].Time)
+	tick := time.Duration(SamplePeriod * float64(time.Second))
+	for i, s := range got {
+		if len(s.Values) != NumProperties {
+			t.Fatalf("sample %d has %d values", i, len(s.Values))
+		}
+		if i > 0 && s.Time.Sub(got[i-1].Time) != tick {
+			t.Fatalf("sample %d at %v, %v after sample %d", i, s.Time, s.Time.Sub(got[i-1].Time), i-1)
 		}
 	}
 }

@@ -56,7 +56,6 @@ type Lab struct {
 	Clock   simclock.Clock
 	RNG     *rand.Rand
 	Session *tracer.Session
-	Monitor *power.Monitor // UR3e power telemetry (may be nil)
 }
 
 // Faultable returns the raw device's fault-injection interface, if the named
@@ -127,7 +126,8 @@ type VirtualLabConfig struct {
 	Seed uint64
 	// Network is the emulated lab network between tracer and middlebox.
 	Network middlebox.NetworkProfile
-	// WithPower attaches a power monitor to the UR3e.
+	// WithPower attaches a power monitor to the UR3e, and the lab keeps
+	// what it records (VirtualLab.Power).
 	WithPower bool
 	// WrapTransport, when set, wraps the lab-computer → middlebox transport
 	// before the tracing session is built — the hook a man-in-the-middle
@@ -151,6 +151,10 @@ type VirtualLab struct {
 	Sink  *store.MemStore
 	Clock *simclock.Virtual
 
+	// power is the UR3e's power capture (WithPower only), collected from
+	// the monitor's sample hook.
+	power []power.Sample
+
 	// serial-stack lifecycle (SerialDevices only).
 	ports []*serial.Port
 	fw    sync.WaitGroup
@@ -166,12 +170,12 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 	sink := store.NewMemStore()
 	core := middlebox.NewCore(clock, sink)
 
+	vlab := &VirtualLab{Core: core, Sink: sink, Clock: clock}
 	var monitor *power.Monitor
 	if cfg.WithPower {
 		monitor = power.NewMonitor(power.DefaultModel(), clock, cfg.Seed^0x5bf0)
+		monitor.SetOnSample(func(s power.Sample) { vlab.power = append(vlab.power, s) })
 	}
-
-	vlab := &VirtualLab{Core: core, Sink: sink, Clock: clock}
 
 	raw := NewDevices(clock, cfg.Seed, monitor)
 	// The UR3e attaches directly (its real protocol is TCP, not serial).
@@ -203,7 +207,7 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 
 	lab := &Lab{
 		Raw: raw, Clock: clock, RNG: rand.New(rand.NewPCG(cfg.Seed+7, cfg.Seed^0x2545f4914f6cdd1d)),
-		Session: sess, Monitor: monitor,
+		Session: sess,
 	}
 	virtual := []*device.Device{&lab.C9, &lab.UR3e, &lab.IKA, &lab.Tecan, &lab.Quantos}
 	for i, d := range raw.All() {
@@ -215,6 +219,12 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 	vlab.Lab = lab
 	return vlab, nil
 }
+
+// Power returns every sample the UR3e's power monitor has recorded, in
+// order; it is nil without WithPower. The monitor's hook appends to it on
+// the goroutine driving the arm, so read it between commands. The slice
+// is the lab's own: callers must not modify it.
+func (v *VirtualLab) Power() []power.Sample { return v.power }
 
 // Close shuts the tracing session down, tears any serial links, and waits
 // for their firmware loops to exit.

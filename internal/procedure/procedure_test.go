@@ -96,7 +96,7 @@ func TestSolubilityN9URUsesUR3e(t *testing.T) {
 	if used[device.UR3e] == 0 {
 		t.Error("P2 must use the UR3e")
 	}
-	if vl.Lab.Monitor.Len() == 0 {
+	if len(vl.Power()) == 0 {
 		t.Error("P2 with power monitoring recorded no samples")
 	}
 }
@@ -269,7 +269,12 @@ func TestVirtualLabDefaults(t *testing.T) {
 	if vl.Clock.Now().Before(time.Date(2021, 9, 1, 0, 0, 0, 0, time.UTC)) {
 		t.Error("default start time not applied")
 	}
-	if vl.Lab.Monitor != nil {
-		t.Error("power monitor attached without WithPower")
+	for _, cmd := range []device.Command{{Name: device.Init}, {Name: "move_to_location", Args: []string{"L0"}}} {
+		if _, err := vl.Lab.UR3e.Exec(cmd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vl.Power() != nil {
+		t.Error("power captured without WithPower")
 	}
 }

@@ -434,17 +434,14 @@ func (p *plan) runSupervised(sp supSpec) (supResult, error) {
 	if res.Err != nil && !res.Anomalous && res.Err != procedure.Stopped {
 		return supResult{}, fmt.Errorf("rad: supervised %s (%s): %w", sp.opts.Run, sp.kind, res.Err)
 	}
-	out := supResult{
+	return supResult{
 		info: RunInfo{
 			ID: sp.id, Run: sp.opts.Run, Procedure: sp.kind,
 			Anomalous: res.Anomalous, Commands: res.Commands, Note: sp.note,
 		},
 		records: vl.Sink.All(),
-	}
-	if sp.kind == procedure.P2 {
-		out.power = vl.Lab.Monitor.Samples()
-	}
-	return out, nil
+		power:   vl.Power(), // nil but for a P2: only its lab is built WithPower
+	}, nil
 }
 
 // runStructured executes one unsupervised prototyping session on its own

@@ -37,11 +37,11 @@ func BenchmarkBrokerFanout(b *testing.B) {
 					}
 				}()
 			}
-			r := store.Record{Device: "C9", Name: "MVNG"}
+			r := []store.Record{{Device: "C9", Name: "MVNG"}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r.Seq = uint64(i)
-				broker.Publish(r)
+				r[0].Seq = uint64(i)
+				broker.PublishBatch(r)
 			}
 			b.StopTimer()
 			broker.Close()
@@ -55,11 +55,11 @@ func BenchmarkBrokerFanout(b *testing.B) {
 func BenchmarkPublishBaseline(b *testing.B) {
 	broker := stream.NewBroker()
 	defer broker.Close()
-	r := store.Record{Device: "C9", Name: "MVNG"}
+	r := []store.Record{{Device: "C9", Name: "MVNG"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		broker.Publish(r)
+		r[0].Seq = uint64(i)
+		broker.PublishBatch(r)
 	}
 }
 
@@ -71,11 +71,11 @@ func BenchmarkPublishStalledSubscriber(b *testing.B) {
 	broker := stream.NewBroker()
 	defer broker.Close()
 	broker.Subscribe(stream.SubOptions{Name: "stalled", Buffer: 1024}) // never Recvs
-	r := store.Record{Device: "C9", Name: "MVNG"}
+	r := []store.Record{{Device: "C9", Name: "MVNG"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		broker.Publish(r)
+		r[0].Seq = uint64(i)
+		broker.PublishBatch(r)
 	}
 }
 

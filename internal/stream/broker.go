@@ -124,23 +124,6 @@ func (b *Broker) AttachMonitor(m *power.Monitor) {
 	m.SetOnSample(b.PublishPower)
 }
 
-// Publish offers one committed trace record to every subscriber.
-func (b *Broker) Publish(rec store.Record) {
-	if b == nil {
-		return
-	}
-	b.published.Add(1)
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if len(b.subs) == 0 {
-		return
-	}
-	ev := Event{Kind: KindTrace, Record: rec}
-	for _, s := range b.subs {
-		s.offer(&ev)
-	}
-}
-
 // PublishBatch offers a batch of committed records in slice order. It is the
 // store.Notifier commit-hook shape; the slice is not retained.
 func (b *Broker) PublishBatch(recs []store.Record) {

@@ -24,7 +24,7 @@ func TestPublishDeliversInOrder(t *testing.T) {
 	sub := b.Subscribe(stream.SubOptions{Name: "t"})
 
 	for i := 0; i < 100; i++ {
-		b.Publish(rec(uint64(i), "C9", "MVNG"))
+		b.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 	}
 	for i := 0; i < 100; i++ {
 		ev, ok := sub.Recv()
@@ -48,10 +48,9 @@ func TestFilterAppliesAtPublish(t *testing.T) {
 	defer b.Close()
 	sub := b.Subscribe(stream.SubOptions{Filter: tracedb.Query{Device: "UR3e"}})
 
-	b.Publish(rec(0, "C9", "MVNG"))
-	b.Publish(rec(1, "UR3e", "movej"))
-	b.Publish(rec(2, "IKA", "start"))
-	b.Publish(rec(3, "UR3e", "movel"))
+	b.PublishBatch([]store.Record{
+		rec(0, "C9", "MVNG"), rec(1, "UR3e", "movej"), rec(2, "IKA", "start"), rec(3, "UR3e", "movel"),
+	})
 
 	for _, want := range []uint64{1, 3} {
 		ev, ok := sub.TryRecv()
@@ -91,7 +90,7 @@ func TestDropOldestExactAccounting(t *testing.T) {
 
 	const published = 100
 	for i := 0; i < published; i++ {
-		b.Publish(rec(uint64(i), "C9", "MVNG"))
+		b.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 	}
 	st := sub.Stats()
 	if st.Dropped != published-8 {
@@ -126,7 +125,7 @@ func TestBlockPolicyIsLossless(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < total; i++ {
-			b.Publish(rec(uint64(i), "C9", "MVNG"))
+			b.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 		}
 	}()
 	for i := 0; i < total; i++ {
@@ -151,10 +150,10 @@ func TestCloseUnblocksBlockedPublisher(t *testing.T) {
 	defer b.Close()
 	sub := b.Subscribe(stream.SubOptions{Buffer: 1, Policy: stream.Block})
 
-	b.Publish(rec(0, "C9", "MVNG")) // fills the ring
+	b.PublishBatch([]store.Record{rec(0, "C9", "MVNG")}) // fills the ring
 	published := make(chan struct{})
 	go func() {
-		b.Publish(rec(1, "C9", "MVNG")) // blocks on the full ring
+		b.PublishBatch([]store.Record{rec(1, "C9", "MVNG")}) // blocks on the full ring
 		close(published)
 	}()
 	time.Sleep(10 * time.Millisecond) // let the publisher reach the wait
@@ -169,8 +168,7 @@ func TestCloseUnblocksBlockedPublisher(t *testing.T) {
 func TestBrokerCloseDrainsBufferedEvents(t *testing.T) {
 	b := stream.NewBroker()
 	sub := b.Subscribe(stream.SubOptions{})
-	b.Publish(rec(0, "C9", "MVNG"))
-	b.Publish(rec(1, "C9", "MVNG"))
+	b.PublishBatch([]store.Record{rec(0, "C9", "MVNG"), rec(1, "C9", "MVNG")})
 	b.Close()
 
 	for want := uint64(0); want < 2; want++ {
@@ -183,7 +181,7 @@ func TestBrokerCloseDrainsBufferedEvents(t *testing.T) {
 		t.Error("Recv reported an event after the ring drained")
 	}
 	// Publishes and subscriptions after Close are inert.
-	b.Publish(rec(2, "C9", "MVNG"))
+	b.PublishBatch([]store.Record{rec(2, "C9", "MVNG")})
 	late := b.Subscribe(stream.SubOptions{})
 	if _, ok := late.Recv(); ok {
 		t.Error("post-Close subscriber received an event")
@@ -198,7 +196,7 @@ func TestStalledSubscriberDoesNotStallPublisher(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 50000; i++ {
-			b.Publish(rec(uint64(i), "C9", "MVNG"))
+			b.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 		}
 		close(done)
 	}()
@@ -265,7 +263,7 @@ func TestSoakProducersAndSlowSubscribers(t *testing.T) {
 		go func(p int) {
 			defer producerWG.Done()
 			for i := 0; i < perProducer; i++ {
-				b.Publish(rec(uint64(p*perProducer+i), "C9", "MVNG"))
+				b.PublishBatch([]store.Record{rec(uint64(p*perProducer+i), "C9", "MVNG")})
 			}
 		}(p)
 	}
@@ -298,7 +296,7 @@ func TestBrokerStatsSnapshotsEverySubscriber(t *testing.T) {
 	defer b.Close()
 	b.Subscribe(stream.SubOptions{Name: "a"})
 	b.Subscribe(stream.SubOptions{Name: "b", Buffer: 2})
-	b.Publish(rec(0, "C9", "MVNG"))
+	b.PublishBatch([]store.Record{rec(0, "C9", "MVNG")})
 
 	stats := b.Stats()
 	if len(stats) != 2 {
@@ -330,7 +328,7 @@ func TestSubscriberStatsBeforeFirstEvent(t *testing.T) {
 		sub.Close()
 	}
 	sub := b.Subscribe(stream.SubOptions{Name: "one", Buffer: 8})
-	b.Publish(rec(0, "C9", "MVNG"))
+	b.PublishBatch([]store.Record{rec(0, "C9", "MVNG")})
 	if st := sub.Stats(); st.Capacity != 8 || st.Lagging || st.Buffered != 1 {
 		t.Errorf("stats after one event %+v, want capacity 8, one buffered, not lagging", st)
 	}
@@ -338,8 +336,7 @@ func TestSubscriberStatsBeforeFirstEvent(t *testing.T) {
 
 func TestNilBrokerIsInert(t *testing.T) {
 	var b *stream.Broker
-	b.Publish(rec(0, "C9", "MVNG")) // must not panic
-	b.PublishBatch([]store.Record{rec(1, "C9", "MVNG")})
+	b.PublishBatch([]store.Record{rec(1, "C9", "MVNG")}) // must not panic
 	b.PublishPower(power.Sample{})
 	if b.Published() != 0 || b.Stats() != nil {
 		t.Error("nil broker reported activity")
@@ -384,7 +381,7 @@ func TestMonitorBridgePublishesPowerSamples(t *testing.T) {
 
 	m := power.NewMonitor(power.DefaultModel(), simclock.NewVirtual(time.Unix(0, 0)), 1)
 	b.AttachMonitor(m)
-	_, end := m.RecordQuiescent(200 * time.Millisecond) // a few idle samples at 25 Hz
+	m.RecordQuiescent(200 * time.Millisecond) // a few idle samples at 25 Hz
 
 	got := 0
 	for {
@@ -396,8 +393,8 @@ func TestMonitorBridgePublishesPowerSamples(t *testing.T) {
 			got++
 		}
 	}
-	if got != end || got == 0 {
-		t.Errorf("%d power samples reached the subscriber, want %d", got, end)
+	if got != m.Len() || got == 0 {
+		t.Errorf("%d power samples reached the subscriber, want %d", got, m.Len())
 	}
 }
 
@@ -409,9 +406,11 @@ func TestPowerSampleNeverStallsRobot(t *testing.T) {
 	b := stream.NewBroker()
 	defer b.Close()
 	sub := b.Subscribe(stream.SubOptions{Power: true, Policy: stream.Block, Buffer: buffer})
-	b.Publish(rec(0, "UR3e", "movej"))
+	b.PublishBatch([]store.Record{rec(0, "UR3e", "movej")})
 
 	m := power.NewMonitor(power.DefaultModel(), simclock.NewVirtual(time.Unix(0, 0)), 1)
+	var samples []power.Sample
+	m.SetOnSample(func(s power.Sample) { samples = append(samples, s) })
 	b.AttachMonitor(m)
 	a, _ := robot.Location("L0")
 	z, _ := robot.Location("L1")
@@ -421,8 +420,8 @@ func TestPowerSampleNeverStallsRobot(t *testing.T) {
 	}
 	done := make(chan int, 1)
 	go func() {
-		start, end := m.RecordMove(mv)
-		done <- end - start
+		m.RecordMove(mv)
+		done <- m.Len()
 	}()
 	var produced int
 	select {
@@ -435,7 +434,6 @@ func TestPowerSampleNeverStallsRobot(t *testing.T) {
 	if st := sub.Stats(); st.Dropped != uint64(produced-kept) || st.Buffered != buffer {
 		t.Fatalf("stats = %+v after %d samples, want %d dropped and %d buffered", st, produced, produced-kept, buffer)
 	}
-	samples := m.Samples()
 	for i := 0; i < buffer; i++ {
 		ev, ok := sub.TryRecv()
 		switch {

@@ -85,7 +85,7 @@ func TestStreamSnapshotFlushesLoneLiveEvent(t *testing.T) {
 		seen++
 	}
 
-	broker.Publish(store.Record{Seq: n, Device: "C9", Name: "MVNG"})
+	broker.PublishBatch([]store.Record{{Seq: n, Device: "C9", Name: "MVNG"}})
 	client.SetIdleTimeout(time.Second)
 	ev, err := client.Recv()
 	if err != nil {
@@ -127,7 +127,7 @@ func TestStreamHeartbeatInterleavesQueuedEvents(t *testing.T) {
 	go func() {
 		// Bursts spread over ≥500 ms, so the feed spans ten ping intervals.
 		for i := 0; i < n; i++ {
-			broker.Publish(rec(uint64(i), "C9", "MVNG"))
+			broker.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 			if i%100 == 99 {
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -179,7 +179,7 @@ func TestStreamHeartbeatInterleavesQueuedEvents(t *testing.T) {
 	if got := len(broker.Stats()); got != 1 {
 		t.Fatalf("ponging subscriber reaped: %d live subscribers", got)
 	}
-	broker.Publish(rec(n, "C9", "MVNG"))
+	broker.PublishBatch([]store.Record{rec(n, "C9", "MVNG")})
 	for {
 		if ev := read(); ev != nil {
 			if ev.Record == nil || ev.Record.Seq != n {

@@ -18,7 +18,7 @@ func TestObsStreamBrokerMetrics(t *testing.T) {
 
 	sub := b.Subscribe(SubOptions{Name: "tail-1", Buffer: 4, Policy: DropOldest})
 	for i := 0; i < 10; i++ {
-		b.Publish(store.Record{Seq: uint64(i), Device: "C9", Name: "MVNG"})
+		b.PublishBatch([]store.Record{{Seq: uint64(i), Device: "C9", Name: "MVNG"}})
 	}
 	// Ring of 4 absorbed 10 events: 6 dropped, 4 drainable.
 	for {

@@ -360,7 +360,7 @@ func TestHeartbeatPongingClientStaysAlive(t *testing.T) {
 	if n := len(broker.Stats()); n != 1 {
 		t.Fatalf("ponging subscriber reaped: %d live subscribers", n)
 	}
-	broker.Publish(rec(1, "C9", "MVNG"))
+	broker.PublishBatch([]store.Record{rec(1, "C9", "MVNG")})
 	select {
 	case ev, ok := <-got:
 		if !ok || ev.Record == nil || ev.Record.Seq != 1 {
@@ -464,7 +464,7 @@ func TestReconnectChurnUnregistersSubscriberMetrics(t *testing.T) {
 			clients = append(clients, c)
 		}
 		waitForSubscriber(t, broker, 4)
-		broker.Publish(rec(uint64(round), "C9", "MVNG"))
+		broker.PublishBatch([]store.Record{rec(uint64(round), "C9", "MVNG")})
 		// Abrupt close — no unsubscribe handshake, the server must notice.
 		for _, c := range clients {
 			_ = c.Close()
@@ -503,7 +503,7 @@ func TestServerDrainFlushesSubscriberRings(t *testing.T) {
 
 	const n = 32
 	for i := 0; i < n; i++ {
-		broker.Publish(rec(uint64(i), "C9", "MVNG"))
+		broker.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -550,7 +550,7 @@ func TestServerDrainNoGoroutineLeak(t *testing.T) {
 			clients = append(clients, c)
 		}
 		waitForSubscriber(t, broker, 4)
-		broker.Publish(rec(uint64(round), "C9", "MVNG"))
+		broker.PublishBatch([]store.Record{rec(uint64(round), "C9", "MVNG")})
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if err := srv.Drain(ctx); err != nil {
 			t.Fatalf("round %d drain: %v", round, err)

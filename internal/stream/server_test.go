@@ -36,7 +36,7 @@ func TestServerLiveTailOverTCP(t *testing.T) {
 
 	go func() {
 		for i := 0; i < 20; i++ {
-			broker.Publish(rec(uint64(i), "C9", "MVNG"))
+			broker.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 		}
 	}()
 	for i := 0; i < 20; i++ {
@@ -65,7 +65,7 @@ func TestServerFilterPushdown(t *testing.T) {
 	go func() {
 		devs := []string{"C9", "UR3e", "IKA", "UR3e"}
 		for i, d := range devs {
-			broker.Publish(rec(uint64(i), d, "cmd"))
+			broker.PublishBatch([]store.Record{rec(uint64(i), d, "cmd")})
 		}
 	}()
 	for _, want := range []uint64{1, 3} {
@@ -181,7 +181,7 @@ func TestServerReportsDropDeltas(t *testing.T) {
 
 	const published = 5000
 	for i := 0; i < published; i++ {
-		broker.Publish(rec(uint64(i), "C9", "MVNG"))
+		broker.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 	}
 	var got, dropped uint64
 	deadline := time.After(10 * time.Second)
@@ -279,7 +279,7 @@ func TestServerDeadConnUnregistersQuietFeed(t *testing.T) {
 	}
 	defer client2.Close()
 	waitForSubscriber(t, broker, 1)
-	broker.Publish(rec(1, "C9", "MVNG"))
+	broker.PublishBatch([]store.Record{rec(1, "C9", "MVNG")})
 	if ev, err := client2.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != 1 {
 		t.Fatalf("survivor recv = %+v, %v", ev, err)
 	}
@@ -301,7 +301,7 @@ func TestServerDeadConnMidStream(t *testing.T) {
 	waitForSubscriber(t, broker, 1)
 
 	for i := 0; i < 3; i++ {
-		broker.Publish(rec(uint64(i), "C9", "MVNG"))
+		broker.PublishBatch([]store.Record{rec(uint64(i), "C9", "MVNG")})
 	}
 	if _, err := client.Recv(); err != nil { // mid-frame: one consumed, two buffered
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestServerDeadConnMidStream(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			broker.Publish(rec(uint64(10+i), "C9", "MVNG"))
+			broker.PublishBatch([]store.Record{rec(uint64(10+i), "C9", "MVNG")})
 		}
 		close(done)
 	}()

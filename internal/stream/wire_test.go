@@ -81,7 +81,7 @@ func TestWireV1BadSubscribeStillSilent(t *testing.T) {
 	}
 	defer client.Close()
 	waitForSubscriber(t, broker, 1)
-	broker.Publish(rec(3, "C9", "MVNG"))
+	broker.PublishBatch([]store.Record{rec(3, "C9", "MVNG")})
 	if ev, err := client.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != 3 {
 		t.Fatalf("next subscriber recv = %+v, %v", ev, err)
 	}
@@ -153,7 +153,7 @@ func TestWireStreamDeadConnDuringNegotiation(t *testing.T) {
 	}
 	defer client.Close()
 	waitForSubscriber(t, broker, 1)
-	broker.Publish(rec(7, "C9", "MVNG"))
+	broker.PublishBatch([]store.Record{rec(7, "C9", "MVNG")})
 	if ev, err := client.Recv(); err != nil || ev.Record == nil || ev.Record.Seq != 7 {
 		t.Fatalf("survivor recv = %+v, %v", ev, err)
 	}

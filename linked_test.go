@@ -43,7 +43,6 @@ var testedOnly = map[string]string{
 	// Receive APIs. A binary's subscribers drain the ring over the wire
 	// (the listener's drain), and its tails read through the resilient
 	// client; tests read the same ring and handoff in process.
-	"rad/internal/stream.(*Broker).Publish":         "TestPublishDeliversInOrder",
 	"rad/internal/stream.(*Subscriber).Recv":        "TestStreamIDSCleanRunRaisesNoAlerts",
 	"rad/internal/stream.(*Subscriber).TryRecv":     "TestPublishDeliversInOrder",
 	"rad/internal/stream.(*Subscriber).take":        "TestPublishDeliversInOrder",
@@ -64,7 +63,7 @@ var testedOnly = map[string]string{
 	"rad/internal/simclock.(*Virtual).Advance":        "TestStatusPollingDuringMove",
 	"rad/internal/power.(*Monitor).RecordQuiescent":   "TestMultipleSubscribersIndependent",
 	"rad/internal/power.(*Monitor).Payload":           "TestSetPayloadClampsNegative",
-	"rad/internal/power.(*Monitor).Pose":              "TestResetClearsSamplesKeepsPose",
+	"rad/internal/power.(*Monitor).Pose":              "TestRecordMoveSamplesAt25Hz",
 	"rad/internal/device/ur3e.(*UR3e).Pose":           "TestMoveToLocationAdvancesClockAndRecordsPower",
 	"rad/internal/device/quantos.(*Quantos).DoorOpen": "TestDoorStateTracked",
 	"rad/internal/robot.Profile.Peak":                 "TestProfileTriangularPeakBelowVmax",
