@@ -20,8 +20,8 @@
 //	compact  run the storage lifecycle by hand: compact fragmented
 //	         segments, and apply -retain-age/-retain-bytes when set
 //
-// Filters (scan, and count for run/procedure groupings): -device, -key,
-// -proc, -run, -from/-to (RFC 3339), -limit.
+// Filters (scan and every count grouping): -device, -key, -proc, -run,
+// -from/-to (RFC 3339); -limit caps a scan.
 //
 // -explain prints the selectivity planner's decision for a scan query —
 // which posting list drives, how many blocks are read versus provably
@@ -190,33 +190,28 @@ func printInfo(out io.Writer, db *tracedb.DB) error {
 	return nil
 }
 
-// printCounts prints "count group" lines, largest first. Command and device
-// groupings come straight from the segment indexes; run and procedure
-// groupings are indexed scans.
+// printCounts prints "count group" lines, largest first, over one scan of
+// the records q matches. A record outside any supervised run counts toward
+// no run.
 func printCounts(out io.Writer, db *tracedb.DB, by string, q tracedb.Query) error {
-	counts := make(map[string]int)
-	switch by {
-	case "command":
-		counts = db.CountByCommand()
-	case "device":
-		counts = db.CountByDevice()
-	case "run", "procedure":
-		it := db.Scan(q)
-		for it.Next() {
-			r := it.Record()
-			if by == "run" {
-				if r.Run != "" {
-					counts[r.Run]++
-				}
-			} else {
-				counts[r.Procedure]++
-			}
-		}
-		if err := it.Err(); err != nil {
-			return err
-		}
-	default:
+	group, ok := map[string]func(*store.Record) string{
+		"command":   func(r *store.Record) string { return r.Key() },
+		"device":    func(r *store.Record) string { return r.Device },
+		"run":       func(r *store.Record) string { return r.Run },
+		"procedure": func(r *store.Record) string { return r.Procedure },
+	}[by]
+	if !ok {
 		return fmt.Errorf("unknown -by %q", by)
+	}
+	counts := make(map[string]int)
+	it := db.Scan(q)
+	for it.Next() {
+		if g := group(it.Ref()); g != "" || by != "run" {
+			counts[g]++
+		}
+	}
+	if err := it.Err(); err != nil {
+		return err
 	}
 	groups := make([]string, 0, len(counts))
 	for g := range counts {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rad/internal/procedure"
+	dataset "rad/internal/rad"
 	"rad/internal/store"
 	"rad/internal/tracedb"
 )
@@ -207,6 +208,58 @@ func TestQueryCountByRunAndProcedure(t *testing.T) {
 	if !strings.Contains(out.String(), "30  "+store.UnknownProcedure) ||
 		!strings.Contains(out.String(), "10  "+procedure.P1) {
 		t.Errorf("count -by procedure wrong:\n%s", out.String())
+	}
+
+	// The filters apply to every grouping: run-7 is records 30-39, every
+	// fourth of them a Tecan.Q, and 09:10-09:19 is records 10-19.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-by", "device", "-run", "run-7"}, "       8  C9\n       2  Tecan\n"},
+		{[]string{"-by", "command", "-device", "Tecan"}, "      10  Tecan.Q\n"},
+		{[]string{"-by", "command", "-from", "2022-03-01T09:10:00Z", "-to", "2022-03-01T09:19:00Z"},
+			"       8  C9.MVNG\n       2  Tecan.Q\n"},
+		{[]string{"-by", "run", "-from", "2022-03-01T09:35:00Z"}, "       5  run-7\n"},
+	} {
+		out.Reset()
+		if err := run(append([]string{"-store", dir, "-mode", "count"}, tc.args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != tc.want {
+			t.Errorf("count %v:\n got %q\nwant %q", tc.args, out.String(), tc.want)
+		}
+	}
+}
+
+// TestQueryCountFiltersTheCampaign counts the seed-11 campaign at scale
+// 0.2, stored as radgen stores it: run 7's 348 records, all C9, out of
+// 25,757.
+func TestQueryCountFiltersTheCampaign(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Config{Seed: 11, Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	db, err := tracedb.Open(dir, tracedb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := ds.Store.All()
+	for i := 0; i < len(recs); i += 4096 {
+		if err := db.AppendBatch(recs[i:min(i+4096, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-store", dir, "-mode", "count", "-by", "device", "-run", "run-7"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "     348  C9\n"; len(recs) != 25757 || out.String() != want {
+		t.Errorf("count -by device -run run-7 over %d records: %q, want %q", len(recs), out.String(), want)
 	}
 }
 

@@ -30,6 +30,8 @@
 // resumes from the last delivered sequence number, deduplicated, across
 // any number of server restarts.
 //
+// Power samples print as text only, so -power requires -format text.
+//
 // Filters: -device, -key (Device.Name), -proc, -run. Overflow behaviour is
 // chosen with -policy drop-oldest|block and -buffer N; under drop-oldest the
 // server sheds this watcher's oldest events when it falls behind and reports
@@ -142,6 +144,9 @@ func run(args []string, out io.Writer) error {
 		}
 		return watchIDS(out, dial, det, *window, *rules, *format, *limit)
 	}
+	if *withPower && *format != "text" {
+		return fmt.Errorf("-power requires -format text")
+	}
 	return watch(out, dial, *format, *limit, *reconnect)
 }
 
@@ -199,14 +204,12 @@ func watch(out io.Writer, dial func() (eventSource, error), format string, limit
 			if err := print(*ev.Record, ev.Dropped); err != nil {
 				return err
 			}
-		case wire.EventPower:
-			if format == "text" {
-				s := ev.Sample
-				fmt.Fprintf(out, "power %s  j0..j5 current %.3f %.3f %.3f %.3f %.3f %.3f\n",
-					s.Time.Format("15:04:05.000"),
-					s.JointCurrent(0), s.JointCurrent(1), s.JointCurrent(2),
-					s.JointCurrent(3), s.JointCurrent(4), s.JointCurrent(5))
-			}
+		case wire.EventPower: // subscribed only with -format text
+			s := ev.Sample
+			fmt.Fprintf(out, "power %s  j0..j5 current %.3f %.3f %.3f %.3f %.3f %.3f\n",
+				s.Time.Format("15:04:05.000"),
+				s.JointCurrent(0), s.JointCurrent(1), s.JointCurrent(2),
+				s.JointCurrent(3), s.JointCurrent(4), s.JointCurrent(5))
 		default:
 			continue
 		}

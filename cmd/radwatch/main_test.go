@@ -307,6 +307,14 @@ func TestWatchRequiresAddr(t *testing.T) {
 	if err := run([]string{"-addr", "x", "-ids"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("-ids without -train accepted")
 	}
+	// Power samples print as text only: a tail asked for them in JSONL or
+	// CSV is refused before any dial, naming both flags.
+	for _, format := range []string{"jsonl", "csv"} {
+		err := run([]string{"-addr", "x", "-power", "-format", format}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "-power") || !strings.Contains(err.Error(), "-format") {
+			t.Errorf("-power -format %s: %v, want an error naming both flags", format, err)
+		}
+	}
 	// -train takes a tracedb directory that holds a store: a path without
 	// one is refused before any dial, by name, and nothing is created.
 	empty := t.TempDir()

@@ -192,11 +192,12 @@ func Start(cfg Config) (_ *Deployment, err error) {
 	if cfg.StreamAddr != "" {
 		d.Broker = stream.NewBroker()
 		observe(reg, d.Broker)
+		d.Broker.AttachStore(seq)
 		if d.Monitor != nil {
 			d.Broker.AttachMonitor(d.Monitor)
 		}
 	}
-	d.Core = d.lab(sink, cfg.Seed, tenant, reg, d.Monitor, d.Broker)
+	d.Core = d.lab(sink, cfg.Seed, tenant, reg, d.Monitor)
 	// Fleet mode: the lab built above becomes the default tenant (untagged
 	// peers see no change), and tenant-tagged requests lazily build labs
 	// of their own.
@@ -284,15 +285,11 @@ func (d *Deployment) sinkChain(seq store.Sink, flakySeed uint64, dlq *store.Dead
 // lab builds one lab logging to sink: a core whose spans carry tenant, the
 // five devices seeded seed+1…+5, each behind a fault wrapper seeded
 // seed+10+i when the fault profile is active, and the exec policy. Only
-// the default lab registers in reg and drives the power monitor; a lab
-// with a broker publishes its commits there.
-func (d *Deployment) lab(sink store.Sink, seed uint64, tenant string, reg *obs.Registry, monitor *power.Monitor, broker *stream.Broker) *middlebox.Core {
+// the default lab registers in reg and drives the power monitor.
+func (d *Deployment) lab(sink store.Sink, seed uint64, tenant string, reg *obs.Registry, monitor *power.Monitor) *middlebox.Core {
 	core := middlebox.NewCore(d.clock, sink)
 	core.SetSpans(d.Spans, tenant)
 	observe(reg, core)
-	if broker != nil {
-		core.AttachBroker(broker)
-	}
 	for i, dev := range procedure.NewDevices(d.clock, seed, monitor).All() {
 		if d.cfg.Faults.Active() {
 			fd := fault.WrapDevice(dev, d.clock, d.cfg.Faults, seed+10+uint64(i))
@@ -325,12 +322,14 @@ func (d *Deployment) tenant(id string) (*fleet.Resources, error) {
 		}
 		res.DLQ = dlq
 	}
-	sink, _ := d.sinkChain(store.NewMemStore(), tseed^9, res.DLQ, id, nil)
+	mem := store.NewMemStore()
+	sink, _ := d.sinkChain(mem, tseed^9, res.DLQ, id, nil)
 	if d.cfg.StreamAddr != "" {
 		b := stream.NewBroker()
+		b.AttachStore(mem)
 		res.Broker, res.Close = b, func() error { b.Close(); return nil }
 	}
-	res.Core = d.lab(sink, tseed, id, nil, nil, res.Broker)
+	res.Core = d.lab(sink, tseed, id, nil, nil)
 	return res, nil
 }
 

@@ -117,21 +117,21 @@ func (c *C9) Exec(cmd device.Command) (string, error) {
 	case "POSN":
 		return c.axisPosition(cmd.Args)
 	case "JLEN":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil {
 			return "", err
 		}
 		c.gripperLen = v
 		return "ok", nil
 	case "SPED":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v <= 0 {
 			return "", fmt.Errorf("C9 SPED %v: %w", cmd.Args, device.ErrBadArgs)
 		}
 		c.speed = v
 		return "ok", nil
 	case "BIAS":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil {
 			return "", err
 		}
@@ -240,17 +240,6 @@ func (c *C9) startMoveLocked(target [NumAxes]float64) {
 func (c *C9) fireFaultLocked() error {
 	reason := c.fault
 	return &device.FaultError{Device: device.C9, Reason: reason}
-}
-
-func oneFloat(args []string) (float64, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("want 1 argument, got %d: %w", len(args), device.ErrBadArgs)
-	}
-	v, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("argument %q: %w", args[0], device.ErrBadArgs)
-	}
-	return v, nil
 }
 
 func oneAxis(args []string) (int, error) {

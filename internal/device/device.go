@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -90,6 +91,19 @@ var (
 	// before the device session was initialized.
 	ErrNotConnected = errors.New("device: not connected")
 )
+
+// OneFloat parses a command's arguments as exactly one float, failing with
+// ErrBadArgs otherwise.
+func OneFloat(args []string) (float64, error) {
+	if len(args) != 1 {
+		return 0, fmt.Errorf("want 1 argument, got %d: %w", len(args), ErrBadArgs)
+	}
+	v, err := strconv.ParseFloat(args[0], 64)
+	if err != nil {
+		return 0, fmt.Errorf("argument %q: %w", args[0], ErrBadArgs)
+	}
+	return v, nil
+}
 
 // FaultError is the error reported when an armed fault fires — the simulated
 // analog of a robot collision or hardware crash. Traces record it in the

@@ -89,14 +89,14 @@ func (k *IKA) Exec(cmd device.Command) (string, error) {
 	case "IN_SP_4":
 		return fmtVal(k.speedSet, 0), nil
 	case "OUT_SP_1":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < 0 || v > maxTempC {
 			return "", fmt.Errorf("IKA OUT_SP_1 %v: %w", cmd.Args, device.ErrBadArgs)
 		}
 		k.tempSet = v
 		return "ok", nil
 	case "OUT_SP_4":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < 0 || v > maxSpeedRPM {
 			return "", fmt.Errorf("IKA OUT_SP_4 %v: %w", cmd.Args, device.ErrBadArgs)
 		}
@@ -144,14 +144,3 @@ func (k *IKA) stepLocked() {
 func relax(dt, tau float64) float64 { return 1 - math.Exp(-dt/tau) }
 
 func fmtVal(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
-
-func oneFloat(args []string) (float64, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("want 1 argument, got %d: %w", len(args), device.ErrBadArgs)
-	}
-	v, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("argument %q: %w", args[0], device.ErrBadArgs)
-	}
-	return v, nil
-}

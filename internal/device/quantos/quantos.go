@@ -112,7 +112,7 @@ func (q *Quantos) Exec(cmd device.Command) (string, error) {
 		q.busyUntil = q.env.Clock.Now().Add(time.Duration(q.zPos / zTravelPerSec * float64(time.Second)))
 		return "ok", nil
 	case "move_z_axis":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < 0 || v > maxZ {
 			return "", fmt.Errorf("Quantos move_z_axis %v: %w", cmd.Args, device.ErrBadArgs)
 		}
@@ -133,7 +133,7 @@ func (q *Quantos) Exec(cmd device.Command) (string, error) {
 		q.tareOffset = q.dosedMass
 		return "0.000", nil
 	case "target_mass":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v <= 0 {
 			return "", fmt.Errorf("Quantos target_mass %v: %w", cmd.Args, device.ErrBadArgs)
 		}
@@ -177,15 +177,4 @@ func (q *Quantos) doseLocked() (string, error) {
 	q.env.Clock.Sleep(time.Duration(dosed / doseRateMgPerSec * float64(time.Second)))
 	reading := q.dosedMass - q.tareOffset
 	return strconv.FormatFloat(reading, 'f', 3, 64), nil
-}
-
-func oneFloat(args []string) (float64, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("want 1 argument, got %d: %w", len(args), device.ErrBadArgs)
-	}
-	v, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("argument %q: %w", args[0], device.ErrBadArgs)
-	}
-	return v, nil
 }

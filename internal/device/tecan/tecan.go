@@ -100,14 +100,14 @@ func (p *Tecan) Exec(cmd device.Command) (string, error) {
 		}
 		return statusIdle, nil
 	case "A":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < 0 || v > maxPosition {
 			return "", fmt.Errorf("Tecan A %v: %w", cmd.Args, device.ErrBadArgs)
 		}
 		p.startMoveLocked(v)
 		return statusIdle, nil
 	case "P":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < 0 {
 			return "", fmt.Errorf("Tecan P %v: %w", cmd.Args, device.ErrBadArgs)
 		}
@@ -118,7 +118,7 @@ func (p *Tecan) Exec(cmd device.Command) (string, error) {
 		p.startMoveLocked(tgt)
 		return statusIdle, nil
 	case "V":
-		v, err := oneFloat(cmd.Args)
+		v, err := device.OneFloat(cmd.Args)
 		if err != nil || v < minVelocity || v > maxVelocity {
 			return "", fmt.Errorf("Tecan V %v: %w", cmd.Args, device.ErrBadArgs)
 		}
@@ -187,13 +187,13 @@ func (p *Tecan) runBatchLocked() (string, error) {
 			var tgt float64
 			switch cmd.Name {
 			case "A":
-				v, err := oneFloat(cmd.Args)
+				v, err := device.OneFloat(cmd.Args)
 				if err != nil || v < 0 || v > maxPosition {
 					return "", fmt.Errorf("Tecan batch A %v: %w", cmd.Args, device.ErrBadArgs)
 				}
 				tgt = v
 			case "P":
-				v, err := oneFloat(cmd.Args)
+				v, err := device.OneFloat(cmd.Args)
 				if err != nil || v < 0 || p.position+v > maxPosition {
 					return "", fmt.Errorf("Tecan batch P %v: %w", cmd.Args, device.ErrBadArgs)
 				}
@@ -206,7 +206,7 @@ func (p *Tecan) runBatchLocked() (string, error) {
 			p.env.Clock.Sleep(p.busyUntil.Sub(p.env.Clock.Now()))
 			p.settleLocked()
 		case "V":
-			if v, err := oneFloat(cmd.Args); err == nil && v >= minVelocity && v <= maxVelocity {
+			if v, err := device.OneFloat(cmd.Args); err == nil && v >= minVelocity && v <= maxVelocity {
 				p.velocity = v
 			}
 		case "I":
@@ -224,17 +224,6 @@ func (p *Tecan) runBatchLocked() (string, error) {
 		}
 	}
 	return statusIdle, nil
-}
-
-func oneFloat(args []string) (float64, error) {
-	if len(args) != 1 {
-		return 0, fmt.Errorf("want 1 argument, got %d: %w", len(args), device.ErrBadArgs)
-	}
-	v, err := strconv.ParseFloat(args[0], 64)
-	if err != nil {
-		return 0, fmt.Errorf("argument %q: %w", args[0], device.ErrBadArgs)
-	}
-	return v, nil
 }
 
 func oneInt(args []string) (int, error) {

@@ -198,11 +198,3 @@ func (f *FlakySink) Append(r store.Record) error {
 	}
 	return f.sink.Append(r)
 }
-
-// SetOnCommit implements store.Notifier when the wrapped sink does;
-// otherwise it is a no-op.
-func (f *FlakySink) SetOnCommit(fn func(recs []store.Record)) {
-	if n, ok := f.sink.(store.Notifier); ok {
-		n.SetOnCommit(fn)
-	}
-}

@@ -1,7 +1,6 @@
 package power
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -135,16 +134,16 @@ func (m *Monitor) recordLocked(s robot.State) {
 	for j := 0; j < robot.NumJoints; j++ {
 		cur := m.model.Current(j, s, m.payload) + m.rng.NormFloat64()*m.model.Joints[j].NoiseStd
 		mom := m.model.Moment(j, s, m.payload)
-		set(fmt.Sprintf("actual_q_%d", j), s.Pos[j]+m.rng.NormFloat64()*1e-4)
-		set(fmt.Sprintf("actual_qd_%d", j), s.Vel[j]+m.rng.NormFloat64()*1e-3)
-		set(fmt.Sprintf("actual_qdd_%d", j), s.Acc[j]+m.rng.NormFloat64()*1e-3)
-		set(fmt.Sprintf("actual_current_%d", j), cur)
-		set(fmt.Sprintf("joint_moment_%d", j), mom)
-		set(fmt.Sprintf("joint_temperature_%d", j), 27.5+0.5*math.Abs(s.Vel[j])+m.rng.NormFloat64()*0.05)
-		set(fmt.Sprintf("joint_voltage_%d", j), 48+m.rng.NormFloat64()*0.1)
-		set(fmt.Sprintf("target_q_%d", j), s.Pos[j])
-		set(fmt.Sprintf("target_qd_%d", j), s.Vel[j])
-		set(fmt.Sprintf("target_current_%d", j), m.model.Current(j, s, m.payload))
+		v[jointIndex.actualQ[j]] = s.Pos[j] + m.rng.NormFloat64()*1e-4
+		v[jointIndex.actualQd[j]] = s.Vel[j] + m.rng.NormFloat64()*1e-3
+		v[jointIndex.actualQdd[j]] = s.Acc[j] + m.rng.NormFloat64()*1e-3
+		v[jointIndex.actualCurrent[j]] = cur
+		v[jointIndex.moment[j]] = mom
+		v[jointIndex.temperature[j]] = 27.5 + 0.5*math.Abs(s.Vel[j]) + m.rng.NormFloat64()*0.05
+		v[jointIndex.voltage[j]] = 48 + m.rng.NormFloat64()*0.1
+		v[jointIndex.targetQ[j]] = s.Pos[j]
+		v[jointIndex.targetQd[j]] = s.Vel[j]
+		v[jointIndex.targetCurrent[j]] = m.model.Current(j, s, m.payload)
 	}
 	// Crude but consistent TCP proxy: planar forward kinematics from the
 	// first three joints at the effective reach.
@@ -169,8 +168,8 @@ func (m *Monitor) recordLocked(s robot.State) {
 	now := m.clock.Now()
 	set("timestamp_s", float64(now.UnixNano())/1e9)
 	totalCur := 0.0
-	for j := 0; j < robot.NumJoints; j++ {
-		totalCur += math.Abs(v[propertyIndex[fmt.Sprintf("actual_current_%d", j)]])
+	for _, i := range jointIndex.actualCurrent {
+		totalCur += math.Abs(v[i])
 	}
 	set("robot_voltage", 48+m.rng.NormFloat64()*0.2)
 	set("robot_current", 0.5+totalCur)
@@ -182,8 +181,8 @@ func (m *Monitor) recordLocked(s robot.State) {
 	set("runtime_state", 2) // PLAYING
 	set("safety_status", 1) // NORMAL
 	set("robot_mode", 7)    // RUNNING
-	for j := 0; j < robot.NumJoints; j++ {
-		set(fmt.Sprintf("joint_mode_%d", j), 253) // RUNNING
+	for _, i := range jointIndex.mode {
+		v[i] = 253 // RUNNING
 	}
 	set("tool_accelerometer_z", -gravity)
 	set("elbow_position_x", x/2)

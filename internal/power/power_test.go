@@ -30,11 +30,14 @@ func TestSamplePropertyLookup(t *testing.T) {
 	if got := s.JointCurrent(0); got != 1.5 {
 		t.Errorf("JointCurrent(0) = %v, want 1.5", got)
 	}
-	if _, ok := s.Property("no_such_property"); ok {
-		t.Error("unknown property resolved")
+	if got := s.JointCurrent(robot.NumJoints); got != 0 {
+		t.Errorf("JointCurrent(%d), past the last joint, = %v, want 0", robot.NumJoints, got)
 	}
-	if _, ok := s.Property("actual_qd_3"); !ok {
-		t.Error("actual_qd_3 should resolve")
+	if got := (Sample{}).JointCurrent(0); got != 0 {
+		t.Errorf("JointCurrent(0) of a sample without values = %v, want 0", got)
+	}
+	if propertyNames[jointIndex.actualQd[3]] != "actual_qd_3" {
+		t.Error("actual_qd_3 resolved to the wrong property")
 	}
 }
 
@@ -189,7 +192,7 @@ func TestRecordQuiescentLowCurrent(t *testing.T) {
 		t.Errorf("clock advanced %v, want 2s", got)
 	}
 	for i, s := range *samples {
-		if v, _ := s.Property("actual_qd_0"); math.Abs(v) > 0.05 {
+		if v := s.Values[jointIndex.actualQd[0]]; math.Abs(v) > 0.05 {
 			t.Errorf("quiescent sample %d has velocity %v", i, v)
 		}
 	}

@@ -72,6 +72,27 @@ var propertyIndex = func() map[string]int {
 	return m
 }()
 
+// jointIndex holds the positions in Sample.Values of each per-joint
+// property, joint by joint, resolved once so that assembling or reading a
+// sample formats and looks up no name.
+var jointIndex = struct {
+	actualQ, actualQd, actualQdd, actualCurrent, moment, temperature,
+	voltage, targetQ, targetQd, targetCurrent, mode [robot.NumJoints]int
+}{
+	jointIndexes("actual_q"), jointIndexes("actual_qd"), jointIndexes("actual_qdd"),
+	jointIndexes("actual_current"), jointIndexes("joint_moment"), jointIndexes("joint_temperature"),
+	jointIndexes("joint_voltage"), jointIndexes("target_q"), jointIndexes("target_qd"),
+	jointIndexes("target_current"), jointIndexes("joint_mode"),
+}
+
+// jointIndexes returns the positions in Sample.Values of base_0 to base_5.
+func jointIndexes(base string) (idx [robot.NumJoints]int) {
+	for j := range idx {
+		idx[j] = propertyIndex[fmt.Sprintf("%s_%d", base, j)]
+	}
+	return idx
+}
+
 // Sample is one power-dataset entry: a timestamp plus the 122 property
 // values.
 type Sample struct {
@@ -79,21 +100,13 @@ type Sample struct {
 	Values []float64
 }
 
-// Property returns the named property's value, reporting whether the name is
-// part of the schema.
-func (s Sample) Property(name string) (float64, bool) {
-	i, ok := propertyIndex[name]
-	if !ok || i >= len(s.Values) {
-		return 0, false
-	}
-	return s.Values[i], true
-}
-
 // JointCurrent returns the actual current of joint j (0-based). The paper's
 // §VI figures plot "joint 1", the base joint, which is index 0 here.
 func (s Sample) JointCurrent(j int) float64 {
-	v, _ := s.Property(fmt.Sprintf("actual_current_%d", j))
-	return v
+	if j < 0 || j >= robot.NumJoints || jointIndex.actualCurrent[j] >= len(s.Values) {
+		return 0
+	}
+	return s.Values[jointIndex.actualCurrent[j]]
 }
 
 // CurrentSeries extracts the joint-j current time series from samples.

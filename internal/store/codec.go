@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/bits"
 	"time"
 	"unsafe"
 )
@@ -116,18 +117,10 @@ func decodeRecord(b []byte, r *Record, a *arena) (n int, ok bool) {
 var ErrCorruptBlock = errors.New("store: corrupt block")
 
 // AppendBlock appends the block of recs to b.
-func AppendBlock(b []byte, recs []Record) []byte { return appendBlock(b, recs, 0, false) }
-
-// appendBlock appends the block of recs to b; when numbered, record i is
-// written with seq+i in place of its own Seq.
-func appendBlock(b []byte, recs []Record, seq uint64, numbered bool) []byte {
+func AppendBlock(b []byte, recs []Record) []byte {
 	b = binary.AppendUvarint(b, uint64(len(recs)))
 	for i := range recs {
-		s := recs[i].Seq
-		if numbered {
-			s = seq + uint64(i)
-		}
-		b = appendRecord(b, &recs[i], s)
+		b = AppendRecord(b, &recs[i])
 	}
 	return b
 }
@@ -153,24 +146,62 @@ var ErrCorruptFrame = errors.New("store: corrupt frame")
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // AppendFrame appends the frame of the block of recs to b.
-func AppendFrame(b []byte, recs []Record) []byte { return appendFrame(b, recs, 0, false) }
-
-// AppendFrameSeq appends the frame AppendFrame would of recs numbered
-// consecutively from seq: record i is written with Seq seq+i, whatever its
-// own Seq holds. A sequencer writes the batch it numbers this way instead
-// of stamping the numbers on a copy of it.
-func AppendFrameSeq(b []byte, recs []Record, seq uint64) []byte {
-	return appendFrame(b, recs, seq, true)
-}
-
-func appendFrame(b []byte, recs []Record, seq uint64, numbered bool) []byte {
+func AppendFrame(b []byte, recs []Record) []byte {
 	start := len(b)
-	b = appendBlock(append(b, make([]byte, FrameHeaderSize)...), recs, seq, numbered)
-	payload := b[start+FrameHeaderSize:]
-	binary.BigEndian.PutUint32(b[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	b = AppendBlock(append(b, make([]byte, FrameHeaderSize)...), recs)
+	sealFrame(b[start:])
 	return b
 }
+
+// AppendFrames appends recs to b as a run of frames, each the block of the
+// records that follow the last frame's. A frame is closed before the
+// record that would carry its payload past maxPayload bytes, as encoded, so
+// a frame passes maxPayload only when it holds a lone record that does.
+// When numbered, record i is written with Seq seq+i, whatever its own Seq
+// holds: a sequencer writes the batch it numbers this way instead of
+// stamping the numbers on a copy of it. A frame's record count is the
+// uvarint that opens its payload. A batch that fits one frame is written
+// once, as AppendFrame would write the batch so numbered: the count prefix
+// is sized for every record left, and only a frame closed early, whose
+// count may need fewer bytes, moves its records.
+func AppendFrames(b []byte, recs []Record, seq uint64, numbered bool, maxPayload int) []byte {
+	for len(recs) > 0 {
+		start := len(b)
+		b = binary.AppendUvarint(append(b, make([]byte, FrameHeaderSize)...), uint64(len(recs)))
+		body := len(b)
+		k := 0
+		for ; k < len(recs); k++ {
+			end, s := len(b), recs[k].Seq
+			if numbered {
+				s = seq + uint64(k)
+			}
+			b = appendRecord(b, &recs[k], s)
+			if k > 0 && uvarintLen(uint64(k+1))+len(b)-body > maxPayload {
+				b = b[:end]
+				break
+			}
+		}
+		if k < len(recs) {
+			at := start + FrameHeaderSize
+			n := binary.PutUvarint(b[at:], uint64(k))
+			b = b[:at+n+copy(b[at+n:], b[body:])]
+		}
+		sealFrame(b[start:])
+		recs, seq = recs[k:], seq+uint64(k)
+	}
+	return b
+}
+
+// sealFrame fills in the header of the frame f holds: its payload's length
+// and checksum.
+func sealFrame(f []byte) {
+	payload := f[FrameHeaderSize:]
+	binary.BigEndian.PutUint32(f, uint32(len(payload)))
+	binary.BigEndian.PutUint32(f[4:], crc32.Checksum(payload, castagnoli))
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // ParseFrameHeader reads the frame header at the front of h: the payload's
 // length and checksum. It fails with ErrCorruptFrame when h is shorter

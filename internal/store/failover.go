@@ -71,16 +71,6 @@ func (s *FailoverSink) Append(r Record) error {
 	return nil
 }
 
-// SetOnCommit implements Notifier when the primary does, so a broker
-// attached above a failover sink still sees authoritative sequence
-// numbers. Spilled records are not committed and therefore not published
-// until re-ingest lands them in the primary.
-func (s *FailoverSink) SetOnCommit(fn func(recs []Record)) {
-	if n, ok := s.primary.(Notifier); ok {
-		n.SetOnCommit(fn)
-	}
-}
-
 // FailoverStats counts the sink's failover activity.
 type FailoverStats struct {
 	PrimaryErrors uint64 // appends the primary refused

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,78 @@ func FuzzBlockReader(f *testing.F) {
 		}
 		if br.Len() != 0 {
 			t.Fatalf("re-encoded block holds %d more records", br.Len())
+		}
+	})
+}
+
+// FuzzAppendFrames pins the capped frame encoder tracedb writes its blocks
+// with, in memory, for any batch and any cap: the frames hold the batch's
+// records in order, numbered from seq; every frame of two or more records
+// stays within the cap, and each but the last would pass it with the next
+// record; a batch within the cap is the one frame AppendFrame writes of the
+// numbered batch. Without numbering the frames are the same as those of
+// the batch already numbered, and the batch is left as it was.
+func FuzzAppendFrames(f *testing.F) {
+	f.Add([]byte{}, uint64(0), uint16(0))
+	f.Add([]byte{3, 0, 250, 7}, uint64(40), uint16(1<<15))
+	f.Add([]byte{200, 1, 200}, uint64(1<<63), uint16(0))
+	// More than 127 records left, under 128 per frame: a closed frame's count
+	// takes one byte fewer than the prefix reserved for it.
+	f.Add(bytes.Repeat([]byte{9, 60, 130}, 100), uint64(5), uint16(2000))
+	// Two records that fit the cap behind a one-byte count but not behind
+	// the two bytes reserved for the 128 records left: the cap counts the
+	// prefix a frame closes with.
+	f.Add(append(append(bytes.Repeat([]byte{'0'}, 16), 1, 27), bytes.Repeat([]byte{'0'}, 126)...), uint64(5), uint16(93))
+	f.Fuzz(func(t *testing.T, data []byte, seq uint64, maxPayload uint16) {
+		recs := make([]Record, len(data))
+		for i, c := range data {
+			recs[i] = Record{Seq: uint64(c) << 20, Time: time.Unix(int64(c), 0), Device: "C9", Name: "ARM",
+				Args: []string{strings.Repeat("x", int(c))}, Run: strings.Repeat("r", i%3)}
+		}
+		orig, stamped := slices.Clone(recs), slices.Clone(recs)
+		for i := range stamped {
+			stamped[i].Seq = seq + uint64(i)
+		}
+		limit, prefix := int(maxPayload), []byte("x")
+		got := AppendFrames(prefix, recs, seq, true, limit)
+		if !reflect.DeepEqual(recs, orig) {
+			t.Fatal("AppendFrames modified the batch")
+		}
+		if whole := len(AppendBlock(nil, stamped)); len(recs) > 0 && (whole <= limit || len(recs) == 1) &&
+			!bytes.Equal(got, AppendFrame(prefix, stamped)) {
+			t.Fatalf("a batch within the cap is not one AppendFrame frame:\n got %x", got)
+		}
+		if plain := AppendFrames(prefix, stamped, 0, false, limit); !bytes.Equal(got, plain) {
+			t.Fatal("numbered frames differ from those of the numbered batch")
+		}
+		var br BlockReader
+		i, b := 0, got[len(prefix):]
+		for len(b) > 0 {
+			n, crc, err := ParseFrameHeader(b)
+			if err != nil || n > len(b)-FrameHeaderSize {
+				t.Fatalf("frame at record %d: length %d of %d bytes, %v", i, n, len(b), err)
+			}
+			payload := b[FrameHeaderSize : FrameHeaderSize+n]
+			if err := CheckFrame(payload, crc); err != nil {
+				t.Fatalf("frame at record %d: %v", i, err)
+			}
+			if err := br.Reset(payload); err != nil || br.Len() == 0 || i+br.Len() > len(recs) {
+				t.Fatalf("frame at record %d holds %d records of %d: %v", i, br.Len(), len(recs), err)
+			}
+			k := br.Len()
+			if !bytes.Equal(payload, AppendBlock(nil, stamped[i:i+k])) {
+				t.Fatalf("frame of records %d..%d differs from their block", i, i+k-1)
+			}
+			if k > 1 && n > limit {
+				t.Fatalf("frame of %d records has a %d-byte payload, over the %d cap", k, n, limit)
+			}
+			if i+k < len(recs) && len(AppendBlock(nil, stamped[i:i+k+1])) <= limit {
+				t.Fatalf("frame of records %d..%d closed though the next fits the %d cap", i, i+k-1, limit)
+			}
+			i, b = i+k, b[FrameHeaderSize+n:]
+		}
+		if i != len(recs) {
+			t.Fatalf("frames hold %d records of %d", i, len(recs))
 		}
 	})
 }

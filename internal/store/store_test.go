@@ -239,22 +239,3 @@ func TestCSVWriterAssignsSeqWhenZero(t *testing.T) {
 		t.Errorf("seqs = %d, %d; want 0, 1", got[0].Seq, got[1].Seq)
 	}
 }
-
-// TestAppendFrameSeqNumbersTheBatch: AppendFrameSeq writes the frame
-// AppendFrame writes of a copy of the batch stamped with seq, seq+1, ...,
-// whatever Seq the records hold, and leaves the batch as it was.
-func TestAppendFrameSeqNumbersTheBatch(t *testing.T) {
-	recs := []Record{sampleRecord(0), sampleRecord(1), sampleRecord(2)}
-	recs[1].Seq = 99
-	orig := append([]Record(nil), recs...)
-	stamped := append([]Record(nil), recs...)
-	for i := range stamped {
-		stamped[i].Seq = 40 + uint64(i)
-	}
-	if got, want := AppendFrameSeq([]byte("x"), recs, 40), AppendFrame([]byte("x"), stamped); !bytes.Equal(got, want) {
-		t.Fatalf("AppendFrameSeq:\n got %x\nwant %x", got, want)
-	}
-	if !reflect.DeepEqual(recs, orig) {
-		t.Fatal("AppendFrameSeq modified the batch")
-	}
-}

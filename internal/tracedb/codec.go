@@ -22,8 +22,10 @@
 //
 // One block is one flush boundary: an AppendBatch call, or the
 // DefaultBlockRecords per-record appends staged between two writes, lands
-// as exactly one block (split only when it would exceed the block size
-// cap). The payload is a store block (store.AppendBlock): a uvarint record
+// as exactly one block (split only where a block would pass the block size
+// cap), and compaction rewrites runs of small blocks as blocks that each
+// hold whole stored blocks (Compact). The payload is a store block
+// (store.AppendBlock): a uvarint record
 // count followed by that many records in store's record encoding. A wire
 // trace event carries either those bytes as stored, when a snapshot replay
 // forwards the whole block, or one record's. The encoding is canonical —
@@ -41,7 +43,6 @@
 package tracedb
 
 import (
-	"encoding/binary"
 	"slices"
 
 	"rad/internal/store"
@@ -51,30 +52,15 @@ const (
 	// segMagic opens every segment file; a file without it holds no
 	// committed records.
 	segMagic = "RADTDB1\n"
-	// targetBlockBytes is the soft payload size at which a large batch is
-	// split across several blocks; it keeps every block far under
-	// store.MaxFramePayload and bounds the unit of read amplification. It
-	// also makes every block of two or more records fit one wire event
-	// frame (wire.MaxFrameSize, also 1 MiB), header included, though only
-	// by recordSizeEstimate's slack: the estimate counts each of a record's
-	// length and count prefixes, eight at least, at 5 bytes, and a value
-	// under 1 MiB needs at most 3, so such a block encodes at least 32
-	// bytes under its estimate, against about 15 for its record count and
-	// frame header. TestAppendBatchBlocksFitOneFrame pins it.
-	targetBlockBytes = 1 << 20
+	// targetBlockBytes caps a block's payload: a write is split where a
+	// block would pass it, measured as store.AppendFrames encodes, so only
+	// a lone record larger than the cap makes a larger block. It keeps
+	// every block far under store.MaxFramePayload and bounds the unit of
+	// read amplification. It is 1 KiB under wire.MaxFrameSize (1 MiB), so
+	// every block of two or more records fits one wire event frame, whose
+	// other fields take 12 bytes. TestAppendBatchBlocksFitOneFrame pins it.
+	targetBlockBytes = 1<<20 - 1<<10
 )
-
-// recordSizeEstimate upper-bounds a record's encoded size, used to split
-// oversized batches at block boundaries before encoding.
-func recordSizeEstimate(r *store.Record) int {
-	n := 3*binary.MaxVarintLen64 + 8*binary.MaxVarintLen32
-	n += len(r.Device) + len(r.Name) + len(r.Response) + len(r.Exception)
-	n += len(r.Procedure) + len(r.Run) + len(r.Mode)
-	for _, a := range r.Args {
-		n += binary.MaxVarintLen32 + len(a)
-	}
-	return n
-}
 
 // decodePayload parses a block payload with br and appends its records to
 // dst — only the records q matches, when q is non-nil, so a record the

@@ -72,14 +72,8 @@ func (db *DB) Compact() (CompactStats, error) {
 // holds records and its average block payload is below the fragmentation
 // threshold.
 func fragmented(s *segment) bool {
-	if s.index.count == 0 || len(s.index.blocks) == 0 {
-		return false
-	}
-	var payload int64
-	for i := range s.index.blocks {
-		payload += int64(s.index.blocks[i].payloadLen)
-	}
-	return payload/int64(len(s.index.blocks)) < compactFragBytes
+	blocks := int64(len(s.index.blocks))
+	return s.index.count > 0 && blocks > 0 && s.index.payload/blocks < compactFragBytes
 }
 
 // compactOnce selects and merges one run of fragmented segments. ok is
@@ -101,13 +95,6 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 		return stats, false, ErrClosed
 	}
 	sealed := db.segs[:len(db.segs)-1]
-	payloadOf := func(s *segment) int64 {
-		var p int64
-		for i := range s.index.blocks {
-			p += int64(s.index.blocks[i].payloadLen)
-		}
-		return p
-	}
 	for i := 0; i < len(sealed) && srcs == nil; i++ {
 		if !fragmented(sealed[i]) {
 			continue
@@ -120,22 +107,20 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 			if !fragmented(s) {
 				break
 			}
-			p := payloadOf(s)
-			if len(run) > 0 && payload+p > maxPayload {
+			if len(run) > 0 && payload+s.index.payload > maxPayload {
 				break
 			}
 			run = append(run, s)
-			payload += p
+			payload += s.index.payload
 			blocksIn += len(s.index.blocks)
 		}
 		// A run earns a rewrite when it merges files, or — for a lone
 		// plain segment — when re-blocking likely reduces the block count.
-		// A lone compacted segment is never re-selected: estOut derives
-		// from encoded bytes while the rewrite splits batches on the
-		// conservative recordSizeEstimate, so a fresh compactor output can
-		// keep both its block count and its range-derived file name —
-		// re-selecting it would livelock the maintenance loop and rename
-		// the rewrite over its own source.
+		// A lone compacted segment is never re-selected: its blocks already
+		// group whole stored blocks up to compactBlockBytes, so a rewrite
+		// would keep its block count, or nearly, and its range-derived file
+		// name — re-selecting it would livelock the maintenance loop and
+		// rename the rewrite over its own source.
 		estOut := int(payload/compactBlockBytes) + 1
 		if len(run) >= 2 || (!run[0].compacted && blocksIn > estOut) {
 			srcs = run
@@ -158,8 +143,11 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 	}()
 
 	// Read every source block (sources are sealed, so no lock is needed)
-	// and rewrite the records as dense target-size blocks under a temp
-	// name, rebuilding tight posting lists and time bounds as we go.
+	// and rewrite the records under a temp name, rebuilding tight posting
+	// lists and time bounds as we go. Each output block holds whole source
+	// blocks, as many in a row as fit compactBlockBytes by their stored
+	// payload lengths: their records re-encode byte for byte behind one
+	// count, so the block is no larger than the payloads it merges.
 	lo, hi := srcs[0].id, srcs[len(srcs)-1].hi
 	finalPath := compactedPath(db.dir, lo, hi)
 	for _, s := range srcs {
@@ -189,45 +177,39 @@ func (db *DB) compactOnce() (stats CompactStats, ok bool, err error) {
 	ns.refs.Store(1)
 
 	var batch []store.Record
-	var batchBytes int
+	var batchBytes int64
 	var encBuf []byte
 	var tally blockTally
 	flushBatch := func() error {
-		if len(batch) == 0 {
-			return nil
+		if len(batch) > 0 {
+			blocks, err := ns.appendBlocks(&tally, &encBuf, batch, 0, false)
+			if err != nil {
+				return err
+			}
+			stats.BlocksOut += blocks
+			stats.Records += len(batch)
 		}
-		if _, err := ns.appendBlocks(&tally, &encBuf, batch, 0, false); err != nil {
-			return err
-		}
-		stats.BlocksOut++
 		batch, batchBytes = batch[:0], 0
 		return nil
 	}
 	var buf *[]byte
 	var br store.BlockReader
-	var recs []store.Record
 	for _, s := range srcs {
 		stats.SegmentsIn++
 		stats.BlocksIn += len(s.index.blocks)
 		stats.BytesIn += s.size
 		for _, m := range s.index.blocks {
+			if batchBytes+int64(m.payloadLen) > compactBlockBytes {
+				if err := flushBatch(); err != nil {
+					return cleanup(err)
+				}
+			}
 			var err error
 			buf = store.GrowBlockBuf(buf, int(m.payloadLen))
-			recs, err = s.readBlock(m, *buf, &br, recs[:0], nil)
-			if err != nil {
+			if batch, err = s.readBlock(m, *buf, &br, batch, nil); err != nil {
 				return cleanup(fmt.Errorf("tracedb: compaction read: %w", err))
 			}
-			for i := range recs {
-				est := recordSizeEstimate(&recs[i])
-				if batchBytes+est > compactBlockBytes && len(batch) > 0 {
-					if err := flushBatch(); err != nil {
-						return cleanup(err)
-					}
-				}
-				batch = append(batch, recs[i])
-				batchBytes += est
-				stats.Records++
-			}
+			batchBytes += int64(m.payloadLen)
 		}
 	}
 	store.PutBlockBuf(buf) // no decoded record aliases it

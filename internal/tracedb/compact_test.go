@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -522,15 +523,14 @@ func TestLifecycleInfo(t *testing.T) {
 	}
 }
 
-// TestCompactLoneCompactedNotReselected pins the livelock fix. Records
-// with almost no string bytes encode to under a quarter of their
-// recordSizeEstimate, so the compactor, which splits batches on that
-// estimate, writes blocks under compactFragBytes: its output still looks
-// fragmented, and keeps more blocks than its payload's estimated block
-// count. A lone compacted segment must therefore never be selected again:
-// re-compacting it would reuse its own range-derived file name, looping
-// under lcMu (deadlocking Close) or renaming the rewrite over its own
-// source, unlinking the live file when the source retires.
+// TestCompactLoneCompactedNotReselected pins the livelock guard. Compact
+// groups whole source blocks up to compactBlockBytes, so its own output is
+// never fragmented across several blocks; the test makes such a segment by
+// renaming a sealed segment of small blocks to a compacted segment's name.
+// A lone compacted segment must never be selected again: re-compacting it
+// would reuse its own range-derived file name, looping under lcMu
+// (deadlocking Close) or renaming the rewrite over its own source,
+// unlinking the live file when the source retires.
 func TestCompactLoneCompactedNotReselected(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentBytes: 8 << 10}
@@ -538,13 +538,38 @@ func TestCompactLoneCompactedNotReselected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-	recs := make([]store.Record, 3000)
-	for i := range recs {
-		at := time.Unix(0, int64(i))
-		recs[i] = store.Record{Time: at, EndTime: at, Device: "C9", Name: "Q"}
+	var recs []store.Record
+	appendBatch := func(n int, arg string) {
+		t.Helper()
+		batch := make([]store.Record, n)
+		for i := range batch {
+			at := time.Unix(0, int64(len(recs)+i))
+			batch[i] = store.Record{Time: at, EndTime: at, Device: "C9", Name: "Q", Args: []string{arg}}
+		}
+		if err := db.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, batch...)
 	}
-	ingestSmallBlocks(t, db, recs, 4)
+	// Segment 0 holds small blocks, segment 1 a 40 KiB one, which no run of
+	// fragmented segments crosses, and segments 2 and 3 small blocks again.
+	for db.Segments() < 2 {
+		appendBatch(4, "")
+	}
+	appendBatch(40, strings.Repeat("x", 1<<10))
+	for db.Segments() < 5 {
+		appendBatch(4, "")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(segmentPath(dir, 0), compactedPath(dir, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	want := canonical(t, collectAll(t, db))
 
 	type result struct {
@@ -565,20 +590,17 @@ func TestCompactLoneCompactedNotReselected(t *testing.T) {
 			panic("unreachable")
 		}
 	}
+	// The first pass merges segments 2 and 3 only.
 	if r := run(); r.err != nil {
 		t.Fatal(r.err)
-	} else if r.stats.Compactions == 0 {
-		t.Fatal("first compaction pass did nothing")
+	} else if r.stats.Compactions != 1 || r.stats.SegmentsIn != 2 {
+		t.Fatalf("first compaction pass: %+v, want segments 2 and 3 merged", r.stats)
 	}
 	db.mu.RLock()
-	lone := 0
-	for _, s := range db.segs[:len(db.segs)-1] {
-		if s.compacted && fragmented(s) && len(s.index.blocks) >= 2 {
-			lone++
-		}
-	}
+	lone := db.segs[0]
+	reached := lone.compacted && fragmented(lone) && len(lone.index.blocks) >= 2
 	db.mu.RUnlock()
-	if lone == 0 {
+	if !reached {
 		t.Fatal("no compacted segment of several fragmented blocks: the test no longer reaches the re-selection it guards")
 	}
 	// A second pass finds nothing: lone compacted survivors stay put.
@@ -601,7 +623,7 @@ func TestCompactLoneCompactedNotReselected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if !bytes.Equal(want, canonical(t, collectAll(t, db2))) {
+	if got := collectAll(t, db2); len(got) != len(recs) || !bytes.Equal(want, canonical(t, got)) {
 		t.Fatal("reopened store lost records after repeated compaction")
 	}
 }

@@ -81,7 +81,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 }
 
 // FuzzSegmentIndex checks the segment index, which folds each block into a
-// tally of its distinct values before it updates posting lists and counts,
+// tally of its distinct values before it updates the posting lists,
 // against refAddBlock, a fold that updates them record by record. The
 // bytes become blocks of records over a small alphabet, 4 bytes a record:
 // empty devices, names, runs and procedures; the device names "a.b" and
@@ -137,7 +137,7 @@ func FuzzSegmentIndex(f *testing.F) {
 }
 
 // refAddBlock is what addBlock must build: it updates the posting lists,
-// counts, purity bits and sole values record by record.
+// purity bits and sole values record by record.
 func refAddBlock(ix *segmentIndex, m blockMeta, recs []store.Record, seq uint64, numbered bool) {
 	bi := int32(len(ix.blocks))
 	post := func(lists map[string][]int32, k string) {
@@ -172,8 +172,6 @@ func refAddBlock(ix *segmentIndex, m blockMeta, recs []store.Record, seq uint64,
 			post(ix.byRun, r.Run)
 		}
 		post(ix.byProc, r.Procedure)
-		ix.deviceCounts[r.Device]++
-		ix.keyCounts[key]++
 		ix.maxSeq = max(ix.maxSeq, s)
 	}
 	for _, f := range []struct {
@@ -185,6 +183,7 @@ func refAddBlock(ix *segmentIndex, m blockMeta, recs []store.Record, seq uint64,
 		}
 	}
 	ix.count += len(recs)
+	ix.payload += int64(m.payloadLen)
 	ix.blocks = append(ix.blocks, m)
 }
 

@@ -75,13 +75,9 @@ type segmentIndex struct {
 	byRun    map[string][]int32
 	byProc   map[string][]int32
 
-	// Per-value record counts answer the distribution queries (Fig. 5a
-	// counts per command type / device) straight from the index.
-	deviceCounts map[string]int
-	keyCounts    map[string]int
-
-	count  int
-	maxSeq uint64
+	count   int
+	maxSeq  uint64
+	payload int64 // the blocks' payload bytes, headers excluded
 
 	// names holds one copy of each string the index keeps, sole values
 	// and posting-list keys: a decoded record's strings may share a chunk
@@ -92,23 +88,21 @@ type segmentIndex struct {
 
 func newSegmentIndex() segmentIndex {
 	return segmentIndex{
-		byDevice:     make(map[string][]int32),
-		byKey:        make(map[string][]int32),
-		byRun:        make(map[string][]int32),
-		byProc:       make(map[string][]int32),
-		deviceCounts: make(map[string]int),
-		keyCounts:    make(map[string]int),
-		names:        make(map[string]string),
+		byDevice: make(map[string][]int32),
+		byKey:    make(map[string][]int32),
+		byRun:    make(map[string][]int32),
+		byProc:   make(map[string][]int32),
+		names:    make(map[string]string),
 	}
 }
 
 // addBlock indexes one committed block, whose location, payload length
 // and checksum m holds. recs must be the block's records in on-disk order.
 // A writer that numbered them from seq as it encoded them
-// (store.AppendFrameSeq) passes numbered; otherwise each record's own Seq
+// (store.AppendFrames) passes numbered; otherwise each record's own Seq
 // is indexed. t is the writer's scratch: one pass folds the records into
-// it, and the index then updates each posting list and count once per
-// distinct value of the block. That saves work where a block holds few
+// it, and the index then updates each posting list once per distinct
+// value of the block. That saves work where a block holds few
 // distinct values, as a campaign's blocks do (a few dozen command types
 // and a handful of runs and procedures per block); a block whose records
 // each hold their own values gains nothing from it
@@ -129,24 +123,21 @@ func (ix *segmentIndex) addBlock(t *blockTally, m blockMeta, recs []store.Record
 			m.minTimeN, m.maxTimeN = min(m.minTimeN, n), max(m.maxTimeN, n)
 			m.minSeq, m.maxSeq = min(m.minSeq, s), max(m.maxSeq, s)
 		}
-		t.pairs.add(pair{r.Device, r.Name}, 1)
-		t.runs.add(r.Run, 1)
-		t.procs.add(r.Procedure, 1)
+		t.pairs.add(pair{r.Device, r.Name})
+		t.runs.add(r.Run)
+		t.procs.add(r.Procedure)
 	}
-	for i, p := range t.pairs.vals {
-		t.devices.add(p.device, t.pairs.counts[i])
+	for _, p := range t.pairs.vals {
+		t.devices.add(p.device)
 		t.key = append(append(append(t.key[:0], p.device...), '.'), p.name...)
-		t.keys.add(ix.ownBytes(t.key), t.pairs.counts[i])
+		t.keys.add(ix.ownBytes(t.key))
 	}
 	bi := int32(len(ix.blocks))
-	for i, d := range t.devices.vals {
-		dev := ix.own(d)
-		post(ix.byDevice, dev, bi)
-		ix.deviceCounts[dev] += t.devices.counts[i]
+	for _, d := range t.devices.vals {
+		post(ix.byDevice, ix.own(d), bi)
 	}
-	for i, key := range t.keys.vals {
+	for _, key := range t.keys.vals {
 		post(ix.byKey, key, bi)
-		ix.keyCounts[key] += t.keys.counts[i]
 	}
 	for _, r := range t.runs.vals {
 		if r != "" {
@@ -173,15 +164,15 @@ func (ix *segmentIndex) addBlock(t *blockTally, m blockMeta, recs []store.Record
 	}
 	ix.maxSeq = max(ix.maxSeq, m.maxSeq)
 	ix.count += len(recs)
+	ix.payload += int64(m.payloadLen)
 	ix.blocks = append(ix.blocks, m)
 }
 
 // blockTally is the scratch addBlock folds one block's records into: the
 // block's distinct (device, name) pairs, runs and procedures, and the
-// devices and command types the pairs make, each with its record count.
-// Its writer owns it and reuses it from block to block: the DB for
-// appends, the compactor for its output, the recovery scan for the segment
-// it reads.
+// devices and command types the pairs make. Its writer owns it and reuses
+// it from block to block: the DB for appends, the compactor for its
+// output, the recovery scan for the segment it reads.
 type blockTally struct {
 	pairs   valueTally[pair]
 	runs    valueTally[string]
@@ -203,21 +194,20 @@ func (t *blockTally) reset() {
 	t.keys.reset()
 }
 
-// valueTally counts the distinct values of one field, in first-seen
+// valueTally collects the distinct values of one field, in first-seen
 // order.
 type valueTally[K comparable] struct {
-	vals   []K
-	counts []int
-	at     map[K]int // index into vals
-	last   int       // the most recently added value's index
+	vals []K
+	at   map[K]int // index into vals
+	last int       // the most recently added value's index
 }
 
-// add counts n more of v. Nearly every record of a campaign's block
-// repeats the run and procedure of the record before it, and about a third
-// its command type, so the last value added is tried before the map.
-func (t *valueTally[K]) add(v K, n int) {
+// add adds v unless the tally holds it. Nearly every record of a
+// campaign's block repeats the run and procedure of the record before it,
+// and about a third its command type, so the last value added is tried
+// before the map.
+func (t *valueTally[K]) add(v K) {
 	if len(t.vals) > 0 && t.vals[t.last] == v {
-		t.counts[t.last] += n
 		return
 	}
 	i, ok := t.at[v]
@@ -228,9 +218,7 @@ func (t *valueTally[K]) add(v K, n int) {
 		i = len(t.vals)
 		t.at[v] = i
 		t.vals = append(t.vals, v)
-		t.counts = append(t.counts, 0)
 	}
-	t.counts[i] += n
 	t.last = i
 }
 
@@ -239,7 +227,7 @@ func (t *valueTally[K]) add(v K, n int) {
 func (t *valueTally[K]) reset() {
 	clear(t.at)
 	clear(t.vals)
-	t.vals, t.counts = t.vals[:0], t.counts[:0]
+	t.vals = t.vals[:0]
 }
 
 // own returns the index's copy of s, made at the index's first sight of s.

@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -102,9 +103,8 @@ func (db *DB) Retain() (RetainStats, error) {
 	if pol.RetainMaxAge <= 0 && pol.RetainMaxBytes <= 0 {
 		return stats, nil
 	}
-	horizonN := int64(0)
-	hasAge := pol.RetainMaxAge > 0
-	if hasAge {
+	var horizonN int64
+	if pol.RetainMaxAge > 0 {
 		stats.Horizon = db.clock.Now().Add(-pol.RetainMaxAge)
 		horizonN = stats.Horizon.UnixNano()
 	}
@@ -114,46 +114,8 @@ func (db *DB) Retain() (RetainStats, error) {
 		db.mu.Unlock()
 		return stats, ErrClosed
 	}
-	victim := make(map[*segment]bool)
-	sealed := db.segs[:len(db.segs)-1]
-	if hasAge {
-		// Age retirement takes only a prefix of the sealed segments,
-		// stopping at the first one with a record inside the horizon:
-		// Record.Time need not be monotonic across segments, and carving an
-		// expired segment out of the middle would tear a hole in the
-		// sequence order, breaking the gap-free survivor guarantee. Empty
-		// sealed segments hold no records, so reclaiming them within the
-		// prefix can never create a gap.
-		for _, s := range sealed {
-			if s.index.count == 0 {
-				victim[s] = true
-				continue
-			}
-			if _, maxN := s.index.timeSpan(); maxN >= horizonN {
-				break
-			}
-			victim[s] = true
-		}
-	}
-	if pol.RetainMaxBytes > 0 {
-		var total int64
-		for _, s := range db.segs {
-			if !victim[s] {
-				total += s.size
-			}
-		}
-		for _, s := range sealed {
-			if total <= pol.RetainMaxBytes {
-				break
-			}
-			if victim[s] {
-				continue
-			}
-			victim[s] = true
-			total -= s.size
-		}
-	}
-	if len(victim) == 0 {
+	victims := db.segs[:db.retainedLocked(horizonN)]
+	if len(victims) == 0 {
 		db.mu.Unlock()
 		return stats, nil
 	}
@@ -163,7 +125,7 @@ func (db *DB) Retain() (RetainStats, error) {
 	// seq-keyed consumer, such as stream.ResilientTail's resume cursor,
 	// would misclassify fresh records as already seen.
 	floor := db.seqFloor
-	for s := range victim {
+	for _, s := range victims {
 		if s.index.count > 0 && s.index.maxSeq+1 > floor {
 			floor = s.index.maxSeq + 1
 		}
@@ -175,21 +137,14 @@ func (db *DB) Retain() (RetainStats, error) {
 		}
 		db.seqFloor = floor
 	}
-	keep := make([]*segment, 0, len(db.segs)-len(victim))
-	var victims []*segment
-	for _, s := range db.segs {
-		if victim[s] {
-			victims = append(victims, s)
-			stats.SegmentsRetired++
-			stats.RecordsDropped += s.index.count
-			stats.BytesReclaimed += s.size
-			s.retired.Store(true)
-			db.retired = append(db.retired, s)
-			continue
-		}
-		keep = append(keep, s)
+	for _, s := range victims {
+		stats.SegmentsRetired++
+		stats.RecordsDropped += s.index.count
+		stats.BytesReclaimed += s.size
+		s.retired.Store(true)
+		db.retired = append(db.retired, s)
 	}
-	db.segs = keep
+	db.segs = slices.Clone(db.segs[len(victims):])
 	db.pruneRetiredLocked()
 	db.mu.Unlock()
 
@@ -200,6 +155,41 @@ func (db *DB) Retain() (RetainStats, error) {
 	db.lcStats.recordsDropped.Add(uint64(stats.RecordsDropped))
 	db.lcStats.bytesReclaimed.Add(uint64(stats.BytesReclaimed))
 	return stats, nil
+}
+
+// retainedLocked returns how many of the oldest segments the retention
+// policy retires now, all of them sealed: first the leading run whose
+// newest record is older than horizonN (with an age policy), then, while
+// the committed bytes left exceed RetainMaxBytes, the oldest left. Age
+// retirement takes only a prefix: Record.Time need not be monotonic across
+// segments, and carving an expired segment out of the middle would tear a
+// hole in the sequence order, breaking the gap-free survivor guarantee.
+// Empty sealed segments hold no records, so reclaiming them within the
+// prefix can never create a gap. The active segment is never retired.
+// Caller holds db.mu.
+func (db *DB) retainedLocked(horizonN int64) int {
+	pol := db.opts.Lifecycle
+	sealed := len(db.segs) - 1
+	n := 0
+	if pol.RetainMaxAge > 0 {
+		for ; n < sealed; n++ {
+			if s := db.segs[n]; s.index.count > 0 {
+				if _, maxN := s.index.timeSpan(); maxN >= horizonN {
+					break
+				}
+			}
+		}
+	}
+	if pol.RetainMaxBytes > 0 {
+		var total int64
+		for _, s := range db.segs[n:] {
+			total += s.size
+		}
+		for ; n < sealed && total > pol.RetainMaxBytes; n++ {
+			total -= db.segs[n].size
+		}
+	}
+	return n
 }
 
 // Maintain runs one full lifecycle pass — retention first (freeing bytes),
@@ -295,36 +285,13 @@ func (db *DB) Lifecycle() LifecycleInfo {
 	db.mu.RLock()
 	info.Segments = len(db.segs)
 	var payloadSum int64
-	// sealedLeft holds the sizes, oldest first, of the sealed segments the
-	// age policy would not expire — the pool the byte budget draws from.
-	var sealedLeft []int64
-	agePrefix := pol.RetainMaxAge > 0
-	for si, s := range db.segs {
+	for _, s := range db.segs {
 		if s.compacted {
 			info.CompactedSegments++
 		}
 		info.Records += s.index.count
 		info.LiveBytes += s.size
-		if si < len(db.segs)-1 {
-			// Mirror Retain's age policy exactly: only a prefix of the
-			// sealed segments expires, stopping at the first one with a
-			// record inside the horizon.
-			expired := false
-			if agePrefix {
-				if s.index.count == 0 {
-					expired = true
-				} else if _, maxN := s.index.timeSpan(); maxN < horizonN {
-					expired = true
-				} else {
-					agePrefix = false
-				}
-			}
-			if expired {
-				info.ExpiredBytes += s.size
-			} else {
-				sealedLeft = append(sealedLeft, s.size)
-			}
-		}
+		payloadSum += s.index.payload
 		for i := range s.index.blocks {
 			p := int64(s.index.blocks[i].payloadLen)
 			if info.Blocks.Blocks == 0 || p < info.Blocks.MinBytes {
@@ -336,9 +303,11 @@ func (db *DB) Lifecycle() LifecycleInfo {
 			if p < compactFragBytes {
 				info.Blocks.Fragmented++
 			}
-			payloadSum += p
 			info.Blocks.Blocks++
 		}
+	}
+	for _, s := range db.segs[:db.retainedLocked(horizonN)] {
+		info.ExpiredBytes += s.size
 	}
 	for _, s := range db.retired {
 		if s.refs.Load() > 0 {
@@ -346,19 +315,6 @@ func (db *DB) Lifecycle() LifecycleInfo {
 		}
 	}
 	db.mu.RUnlock()
-	// The byte budget retires whole sealed segments oldest-first and never
-	// touches the active segment; simulate exactly that, so the estimate
-	// never counts active-segment bytes Retain cannot reclaim.
-	if pol.RetainMaxBytes > 0 {
-		total := info.LiveBytes - info.ExpiredBytes
-		for _, sz := range sealedLeft {
-			if total <= pol.RetainMaxBytes {
-				break
-			}
-			info.ExpiredBytes += sz
-			total -= sz
-		}
-	}
 	if info.Blocks.Blocks > 0 {
 		info.Blocks.AvgBytes = payloadSum / int64(info.Blocks.Blocks)
 	}

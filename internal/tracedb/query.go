@@ -70,13 +70,19 @@ func (q Query) timeBounds() (fromN, toN int64) {
 // segPlan is one segment's share of a snapshot scan plan: the candidate
 // blocks selected by the planner at snapshot time, with a coverage flag per
 // block marking the ones whose records all provably match (no per-record
-// re-filter needed). The plan holds a reference on its segment so a
-// retiring compaction or retention pass cannot unlink the file underneath
-// the scan.
+// re-filter needed), and what the planner weighed to select them. A plan
+// kept for a scan holds a reference on its segment so a retiring
+// compaction or retention pass cannot unlink the file underneath the scan.
 type segPlan struct {
 	seg     *segment
 	blocks  []blockMeta
 	covered []bool
+	// lists are q's posting lists in the segment, most selective first;
+	// nil when a filter value is absent from it. driver is the driving
+	// field: "scan" when no set filter applies, "" when the segment is
+	// pruned wholesale.
+	lists  []fieldList
+	driver string
 }
 
 // planSegment runs the selectivity planner over one segment's index:
@@ -85,17 +91,19 @@ type segPlan struct {
 // lists are intersected away block-granular, the sparse time index prunes
 // what survives, and the residual per-record predicates are left to the
 // block scan — skipped entirely for blocks whose metadata proves full
-// coverage. driver is the driving field ("scan" when no filter applies,
-// "" when the segment is pruned wholesale).
-func planSegment(ix *segmentIndex, q Query, fromN, toN int64) (blocks []blockMeta, covered []bool, driver string) {
+// coverage.
+func planSegment(s *segment, q Query, fromN, toN int64) (p segPlan) {
+	ix := &s.index
+	p.seg = s
+	lists, ok := ix.postingLists(q)
+	if !ok {
+		return p
+	}
+	p.lists = lists
 	if q.MinSeq > 0 && ix.maxSeq < q.MinSeq {
 		// Sequence numbers are monotone across the store, so a resume scan
 		// prunes every segment sealed before the resume point wholesale.
-		return nil, nil, ""
-	}
-	lists, ok := ix.postingLists(q)
-	if !ok {
-		return nil, nil, ""
+		return p
 	}
 	emit := func(bi int32) {
 		m := ix.blocks[bi]
@@ -105,26 +113,45 @@ func planSegment(ix *segmentIndex, q Query, fromN, toN int64) (blocks []blockMet
 		if m.maxSeq < q.MinSeq {
 			return
 		}
-		blocks = append(blocks, m)
-		covered = append(covered, m.covers(q, fromN, toN))
+		p.blocks = append(p.blocks, m)
+		p.covered = append(p.covered, m.covers(q, fromN, toN))
 	}
 	if len(lists) == 0 {
+		p.driver = "scan"
 		for bi := range ix.blocks {
 			emit(int32(bi))
 		}
-		return blocks, covered, "scan"
+		return p
 	}
+	p.driver = lists[0].field
 	ids := lists[0].list
 	for _, l := range lists[1:] {
-		ids = intersect(ids, l.list)
-		if len(ids) == 0 {
-			return nil, nil, lists[0].field
+		if ids = intersect(ids, l.list); len(ids) == 0 {
+			return p
 		}
 	}
 	for _, bi := range ids {
 		emit(bi)
 	}
-	return blocks, covered, lists[0].field
+	return p
+}
+
+// planLocked runs planSegment over every segment holding records, handing
+// each plan to visit, and returns the staged records q matches. The caller
+// holds db.mu.
+func (db *DB) planLocked(q Query, visit func(segPlan)) (tail []store.Record) {
+	fromN, toN := q.timeBounds()
+	for _, s := range db.segs {
+		if s.index.count > 0 {
+			visit(planSegment(s, q, fromN, toN))
+		}
+	}
+	for i := range db.pending {
+		if q.Match(db.pending[i]) {
+			tail = append(tail, db.pending[i])
+		}
+	}
+	return tail
 }
 
 // plan snapshots the scan state for q under the read lock: per-segment
@@ -134,30 +161,20 @@ func planSegment(ix *segmentIndex, q Query, fromN, toN int64) (blocks []blockMet
 // under the same read lock. Every planned segment is acquired; the caller
 // must release the plans (Iterator does so on exhaustion or Close).
 func (db *DB) plan(q Query, attach func()) (plans []segPlan, tail []store.Record, floor uint64) {
-	fromN, toN := q.timeBounds()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	if attach != nil {
 		attach()
 	}
-	for _, s := range db.segs {
-		if s.index.count == 0 {
-			continue
+	tail = db.planLocked(q, func(p segPlan) {
+		if p.driver != "" {
+			db.lcStats.plannerPick(p.driver)
 		}
-		blocks, covered, driver := planSegment(&s.index, q, fromN, toN)
-		if driver != "" {
-			db.lcStats.plannerPick(driver)
+		if len(p.blocks) > 0 {
+			p.seg.acquire()
+			plans = append(plans, p)
 		}
-		if len(blocks) > 0 {
-			s.acquire()
-			plans = append(plans, segPlan{seg: s, blocks: blocks, covered: covered})
-		}
-	}
-	for i := range db.pending {
-		if q.Match(db.pending[i]) {
-			tail = append(tail, db.pending[i])
-		}
-	}
+	})
 	return plans, tail, db.seqFloor
 }
 
@@ -201,42 +218,27 @@ type QueryPlan struct {
 // versus covered block counts.
 func (db *DB) Explain(q Query) QueryPlan {
 	pl := QueryPlan{Drivers: make(map[string]int), FilterBlocks: make(map[string]int)}
-	fromN, toN := q.timeBounds()
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, s := range db.segs {
-		if s.index.count == 0 {
-			continue
-		}
+	pl.StagedTail = len(db.planLocked(q, func(p segPlan) {
 		pl.Segments++
-		pl.TotalBlocks += len(s.index.blocks)
-		lists, ok := s.index.postingLists(q)
-		if !ok {
-			pl.SegmentsPruned++
-			continue
-		}
-		for _, l := range lists {
+		pl.TotalBlocks += len(p.seg.index.blocks)
+		for _, l := range p.lists {
 			pl.FilterBlocks[l.field] += len(l.list)
 		}
-		blocks, covered, driver := planSegment(&s.index, q, fromN, toN)
-		if len(blocks) == 0 {
+		if len(p.blocks) == 0 {
 			pl.SegmentsPruned++
-			continue
+			return
 		}
-		pl.Drivers[driver]++
-		pl.CandidateBlocks += len(blocks)
-		for i := range blocks {
-			pl.CandidateRecords += int(blocks[i].count)
-			if covered[i] {
+		pl.Drivers[p.driver]++
+		pl.CandidateBlocks += len(p.blocks)
+		for i := range p.blocks {
+			pl.CandidateRecords += int(p.blocks[i].count)
+			if p.covered[i] {
 				pl.CoveredBlocks++
 			}
 		}
-	}
-	for i := range db.pending {
-		if q.Match(db.pending[i]) {
-			pl.StagedTail++
-		}
-	}
+	}))
 	return pl
 }
 
@@ -447,41 +449,6 @@ func (db *DB) Collect(q Query) ([]store.Record, error) {
 		out = append(out, it.Record())
 	}
 	return out, it.Err()
-}
-
-// CountByCommand returns the number of records per command type
-// ("Device.Name") — the Fig. 5(a) distribution — answered from the
-// per-segment indexes without touching the record blocks.
-func (db *DB) CountByCommand() map[string]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	m := make(map[string]int)
-	for _, s := range db.segs {
-		for k, n := range s.index.keyCounts {
-			m[k] += n
-		}
-	}
-	for i := range db.pending {
-		m[db.pending[i].Key()]++
-	}
-	return m
-}
-
-// CountByDevice returns the number of records per device, answered from the
-// per-segment indexes.
-func (db *DB) CountByDevice() map[string]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	m := make(map[string]int)
-	for _, s := range db.segs {
-		for k, n := range s.index.deviceCounts {
-			m[k] += n
-		}
-	}
-	for i := range db.pending {
-		m[db.pending[i].Device]++
-	}
-	return m
 }
 
 // Runs returns the distinct supervised run identifiers, sorted — the keys

@@ -1,6 +1,7 @@
 package tracedb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -196,44 +197,30 @@ func openSegment(path string, lo, hi int, compacted bool) (*segment, error) {
 var errDebris = errors.New("tracedb: a failed write left blocks the segment could not drop; reopen the store")
 
 // appendBlocks writes recs at the committed tail as one block, or as
-// several where a block's payload would pass targetBlockBytes, and indexes
-// each block through t. A writer that numbers the records as it writes
-// them passes numbered and the first number, seq (store.AppendFrameSeq);
-// otherwise each record keeps its own Seq (store.AppendFrame). The frames
-// are encoded into *buf and go to the file in one write; a block over
+// several where a block's payload would pass targetBlockBytes
+// (store.AppendFrames), and indexes each block through t. A writer that
+// numbers the records as it writes them passes numbered and the first
+// number, seq; otherwise each record keeps its own Seq. The frames are
+// encoded into *buf and go to the file in one write; a block over
 // store.MaxFramePayload is refused unwritten, since recovery would stop at
 // it. The committed size and index advance only after the write succeeds,
 // so a failed write commits none of the blocks, and its debris is
 // truncated. If that fails too after a write of several blocks, the error
 // wraps errDebris. It returns the number of blocks written.
 func (s *segment) appendBlocks(t *blockTally, buf *[]byte, recs []store.Record, seq uint64, numbered bool) (int, error) {
-	b := (*buf)[:0]
+	b := store.AppendFrames((*buf)[:0], recs, seq, numbered, targetBlockBytes)
+	*buf = b
 	var one [1]blockMeta
 	blocks := one[:0] // each block's frame offset in b, payload length, CRC and record count
-	for start := 0; start < len(recs); {
-		end, sz := start, 0
-		for ; end < len(recs); end++ {
-			rs := recordSizeEstimate(&recs[end])
-			if sz+rs > targetBlockBytes && end > start {
-				break
-			}
-			sz += rs
-		}
-		at := len(b)
-		if numbered {
-			b = store.AppendFrameSeq(b, recs[start:end], seq+uint64(start))
-		} else {
-			b = store.AppendFrame(b, recs[start:end])
-		}
+	for at := 0; at < len(b); {
 		n, crc, err := store.ParseFrameHeader(b[at:])
 		if err != nil {
-			*buf = b
 			return 0, fmt.Errorf("tracedb: append block: %w", err)
 		}
-		blocks = append(blocks, blockMeta{off: int64(at), payloadLen: int32(n), crc: crc, count: int32(end - start)})
-		start = end
+		count, _ := binary.Uvarint(b[at+store.FrameHeaderSize:])
+		blocks = append(blocks, blockMeta{off: int64(at), payloadLen: int32(n), crc: crc, count: int32(count)})
+		at += store.FrameHeaderSize + n
 	}
-	*buf = b
 	if _, err := s.f.WriteAt(b, s.size); err != nil {
 		// A lone block's debris is at most a torn frame, which the next
 		// write overwrites or Open drops.

@@ -166,18 +166,6 @@ func TestRoundTripRotationAndQueries(t *testing.T) {
 			sameRecords(t, scanned, got)
 		}
 
-		wantCmd := make(map[string]int)
-		wantDev := make(map[string]int)
-		for _, r := range want {
-			wantCmd[r.Key()]++
-			wantDev[r.Device]++
-		}
-		if got := db.CountByCommand(); !reflect.DeepEqual(got, wantCmd) {
-			t.Errorf("CountByCommand = %v, want %v", got, wantCmd)
-		}
-		if got := db.CountByDevice(); !reflect.DeepEqual(got, wantDev) {
-			t.Errorf("CountByDevice = %v, want %v", got, wantDev)
-		}
 		if got := db.Runs(); !reflect.DeepEqual(got, []string{"run-0", "run-1", "run-2"}) {
 			t.Errorf("Runs = %v", got)
 		}

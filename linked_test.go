@@ -52,12 +52,10 @@ var testedOnly = map[string]string{
 	"rad/internal/obs.(*Histogram).Count":           "TestObsHistogramConcurrentObserveWhileRender",
 	"rad/internal/experiments.Fig6Result.BlockMean": "TestFig6BlockStructure",
 
-	// Readers of the exports the binaries write, and an encoder of the
-	// blocks they read.
-	"rad/internal/store.ReadCSV":     "TestGoldenExportFormats",
-	"rad/internal/store.splitArgs":   "TestGoldenExportFormats",
-	"rad/internal/store.ReadJSONL":   "TestGoldenExportFormats",
-	"rad/internal/store.AppendBlock": "FuzzBlockReader",
+	// Readers of the exports the binaries write.
+	"rad/internal/store.ReadCSV":   "TestGoldenExportFormats",
+	"rad/internal/store.splitArgs": "TestGoldenExportFormats",
+	"rad/internal/store.ReadJSONL": "TestGoldenExportFormats",
 
 	// Clock and simulator controls, and the state the simulators keep.
 	"rad/internal/simclock.(*Virtual).Advance":        "TestStatusPollingDuringMove",

@@ -100,13 +100,7 @@ func TestTraceDBQueryParityWithMemStore(t *testing.T) {
 		sameTraceRecords(t, shape+"/scan", scanned, want)
 	}
 
-	// Aggregates answered from the index match the reference store.
-	if got, want := db.CountByCommand(), mem.CountByCommand(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CountByCommand diverges: %v vs %v", got, want)
-	}
-	if got, want := db.CountByDevice(), mem.CountByDevice(); !reflect.DeepEqual(got, want) {
-		t.Errorf("CountByDevice diverges: %v vs %v", got, want)
-	}
+	// The run list, answered from the index, matches the reference store.
 	if got, want := db.Runs(), mem.Runs(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Runs diverges: %v vs %v", got, want)
 	}
