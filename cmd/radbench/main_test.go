@@ -40,7 +40,9 @@ func TestRadbenchSubsets(t *testing.T) {
 		{"-scale", "0.02", "-only", "fig5a"},
 		{"-scale", "0.02", "-only", "fig5b,fig6,table1"},
 		{"-scale", "0.02", "-only", "fig7c,fig7d"},
+		{"-scale", "0.02", "-only", "rules,autolabel,specmine"},
 		{"-from", live, "-only", "fig5a,fig5b,fig6"},
+		{"-from", live, "-only", "rules,autolabel,specmine"},
 	} {
 		if err := run(args); err != nil {
 			t.Fatalf("%q: %v", args, err)
@@ -67,6 +69,7 @@ func TestRadbenchRejectsBadFlag(t *testing.T) {
 		{"-from", missing, "-only", "fig5a"},
 		{"-from", missing, "-only", "rq1"},
 		{"-from", missing, "-only", "ablations"},
+		{"-from", missing, "-only", "autolabel"},
 		{"-from", empty, "-only", "table1"},
 	} {
 		err := run(append(args, "-scale", "0.02"))

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,12 +67,12 @@ func run(args []string) error {
 
 	records := ds.Store.All()
 	if *format == "csv" || *format == "both" {
-		if err := writeCommandCSV(filepath.Join(*out, "commands.csv"), records); err != nil {
+		if err := writeCommands(filepath.Join(*out, "commands.csv"), records, store.NewCSVWriter); err != nil {
 			return err
 		}
 	}
 	if *format == "jsonl" || *format == "both" {
-		if err := writeCommandJSONL(filepath.Join(*out, "commands.jsonl"), records); err != nil {
+		if err := writeCommands(filepath.Join(*out, "commands.jsonl"), records, store.NewJSONLWriter); err != nil {
 			return err
 		}
 	}
@@ -152,34 +153,28 @@ func writeTraceDB(dir, dlqDir string, records []store.Record, compact bool) (int
 	return reingested, cs, db.Close()
 }
 
-func writeCommandCSV(path string, records []store.Record) error {
+// writeCommands writes records to a new file at path through the export
+// writer newWriter wraps around it: store.NewCSVWriter or
+// store.NewJSONLWriter.
+func writeCommands[W interface {
+	store.Sink
+	Flush() error
+}](path string, records []store.Record, newWriter func(io.Writer) W) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := store.NewCSVWriter(f)
+	w := newWriter(f)
 	for _, r := range records {
 		if err := w.Append(r); err != nil {
 			return fmt.Errorf("write %s: %w", path, err)
 		}
 	}
-	return w.Flush()
-}
-
-func writeCommandJSONL(path string, records []store.Record) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if err := w.Flush(); err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
 	}
-	defer f.Close()
-	w := store.NewJSONLWriter(f)
-	for _, r := range records {
-		if err := w.Append(r); err != nil {
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-	}
-	return w.Flush()
+	return f.Close()
 }
 
 func writeRunIndex(path string, runs []dataset.RunInfo) error {

@@ -96,7 +96,6 @@ func TestObsMiddleboxMetricsEndpoint(t *testing.T) {
 		"rad_stream_published_total",
 		"rad_fault_injected_total",
 		"rad_middlebox_sink_errors_total",
-		"rad_parallel_calls_total",
 	} {
 		if !strings.Contains(body, family) {
 			t.Errorf("/metrics missing family %s", family)

@@ -41,10 +41,11 @@
 // §V-B perplexity model on the benign runs of the tracedb directory -train
 // (such as one radgen -store wrote), one training sequence per run label
 // with the unlabelled bulk as one more, and leaves out the runs that end
-// in a hardware fault (runs 16, 17 and 22 of the campaign), as radids
-// does; it scores a sliding window over the live command stream, with
-// -rules also runs the middlebox rule set, and emits structured alerts
-// (JSONL by default, CSV with -format csv) instead of raw records.
+// in a hardware fault (runs 16, 17 and 22 of the campaign), as radbench's
+// streaming-window ablation does; it scores a sliding window over the live
+// command stream, with -rules also runs the middlebox rule set, and emits
+// structured alerts (JSONL by default, CSV with -format csv) instead of raw
+// records.
 package main
 
 import (
@@ -279,7 +280,8 @@ func trainDetector(dir string, order int) (*ids.PerplexityDetector, error) {
 	return ids.TrainPerplexity(seqs, order)
 }
 
-// watchIDS runs the online detector over the stream and emits alerts.
+// watchIDS runs the online detector over the stream and emits the alerts
+// each record raises.
 func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.PerplexityDetector,
 	window int, withRules bool, format string, limit int) error {
 	emit, flush, err := alertPrinter(out, format)
@@ -288,15 +290,11 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.Perplexi
 	}
 	defer flush()
 
-	cfg := stream.IDSConfig{Detector: det, Window: window, OnAlert: func(a stream.Alert) {
-		if err := emit(a); err != nil {
-			fmt.Fprintln(os.Stderr, "radwatch: emit alert:", err)
-		}
-	}}
+	cfg := ids.OnlineConfig{Detector: det, Window: window}
 	if withRules {
 		cfg.Rules = ids.NewRuleEngine()
 	}
-	online, err := stream.NewIDS(cfg)
+	online, err := ids.NewOnline(cfg)
 	if err != nil {
 		return err
 	}
@@ -308,7 +306,7 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.Perplexi
 	}
 	defer client.Close()
 
-	n := 0
+	n, alerts := 0, 0
 	for {
 		ev, err := client.Recv()
 		if err != nil {
@@ -320,29 +318,34 @@ func watchIDS(out io.Writer, dial func() (eventSource, error), det *ids.Perplexi
 		if ev.Kind != wire.EventTrace {
 			continue
 		}
-		online.Observe(*ev.Record)
+		for _, a := range online.Observe(*ev.Record) {
+			alerts++
+			if err := emit(a); err != nil {
+				fmt.Fprintln(os.Stderr, "radwatch: emit alert:", err)
+			}
+		}
 		n++
 		if limit > 0 && n >= limit {
 			break
 		}
 	}
-	fmt.Fprintf(os.Stderr, "radwatch: %d records observed, %d alerts\n", online.Processed(), len(online.Alerts()))
+	fmt.Fprintf(os.Stderr, "radwatch: %d records observed, %d alerts\n", n, alerts)
 	return nil
 }
 
 // alertPrinter returns a per-alert emit function. Text mode shares the JSONL
 // shape: alerts are structured records, not log lines.
-func alertPrinter(out io.Writer, format string) (func(stream.Alert) error, func() error, error) {
+func alertPrinter(out io.Writer, format string) (func(ids.Alert) error, func() error, error) {
 	switch format {
 	case "text", "jsonl":
 		enc := json.NewEncoder(out)
-		return func(a stream.Alert) error { return enc.Encode(a) }, func() error { return nil }, nil
+		return func(a ids.Alert) error { return enc.Encode(a) }, func() error { return nil }, nil
 	case "csv":
 		w := csv.NewWriter(out)
 		if err := w.Write([]string{"seq", "time", "source", "device", "key", "score", "threshold", "jenksBreak", "detail"}); err != nil {
 			return nil, nil, err
 		}
-		return func(a stream.Alert) error {
+		return func(a ids.Alert) error {
 				return w.Write([]string{
 					strconv.FormatUint(a.Seq, 10), a.Time.Format("2006-01-02T15:04:05.000Z07:00"),
 					a.Source, a.Device, a.Key,

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"rad/internal/ids"
 	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
@@ -242,7 +243,7 @@ func TestWatchIDSEmitsAlerts(t *testing.T) {
 	if len(lines) == 0 || lines[0] == "" {
 		t.Fatal("IDS mode emitted no alerts for a stream of unknown commands")
 	}
-	var alert stream.Alert
+	var alert ids.Alert
 	if err := json.Unmarshal([]byte(lines[0]), &alert); err != nil {
 		t.Fatalf("alert is not JSON: %v\n%s", err, lines[0])
 	}

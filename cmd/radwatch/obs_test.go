@@ -16,7 +16,7 @@ func TestObsWatchPollsSnapshot(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("rad_middlebox_requests_total", "op", "exec").Add(7)
 	reg.Counter("rad_middlebox_exec_shed_total") // stays zero: must be elided
-	reg.Gauge("rad_tracedb_records").Add(42)
+	reg.GaugeFunc("rad_tracedb_records", func() float64 { return 42 })
 	h := reg.Histogram("rad_middlebox_exec_seconds", obs.DefaultLatencyBuckets,
 		"device", "C9", "command", "MVNG")
 	for i := 0; i < 10; i++ {

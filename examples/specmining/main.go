@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"rad"
 )
@@ -41,7 +42,7 @@ func main() {
 	// most commands across the runs.
 	fmt.Println("\nmost-covering repeated blocks across the runs:")
 	for _, b := range rad.TopSpecBlocks(seqs, 5) {
-		fmt.Printf("  ×%-4d { %s }\n", b.Min, join(b.Block))
+		fmt.Printf("  ×%-4d { %s }\n", b.Min, strings.Join(b.Block, " "))
 	}
 
 	// Merging identical-structure runs widens the loop bounds into ranges;
@@ -54,15 +55,4 @@ func main() {
 		fmt.Println("\nruns differ structurally (different vial counts); first run's spec:")
 		fmt.Println(specs[0].String())
 	}
-}
-
-func join(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += " "
-		}
-		out += x
-	}
-	return out
 }

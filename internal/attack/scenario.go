@@ -94,8 +94,8 @@ func Run(sc Scenario) (Outcome, error) {
 }
 
 // StandardSuite returns one benign control plus one scenario per attack
-// family against the P2 workload — the benchmark set radids evaluates
-// detectors on.
+// family against the P2 workload — the benchmark set `radbench -only
+// attacks` evaluates detectors on.
 func StandardSuite(seed uint64) []Scenario {
 	out := []Scenario{{Name: "benign-control", Procedure: procedure.P2, Seed: seed}}
 	for i, kind := range Kinds() {

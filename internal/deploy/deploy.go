@@ -21,7 +21,6 @@ import (
 	"rad/internal/middlebox"
 	"rad/internal/obs"
 	"rad/internal/obs/span"
-	"rad/internal/parallel"
 	"rad/internal/power"
 	"rad/internal/procedure"
 	"rad/internal/simclock"
@@ -108,7 +107,6 @@ func Start(cfg Config) (_ *Deployment, err error) {
 	var reg *obs.Registry
 	if cfg.ObsAddr != "" {
 		reg = obs.NewRegistry()
-		parallel.Observe(reg)
 		obs.RegisterRuntimeMetrics(reg)
 	}
 	// Span flight recorder: every layer gets the same recorder, so one
@@ -188,6 +186,13 @@ func Start(cfg Config) (_ *Deployment, err error) {
 
 	if cfg.Power {
 		d.Monitor = power.NewMonitor(power.DefaultModel(), d.clock, cfg.Seed^0x5bf0)
+		if reg != nil {
+			// rad_stream_published_total counts trace records only, and a
+			// stream's broker is offered every sample too: this is the
+			// samples' term in its delivered + dropped balance.
+			reg.SetHelp("rad_power_samples_total", "Power samples the UR3e monitor recorded (with a stream listener, each is offered to the broker).")
+			reg.CounterFunc("rad_power_samples_total", func() uint64 { return uint64(d.Monitor.Len()) })
+		}
 	}
 	if cfg.StreamAddr != "" {
 		d.Broker = stream.NewBroker()

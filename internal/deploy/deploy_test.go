@@ -2,14 +2,17 @@ package deploy
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"net/http"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"rad/internal/device"
+	"rad/internal/obs"
 	"rad/internal/simclock"
 	"rad/internal/stream"
 	"rad/internal/tracer"
@@ -117,9 +120,11 @@ func TestDrainReportsWhileSubscribersAttached(t *testing.T) {
 // UR3e's monitor keeps no samples, so the stream is their one way out. A
 // Block subscriber that asked for power, with a ring larger than one move,
 // receives every sample of a move served over the wire: as many as
-// Monitor.Len counts, the number the shutdown summary prints.
+// Monitor.Len counts, the number the shutdown summary prints. The
+// telemetry endpoint balances the same flow: records published plus
+// samples recorded equal what the one subscriber was delivered or dropped.
 func TestPowerStreamCarriesEverySample(t *testing.T) {
-	d, err := Start(Config{Listen: "127.0.0.1:0", StreamAddr: "127.0.0.1:0", Power: true})
+	d, err := Start(Config{Listen: "127.0.0.1:0", StreamAddr: "127.0.0.1:0", ObsAddr: "127.0.0.1:0", Power: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,5 +202,27 @@ func TestPowerStreamCarriesEverySample(t *testing.T) {
 	}
 	if n.traces != 2 {
 		t.Errorf("subscriber received %d trace records, want 2", n.traces)
+	}
+
+	resp, err := http.Get("http://" + d.Addrs.Obs + "/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	counter := map[string]uint64{}
+	for _, c := range snap.Counters {
+		if len(c.Labels) == 0 {
+			counter[c.Name] = c.Value
+		}
+	}
+	published, samples := counter["rad_stream_published_total"], counter["rad_power_samples_total"]
+	delivered, dropped := counter["rad_stream_delivered_total"], counter["rad_stream_dropped_total"]
+	if samples != uint64(d.Monitor.Len()) || published+samples != delivered+dropped {
+		t.Errorf("published %d + power samples %d != delivered %d + dropped %d (monitor recorded %d)",
+			published, samples, delivered, dropped, d.Monitor.Len())
 	}
 }

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
+	"rad/internal/analysis/stats"
 	"rad/internal/device"
 	"rad/internal/procedure"
 	"rad/internal/rad"
@@ -197,8 +197,66 @@ func RenderSeries(title string, series []Series) string {
 	b.WriteString(title + "\n")
 	for _, s := range series {
 		fmt.Fprintf(&b, "  %-12s %4d ticks (%5.2f s)  peak %6.3f  %s\n",
-			s.Label, len(s.Current), s.Duration(), maxAbsOf(s.Current), sparkline(s.Current, 60))
+			s.Label, len(s.Current), s.Duration(), stats.MaxAbs(s.Current), sparkline(s.Current, 60))
 	}
+	return b.String()
+}
+
+// RenderFig7a formats the five-segment experiment: sparklines,
+// repeatability, and the pairwise distinctness verdict.
+func RenderFig7a(res Fig7aResult) string {
+	var b strings.Builder
+	b.WriteString(RenderSeries("Fig. 7(a) — UR3e joint-1 current per move_joints segment", res.Segments))
+	b.WriteString("repeatability (Pearson r, run 1 vs run 2):")
+	for i, r := range res.RepeatCorrelation {
+		fmt.Fprintf(&b, "  L%d-L%d %.4f", i, i+1, r)
+	}
+	b.WriteString("\npairwise distinct (shape/duration/amplitude): ")
+	all := true
+	for i := range res.Distinct {
+		for j := range res.Distinct[i] {
+			if i != j && !res.Distinct[i][j] {
+				all = false
+			}
+		}
+	}
+	fmt.Fprintf(&b, "%v\n", all)
+	return b.String()
+}
+
+// RenderFig7b formats the per-solid vial transfers and their pairwise
+// correlations.
+func RenderFig7b(res Fig7bResult) string {
+	var b strings.Builder
+	b.WriteString(RenderSeries("Fig. 7(b) — vial-transfer current per solid (trajectory identical)", res.Solids))
+	labels := make([]string, len(res.Solids))
+	for i, s := range res.Solids {
+		labels[i] = s.Label
+	}
+	b.WriteString(RenderCorrelationMatrix("pairwise Pearson r (paper: > 0.97):", labels, res.Correlations))
+	return b.String()
+}
+
+// RenderFig7c formats the velocity sweep and its peak amplitudes.
+func RenderFig7c(res Fig7cResult) string {
+	return renderPeaks("Fig. 7(c) — current vs commanded velocity (same endpoints)", res.Velocities, res.PeakAmplitude)
+}
+
+// RenderFig7d formats the payload sweep and its peak amplitudes.
+func RenderFig7d(res Fig7dResult) string {
+	return renderPeaks("Fig. 7(d) — current vs payload weight (same trajectory)", res.Weights, res.PeakAmplitude)
+}
+
+// renderPeaks renders series under title, then one line of their peak
+// amplitudes.
+func renderPeaks(title string, series []Series, peaks []float64) string {
+	var b strings.Builder
+	b.WriteString(RenderSeries(title, series))
+	b.WriteString("peak amplitude:")
+	for i, s := range series {
+		fmt.Fprintf(&b, "  %s %.3f", s.Label, peaks[i])
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 
@@ -221,16 +279,6 @@ func RenderCorrelationMatrix(title string, labels []string, m [][]float64) strin
 	return b.String()
 }
 
-func maxAbsOf(xs []float64) float64 {
-	best := 0.0
-	for _, x := range xs {
-		if a := math.Abs(x); a > best {
-			best = a
-		}
-	}
-	return best
-}
-
 // sparkline downsamples xs to width characters using a small glyph ramp
 // spanning [-max, +max].
 func sparkline(xs []float64, width int) string {
@@ -238,7 +286,7 @@ func sparkline(xs []float64, width int) string {
 		return ""
 	}
 	ramp := []rune("_.-~^*")
-	limit := maxAbsOf(xs)
+	limit := stats.MaxAbs(xs)
 	if limit == 0 {
 		limit = 1
 	}

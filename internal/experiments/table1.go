@@ -37,9 +37,13 @@ type TableIConfig struct {
 	LinearJenks bool
 }
 
-// DefaultAlpha is the add-α smoothing constant used throughout: small enough
-// to score seen-but-rare transitions fairly, large enough to keep unseen
-// transitions finite.
+// DefaultAlpha is the add-α smoothing constant of the batch models: Table
+// I's protocol (TableIPerplexityIDS, so also the Jenks-space ablation) and
+// the specmine analysis's synthesis model. It is small enough to score
+// seen-but-rare transitions fairly, large enough to keep unseen transitions
+// finite. The detectors ids.TrainPerplexity fits use add-one smoothing
+// (α = 1) instead: the online detector and the streaming-window ablation,
+// and both of the attack benchmark's detectors.
 const DefaultAlpha = 0.1
 
 // DefaultTableISeed is the documented fold-shuffle seed used by the

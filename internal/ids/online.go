@@ -1,13 +1,11 @@
-package stream
+package ids
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"rad/internal/analysis/jenks"
-	"rad/internal/ids"
 	"rad/internal/store"
 )
 
@@ -36,67 +34,58 @@ type Alert struct {
 	Detail string   `json:"detail,omitempty"`
 }
 
-// IDSConfig configures an online detector.
-type IDSConfig struct {
+// OnlineConfig configures an online detector.
+type OnlineConfig struct {
 	// Detector is the trained perplexity model (required).
-	Detector *ids.PerplexityDetector
+	Detector *PerplexityDetector
 	// Window is the sliding-window size in commands (see
 	// PerplexityDetector.NewStream for the default/minimum behaviour).
 	Window int
 	// Rules optionally runs the middlebox rule engine over the same feed.
 	// The engine is stateful (initialization ordering), so it must be fresh
-	// and must see the stream from its start.
-	Rules *ids.RuleEngine
-	// OnAlert, when set, is called synchronously for every alert (after it
-	// is recorded).
-	OnAlert func(Alert)
+	// and must see the feed from its start.
+	Rules *RuleEngine
 }
 
-// IDS is the online intrusion detector: a sliding-window streaming
+// Online is the online intrusion detector: a sliding-window streaming
 // perplexity scorer plus (optionally) the rule engine, consuming a live
-// record feed and accumulating structured alerts in its own store.
+// record feed one record at a time.
 //
-// Observe is the synchronous core — one record in, zero or more alerts out —
-// so the same detector runs over a network tail (radwatch -ids), a broker
-// subscription, or a replayed slice of records. Observe is not safe for
-// concurrent callers; Alerts and Processed are.
-type IDS struct {
-	win     *ids.Stream
-	rules   *ids.RuleEngine
-	onAlert func(Alert)
+// Observe is its one outlet — one record in, the alerts it raised out — so
+// the same detector runs over a network tail (radwatch -ids), a broker
+// subscription, or a replayed slice of records. It keeps no alerts and is
+// not safe for concurrent callers.
+type Online struct {
+	win   *Stream
+	rules *RuleEngine
 
 	history []float64 // rolling window scores, ring-ordered
 	histAt  int
-
-	mu        sync.Mutex
-	alerts    []Alert
-	processed uint64
 }
 
-// ErrNoDetector is returned when IDSConfig.Detector is nil.
-var ErrNoDetector = errors.New("stream: IDSConfig.Detector is required")
+// ErrNoDetector is returned when OnlineConfig.Detector is nil.
+var ErrNoDetector = errors.New("ids: OnlineConfig.Detector is required")
 
-// NewIDS builds an online detector. The stream threshold is calibrated on
-// same-sized windows over the detector's training data (the shared
+// NewOnline builds an online detector. The stream threshold is calibrated
+// on same-sized windows over the detector's training data (the shared
 // WindowScores path), exactly as the offline ablations score them.
-func NewIDS(cfg IDSConfig) (*IDS, error) {
+func NewOnline(cfg OnlineConfig) (*Online, error) {
 	if cfg.Detector == nil {
 		return nil, ErrNoDetector
 	}
-	return &IDS{
+	return &Online{
 		win:     cfg.Detector.NewStream(cfg.Window),
 		rules:   cfg.Rules,
-		onAlert: cfg.OnAlert,
 		history: make([]float64, 0, scoreHistory),
 	}, nil
 }
 
 // Threshold returns the calibrated streaming alert threshold.
-func (d *IDS) Threshold() float64 { return d.win.Threshold() }
+func (d *Online) Threshold() float64 { return d.win.Threshold() }
 
 // Observe feeds one record through the rule engine and the sliding-window
-// scorer, returning any alerts it raised (already recorded in the store).
-func (d *IDS) Observe(rec store.Record) []Alert {
+// scorer and returns the alerts it raised, rule alerts first.
+func (d *Online) Observe(rec store.Record) []Alert {
 	var out []Alert
 	if d.rules != nil {
 		for _, v := range d.rules.Check(rec) {
@@ -125,33 +114,7 @@ func (d *IDS) Observe(rec store.Record) []Alert {
 				score, d.win.Threshold()),
 		})
 	}
-
-	d.mu.Lock()
-	d.processed++
-	d.alerts = append(d.alerts, out...)
-	d.mu.Unlock()
-	if d.onAlert != nil {
-		for _, a := range out {
-			d.onAlert(a)
-		}
-	}
 	return out
-}
-
-// Alerts returns a copy of every alert raised so far, in stream order.
-func (d *IDS) Alerts() []Alert {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]Alert, len(d.alerts))
-	copy(out, d.alerts)
-	return out
-}
-
-// Processed returns the number of records observed.
-func (d *IDS) Processed() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.processed
 }
 
 // scoreHistory bounds the rolling window-score population the online Jenks
@@ -159,7 +122,7 @@ func (d *IDS) Processed() uint64 {
 const scoreHistory = 256
 
 // pushScore appends a window score to the bounded rolling history.
-func (d *IDS) pushScore(s float64) {
+func (d *Online) pushScore(s float64) {
 	if len(d.history) < scoreHistory {
 		d.history = append(d.history, s)
 		return
@@ -170,7 +133,7 @@ func (d *IDS) pushScore(s float64) {
 
 // jenksBreak computes the two-class natural-breaks split over the rolling
 // score history; zero when the history holds no separable structure.
-func (d *IDS) jenksBreak() float64 {
+func (d *Online) jenksBreak() float64 {
 	if len(d.history) < 2 {
 		return 0
 	}

@@ -1,7 +1,8 @@
-package stream_test
+package ids_test
 
 import (
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,10 +48,10 @@ func trainOnline(t *testing.T) *ids.PerplexityDetector {
 	return det
 }
 
-// TestStreamIDSCleanRunRaisesNoAlerts drives a benign P2 run through a live
+// TestOnlineCleanRunRaisesNoAlerts drives a benign P2 run through a live
 // middlebox with the online detector consuming the broker feed: the
 // perplexity scorer must stay silent end to end.
-func TestStreamIDSCleanRunRaisesNoAlerts(t *testing.T) {
+func TestOnlineCleanRunRaisesNoAlerts(t *testing.T) {
 	det := trainOnline(t)
 
 	vl, err := procedure.NewVirtualLab(procedure.VirtualLabConfig{Seed: 200})
@@ -72,38 +73,36 @@ func TestStreamIDSCleanRunRaisesNoAlerts(t *testing.T) {
 	}
 	broker.Close() // no more publishes; the detector drains the ring
 
-	det2, err := stream.NewIDS(stream.IDSConfig{Detector: det})
+	online, err := ids.NewOnline(ids.OnlineConfig{Detector: det})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n uint64
+	var n int
+	var alerts []ids.Alert
 	for {
 		ev, ok := sub.Recv()
 		if !ok {
 			break
 		}
 		if ev.Kind == stream.KindTrace {
-			det2.Observe(ev.Record)
+			alerts = append(alerts, online.Observe(ev.Record)...)
 			n++
 		}
 	}
-	if n == 0 {
-		t.Fatal("online detector saw no records")
+	if want := len(vl.Sink.ByRun(run)); n != want {
+		t.Fatalf("online detector saw %d records, the run committed %d", n, want)
 	}
-	if alerts := det2.Alerts(); len(alerts) != 0 {
+	if len(alerts) != 0 {
 		t.Errorf("clean run raised %d alerts; first: %+v", len(alerts), alerts[0])
-	}
-	if det2.Processed() != n {
-		t.Errorf("Processed = %d, observed %d", det2.Processed(), n)
 	}
 }
 
-// TestStreamIDSDetectsInjectionOverStream is the online end-to-end
+// TestOnlineDetectsInjectionOverStream is the online end-to-end
 // acceptance: an Injection MITM attacks a live P2 run, the middlebox
 // publishes every committed record, and the detector — consuming the feed
 // over the TCP stream path, exactly as radwatch -ids does — must raise at
 // least one perplexity alert with the scored window attached.
-func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
+func TestOnlineDetectsInjectionOverStream(t *testing.T) {
 	det := trainOnline(t)
 
 	var interceptor *attack.Interceptor
@@ -139,14 +138,17 @@ func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	waitForSubscriber(t, broker, 1)
+	waitFor(t, func() bool { return len(broker.Stats()) == 1 })
 
-	online, err := stream.NewIDS(stream.IDSConfig{Detector: det})
+	online, err := ids.NewOnline(ids.OnlineConfig{Detector: det})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The detector consumes the TCP feed concurrently with the run, as a
-	// real watcher would.
+	// real watcher would. Only the reader touches online and alerts until
+	// it reports on readerDone.
+	var observed atomic.Uint64
+	var alerts []ids.Alert
 	readerDone := make(chan error, 1)
 	go func() {
 		for {
@@ -158,7 +160,8 @@ func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
 			if ev.Kind != wire.EventTrace {
 				continue
 			}
-			online.Observe(*ev.Record)
+			alerts = append(alerts, online.Observe(*ev.Record)...)
+			observed.Add(1)
 		}
 	}()
 
@@ -170,7 +173,7 @@ func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
 	// Wait until every committed run record has crossed the wire, then shut
 	// the stream down.
 	expected := uint64(len(vl.Sink.ByRun(run)))
-	waitFor(t, func() bool { return online.Processed() >= expected })
+	waitFor(t, func() bool { return observed.Load() >= expected })
 	srv.Close()
 	if err := <-readerDone; err != io.EOF && err != nil {
 		// The server closing the connection mid-read surfaces as a read
@@ -178,10 +181,9 @@ func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
 		t.Logf("reader ended with: %v", err)
 	}
 
-	alerts := online.Alerts()
 	if len(alerts) == 0 {
 		t.Fatalf("injection attack raised no alerts over %d records (threshold %.3f)",
-			online.Processed(), online.Threshold())
+			observed.Load(), online.Threshold())
 	}
 	for _, a := range alerts {
 		if a.Source != "perplexity" {
@@ -195,7 +197,7 @@ func TestStreamIDSDetectsInjectionOverStream(t *testing.T) {
 		}
 	}
 	t.Logf("injection: %d alerts over %d records (threshold %.3f)",
-		len(alerts), online.Processed(), online.Threshold())
+		len(alerts), observed.Load(), online.Threshold())
 }
 
 // waitFor polls cond until it holds or a deadline passes.
@@ -211,15 +213,15 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never held")
 }
 
-// TestStreamIDSRuleAlerts exercises the rule-engine side of the online
+// TestOnlineRuleAlerts exercises the rule-engine side of the online
 // detector on a synthetic feed: commands on an uninitialized device and
 // commands outside the catalog must raise structured rule alerts.
-func TestStreamIDSRuleAlerts(t *testing.T) {
+func TestOnlineRuleAlerts(t *testing.T) {
 	det, err := ids.TrainPerplexity([][]string{{"HOME", "MVNG", "GRIP", "MVNG", "HOME"}}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	online, err := stream.NewIDS(stream.IDSConfig{Detector: det, Rules: ids.NewRuleEngine()})
+	online, err := ids.NewOnline(ids.OnlineConfig{Detector: det, Rules: ids.NewRuleEngine()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,31 +252,31 @@ func TestStreamIDSRuleAlerts(t *testing.T) {
 	}
 }
 
-// TestStreamIDSOnAlertCallback checks the synchronous alert hook fires once
-// per alert, after the alert is recorded.
-func TestStreamIDSOnAlertCallback(t *testing.T) {
-	det, err := ids.TrainPerplexity([][]string{{"A", "B", "A", "B", "A", "B"}}, 2)
+// BenchmarkOnlineObserve measures per-record online detection latency —
+// the streaming-IDS figure EXPERIMENTS.md records.
+func BenchmarkOnlineObserve(b *testing.B) {
+	train := make([][]string, 4)
+	names := []string{"HOME", "MVNG", "GRIP", "RLSE", "ARM"}
+	for i := range train {
+		seq := make([]string, 400)
+		for j := range seq {
+			seq[j] = names[(i+j)%len(names)]
+		}
+		train[i] = seq
+	}
+	det, err := ids.TrainPerplexity(train, 2)
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	var hooked []stream.Alert
-	online, err := stream.NewIDS(stream.IDSConfig{
-		Detector: det, Window: 4,
-		OnAlert: func(a stream.Alert) { hooked = append(hooked, a) },
-	})
+	online, err := ids.NewOnline(ids.OnlineConfig{Detector: det, Window: 32})
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	// A run of never-seen commands drives the window perplexity far above
-	// the calibrated threshold.
-	for i, name := range []string{"A", "B", "Z", "Q", "Z", "Q", "Z", "Q"} {
-		online.Observe(store.Record{Seq: uint64(i), Device: "C9", Name: name})
-	}
-	alerts := online.Alerts()
-	if len(alerts) == 0 {
-		t.Fatal("anomalous feed raised no alerts")
-	}
-	if len(hooked) != len(alerts) {
-		t.Errorf("hook fired %d times for %d alerts", len(hooked), len(alerts))
+	r := store.Record{Device: "C9"}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Seq = uint64(i)
+		r.Name = names[i%len(names)]
+		online.Observe(r)
 	}
 }

@@ -29,7 +29,7 @@ func TestObsPrometheusConformance(t *testing.T) {
 	reg.SetHelp("conf_reqs_total", "Requests handled.")
 	reg.Counter("conf_reqs_total", "op", "exec").Add(3)
 	reg.Counter("conf_reqs_total", "op", "trace").Add(1)
-	reg.Gauge("conf_depth").Add(-2)
+	reg.GaugeFunc("conf_depth", func() float64 { return -2 })
 	reg.CounterFunc("conf_pull_total", func() uint64 { return 9 })
 	reg.GaugeFunc("conf_ratio", func() float64 { return 0.25 })
 	reg.Counter(`conf_escaped_total`, "path", "a\\b\"c\nd").Inc()

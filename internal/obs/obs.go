@@ -53,18 +53,6 @@ func (c *Counter) Inc() { c.Add(1) }
 // Value returns the counter's current total.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down (ring occupancy, active
-// workers). A single atomic word, like Counter.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adjusts the gauge by delta (which may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the gauge's current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefaultLatencyBuckets spans 1µs to 60s exponentially — wide enough that
 // both a real-clock exec (hundreds of ns to ms) and a virtual-clock device
 // operation (ms to minutes of simulated time) land in resolved buckets.

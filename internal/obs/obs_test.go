@@ -39,12 +39,6 @@ func TestObsCounterConcurrent(t *testing.T) {
 
 func TestObsGauge(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.Gauge("depth")
-	g.Add(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
 	reg.GaugeFunc("pulled", func() float64 { return 2.5 })
 	snap := reg.Snapshot()
 	var found bool
@@ -174,7 +168,7 @@ func TestObsKindMismatchPanics(t *testing.T) {
 			t.Fatal("registering x_total as a gauge did not panic")
 		}
 	}()
-	reg.Gauge("x_total")
+	reg.GaugeFunc("x_total", func() float64 { return 0 })
 }
 
 func TestObsUnregister(t *testing.T) {

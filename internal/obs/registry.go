@@ -45,7 +45,6 @@ type entry struct {
 	kind   Kind
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	cfn     atomic.Pointer[func() uint64]
 	gfn     atomic.Pointer[func() float64]
@@ -110,31 +109,10 @@ func (r *Registry) CounterFunc(name string, fn func() uint64, kv ...string) {
 	})
 }
 
-// Gauge returns the gauge registered under name and the given label pairs,
-// creating it on first use.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	var g *Gauge
-	r.register(name, KindGauge, kv, func(e *entry) {
-		if e.gauge == nil && e.gfn.Load() == nil {
-			e.gauge = &Gauge{}
-		}
-		if e.gauge == nil {
-			panic("obs: " + e.id + " is registered as a pull-based gauge")
-		}
-		g = e.gauge
-	})
-	return g
-}
-
-// GaugeFunc registers a pull-based gauge: fn is read at render time.
-// Re-registering the same name+labels replaces the callback.
+// GaugeFunc registers a gauge: fn is read at render time. Every gauge is
+// pull-based. Re-registering the same name+labels replaces the callback.
 func (r *Registry) GaugeFunc(name string, fn func() float64, kv ...string) {
-	r.register(name, KindGauge, kv, func(e *entry) {
-		if e.gauge != nil {
-			panic("obs: " + e.id + " is registered as a direct gauge")
-		}
-		e.gfn.Store(&fn)
-	})
+	r.register(name, KindGauge, kv, func(e *entry) { e.gfn.Store(&fn) })
 }
 
 // Histogram returns the histogram registered under name and the given

@@ -91,13 +91,8 @@ func (e *entry) counterValue() uint64 {
 	return e.counter.Value()
 }
 
-// gaugeValue reads a gauge child, direct or pull-based.
-func (e *entry) gaugeValue() float64 {
-	if fn := e.gfn.Load(); fn != nil {
-		return (*fn)()
-	}
-	return float64(e.gauge.Value())
-}
+// gaugeValue reads a gauge child through its callback.
+func (e *entry) gaugeValue() float64 { return (*e.gfn.Load())() }
 
 // formatFloat renders a float the way Prometheus clients do: shortest
 // round-trippable representation.

@@ -38,9 +38,6 @@ func ForEach(n, workers int, fn func(i int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
-		if done := observeCall(n, 1); done != nil {
-			defer done()
-		}
 		var first error
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil && first == nil {
@@ -48,9 +45,6 @@ func ForEach(n, workers int, fn func(i int) error) error {
 			}
 		}
 		return first
-	}
-	if done := observeCall(n, workers); done != nil {
-		defer done()
 	}
 	errs := make([]error, n)
 	var next atomic.Int64

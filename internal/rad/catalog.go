@@ -15,8 +15,3 @@ func deviceLegendOrder(counts map[string]int) []string {
 	})
 	return names
 }
-
-// deviceCatalog returns the catalog entries for one device.
-func deviceCatalog(dev string) []device.CommandSpec {
-	return device.CommandsFor(dev)
-}

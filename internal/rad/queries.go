@@ -3,6 +3,7 @@ package rad
 import (
 	"sort"
 
+	"rad/internal/device"
 	"rad/internal/store"
 )
 
@@ -47,7 +48,7 @@ func (d *Dataset) CommandDistribution() []CommandCount {
 	var out []CommandCount
 	for _, dev := range deviceLegendOrder(d.Store.CountByDevice()) {
 		var devCmds []CommandCount
-		for _, spec := range deviceCatalog(dev) {
+		for _, spec := range device.CommandsFor(dev) {
 			devCmds = append(devCmds, CommandCount{
 				Device: dev, Name: spec.Name, Readable: spec.Readable,
 				Count: byKey[spec.Key()],

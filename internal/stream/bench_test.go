@@ -8,7 +8,6 @@ import (
 
 	"rad/internal/device"
 	"rad/internal/device/c9"
-	"rad/internal/ids"
 	"rad/internal/middlebox"
 	"rad/internal/simclock"
 	"rad/internal/store"
@@ -125,34 +124,5 @@ func BenchmarkTraceHotPath(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkStreamIDSObserve measures per-record online detection latency —
-// the streaming-IDS figure EXPERIMENTS.md records.
-func BenchmarkStreamIDSObserve(b *testing.B) {
-	train := make([][]string, 4)
-	names := []string{"HOME", "MVNG", "GRIP", "RLSE", "ARM"}
-	for i := range train {
-		seq := make([]string, 400)
-		for j := range seq {
-			seq[j] = names[(i+j)%len(names)]
-		}
-		train[i] = seq
-	}
-	det, err := ids.TrainPerplexity(train, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	online, err := stream.NewIDS(stream.IDSConfig{Detector: det, Window: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := store.Record{Device: "C9"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		r.Name = names[i%len(names)]
-		online.Observe(r)
 	}
 }

@@ -3,8 +3,9 @@
 // publishes every committed store.Record (and power sample) to any number of
 // subscribers, each with its own bounded ring buffer and explicit overflow
 // policy. It is the serving substrate the paper's purpose implies — IDS
-// researchers watching the lab live instead of mining completed campaigns —
-// and the attachment point for the online detectors in ids.go.
+// researchers watching the lab live instead of mining completed campaigns.
+// It runs no analysis itself: an online detector (ids.Online, which
+// radwatch -ids runs) is one more subscriber at the far end of a tail.
 //
 // Design rules:
 //

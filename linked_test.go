@@ -1,7 +1,7 @@
 package rad_test
 
 // Every function declared outside a _test.go file must run in a binary the
-// repository ships: the nine commands, the six examples and perfbench. The
+// repository ships: the eight commands, the six examples and perfbench. The
 // test builds them with inlining off, so a function missing from every
 // symbol table was dropped by the linker, not inlined, and compares their
 // symbols with the declarations go/parser finds. A function no binary links
@@ -43,7 +43,7 @@ var testedOnly = map[string]string{
 	// Receive APIs. A binary's subscribers drain the ring over the wire
 	// (the listener's drain), and its tails read through the resilient
 	// client; tests read the same ring and handoff in process.
-	"rad/internal/stream.(*Subscriber).Recv":        "TestStreamIDSCleanRunRaisesNoAlerts",
+	"rad/internal/stream.(*Subscriber).Recv":        "TestOnlineCleanRunRaisesNoAlerts",
 	"rad/internal/stream.(*Subscriber).TryRecv":     "TestPublishDeliversInOrder",
 	"rad/internal/stream.(*Subscriber).take":        "TestPublishDeliversInOrder",
 	"rad/internal/stream.(*ResilientTail).Stats":    "TestReconnectResilientTailResumesAcrossRestart",
