@@ -128,18 +128,21 @@ func main() {
 }
 
 func run(args []string) error {
-	var names, reads []string
+	var names, reads, defaults []string
 	for _, x := range experimentTable {
 		names = append(names, x.name)
 		if x.dataset {
 			reads = append(reads, x.name)
+		}
+		if x.byDefault {
+			defaults = append(defaults, x.name)
 		}
 	}
 	fs := flag.NewFlagSet("radbench", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 11, "campaign seed (drives every random stream)")
 	scale := fs.Float64("scale", 1.0, "unsupervised-bulk scale (1.0 = the full 128,785-object dataset)")
 	fromStore := fs.String("from", "", "read the dataset from this tracedb directory instead of generating it ("+strings.Join(reads, "/")+")")
-	only := fs.String("only", "", "comma-separated experiment subset (default: all)")
+	only := fs.String("only", "", "comma-separated experiment subset (default: "+strings.Join(defaults, ",")+")")
 	fig4Seqs := fs.Int("fig4-sequences", 6, "fig4: joystick button-press sequences per mode")
 	fig4Cmds := fs.Int("fig4-commands", 30, "fig4: ARM commands per sequence")
 	if err := fs.Parse(args); err != nil {

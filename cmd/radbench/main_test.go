@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -47,6 +49,31 @@ func TestRadbenchSubsets(t *testing.T) {
 		if err := run(args); err != nil {
 			t.Fatalf("%q: %v", args, err)
 		}
+	}
+}
+
+// TestRadbenchHelpNamesTheDefaults pins -only's help text, which lists the
+// experiments radbench runs without -only.
+func TestRadbenchHelpNamesTheDefaults(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "help.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"})
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	help, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "comma-separated experiment subset (default: fig4,fig5a,fig5b,fig6,table1,fig7a,fig7b,fig7c,fig7d)\n"
+	if !strings.Contains(string(help), want) {
+		t.Errorf("radbench -h lacks %q:\n%s", want, help)
 	}
 }
 

@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	radgen [-seed N] [-scale F] [-workers N] [-out DIR] [-format csv|jsonl|both] [-store DIR] [-dlq DIR]
+//	radgen [-seed N] [-scale F] [-workers N] [-out DIR] [-format csv|jsonl|both] [-store DIR]
 //
 // Generation is sharded across -workers goroutines; the output is
 // byte-identical for every worker count (see internal/rad's canonical
 // ordering). With -store, the campaign is additionally ingested into a
 // persistent tracedb directory, ready for radquery and radreplay without
-// regeneration; -dlq additionally folds a middlebox dead-letter directory
-// (batches spilled when the trace sinks failed) into that store.
+// regeneration.
 package main
 
 import (
@@ -44,16 +43,11 @@ func run(args []string) error {
 	out := fs.String("out", "rad-dataset", "output directory")
 	format := fs.String("format", "both", "command-dataset format: csv, jsonl, or both")
 	storeDir := fs.String("store", "", "also ingest the campaign into this tracedb directory")
-	dlqDir := fs.String("dlq", "", "dead-letter directory to re-ingest into -store (spills from a crashed or fault-injected middlebox)")
-	compact := fs.Bool("compact", false, "compact the -store after ingest: merge small flush blocks into dense segments with tight indexes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *format != "csv" && *format != "jsonl" && *format != "both" {
 		return fmt.Errorf("unknown format %q", *format)
-	}
-	if *dlqDir != "" && *storeDir == "" {
-		return fmt.Errorf("-dlq requires -store (dead letters re-ingest into the tracedb)")
 	}
 
 	fmt.Printf("generating RAD (seed=%d scale=%.2f workers=%d)...\n", *seed, *scale, *workers)
@@ -77,18 +71,10 @@ func run(args []string) error {
 		}
 	}
 	if *storeDir != "" {
-		reingested, cs, err := writeTraceDB(*storeDir, *dlqDir, records, *compact)
-		if err != nil {
+		if err := writeTraceDB(*storeDir, records); err != nil {
 			return err
 		}
 		fmt.Printf("ingested %d trace objects into tracedb at %s\n", len(records), *storeDir)
-		if *dlqDir != "" {
-			fmt.Printf("re-ingested %d dead-lettered records from %s\n", reingested, *dlqDir)
-		}
-		if *compact {
-			fmt.Printf("compacted: %d segments -> %d, %d blocks -> %d, %d bytes -> %d\n",
-				cs.SegmentsIn, cs.SegmentsOut, cs.BlocksIn, cs.BlocksOut, cs.BytesIn, cs.BytesOut)
-		}
 	}
 	if err := writeRunIndex(filepath.Join(*out, "runs.csv"), ds.Runs); err != nil {
 		return err
@@ -115,42 +101,19 @@ func run(args []string) error {
 const ingestBatch = 4096
 
 // writeTraceDB ingests the campaign into a persistent tracedb store, one
-// ingestBatch-record block per AppendBatch. With a dead-letter directory it
-// then folds the spilled records of a crashed or fault-injected middlebox
-// into the same store, returning how many it recovered; with compact set it
-// finishes with a lifecycle compaction pass.
-func writeTraceDB(dir, dlqDir string, records []store.Record, compact bool) (int, tracedb.CompactStats, error) {
-	var cs tracedb.CompactStats
+// ingestBatch-record block per AppendBatch.
+func writeTraceDB(dir string, records []store.Record) error {
 	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
-		return 0, cs, err
+		return err
 	}
 	for i := 0; i < len(records); i += ingestBatch {
 		if err := db.AppendBatch(records[i:min(i+ingestBatch, len(records))]); err != nil {
 			db.Close()
-			return 0, cs, fmt.Errorf("ingest tracedb: %w", err)
+			return fmt.Errorf("ingest tracedb: %w", err)
 		}
 	}
-	reingested := 0
-	if dlqDir != "" {
-		dlq, err := store.OpenDLQ(dlqDir)
-		if err != nil {
-			db.Close()
-			return 0, cs, fmt.Errorf("open dlq: %w", err)
-		}
-		reingested, err = db.Reingest(dlq)
-		if err != nil {
-			db.Close()
-			return 0, cs, fmt.Errorf("dlq re-ingest: %w", err)
-		}
-	}
-	if compact {
-		if cs, err = db.Compact(); err != nil {
-			db.Close()
-			return reingested, cs, fmt.Errorf("compact tracedb: %w", err)
-		}
-	}
-	return reingested, cs, db.Close()
+	return db.Close()
 }
 
 // writeCommands writes records to a new file at path through the export

@@ -115,48 +115,3 @@ func TestRadgenRejectsBadFormat(t *testing.T) {
 		t.Error("bad format accepted")
 	}
 }
-
-func TestRadgenDLQRequiresStore(t *testing.T) {
-	if err := run([]string{"-dlq", t.TempDir()}); err == nil {
-		t.Error("-dlq without -store accepted")
-	}
-}
-
-// TestRadgenFoldsDLQIntoStore pre-seeds a dead-letter directory (as a
-// crashed middlebox would leave it) and checks radgen -store -dlq folds
-// the spilled records into the generated tracedb.
-func TestRadgenFoldsDLQIntoStore(t *testing.T) {
-	dir := t.TempDir()
-	storeDir := filepath.Join(dir, "tracedb")
-	dlqDir := filepath.Join(dir, "dlq")
-	dlq, err := store.OpenDLQ(dlqDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled := []store.Record{
-		{Device: "C9", Name: "MVNG", Mode: "REMOTE"},
-		{Device: "IKA", Name: "IN_PV_4", Mode: "REMOTE"},
-	}
-	if err := dlq.Spill(spilled); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := run([]string{"-seed", "3", "-scale", "0.01", "-out", dir, "-format", "csv",
-		"-store", storeDir, "-dlq", dlqDir}); err != nil {
-		t.Fatal(err)
-	}
-
-	if files, err := dlq.Pending(); err != nil || len(files) != 0 {
-		t.Fatalf("dlq pending = %v, %v; want drained", files, err)
-	}
-	db, err := tracedb.Open(storeDir, tracedb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	for _, dev := range []string{"C9", "IKA"} {
-		if recs, err := db.Collect(tracedb.Query{Device: dev}); err != nil || len(recs) == 0 {
-			t.Errorf("no %s records in the recovered store (%v)", dev, err)
-		}
-	}
-}

@@ -13,22 +13,23 @@
 // intermediate export. Device/run filters are pushed down into the store's
 // indexed scan.
 //
-// With no -middlebox, radreplay spins up an in-process middlebox over
-// loopback TCP with the requested network profile (-network lan|cloud|none),
-// so a trace can be replayed against an emulated cloud deployment in one
-// command.
+// With no -middlebox, radreplay starts radmiddlebox's deployment
+// (internal/deploy) in process on a loopback port, with the requested
+// network profile (-network lan|cloud|none), so a trace can be replayed
+// against an emulated cloud deployment in one command.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"rad/internal/analysis/stats"
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/middlebox"
-	"rad/internal/procedure"
 	"rad/internal/simclock"
 	"rad/internal/store"
 	"rad/internal/tracedb"
@@ -36,13 +37,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "radreplay:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("radreplay", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "tracedb directory to replay from (required)")
 	mbAddr := fs.String("middlebox", "", "middlebox address (empty = spin one up locally)")
@@ -89,19 +90,13 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		clock := simclock.Real{}
-		core := middlebox.NewCore(clock, nil)
-		for _, d := range procedure.NewDevices(clock, 0, nil).All() {
-			core.Register(d)
-		}
-		srv := middlebox.NewServer(core, profile, 1)
-		bound, err := srv.Start("127.0.0.1:0")
+		d, err := deploy.Start(deploy.Config{Listen: "127.0.0.1:0", Network: profile})
 		if err != nil {
 			return err
 		}
-		addr = bound
-		defer srv.Close()
-		fmt.Printf("local middlebox on %s (network=%s)\n", addr, *network)
+		defer d.Close()
+		addr = d.Addrs.Exec
+		fmt.Fprintf(out, "local middlebox on %s (network=%s)\n", addr, *network)
 	}
 
 	transport, err := tracer.DialTCP(addr)
@@ -148,8 +143,8 @@ func run(args []string) error {
 	}
 
 	box := stats.BoxStats(latencies)
-	fmt.Printf("replayed %d commands (%d device errors from state divergence)\n", len(replaySet), errsSeen)
-	fmt.Printf("response time (ms): min %.2f  Q1 %.2f  median %.2f  Q3 %.2f  max %.2f  mean %.2f  outliers %d\n",
+	fmt.Fprintf(out, "replayed %d commands (%d device errors from state divergence)\n", len(replaySet), errsSeen)
+	fmt.Fprintf(out, "response time (ms): min %.2f  Q1 %.2f  median %.2f  Q3 %.2f  max %.2f  mean %.2f  outliers %d\n",
 		box.Min, box.Q1, box.Med, box.Q3, box.Max, box.Mean, len(box.Outliers))
 	return nil
 }

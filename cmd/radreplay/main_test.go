@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,7 +19,7 @@ func writeJoystickStore(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procedure.RunJoystick(lab.Lab, procedure.Options{Run: "j", Seed: 3}, 6)
+	procedure.RunJoystick(lab.Lab, procedure.Options{Run: "j", Seed: 3, Presses: 6})
 	dir := filepath.Join(t.TempDir(), "tracedb")
 	db, err := tracedb.Open(dir, tracedb.Options{})
 	if err != nil {
@@ -34,12 +35,19 @@ func writeJoystickStore(t *testing.T) string {
 	return dir
 }
 
-// TestReplayFromTraceDB persists a small trace into a tracedb directory and
-// replays it from there — the persisted-campaign round trip.
+// TestReplayFromTraceDB persists a small seeded trace into a tracedb
+// directory and replays it from there against the local deployment — the
+// persisted-campaign round trip. The replayed line is pinned: the devices
+// are seeded and the replay is serial, so only the timings vary.
 func TestReplayFromTraceDB(t *testing.T) {
 	dir := writeJoystickStore(t)
-	if err := run([]string{"-store", dir, "-device", "C9", "-limit", "15", "-network", "none"}); err != nil {
+	var out strings.Builder
+	if err := run([]string{"-store", dir, "-device", "C9", "-limit", "15", "-network", "none"}, &out); err != nil {
 		t.Fatalf("replay from tracedb: %v", err)
+	}
+	const want = "\nreplayed 15 commands (0 device errors from state divergence)\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
 	}
 }
 
@@ -48,16 +56,16 @@ func TestReplayFromTraceDB(t *testing.T) {
 // path holding no store are refused, and the refusal names the path and
 // creates nothing there.
 func TestReplayRequiresTrace(t *testing.T) {
-	if err := run(nil); err == nil {
+	if err := run(nil, io.Discard); err == nil {
 		t.Error("missing -store accepted")
 	}
-	if err := run([]string{"-trace", "x.jsonl"}); err == nil {
+	if err := run([]string{"-trace", "x.jsonl"}, io.Discard); err == nil {
 		t.Error("retired -trace flag accepted")
 	}
 	empty := t.TempDir()
 	missing := filepath.Join(t.TempDir(), "nosuchdir")
 	for _, dir := range []string{missing, empty} {
-		err := run([]string{"-store", dir, "-network", "none"})
+		err := run([]string{"-store", dir, "-network", "none"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), dir) {
 			t.Errorf("-store %s: %v, want an error naming the path", dir, err)
 		}
@@ -74,7 +82,7 @@ func TestReplayRequiresTrace(t *testing.T) {
 // profile, and a name that is none of lan, cloud and none is refused.
 func TestReplayRejectsUnknownNetwork(t *testing.T) {
 	dir := writeJoystickStore(t)
-	err := run([]string{"-store", dir, "-network", "carrier-pigeon"})
+	err := run([]string{"-store", dir, "-network", "carrier-pigeon"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Errorf("-network carrier-pigeon: %v, want an error naming the profile", err)
 	}
@@ -82,7 +90,7 @@ func TestReplayRejectsUnknownNetwork(t *testing.T) {
 
 func TestReplayRejectsEmptyFilterResult(t *testing.T) {
 	dir := writeJoystickStore(t)
-	err := run([]string{"-store", dir, "-device", "Quantos", "-network", "none"})
+	err := run([]string{"-store", dir, "-device", "Quantos", "-network", "none"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "no records match") {
 		t.Errorf("empty replay set: %v, want a no-records error", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"math/rand/v2"
 	"os"
 
-	"rad/internal/device"
 	"rad/internal/obs/span"
 	"rad/internal/procedure"
 	"rad/internal/simclock"
@@ -64,36 +63,17 @@ func run(args []string) error {
 	// middlebox. The raw simulators live on the middlebox, so fault
 	// injection and payload context are unavailable here — exactly the lab
 	// computer's view.
-	lab := &procedure.Lab{
-		Clock:   clock,
-		RNG:     rand.New(rand.NewPCG(*seed+1, *seed^0x9e3779b97f4a7c15)),
-		Session: sess,
+	lab, err := procedure.NewLab(sess, clock, rand.New(rand.NewPCG(*seed+1, *seed^0x9e3779b97f4a7c15)))
+	if err != nil {
+		return err
 	}
-	for name, target := range map[string]*device.Device{
-		device.C9: &lab.C9, device.UR3e: &lab.UR3e, device.IKA: &lab.IKA,
-		device.Tecan: &lab.Tecan, device.Quantos: &lab.Quantos,
-	} {
-		dev, err := sess.Virtual(name)
-		if err != nil {
-			return err
-		}
-		*target = dev
+	label := *proc
+	if label == "joystick" {
+		label = procedure.Joystick
 	}
-
-	opts := procedure.Options{Run: *runLabel, Vials: *vials, Solid: *solid, Seed: *seed}
-	var res procedure.Result
-	switch *proc {
-	case "P1":
-		res = procedure.RunSolubilityN9(lab, opts)
-	case "P2":
-		res = procedure.RunSolubilityN9UR(lab, opts)
-	case "P3":
-		res = procedure.RunCrystalSolubility(lab, opts)
-	case "P4", "joystick":
-		res = procedure.RunJoystick(lab, opts, *presses)
-	default:
-		return fmt.Errorf("unknown procedure %q", *proc)
-	}
+	res := procedure.Run(lab, label, procedure.Options{
+		Run: *runLabel, Vials: *vials, Solid: *solid, Presses: *presses, Seed: *seed,
+	})
 
 	status := "complete"
 	switch {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"rad/internal/procedure"
 	"rad/internal/wire"
 )
 
@@ -234,7 +233,7 @@ func TestPingAndTracePassThroughUntouched(t *testing.T) {
 }
 
 func TestScenarioRunEndToEnd(t *testing.T) {
-	out, err := Run(Scenario{Name: "t", Procedure: procedure.P2,
+	out, err := Run(Scenario{Name: "t",
 		Attack: Config{Kind: Injection, StartAfter: 10, Intensity: 0.5, Seed: 3}, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -251,13 +250,10 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 		t.Errorf("trace %d records vs victim %d commands; injections missing from trace",
 			len(out.Records), out.VictimResult.Commands)
 	}
-	if len(out.Sequence()) != len(out.Records) {
-		t.Error("sequence length mismatch")
-	}
 }
 
 func TestScenarioBenignControl(t *testing.T) {
-	out, err := Run(Scenario{Name: "control", Procedure: procedure.P2, Seed: 3})
+	out, err := Run(Scenario{Name: "control", Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

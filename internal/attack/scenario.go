@@ -8,12 +8,11 @@ import (
 	"rad/internal/tracer"
 )
 
-// Scenario describes one attacked run for benchmarking.
+// Scenario describes one attacked run for benchmarking. The victim is a P2
+// run (Automated Solubility with N9 and UR3e).
 type Scenario struct {
 	// Name labels the scenario in reports.
 	Name string
-	// Procedure is the victim workload (procedure.P1/P2/P3/Joystick).
-	Procedure string
 	// Attack configures the interceptor. A zero Kind runs the scenario
 	// benign (the control).
 	Attack Config
@@ -35,20 +34,12 @@ type Outcome struct {
 	VictimResult procedure.Result
 }
 
-// Sequence returns the run's command-name sequence.
-func (o Outcome) Sequence() []string {
-	out := make([]string, len(o.Records))
-	for i, r := range o.Records {
-		out[i] = r.Name
-	}
-	return out
-}
-
 // Attacked reports whether the scenario actually carried an attack (some
 // probabilistic attacks may not fire within a short run).
 func (o Outcome) Attacked() bool { return len(o.Events) > 0 }
 
-// Run executes the scenario in a fresh virtual lab and returns its outcome.
+// Run executes the scenario's P2 run in a fresh virtual lab and returns its
+// outcome.
 func Run(sc Scenario) (Outcome, error) {
 	var interceptor *Interceptor
 	wrap := func(next tracer.Transport) tracer.Transport { return next }
@@ -72,17 +63,7 @@ func Run(sc Scenario) (Outcome, error) {
 
 	run := "scenario-" + sc.Name
 	opts := procedure.Options{Run: run, Seed: sc.Seed + 1}
-	var res procedure.Result
-	switch sc.Procedure {
-	case procedure.P1:
-		res = procedure.RunSolubilityN9(vl.Lab, opts)
-	case procedure.P2:
-		res = procedure.RunSolubilityN9UR(vl.Lab, opts)
-	case procedure.P3:
-		res = procedure.RunCrystalSolubility(vl.Lab, opts)
-	default:
-		res = procedure.RunJoystick(vl.Lab, opts, 30)
-	}
+	res := procedure.RunSolubilityN9UR(vl.Lab, opts)
 	// Tampered commands can push devices into error states the script treats
 	// as fatal; that is itself an observable consequence of the attack, so
 	// the run is kept either way.
@@ -97,13 +78,12 @@ func Run(sc Scenario) (Outcome, error) {
 // family against the P2 workload — the benchmark set `radbench -only
 // attacks` evaluates detectors on.
 func StandardSuite(seed uint64) []Scenario {
-	out := []Scenario{{Name: "benign-control", Procedure: procedure.P2, Seed: seed}}
+	out := []Scenario{{Name: "benign-control", Seed: seed}}
 	for i, kind := range Kinds() {
 		out = append(out, Scenario{
-			Name:      kind.String(),
-			Procedure: procedure.P2,
-			Attack:    Config{Kind: kind, StartAfter: 20, Seed: seed + uint64(i)*31},
-			Seed:      seed + uint64(i)*17,
+			Name:   kind.String(),
+			Attack: Config{Kind: kind, StartAfter: 20, Seed: seed + uint64(i)*31},
+			Seed:   seed + uint64(i)*17,
 		})
 	}
 	return out

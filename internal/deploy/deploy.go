@@ -1,8 +1,9 @@
 // Package deploy assembles the deployment of the paper's Fig. 1 in one
 // place: a trusted middlebox in front of the five simulated lab devices,
 // one trace log, and the listeners radmiddlebox serves. Start builds it
-// from a Config whose fields are radmiddlebox's flags, so the binary and
-// the tests that serve a store run the same stack.
+// from a Config whose fields are radmiddlebox's flags, so the binary,
+// radreplay's local middlebox, each Fig. 4 mode and the tests that serve
+// a store run the same stack.
 package deploy
 
 import (
@@ -209,7 +210,7 @@ func Start(cfg Config) (_ *Deployment, err error) {
 	var handler middlebox.Handler = d.Core
 	if cfg.Fleet {
 		if d.Fleet, err = fleet.NewRouter(fleet.Config{
-			MaxTenants: cfg.MaxTenants, Registry: reg, Spans: d.Spans, Factory: d.tenant,
+			MaxTenants: cfg.MaxTenants, Registry: reg, Factory: d.tenant,
 		}); err != nil {
 			return nil, err
 		}

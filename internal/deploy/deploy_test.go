@@ -4,15 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"rad/internal/device"
 	"rad/internal/obs"
+	"rad/internal/obs/span"
 	"rad/internal/simclock"
 	"rad/internal/stream"
 	"rad/internal/tracer"
@@ -224,5 +227,52 @@ func TestPowerStreamCarriesEverySample(t *testing.T) {
 	if samples != uint64(d.Monitor.Len()) || published+samples != delivered+dropped {
 		t.Errorf("published %d + power samples %d != delivered %d + dropped %d (monitor recorded %d)",
 			published, samples, delivered, dropped, d.Monitor.Len())
+	}
+}
+
+// TestFleetScrapeAllocatesLittle: a telemetry scrape of a fleet deployment
+// renders per-tenant series that read counters, not the span ring. With
+// 256 tenants and a full 512-span ring, one /metrics scrape must allocate
+// under 1 MB (a ring copy per tenant series allocated ~67 MB).
+func TestFleetScrapeAllocatesLittle(t *testing.T) {
+	const tenants, ring = 256, 512
+	d, err := Start(Config{Listen: "127.0.0.1:0", ObsAddr: "127.0.0.1:0", Fleet: true,
+		MaxTenants: tenants, SpanBuffer: ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	start := time.Now()
+	for i := 0; i < tenants; i++ {
+		id := fmt.Sprintf("lab-%03d", i)
+		if rep := d.Fleet.Handle(wire.Request{ID: 1, Op: wire.OpPing, Tenant: id}); rep.Error != "" {
+			t.Fatalf("ping %s: %s", id, rep.Error)
+		}
+	}
+	for i := 0; i < ring; i++ {
+		d.Spans.Record(span.Span{TraceID: uint64(i + 1), SpanID: uint64(i + 1), Name: "exec",
+			Tenant: fmt.Sprintf("lab-%03d", i%tenants), Start: start, End: start.Add(time.Millisecond)})
+	}
+	if st := d.Spans.Stats(); st.Buffered != ring {
+		t.Fatalf("ring holds %d spans, want %d", st.Buffered, ring)
+	}
+	scrape := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Get("http://" + d.Addrs.Obs + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	scrape() // the first scrape dials the connection
+	if got := scrape(); got >= 1<<20 {
+		t.Errorf("one scrape of %d tenants allocated %d bytes, want under 1 MB", tenants, got)
 	}
 }

@@ -62,7 +62,7 @@ func AttackBenchmark(seed uint64, order int) ([]AttackBenchRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 		}
-		nameScore := nameDet.Score(out.Sequence())
+		nameScore := nameDet.Score(ids.NameSequence(out.Records))
 		argScore := argDet.ScoreRecords(out.Records)
 		rows = append(rows, AttackBenchRow{
 			Scenario:      sc.Name,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rad/internal/analysis/stats"
+	"rad/internal/deploy"
 	"rad/internal/device"
 	"rad/internal/device/c9"
 	"rad/internal/middlebox"
@@ -54,8 +55,10 @@ const (
 // the three deployments of Fig. 4: DIRECT (device local, trace upload off
 // the latency path), REMOTE (command round-trips through the middlebox over
 // real TCP with a LAN profile), and CLOUD (the same path with the Azure
-// WAN profile of footnote 1). All three run over the loopback interface in
-// real time; the emulated network profiles supply the LAN/WAN character.
+// WAN profile of footnote 1). Each mode serves radmiddlebox's deployment
+// (internal/deploy), which logs every command to an in-memory store. All
+// three run over the loopback interface in real time; the emulated network
+// profiles supply the LAN/WAN character.
 func Fig4ResponseTime(cfg Fig4Config) (Fig4Result, error) {
 	if cfg.Sequences <= 0 {
 		cfg.Sequences = 6
@@ -75,24 +78,19 @@ func Fig4ResponseTime(cfg Fig4Config) (Fig4Result, error) {
 }
 
 func fig4Mode(mode string, cfg Fig4Config) (Fig4Mode, error) {
-	clock := simclock.Real{}
-	core := middlebox.NewCore(clock, nil) // latency run: no trace sink needed
-	arm := c9.New(device.NewEnv(clock, cfg.Seed+1))
-	core.Register(arm)
-
 	profile := middlebox.LANProfile()
 	if mode == ModeCloud {
 		profile = middlebox.CloudProfile()
 	}
-
-	srv := middlebox.NewServer(core, profile, cfg.Seed+2)
-	addr, err := srv.Start("127.0.0.1:0")
+	// The served C9 is seeded cfg.Seed+1, as deploy seeds a lab's devices.
+	d, err := deploy.Start(deploy.Config{Listen: "127.0.0.1:0", Network: profile, Seed: cfg.Seed})
 	if err != nil {
 		return Fig4Mode{}, err
 	}
-	defer srv.Close()
+	defer d.Close()
 
-	transport, err := tracer.DialTCP(addr)
+	clock := simclock.Real{}
+	transport, err := tracer.DialTCP(d.Addrs.Exec)
 	if err != nil {
 		return Fig4Mode{}, err
 	}

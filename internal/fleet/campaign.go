@@ -161,7 +161,6 @@ func NewCampaign(cfg CampaignConfig) (*Campaign, error) {
 	router, err := NewRouter(Config{
 		Factory:    func(id string) (*Resources, error) { return c.buildLab(id, labs) },
 		MaxTenants: cfg.Tenants + 1, // + the default tenant, should anyone dial untagged
-		Spans:      cfg.Spans,
 	})
 	if err != nil {
 		return nil, err

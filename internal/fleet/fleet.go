@@ -23,7 +23,6 @@ import (
 
 	"rad/internal/middlebox"
 	"rad/internal/obs"
-	"rad/internal/obs/span"
 	"rad/internal/store"
 	"rad/internal/stream"
 	"rad/internal/tracedb"
@@ -74,12 +73,6 @@ type Config struct {
 	// Registry, when set, receives fleet rollups and per-tenant child
 	// metrics as tenants come to life.
 	Registry *obs.Registry
-	// Spans, when set, is the process-wide span flight recorder. The router
-	// itself records nothing — tenant Cores stamp spans with their tenant id
-	// via the Factory — but a registered recorder gives each tenant a
-	// buffered-span rollup gauge pair (spans, errors) next to its request
-	// counter, so "which lab is tracing hot/failing" is one scrape away.
-	Spans *span.Recorder
 }
 
 // Tenant is one instantiated lab: its resources plus routing accounting.

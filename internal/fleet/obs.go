@@ -22,18 +22,6 @@ func (r *Router) observeTenant(t *Tenant, res *Resources) {
 	reg := r.cfg.Registry
 	reg.SetHelp("rad_fleet_tenant_requests_total", "Requests routed to this tenant.")
 	reg.CounterFunc("rad_fleet_tenant_requests_total", t.requests.Load, "tenant", t.ID)
-	if spans := r.cfg.Spans; spans != nil {
-		// Gauges, not counters: the flight recorder is a bounded ring, so a
-		// tenant's buffered-span population rises and falls with eviction.
-		reg.SetHelp("rad_fleet_tenant_spans", "Tenant spans currently buffered in the flight recorder.")
-		reg.GaugeFunc("rad_fleet_tenant_spans", func() float64 {
-			return float64(spans.TenantStats(t.ID).Spans)
-		}, "tenant", t.ID)
-		reg.SetHelp("rad_fleet_tenant_span_errors", "Buffered tenant spans with a non-ok outcome.")
-		reg.GaugeFunc("rad_fleet_tenant_span_errors", func() float64 {
-			return float64(spans.TenantStats(t.ID).Errors)
-		}, "tenant", t.ID)
-	}
 	if dlq := res.DLQ; dlq != nil {
 		reg.CounterFunc("rad_store_spilled_batches_total", func() uint64 {
 			return dlq.Stats().SpilledBatches

@@ -73,7 +73,7 @@ func TestFleetTracedMixedWireDigests(t *testing.T) {
 	runStorm := func() (map[string]string, *span.Recorder) {
 		rec := span.NewRecorder(span.Config{Seed: 7, Buffer: 1024})
 		mems := &sync.Map{}
-		r, err := NewRouter(Config{Spans: rec, Factory: func(id string) (*Resources, error) {
+		r, err := NewRouter(Config{Factory: func(id string) (*Resources, error) {
 			clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
 			mem := store.NewMemStore()
 			mems.Store(id, mem)

@@ -18,7 +18,7 @@ import (
 func TestWireMiddleboxPinnedProtocols(t *testing.T) {
 	t.Run("v2 pin", func(t *testing.T) {
 		core, _, _ := newTestCore(t)
-		srv := NewServer(core, NetworkProfile{}, 1)
+		srv := NewHandlerServer(core, NetworkProfile{}, 1)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -170,7 +170,7 @@ func TestCoreCountsSinkRefusals(t *testing.T) {
 
 func TestServerServesOverTCP(t *testing.T) {
 	core, sink, _ := newTestCore(t)
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestServerServesOverTCP(t *testing.T) {
 func TestServerAppliesNetworkDelay(t *testing.T) {
 	core, _, _ := newTestCore(t)
 	profile := NetworkProfile{OneWayDelay: 10 * time.Millisecond}
-	srv := NewServer(core, profile, 1)
+	srv := NewHandlerServer(core, profile, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestServerAppliesNetworkDelay(t *testing.T) {
 
 func TestServerCloseIdempotentAndRejectsLateStart(t *testing.T) {
 	core, _, _ := newTestCore(t)
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	if _, err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 	clock := simclock.Real{}
 	core := NewCore(clock, store.NewMemStore())
 	core.Register(c9.New(device.NewEnv(clock, 1)))
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestServerSurvivesGarbageBytes(t *testing.T) {
 func TestServerSurvivesNonJSONPayload(t *testing.T) {
 	clock := simclock.Real{}
 	core := NewCore(clock, nil)
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestServerConcurrentClients(t *testing.T) {
 	sink := store.NewMemStore()
 	core := NewCore(clock, sink)
 	core.Register(c9.New(device.NewEnv(clock, 1)))
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -102,11 +102,6 @@ type Server struct {
 	rng *rand.Rand
 }
 
-// NewServer wraps core with the given emulated network profile.
-func NewServer(core *Core, profile NetworkProfile, seed uint64) *Server {
-	return NewHandlerServer(core, profile, seed)
-}
-
 // NewHandlerServer wraps any Handler — a single-tenant Core or a
 // fleet.Router multiplexing hundreds of them — with the given emulated
 // network profile.

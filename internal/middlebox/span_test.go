@@ -141,7 +141,7 @@ func TestSpanServerWireTree(t *testing.T) {
 	rec := span.NewRecorder(span.Config{Seed: 9})
 	core.SetSpans(rec, "")
 
-	srv := NewServer(core, NetworkProfile{}, 1)
+	srv := NewHandlerServer(core, NetworkProfile{}, 1)
 	srv.SetSpans(rec)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

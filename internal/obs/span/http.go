@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -137,7 +136,6 @@ func Handler(r *Recorder) http.Handler {
 			Stats:   r.Stats(),
 			Rollups: r.Rollup(),
 		}
-		sort.Slice(page.Rollups, func(i, j int) bool { return page.Rollups[i].Tenant < page.Rollups[j].Tenant })
 		if q.Get("format") == "text" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			st := page.Stats

@@ -420,27 +420,3 @@ func (r *Recorder) Rollup() []TenantRollup {
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
 }
-
-// TenantStats returns one tenant's rollup (zero when the tenant has no
-// buffered spans) without materializing the full rollup slice.
-func (r *Recorder) TenantStats(tenant string) TenantRollup {
-	if r == nil {
-		return TenantRollup{Tenant: tenant}
-	}
-	t := TenantRollup{Tenant: tenant}
-	for _, s := range r.Spans() {
-		if s.Tenant != tenant {
-			continue
-		}
-		t.Spans++
-		if s.Failed() {
-			t.Errors++
-		}
-		d := s.Duration()
-		if d > t.Max {
-			t.Max = d
-		}
-		t.Total += d
-	}
-	return t
-}

@@ -273,12 +273,6 @@ func TestSpanTenantRollups(t *testing.T) {
 	if beta.Tenant != "beta" || beta.Spans != 1 || beta.Errors != 1 {
 		t.Fatalf("beta rollup = %+v", beta)
 	}
-	if ts := r.TenantStats("alpha"); ts != alpha {
-		t.Fatalf("TenantStats alpha = %+v, want %+v", ts, alpha)
-	}
-	if ts := r.TenantStats("missing"); ts.Spans != 0 {
-		t.Fatalf("TenantStats missing = %+v", ts)
-	}
 }
 
 func TestSpanSlowHook(t *testing.T) {

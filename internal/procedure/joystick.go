@@ -10,10 +10,11 @@ import (
 // with MVNG polls — the source of Fig. 5(b)'s dominant ARM/MVNG n-grams —
 // with occasional CURR/MOVE axis nudges and JLEN gripper adjustments.
 //
-// presses is the number of button presses; 0 uses a typical session length.
-func RunJoystick(lab *Lab, opts Options, presses int) Result {
+// opts.Presses is the number of button presses; 0 uses a typical session
+// length.
+func RunJoystick(lab *Lab, opts Options) Result {
 	s := newScript(lab, Joystick, opts)
-	return s.finish(s.joystickBody(presses))
+	return s.finish(s.joystickBody(s.opts.Presses))
 }
 
 func (s *script) joystickBody(presses int) error {

@@ -91,6 +91,21 @@ func (l *Lab) Device(name string) (device.Device, bool) {
 	}
 }
 
+// NewLab builds a Lab over sess, each of its five devices virtualized by
+// the session. Its raw simulators are left unset: a lab computer driving
+// a remote middlebox has none.
+func NewLab(sess *tracer.Session, clock simclock.Clock, rng *rand.Rand) (*Lab, error) {
+	lab := &Lab{Clock: clock, RNG: rng, Session: sess}
+	virtual := []*device.Device{&lab.C9, &lab.UR3e, &lab.IKA, &lab.Tecan, &lab.Quantos}
+	for i, name := range []string{device.C9, device.UR3e, device.IKA, device.Tecan, device.Quantos} {
+		var err error
+		if *virtual[i], err = sess.Virtual(name); err != nil {
+			return nil, fmt.Errorf("procedure: virtualize %s: %w", name, err)
+		}
+	}
+	return lab, nil
+}
+
 // Devices is one lab's five simulators.
 type Devices struct {
 	C9      *c9.C9
@@ -205,17 +220,11 @@ func NewVirtualLab(cfg VirtualLabConfig) (*VirtualLab, error) {
 	}
 	sess := tracer.NewSession(transport, clock, tracer.Config{DefaultMode: tracer.ModeRemote})
 
-	lab := &Lab{
-		Raw: raw, Clock: clock, RNG: rand.New(rand.NewPCG(cfg.Seed+7, cfg.Seed^0x2545f4914f6cdd1d)),
-		Session: sess,
+	lab, err := NewLab(sess, clock, rand.New(rand.NewPCG(cfg.Seed+7, cfg.Seed^0x2545f4914f6cdd1d)))
+	if err != nil {
+		return nil, err
 	}
-	virtual := []*device.Device{&lab.C9, &lab.UR3e, &lab.IKA, &lab.Tecan, &lab.Quantos}
-	for i, d := range raw.All() {
-		var err error
-		if *virtual[i], err = sess.Virtual(d.Name()); err != nil {
-			return nil, fmt.Errorf("procedure: virtualize %s: %w", d.Name(), err)
-		}
-	}
+	lab.Raw = raw
 	vlab.Lab = lab
 	return vlab, nil
 }

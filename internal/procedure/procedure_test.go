@@ -2,6 +2,7 @@ package procedure
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,7 +35,7 @@ func devicesUsed(recs []store.Record) map[string]int {
 
 func TestJoystickRunOnlyC9(t *testing.T) {
 	vl := newLab(t, false)
-	res := RunJoystick(vl.Lab, Options{Run: "run-0"}, 10)
+	res := RunJoystick(vl.Lab, Options{Run: "run-0", Presses: 10})
 	if res.Err != nil || res.Anomalous {
 		t.Fatalf("joystick run failed: %+v", res)
 	}
@@ -57,7 +58,7 @@ func TestJoystickRunOnlyC9(t *testing.T) {
 
 func TestJoystickDominatedByArmAndMvng(t *testing.T) {
 	vl := newLab(t, false)
-	RunJoystick(vl.Lab, Options{Run: "run-0"}, 25)
+	RunJoystick(vl.Lab, Options{Run: "run-0", Presses: 25})
 	byCmd := make(map[string]int)
 	for _, r := range vl.Sink.ByRun("run-0") {
 		byCmd[r.Name]++
@@ -276,5 +277,46 @@ func TestVirtualLabDefaults(t *testing.T) {
 	}
 	if vl.Power() != nil {
 		t.Error("power captured without WithPower")
+	}
+}
+
+// TestRunMapsEveryLabel checks that Run maps each label to its runner — the
+// same seeded run on a second lab, called directly, traces the same
+// commands — and that an unknown label runs nothing and names itself.
+func TestRunMapsEveryLabel(t *testing.T) {
+	opts := Options{Run: "r", Vials: 1, Presses: 3, Seed: 4}
+	for _, tc := range []struct {
+		label  string
+		runner func(*Lab, Options) Result
+	}{
+		{P1, RunSolubilityN9},
+		{P2, RunSolubilityN9UR},
+		{P3, RunCrystalSolubility},
+		{Joystick, RunJoystick},
+		{"P9", nil},
+	} {
+		vl := newLab(t, false)
+		res := Run(vl.Lab, tc.label, opts)
+		if tc.runner == nil {
+			if res.Err == nil || !strings.Contains(res.Err.Error(), `"P9"`) || res.Commands != 0 || vl.Sink.Len() != 0 {
+				t.Errorf("Run(%s) = %+v with %d records, want an error naming it and nothing run", tc.label, res, vl.Sink.Len())
+			}
+			continue
+		}
+		direct := newLab(t, false)
+		want := tc.runner(direct.Lab, opts)
+		if res.Err != nil || res.Procedure != tc.label || res != want {
+			t.Errorf("Run(%s) = %+v, the runner gave %+v", tc.label, res, want)
+		}
+		got, wantRecs := vl.Sink.All(), direct.Sink.All()
+		if len(got) == 0 || len(got) != len(wantRecs) {
+			t.Fatalf("Run(%s) traced %d commands, the runner %d", tc.label, len(got), len(wantRecs))
+		}
+		for i := range got {
+			if got[i].Device != wantRecs[i].Device || got[i].Name != wantRecs[i].Name || got[i].Procedure != tc.label {
+				t.Fatalf("Run(%s) record %d = %s %s (%s), the runner's %s %s",
+					tc.label, i, got[i].Device, got[i].Name, got[i].Procedure, wantRecs[i].Device, wantRecs[i].Name)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package procedure
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"strconv"
 	"strings"
@@ -35,6 +36,9 @@ type Options struct {
 	// dissolution iterations each vial needs, but not robot trajectories
 	// (the Fig. 7b invariance).
 	Solid string
+	// Presses is the number of button presses of a P4 joystick session;
+	// zero means a typical session length. Other procedures ignore it.
+	Presses int
 	// JoystickPrefix prepends a joystick positioning session of the given
 	// number of button presses (run 12 used the joystick to move N9 to its
 	// starting position).
@@ -82,6 +86,22 @@ type Result struct {
 	// Err is the termination cause: nil for complete runs, Stopped for
 	// operator stops, the device fault for crashes.
 	Err error
+}
+
+// Run executes the procedure labelled label (P1, P2, P3 or P4) on lab. An
+// unknown label runs nothing and returns a Result whose Err names it.
+func Run(lab *Lab, label string, opts Options) Result {
+	switch label {
+	case P1:
+		return RunSolubilityN9(lab, opts)
+	case P2:
+		return RunSolubilityN9UR(lab, opts)
+	case P3:
+		return RunCrystalSolubility(lab, opts)
+	case Joystick:
+		return RunJoystick(lab, opts)
+	}
+	return Result{Procedure: label, Run: opts.Run, Err: fmt.Errorf("unknown procedure %q", label)}
 }
 
 // script is the execution context threaded through a procedure body. It

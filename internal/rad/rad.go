@@ -383,24 +383,11 @@ func (p *plan) dryRunCommands(kind string, opts procedure.Options) (int, error) 
 		return 0, fmt.Errorf("rad: scratch lab: %w", err)
 	}
 	defer scratch.Close()
-	res := runKind(scratch.Lab, kind, opts)
+	res := procedure.Run(scratch.Lab, kind, opts)
 	if res.Err != nil {
 		return 0, fmt.Errorf("rad: dry run %s: %w", kind, res.Err)
 	}
 	return res.Commands, nil
-}
-
-func runKind(lab *procedure.Lab, kind string, opts procedure.Options) procedure.Result {
-	switch kind {
-	case procedure.P1:
-		return procedure.RunSolubilityN9(lab, opts)
-	case procedure.P2:
-		return procedure.RunSolubilityN9UR(lab, opts)
-	case procedure.P3:
-		return procedure.RunCrystalSolubility(lab, opts)
-	default:
-		return procedure.RunJoystick(lab, opts, 0)
-	}
 }
 
 // runSupervised executes one supervised run on its own shard lab, injecting
@@ -430,7 +417,7 @@ func (p *plan) runSupervised(sp supSpec) (supResult, error) {
 	}
 	defer vl.Close()
 
-	res := runKind(vl.Lab, sp.kind, sp.opts)
+	res := procedure.Run(vl.Lab, sp.kind, sp.opts)
 	if res.Err != nil && !res.Anomalous && res.Err != procedure.Stopped {
 		return supResult{}, fmt.Errorf("rad: supervised %s (%s): %w", sp.opts.Run, sp.kind, res.Err)
 	}
@@ -455,7 +442,7 @@ func (p *plan) runStructured(sp structSpec) ([]store.Record, error) {
 	}
 	defer vl.Close()
 	opts := procedure.Options{Unsupervised: true, Solid: sp.solid, Vials: sp.vials}
-	if res := runKind(vl.Lab, sp.kind, opts); res.Err != nil {
+	if res := procedure.Run(vl.Lab, sp.kind, opts); res.Err != nil {
 		return nil, fmt.Errorf("rad: unsupervised %s: %w", sp.kind, res.Err)
 	}
 	return vl.Sink.All(), nil

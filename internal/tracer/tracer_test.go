@@ -345,7 +345,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 	sink := store.NewMemStore()
 	core := middlebox.NewCore(clock, sink)
 	core.Register(c9.New(device.NewEnv(clock, 1)))
-	srv := middlebox.NewServer(core, middlebox.NetworkProfile{}, 1)
+	srv := middlebox.NewHandlerServer(core, middlebox.NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

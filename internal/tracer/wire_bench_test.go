@@ -19,7 +19,7 @@ func BenchmarkWireExecTCP(b *testing.B) {
 	clock := simclock.NewVirtual(time.Date(2021, 10, 1, 9, 0, 0, 0, time.UTC))
 	core := middlebox.NewCore(clock, store.NewMemStore())
 	core.Register(c9.New(device.NewEnv(clock, 1)))
-	srv := middlebox.NewServer(core, middlebox.NetworkProfile{}, 1)
+	srv := middlebox.NewHandlerServer(core, middlebox.NetworkProfile{}, 1)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)

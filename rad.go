@@ -65,9 +65,9 @@ func NewMiddlebox(clock simclock.Clock, sink store.Sink) *middlebox.Core {
 	return middlebox.NewCore(clock, sink)
 }
 
-// NewMiddleboxServer wraps a middlebox core for TCP serving with an emulated
-// network profile.
-var NewMiddleboxServer = middlebox.NewServer
+// NewMiddleboxServer wraps a middlebox handler (a core, or a fleet router
+// over many) for TCP serving with an emulated network profile.
+var NewMiddleboxServer = middlebox.NewHandlerServer
 
 // TracingConfig configures a session: default mode, per-device overrides
 // (hybrid configurations), and procedure labels.

@@ -57,7 +57,7 @@ func TestPublicTraceExportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lab.Close()
-	rad.RunJoystick(lab.Lab, rad.ProcedureOptions{Run: "j"}, 5)
+	rad.RunJoystick(lab.Lab, rad.ProcedureOptions{Run: "j", Presses: 5})
 
 	var csvBuf, jsonlBuf bytes.Buffer
 	cw, jw := rad.NewCSVWriter(&csvBuf), rad.NewJSONLWriter(&jsonlBuf)
@@ -120,7 +120,7 @@ func TestPublicAnalysesCompose(t *testing.T) {
 
 func TestPublicAttackScenario(t *testing.T) {
 	out, err := rad.RunAttackScenario(rad.AttackScenario{
-		Name: "t", Procedure: rad.ProcedureP2,
+		Name:   "t",
 		Attack: rad.AttackConfig{Kind: rad.AttackInjection, StartAfter: 10, Intensity: 0.5, Seed: 2},
 		Seed:   2,
 	})
